@@ -212,7 +212,7 @@ def evolve(h, psi0, engine: str, t_max: float, steps: int,
             "H is not Hermitian; pass allow_nonhermitian=True for open systems")
     times = np.linspace(0.0, t_max, steps + 1)
     gen = (-1j / units.hbar) * a
-    props = kernels.propagator_batch(gen, times)
+    props = exp2(gen, times)
     states = props @ amps
     return Trajectory(times, states, "continuous")
 

@@ -1,27 +1,13 @@
-"""Hot inner loops: trajectory stepping, step composition, propagator batches.
+"""The sequential trajectory-stepping loop of the discrete engine.
 
-The public names (`step_trajectory`, `compose_steps`, `propagator_batch`)
-are numba @njit-compiled when numba is importable and the environment
-variable CHRONON_LAB_NO_NUMBA is unset; otherwise a pure NumPy/Python
-fallback is selected. `benchmarks/bench_kernels.py` times both paths.
-
-The `_py` suffixed names always point at the fallback implementations so
-the two paths can be compared in-process.
+`step_trajectory` applies the chronon step map one step at a time and keeps
+every visited state; the step-by-step order fixes the rounding of each row.
 """
-
-import cmath
-import os
 
 import numpy as np
 
-ENV_FLAG = "CHRONON_LAB_NO_NUMBA"
 
-
-def numba_disabled() -> bool:
-    return os.environ.get(ENV_FLAG, "").strip().lower() in ("1", "true", "yes", "on")
-
-
-def _step_trajectory(u, psi0, steps):
+def step_trajectory(u, psi0, steps):
     """Apply the fixed 2x2 step map `steps` times; rows are the visited states."""
     out = np.empty((steps + 1, 2), dtype=np.complex128)
     a = u[0, 0]
@@ -37,93 +23,3 @@ def _step_trajectory(u, psi0, steps):
         out[k, 0] = x
         out[k, 1] = y
     return out
-
-
-def _compose_steps(u, m):
-    """Sequential product of m copies of u (the composed step map)."""
-    p00 = 1.0 + 0.0j
-    p01 = 0.0 + 0.0j
-    p10 = 0.0 + 0.0j
-    p11 = 1.0 + 0.0j
-    a = u[0, 0]
-    b = u[0, 1]
-    c = u[1, 0]
-    d = u[1, 1]
-    for _ in range(m):
-        p00, p01, p10, p11 = (a * p00 + b * p10, a * p01 + b * p11,
-                              c * p00 + d * p10, c * p01 + d * p11)
-    out = np.empty((2, 2), dtype=np.complex128)
-    out[0, 0] = p00
-    out[0, 1] = p01
-    out[1, 0] = p10
-    out[1, 1] = p11
-    return out
-
-
-def _propagator_batch(gen, times):
-    """exp(gen * t) for every t in `times` via the 2x2 closed form."""
-    out = np.empty((times.shape[0], 2, 2), dtype=np.complex128)
-    half_tr = 0.5 * (gen[0, 0] + gen[1, 1])
-    det = gen[0, 0] * gen[1, 1] - gen[0, 1] * gen[1, 0]
-    delta = cmath.sqrt(complex(half_tr * half_tr - det))
-    b00 = gen[0, 0] - half_tr
-    b01 = gen[0, 1]
-    b10 = gen[1, 0]
-    b11 = gen[1, 1] - half_tr
-    for k in range(times.shape[0]):
-        t = times[k]
-        x = delta * t
-        if abs(x) < 1e-6:
-            sinch = t * (1.0 + (x * x) / 6.0 * (1.0 + (x * x) / 20.0))
-        else:
-            sinch = cmath.sinh(x) / delta
-        ch = cmath.cosh(x)
-        pref = cmath.exp(half_tr * t)
-        out[k, 0, 0] = pref * (ch + sinch * b00)
-        out[k, 0, 1] = pref * (sinch * b01)
-        out[k, 1, 0] = pref * (sinch * b10)
-        out[k, 1, 1] = pref * (ch + sinch * b11)
-    return out
-
-
-def _propagator_batch_numpy(gen, times):
-    """Vectorized NumPy variant of `_propagator_batch` (fallback path)."""
-    half_tr = 0.5 * (gen[0, 0] + gen[1, 1])
-    det = gen[0, 0] * gen[1, 1] - gen[0, 1] * gen[1, 0]
-    delta = cmath.sqrt(complex(half_tr * half_tr - det))
-    x = delta * times
-    ch = np.cosh(x)
-    small = np.abs(x) < 1e-6
-    sinch = np.where(
-        small,
-        times * (1.0 + (x * x) / 6.0 * (1.0 + (x * x) / 20.0)),
-        # guard the 0/0 lane that np.where still evaluates
-        np.divide(np.sinh(x), delta if delta != 0 else 1.0),
-    )
-    pref = np.exp(half_tr * times)
-    traceless = gen - half_tr * np.eye(2, dtype=np.complex128)
-    out = (ch[:, None, None] * np.eye(2, dtype=np.complex128)
-           + sinch[:, None, None] * traceless)
-    return pref[:, None, None] * out
-
-
-step_trajectory_py = _step_trajectory
-compose_steps_py = _compose_steps
-propagator_batch_py = _propagator_batch_numpy
-
-NUMBA_ENABLED = False
-if not numba_disabled():
-    try:
-        from numba import njit
-    except ImportError:
-        pass
-    else:
-        step_trajectory = njit(cache=True)(_step_trajectory)
-        compose_steps = njit(cache=True)(_compose_steps)
-        propagator_batch = njit(cache=True)(_propagator_batch)
-        NUMBA_ENABLED = True
-
-if not NUMBA_ENABLED:
-    step_trajectory = step_trajectory_py
-    compose_steps = compose_steps_py
-    propagator_batch = propagator_batch_py

@@ -123,9 +123,11 @@ def eig2(m, tol: float = DEFAULT_TOL) -> tuple[EigenPair2, EigenPair2]:
             EigenPair2(lam_hi, _eigvec_for(a, lam_hi), degenerate))
 
 
-def exp2(m, s: complex = 1.0) -> np.ndarray:
+def exp2(m, s: complex | np.ndarray = 1.0) -> np.ndarray:
     """exp(s*M) for a 2x2 complex matrix, exactly.
 
+    `s` is a scalar scale, giving a (2, 2) result, or an array of scales,
+    giving one stacked (2, 2) exponential per scale (shape s.shape + (2, 2)).
     Uses the trace/determinant closed form
         exp(sM) = e^{s tr/2} [cosh(sD) I + sinh(sD)/D (M - (tr/2) I)],
         D^2 = (tr/2)^2 - det M,
@@ -135,20 +137,32 @@ def exp2(m, s: complex = 1.0) -> np.ndarray:
     """
     a = as_operator(m)
     require_finite(a)
-    s = complex(s)
-    if not cmath.isfinite(s):
+    s = np.asarray(s)
+    if not np.all(np.isfinite(s)):
         raise InvalidInput("scale factor must be finite")
-    half_tr = 0.5 * (complex(a[0, 0]) + complex(a[1, 1]))
-    det = complex(a[0, 0]) * complex(a[1, 1]) - complex(a[0, 1]) * complex(a[1, 0])
-    delta = cmath.sqrt(half_tr * half_tr - det)
-    x = s * delta
-    if abs(x) < 1e-6:
-        # sinh(s D)/D -> s (1 + x^2/6 + x^4/120 + ...) as D -> 0
-        sinch = s * (1.0 + (x * x) / 6.0 * (1.0 + (x * x) / 20.0))
-    else:
-        sinch = cmath.sinh(x) / delta
-    return cmath.exp(s * half_tr) * (
-        cmath.cosh(x) * IDENTITY2 + sinch * (a - half_tr * IDENTITY2))
+    t = s.reshape(-1)
+    half_tr = 0.5 * (a[0, 0] + a[1, 1])
+    det = a[0, 0] * a[1, 1] - a[0, 1] * a[1, 0]
+    delta = cmath.sqrt(complex(half_tr * half_tr - det))
+    x = delta * t
+    # sinh(s D)/D -> s (1 + x^2/6 + x^4/120 + ...) as D -> 0; the divisor
+    # guard keeps the 0/0 lane that np.where still evaluates quiet
+    sinch = np.where(np.abs(x) < 1e-6,
+                     t * (1.0 + (x * x) / 6.0 * (1.0 + (x * x) / 20.0)),
+                     np.divide(np.sinh(x), delta if delta != 0 else 1.0))
+    out = (np.cosh(x)[:, None, None] * IDENTITY2
+           + sinch[:, None, None] * (a - half_tr * IDENTITY2))
+    return (np.exp(half_tr * t)[:, None, None] * out).reshape(s.shape + (2, 2))
+
+
+def _require_principal_log(lam: complex, tol: float, what: str) -> None:
+    """Raise SingularMap for |lam| <= tol and BranchCut for lam on the
+    negative real axis, where the principal log is undefined; `what` names
+    lam in the message."""
+    if abs(lam) <= tol:
+        raise SingularMap(f"{what} {lam} is numerically zero")
+    if lam.real < 0 and abs(lam.imag) <= tol * abs(lam):
+        raise BranchCut(f"{what} {lam} lies on the negative real axis")
 
 
 def log2(u, tol: float = DEFAULT_TOL) -> np.ndarray:
@@ -162,11 +176,7 @@ def log2(u, tol: float = DEFAULT_TOL) -> np.ndarray:
     require_finite(a)
     lo, hi = eig2(a, tol)
     for pair in (lo, hi):
-        lam = pair.value
-        if abs(lam) <= tol:
-            raise SingularMap(f"eigenvalue {lam} too close to zero")
-        if lam.real < 0 and abs(lam.imag) <= tol * abs(lam):
-            raise BranchCut(f"eigenvalue {lam} lies on the negative real axis")
+        _require_principal_log(pair.value, tol, "eigenvalue")
     if lo.degenerate:
         lam = 0.5 * (lo.value + hi.value)
         # U = lam I + N with N^2 = 0, so log U = log(lam) I + N / lam.

@@ -25,7 +25,7 @@ from pathlib import Path
 
 import numpy as np
 
-from . import __version__, kernels
+from . import __version__
 from .errors import (ChrononLabError, InvalidInput, RefusedTooLarge,
                      UndefinedRatio)
 from .evolution import (ChrononParams, TwoState, UnitSystem,
@@ -364,7 +364,7 @@ def convergence_study(energy: float, t_max: float, m_list,
     for m in m_list:
         dt = t_max / m
         u = np.eye(2, dtype=np.complex128) - (1j * dt / hbar) * h
-        composed = kernels.compose_steps(u, m)
+        composed = np.linalg.matrix_power(u, m)
         if not np.all(np.isfinite(composed)):
             rows.append({"m": m, "max_entry_error": None,
                          "observed_order": None, "status": "invalid"})

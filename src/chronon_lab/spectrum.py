@@ -24,11 +24,12 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import (BranchCut, ChrononLabError, InvalidInput, SingularMap,
-                     UndefinedMeasure, UndefinedRatio)
+from .errors import (ChrononLabError, InvalidInput, SingularMap, UndefinedMeasure,
+                     UndefinedRatio)
 from .evolution import (ChrononParams, NATURAL_UNITS, UnitSystem,
                         discrete_step_operator)
-from .linalg2 import DEFAULT_TOL, as_operator, eig2, is_hermitian, log2, non_hermiticity
+from .linalg2 import (DEFAULT_TOL, _require_principal_log, as_operator, eig2,
+                      is_hermitian, log2, non_hermiticity)
 
 CONVENTIONS = ("paper", "standard")
 
@@ -86,10 +87,7 @@ def effective_energy_exact(h: complex, p: ChrononParams,
     """
     step = p.step(units)
     lam = step_eigenvalue(h, p, units)
-    if abs(lam) <= tol:
-        raise SingularMap(f"one-step multiplier {lam} is numerically zero")
-    if lam.real < 0 and abs(lam.imag) <= tol * abs(lam):
-        raise BranchCut(f"one-step multiplier {lam} lies on the branch cut")
+    _require_principal_log(lam, tol, "one-step multiplier")
     return 1j * units.hbar / step * cmath.log(lam)
 
 

@@ -10,9 +10,7 @@ import math
 import time
 
 import numpy as np
-import pytest
 
-from chronon_lab import kernels
 from chronon_lab.evolution import (ChrononParams, NATURAL_UNITS, TwoState,
                                    discrete_step_operator, evolve,
                                    symmetric_hamiltonian)
@@ -27,16 +25,6 @@ from chronon_lab.spectrum import (effective_energy_first_order, imag_real_ratio,
 import golden_defs
 
 SIX_DECADES = np.geomspace(1e-3, 1e3, 25)
-
-
-@pytest.fixture(scope="module", autouse=True)
-def warm_kernels():
-    # JIT compilation happens once per process; warm it so the runtime
-    # bounds below measure the algorithms, not compiler latency.
-    u = np.eye(2, dtype=np.complex128)
-    kernels.step_trajectory(u, np.array([1.0 + 0j, 0.0 + 0j]), 2)
-    kernels.compose_steps(u, 2)
-    kernels.propagator_batch(u, np.array([0.0, 1.0]))
 
 
 @contextlib.contextmanager

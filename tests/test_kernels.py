@@ -1,9 +1,4 @@
-import os
-import subprocess
-import sys
-
 import numpy as np
-import pytest
 
 from chronon_lab import kernels
 
@@ -15,14 +10,6 @@ def random_inputs(seed):
     return u, psi
 
 
-def test_step_trajectory_paths_agree():
-    u, psi = random_inputs(101)
-    jit = kernels.step_trajectory(u, psi, 400)
-    py = kernels.step_trajectory_py(u, psi, 400)
-    assert jit.shape == (401, 2)
-    np.testing.assert_array_equal(jit, py)
-
-
 def test_step_trajectory_matches_matrix_power():
     u, psi = random_inputs(103)
     u = 0.5 * u
@@ -30,56 +17,3 @@ def test_step_trajectory_matches_matrix_power():
     for k in (0, 1, 7, 50):
         np.testing.assert_allclose(out[k], np.linalg.matrix_power(u, k) @ psi,
                                    rtol=1e-10, atol=1e-12)
-
-
-def test_compose_steps_paths_agree():
-    u, _ = random_inputs(107)
-    u = 0.4 * u
-    np.testing.assert_array_equal(kernels.compose_steps(u, 777),
-                                  kernels.compose_steps_py(u, 777))
-
-
-def test_compose_steps_matches_matrix_power():
-    u, _ = random_inputs(109)
-    u = 0.4 * u
-    np.testing.assert_allclose(kernels.compose_steps(u, 64),
-                               np.linalg.matrix_power(u, 64),
-                               rtol=1e-10, atol=1e-12)
-    np.testing.assert_array_equal(kernels.compose_steps(u, 0), np.eye(2))
-
-
-def test_propagator_batch_paths_agree():
-    u, _ = random_inputs(113)
-    gen = -1j * 0.5 * (u + u.conj().T)
-    times = np.linspace(0.0, 5.0, 64)
-    np.testing.assert_allclose(kernels.propagator_batch(gen, times),
-                               kernels.propagator_batch_py(gen, times),
-                               atol=1e-13)
-
-
-def test_propagator_batch_matches_exp2():
-    from chronon_lab.linalg2 import exp2
-    u, _ = random_inputs(127)
-    gen = 0.3 * u
-    times = np.linspace(0.0, 2.0, 9)
-    batch = kernels.propagator_batch(gen, times)
-    for k, t in enumerate(times):
-        np.testing.assert_allclose(batch[k], exp2(gen, t), atol=1e-12)
-
-
-def test_env_flag_selects_numpy_path():
-    env = dict(os.environ, CHRONON_LAB_NO_NUMBA="1")
-    code = ("from chronon_lab import kernels; "
-            "print(kernels.NUMBA_ENABLED, "
-            "kernels.step_trajectory is kernels.step_trajectory_py)")
-    out = subprocess.run([sys.executable, "-c", code], env=env,
-                         capture_output=True, text=True, check=True)
-    assert out.stdout.split() == ["False", "True"]
-
-
-@pytest.mark.skipif(kernels.numba_disabled(),
-                    reason="fallback forced via CHRONON_LAB_NO_NUMBA")
-def test_numba_path_active_by_default():
-    # this environment has numba installed; the default import selects it
-    assert kernels.NUMBA_ENABLED
-    assert kernels.step_trajectory is not kernels.step_trajectory_py

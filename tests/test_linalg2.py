@@ -129,6 +129,22 @@ def test_exp2_matches_scipy():
                                    atol=1e-9, rtol=1e-9)
 
 
+def test_exp2_stacked_matches_scipy():
+    # One exponential per scale. t = 0 and the defective matrix (D = 0) take
+    # the series lane; each stacked entry equals the scalar call exactly.
+    rng = np.random.default_rng(127)
+    defective = np.array([[0.3, 1.0], [0.0, 0.3]], dtype=complex)
+    times = np.concatenate([[0.0, 1e-9], np.linspace(0.1, 5.0, 17)])
+    for m in (random_complex_matrix(rng, 0.3), -1j * PAULI_X, defective):
+        got = exp2(m, times)
+        assert got.shape == (times.size, 2, 2)
+        for k, t in enumerate(times):
+            np.testing.assert_allclose(got[k], scipy.linalg.expm(t * m),
+                                       rtol=1e-12, atol=1e-13)
+            np.testing.assert_array_equal(got[k], exp2(m, t))
+    assert exp2(PAULI_X, 0.5).shape == (2, 2)
+
+
 def test_exp2_hermitian_is_unitary():
     rng = np.random.default_rng(17)
     for _ in range(100):

@@ -3,16 +3,20 @@ import io
 import json
 import math
 
+import mpmath
 import numpy as np
 import pytest
 
 from chronon_lab.errors import InvalidInput, RefusedTooLarge
+from chronon_lab.evolution import continuous_propagator, symmetric_hamiltonian
 from chronon_lab.runner import (ScanAxis, ScanSpec, build_manifest,
                                 convergence_study, digest_of,
                                 emit_with_manifest, kaon_from_config,
                                 load_kaon_config, manifest_path_for,
                                 parse_complex_pair, render, run_scan,
                                 scan_columns)
+
+import golden_defs
 
 
 def ratio_scan_spec(count=13):
@@ -168,6 +172,53 @@ def test_convergence_error_bound_at_large_m():
     assert c / 2 ** 20 < 1e-5
     direct = convergence_study(1.0, 1.0, [2 ** 20])
     assert direct[0]["max_entry_error"] <= 1e-5
+
+
+def test_convergence_composed_map_matches_sequential_product():
+    # The composed map is rounded differently from the naive m-fold product;
+    # by the triangle inequality the two errors differ by at most the max
+    # entry distance between the two maps, bounded here by 1e-12.
+    m_list = [2, 3, 7, 64, 1000, 4099]
+    rows = convergence_study(1.3, 0.7, m_list)
+    h = symmetric_hamiltonian(1.3)
+    target = continuous_propagator(h, 0.7)
+    for row, m in zip(rows, m_list):
+        u = np.eye(2, dtype=np.complex128) - (1j * 0.7 / m) * h
+        naive = np.eye(2, dtype=np.complex128)
+        for _ in range(m):
+            naive = u @ naive
+        err = float(np.max(np.abs(naive - target)))
+        assert abs(row["max_entry_error"] - err) <= 1e-12
+
+
+def converge_oracle(m: int) -> mpmath.mpf:
+    """max|(I - i H/m)^m - exp(-i H)| for H = [[0, 1], [1, 0]], at 50 digits."""
+    with mpmath.workdps(50):
+        h = mpmath.matrix([[0, 1], [1, 0]])
+        diff = (mpmath.eye(2) - 1j * h / m) ** m - mpmath.expm(-1j * h)
+        return max(abs(diff[i, j]) for i in range(2) for j in range(2))
+
+
+def test_converge_golden_matches_mpmath_oracle():
+    # Double rounding leaves the committed rows within 6e-11 (errors) and
+    # 1.4e-10 (orders) of the 50-digit values, relative; 1e-9 passes any
+    # rounding-level regeneration and fails a real change of the composed
+    # map or of the baseline.
+    with open(golden_defs.GOLDEN_DIR / "converge.csv", newline="") as f:
+        rows = list(csv.DictReader(f))
+    assert [int(r["m"]) for r in rows] == golden_defs.CONVERGE_M_LIST
+    prev = None
+    for row in rows:
+        m = int(row["m"])
+        err = converge_oracle(m)
+        assert row["status"] == "ok"
+        assert float(row["max_entry_error"]) == pytest.approx(float(err), rel=1e-9)
+        if prev is None:
+            assert row["observed_order"] == ""
+        else:
+            order = mpmath.log(prev[1] / err) / mpmath.log(mpmath.mpf(m) / prev[0])
+            assert float(row["observed_order"]) == pytest.approx(float(order), rel=1e-9)
+        prev = (m, err)
 
 
 def test_convergence_study_zero_time():
