@@ -14,19 +14,17 @@ import argparse
 import sys
 
 from .errors import DOMAIN_ERRORS, USAGE_ERRORS, InvalidInput
-from .evolution import ChrononParams, TwoState, UnitSystem, evolve, symmetric_hamiltonian
-from .kaon import (epsilon_mixing, kaon_trajectory, three_pion_intensity,
-                   two_pion_intensity, width_shift)
-from .runner import (CONVERGENCE_COLUMNS, ScanSpec, convergence_study, emit,
-                     emit_with_manifest, kaon_from_config, load_kaon_config,
+from .evolution import TwoState, evolve, symmetric_hamiltonian
+from .kaon import kaon_trajectory, three_pion_intensity, two_pion_intensity
+from .runner import (CONVERGENCE_COLUMNS, MODE_FIELDS, QUANTITIES, ScanSpec,
+                     chronon_of, convergence_study, emit, emit_with_manifest,
+                     kaon_from_config, load_kaon_config, mode_fields,
                      parse_complex_pair, run_scan, scan_columns)
-from .spectrum import CONVENTIONS, decay_reading, efold_direction, imag_real_ratio, mode_report
-from .errors import UndefinedRatio
+from .spectrum import CONVENTIONS, decay_reading, efold_direction, mode_report
 
-MODES_COLUMNS = ["mode", "h", "lambda_re", "lambda_im", "heff_re", "heff_im",
-                 "hfirst_re", "hfirst_im", "step_mag", "efold_time",
-                 "direction", "reading", "ratio_exact", "ratio_first",
-                 "nu_nonhermitian"]
+# MODE_FIELDS ends with the two ratio cells; `modes` puts the readings before them.
+MODES_COLUMNS = ["mode", *MODE_FIELDS[:-2], "direction", "reading",
+                 *MODE_FIELDS[-2:], "nu_nonhermitian"]
 
 EVOLVE_COLUMNS = ["t", "a0_re", "a0_im", "a1_re", "a1_im", "norm2"]
 
@@ -44,32 +42,13 @@ def _add_chronon_args(sub):
 
 
 def _cmd_modes(args):
-    p = ChrononParams(energy=args.energy, n=args.n, tau_scale=args.tau_scale)
-    units = UnitSystem(hbar=args.hbar)
+    p, units = chronon_of(vars(args), "energy")
     spec = mode_report(symmetric_hamiltonian(args.energy), p, units, args.convention)
-    rows = []
-    for rec in spec.modes:
-        row = {
-            "mode": rec.mode_index,
-            "h": rec.h_continuous,
-            "lambda_re": rec.lambda_step.real,
-            "lambda_im": rec.lambda_step.imag,
-            "heff_re": rec.h_eff_exact.real,
-            "heff_im": rec.h_eff_exact.imag,
-            "hfirst_re": rec.h_first_order.real,
-            "hfirst_im": rec.h_first_order.imag,
-            "step_mag": rec.step_magnitude,
-            "efold_time": rec.efold_time,
-            "direction": efold_direction(rec.lambda_step),
-            "reading": decay_reading(rec.h_eff_exact, spec.convention),
-            "nu_nonhermitian": spec.nu_nonhermitian,
-        }
-        for which, col in (("exact", "ratio_exact"), ("first_order", "ratio_first")):
-            try:
-                row[col] = imag_real_ratio(rec, which)
-            except UndefinedRatio:
-                row[col] = None
-        rows.append(row)
+    rows = [{"mode": rec.mode_index, **mode_fields(rec),
+             "direction": efold_direction(rec.lambda_step),
+             "reading": decay_reading(rec.h_eff_exact, spec.convention),
+             "nu_nonhermitian": spec.nu_nonhermitian}
+            for rec in spec.modes]
     params = {"command": "modes", "energy": args.energy, "n": args.n,
               "tau_scale": args.tau_scale, "hbar": args.hbar,
               "convention": args.convention}
@@ -77,8 +56,7 @@ def _cmd_modes(args):
 
 
 def _cmd_evolve(args):
-    p = ChrononParams(energy=args.energy, n=args.n, tau_scale=args.tau_scale)
-    units = UnitSystem(hbar=args.hbar)
+    p, units = chronon_of(vars(args), "energy")
     psi0 = TwoState(parse_complex_pair(args.psi0))
     traj = evolve(symmetric_hamiltonian(args.energy), psi0, args.engine,
                   args.t_max, args.steps, p, units)
@@ -94,11 +72,11 @@ def _cmd_evolve(args):
 
 def _cmd_kaon(args):
     cfg = load_kaon_config(args.config)
-    model, p = kaon_from_config(cfg)
     params = {"command": "kaon", "config": str(args.config),
               "observable": args.observable, "engine": args.engine, **cfg}
 
     if args.observable in ("2pi", "3pi"):
+        model, p = kaon_from_config(cfg)
         t_max = cfg.get("t_max")
         if t_max is None:
             raise InvalidInput("config must set t_max for trajectory observables")
@@ -114,24 +92,13 @@ def _cmd_kaon(args):
         rows = [{"t": t, "rate": v} for t, v in series]
         return rows, ["t", "rate"], params
 
+    # the scan evaluators, called directly so that domain errors exit 3
     if args.observable == "epsilon":
-        eps = epsilon_mixing(model, p, args.engine)
-        rows = [{"engine": args.engine, "epsilon_re": eps.real,
-                 "epsilon_im": eps.imag, "epsilon_abs": abs(eps)}]
-        return rows, ["engine", "epsilon_re", "epsilon_im", "epsilon_abs"], params
-
-    # width-shift (engine-independent)
-    fast, slow = width_shift(model, p)
-    row = {}
-    for lbl, rec in (("fast", fast), ("slow", slow)):
-        row[f"{lbl}_h_re"] = rec.h_generator.real
-        row[f"{lbl}_h_im"] = rec.h_generator.imag
-        row[f"{lbl}_lambda_re"] = rec.lambda_step.real
-        row[f"{lbl}_lambda_im"] = rec.lambda_step.imag
-        row[f"{lbl}_lambda_abs"] = abs(rec.lambda_step)
-        row[f"{lbl}_gamma_continuous"] = rec.gamma_continuous
-        row[f"{lbl}_gamma_effective"] = rec.gamma_effective
-    return [row], list(row.keys()), params
+        row = {"engine": args.engine,
+               **QUANTITIES["epsilon"]({**cfg, "engine": args.engine})}
+    else:  # width-shift (engine-independent)
+        row = QUANTITIES["width_shift"](cfg)
+    return [row], list(row), params
 
 
 def _cmd_scan(args):

@@ -41,10 +41,6 @@ def require_finite(a: np.ndarray) -> None:
         raise InvalidInput("matrix has non-finite entries")
 
 
-def frobenius(m) -> float:
-    return float(np.linalg.norm(as_operator(m)))
-
-
 def is_hermitian(m, tol: float = DEFAULT_TOL) -> bool:
     """Max-entry test of M == M^dagger."""
     a = as_operator(m)

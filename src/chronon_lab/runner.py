@@ -31,7 +31,7 @@ from .errors import (ChrononLabError, InvalidInput, RefusedTooLarge,
 from .evolution import (ChrononParams, TwoState, UnitSystem,
                         continuous_propagator, evolve, symmetric_hamiltonian)
 from .kaon import KaonModel, epsilon_mixing, width_shift
-from .spectrum import imag_real_ratio, mode_report
+from .spectrum import ModeRecord, imag_real_ratio, mode_report
 
 SCHEMA_VERSION = 1
 DEFAULT_GRID_CAP = 1_000_000
@@ -49,6 +49,8 @@ class ScanAxis:
     spacing: str = "linear"
 
     def __post_init__(self):
+        if not (math.isfinite(self.start) and math.isfinite(self.stop)):
+            raise InvalidInput(f"axis {self.name!r}: start and stop must be finite")
         if self.count < 1 or int(self.count) != self.count:
             raise InvalidInput(f"axis {self.name!r}: count must be a positive integer")
         if self.spacing not in ("linear", "log"):
@@ -83,9 +85,11 @@ class ScanSpec:
             if name not in schema or schema[name] not in (float, int):
                 raise InvalidInput(
                     f"axis {name!r} is not a numeric parameter of {self.quantity!r}")
-        for key in self.fixed:
+        for key, value in self.fixed.items():
             if key not in schema:
                 raise InvalidInput(f"unknown parameter {key!r} for {self.quantity!r}")
+            if schema[key] is not str:
+                coerce_number(key, value, schema[key])  # raises if malformed
         overlap = set(names) & set(self.fixed)
         if overlap:
             raise InvalidInput(f"parameters {sorted(overlap)} both fixed and scanned")
@@ -104,13 +108,15 @@ class ScanSpec:
             raise InvalidInput(f"unknown scan spec keys {sorted(unknown)}")
         try:
             axes = tuple(ScanAxis(a["name"], float(a["start"]), float(a["stop"]),
-                                  int(a["count"]), a.get("spacing", "linear"))
+                                  coerce_number("count", a["count"], int),
+                                  a.get("spacing", "linear"))
                          for a in d.get("grid", []))
         except (KeyError, TypeError, ValueError) as exc:
             raise InvalidInput(f"malformed grid axis: {exc}") from exc
         return cls(quantity=d.get("quantity", ""), grid=axes,
                    fixed=dict(d.get("fixed", {})),
-                   max_points=int(d.get("max_points", DEFAULT_GRID_CAP)))
+                   max_points=coerce_number(
+                       "max_points", d.get("max_points", DEFAULT_GRID_CAP), int))
 
     @classmethod
     def from_json_file(cls, path) -> "ScanSpec":
@@ -148,25 +154,27 @@ _PARAM_SCHEMAS = {
                               **_CHRONON_KEYS},
 }
 
+# hbar first keeps the key order of a loaded kaon config, which its manifest shows
+_KAON_DEFAULTS = {"hbar": 1.0, "gamma_s": 0.0, "gamma_l": 0.0, "delta_re": 0.0,
+                  "delta_im": 0.0, "n": 1, "tau_scale": 1.0}
+
 _PARAM_DEFAULTS = {
     "mode_report": {"diag": 0.0, "convention": "paper", "n": 1,
                     "tau_scale": 1.0, "hbar": 1.0},
-    "epsilon": {"gamma_s": 0.0, "gamma_l": 0.0, "delta_re": 0.0,
-                "delta_im": 0.0, "n": 1, "tau_scale": 1.0, "hbar": 1.0,
-                "engine": "continuous"},
-    "width_shift": {"gamma_s": 0.0, "gamma_l": 0.0, "delta_re": 0.0,
-                    "delta_im": 0.0, "n": 1, "tau_scale": 1.0, "hbar": 1.0},
+    "epsilon": {**_KAON_DEFAULTS, "engine": "continuous"},
+    "width_shift": _KAON_DEFAULTS,
     "trajectory-observable": {"diag": 0.0, "engine": "continuous", "n": 1,
                               "tau_scale": 1.0, "hbar": 1.0, "psi0": "1,0",
                               "observable": "norm2_final", "direction": "1,0"},
 }
 
-_MODE_COLS = [f"mode{k}_{c}" for k in (0, 1) for c in (
-    "h", "lambda_re", "lambda_im", "heff_re", "heff_im", "hfirst_re",
-    "hfirst_im", "step_mag", "efold_time", "ratio_exact", "ratio_first")]
+# Per-mode cells: one `modes` row each, prefixed `mode{k}_` in a mode_report row.
+MODE_FIELDS = ["h", "lambda_re", "lambda_im", "heff_re", "heff_im", "hfirst_re",
+               "hfirst_im", "step_mag", "efold_time", "ratio_exact", "ratio_first"]
 
 QUANTITY_COLUMNS = {
-    "mode_report": _MODE_COLS + ["nu_nonhermitian"],
+    "mode_report": [f"mode{k}_{c}" for k in (0, 1) for c in MODE_FIELDS]
+                   + ["nu_nonhermitian"],
     "epsilon": ["epsilon_re", "epsilon_im", "epsilon_abs"],
     "width_shift": [f"{lbl}_{c}" for lbl in ("fast", "slow") for c in (
         "h_re", "h_im", "lambda_re", "lambda_im", "lambda_abs",
@@ -186,6 +194,26 @@ def parse_complex_pair(text: str) -> np.ndarray:
         raise InvalidInput(f"cannot parse complex pair {text!r}: {exc}") from exc
 
 
+def coerce_number(key: str, value, typ):
+    """`value` as a float, or for `typ` int as the int of an integral value.
+
+    1, 1.0, "1" and "1.0" all give the int 1; 1.5, "abc" or a bool raise
+    InvalidInput naming `key` rather than being truncated or cast.
+    """
+    try:
+        x = None if isinstance(value, bool) else float(value)
+    except (TypeError, ValueError, OverflowError):
+        x = None
+    if x is None:
+        raise InvalidInput(f"bad value for {key!r}: expected a number, got {value!r}")
+    if typ is float:
+        return x
+    if not x.is_integer():
+        raise InvalidInput(
+            f"bad value for {key!r}: expected an integer, got {value!r}")
+    return int(x)
+
+
 def _coerce_params(quantity: str, params: dict) -> dict:
     schema = _PARAM_SCHEMAS[quantity]
     out = dict(_PARAM_DEFAULTS[quantity])
@@ -194,58 +222,64 @@ def _coerce_params(quantity: str, params: dict) -> dict:
     if missing:
         raise InvalidInput(f"{quantity}: missing parameters {sorted(missing)}")
     for key, typ in schema.items():
-        if typ in (float, int):
-            out[key] = typ(out[key])
+        if typ is not str:
+            out[key] = coerce_number(key, out[key], typ)
     return out
 
 
-def _chronon_of(params: dict, energy_key: str) -> tuple[ChrononParams, UnitSystem]:
+def chronon_of(params: dict, energy_key: str) -> tuple[ChrononParams, UnitSystem]:
+    """ChrononParams at energy `params[energy_key]` plus the UnitSystem of `params`."""
     p = ChrononParams(energy=params[energy_key], n=params["n"],
                       tau_scale=params["tau_scale"])
     return p, UnitSystem(hbar=params["hbar"])
 
 
-def _kaon_of(params: dict, units: UnitSystem) -> KaonModel:
-    return KaonModel(mixing_energy=params["mixing_e"],
-                     gamma_short=params["gamma_s"], gamma_long=params["gamma_l"],
-                     delta=complex(params["delta_re"], params["delta_im"]),
-                     units=units)
+def kaon_from_config(cfg: dict) -> tuple[KaonModel, ChrononParams]:
+    """The kaon model and its chronon parameters from config or scan values."""
+    units = UnitSystem(hbar=cfg["hbar"])
+    model = KaonModel(mixing_energy=cfg["mixing_e"], gamma_short=cfg["gamma_s"],
+                      gamma_long=cfg["gamma_l"],
+                      delta=complex(cfg["delta_re"], cfg["delta_im"]),
+                      units=units)
+    params = ChrononParams(energy=cfg["mixing_e"], n=cfg["n"],
+                           tau_scale=cfg["tau_scale"])
+    return model, params
+
+
+def mode_fields(rec: ModeRecord) -> dict:
+    """The MODE_FIELDS cells of one mode; an undefined Im/Re ratio is None."""
+    row = {"h": rec.h_continuous,
+           "lambda_re": rec.lambda_step.real, "lambda_im": rec.lambda_step.imag,
+           "heff_re": rec.h_eff_exact.real, "heff_im": rec.h_eff_exact.imag,
+           "hfirst_re": rec.h_first_order.real,
+           "hfirst_im": rec.h_first_order.imag,
+           "step_mag": rec.step_magnitude, "efold_time": rec.efold_time}
+    for which, col in (("exact", "ratio_exact"), ("first_order", "ratio_first")):
+        try:
+            row[col] = imag_real_ratio(rec, which)
+        except UndefinedRatio:
+            row[col] = None
+    return row
 
 
 def _eval_mode_report(params: dict) -> dict:
-    p, units = _chronon_of(params, "energy")
+    p, units = chronon_of(params, "energy")
     h = symmetric_hamiltonian(params["energy"], params["diag"])
     spec = mode_report(h, p, units, params["convention"])
-    row = {}
-    for rec in spec.modes:
-        k = rec.mode_index
-        row[f"mode{k}_h"] = rec.h_continuous
-        row[f"mode{k}_lambda_re"] = rec.lambda_step.real
-        row[f"mode{k}_lambda_im"] = rec.lambda_step.imag
-        row[f"mode{k}_heff_re"] = rec.h_eff_exact.real
-        row[f"mode{k}_heff_im"] = rec.h_eff_exact.imag
-        row[f"mode{k}_hfirst_re"] = rec.h_first_order.real
-        row[f"mode{k}_hfirst_im"] = rec.h_first_order.imag
-        row[f"mode{k}_step_mag"] = rec.step_magnitude
-        row[f"mode{k}_efold_time"] = rec.efold_time
-        for which, col in (("exact", "ratio_exact"), ("first_order", "ratio_first")):
-            try:
-                row[f"mode{k}_{col}"] = imag_real_ratio(rec, which)
-            except UndefinedRatio:
-                row[f"mode{k}_{col}"] = None
+    row = {f"mode{rec.mode_index}_{col}": value for rec in spec.modes
+           for col, value in mode_fields(rec).items()}
     row["nu_nonhermitian"] = spec.nu_nonhermitian
     return row
 
 
 def _eval_epsilon(params: dict) -> dict:
-    p, units = _chronon_of(params, "mixing_e")
-    eps = epsilon_mixing(_kaon_of(params, units), p, params["engine"])
+    model, p = kaon_from_config(params)
+    eps = epsilon_mixing(model, p, params["engine"])
     return {"epsilon_re": eps.real, "epsilon_im": eps.imag, "epsilon_abs": abs(eps)}
 
 
 def _eval_width_shift(params: dict) -> dict:
-    p, units = _chronon_of(params, "mixing_e")
-    fast, slow = width_shift(_kaon_of(params, units), p)
+    fast, slow = width_shift(*kaon_from_config(params))
     row = {}
     for lbl, rec in (("fast", fast), ("slow", slow)):
         row[f"{lbl}_h_re"] = rec.h_generator.real
@@ -259,7 +293,7 @@ def _eval_width_shift(params: dict) -> dict:
 
 
 def _eval_trajectory_observable(params: dict) -> dict:
-    p, units = _chronon_of(params, "energy")
+    p, units = chronon_of(params, "energy")
     h = symmetric_hamiltonian(params["energy"], params["diag"])
     traj = evolve(h, TwoState(parse_complex_pair(params["psi0"])),
                   params["engine"], params["t_max"], params["steps"], p, units)
@@ -501,26 +535,19 @@ def emit_with_manifest(rows: list[dict], fmt: str, out_path, parameters: dict,
 # ---------------------------------------------------------------------------
 # kaon model config files (flat `key = value`, '#' comments)
 
-KAON_CONFIG_SCHEMA = {
-    "hbar": float, "mixing_e": float, "gamma_s": float, "gamma_l": float,
-    "delta_re": float, "delta_im": float, "n": int, "tau_scale": float,
-    "t_max": float, "steps": int, "psi0": str,
-}
-
-_KAON_CONFIG_DEFAULTS = {
-    "hbar": 1.0, "gamma_s": 0.0, "gamma_l": 0.0, "delta_re": 0.0,
-    "delta_im": 0.0, "n": 1, "tau_scale": 1.0, "psi0": "K0",
-}
+KAON_CONFIG_SCHEMA = {**_PARAM_SCHEMAS["width_shift"],
+                      "t_max": float, "steps": int, "psi0": str}
 
 
 def load_kaon_config(path) -> dict:
     """Parse a kaon model config file into a typed dict.
 
     Format: UTF-8 text, one `key = value` per line, '#' starts a comment.
-    Required key: mixing_e. t_max/steps are only needed for trajectory
-    observables.
+    Keys, types and defaults are those of the width_shift scan quantity plus
+    t_max/steps/psi0. Required key: mixing_e. t_max/steps are only needed
+    for trajectory observables.
     """
-    cfg = dict(_KAON_CONFIG_DEFAULTS)
+    cfg = {**_PARAM_DEFAULTS["width_shift"], "psi0": "K0"}
     text = Path(path).read_text(encoding="utf-8")
     for lineno, raw in enumerate(text.splitlines(), start=1):
         line = raw.split("#", 1)[0].strip()
@@ -531,23 +558,14 @@ def load_kaon_config(path) -> dict:
         key, _, value = line.partition("=")
         key = key.strip()
         value = value.strip()
-        if key not in KAON_CONFIG_SCHEMA:
+        typ = KAON_CONFIG_SCHEMA.get(key)
+        if typ is None:
             raise InvalidInput(f"{path}:{lineno}: unknown key {key!r}")
         try:
-            cfg[key] = KAON_CONFIG_SCHEMA[key](value)
-        except ValueError as exc:
-            raise InvalidInput(f"{path}:{lineno}: bad value for {key!r}: {exc}") from exc
+            cfg[key] = value if typ is str else coerce_number(key, value, typ)
+        except InvalidInput as exc:
+            raise InvalidInput(f"{path}:{lineno}: {exc}") from exc
     if "mixing_e" not in cfg:
         raise InvalidInput(f"{path}: missing required key 'mixing_e'")
     return cfg
 
-
-def kaon_from_config(cfg: dict) -> tuple[KaonModel, ChrononParams]:
-    units = UnitSystem(hbar=cfg["hbar"])
-    model = KaonModel(mixing_energy=cfg["mixing_e"], gamma_short=cfg["gamma_s"],
-                      gamma_long=cfg["gamma_l"],
-                      delta=complex(cfg["delta_re"], cfg["delta_im"]),
-                      units=units)
-    params = ChrononParams(energy=cfg["mixing_e"], n=cfg["n"],
-                           tau_scale=cfg["tau_scale"])
-    return model, params

@@ -7,7 +7,8 @@ import sys
 
 import pytest
 
-from chronon_lab.runner import digest_of
+from chronon_lab.cli import main
+from chronon_lab.runner import MODE_FIELDS, digest_of
 
 CLI = [sys.executable, "-m", "chronon_lab"]
 
@@ -167,8 +168,19 @@ def test_scan_workers_same_bytes(tmp_path):
 
 def test_scan_bad_spec_exit_code(tmp_path):
     spec_path = tmp_path / "spec.json"
-    spec_path.write_text("{not json", encoding="utf-8")
-    assert run_cli("scan", "--spec", str(spec_path)).returncode == 2
+    for text in (
+        "{not json",
+        json.dumps({"quantity": "epsilon", "grid": [], "fixed": {"hbar": "abc"}}),
+        json.dumps({"quantity": "epsilon", "grid": [], "fixed": {"n": 1.5}}),
+        json.dumps({"quantity": "epsilon", "grid": [
+            {"name": "delta_re", "start": 0, "stop": 1, "count": 2.5}]}),
+        '{"quantity": "epsilon", "grid": '
+        '[{"name": "delta_re", "start": NaN, "stop": 1, "count": 2}]}',
+    ):
+        spec_path.write_text(text, encoding="utf-8")
+        res = run_cli("scan", "--spec", str(spec_path))
+        assert res.returncode == 2, text
+        assert res.stderr.startswith("error: "), text
 
 
 def test_io_error_exit_code(tmp_path):
@@ -184,3 +196,57 @@ def test_manifest_written_for_modes(tmp_path):
     manifest = json.loads((tmp_path / "modes.csv.manifest.json").read_text())
     assert manifest["parameters"]["command"] == "modes"
     assert manifest["parameters"]["convention"] == "paper"
+
+
+# ---------------------------------------------------------------------------
+# the CLI rows are the scan rows: one row builder per quantity
+
+def cli_rows(capsys, *argv):
+    assert main(list(argv)) == 0
+    return parse_csv(capsys.readouterr().out)
+
+
+def one_point_scan(capsys, tmp_path, quantity, fixed):
+    spec_path = tmp_path / "one_point.json"
+    spec_path.write_text(json.dumps({"quantity": quantity, "grid": [],
+                                     "fixed": fixed}), encoding="utf-8")
+    [row] = cli_rows(capsys, "scan", "--spec", str(spec_path))
+    assert row.pop("status") == "ok"
+    return row
+
+
+@pytest.mark.parametrize("convention", ["paper", "standard"])
+@pytest.mark.parametrize("energy,n,tau_scale,hbar", [
+    (1.0, 1, 1.0, 1.0), (0.0123, 3, 0.5, 2.5), (750.0, 2, 1e-3, 0.1)])
+def test_modes_cells_equal_mode_report_scan(capsys, tmp_path, energy, n,
+                                            tau_scale, hbar, convention):
+    modes = cli_rows(capsys, "modes", "--energy", repr(energy), "--n", str(n),
+                     "--tau-scale", repr(tau_scale), "--hbar", repr(hbar),
+                     "--convention", convention)
+    scan = one_point_scan(capsys, tmp_path, "mode_report", {
+        "energy": energy, "n": n, "tau_scale": tau_scale, "hbar": hbar,
+        "convention": convention})
+    assert [row["mode"] for row in modes] == ["0", "1"]
+    for row in modes:
+        k = row["mode"]
+        assert {c: row[c] for c in MODE_FIELDS} == \
+            {c: scan[f"mode{k}_{c}"] for c in MODE_FIELDS}
+        assert row["nu_nonhermitian"] == scan["nu_nonhermitian"]
+
+
+@pytest.mark.parametrize("observable,engine", [
+    ("width-shift", "continuous"), ("epsilon", "continuous"),
+    ("epsilon", "discrete")])
+def test_kaon_row_equals_one_point_scan(capsys, tmp_path, observable, engine):
+    values = {"mixing_e": 1.0, "gamma_s": 0.1, "gamma_l": 0.001,
+              "delta_re": 0.02, "delta_im": -0.01, "n": 2, "tau_scale": 0.3,
+              "hbar": 1.5}
+    cfg = write_config(tmp_path, **values)
+    [row] = cli_rows(capsys, "kaon", "--config", str(cfg), "--observable",
+                     observable, "--engine", engine)
+    if observable == "epsilon":
+        assert row.pop("engine") == engine
+        scan = one_point_scan(capsys, tmp_path, "epsilon", {**values, "engine": engine})
+    else:
+        scan = one_point_scan(capsys, tmp_path, "width_shift", values)
+    assert row == scan

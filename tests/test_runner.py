@@ -53,6 +53,17 @@ def test_scan_spec_validation():
         ScanAxis("x", -1.0, 1.0, 5, "log")
     with pytest.raises(InvalidInput):
         ScanAxis("x", 1.0, 2.0, 0)
+    # non-integral counts, non-finite bounds and malformed fixed values are
+    # spec errors, not truncated or deferred to the points
+    for axis in ({"count": 2.5}, {"start": "nan"}, {"stop": float("inf")}):
+        with pytest.raises(InvalidInput):
+            ScanSpec.from_dict({"quantity": "epsilon", "grid": [
+                {"name": "delta_re", "start": 0, "stop": 1, "count": 2, **axis}]})
+    for key, value in (("hbar", "abc"), ("n", 1.5), ("n", True),
+                       ("tau_scale", None)):
+        with pytest.raises(InvalidInput, match=f"'{key}'"):
+            ScanSpec.from_dict({"quantity": "epsilon", "grid": [],
+                                "fixed": {key: value}})
 
 
 def test_scan_axis_values():
@@ -61,6 +72,19 @@ def test_scan_axis_values():
     np.testing.assert_allclose(ScanAxis("x", 1e-2, 1e2, 5, "log").values(),
                                [1e-2, 1e-1, 1, 1e1, 1e2], rtol=1e-12)
     np.testing.assert_array_equal(ScanAxis("x", 3.0, 9.0, 1).values(), [3.0])
+
+
+def test_scan_non_integral_n_is_an_invalid_point():
+    spec = ScanSpec.from_dict({
+        "quantity": "mode_report",
+        "grid": [{"name": "n", "start": 1, "stop": 2, "count": 3}],
+        "fixed": {"energy": 1.0},
+    })
+    rows = run_scan(spec)
+    assert [r["n"] for r in rows] == [1.0, 1.5, 2.0]
+    assert [r["status"] for r in rows] == ["ok", "InvalidInput", "ok"]
+    assert rows[1]["mode0_heff_re"] is None
+    assert rows[2]["mode0_step_mag"] == pytest.approx(math.sqrt(5))
 
 
 def test_scan_refuses_oversized_grid():
@@ -346,6 +370,17 @@ def test_load_kaon_config_rejects_unknown_key(tmp_path):
     cfg_file = tmp_path / "bad.cfg"
     cfg_file.write_text("mixing_e = 1.0\nwambat = 3\n", encoding="utf-8")
     with pytest.raises(InvalidInput):
+        load_kaon_config(cfg_file)
+
+
+def test_load_kaon_config_integer_rule(tmp_path):
+    cfg_file = tmp_path / "model.cfg"
+    cfg_file.write_text("mixing_e = 1.0\nn = 2.0\nsteps = 10\n", encoding="utf-8")
+    cfg = load_kaon_config(cfg_file)
+    assert cfg["n"] == 2 and type(cfg["n"]) is int
+    assert cfg["steps"] == 10 and type(cfg["steps"]) is int
+    cfg_file.write_text("mixing_e = 1.0\nn = 1.5\n", encoding="utf-8")
+    with pytest.raises(InvalidInput, match=r":2: bad value for 'n'"):
         load_kaon_config(cfg_file)
 
 
