@@ -14,7 +14,7 @@ import argparse
 import sys
 
 from .errors import DOMAIN_ERRORS, USAGE_ERRORS, InvalidInput
-from .evolution import TwoState, evolve, symmetric_hamiltonian
+from .evolution import ENGINES, TwoState, evolve, symmetric_hamiltonian
 from .kaon import kaon_trajectory, three_pion_intensity, two_pion_intensity
 from .runner import (CONVERGENCE_COLUMNS, MODE_FIELDS, QUANTITIES, ScanSpec,
                      chronon_of, convergence_study, emit, emit_with_manifest,
@@ -132,7 +132,7 @@ def build_parser() -> argparse.ArgumentParser:
     sub.set_defaults(handler=_cmd_modes)
 
     sub = subs.add_parser("evolve", help="generate a trajectory")
-    sub.add_argument("--engine", choices=("continuous", "discrete"), required=True)
+    sub.add_argument("--engine", choices=ENGINES, required=True)
     _add_chronon_args(sub)
     sub.add_argument("--t-max", type=float, required=True)
     sub.add_argument("--steps", type=int, required=True)
@@ -144,8 +144,7 @@ def build_parser() -> argparse.ArgumentParser:
     sub.add_argument("--config", required=True)
     sub.add_argument("--observable", choices=("2pi", "3pi", "epsilon", "width-shift"),
                      required=True)
-    sub.add_argument("--engine", choices=("continuous", "discrete"),
-                     default="continuous")
+    sub.add_argument("--engine", choices=ENGINES, default="continuous")
     _add_output_args(sub)
     sub.set_defaults(handler=_cmd_kaon)
 

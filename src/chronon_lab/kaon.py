@@ -9,6 +9,9 @@ are always caller-supplied (see configs/).
 The headline falsifiable statement lives in `epsilon_mixing`: with delta = 0
 both the continuous generator and the chronon step map are diagonal in the
 CP basis, so time discretization alone produces no K1 <-> K2 mixing.
+
+Every mode quantity comes from H's eigenpairs: the step map is a polynomial
+in H, so it has H's eigenvectors and the multipliers `step_eigenvalue`.
 """
 
 from __future__ import annotations
@@ -19,9 +22,10 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import DegenerateModes, InvalidInput, SingularMap, UndefinedRatio
-from .evolution import (ChrononParams, NATURAL_UNITS, SI_SECONDS, Trajectory,
-                        TwoState, UnitSystem, discrete_step_operator, evolve)
+from .evolution import (ENGINES, ChrononParams, NATURAL_UNITS, SI_SECONDS,
+                        Trajectory, TwoState, UnitSystem, evolve)
 from .linalg2 import DEFAULT_TOL, eig2
+from .spectrum import step_eigenvalue
 
 BASES = ("cp", "flavor")
 
@@ -146,59 +150,6 @@ def _channel_intensity(traj, model, basis, channel):
     return list(zip(traj.times.tolist(), vals.tolist()))
 
 
-def _decay_keys(model: KaonModel, p: ChrononParams, engine: str,
-                tol: float):
-    """Eigenpairs of the requested engine's map plus their decay-rate keys."""
-    h_cp = kaon_hamiltonian(model, "cp")
-    if engine == "continuous":
-        pairs = eig2(h_cp, tol)
-        if pairs[0].degenerate:
-            raise DegenerateModes("continuous generator is degenerate")
-        keys = [-2.0 * pair.value.imag / model.units.hbar for pair in pairs]
-        return pairs, keys
-    if engine == "discrete":
-        u = discrete_step_operator(h_cp, p, model.units)
-        pairs = eig2(u, tol)
-        if pairs[0].degenerate:
-            raise DegenerateModes("discrete step map is degenerate")
-        step = p.step(model.units)
-        keys = []
-        for pair in pairs:
-            mag = abs(pair.value)
-            if mag == 0.0:
-                raise SingularMap("step map has a zero eigenvalue")
-            keys.append(-2.0 / step * math.log(mag))
-        return pairs, keys
-    raise InvalidInput(f"engine must be 'continuous' or 'discrete', got {engine!r}")
-
-
-def epsilon_mixing(model: KaonModel, p: ChrononParams, engine: str,
-                   tol: float = DEFAULT_TOL) -> complex:
-    """Wrong-CP admixture <K1|v_slow> / <K2|v_slow> of the long-lived mode.
-
-    The long-lived mode is the one that dominates at late times: smallest
-    decay rate -2 Im(h)/hbar for the continuous generator, smallest
-    effective rate -(2/(n tau)) ln|lambda| for the discrete step map (the
-    latter stays meaningful when the map amplifies). Exact rate ties, e.g.
-    the widthless limit, are broken toward the larger K2 component, the
-    state that would be long-lived at infinitesimal widths.
-    """
-    pairs, keys = _decay_keys(model, p, engine, tol)
-    key_scale = max(abs(keys[0]), abs(keys[1]))
-    if abs(keys[0] - keys[1]) <= 1e-12 * key_scale or key_scale == 0.0:
-        w0 = abs(pairs[0].vector[1])
-        w1 = abs(pairs[1].vector[1])
-        if abs(w0 - w1) <= 1e-12:
-            raise DegenerateModes("modes have equal decay rate and equal CP content")
-        slow = pairs[0] if w0 > w1 else pairs[1]
-    else:
-        slow = pairs[0] if keys[0] < keys[1] else pairs[1]
-    denom = complex(slow.vector[1])
-    if denom == 0.0:
-        raise UndefinedRatio("long-lived mode has no K2 component")
-    return complex(slow.vector[0]) / denom
-
-
 @dataclass(frozen=True)
 class ModeWidths:
     """Continuous vs effective (discrete-map) decay rates of one mode.
@@ -213,6 +164,63 @@ class ModeWidths:
     gamma_effective: float
 
 
+def _mode_table(model: KaonModel, p: ChrononParams, tol: float):
+    """H's eigenpairs and the ModeWidths of their modes, from one eig2(H);
+    a zero multiplier gets gamma_effective = +inf (gone after one step)."""
+    pairs = eig2(kaon_hamiltonian(model, "cp"), tol)
+    hb = model.units.hbar
+    step = p.step(model.units)
+    recs = []
+    for pair in pairs:
+        lam = step_eigenvalue(pair.value, p, model.units)
+        recs.append(ModeWidths(
+            h_generator=pair.value,
+            lambda_step=lam,
+            gamma_continuous=-2.0 * pair.value.imag / hb,
+            gamma_effective=-2.0 / step * math.log(abs(lam)) if lam else math.inf,
+        ))
+    return pairs, recs
+
+
+def _require_nonzero_multipliers(recs: list[ModeWidths]) -> None:
+    if any(rec.lambda_step == 0 for rec in recs):
+        raise SingularMap("step map has a zero eigenvalue")
+
+
+def epsilon_mixing(model: KaonModel, p: ChrononParams, engine: str,
+                   tol: float = DEFAULT_TOL) -> complex:
+    """Wrong-CP admixture <K1|v_slow> / <K2|v_slow> of the long-lived mode.
+
+    Both engines use H's eigenvectors and differ only in which mode is
+    long-lived, i.e. dominates late: smallest decay rate -2 Im(h)/hbar for
+    the continuous generator, smallest effective rate -(2/(n tau)) ln|lambda|
+    for the discrete step map (meaningful even when the map amplifies).
+    Exact rate ties, e.g. the widthless limit, are broken toward the larger
+    K2 component, the state long-lived at infinitesimal widths.
+    """
+    if engine not in ENGINES:
+        raise InvalidInput(f"engine must be 'continuous' or 'discrete', got {engine!r}")
+    pairs, recs = _mode_table(model, p, tol)
+    if pairs[0].degenerate:
+        raise DegenerateModes("continuous generator is degenerate")
+    if engine == "discrete":
+        _require_nonzero_multipliers(recs)
+    keys = [rec.gamma_effective if engine == "discrete" else rec.gamma_continuous
+            for rec in recs]
+    key_scale = max(abs(keys[0]), abs(keys[1]))
+    if abs(keys[0] - keys[1]) <= 1e-12 * key_scale or key_scale == 0.0:
+        w0, w1 = (abs(pair.vector[1]) for pair in pairs)
+        if abs(w0 - w1) <= 1e-12:
+            raise DegenerateModes("modes have equal decay rate and equal CP content")
+        slow = pairs[0] if w0 > w1 else pairs[1]
+    else:
+        slow = pairs[0] if keys[0] < keys[1] else pairs[1]
+    denom = complex(slow.vector[1])
+    if denom == 0.0:
+        raise UndefinedRatio("long-lived mode has no K2 component")
+    return complex(slow.vector[0]) / denom
+
+
 def width_shift(model: KaonModel, p: ChrononParams,
                 tol: float = DEFAULT_TOL) -> tuple[ModeWidths, ModeWidths]:
     """Per-mode decay rates of the generator vs the chronon step map.
@@ -220,21 +228,7 @@ def width_shift(model: KaonModel, p: ChrononParams,
     Modes are ordered fast first (larger continuous width, ties broken by
     larger Re h, i.e. the K1-like mode first in the CP-conserving model).
     """
-    h_cp = kaon_hamiltonian(model, "cp")
-    pairs = eig2(h_cp, tol)
-    hb = model.units.hbar
-    step = p.step(model.units)
-    recs = []
-    for pair in pairs:
-        lam = 1.0 - 1j * pair.value * step / hb
-        mag = abs(lam)
-        if mag == 0.0:
-            raise SingularMap("step map has a zero eigenvalue")
-        recs.append(ModeWidths(
-            h_generator=pair.value,
-            lambda_step=complex(lam),
-            gamma_continuous=-2.0 * pair.value.imag / hb,
-            gamma_effective=-2.0 / step * math.log(mag),
-        ))
+    _, recs = _mode_table(model, p, tol)
+    _require_nonzero_multipliers(recs)
     recs.sort(key=lambda r: (-r.gamma_continuous, -r.h_generator.real))
     return recs[0], recs[1]

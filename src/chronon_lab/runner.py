@@ -28,10 +28,10 @@ import numpy as np
 from . import __version__
 from .errors import (ChrononLabError, InvalidInput, RefusedTooLarge,
                      UndefinedRatio)
-from .evolution import (ChrononParams, TwoState, UnitSystem,
+from .evolution import (ENGINES, ChrononParams, TwoState, UnitSystem,
                         continuous_propagator, evolve, symmetric_hamiltonian)
-from .kaon import KaonModel, epsilon_mixing, width_shift
-from .spectrum import ModeRecord, imag_real_ratio, mode_report
+from .kaon import KaonModel, epsilon_mixing, kaon_state, width_shift
+from .spectrum import CONVENTIONS, ModeRecord, imag_real_ratio, mode_report
 
 SCHEMA_VERSION = 1
 DEFAULT_GRID_CAP = 1_000_000
@@ -88,8 +88,7 @@ class ScanSpec:
         for key, value in self.fixed.items():
             if key not in schema:
                 raise InvalidInput(f"unknown parameter {key!r} for {self.quantity!r}")
-            if schema[key] is not str:
-                coerce_number(key, value, schema[key])  # raises if malformed
+            coerce_param(key, value, schema[key])  # raises if malformed
         overlap = set(names) & set(self.fixed)
         if overlap:
             raise InvalidInput(f"parameters {sorted(overlap)} both fixed and scanned")
@@ -108,14 +107,14 @@ class ScanSpec:
             raise InvalidInput(f"unknown scan spec keys {sorted(unknown)}")
         try:
             axes = tuple(ScanAxis(a["name"], float(a["start"]), float(a["stop"]),
-                                  coerce_number("count", a["count"], int),
+                                  coerce_param("count", a["count"], int),
                                   a.get("spacing", "linear"))
                          for a in d.get("grid", []))
         except (KeyError, TypeError, ValueError) as exc:
             raise InvalidInput(f"malformed grid axis: {exc}") from exc
         return cls(quantity=d.get("quantity", ""), grid=axes,
                    fixed=dict(d.get("fixed", {})),
-                   max_points=coerce_number(
+                   max_points=coerce_param(
                        "max_points", d.get("max_points", DEFAULT_GRID_CAP), int))
 
     @classmethod
@@ -139,19 +138,30 @@ class ScanSpec:
 # ---------------------------------------------------------------------------
 # quantity evaluators (module level: they must pickle into worker processes)
 
+def parse_complex_pair(text: str) -> np.ndarray:
+    """Parse 'a,b' with complex literals a and b, e.g. '1,0' or '0.6,0.8j'."""
+    parts = [p.strip() for p in str(text).split(",")]
+    if len(parts) != 2:
+        raise InvalidInput(f"expected two comma-separated complex numbers, got {text!r}")
+    try:
+        return np.array([complex(parts[0]), complex(parts[1])], dtype=np.complex128)
+    except ValueError as exc:
+        raise InvalidInput(f"cannot parse complex pair {text!r}: {exc}") from exc
+
+
 _CHRONON_KEYS = {"n": int, "tau_scale": float, "hbar": float}
 _KAON_KEYS = {"mixing_e": float, "gamma_s": float, "gamma_l": float,
               "delta_re": float, "delta_im": float}
 
 _PARAM_SCHEMAS = {
-    "mode_report": {"energy": float, "diag": float, "convention": str,
+    "mode_report": {"energy": float, "diag": float, "convention": CONVENTIONS,
                     **_CHRONON_KEYS},
-    "epsilon": {**_KAON_KEYS, **_CHRONON_KEYS, "engine": str},
+    "epsilon": {**_KAON_KEYS, **_CHRONON_KEYS, "engine": ENGINES},
     "width_shift": {**_KAON_KEYS, **_CHRONON_KEYS},
-    "trajectory-observable": {"energy": float, "diag": float, "engine": str,
-                              "t_max": float, "steps": int, "psi0": str,
-                              "observable": str, "direction": str,
-                              **_CHRONON_KEYS},
+    "trajectory-observable": {"energy": float, "diag": float, "engine": ENGINES,
+                              "t_max": float, "steps": int, "psi0": parse_complex_pair,
+                              "observable": ("norm2_final", "prob_final"),
+                              "direction": parse_complex_pair, **_CHRONON_KEYS},
 }
 
 # hbar first keeps the key order of a loaded kaon config, which its manifest shows
@@ -183,35 +193,35 @@ QUANTITY_COLUMNS = {
 }
 
 
-def parse_complex_pair(text: str) -> np.ndarray:
-    """Parse 'a,b' with complex literals a and b, e.g. '1,0' or '0.6,0.8j'."""
-    parts = [p.strip() for p in str(text).split(",")]
-    if len(parts) != 2:
-        raise InvalidInput(f"expected two comma-separated complex numbers, got {text!r}")
-    try:
-        return np.array([complex(parts[0]), complex(parts[1])], dtype=np.complex128)
-    except ValueError as exc:
-        raise InvalidInput(f"cannot parse complex pair {text!r}: {exc}") from exc
+def coerce_param(key: str, value, kind):
+    """`value` checked against its parameter kind, or InvalidInput naming `key`.
 
-
-def coerce_number(key: str, value, typ):
-    """`value` as a float, or for `typ` int as the int of an integral value.
-
-    1, 1.0, "1" and "1.0" all give the int 1; 1.5, "abc" or a bool raise
-    InvalidInput naming `key` rather than being truncated or cast.
+    float: any number. int: the int of an integral value; 1, 1.0, "1" and
+    "1.0" all give 1, while 1.5, "abc" or a bool raise rather than being
+    truncated or cast. A tuple: one of its strings. Otherwise a parser that
+    raises InvalidInput on a malformed string. Strings are returned as given.
     """
+    if kind is float or kind is int:
+        try:
+            x = None if isinstance(value, bool) else float(value)
+        except (TypeError, ValueError, OverflowError):
+            x = None
+        if x is None:
+            raise InvalidInput(f"bad value for {key!r}: expected a number, got {value!r}")
+        if kind is float:
+            return x
+        if not x.is_integer():
+            raise InvalidInput(
+                f"bad value for {key!r}: expected an integer, got {value!r}")
+        return int(x)
     try:
-        x = None if isinstance(value, bool) else float(value)
-    except (TypeError, ValueError, OverflowError):
-        x = None
-    if x is None:
-        raise InvalidInput(f"bad value for {key!r}: expected a number, got {value!r}")
-    if typ is float:
-        return x
-    if not x.is_integer():
-        raise InvalidInput(
-            f"bad value for {key!r}: expected an integer, got {value!r}")
-    return int(x)
+        if isinstance(kind, tuple) and value not in kind:
+            raise InvalidInput(f"expected one of {list(kind)}, got {value!r}")
+        if not isinstance(kind, tuple):
+            kind(value)
+    except InvalidInput as exc:
+        raise InvalidInput(f"bad value for {key!r}: {exc}") from exc
+    return value
 
 
 def _coerce_params(quantity: str, params: dict) -> dict:
@@ -221,9 +231,8 @@ def _coerce_params(quantity: str, params: dict) -> dict:
     missing = set(schema) - set(out)
     if missing:
         raise InvalidInput(f"{quantity}: missing parameters {sorted(missing)}")
-    for key, typ in schema.items():
-        if typ is not str:
-            out[key] = coerce_number(key, out[key], typ)
+    for key, kind in schema.items():
+        out[key] = coerce_param(key, out[key], kind)
     return out
 
 
@@ -297,15 +306,12 @@ def _eval_trajectory_observable(params: dict) -> dict:
     h = symmetric_hamiltonian(params["energy"], params["diag"])
     traj = evolve(h, TwoState(parse_complex_pair(params["psi0"])),
                   params["engine"], params["t_max"], params["steps"], p, units)
-    obs = params["observable"]
-    if obs == "norm2_final":
+    if params["observable"] == "norm2_final":
         value = float(traj.norm_sq()[-1])
-    elif obs == "prob_final":
+    else:  # prob_final
         d = parse_complex_pair(params["direction"])
         d = d / np.linalg.norm(d)
         value = float(abs(traj.states[-1] @ d.conj()) ** 2)
-    else:
-        raise InvalidInput(f"unknown observable {obs!r}")
     return {"value": value}
 
 
@@ -343,6 +349,8 @@ def scan_columns(spec: ScanSpec) -> list[str]:
 def run_scan(spec: ScanSpec, workers: int = 1) -> list[dict]:
     """Evaluate the grid in row-major axis order; output order is grid order
     regardless of worker count."""
+    if workers < 1:
+        raise InvalidInput(f"workers must be at least 1, got {workers}")
     total = spec.total_points
     cap = min(spec.max_points, DEFAULT_GRID_CAP)
     if total > cap:
@@ -354,7 +362,7 @@ def run_scan(spec: ScanSpec, workers: int = 1) -> list[dict]:
     params_list = [{**spec.fixed, **pt} for pt in points]
 
     eval_one = partial(evaluate_point, spec.quantity)
-    if workers <= 1:
+    if workers == 1:
         results = [eval_one(ps) for ps in params_list]
     else:
         chunk = max(1, total // (workers * 4))
@@ -536,7 +544,7 @@ def emit_with_manifest(rows: list[dict], fmt: str, out_path, parameters: dict,
 # kaon model config files (flat `key = value`, '#' comments)
 
 KAON_CONFIG_SCHEMA = {**_PARAM_SCHEMAS["width_shift"],
-                      "t_max": float, "steps": int, "psi0": str}
+                      "t_max": float, "steps": int, "psi0": kaon_state}
 
 
 def load_kaon_config(path) -> dict:
@@ -558,11 +566,11 @@ def load_kaon_config(path) -> dict:
         key, _, value = line.partition("=")
         key = key.strip()
         value = value.strip()
-        typ = KAON_CONFIG_SCHEMA.get(key)
-        if typ is None:
+        kind = KAON_CONFIG_SCHEMA.get(key)
+        if kind is None:
             raise InvalidInput(f"{path}:{lineno}: unknown key {key!r}")
         try:
-            cfg[key] = value if typ is str else coerce_number(key, value, typ)
+            cfg[key] = coerce_param(key, value, kind)
         except InvalidInput as exc:
             raise InvalidInput(f"{path}:{lineno}: {exc}") from exc
     if "mixing_e" not in cfg:

@@ -29,7 +29,7 @@ from .errors import (ChrononLabError, InvalidInput, SingularMap, UndefinedMeasur
 from .evolution import (ChrononParams, NATURAL_UNITS, UnitSystem,
                         discrete_step_operator)
 from .linalg2 import (DEFAULT_TOL, _require_principal_log, as_operator, eig2,
-                      is_hermitian, log2, non_hermiticity)
+                      is_hermitian, non_hermiticity)
 
 CONVENTIONS = ("paper", "standard")
 
@@ -155,12 +155,6 @@ def decay_reading(h_eff: complex, convention: str = "paper") -> str:
     return "growth" if growing else "decay"
 
 
-def effective_hamiltonian(step_map, p: ChrononParams,
-                          units: UnitSystem = NATURAL_UNITS) -> np.ndarray:
-    """Generator (i hbar / (n tau)) log(U) whose one-step exponential is U."""
-    return 1j * units.hbar / p.step(units) * log2(as_operator(step_map))
-
-
 def mode_report(h, p: ChrononParams, units: UnitSystem = NATURAL_UNITS,
                 convention: str = "paper",
                 tol: float = DEFAULT_TOL) -> EffectiveSpectrum:
@@ -168,8 +162,10 @@ def mode_report(h, p: ChrononParams, units: UnitSystem = NATURAL_UNITS,
 
     Diagonalizes H, attaches per-mode one-step multipliers, exact and
     first-order effective energies and e-folding times, and measures the
-    non-Hermiticity of the effective generator extracted from the step map.
-    Modes are ordered by continuous energy ascending.
+    non-Hermiticity of the effective generator (i hbar / (n tau)) log(U).
+    U is a polynomial in H, so that generator is V diag(h_eff) V^dagger
+    with V the unitary eigenvector matrix of H; U is only built to check
+    that premise. Modes are ordered by continuous energy ascending.
     """
     a = as_operator(h)
     if convention not in CONVENTIONS:
@@ -194,8 +190,10 @@ def mode_report(h, p: ChrononParams, units: UnitSystem = NATURAL_UNITS,
 
     u = discrete_step_operator(a, p, units)
     _check_eigenvectors_survive(u, records, tol)
+    v = np.column_stack([rec.eigvec for rec in records])
+    h_eff = np.array([rec.h_eff_exact for rec in records])
     try:
-        nu = non_hermiticity(effective_hamiltonian(u, p, units))
+        nu = non_hermiticity((v * h_eff) @ v.conj().T)
     except UndefinedMeasure:
         nu = None
     return EffectiveSpectrum(tuple(records), p, convention, nu)

@@ -176,11 +176,24 @@ def test_scan_bad_spec_exit_code(tmp_path):
             {"name": "delta_re", "start": 0, "stop": 1, "count": 2.5}]}),
         '{"quantity": "epsilon", "grid": '
         '[{"name": "delta_re", "start": NaN, "stop": 1, "count": 2}]}',
+        json.dumps({"quantity": "epsilon", "grid": [
+            {"name": "tau_scale", "start": 0.1, "stop": 1, "count": 3}],
+            "fixed": {"mixing_e": 1.0, "engine": "sideways"}}),
+        json.dumps({"quantity": "mode_report", "grid": [
+            {"name": "energy", "start": 1, "stop": 2, "count": 2}],
+            "fixed": {"convention": "nope"}}),
     ):
         spec_path.write_text(text, encoding="utf-8")
         res = run_cli("scan", "--spec", str(spec_path))
         assert res.returncode == 2, text
         assert res.stderr.startswith("error: "), text
+    # a valid spec with fewer than one worker
+    spec_path.write_text(json.dumps({"quantity": "mode_report", "grid": [],
+                                     "fixed": {"energy": 1.0}}), encoding="utf-8")
+    for workers in ("0", "-3"):
+        res = run_cli("scan", "--spec", str(spec_path), "--workers", workers)
+        assert res.returncode == 2, workers
+        assert res.stderr.startswith("error: "), workers
 
 
 def test_io_error_exit_code(tmp_path):

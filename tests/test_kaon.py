@@ -1,5 +1,6 @@
 import math
 
+import mpmath
 import numpy as np
 import pytest
 
@@ -203,6 +204,47 @@ def test_epsilon_against_numpy_eig_oracle():
     want = v[0, slow] / v[1, slow]
     got = epsilon_mixing(model, p, "discrete")
     assert got == pytest.approx(want, rel=1e-10)
+
+
+# delta = 0.02 gives a wrong-CP admixture of about 1%; both engines pick the
+# K2-like mode as long-lived at every tau_scale below
+EPS_MODEL = natural_model(gamma_s=0.1, gamma_l=0.001, delta=0.02)
+
+
+def epsilon_oracle(model, p, engine):
+    """<K1|v>/<K2|v> = -(b - h)/conj(d) of the long-lived mode at 50 digits."""
+    with mpmath.workdps(50):
+        e, hb = mpmath.mpf(model.mixing_energy), mpmath.mpf(model.units.hbar)
+        a = e - 0.5j * hb * mpmath.mpf(model.gamma_short)
+        b = -e - 0.5j * hb * mpmath.mpf(model.gamma_long)
+        d = mpmath.mpc(model.delta)
+        disc = mpmath.sqrt(((a - b) / 2) ** 2 + d * mpmath.conj(d))
+        hs = ((a + b) / 2 - disc, (a + b) / 2 + disc)
+        step = p.n * mpmath.mpf(p.tau_scale) * hb / mpmath.mpf(p.energy)
+        if engine == "continuous":
+            rates = [-2 * h.imag / hb for h in hs]
+        else:
+            rates = [-2 / step * mpmath.log(abs(1 - 1j * h * step / hb)) for h in hs]
+        slow = hs[0] if rates[0] < rates[1] else hs[1]
+        return complex(-(b - slow) / mpmath.conj(d))
+
+
+def test_epsilon_engines_agree_at_every_tau_scale():
+    # the step map has H's eigenvectors, so the engines differ only in which
+    # mode they call long-lived; here they pick the same one
+    for s in np.geomspace(1e-12, 1.0, 25):
+        p = ChrononParams(energy=1.0, tau_scale=float(s))
+        assert epsilon_mixing(EPS_MODEL, p, "discrete") == \
+            epsilon_mixing(EPS_MODEL, p, "continuous"), s
+
+
+@pytest.mark.parametrize("engine", ["continuous", "discrete"])
+@pytest.mark.parametrize("tau_scale", [1.0, 1e-3, 1e-9, 1e-12])
+def test_epsilon_matches_mpmath(engine, tau_scale):
+    p = ChrononParams(energy=1.0, tau_scale=tau_scale)
+    got = epsilon_mixing(EPS_MODEL, p, engine)
+    assert got == pytest.approx(epsilon_oracle(EPS_MODEL, p, engine),
+                                rel=1e-12, abs=0)
 
 
 def test_epsilon_monotone_in_delta():

@@ -64,6 +64,15 @@ def test_scan_spec_validation():
         with pytest.raises(InvalidInput, match=f"'{key}'"):
             ScanSpec.from_dict({"quantity": "epsilon", "grid": [],
                                 "fixed": {key: value}})
+    # so are string values outside their choices or malformed
+    for quantity, key, value in (
+            ("epsilon", "engine", "sideways"), ("mode_report", "convention", "nope"),
+            ("trajectory-observable", "observable", "norm"),
+            ("trajectory-observable", "psi0", "1"),
+            ("trajectory-observable", "direction", "a,b")):
+        with pytest.raises(InvalidInput, match=f"'{key}'"):
+            ScanSpec.from_dict({"quantity": quantity, "grid": [],
+                                "fixed": {key: value}})
 
 
 def test_scan_axis_values():
@@ -382,6 +391,13 @@ def test_load_kaon_config_integer_rule(tmp_path):
     cfg_file.write_text("mixing_e = 1.0\nn = 1.5\n", encoding="utf-8")
     with pytest.raises(InvalidInput, match=r":2: bad value for 'n'"):
         load_kaon_config(cfg_file)
+
+
+def test_load_kaon_config_rejects_unknown_state(tmp_path):
+    path = tmp_path / "bad.cfg"
+    path.write_text("mixing_e = 1.0\npsi0 = K3\n", encoding="utf-8")
+    with pytest.raises(InvalidInput, match=r":2: bad value for 'psi0'"):
+        load_kaon_config(path)
 
 
 def test_load_kaon_config_requires_mixing_e(tmp_path):

@@ -1,13 +1,16 @@
 import cmath
 import math
 
+import mpmath
 import numpy as np
 import pytest
 
 from chronon_lab.errors import (BranchCut, InvalidInput, SingularMap,
                                 UndefinedRatio)
-from chronon_lab.evolution import ChrononParams, NATURAL_UNITS
-from chronon_lab.linalg2 import PAULI_X
+from chronon_lab.evolution import (ChrononParams, NATURAL_UNITS, UnitSystem,
+                                   discrete_step_operator,
+                                   symmetric_hamiltonian)
+from chronon_lab.linalg2 import PAULI_X, log2, non_hermiticity
 from chronon_lab.spectrum import (branch_cut_distance, decay_reading,
                                   effective_energy_exact,
                                   effective_energy_first_order,
@@ -169,6 +172,35 @@ def test_mode_report_nu_dimensionless_group_invariance():
                              ChrononParams(energy=1.0, tau_scale=0.7 / c))
         assert scaled.nu_nonhermitian == pytest.approx(base.nu_nonhermitian,
                                                        rel=1e-12)
+
+
+@pytest.mark.parametrize("convention", ["paper", "standard"])
+def test_mode_report_nu_matches_log_of_step_map(convention):
+    # reference: the generator (i hbar / (n tau)) log(U) taken from the step
+    # map itself; |lambda - 1| ~ 1 keeps that route accurate
+    rng = np.random.default_rng(20240917)
+    for _ in range(50):
+        a, d, b_re, b_im = rng.normal(size=4)
+        h = np.array([[a, b_re + 1j * b_im], [b_re - 1j * b_im, d]])
+        p = ChrononParams(energy=1.0, n=int(rng.integers(1, 4)),
+                          tau_scale=float(rng.uniform(0.2, 2.0)))
+        units = UnitSystem(hbar=float(rng.uniform(0.5, 2.0)))
+        gen = 1j * units.hbar / p.step(units) * log2(discrete_step_operator(h, p, units))
+        got = mode_report(h, p, units, convention).nu_nonhermitian
+        assert got == pytest.approx(non_hermiticity(gen), rel=1e-13, abs=0)
+
+
+@pytest.mark.parametrize("tau_scale", [1.0, 0.1, 1e-3, 1e-6, 1e-9, 1e-12])
+def test_mode_report_nu_matches_mpmath(tau_scale):
+    # symmetric H: both modes share |Im h_eff| and |h_eff|
+    for energy in (1e-6, 0.37, 1.0, 250.0, 1e6):
+        p = ChrononParams(energy=energy, n=2, tau_scale=tau_scale)
+        got = mode_report(symmetric_hamiltonian(energy), p).nu_nonhermitian
+        with mpmath.workdps(50):
+            s = mpmath.mpf(p.step())
+            h_eff = 1j / s * mpmath.log(1 - 1j * mpmath.mpf(energy) * s)
+            want = float(abs(h_eff.imag) / abs(h_eff))
+        assert got == pytest.approx(want, rel=1e-14, abs=0)
 
 
 # ---------------------------------------------------------------------------
