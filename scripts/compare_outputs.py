@@ -1,0 +1,107 @@
+#!/usr/bin/env python3
+"""Compare what two source trees of chronon_lab print for the same commands.
+
+Usage: python3 scripts/compare_outputs.py PARENT_SRC CHANGE_SRC
+
+Each argument is a `src` directory holding a `chronon_lab` package. The
+commands are the four benchmark workloads at seed 101, built by
+`perfbench/workloads.py`, plus every `chronon-lab` line of the README. Each
+command runs as `python -m chronon_lab` once per tree, in a fresh
+temporary directory holding the workload's spec files and a copy of
+`configs/`. The script prints every command whose exit code, stdout,
+stderr, `--out` bytes or manifest (without its timestamp) differs between
+the trees, then the total; it exits 1 when anything differs.
+"""
+
+import json
+import os
+import shlex
+import shutil
+import subprocess
+import sys
+import tempfile
+from pathlib import Path
+
+ROOT = Path(__file__).resolve().parent.parent
+sys.path.insert(0, str(ROOT / "perfbench"))
+
+import workloads  # noqa: E402
+
+SEED = 101
+
+
+def readme_commands() -> list[list[str]]:
+    """argv of every README line that starts with `chronon-lab `."""
+    lines = (ROOT / "README.md").read_text(encoding="utf-8").splitlines()
+    return [shlex.split(line)[1:] for line in lines
+            if line.startswith("chronon-lab ")]
+
+
+def command_groups() -> list[tuple[str, dict[str, str], list[list[str]]]]:
+    """(name, files to write, argv list) per group; paths are relative to
+    the directory the group runs in."""
+    groups = []
+    for name in workloads.NAMES:
+        wl = workloads.build(name, SEED, Path("."), ROOT)
+        groups.append((name, wl.files, [c.argv for c in wl.commands]))
+    groups.append(("readme", {}, readme_commands()))
+    return groups
+
+
+def _out_path(argv: list[str]) -> str | None:
+    return argv[argv.index("--out") + 1] if "--out" in argv else None
+
+
+def run_one(src: Path, files: dict[str, str], argv: list[str]) -> dict:
+    """Everything one command leaves behind, with `src` masked in stderr."""
+    with tempfile.TemporaryDirectory() as tmp:
+        work = Path(tmp)
+        shutil.copytree(ROOT / "configs", work / "configs")
+        for path, text in files.items():
+            (work / path).write_text(text, encoding="utf-8")
+        proc = subprocess.run(
+            [sys.executable, "-m", "chronon_lab", *argv], cwd=work,
+            env={**os.environ, "PYTHONPATH": str(src)},
+            capture_output=True)
+        result = {"exit code": proc.returncode, "stdout": proc.stdout,
+                  "stderr": proc.stderr.replace(str(src).encode(), b"<src>")}
+        out = _out_path(argv)
+        if out is not None:
+            out_file = work / out
+            result["--out bytes"] = out_file.read_bytes() if out_file.exists() else None
+            manifest = out_file.with_name(out_file.name + ".manifest.json")
+            if manifest.exists():
+                doc = json.loads(manifest.read_text(encoding="utf-8"))
+                doc.pop("timestamp", None)
+                result["manifest"] = doc
+            else:
+                result["manifest"] = None
+    return result
+
+
+def main() -> int:
+    if len(sys.argv) != 3:
+        print(__doc__.strip().splitlines()[2], file=sys.stderr)
+        return 2
+    parent, change = (Path(arg).resolve() for arg in sys.argv[1:])
+    for src in (parent, change):
+        if not (src / "chronon_lab").is_dir():
+            print(f"error: {src} holds no chronon_lab package", file=sys.stderr)
+            return 2
+    total = differing = 0
+    for name, files, commands in command_groups():
+        for argv in commands:
+            total += 1
+            old = run_one(parent, files, argv)
+            new = run_one(change, files, argv)
+            diff = [key for key in old if old[key] != new[key]]
+            if diff:
+                differing += 1
+                print(f"{name}: chronon-lab {shlex.join(argv)}")
+                print(f"  differs in: {', '.join(diff)}")
+    print(f"{differing} of {total} commands differ")
+    return 1 if differing else 0
+
+
+if __name__ == "__main__":
+    sys.exit(main())

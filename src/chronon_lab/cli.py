@@ -5,7 +5,7 @@ or JSON rows to stdout, or writes them to --out with a RunManifest beside
 the file as `<out>.manifest.json`.
 
 Exit codes: 0 ok, 2 invalid arguments or spec, 3 numeric-domain error
-(branch cut, singular or degenerate map), 4 I/O error.
+(branch cut, singular or degenerate map) or any other lab error, 4 I/O error.
 """
 
 from __future__ import annotations
@@ -13,7 +13,7 @@ from __future__ import annotations
 import argparse
 import sys
 
-from .errors import DOMAIN_ERRORS, USAGE_ERRORS, InvalidInput
+from .errors import USAGE_ERRORS, ChrononLabError, InvalidInput
 from .evolution import ENGINES, TwoState, evolve, symmetric_hamiltonian
 from .kaon import kaon_trajectory, three_pion_intensity, two_pion_intensity
 from .runner import (CONVERGENCE_COLUMNS, MODE_FIELDS, QUANTITIES, ScanSpec,
@@ -177,7 +177,7 @@ def main(argv=None) -> int:
     except USAGE_ERRORS as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
-    except DOMAIN_ERRORS as exc:
+    except ChrononLabError as exc:
         print(f"numeric-domain error: {exc}", file=sys.stderr)
         return 3
     except OSError as exc:

@@ -1,8 +1,8 @@
 """Exception types shared across the package.
 
-The CLI maps these onto exit codes: usage-type errors (InvalidInput,
-GridMismatch, RefusedTooLarge) exit 2, numeric-domain errors exit 3,
-I/O failures (plain OSError) exit 4.
+The CLI maps these onto exit codes: USAGE_ERRORS (InvalidInput,
+GridMismatch, RefusedTooLarge) exit 2, every other ChrononLabError (the
+numeric-domain errors) exits 3, I/O failures (plain OSError) exit 4.
 """
 
 
@@ -43,5 +43,3 @@ class DegenerateModes(ChrononLabError):
 
 
 USAGE_ERRORS = (InvalidInput, GridMismatch, RefusedTooLarge)
-DOMAIN_ERRORS = (SingularMap, BranchCut, UndefinedMeasure, UndefinedRatio,
-                 DegenerateModes)

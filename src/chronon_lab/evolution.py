@@ -16,8 +16,7 @@ import numpy as np
 
 from . import kernels
 from .errors import GridMismatch, InvalidInput
-from .linalg2 import (DEFAULT_TOL, IDENTITY2, as_operator, exp2, is_hermitian,
-                      require_finite)
+from .linalg2 import IDENTITY2, as_operator, exp2, is_hermitian, require_finite
 
 ENGINES = ("continuous", "discrete")
 
@@ -147,14 +146,15 @@ def symmetric_hamiltonian(energy: float, diag: float = 0.0) -> np.ndarray:
     return np.array([[diag, energy], [energy, diag]], dtype=np.complex128)
 
 
-def continuous_propagator(h, t: float, units: UnitSystem = NATURAL_UNITS,
+def continuous_propagator(h, t: float | np.ndarray, units: UnitSystem = NATURAL_UNITS,
                           allow_nonhermitian: bool = False) -> np.ndarray:
-    """exp(-i H t / hbar); unitary whenever H is Hermitian."""
+    """exp(-i H t / hbar), unitary whenever H is Hermitian; an array of times
+    `t` gives one stacked propagator per time, of shape t.shape + (2, 2)."""
     a = as_operator(h)
-    if not allow_nonhermitian and not is_hermitian(a, DEFAULT_TOL):
+    if not allow_nonhermitian and not is_hermitian(a):
         raise InvalidInput(
             "H is not Hermitian; pass allow_nonhermitian=True for open systems")
-    return exp2(a, -1j * t / units.hbar)
+    return exp2((-1j / units.hbar) * a, t)
 
 
 def discrete_step_operator(h, p: ChrononParams,
@@ -207,14 +207,9 @@ def evolve(h, psi0, engine: str, t_max: float, steps: int,
 
     if not (np.isfinite(t_max) and t_max > 0):
         raise InvalidInput("continuous engine needs t_max > 0")
-    if not allow_nonhermitian and not is_hermitian(a, DEFAULT_TOL):
-        raise InvalidInput(
-            "H is not Hermitian; pass allow_nonhermitian=True for open systems")
     times = np.linspace(0.0, t_max, steps + 1)
-    gen = (-1j / units.hbar) * a
-    props = exp2(gen, times)
-    states = props @ amps
-    return Trajectory(times, states, "continuous")
+    props = continuous_propagator(a, times, units, allow_nonhermitian)
+    return Trajectory(times, props @ amps, "continuous")
 
 
 def probability_series(traj: Trajectory, direction,

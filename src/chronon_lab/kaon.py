@@ -24,7 +24,7 @@ import numpy as np
 from .errors import DegenerateModes, InvalidInput, SingularMap, UndefinedRatio
 from .evolution import (ENGINES, ChrononParams, NATURAL_UNITS, SI_SECONDS,
                         Trajectory, TwoState, UnitSystem, evolve)
-from .linalg2 import DEFAULT_TOL, eig2
+from .linalg2 import eig2
 from .spectrum import step_eigenvalue
 
 BASES = ("cp", "flavor")
@@ -164,10 +164,10 @@ class ModeWidths:
     gamma_effective: float
 
 
-def _mode_table(model: KaonModel, p: ChrononParams, tol: float):
+def _mode_table(model: KaonModel, p: ChrononParams):
     """H's eigenpairs and the ModeWidths of their modes, from one eig2(H);
     a zero multiplier gets gamma_effective = +inf (gone after one step)."""
-    pairs = eig2(kaon_hamiltonian(model, "cp"), tol)
+    pairs = eig2(kaon_hamiltonian(model, "cp"))
     hb = model.units.hbar
     step = p.step(model.units)
     recs = []
@@ -187,8 +187,7 @@ def _require_nonzero_multipliers(recs: list[ModeWidths]) -> None:
         raise SingularMap("step map has a zero eigenvalue")
 
 
-def epsilon_mixing(model: KaonModel, p: ChrononParams, engine: str,
-                   tol: float = DEFAULT_TOL) -> complex:
+def epsilon_mixing(model: KaonModel, p: ChrononParams, engine: str) -> complex:
     """Wrong-CP admixture <K1|v_slow> / <K2|v_slow> of the long-lived mode.
 
     Both engines use H's eigenvectors and differ only in which mode is
@@ -200,7 +199,7 @@ def epsilon_mixing(model: KaonModel, p: ChrononParams, engine: str,
     """
     if engine not in ENGINES:
         raise InvalidInput(f"engine must be 'continuous' or 'discrete', got {engine!r}")
-    pairs, recs = _mode_table(model, p, tol)
+    pairs, recs = _mode_table(model, p)
     if pairs[0].degenerate:
         raise DegenerateModes("continuous generator is degenerate")
     if engine == "discrete":
@@ -221,14 +220,13 @@ def epsilon_mixing(model: KaonModel, p: ChrononParams, engine: str,
     return complex(slow.vector[0]) / denom
 
 
-def width_shift(model: KaonModel, p: ChrononParams,
-                tol: float = DEFAULT_TOL) -> tuple[ModeWidths, ModeWidths]:
+def width_shift(model: KaonModel, p: ChrononParams) -> tuple[ModeWidths, ModeWidths]:
     """Per-mode decay rates of the generator vs the chronon step map.
 
     Modes are ordered fast first (larger continuous width, ties broken by
     larger Re h, i.e. the K1-like mode first in the CP-conserving model).
     """
-    _, recs = _mode_table(model, p, tol)
+    _, recs = _mode_table(model, p)
     _require_nonzero_multipliers(recs)
     recs.sort(key=lambda r: (-r.gamma_continuous, -r.h_generator.real))
     return recs[0], recs[1]

@@ -9,13 +9,14 @@ factorizations). All functions are pure and safe to call concurrently.
 from __future__ import annotations
 
 import cmath
+import math
 from dataclasses import dataclass
 
 import numpy as np
 
 from .errors import BranchCut, InvalidInput, SingularMap, UndefinedMeasure
 
-# Build-wide default tolerance for double-precision comparisons.
+# The one tolerance of every matrix and eigenvalue test in the package.
 DEFAULT_TOL = 1e-10
 
 # Components of a unit vector below this are treated as zero when picking the
@@ -41,16 +42,16 @@ def require_finite(a: np.ndarray) -> None:
         raise InvalidInput("matrix has non-finite entries")
 
 
-def is_hermitian(m, tol: float = DEFAULT_TOL) -> bool:
-    """Max-entry test of M == M^dagger."""
+def is_hermitian(m) -> bool:
+    """Max-entry test of M == M^dagger within DEFAULT_TOL."""
     a = as_operator(m)
-    return float(np.max(np.abs(a - a.conj().T))) <= tol
+    return float(np.max(np.abs(a - a.conj().T))) <= DEFAULT_TOL
 
 
-def is_unitary(m, tol: float = DEFAULT_TOL) -> bool:
-    """Max-entry test of M M^dagger == I."""
+def is_unitary(m) -> bool:
+    """Max-entry test of M M^dagger == I within DEFAULT_TOL."""
     a = as_operator(m)
-    return float(np.max(np.abs(a @ a.conj().T - IDENTITY2))) <= tol
+    return float(np.max(np.abs(a @ a.conj().T - IDENTITY2))) <= DEFAULT_TOL
 
 
 @dataclass(frozen=True)
@@ -60,8 +61,8 @@ class EigenPair2:
     The vector has unit Euclidean norm and its first component above
     the pivot threshold is made real and positive, so eigenvectors are
     directly comparable between calls. `degenerate` is set when the two
-    eigenvalues coincide within tol * ||M||; for scalar matrices the
-    canonical basis is returned, for defective ones the single true
+    eigenvalues coincide within DEFAULT_TOL * ||M||_F; for scalar matrices
+    the canonical basis is returned, for defective ones the single true
     eigenvector appears in both pairs.
     """
 
@@ -77,39 +78,42 @@ def _fix_phase(v: np.ndarray) -> np.ndarray:
 
 
 def _eigvec_for(a: np.ndarray, lam: complex) -> np.ndarray:
-    m01 = complex(a[0, 1])
-    m10 = complex(a[1, 0])
-    if abs(m01) >= abs(m10) and m01 != 0:
-        v = np.array([m01, lam - complex(a[0, 0])], dtype=np.complex128)
-    elif m10 != 0:
-        v = np.array([lam - complex(a[1, 1]), m10], dtype=np.complex128)
-    else:
-        # Diagonal matrix: pick the axis whose entry matches lam.
-        if abs(complex(a[0, 0]) - lam) <= abs(complex(a[1, 1]) - lam):
-            v = np.array([1.0, 0.0], dtype=np.complex128)
-        else:
-            v = np.array([0.0, 1.0], dtype=np.complex128)
-    return _fix_phase(v)
+    # of the two vectors the rows of a - lam I annihilate, the longer cancels least
+    m00, m01, m10, m11 = a.ravel().tolist()
+    r0 = (m01, lam - m00)
+    r1 = (lam - m11, m10)
+    v = r0 if max(map(abs, r0)) >= max(map(abs, r1)) else r1
+    return _fix_phase(np.array(v, dtype=np.complex128))
 
 
-def eig2(m, tol: float = DEFAULT_TOL) -> tuple[EigenPair2, EigenPair2]:
+def _char_root(a: np.ndarray) -> tuple[complex, complex]:
+    """(tr/2, sqrt((tr/2)^2 - det)); the eigenvalues are tr/2 -/+ the root."""
+    m00, m01, m10, m11 = a.ravel().tolist()
+    half_tr = 0.5 * (m00 + m11)
+    return half_tr, cmath.sqrt(half_tr * half_tr - (m00 * m11 - m01 * m10))
+
+
+def eig2(m) -> tuple[EigenPair2, EigenPair2]:
     """Eigendecomposition of a complex 2x2 matrix in closed form.
 
     Eigenvalues come back ordered by (real, imag) ascending; each vector is
     unit norm with fixed phase. Degeneracy is flagged relative to the
-    matrix scale: |l1 - l2| <= tol * ||M||_F.
+    matrix scale: |l1 - l2| <= DEFAULT_TOL * ||M||_F. The eigenvector of lam
+    is the longer (in max-abs) of (m01, lam - m00) and (lam - m11, m10),
+    the vectors the rows of M - lam I annihilate, row 0 on a tie; a scalar
+    matrix gets the canonical basis.
     """
     a = as_operator(m)
     require_finite(a)
-    half_tr = 0.5 * (complex(a[0, 0]) + complex(a[1, 1]))
-    det = complex(a[0, 0]) * complex(a[1, 1]) - complex(a[0, 1]) * complex(a[1, 0])
-    disc = cmath.sqrt(half_tr * half_tr - det)
-    lam_lo, lam_hi = sorted((half_tr - disc, half_tr + disc),
+    half_tr, root = _char_root(a)
+    lam_lo, lam_hi = sorted((half_tr - root, half_tr + root),
                             key=lambda z: (z.real, z.imag))
-    scale = float(np.linalg.norm(a))
-    degenerate = abs(lam_hi - lam_lo) <= tol * scale
+    # hypot, not np.linalg.norm: its sum of squares overflows above ~1e154
+    scale = math.hypot(*map(abs, a.ravel().tolist()))
+    degenerate = abs(lam_hi - lam_lo) <= DEFAULT_TOL * scale
 
-    if degenerate and float(np.max(np.abs(a - half_tr * IDENTITY2))) <= tol * max(scale, 1.0):
+    if degenerate and float(np.max(np.abs(a - half_tr * IDENTITY2))) \
+            <= DEFAULT_TOL * max(scale, 1.0):
         # Scalar matrix: any basis works, return the canonical one.
         e0 = np.array([1.0, 0.0], dtype=np.complex128)
         e1 = np.array([0.0, 1.0], dtype=np.complex128)
@@ -137,9 +141,7 @@ def exp2(m, s: complex | np.ndarray = 1.0) -> np.ndarray:
     if not np.all(np.isfinite(s)):
         raise InvalidInput("scale factor must be finite")
     t = s.reshape(-1)
-    half_tr = 0.5 * (a[0, 0] + a[1, 1])
-    det = a[0, 0] * a[1, 1] - a[0, 1] * a[1, 0]
-    delta = cmath.sqrt(complex(half_tr * half_tr - det))
+    half_tr, delta = _char_root(a)
     x = delta * t
     # sinh(s D)/D -> s (1 + x^2/6 + x^4/120 + ...) as D -> 0; the divisor
     # guard keeps the 0/0 lane that np.where still evaluates quiet
@@ -151,28 +153,28 @@ def exp2(m, s: complex | np.ndarray = 1.0) -> np.ndarray:
     return (np.exp(half_tr * t)[:, None, None] * out).reshape(s.shape + (2, 2))
 
 
-def _require_principal_log(lam: complex, tol: float, what: str) -> None:
-    """Raise SingularMap for |lam| <= tol and BranchCut for lam on the
-    negative real axis, where the principal log is undefined; `what` names
-    lam in the message."""
-    if abs(lam) <= tol:
+def _require_principal_log(lam: complex, what: str) -> None:
+    """Raise SingularMap for |lam| <= DEFAULT_TOL and BranchCut for lam on
+    the negative real axis, where the principal log is undefined; `what`
+    names lam in the message."""
+    if abs(lam) <= DEFAULT_TOL:
         raise SingularMap(f"{what} {lam} is numerically zero")
-    if lam.real < 0 and abs(lam.imag) <= tol * abs(lam):
+    if lam.real < 0 and abs(lam.imag) <= DEFAULT_TOL * abs(lam):
         raise BranchCut(f"{what} {lam} lies on the negative real axis")
 
 
-def log2(u, tol: float = DEFAULT_TOL) -> np.ndarray:
+def log2(u) -> np.ndarray:
     """Principal matrix logarithm of a nonsingular 2x2 complex matrix.
 
     Eigenvalues of the result have imaginary part in (-pi, pi]. An
-    eigenvalue with |l| <= tol raises SingularMap; one on the negative
-    real axis raises BranchCut rather than silently picking a sheet.
+    eigenvalue with |l| <= DEFAULT_TOL raises SingularMap; one on the
+    negative real axis raises BranchCut rather than silently picking a sheet.
     """
     a = as_operator(u)
     require_finite(a)
-    lo, hi = eig2(a, tol)
+    lo, hi = eig2(a)
     for pair in (lo, hi):
-        _require_principal_log(pair.value, tol, "eigenvalue")
+        _require_principal_log(pair.value, "eigenvalue")
     if lo.degenerate:
         lam = 0.5 * (lo.value + hi.value)
         # U = lam I + N with N^2 = 0, so log U = log(lam) I + N / lam.

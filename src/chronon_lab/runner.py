@@ -106,7 +106,8 @@ class ScanSpec:
         if unknown:
             raise InvalidInput(f"unknown scan spec keys {sorted(unknown)}")
         try:
-            axes = tuple(ScanAxis(a["name"], float(a["start"]), float(a["stop"]),
+            axes = tuple(ScanAxis(a["name"], coerce_param("start", a["start"], float),
+                                  coerce_param("stop", a["stop"], float),
                                   coerce_param("count", a["count"], int),
                                   a.get("spacing", "linear"))
                          for a in d.get("grid", []))
@@ -149,6 +150,15 @@ def parse_complex_pair(text: str) -> np.ndarray:
         raise InvalidInput(f"cannot parse complex pair {text!r}: {exc}") from exc
 
 
+def _parse_direction(text: str) -> np.ndarray:
+    """The unit vector along the complex pair 'a,b', which must be nonzero."""
+    d = parse_complex_pair(text)
+    norm = np.linalg.norm(d)
+    if not 0.0 < norm < math.inf:
+        raise InvalidInput(f"direction {text!r} must be nonzero and finite")
+    return d / norm
+
+
 _CHRONON_KEYS = {"n": int, "tau_scale": float, "hbar": float}
 _KAON_KEYS = {"mixing_e": float, "gamma_s": float, "gamma_l": float,
               "delta_re": float, "delta_im": float}
@@ -161,7 +171,7 @@ _PARAM_SCHEMAS = {
     "trajectory-observable": {"energy": float, "diag": float, "engine": ENGINES,
                               "t_max": float, "steps": int, "psi0": parse_complex_pair,
                               "observable": ("norm2_final", "prob_final"),
-                              "direction": parse_complex_pair, **_CHRONON_KEYS},
+                              "direction": _parse_direction, **_CHRONON_KEYS},
 }
 
 # hbar first keeps the key order of a loaded kaon config, which its manifest shows
@@ -309,8 +319,7 @@ def _eval_trajectory_observable(params: dict) -> dict:
     if params["observable"] == "norm2_final":
         value = float(traj.norm_sq()[-1])
     else:  # prob_final
-        d = parse_complex_pair(params["direction"])
-        d = d / np.linalg.norm(d)
+        d = _parse_direction(params["direction"])
         value = float(abs(traj.states[-1] @ d.conj()) ** 2)
     return {"value": value}
 

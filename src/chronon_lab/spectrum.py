@@ -77,8 +77,7 @@ def branch_cut_distance(lam: complex) -> float:
 
 
 def effective_energy_exact(h: complex, p: ChrononParams,
-                           units: UnitSystem = NATURAL_UNITS,
-                           tol: float = DEFAULT_TOL) -> complex:
+                           units: UnitSystem = NATURAL_UNITS) -> complex:
     """Exact effective energy (i hbar / (n tau)) Log(1 - i h n tau / hbar).
 
     This is the unique complex energy with exp(-i h_eff n tau / hbar) equal
@@ -87,7 +86,7 @@ def effective_energy_exact(h: complex, p: ChrononParams,
     """
     step = p.step(units)
     lam = step_eigenvalue(h, p, units)
-    _require_principal_log(lam, tol, "one-step multiplier")
+    _require_principal_log(lam, "one-step multiplier")
     return 1j * units.hbar / step * cmath.log(lam)
 
 
@@ -156,8 +155,7 @@ def decay_reading(h_eff: complex, convention: str = "paper") -> str:
 
 
 def mode_report(h, p: ChrononParams, units: UnitSystem = NATURAL_UNITS,
-                convention: str = "paper",
-                tol: float = DEFAULT_TOL) -> EffectiveSpectrum:
+                convention: str = "paper") -> EffectiveSpectrum:
     """Full spectral diagnosis of the chronon map for a Hermitian H.
 
     Diagonalizes H, attaches per-mode one-step multipliers, exact and
@@ -170,9 +168,9 @@ def mode_report(h, p: ChrononParams, units: UnitSystem = NATURAL_UNITS,
     a = as_operator(h)
     if convention not in CONVENTIONS:
         raise InvalidInput(f"convention must be one of {CONVENTIONS}")
-    if not is_hermitian(a, tol):
+    if not is_hermitian(a):
         raise InvalidInput("mode_report requires a Hermitian H")
-    pairs = eig2(a, tol)
+    pairs = eig2(a)
     records = []
     for idx, pair in enumerate(pairs):
         hk = pair.value.real
@@ -182,14 +180,14 @@ def mode_report(h, p: ChrononParams, units: UnitSystem = NATURAL_UNITS,
             eigvec=pair.vector,
             h_continuous=hk,
             lambda_step=lam,
-            h_eff_exact=effective_energy_exact(hk, p, units, tol),
+            h_eff_exact=effective_energy_exact(hk, p, units),
             h_first_order=effective_energy_first_order(hk, p, units),
             step_magnitude=abs(lam),
             efold_time=efold_time(lam, p, units),
         ))
 
     u = discrete_step_operator(a, p, units)
-    _check_eigenvectors_survive(u, records, tol)
+    _check_eigenvectors_survive(u, records)
     v = np.column_stack([rec.eigvec for rec in records])
     h_eff = np.array([rec.h_eff_exact for rec in records])
     try:
@@ -199,13 +197,12 @@ def mode_report(h, p: ChrononParams, units: UnitSystem = NATURAL_UNITS,
     return EffectiveSpectrum(tuple(records), p, convention, nu)
 
 
-def _check_eigenvectors_survive(u: np.ndarray, records: list[ModeRecord],
-                                tol: float) -> None:
+def _check_eigenvectors_survive(u: np.ndarray, records: list[ModeRecord]) -> None:
     # U is a polynomial in H, so H's eigenvectors must be eigenvectors of U
     # with the analytic multipliers; a violation means broken numerics.
     scale = max(float(np.linalg.norm(u)), 1.0)
     for rec in records:
         resid = u @ rec.eigvec - rec.lambda_step * rec.eigvec
-        if float(np.max(np.abs(resid))) > tol * scale:
+        if float(np.max(np.abs(resid))) > DEFAULT_TOL * scale:
             raise ChrononLabError(
                 "internal consistency failure: step map does not share H's eigenvectors")

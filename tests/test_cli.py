@@ -7,7 +7,9 @@ import sys
 
 import pytest
 
+from chronon_lab import cli
 from chronon_lab.cli import main
+from chronon_lab.errors import ChrononLabError
 from chronon_lab.runner import MODE_FIELDS, digest_of
 
 CLI = [sys.executable, "-m", "chronon_lab"]
@@ -182,6 +184,12 @@ def test_scan_bad_spec_exit_code(tmp_path):
         json.dumps({"quantity": "mode_report", "grid": [
             {"name": "energy", "start": 1, "stop": 2, "count": 2}],
             "fixed": {"convention": "nope"}}),
+        json.dumps({"quantity": "trajectory-observable", "grid": [],
+                    "fixed": {"energy": 1.0, "t_max": 1.0, "steps": 4,
+                              "observable": "prob_final", "direction": "0,0"}}),
+        json.dumps({"quantity": "epsilon", "grid": [
+            {"name": "tau_scale", "start": True, "stop": 2, "count": 2}],
+            "fixed": {"mixing_e": 1.0}}),
     ):
         spec_path.write_text(text, encoding="utf-8")
         res = run_cli("scan", "--spec", str(spec_path))
@@ -194,6 +202,25 @@ def test_scan_bad_spec_exit_code(tmp_path):
         res = run_cli("scan", "--spec", str(spec_path), "--workers", workers)
         assert res.returncode == 2, workers
         assert res.stderr.startswith("error: "), workers
+
+
+def test_modes_huge_energy_exit_code():
+    # from ~1e154 on eig2's det overflows; its Frobenius scale must not, or
+    # H passes for a scalar matrix, gets the canonical basis and fails the
+    # eigenvector guard with an unmapped error
+    for energy in ("1e154", "1.3e154", "1.4e154"):
+        res = run_cli("modes", "--energy", energy)
+        assert res.returncode == 2, energy
+        assert "error: " in res.stderr, energy
+        assert "Traceback" not in res.stderr, energy
+
+
+def test_unmapped_lab_error_exit_code(monkeypatch, capsys):
+    def broken(args):
+        raise ChrononLabError("internal consistency failure")
+    monkeypatch.setattr(cli, "_cmd_modes", broken)
+    assert main(["modes", "--energy", "1"]) == 3
+    assert "internal consistency failure" in capsys.readouterr().err
 
 
 def test_io_error_exit_code(tmp_path):

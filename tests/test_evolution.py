@@ -8,6 +8,7 @@ from chronon_lab.evolution import (ChrononParams, NATURAL_UNITS, Trajectory,
                                    TwoState, UnitSystem, continuous_propagator,
                                    discrete_step_operator, evolve, norm_series,
                                    probability_series, symmetric_hamiltonian)
+from chronon_lab.kaon import KaonModel, kaon_hamiltonian
 from chronon_lab.linalg2 import IDENTITY2, PAULI_X, eig2, is_unitary
 
 SQ2 = math.sqrt(2.0)
@@ -67,7 +68,7 @@ def test_continuous_propagator_unitary_property():
     for _ in range(100):
         h = random_hermitian(rng)
         t = rng.uniform(0, 10.0 / np.linalg.norm(h))
-        assert is_unitary(continuous_propagator(h, t), 1e-10)
+        assert is_unitary(continuous_propagator(h, t))
 
 
 def test_continuous_propagator_group_property():
@@ -123,6 +124,18 @@ def test_evolve_continuous_rabi_oscillation():
     traj = evolve(PAULI_X, TwoState([1, 0]), "continuous", 3.0, 60)
     p2 = np.abs(traj.states[:, 1]) ** 2
     np.testing.assert_allclose(p2, np.sin(traj.times) ** 2, atol=1e-12)
+
+
+@pytest.mark.parametrize("case", ["kaon", "symmetric"])
+def test_evolve_continuous_is_the_propagator_on_the_grid(case):
+    units = UnitSystem(hbar=0.3)
+    h = (kaon_hamiltonian(KaonModel(1.0, 0.1, 0.001, delta=0.02, units=units))
+         if case == "kaon" else symmetric_hamiltonian(1.7, diag=0.4))
+    psi0 = np.array([0.6, 0.8j])
+    traj = evolve(h, psi0, "continuous", 7.3, 97, units=units,
+                  allow_nonhermitian=True)
+    want = continuous_propagator(h, traj.times, units, allow_nonhermitian=True) @ psi0
+    np.testing.assert_array_equal(traj.states, want)
 
 
 def test_evolve_zero_hamiltonian_is_constant():

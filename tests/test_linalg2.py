@@ -88,6 +88,31 @@ def test_eig2_reconstruction_property():
         done += 1
 
 
+def mixed_scale_matrix(rng, hermitian):
+    """Diagonal magnitudes 10^U(-3, 4) and off-diagonal ones 10^U(-6, 1),
+    with random signs (real Hermitian diagonal) or phases."""
+    def entry(lo, hi, real=False):
+        mag = 10.0 ** rng.uniform(lo, hi)
+        return mag * (rng.choice((-1.0, 1.0)) if real
+                      else cmath.exp(2j * math.pi * rng.random()))
+    if hermitian:
+        b = entry(-6, 1)
+        return np.array([[entry(-3, 4, True), b], [b.conjugate(), entry(-3, 4, True)]])
+    return np.array([[entry(-3, 4), entry(-6, 1)], [entry(-6, 1), entry(-3, 4)]])
+
+
+@pytest.mark.parametrize("hermitian", [True, False])
+def test_eig2_mixed_scale_residual(hermitian):
+    # a small off-diagonal against a wide diagonal gap: the eigenvector row
+    # must not be one where lam - m_kk cancels
+    rng = np.random.default_rng(2024 if hermitian else 2025)
+    for _ in range(200):
+        m = mixed_scale_matrix(rng, hermitian)
+        for pair in eig2(m):
+            resid = np.max(np.abs(m @ pair.vector - pair.value * pair.vector))
+            assert resid <= 1e-13 * np.max(np.abs(m)), m
+
+
 def test_eig2_rejects_nonfinite():
     with pytest.raises(InvalidInput):
         eig2([[np.nan, 0], [0, 1]])
@@ -151,7 +176,7 @@ def test_exp2_hermitian_is_unitary():
         a = random_complex_matrix(rng)
         h = 0.5 * (a + a.conj().T)
         t = rng.uniform(0, 10.0 / np.linalg.norm(h))
-        assert is_unitary(exp2(h, -1j * t), 1e-10)
+        assert is_unitary(exp2(h, -1j * t))
 
 
 def test_exp2_rejects_nonfinite():

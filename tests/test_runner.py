@@ -55,7 +55,8 @@ def test_scan_spec_validation():
         ScanAxis("x", 1.0, 2.0, 0)
     # non-integral counts, non-finite bounds and malformed fixed values are
     # spec errors, not truncated or deferred to the points
-    for axis in ({"count": 2.5}, {"start": "nan"}, {"stop": float("inf")}):
+    for axis in ({"count": 2.5}, {"start": "nan"}, {"stop": float("inf")},
+                 {"start": True}, {"stop": False}):
         with pytest.raises(InvalidInput):
             ScanSpec.from_dict({"quantity": "epsilon", "grid": [
                 {"name": "delta_re", "start": 0, "stop": 1, "count": 2, **axis}]})
@@ -69,7 +70,8 @@ def test_scan_spec_validation():
             ("epsilon", "engine", "sideways"), ("mode_report", "convention", "nope"),
             ("trajectory-observable", "observable", "norm"),
             ("trajectory-observable", "psi0", "1"),
-            ("trajectory-observable", "direction", "a,b")):
+            ("trajectory-observable", "direction", "a,b"),
+            ("trajectory-observable", "direction", "0,0")):
         with pytest.raises(InvalidInput, match=f"'{key}'"):
             ScanSpec.from_dict({"quantity": quantity, "grid": [],
                                 "fixed": {key: value}})

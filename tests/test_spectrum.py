@@ -164,6 +164,20 @@ def test_mode_report_rejects_nonhermitian():
         mode_report(np.array([[0, 1], [1, -0.5j]]), CHRONON_POINT)
 
 
+def test_mode_report_mixed_scale_hermitian():
+    # diagonal magnitudes 10^U(-3, 4), off-diagonal 10^U(-6, 1): the
+    # eigenvector guard must hold where the diagonal gap dwarfs the coupling
+    rng = np.random.default_rng(99)
+    for _ in range(200):
+        a, d = 10.0 ** rng.uniform(-3, 4, 2) * rng.choice((-1.0, 1.0), 2)
+        b = 10.0 ** rng.uniform(-6, 1) * cmath.exp(2j * math.pi * rng.random())
+        h = np.array([[a, b], [b.conjugate(), d]])
+        spec = mode_report(h, CHRONON_POINT)
+        for rec in spec.modes:
+            resid = h @ rec.eigvec - rec.h_continuous * rec.eigvec
+            assert np.max(np.abs(resid)) <= 1e-13 * np.max(np.abs(h)), h
+
+
 def test_mode_report_nu_dimensionless_group_invariance():
     # H -> c H with tau_scale/c leaves h n tau / hbar, hence nu, unchanged
     base = mode_report(PAULI_X, ChrononParams(energy=1.0, tau_scale=0.7))
