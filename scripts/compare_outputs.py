@@ -10,7 +10,9 @@ command runs as `python -m chronon_lab` once per tree, in a fresh
 temporary directory holding the workload's spec files and a copy of
 `configs/`. The script prints every command whose exit code, stdout,
 stderr, `--out` bytes or manifest (without its timestamp) differs between
-the trees, then the total; it exits 1 when anything differs.
+the trees; for a differing stdout or `--out` file it adds the changed-cell
+count and the largest relative change of each changed column. Then it
+prints the total and exits 1 when anything differs.
 """
 
 import json
@@ -26,6 +28,7 @@ ROOT = Path(__file__).resolve().parent.parent
 sys.path.insert(0, str(ROOT / "perfbench"))
 
 import workloads  # noqa: E402
+from generate_goldens import describe_change  # noqa: E402
 
 SEED = 101
 
@@ -99,6 +102,10 @@ def main() -> int:
                 differing += 1
                 print(f"{name}: chronon-lab {shlex.join(argv)}")
                 print(f"  differs in: {', '.join(diff)}")
+                for key in ("stdout", "--out bytes"):
+                    if key in diff and old[key] is not None and new[key] is not None:
+                        for line in describe_change(old[key], new[key]):
+                            print(f"  {key}: {line}")
     print(f"{differing} of {total} commands differ")
     return 1 if differing else 0
 

@@ -9,12 +9,9 @@ largest relative change of its numeric cells against the previous bytes.
 
 import csv
 import io
+import json
 import sys
 from pathlib import Path
-
-sys.path.insert(0, str(Path(__file__).resolve().parent.parent / "tests"))
-
-from golden_defs import GOLDEN_BUILDERS, GOLDEN_DIR  # noqa: E402
 
 
 def _rel_change(old: str, new: str) -> float:
@@ -25,12 +22,24 @@ def _rel_change(old: str, new: str) -> float:
     return abs(b - a) / abs(a) if a else float("inf")
 
 
+def _table(data: bytes) -> list[list[str]]:
+    """The rows of CSV bytes, or of a JSON array of row objects with its
+    keys as the header row."""
+    text = data.decode("utf-8")
+    if not text.startswith("["):
+        return list(csv.reader(io.StringIO(text)))
+    rows = json.loads(text)
+    header = list(rows[0]) if rows else []
+    return [header] + [["" if row[c] is None else str(row[c]) for c in header]
+                       for row in rows]
+
+
 def describe_change(old: bytes, new: bytes) -> list[str]:
-    """One line per changed column; ["unchanged"] for identical bytes."""
+    """One line per changed column of two CSV or two JSON row outputs;
+    ["unchanged"] for identical bytes."""
     if old == new:
         return ["unchanged"]
-    old_rows = list(csv.reader(io.StringIO(old.decode("utf-8"))))
-    new_rows = list(csv.reader(io.StringIO(new.decode("utf-8"))))
+    old_rows, new_rows = _table(old), _table(new)
     if (len(old_rows) != len(new_rows) or not old_rows
             or old_rows[0] != new_rows[0]):
         return ["header or row count changed"]
@@ -51,6 +60,9 @@ def describe_change(old: bytes, new: bytes) -> list[str]:
 
 
 def main():
+    sys.path.insert(0, str(Path(__file__).resolve().parent.parent / "tests"))
+    from golden_defs import GOLDEN_BUILDERS, GOLDEN_DIR
+
     GOLDEN_DIR.mkdir(exist_ok=True)
     for name, builder in GOLDEN_BUILDERS.items():
         path = GOLDEN_DIR / name

@@ -42,4 +42,8 @@ class DegenerateModes(ChrononLabError):
     """Evolution generator is degenerate; mode selection is ambiguous."""
 
 
+class Overflow(ChrononLabError):
+    """A valid input whose result is not finite in double precision."""
+
+
 USAGE_ERRORS = (InvalidInput, GridMismatch, RefusedTooLarge)

@@ -10,13 +10,15 @@ the norm defect IS the observable of interest here.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 
 import numpy as np
 
 from . import kernels
 from .errors import GridMismatch, InvalidInput
-from .linalg2 import IDENTITY2, as_operator, exp2, is_hermitian, require_finite
+from .linalg2 import (IDENTITY2, as_operator, exp2, is_hermitian, power2,
+                      require_finite)
 
 ENGINES = ("continuous", "discrete")
 
@@ -169,47 +171,75 @@ def discrete_step_operator(h, p: ChrononParams,
     return IDENTITY2 - (1j * p.step(units) / units.hbar) * a
 
 
-def evolve(h, psi0, engine: str, t_max: float, steps: int,
-           p: ChrononParams | None = None, units: UnitSystem = NATURAL_UNITS,
-           allow_nonhermitian: bool = False) -> Trajectory:
-    """Generate a trajectory from psi0 at t = 0 out to t_max.
+def check_grid(engine: str, t_max: float, steps: int, p: ChrononParams | None = None,
+               units: UnitSystem = NATURAL_UNITS) -> int:
+    """The grid rules of `evolve`; returns `steps` as an int.
 
-    engine="discrete" repeats the chronon step map; the grid spacing must
-    equal n * tau, so steps must be t_max / (n tau) (rounded within 1e-9
-    relative), otherwise GridMismatch is raised. engine="continuous"
-    evaluates the exact propagator on an arbitrary uniform grid.
+    steps must be a positive integer. The discrete grid spacing is n * tau,
+    so steps must be t_max / (n tau), rounded within 1e-9 relative, or
+    GridMismatch is raised. The continuous grid needs a finite t_max > 0.
     """
-    a = as_operator(h)
-    require_finite(a)
-    amps = _amplitudes_of(psi0)
     if engine not in ENGINES:
         raise InvalidInput(f"engine must be one of {ENGINES}, got {engine!r}")
     if int(steps) != steps or steps < 1:
         raise InvalidInput("steps must be a positive integer")
     steps = int(steps)
+    if engine == "continuous":
+        if not (np.isfinite(t_max) and t_max > 0):
+            raise InvalidInput("continuous engine needs t_max > 0")
+        return steps
+    if p is None:
+        raise InvalidInput("discrete engine needs ChrononParams")
+    dt = p.step(units)
+    # n * tau may underflow to 0, and t_max / dt may be nan or overflow
+    k_float = t_max / dt if dt > 0 else math.inf
+    k = round(k_float) if math.isfinite(k_float) else 0
+    if k < 1 or abs(k_float - k) > _GRID_RTOL * max(abs(k_float), 1.0):
+        raise GridMismatch(
+            f"t_max={t_max} is not an integer multiple of n*tau={dt}")
+    if k != steps:
+        raise GridMismatch(
+            f"steps={steps} but t_max/(n*tau)={k}; the discrete grid is n*tau")
+    return steps
 
+
+def evolve(h, psi0, engine: str, t_max: float, steps: int,
+           p: ChrononParams | None = None, units: UnitSystem = NATURAL_UNITS,
+           allow_nonhermitian: bool = False) -> Trajectory:
+    """Generate a trajectory from psi0 at t = 0 out to t_max.
+
+    engine="discrete" repeats the chronon step map on the grid of spacing
+    n * tau; engine="continuous" evaluates the exact propagator on an
+    arbitrary uniform grid. `check_grid` holds the grid rules.
+    """
+    a = as_operator(h)
+    require_finite(a)
+    amps = _amplitudes_of(psi0)
+    steps = check_grid(engine, t_max, steps, p, units)
     if engine == "discrete":
-        if p is None:
-            raise InvalidInput("discrete engine needs ChrononParams")
-        dt = p.step(units)
-        k_float = t_max / dt
-        k = int(round(k_float))
-        if k < 1 or abs(k_float - k) > _GRID_RTOL * max(abs(k_float), 1.0):
-            raise GridMismatch(
-                f"t_max={t_max} is not an integer multiple of n*tau={dt}")
-        if k != steps:
-            raise GridMismatch(
-                f"steps={steps} but t_max/(n*tau)={k}; the discrete grid is n*tau")
         u = discrete_step_operator(a, p, units)
         states = kernels.step_trajectory(u, amps, steps)
-        times = np.arange(steps + 1, dtype=np.float64) * dt
+        times = np.arange(steps + 1, dtype=np.float64) * p.step(units)
         return Trajectory(times, states, "discrete")
-
-    if not (np.isfinite(t_max) and t_max > 0):
-        raise InvalidInput("continuous engine needs t_max > 0")
     times = np.linspace(0.0, t_max, steps + 1)
     props = continuous_propagator(a, times, units, allow_nonhermitian)
     return Trajectory(times, props @ amps, "continuous")
+
+
+def final_state(h, psi0, engine: str, t_max: float, steps: int,
+                p: ChrononParams | None = None,
+                units: UnitSystem = NATURAL_UNITS) -> np.ndarray:
+    """The amplitudes at t_max of `evolve` with the same arguments, computed
+    without the states before them: U^steps psi0 from `power2` (which raises
+    Overflow) for the discrete engine, the propagator at t_max for the
+    continuous one, which needs a Hermitian H."""
+    a = as_operator(h)
+    require_finite(a)
+    amps = _amplitudes_of(psi0)
+    steps = check_grid(engine, t_max, steps, p, units)
+    if engine == "discrete":
+        return power2(discrete_step_operator(a, p, units), steps) @ amps
+    return continuous_propagator(a, t_max, units) @ amps
 
 
 def probability_series(traj: Trajectory, direction,

@@ -14,7 +14,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import BranchCut, InvalidInput, SingularMap, UndefinedMeasure
+from .errors import BranchCut, InvalidInput, Overflow, SingularMap, UndefinedMeasure
 
 # The one tolerance of every matrix and eigenvalue test in the package.
 DEFAULT_TOL = 1e-10
@@ -71,6 +71,15 @@ class EigenPair2:
     degenerate: bool
 
 
+def _pow2_scale(x: float) -> float:
+    """The power of two that puts a positive x in [0.5, 1); 1 for x = 0.
+
+    Scaling by it is exact, so a norm ratio keeps every bit, and it keeps
+    np.linalg.norm's sum of squares from overflowing above ~1e154.
+    """
+    return math.ldexp(1.0, -math.frexp(x)[1])
+
+
 def _fix_phase(v: np.ndarray) -> np.ndarray:
     v = v / np.linalg.norm(v)
     pivot = v[0] if abs(v[0]) > _PIVOT_EPS else v[1]
@@ -82,15 +91,21 @@ def _eigvec_for(a: np.ndarray, lam: complex) -> np.ndarray:
     m00, m01, m10, m11 = a.ravel().tolist()
     r0 = (m01, lam - m00)
     r1 = (lam - m11, m10)
-    v = r0 if max(map(abs, r0)) >= max(map(abs, r1)) else r1
-    return _fix_phase(np.array(v, dtype=np.complex128))
+    n0, n1 = max(map(abs, r0)), max(map(abs, r1))
+    v, top = (r0, n0) if n0 >= n1 else (r1, n1)
+    s = _pow2_scale(top)
+    return _fix_phase(np.array((v[0] * s, v[1] * s), dtype=np.complex128))
 
 
 def _char_root(a: np.ndarray) -> tuple[complex, complex]:
-    """(tr/2, sqrt((tr/2)^2 - det)); the eigenvalues are tr/2 -/+ the root."""
+    """(tr/2, D); the eigenvalues are tr/2 -/+ D.
+
+    D^2 = (tr/2)^2 - det is formed as ((m00 - m11)/2)^2 + m01 m10, which
+    does not cancel when the eigenvalues are close relative to tr/2.
+    """
     m00, m01, m10, m11 = a.ravel().tolist()
-    half_tr = 0.5 * (m00 + m11)
-    return half_tr, cmath.sqrt(half_tr * half_tr - (m00 * m11 - m01 * m10))
+    half_diff = 0.5 * (m00 - m11)
+    return 0.5 * (m00 + m11), cmath.sqrt(half_diff * half_diff + m01 * m10)
 
 
 def eig2(m) -> tuple[EigenPair2, EigenPair2]:
@@ -153,6 +168,49 @@ def exp2(m, s: complex | np.ndarray = 1.0) -> np.ndarray:
     return (np.exp(half_tr * t)[:, None, None] * out).reshape(s.shape + (2, 2))
 
 
+def power2(m, k: int) -> np.ndarray:
+    """M^k for a 2x2 complex matrix and an integer k, in closed form.
+
+    The trace/discriminant form of `exp2`: with c = tr/2, D from
+    `_char_root` and x = D / c, the eigenvalues are c (1 -/+ x) and
+        M^k = c^k (1 - x^2)^(k/2) [cosh(k atanh x) I
+                                   + sinh(k atanh x)/x (M - c I)/c].
+    The cost does not grow with k. The real part of log(1 - x^2) comes
+    from a real log1p, so a map near the identity keeps its relative
+    accuracy (a complex log of 1 - x^2 would lose k eps), and
+    sinh(k atanh x)/x keeps the small
+    off-diagonal amplitudes that V diag(lambda^k) V^-1 loses to eps/|x|.
+    M needs a nonzero trace and nonzero eigenvalues (InvalidInput,
+    SingularMap); a power that is not finite in double precision raises
+    Overflow.
+    """
+    a = as_operator(m)
+    require_finite(a)
+    c, root = _char_root(a)
+    if c == 0:
+        raise InvalidInput("power2 needs a matrix with nonzero trace")
+    x = root / c
+    z = x * x
+    q = z.real * (z.real - 2.0) + z.imag * z.imag  # |1 - x^2|^2 - 1
+    if q <= -1.0:
+        raise SingularMap("power2 needs a nonsingular matrix")
+    # arg(1 + x) and arg(1 - x) have opposite signs, so the principal logs
+    # give Log(1 - x^2)/2 + atanh x = Log(1 + x): no branch to fix
+    log_1mz = complex(0.5 * math.log1p(q), math.atan2(-z.imag, 1.0 - z.real))
+    m00, m01, m10, m11 = a.ravel().tolist()
+    try:  # cmath raises OverflowError; a product may overflow to inf or nan
+        scale = cmath.exp(k * cmath.log(c) + 0.5 * k * log_1mz)
+        w = k * cmath.atanh(x)
+        diag = scale * cmath.cosh(w)
+        off = scale * (cmath.sinh(w) / x if x else k) / c
+        out = [diag + off * (m00 - c), off * m01, off * m10, diag + off * (m11 - c)]
+        if not all(map(cmath.isfinite, out)):
+            raise OverflowError
+    except OverflowError:
+        raise Overflow(f"M^{k} is not finite in double precision") from None
+    return np.array(out, dtype=np.complex128).reshape(2, 2)
+
+
 def _require_principal_log(lam: complex, what: str) -> None:
     """Raise SingularMap for |lam| <= DEFAULT_TOL and BranchCut for lam on
     the negative real axis, where the principal log is undefined; `what`
@@ -207,7 +265,8 @@ def non_hermiticity(m) -> float:
     """
     a = as_operator(m)
     require_finite(a)
-    scale = float(np.linalg.norm(a))
-    if scale == 0.0:
+    top = max(map(abs, a.ravel().tolist()))
+    if top == 0.0:
         raise UndefinedMeasure("non-Hermiticity of the zero matrix is undefined")
-    return float(np.linalg.norm(a - a.conj().T) / (2.0 * scale))
+    a = a * _pow2_scale(top)
+    return float(np.linalg.norm(a - a.conj().T) / (2.0 * float(np.linalg.norm(a))))

@@ -26,10 +26,10 @@ from pathlib import Path
 import numpy as np
 
 from . import __version__
-from .errors import (ChrononLabError, InvalidInput, RefusedTooLarge,
+from .errors import (ChrononLabError, InvalidInput, Overflow, RefusedTooLarge,
                      UndefinedRatio)
 from .evolution import (ENGINES, ChrononParams, TwoState, UnitSystem,
-                        continuous_propagator, evolve, symmetric_hamiltonian)
+                        continuous_propagator, final_state, symmetric_hamiltonian)
 from .kaon import KaonModel, epsilon_mixing, kaon_state, width_shift
 from .spectrum import CONVENTIONS, ModeRecord, imag_real_ratio, mode_report
 
@@ -314,13 +314,15 @@ def _eval_width_shift(params: dict) -> dict:
 def _eval_trajectory_observable(params: dict) -> dict:
     p, units = chronon_of(params, "energy")
     h = symmetric_hamiltonian(params["energy"], params["diag"])
-    traj = evolve(h, TwoState(parse_complex_pair(params["psi0"])),
-                  params["engine"], params["t_max"], params["steps"], p, units)
+    psi = final_state(h, TwoState(parse_complex_pair(params["psi0"])),
+                      params["engine"], params["t_max"], params["steps"], p, units)
     if params["observable"] == "norm2_final":
-        value = float(traj.norm_sq()[-1])
+        value = float(np.sum(np.abs(psi) ** 2))
     else:  # prob_final
         d = _parse_direction(params["direction"])
-        value = float(abs(traj.states[-1] @ d.conj()) ** 2)
+        value = float(abs(psi @ d.conj()) ** 2)
+    if not math.isfinite(value):
+        raise Overflow(f"{params['observable']} is not finite in double precision")
     return {"value": value}
 
 

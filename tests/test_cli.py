@@ -205,14 +205,25 @@ def test_scan_bad_spec_exit_code(tmp_path):
 
 
 def test_modes_huge_energy_exit_code():
-    # from ~1e154 on eig2's det overflows; its Frobenius scale must not, or
+    # up to ~1.3e154 eig2's discriminant E^2 fits a double and the rows are
+    # those of E = 1 scaled; the eigenvector and nu norms must not overflow
+    ref = parse_csv(run_cli("modes", "--energy", "1").stdout)
+    for energy in ("1e154", "1.3e154"):
+        res = run_cli("modes", "--energy", energy)
+        assert res.returncode == 0, energy
+        for got, want in zip(parse_csv(res.stdout), ref, strict=True):
+            for col in ("lambda_re", "lambda_im", "step_mag", "ratio_exact",
+                        "ratio_first", "nu_nonhermitian"):
+                assert float(got[col]) == pytest.approx(float(want[col]),
+                                                        rel=1e-15), (energy, col)
+            assert float(got["h"]) == float(want["h"]) * float(energy)
+    # above it the discriminant overflows; its Frobenius scale must not, or
     # H passes for a scalar matrix, gets the canonical basis and fails the
     # eigenvector guard with an unmapped error
-    for energy in ("1e154", "1.3e154", "1.4e154"):
-        res = run_cli("modes", "--energy", energy)
-        assert res.returncode == 2, energy
-        assert "error: " in res.stderr, energy
-        assert "Traceback" not in res.stderr, energy
+    res = run_cli("modes", "--energy", "1.4e154")
+    assert res.returncode == 2
+    assert "error: " in res.stderr
+    assert "Traceback" not in res.stderr
 
 
 def test_unmapped_lab_error_exit_code(monkeypatch, capsys):

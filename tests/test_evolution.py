@@ -6,8 +6,9 @@ import pytest
 from chronon_lab.errors import GridMismatch, InvalidInput
 from chronon_lab.evolution import (ChrononParams, NATURAL_UNITS, Trajectory,
                                    TwoState, UnitSystem, continuous_propagator,
-                                   discrete_step_operator, evolve, norm_series,
-                                   probability_series, symmetric_hamiltonian)
+                                   discrete_step_operator, evolve, final_state,
+                                   norm_series, probability_series,
+                                   symmetric_hamiltonian)
 from chronon_lab.kaon import KaonModel, kaon_hamiltonian
 from chronon_lab.linalg2 import IDENTITY2, PAULI_X, eig2, is_unitary
 
@@ -162,6 +163,58 @@ def test_evolve_rejects_bad_args():
         evolve(PAULI_X, TwoState([1, 0]), "continuous", 1.0, 0)
     with pytest.raises(InvalidInput):
         evolve(PAULI_X, TwoState([1, 0]), "discrete", 1.0, 1, None)
+
+
+def test_final_state_continuous_is_last_state_of_evolve():
+    rng = np.random.default_rng(67)
+    for _ in range(50):
+        units = UnitSystem(hbar=float(rng.choice([1.0, 0.3])))
+        h = symmetric_hamiltonian(10 ** rng.uniform(-3, 3), rng.uniform(-2, 2))
+        psi0 = rng.standard_normal(2) + 1j * rng.standard_normal(2)
+        t_max, steps = 10 ** rng.uniform(-2, 2), int(rng.integers(1, 3000))
+        traj = evolve(h, psi0, "continuous", t_max, steps, units=units)
+        np.testing.assert_array_equal(
+            final_state(h, psi0, "continuous", t_max, steps, units=units),
+            traj.states[-1])
+
+
+def test_final_state_discrete_is_close_to_last_state_of_evolve():
+    rng = np.random.default_rng(71)
+    for _ in range(50):
+        h = random_hermitian(rng)
+        p = chronon(energy=float(rng.uniform(0.5, 2.0)),
+                    tau_scale=float(rng.uniform(1e-3, 0.2)))
+        steps = int(rng.integers(1, 400))
+        traj = evolve(h, [0.6, 0.8j], "discrete", steps * p.step(), steps, p)
+        np.testing.assert_allclose(
+            final_state(h, [0.6, 0.8j], "discrete", steps * p.step(), steps, p),
+            traj.states[-1], rtol=1e-12, atol=1e-13 * np.max(np.abs(traj.states[-1])))
+
+
+@pytest.mark.parametrize("engine, t_max, steps, p", [
+    ("discrete", 1.5, 1, chronon()),            # off the chronon grid
+    ("discrete", 3.0, 2, chronon()),            # grid has 3 steps
+    ("discrete", 0.0, 1, chronon()),
+    ("discrete", -2.0, 2, chronon()),
+    ("discrete", math.nan, 1, chronon()),
+    ("discrete", math.inf, 1, chronon()),
+    ("discrete", 1.0, 1, chronon(energy=1e300, tau_scale=1e-30)),  # n tau is 0
+    ("discrete", 1.0, 0, chronon()),
+    ("discrete", 1.0, 1, None),
+    ("continuous", 0.0, 4, None),
+    ("continuous", -1.0, 4, None),
+    ("continuous", math.nan, 4, None),
+    ("continuous", 1.0, 0, None),
+    ("continuous", 1.0, 2.5, None),
+    ("midpoint", 1.0, 1, chronon()),
+])
+def test_final_state_checks_the_grid_like_evolve(engine, t_max, steps, p):
+    errors = []
+    for run in (evolve, final_state):
+        with pytest.raises((GridMismatch, InvalidInput)) as info:
+            run(PAULI_X, [1, 0], engine, t_max, steps, p)
+        errors.append((type(info.value), str(info.value)))
+    assert errors[0] == errors[1]
 
 
 def test_first_order_convergence():

@@ -1,16 +1,17 @@
 import cmath
 import math
 
+import mpmath
 import numpy as np
 import pytest
 import scipy.linalg
 
-from chronon_lab.errors import (BranchCut, InvalidInput, SingularMap,
+from chronon_lab.errors import (BranchCut, InvalidInput, Overflow, SingularMap,
                                 UndefinedMeasure)
 from chronon_lab.linalg2 import (IDENTITY2, PAULI_X, PAULI_Y, eig2, exp2,
                                  is_hermitian, is_unitary, log2,
                                  non_hermiticity, pauli_compose,
-                                 pauli_decompose)
+                                 pauli_decompose, power2)
 
 SQ2 = math.sqrt(2.0)
 
@@ -120,6 +121,23 @@ def test_eig2_rejects_nonfinite():
         eig2([[np.inf, 0], [0, 1]])
 
 
+def test_eig2_close_eigenvalues_relative_to_trace():
+    # (tr/2)^2 - det cancels to 0 here; ((m00 - m11)/2)^2 + m01 m10 is 1e-18
+    lo, hi = eig2([[1.0, 1e-9], [1e-9, 1.0]])
+    assert not lo.degenerate
+    assert hi.value - lo.value == pytest.approx(2e-9, rel=1e-15)
+    # the vectors carry the rounding of 1 -/+ 1e-9, about 1e-7 relative
+    np.testing.assert_allclose(lo.vector, [1 / SQ2, -1 / SQ2], atol=1e-6)
+    np.testing.assert_allclose(hi.vector, [1 / SQ2, 1 / SQ2], atol=1e-6)
+
+
+def test_eig2_huge_entries_give_unit_vectors():
+    lo, hi = eig2([[0.0, 1e154], [1e154, 0.0]])
+    assert (lo.value, hi.value) == (-1e154, 1e154)
+    np.testing.assert_allclose(lo.vector, [1 / SQ2, -1 / SQ2], rtol=1e-15)
+    np.testing.assert_allclose(hi.vector, [1 / SQ2, 1 / SQ2], rtol=1e-15)
+
+
 # ---------------------------------------------------------------------------
 # exp2
 
@@ -184,6 +202,61 @@ def test_exp2_rejects_nonfinite():
         exp2([[0, np.nan], [0, 0]])
     with pytest.raises(InvalidInput):
         exp2(IDENTITY2, complex(np.inf, 0))
+
+
+# ---------------------------------------------------------------------------
+# power2
+
+def mp_power(m, k):
+    mpmath.mp.dps = 50
+    return np.array((mpmath.matrix(np.asarray(m).tolist()) ** k).tolist(),
+                    dtype=np.complex128)
+
+
+def test_power2_matches_mpmath():
+    rng = np.random.default_rng(61)
+    for _ in range(100):
+        m = random_complex_matrix(rng)
+        for k in (0, 1, 2, 3, 7, 60):
+            want = mp_power(m, k)
+            err = np.max(np.abs(power2(m, k) - want))
+            assert err <= 5e-15 * max(k, 1) * np.max(np.abs(want)), (m, k)
+
+
+def test_power2_near_identity_step_map():
+    # U = I - i s H at s = 1e-3 over 1e4 steps: relative accuracy survives
+    h = np.array([[1.3, 1.0], [1.0, 1.3]])
+    u = IDENTITY2 - 1e-3j * h
+    want = mp_power(u, 10_000)
+    np.testing.assert_allclose(power2(u, 10_000), want, rtol=1e-14, atol=0)
+
+
+@pytest.mark.parametrize("m", [
+    [[2.0, 1.0], [0.0, 2.0]],                  # defective, x = 0
+    [[1.0, 4.0], [1.0, 1.0]],                  # real x = 2 on atanh's cut
+    [[-1.0, 4.0], [1.0, -1.0]],
+    [[1.0, -4.0], [-1.0, 1.0]],
+    [[1.0 - 1.5j, -3.0j], [-3.0j, 1.0 - 1.5j]],  # Re(1 + x) < 0
+])
+def test_power2_small_powers_are_products(m):
+    # an odd power must keep its sign: (1 - x^2)^(1/2) has to be taken on
+    # the branch where it times e^(atanh x) is 1 + x
+    want = np.eye(2, dtype=complex)
+    for k in range(8):
+        np.testing.assert_allclose(power2(m, k), want, rtol=1e-14,
+                                   atol=1e-14 * np.max(np.abs(want)))
+        want = want @ np.asarray(m)
+
+
+def test_power2_errors():
+    with pytest.raises(InvalidInput):
+        power2(PAULI_X, 3)  # zero trace
+    with pytest.raises(SingularMap):
+        power2([[1.0, 1.0], [1.0, 1.0]], 3)
+    with pytest.raises(Overflow):
+        power2(2.0 * IDENTITY2, 1100)
+    with pytest.raises(Overflow):
+        power2(IDENTITY2 - 1j * PAULI_X, 2100)
 
 
 # ---------------------------------------------------------------------------
@@ -307,6 +380,16 @@ def test_non_hermiticity_range_property():
     for _ in range(200):
         nu = non_hermiticity(random_complex_matrix(rng))
         assert 0.0 <= nu <= 1.0
+
+
+def test_non_hermiticity_scale_free():
+    # scaling by a power of two is exact, so nu keeps every bit, including
+    # where the squared Frobenius norm over- or underflows
+    rng = np.random.default_rng(41)
+    for _ in range(50):
+        m = random_complex_matrix(rng)
+        for scale in (2.0 ** -1000, 2.0 ** 500, 2.0 ** 1000):
+            assert non_hermiticity(scale * m) == non_hermiticity(m)
 
 
 def test_non_hermiticity_zero_matrix():

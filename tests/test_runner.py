@@ -7,14 +7,16 @@ import mpmath
 import numpy as np
 import pytest
 
-from chronon_lab.errors import InvalidInput, RefusedTooLarge
-from chronon_lab.evolution import continuous_propagator, symmetric_hamiltonian
+from chronon_lab.errors import ChrononLabError, InvalidInput, RefusedTooLarge
+from chronon_lab.evolution import (ChrononParams, TwoState, continuous_propagator,
+                                   discrete_step_operator, evolve,
+                                   symmetric_hamiltonian)
 from chronon_lab.runner import (ScanAxis, ScanSpec, build_manifest,
                                 convergence_study, digest_of,
-                                emit_with_manifest, kaon_from_config,
-                                load_kaon_config, manifest_path_for,
-                                parse_complex_pair, render, run_scan,
-                                scan_columns)
+                                emit_with_manifest, evaluate_point,
+                                kaon_from_config, load_kaon_config,
+                                manifest_path_for, parse_complex_pair, render,
+                                run_scan, scan_columns)
 
 import golden_defs
 
@@ -186,6 +188,108 @@ def test_trajectory_observable_quantity():
     assert rows[0]["value"] == pytest.approx(2.0)
     assert rows[1]["status"] == "GridMismatch"
     assert rows[2]["status"] == "GridMismatch"
+
+
+def trajectory_point(energy, diag, tau_scale, steps, **extra):
+    """An on-grid discrete trajectory-observable point (n = 1, hbar = 1)."""
+    t_max = steps * ChrononParams(energy, 1, tau_scale).step()
+    return {"energy": energy, "diag": diag, "engine": "discrete",
+            "tau_scale": tau_scale, "t_max": t_max, "steps": steps, **extra}
+
+
+def mp_final_state(params):
+    """U^steps psi0 at 50 digits, U the program's own float step map."""
+    p = ChrononParams(params["energy"], 1, params["tau_scale"])
+    u = discrete_step_operator(symmetric_hamiltonian(params["energy"],
+                                                     params["diag"]), p)
+    mpmath.mp.dps = 50
+    psi0 = parse_complex_pair(params.get("psi0", "1,0")).tolist()
+    return mpmath.matrix(u.tolist()) ** params["steps"] * mpmath.matrix(psi0)
+
+
+def mp_observable(params, psi):
+    if params.get("observable", "norm2_final") == "norm2_final":
+        return abs(psi[0]) ** 2 + abs(psi[1]) ** 2
+    d = parse_complex_pair(params["direction"]).tolist()
+    d_norm = mpmath.sqrt(abs(d[0]) ** 2 + abs(d[1]) ** 2)
+    return abs(psi[0] * mpmath.conj(d[0]) + psi[1] * mpmath.conj(d[1])) ** 2 \
+        / d_norm ** 2
+
+
+def test_trajectory_observable_discrete_matches_mpmath():
+    # the kernels_long benchmark scan: 80 diag values, tau_scale 1e-3, 1e4 steps
+    for diag in np.linspace(-2.0, 2.0, 80):
+        params = trajectory_point(1.0, float(diag), 1e-3, 10_000)
+        row = evaluate_point("trajectory-observable", params)
+        assert row["status"] == "ok"
+        want = mp_observable(params, mp_final_state(params))
+        assert abs(row["value"] - want) <= 1e-14 * want, diag
+
+
+def test_trajectory_observable_discrete_wide_range_matches_mpmath():
+    rng = np.random.default_rng(73)
+    checked = 0
+    for _ in range(300):
+        diag = 0.0 if rng.random() < 0.3 else \
+            float(rng.choice([-1, 1]) * 10 ** rng.uniform(-3, 3))
+        params = trajectory_point(
+            float(10 ** rng.uniform(-12, 1)), diag, float(10 ** rng.uniform(-4, 0)),
+            int(10 ** rng.uniform(0, math.log10(3000))),
+            psi0=str(rng.choice(["1,0", "0,1", "0.6,0.8j"])),
+            direction=str(rng.choice(["1,0", "0,1", "1,1j"])),
+            observable=str(rng.choice(["norm2_final", "prob_final"])))
+        row = evaluate_point("trajectory-observable", params)
+        psi = mp_final_state(params)
+        norm2 = abs(psi[0]) ** 2 + abs(psi[1]) ** 2
+        if norm2 > 1e300:  # beyond (or at the edge of) double precision
+            assert row["status"] in ("ok", "Overflow")
+            assert row["status"] == "Overflow" or norm2 < 1.7e308
+            continue
+        assert row["status"] == "ok", params
+        want = mp_observable(params, psi)
+        assert abs(row["value"] - want) <= 1e-12 * want + 1e-15 * norm2, params
+        checked += 1
+    assert checked > 200
+
+
+@pytest.mark.parametrize("observable", ["norm2_final", "prob_final"])
+@pytest.mark.parametrize("steps", [2100, 3000])
+def test_trajectory_observable_overflow_status(steps, observable):
+    # |lambda|^2 = 2 per step at tau_scale 1: 2^2100 is beyond double precision
+    row = evaluate_point("trajectory-observable", trajectory_point(
+        1.0, 0.0, 1.0, steps, observable=observable))
+    assert row == {"value": None, "status": "Overflow"}
+
+
+def test_trajectory_observable_continuous_overflow_status():
+    row = evaluate_point("trajectory-observable", {
+        "energy": 1e200, "engine": "continuous", "t_max": 1.0, "steps": 4})
+    assert row == {"value": None, "status": "Overflow"}
+
+
+@pytest.mark.parametrize("engine, t_max, steps", [
+    ("discrete", 1.5, 1), ("discrete", 3.0, 2), ("discrete", 0.0, 1),
+    ("discrete", -2.0, 2), ("discrete", 1.0, 0), ("continuous", 0.0, 4),
+    ("continuous", -1.0, 4), ("continuous", 1.0, 0),
+])
+def test_trajectory_observable_grid_status_is_the_error_of_evolve(engine, t_max, steps):
+    params = {"energy": 1.0, "engine": engine, "t_max": t_max, "steps": steps}
+    with pytest.raises(ChrononLabError) as info:
+        evolve(symmetric_hamiltonian(1.0), TwoState([1, 0]), engine, t_max, steps,
+               ChrononParams(1.0))
+    row = evaluate_point("trajectory-observable", params)
+    assert row["status"] == type(info.value).__name__
+
+
+def test_mode_report_close_eigenvalues_scan():
+    # E << diag at tau_scale 1e-3: eig2's root must not cancel to 0, or the
+    # two modes collapse onto one eigenvector and fail the guard
+    for diag in (1.0, -3.0, 100.0):
+        for energy in np.geomspace(1e-12, 1e-3, 19):
+            row = evaluate_point("mode_report", {
+                "energy": float(energy), "diag": diag, "tau_scale": 1e-3})
+            assert row["status"] == "ok", (diag, energy)
+            assert (row["mode0_h"], row["mode1_h"]) == (diag - energy, diag + energy)
 
 
 # ---------------------------------------------------------------------------
