@@ -16,7 +16,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from . import kernels
-from .errors import GridMismatch, InvalidInput
+from .errors import GridMismatch, InvalidInput, Overflow
 from .linalg2 import (IDENTITY2, as_operator, exp2, is_hermitian, power2,
                       require_finite)
 
@@ -70,8 +70,11 @@ class ChrononParams:
         return self.tau_scale * units.hbar / self.energy
 
     def step(self, units: UnitSystem = NATURAL_UNITS) -> float:
-        """Grid spacing n * tau of the discrete evolution."""
-        return self.n * self.tau(units)
+        """Grid spacing n * tau; InvalidInput if it under- or overflows."""
+        dt = self.n * self.tau(units)
+        if not 0.0 < dt < math.inf:
+            raise InvalidInput(f"n*tau is {dt} in double precision, not a positive step")
+        return dt
 
 
 @dataclass(frozen=True)
@@ -191,8 +194,7 @@ def check_grid(engine: str, t_max: float, steps: int, p: ChrononParams | None = 
     if p is None:
         raise InvalidInput("discrete engine needs ChrononParams")
     dt = p.step(units)
-    # n * tau may underflow to 0, and t_max / dt may be nan or overflow
-    k_float = t_max / dt if dt > 0 else math.inf
+    k_float = t_max / dt  # may be nan or overflow
     k = round(k_float) if math.isfinite(k_float) else 0
     if k < 1 or abs(k_float - k) > _GRID_RTOL * max(abs(k_float), 1.0):
         raise GridMismatch(
@@ -210,20 +212,25 @@ def evolve(h, psi0, engine: str, t_max: float, steps: int,
 
     engine="discrete" repeats the chronon step map on the grid of spacing
     n * tau; engine="continuous" evaluates the exact propagator on an
-    arbitrary uniform grid. `check_grid` holds the grid rules.
+    arbitrary uniform grid. `check_grid` holds the grid rules. A state
+    whose norm^2 is not finite in double precision raises Overflow.
     """
     a = as_operator(h)
     require_finite(a)
     amps = _amplitudes_of(psi0)
     steps = check_grid(engine, t_max, steps, p, units)
-    if engine == "discrete":
-        u = discrete_step_operator(a, p, units)
-        states = kernels.step_trajectory(u, amps, steps)
-        times = np.arange(steps + 1, dtype=np.float64) * p.step(units)
-        return Trajectory(times, states, "discrete")
-    times = np.linspace(0.0, t_max, steps + 1)
-    props = continuous_propagator(a, times, units, allow_nonhermitian)
-    return Trajectory(times, props @ amps, "continuous")
+    with np.errstate(over="ignore", invalid="ignore"):  # raised as Overflow
+        if engine == "discrete":
+            u = discrete_step_operator(a, p, units)
+            states = kernels.step_trajectory(u, amps, steps)
+            times = np.arange(steps + 1, dtype=np.float64) * p.step(units)
+        else:
+            times = np.linspace(0.0, t_max, steps + 1)
+            states = continuous_propagator(a, times, units, allow_nonhermitian) @ amps
+        traj = Trajectory(times, states, engine)
+        if not np.isfinite(traj.norm_sq()).all():
+            raise Overflow("a state of the trajectory is not finite in double precision")
+    return traj
 
 
 def final_state(h, psi0, engine: str, t_max: float, steps: int,

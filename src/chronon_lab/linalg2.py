@@ -72,12 +72,13 @@ class EigenPair2:
 
 
 def _pow2_scale(x: float) -> float:
-    """The power of two that puts a positive x in [0.5, 1); 1 for x = 0.
+    """The power of two that puts a positive x in [0.5, 1), at most 2^1023
+    (a subnormal x lands in [2^-51, 0.5)); 1 for x = 0.
 
     Scaling by it is exact, so a norm ratio keeps every bit, and it keeps
-    np.linalg.norm's sum of squares from overflowing above ~1e154.
+    sums of squares and products of entries from over- or underflowing.
     """
-    return math.ldexp(1.0, -math.frexp(x)[1])
+    return math.ldexp(1.0, min(-math.frexp(x)[1], 1023))
 
 
 def _fix_phase(v: np.ndarray) -> np.ndarray:
@@ -101,11 +102,15 @@ def _char_root(a: np.ndarray) -> tuple[complex, complex]:
     """(tr/2, D); the eigenvalues are tr/2 -/+ D.
 
     D^2 = (tr/2)^2 - det is formed as ((m00 - m11)/2)^2 + m01 m10, which
-    does not cancel when the eigenvalues are close relative to tr/2.
+    does not cancel when the eigenvalues are close relative to tr/2, from
+    entries scaled by `_pow2_scale` of the largest, so it neither over- nor
+    underflows.
     """
-    m00, m01, m10, m11 = a.ravel().tolist()
+    m = a.ravel().tolist()
+    s = _pow2_scale(max(map(abs, m)))
+    m00, m01, m10, m11 = (x * s for x in m)
     half_diff = 0.5 * (m00 - m11)
-    return 0.5 * (m00 + m11), cmath.sqrt(half_diff * half_diff + m01 * m10)
+    return 0.5 * (m00 + m11) / s, cmath.sqrt(half_diff * half_diff + m01 * m10) / s
 
 
 def eig2(m) -> tuple[EigenPair2, EigenPair2]:
@@ -116,13 +121,15 @@ def eig2(m) -> tuple[EigenPair2, EigenPair2]:
     matrix scale: |l1 - l2| <= DEFAULT_TOL * ||M||_F. The eigenvector of lam
     is the longer (in max-abs) of (m01, lam - m00) and (lam - m11, m10),
     the vectors the rows of M - lam I annihilate, row 0 on a tie; a scalar
-    matrix gets the canonical basis.
+    matrix gets the canonical basis. Eigenvalues past 1.8e308 raise Overflow.
     """
     a = as_operator(m)
     require_finite(a)
     half_tr, root = _char_root(a)
     lam_lo, lam_hi = sorted((half_tr - root, half_tr + root),
                             key=lambda z: (z.real, z.imag))
+    if not (cmath.isfinite(lam_lo) and cmath.isfinite(lam_hi)):
+        raise Overflow("eigenvalues are not finite in double precision")
     # hypot, not np.linalg.norm: its sum of squares overflows above ~1e154
     scale = math.hypot(*map(abs, a.ravel().tolist()))
     degenerate = abs(lam_hi - lam_lo) <= DEFAULT_TOL * scale
@@ -158,10 +165,12 @@ def exp2(m, s: complex | np.ndarray = 1.0) -> np.ndarray:
     t = s.reshape(-1)
     half_tr, delta = _char_root(a)
     x = delta * t
-    # sinh(s D)/D -> s (1 + x^2/6 + x^4/120 + ...) as D -> 0; the divisor
-    # guard keeps the 0/0 lane that np.where still evaluates quiet
-    sinch = np.where(np.abs(x) < 1e-6,
-                     t * (1.0 + (x * x) / 6.0 * (1.0 + (x * x) / 20.0)),
+    # sinh(s D)/D -> s (1 + x^2/6 + x^4/120 + ...) as D -> 0; np.where
+    # evaluates both lanes, so the series gets only small x and the divisor
+    # guard keeps the 0/0 lane quiet
+    small = np.abs(x) < 1e-6
+    xs = np.where(small, x, 0.0)
+    sinch = np.where(small, t * (1.0 + (xs * xs) / 6.0 * (1.0 + (xs * xs) / 20.0)),
                      np.divide(np.sinh(x), delta if delta != 0 else 1.0))
     out = (np.cosh(x)[:, None, None] * IDENTITY2
            + sinch[:, None, None] * (a - half_tr * IDENTITY2))

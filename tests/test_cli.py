@@ -205,25 +205,39 @@ def test_scan_bad_spec_exit_code(tmp_path):
 
 
 def test_modes_huge_energy_exit_code():
-    # up to ~1.3e154 eig2's discriminant E^2 fits a double and the rows are
-    # those of E = 1 scaled; the eigenvector and nu norms must not overflow
+    # eig2's characteristic root is formed from entries scaled by a power of
+    # two, so across the double range the rows are those of E = 1 scaled
     ref = parse_csv(run_cli("modes", "--energy", "1").stdout)
-    for energy in ("1e154", "1.3e154"):
+    for energy in ("1e154", "1.3e154", "1.4e154", "1e300", "1e-300"):
         res = run_cli("modes", "--energy", energy)
         assert res.returncode == 0, energy
+        assert res.stderr == "", energy
         for got, want in zip(parse_csv(res.stdout), ref, strict=True):
             for col in ("lambda_re", "lambda_im", "step_mag", "ratio_exact",
                         "ratio_first", "nu_nonhermitian"):
                 assert float(got[col]) == pytest.approx(float(want[col]),
                                                         rel=1e-15), (energy, col)
-            assert float(got["h"]) == float(want["h"]) * float(energy)
-    # above it the discriminant overflows; its Frobenius scale must not, or
-    # H passes for a scalar matrix, gets the canonical basis and fails the
-    # eigenvector guard with an unmapped error
-    res = run_cli("modes", "--energy", "1.4e154")
+            for col in ("h", "heff_re", "heff_im", "hfirst_re", "hfirst_im"):
+                assert float(got[col]) == pytest.approx(
+                    float(want[col]) * float(energy), rel=1e-15), (energy, col)
+
+
+def test_modes_step_underflow_exit_code():
+    # n tau = 1e-300 / 1e100 underflows to 0: a usage error, not a traceback
+    res = run_cli("modes", "--energy", "1e100", "--tau-scale", "1e-300")
     assert res.returncode == 2
-    assert "error: " in res.stderr
+    assert res.stderr.startswith("error: n*tau")
     assert "Traceback" not in res.stderr
+
+
+def test_evolve_overflow_exit_code():
+    # |lambda|^2 = 2 per step: the norm passes 1e308 near step 1025
+    res = run_cli("evolve", "--engine", "discrete", "--energy", "1",
+                  "--t-max", "2100", "--steps", "2100")
+    assert res.returncode == 3
+    assert res.stdout == ""
+    assert res.stderr.startswith("numeric-domain error: ")
+    assert "Warning" not in res.stderr
 
 
 def test_unmapped_lab_error_exit_code(monkeypatch, capsys):

@@ -10,7 +10,7 @@ from chronon_lab.errors import (BranchCut, InvalidInput, SingularMap,
 from chronon_lab.evolution import (ChrononParams, NATURAL_UNITS, UnitSystem,
                                    discrete_step_operator,
                                    symmetric_hamiltonian)
-from chronon_lab.linalg2 import PAULI_X, log2, non_hermiticity
+from chronon_lab.linalg2 import DEFAULT_TOL, PAULI_X, log2, non_hermiticity
 from chronon_lab.spectrum import (branch_cut_distance, decay_reading,
                                   effective_energy_exact,
                                   effective_energy_first_order,
@@ -165,17 +165,23 @@ def test_mode_report_rejects_nonhermitian():
 
 
 def test_mode_report_mixed_scale_hermitian():
-    # diagonal magnitudes 10^U(-3, 4), off-diagonal 10^U(-6, 1): the
-    # eigenvector guard must hold where the diagonal gap dwarfs the coupling
+    # diagonal magnitudes 10^U(-3, 4), off-diagonal 10^U(-6, 1): H's
+    # eigenvectors must hold where the diagonal gap dwarfs the coupling, and
+    # stay eigenvectors of the step map U (a polynomial in H) with the
+    # multipliers lambda, which is what lets nu come from eigenvalues alone
     rng = np.random.default_rng(99)
     for _ in range(200):
         a, d = 10.0 ** rng.uniform(-3, 4, 2) * rng.choice((-1.0, 1.0), 2)
         b = 10.0 ** rng.uniform(-6, 1) * cmath.exp(2j * math.pi * rng.random())
         h = np.array([[a, b], [b.conjugate(), d]])
         spec = mode_report(h, CHRONON_POINT)
+        u = discrete_step_operator(h, CHRONON_POINT)
+        u_scale = max(float(np.linalg.norm(u)), 1.0)
         for rec in spec.modes:
             resid = h @ rec.eigvec - rec.h_continuous * rec.eigvec
             assert np.max(np.abs(resid)) <= 1e-13 * np.max(np.abs(h)), h
+            resid = u @ rec.eigvec - rec.lambda_step * rec.eigvec
+            assert np.max(np.abs(resid)) <= DEFAULT_TOL * u_scale, h
 
 
 def test_mode_report_nu_dimensionless_group_invariance():
