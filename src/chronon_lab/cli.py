@@ -60,10 +60,10 @@ def _cmd_evolve(args):
     psi0 = TwoState(parse_complex_pair(args.psi0))
     traj = evolve(symmetric_hamiltonian(args.energy), psi0, args.engine,
                   args.t_max, args.steps, p, units)
-    norms = traj.norm_sq()
-    rows = [{"t": float(t), "a0_re": s[0].real, "a0_im": s[0].imag,
-             "a1_re": s[1].real, "a1_im": s[1].imag, "norm2": float(n2)}
-            for t, s, n2 in zip(traj.times, traj.states, norms)]
+    a0, a1 = traj.states.T
+    columns = (traj.times, a0.real, a0.imag, a1.real, a1.imag, traj.norm_sq())
+    rows = [dict(zip(EVOLVE_COLUMNS, cells))
+            for cells in zip(*(col.tolist() for col in columns))]
     params = {"command": "evolve", "engine": args.engine, "energy": args.energy,
               "n": args.n, "tau_scale": args.tau_scale, "hbar": args.hbar,
               "t_max": args.t_max, "steps": args.steps, "psi0": args.psi0}

@@ -28,11 +28,9 @@ _GRID_RTOL = 1e-9
 
 @dataclass(frozen=True)
 class UnitSystem:
-    """Unit bookkeeping; hbar in action units, labels are cosmetic."""
+    """Unit bookkeeping: hbar in action units."""
 
     hbar: float = 1.0
-    time_unit: str = "natural"
-    energy_unit: str = "natural"
 
     def __post_init__(self):
         if not (np.isfinite(self.hbar) and self.hbar > 0):
@@ -43,7 +41,7 @@ NATURAL_UNITS = UnitSystem()
 
 # Time in seconds, energies expressed as hbar times an angular frequency,
 # so hbar is numerically 1 and E/hbar is read directly in 1/s.
-SI_SECONDS = UnitSystem(hbar=1.0, time_unit="s", energy_unit="hbar/s")
+SI_SECONDS = UnitSystem(hbar=1.0)
 
 
 @dataclass(frozen=True)
@@ -79,10 +77,9 @@ class ChrononParams:
 
 @dataclass(frozen=True)
 class TwoState:
-    """Two complex amplitudes at a given time; norm is tracked, not pinned to 1."""
+    """Two complex amplitudes; norm is tracked, not pinned to 1."""
 
     amplitudes: np.ndarray
-    time: float = 0.0
 
     def __post_init__(self):
         a = np.asarray(self.amplitudes, dtype=np.complex128)
@@ -132,9 +129,6 @@ class Trajectory:
 
     def __len__(self) -> int:
         return int(self.times.shape[0])
-
-    def state(self, k: int) -> TwoState:
-        return TwoState(self.states[k], float(self.times[k]))
 
     def norm_sq(self) -> np.ndarray:
         return np.sum(np.abs(self.states) ** 2, axis=1)

@@ -16,12 +16,14 @@ in H, so it has H's eigenvectors and the multipliers `step_eigenvalue`.
 
 from __future__ import annotations
 
+import cmath
 import math
 from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import DegenerateModes, InvalidInput, SingularMap, UndefinedRatio
+from .errors import (DegenerateModes, InvalidInput, Overflow, SingularMap,
+                     UndefinedRatio)
 from .evolution import (ENGINES, ChrononParams, NATURAL_UNITS, SI_SECONDS,
                         Trajectory, TwoState, UnitSystem, evolve)
 from .linalg2 import eig2
@@ -166,19 +168,22 @@ class ModeWidths:
 
 def _mode_table(model: KaonModel, p: ChrononParams):
     """H's eigenpairs and the ModeWidths of their modes, from one eig2(H);
-    a zero multiplier gets gamma_effective = +inf (gone after one step)."""
+    a zero multiplier gets gamma_effective = +inf (gone after one step).
+    A multiplier or decay rate that is not finite otherwise raises Overflow."""
     pairs = eig2(kaon_hamiltonian(model, "cp"))
     hb = model.units.hbar
     step = p.step(model.units)
     recs = []
     for pair in pairs:
         lam = step_eigenvalue(pair.value, p, model.units)
-        recs.append(ModeWidths(
-            h_generator=pair.value,
-            lambda_step=lam,
-            gamma_continuous=-2.0 * pair.value.imag / hb,
-            gamma_effective=-2.0 / step * math.log(abs(lam)) if lam else math.inf,
-        ))
+        gamma = -2.0 * pair.value.imag / hb
+        try:  # abs() of a finite lam raises OverflowError past 1.8e308
+            gamma_eff = -2.0 * math.log(abs(lam)) / step if lam else 0.0
+        except OverflowError:
+            gamma_eff = math.inf
+        if not (math.isfinite(gamma) and math.isfinite(gamma_eff)):
+            raise Overflow("a multiplier or decay rate is not finite in double precision")
+        recs.append(ModeWidths(pair.value, lam, gamma, gamma_eff if lam else math.inf))
     return pairs, recs
 
 
@@ -195,7 +200,8 @@ def epsilon_mixing(model: KaonModel, p: ChrononParams, engine: str) -> complex:
     the continuous generator, smallest effective rate -(2/(n tau)) ln|lambda|
     for the discrete step map (meaningful even when the map amplifies).
     Exact rate ties, e.g. the widthless limit, are broken toward the larger
-    K2 component, the state long-lived at infinitesimal widths.
+    K2 component, the state long-lived at infinitesimal widths. An epsilon
+    that is not finite in double precision raises Overflow.
     """
     if engine not in ENGINES:
         raise InvalidInput(f"engine must be 'continuous' or 'discrete', got {engine!r}")
@@ -217,7 +223,10 @@ def epsilon_mixing(model: KaonModel, p: ChrononParams, engine: str) -> complex:
     denom = complex(slow.vector[1])
     if denom == 0.0:
         raise UndefinedRatio("long-lived mode has no K2 component")
-    return complex(slow.vector[0]) / denom
+    eps = complex(slow.vector[0]) / denom
+    if not cmath.isfinite(eps):
+        raise Overflow("epsilon is not finite in double precision")
+    return eps
 
 
 def width_shift(model: KaonModel, p: ChrononParams) -> tuple[ModeWidths, ModeWidths]:

@@ -87,9 +87,9 @@ def _fix_phase(v: np.ndarray) -> np.ndarray:
     return v * (pivot.conjugate() / abs(pivot))
 
 
-def _eigvec_for(a: np.ndarray, lam: complex) -> np.ndarray:
-    # of the two vectors the rows of a - lam I annihilate, the longer cancels least
-    m00, m01, m10, m11 = a.ravel().tolist()
+def _eigvec_for(m: list, lam: complex) -> np.ndarray:
+    # of the two vectors the rows of M - lam I annihilate, the longer cancels least
+    m00, m01, m10, m11 = m
     r0 = (m01, lam - m00)
     r1 = (lam - m11, m10)
     n0, n1 = max(map(abs, r0)), max(map(abs, r1))
@@ -98,19 +98,24 @@ def _eigvec_for(a: np.ndarray, lam: complex) -> np.ndarray:
     return _fix_phase(np.array((v[0] * s, v[1] * s), dtype=np.complex128))
 
 
-def _char_root(a: np.ndarray) -> tuple[complex, complex]:
-    """(tr/2, D); the eigenvalues are tr/2 -/+ D.
+def _char_root(a: np.ndarray) -> tuple[complex, complex, list, float]:
+    """(tr/2, D, m, s); the eigenvalues are tr/2 -/+ D, and m lists the
+    entries of a times s, the `_pow2_scale` of the largest modulus.
 
     D^2 = (tr/2)^2 - det is formed as ((m00 - m11)/2)^2 + m01 m10, which
     does not cancel when the eigenvalues are close relative to tr/2, from
-    entries scaled by `_pow2_scale` of the largest, so it neither over- nor
-    underflows.
+    m, so it neither over- nor underflows. An entry whose modulus is past
+    1.8e308 raises Overflow.
     """
     m = a.ravel().tolist()
-    s = _pow2_scale(max(map(abs, m)))
-    m00, m01, m10, m11 = (x * s for x in m)
+    try:  # abs() of a finite complex entry
+        s = _pow2_scale(max(map(abs, m)))
+    except OverflowError:
+        raise Overflow("an entry's modulus is not finite in double precision") from None
+    m00, m01, m10, m11 = m = [x * s for x in m]
     half_diff = 0.5 * (m00 - m11)
-    return 0.5 * (m00 + m11) / s, cmath.sqrt(half_diff * half_diff + m01 * m10) / s
+    return (0.5 * (m00 + m11) / s,
+            cmath.sqrt(half_diff * half_diff + m01 * m10) / s, m, s)
 
 
 def eig2(m) -> tuple[EigenPair2, EigenPair2]:
@@ -120,29 +125,31 @@ def eig2(m) -> tuple[EigenPair2, EigenPair2]:
     unit norm with fixed phase. Degeneracy is flagged relative to the
     matrix scale: |l1 - l2| <= DEFAULT_TOL * ||M||_F. The eigenvector of lam
     is the longer (in max-abs) of (m01, lam - m00) and (lam - m11, m10),
-    the vectors the rows of M - lam I annihilate, row 0 on a tie; a scalar
-    matrix gets the canonical basis. Eigenvalues past 1.8e308 raise Overflow.
+    the vectors the rows of M - lam I annihilate, row 0 on a tie, formed
+    from the entries and lam scaled as in `_char_root`; a scalar matrix gets
+    the canonical basis. An entry or eigenvalue past 1.8e308 raises Overflow.
     """
     a = as_operator(m)
     require_finite(a)
-    half_tr, root = _char_root(a)
+    half_tr, root, ms, s = _char_root(a)
     lam_lo, lam_hi = sorted((half_tr - root, half_tr + root),
                             key=lambda z: (z.real, z.imag))
     if not (cmath.isfinite(lam_lo) and cmath.isfinite(lam_hi)):
         raise Overflow("eigenvalues are not finite in double precision")
-    # hypot, not np.linalg.norm: its sum of squares overflows above ~1e154
-    scale = math.hypot(*map(abs, a.ravel().tolist()))
-    degenerate = abs(lam_hi - lam_lo) <= DEFAULT_TOL * scale
+    # the tests and the vectors in the scaled units of ms: nothing overflows
+    lo, hi, c = lam_lo * s, lam_hi * s, half_tr * s
+    scale = math.hypot(*map(abs, ms))
+    degenerate = abs(hi - lo) <= DEFAULT_TOL * scale
 
-    if degenerate and float(np.max(np.abs(a - half_tr * IDENTITY2))) \
-            <= DEFAULT_TOL * max(scale, 1.0):
+    if degenerate and max(map(abs, (ms[0] - c, ms[1], ms[2], ms[3] - c))) \
+            <= DEFAULT_TOL * max(scale, s):
         # Scalar matrix: any basis works, return the canonical one.
         e0 = np.array([1.0, 0.0], dtype=np.complex128)
         e1 = np.array([0.0, 1.0], dtype=np.complex128)
         return (EigenPair2(lam_lo, e0, True), EigenPair2(lam_hi, e1, True))
 
-    return (EigenPair2(lam_lo, _eigvec_for(a, lam_lo), degenerate),
-            EigenPair2(lam_hi, _eigvec_for(a, lam_hi), degenerate))
+    return (EigenPair2(lam_lo, _eigvec_for(ms, lo), degenerate),
+            EigenPair2(lam_hi, _eigvec_for(ms, hi), degenerate))
 
 
 def exp2(m, s: complex | np.ndarray = 1.0) -> np.ndarray:
@@ -163,7 +170,7 @@ def exp2(m, s: complex | np.ndarray = 1.0) -> np.ndarray:
     if not np.all(np.isfinite(s)):
         raise InvalidInput("scale factor must be finite")
     t = s.reshape(-1)
-    half_tr, delta = _char_root(a)
+    half_tr, delta = _char_root(a)[:2]
     x = delta * t
     # sinh(s D)/D -> s (1 + x^2/6 + x^4/120 + ...) as D -> 0; np.where
     # evaluates both lanes, so the series gets only small x and the divisor
@@ -195,7 +202,7 @@ def power2(m, k: int) -> np.ndarray:
     """
     a = as_operator(m)
     require_finite(a)
-    c, root = _char_root(a)
+    c, root = _char_root(a)[:2]
     if c == 0:
         raise InvalidInput("power2 needs a matrix with nonzero trace")
     x = root / c

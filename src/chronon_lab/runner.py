@@ -17,7 +17,7 @@ import json
 import math
 import sys
 from concurrent.futures import ProcessPoolExecutor
-from dataclasses import dataclass, field
+from dataclasses import asdict, dataclass, field
 from datetime import datetime, timezone
 from functools import partial
 from itertools import product
@@ -255,13 +255,11 @@ def chronon_of(params: dict, energy_key: str) -> tuple[ChrononParams, UnitSystem
 
 def kaon_from_config(cfg: dict) -> tuple[KaonModel, ChrononParams]:
     """The kaon model and its chronon parameters from config or scan values."""
-    units = UnitSystem(hbar=cfg["hbar"])
+    params, units = chronon_of(cfg, "mixing_e")
     model = KaonModel(mixing_energy=cfg["mixing_e"], gamma_short=cfg["gamma_s"],
                       gamma_long=cfg["gamma_l"],
                       delta=complex(cfg["delta_re"], cfg["delta_im"]),
                       units=units)
-    params = ChrononParams(energy=cfg["mixing_e"], n=cfg["n"],
-                           tau_scale=cfg["tau_scale"])
     return model, params
 
 
@@ -316,11 +314,12 @@ def _eval_trajectory_observable(params: dict) -> dict:
     h = symmetric_hamiltonian(params["energy"], params["diag"])
     psi = final_state(h, TwoState(parse_complex_pair(params["psi0"])),
                       params["engine"], params["t_max"], params["steps"], p, units)
-    if params["observable"] == "norm2_final":
-        value = float(np.sum(np.abs(psi) ** 2))
-    else:  # prob_final
-        d = _parse_direction(params["direction"])
-        value = float(abs(psi @ d.conj()) ** 2)
+    with np.errstate(over="ignore", invalid="ignore"):  # raised as Overflow
+        if params["observable"] == "norm2_final":
+            value = float(np.sum(np.abs(psi) ** 2))
+        else:  # prob_final
+            d = _parse_direction(params["direction"])
+            value = float(abs(psi @ d.conj()) ** 2)
     if not math.isfinite(value):
         raise Overflow(f"{params['observable']} is not finite in double precision")
     return {"value": value}
@@ -435,60 +434,55 @@ def convergence_study(energy: float, t_max: float, m_list,
 # ---------------------------------------------------------------------------
 # emission and manifests
 
-def _cell(value):
-    if value is None:
-        return ""
-    if isinstance(value, (bool, np.bool_)):
-        return str(bool(value))
-    if isinstance(value, (int, np.integer)):
-        return str(int(value))
-    if isinstance(value, (float, np.floating)):
-        x = float(value)
-        if math.isinf(x):
-            return "inf" if x > 0 else "-inf"
-        if math.isnan(x):
-            return "nan"
-        if x == 0.0:
-            x = 0.0  # fold -0.0
-        return repr(x)
-    return str(value)
+def _float_value(x: float):
+    """x with -0.0 folded to 0.0, or 'inf', '-inf' or 'nan' if not finite."""
+    if x - x == 0.0:
+        return x if x else 0.0
+    return "nan" if x != x else ("inf" if x > 0 else "-inf")
 
 
-def _json_value(value):
-    if value is None or isinstance(value, str):
-        return value
-    if isinstance(value, (bool, np.bool_)):
-        return bool(value)
-    if isinstance(value, (int, np.integer)):
-        return int(value)
-    x = float(value)
-    if math.isinf(x) or math.isnan(x):
-        return _cell(x)  # keep the document strictly valid JSON
-    return x + 0.0 if x == 0.0 else x
+def _value(x):
+    if x is None or isinstance(x, str):
+        return x
+    if isinstance(x, (bool, np.bool_)):
+        return bool(x)
+    return int(x) if isinstance(x, (int, np.integer)) else _float_value(float(x))
+
+
+def _column(rows: list[dict], c: str):
+    """The JSON values of column `c`, the value rule of both formats.
+
+    None, bool, int and str stay as they are (NumPy bools and ints become
+    Python ones); a float keeps its value, with -0.0 folded to 0.0; a float
+    that is not finite becomes 'inf', '-inf' or 'nan', which keeps the JSON
+    strictly valid. csv.writer prints these values as the CSV cells: None
+    as an empty field, a float by its shortest round-trip repr. A column of
+    Python floats skips the type tests. The cells are made lazily, so that
+    no second copy of the table is held.
+    """
+    rule = _float_value if {type(row.get(c)) for row in rows} <= {float} else _value
+    return map(rule, (row.get(c) for row in rows))
 
 
 def render(rows: list[dict], fmt: str = "csv",
            columns: list[str] | None = None) -> bytes:
-    """Serialize rows to CSV (RFC 4180, LF endings) or JSON bytes.
-
-    Floats use shortest round-trip decimals; None becomes an empty CSV
-    field / JSON null; non-finite floats become 'inf'/'-inf'/'nan'.
-    """
+    """Serialize rows to CSV (RFC 4180, LF endings) or JSON bytes, each
+    column's cells by the one rule of `_column`."""
     if columns is None:
         if not rows:
             raise InvalidInput("empty row set needs an explicit column list")
         columns = list(rows[0].keys())
+    if fmt not in ("csv", "json"):
+        raise InvalidInput(f"format must be csv or json, got {fmt!r}")
+    cells = (_column(rows, c) for c in columns)
     if fmt == "csv":
         buf = io.StringIO()
         writer = csv.writer(buf, lineterminator="\n")
         writer.writerow(columns)
-        for row in rows:
-            writer.writerow([_cell(row.get(c)) for c in columns])
+        writer.writerows(zip(*cells))
         return buf.getvalue().encode("utf-8")
-    if fmt == "json":
-        payload = [{c: _json_value(row.get(c)) for c in columns} for row in rows]
-        return (json.dumps(payload, indent=2) + "\n").encode("utf-8")
-    raise InvalidInput(f"format must be csv or json, got {fmt!r}")
+    payload = [dict(zip(columns, row)) for row in zip(*cells)]
+    return (json.dumps(payload, indent=2) + "\n").encode("utf-8")
 
 
 def digest_of(data: bytes) -> str:
@@ -518,13 +512,7 @@ class RunManifest:
     outputs: dict
 
     def to_json(self) -> str:
-        return json.dumps({
-            "schema_version": self.schema_version,
-            "timestamp": self.timestamp,
-            "parameters": self.parameters,
-            "artifact_version": self.artifact_version,
-            "outputs": self.outputs,
-        }, indent=2) + "\n"
+        return json.dumps(asdict(self), indent=2) + "\n"
 
 
 def build_manifest(parameters: dict, outputs: dict) -> RunManifest:

@@ -55,7 +55,6 @@ class EffectiveSpectrum:
     """
 
     modes: tuple[ModeRecord, ModeRecord]
-    chronon: ChrononParams
     convention: str
     nu_nonhermitian: float | None
 
@@ -187,4 +186,4 @@ def mode_report(h, p: ChrononParams, units: UnitSystem = NATURAL_UNITS,
     s = _pow2_scale(max(abs(h0.real), abs(h0.imag), abs(h1.real), abs(h1.imag)))
     h0, h1 = h0 * s, h1 * s
     nu = math.hypot(h0.imag, h1.imag) / math.hypot(abs(h0), abs(h1)) if h0 or h1 else None
-    return EffectiveSpectrum(tuple(records), p, convention, nu)
+    return EffectiveSpectrum(tuple(records), convention, nu)

@@ -116,6 +116,15 @@ def test_kaon_undefined_ratio_exit_code(tmp_path):
     assert "numeric-domain" in res.stderr
 
 
+def test_kaon_overflow_exit_code(tmp_path):
+    # |delta| is about 2.1e308, past double precision though both parts are finite
+    cfg = write_config(tmp_path, mixing_e=0.5, delta_re=1.5e308, delta_im=1.5e308)
+    res = run_cli("kaon", "--config", str(cfg), "--observable", "width-shift")
+    assert res.returncode == 3
+    assert res.stderr.startswith("numeric-domain error: ")
+    assert "Traceback" not in res.stderr
+
+
 def test_converge_command():
     res = run_cli("converge", "--energy", "1", "--t-max", "1",
                   "--m-list", "16,32,64,128")

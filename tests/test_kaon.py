@@ -277,6 +277,19 @@ def test_width_shift_oracle_point():
     assert slow.gamma_continuous == pytest.approx(0.0, abs=1e-15)
 
 
+def test_kaon_mode_values_at_the_top_of_the_double_range():
+    # n tau = 1e-308: -2 ln|lambda| / (n tau) is -6.93e307, where
+    # -2 / (n tau) alone would overflow; the eigenvectors stay finite
+    model = KaonModel(mixing_energy=1e308, gamma_short=0.1, gamma_long=0.0,
+                      delta=1.0)
+    p = ChrononParams(energy=1e308)
+    fast, slow = width_shift(model, p)
+    for rec in (fast, slow):
+        assert rec.gamma_effective == pytest.approx(-math.log(2.0) * 1e308, rel=1e-15)
+    for engine in ("continuous", "discrete"):
+        assert epsilon_mixing(model, p, engine) == pytest.approx(-5e-309, rel=1e-15)
+
+
 def test_width_shift_widthless_continuum_limit():
     model = natural_model(0.0, 0.0)
     fast, slow = width_shift(model, ChrononParams(energy=1.0, tau_scale=1e-8))

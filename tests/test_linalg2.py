@@ -1,5 +1,6 @@
 import cmath
 import math
+import warnings
 
 import mpmath
 import numpy as np
@@ -136,6 +137,21 @@ def test_eig2_huge_entries_give_unit_vectors():
     assert (lo.value, hi.value) == (-1e154, 1e154)
     np.testing.assert_allclose(lo.vector, [1 / SQ2, -1 / SQ2], rtol=1e-15)
     np.testing.assert_allclose(hi.vector, [1 / SQ2, 1 / SQ2], rtol=1e-15)
+    # lam - m00 is -2e308 in unscaled entries; the rows are formed scaled
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        lo, hi = eig2([[-1e308, 1.0], [1.0, 1e308]])
+    assert (lo.value, hi.value) == (-1e308, 1e308)
+    np.testing.assert_allclose(lo.vector, [1.0, -5e-309], rtol=1e-15, atol=0)
+    np.testing.assert_allclose(hi.vector, [5e-309, 1.0], rtol=1e-15, atol=0)
+
+
+def test_entry_modulus_past_double_range_is_overflow():
+    # a finite entry whose modulus is about 2.1e308
+    m = [[0.5, 1.5e308 + 1.5e308j], [1.5e308 - 1.5e308j, -0.5]]
+    for f in (eig2, exp2, lambda a: power2(a, 3)):
+        with pytest.raises(Overflow):
+            f(m)
 
 
 # ---------------------------------------------------------------------------

@@ -59,3 +59,31 @@ def test_mode_report_ok_rows_are_finite(energy, diag, tau_scale, hbar, n):
         if value is None or col.endswith("efold_time"):
             continue
         assert math.isfinite(value), (col, value)
+
+
+widths = st.tuples(st.one_of(st.just(0.0), magnitudes(-1073, 1024)),
+                   st.one_of(st.just(0.0), magnitudes(-1073, 1024))).map(sorted)
+
+
+@PROPERTY
+@given(quantity=st.sampled_from([("epsilon", "continuous"), ("epsilon", "discrete"),
+                                 ("width_shift", None)]),
+       mixing_e=magnitudes(-1073, 1024), gammas=widths, delta_re=signed,
+       delta_im=signed, tau_scale=magnitudes(-1073, 1024),
+       hbar=magnitudes(-1073, 1024), n=st.integers(1, 10 ** 6))
+def test_kaon_ok_rows_are_finite(quantity, mixing_e, gammas, delta_re, delta_im,
+                                 tau_scale, hbar, n):
+    # the kaon twin of the mode_report property: widths gamma_s >= gamma_l >= 0,
+    # every other value over the whole double range; no ok cell is infinite
+    name, engine = quantity
+    params = {"mixing_e": mixing_e, "gamma_l": gammas[0], "gamma_s": gammas[1],
+              "delta_re": delta_re, "delta_im": delta_im, "tau_scale": tau_scale,
+              "hbar": hbar, "n": n}
+    if engine:
+        params["engine"] = engine
+    row = evaluate_point(name, params)
+    if row["status"] != "ok":
+        assert all(row[c] is None for c in QUANTITY_COLUMNS[name])
+        return
+    for col in QUANTITY_COLUMNS[name]:
+        assert math.isfinite(row[col]), (col, row[col])

@@ -2,6 +2,7 @@ import csv
 import io
 import json
 import math
+import warnings
 
 import mpmath
 import numpy as np
@@ -253,11 +254,14 @@ def test_trajectory_observable_discrete_wide_range_matches_mpmath():
 
 
 @pytest.mark.parametrize("observable", ["norm2_final", "prob_final"])
-@pytest.mark.parametrize("steps", [2100, 3000])
+@pytest.mark.parametrize("steps", [1500, 2100, 3000])
 def test_trajectory_observable_overflow_status(steps, observable):
-    # |lambda|^2 = 2 per step at tau_scale 1: 2^2100 is beyond double precision
-    row = evaluate_point("trajectory-observable", trajectory_point(
-        1.0, 0.0, 1.0, steps, observable=observable))
+    # |lambda|^2 = 2 per step at tau_scale 1: at 1500 steps the state is
+    # finite and its norm^2 2^1500 is not; at 2100 the state overflows too
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        row = evaluate_point("trajectory-observable", trajectory_point(
+            1.0, 0.0, 1.0, steps, observable=observable))
     assert row == {"value": None, "status": "Overflow"}
 
 
@@ -387,10 +391,23 @@ def test_render_empty_rows_header_only():
 
 
 def test_render_csv_cells():
+    # one value rule for both formats: a CSV cell is the text of the JSON
+    # value; row 2 mixes value types within the columns
     rows = [{"a": 1.5, "b": None, "c": math.inf, "d": -math.inf, "e": 7,
-             "f": "text,with comma"}]
-    data = render(rows, "csv")
-    assert data == b'a,b,c,d,e,f\n1.5,,inf,-inf,7,"text,with comma"\n'
+             "f": "text,with comma", "g": -0.0, "h": math.nan, "i": True,
+             "j": np.float64(2.5), "k": np.int64(-3), "l": np.bool_(False)},
+            {"a": "x", "c": 0.25, "g": np.float64(-0.0), "h": np.float64(math.nan),
+             "i": np.float64(-math.inf)}]
+    assert render(rows, "csv") == (
+        b'a,b,c,d,e,f,g,h,i,j,k,l\n'
+        b'1.5,,inf,-inf,7,"text,with comma",0.0,nan,True,2.5,-3,False\n'
+        b'x,,0.25,,,,0.0,nan,-inf,,,\n')
+    want = [{"a": 1.5, "b": None, "c": "inf", "d": "-inf", "e": 7,
+             "f": "text,with comma", "g": 0.0, "h": "nan", "i": True, "j": 2.5,
+             "k": -3, "l": False},
+            {"a": "x", "b": None, "c": 0.25, "d": None, "e": None, "f": None,
+             "g": 0.0, "h": "nan", "i": "-inf", "j": None, "k": None, "l": None}]
+    assert render(rows, "json") == (json.dumps(want, indent=2) + "\n").encode()
 
 
 def test_render_is_deterministic():
