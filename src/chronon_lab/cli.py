@@ -16,11 +16,11 @@ import sys
 from .errors import USAGE_ERRORS, ChrononLabError, InvalidInput
 from .evolution import ENGINES, TwoState, evolve, symmetric_hamiltonian
 from .kaon import kaon_trajectory, three_pion_intensity, two_pion_intensity
-from .runner import (CONVERGENCE_COLUMNS, MODE_FIELDS, QUANTITIES, ScanSpec,
-                     chronon_of, convergence_study, emit, emit_with_manifest,
-                     kaon_from_config, load_kaon_config, mode_fields,
-                     parse_complex_pair, run_scan, scan_columns)
-from .spectrum import CONVENTIONS, decay_reading, efold_direction, mode_report
+from .runner import (CONVERGENCE_COLUMNS, MODE_FIELDS, ScanSpec, chronon_of,
+                     convergence_study, emit, emit_with_manifest, kaon_from_config,
+                     load_kaon_config, parse_complex_pair, point_row, run_scan,
+                     scan_columns)
+from .spectrum import CONVENTIONS, decay_reading, efold_direction
 
 # MODE_FIELDS ends with the two ratio cells; `modes` puts the readings before them.
 MODES_COLUMNS = ["mode", *MODE_FIELDS[:-2], "direction", "reading",
@@ -42,17 +42,19 @@ def _add_chronon_args(sub):
 
 
 def _cmd_modes(args):
-    p, units = chronon_of(vars(args), "energy")
-    spec = mode_report(symmetric_hamiltonian(args.energy), p, units, args.convention)
-    rows = [{"mode": rec.mode_index, **mode_fields(rec),
-             "direction": efold_direction(rec.lambda_step),
-             "reading": decay_reading(rec.h_eff_exact, spec.convention),
-             "nu_nonhermitian": spec.nu_nonhermitian}
-            for rec in spec.modes]
-    params = {"command": "modes", "energy": args.energy, "n": args.n,
-              "tau_scale": args.tau_scale, "hbar": args.hbar,
-              "convention": args.convention}
-    return rows, MODES_COLUMNS, params
+    params = {"energy": args.energy, "n": args.n, "tau_scale": args.tau_scale,
+              "hbar": args.hbar, "convention": args.convention}
+    cells = point_row("mode_report", params)  # the symmetric H, diag 0
+    rows = []
+    for k in (0, 1):
+        mode = {c: cells[f"mode{k}_{c}"] for c in MODE_FIELDS}
+        rows.append({
+            "mode": k, **mode,
+            "direction": efold_direction(complex(mode["lambda_re"], mode["lambda_im"])),
+            "reading": decay_reading(complex(mode["heff_re"], mode["heff_im"]),
+                                     args.convention),
+            "nu_nonhermitian": cells["nu_nonhermitian"]})
+    return rows, MODES_COLUMNS, {"command": "modes", **params}
 
 
 def _cmd_evolve(args):
@@ -92,12 +94,12 @@ def _cmd_kaon(args):
         rows = [{"t": t, "rate": v} for t, v in series]
         return rows, ["t", "rate"], params
 
-    # the scan evaluators, called directly so that domain errors exit 3
+    # one point of the scan evaluators, raising so that domain errors exit 3
     if args.observable == "epsilon":
         row = {"engine": args.engine,
-               **QUANTITIES["epsilon"]({**cfg, "engine": args.engine})}
+               **point_row("epsilon", {**cfg, "engine": args.engine})}
     else:  # width-shift (engine-independent)
-        row = QUANTITIES["width_shift"](cfg)
+        row = point_row("width_shift", cfg)
     return [row], list(row), params
 
 

@@ -16,7 +16,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from . import kernels
-from .errors import GridMismatch, InvalidInput, Overflow
+from .errors import GridMismatch, InvalidInput, OnePoint, Overflow
 from .linalg2 import (IDENTITY2, as_operator, exp2, is_hermitian, power2,
                       require_finite)
 
@@ -26,6 +26,33 @@ ENGINES = ("continuous", "discrete")
 _GRID_RTOL = 1e-9
 
 
+def require_positive(lanes, name: str, x) -> None:
+    """InvalidInput '<name> must be positive and finite' on the lanes where
+    x is not."""
+    lanes.require((x > 0) & (x < math.inf), InvalidInput,
+                  f"{name} must be positive and finite")
+
+
+def chronon_check(lanes, energy, n, tau_scale) -> None:
+    """The rules of ChrononParams, in their order, on lanes of values."""
+    require_positive(lanes, "energy", energy)
+    lanes.require((n >= 1) & (n % 1 == 0), InvalidInput, "n must be a positive integer")
+    require_positive(lanes, "tau_scale", tau_scale)
+
+
+def chronon_step(energy, n, tau_scale, hbar):
+    """The grid spacing n * tau, tau = tau_scale * hbar / E, unchecked
+    (`step_check`)."""
+    with np.errstate(all="ignore"):
+        return n * (tau_scale * hbar / energy)
+
+
+def step_check(lanes, dt) -> None:
+    """InvalidInput on the lanes whose n * tau under- or overflowed."""
+    lanes.require((dt > 0) & (dt < math.inf), InvalidInput,
+                  "n*tau is {} in double precision, not a positive step", dt)
+
+
 @dataclass(frozen=True)
 class UnitSystem:
     """Unit bookkeeping: hbar in action units."""
@@ -33,8 +60,7 @@ class UnitSystem:
     hbar: float = 1.0
 
     def __post_init__(self):
-        if not (np.isfinite(self.hbar) and self.hbar > 0):
-            raise InvalidInput("hbar must be positive and finite")
+        require_positive(OnePoint, "hbar", self.hbar)
 
 
 NATURAL_UNITS = UnitSystem()
@@ -57,21 +83,15 @@ class ChrononParams:
     tau_scale: float = 1.0
 
     def __post_init__(self):
-        if not (np.isfinite(self.energy) and self.energy > 0):
-            raise InvalidInput("energy must be positive and finite")
-        if int(self.n) != self.n or self.n < 1:
-            raise InvalidInput("n must be a positive integer")
-        if not (np.isfinite(self.tau_scale) and self.tau_scale > 0):
-            raise InvalidInput("tau_scale must be positive and finite")
+        chronon_check(OnePoint, self.energy, self.n, self.tau_scale)
 
     def tau(self, units: UnitSystem = NATURAL_UNITS) -> float:
         return self.tau_scale * units.hbar / self.energy
 
     def step(self, units: UnitSystem = NATURAL_UNITS) -> float:
         """Grid spacing n * tau; InvalidInput if it under- or overflows."""
-        dt = self.n * self.tau(units)
-        if not 0.0 < dt < math.inf:
-            raise InvalidInput(f"n*tau is {dt} in double precision, not a positive step")
+        dt = chronon_step(self.energy, self.n, self.tau_scale, units.hbar)
+        step_check(OnePoint, dt)
         return dt
 
 
@@ -134,15 +154,27 @@ class Trajectory:
         return np.sum(np.abs(self.states) ** 2, axis=1)
 
 
+def symmetric_check(lanes, energy, diag) -> None:
+    lanes.require((abs(energy) < math.inf) & (abs(diag) < math.inf), InvalidInput,
+                  "energy and diag must be finite")
+
+
+def symmetric_stack(energy, diag) -> np.ndarray:
+    """[[diag, E], [E, diag]] per lane of energies and diagonals, shape
+    (..., 2, 2), unchecked."""
+    e, d = np.broadcast_arrays(np.asarray(energy, dtype=np.complex128),
+                               np.asarray(diag, dtype=np.complex128))
+    return np.stack([np.stack([d, e], -1), np.stack([e, d], -1)], -2)
+
+
 def symmetric_hamiltonian(energy: float, diag: float = 0.0) -> np.ndarray:
     """The symmetric two-level Hamiltonian [[diag, E], [E, diag]].
 
     Equal diagonal entries (only relative energies matter, so they default
     to 0) and equal real off-diagonal coupling E.
     """
-    if not (np.isfinite(energy) and np.isfinite(diag)):
-        raise InvalidInput("energy and diag must be finite")
-    return np.array([[diag, energy], [energy, diag]], dtype=np.complex128)
+    symmetric_check(OnePoint, energy, diag)
+    return symmetric_stack(energy, diag)
 
 
 def continuous_propagator(h, t: float | np.ndarray, units: UnitSystem = NATURAL_UNITS,

@@ -16,18 +16,18 @@ in H, so it has H's eigenvectors and the multipliers `step_eigenvalue`.
 
 from __future__ import annotations
 
-import cmath
 import math
 from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import (DegenerateModes, InvalidInput, Overflow, SingularMap,
-                     UndefinedRatio)
+from .errors import (DegenerateModes, InvalidInput, Lanes, Overflow, SingularMap,
+                     OnePoint, UndefinedRatio)
 from .evolution import (ENGINES, ChrononParams, NATURAL_UNITS, SI_SECONDS,
-                        Trajectory, TwoState, UnitSystem, evolve)
-from .linalg2 import eig2
-from .spectrum import step_eigenvalue
+                        Trajectory, TwoState, UnitSystem, chronon_step, evolve,
+                        require_positive, step_check)
+from .linalg2 import cdiv, eig2_stack
+from .spectrum import step_multipliers
 
 BASES = ("cp", "flavor")
 
@@ -47,12 +47,18 @@ class KaonModel:
     units: UnitSystem = NATURAL_UNITS
 
     def __post_init__(self):
-        if not (np.isfinite(self.mixing_energy) and self.mixing_energy > 0):
-            raise InvalidInput("mixing_energy must be positive and finite")
-        if not (self.gamma_short >= self.gamma_long >= 0.0):
-            raise InvalidInput("widths must satisfy gamma_short >= gamma_long >= 0")
-        if not np.isfinite(complex(self.delta)):
-            raise InvalidInput("delta must be finite")
+        d = complex(self.delta)
+        kaon_check(OnePoint, self.mixing_energy, self.gamma_short, self.gamma_long,
+                   d.real, d.imag)
+
+
+def kaon_check(lanes, mixing_energy, gamma_short, gamma_long, delta_re, delta_im) -> None:
+    """The rules of KaonModel, in their order, on lanes of values."""
+    require_positive(lanes, "mixing_energy", mixing_energy)
+    lanes.require((gamma_short >= gamma_long) & (gamma_long >= 0.0), InvalidInput,
+                  "widths must satisfy gamma_short >= gamma_long >= 0")
+    lanes.require((abs(delta_re) < math.inf) & (abs(delta_im) < math.inf), InvalidInput,
+                  "delta must be finite")
 
 
 def change_basis(amplitudes, source: str, target: str) -> np.ndarray:
@@ -79,6 +85,28 @@ def kaon_state(label: str, basis: str = "cp") -> np.ndarray:
     return change_basis(cp[label], "cp", basis)
 
 
+@np.errstate(all="ignore")  # an entry past the double range is hamiltonian_check's
+def hamiltonian_cp(e, hbar, gamma_short, gamma_long, delta_re, delta_im) -> np.ndarray:
+    """The cp-basis H of `kaon_hamiltonian` per lane of values, shape
+    (..., 2, 2), unchecked."""
+    e, hb, gs, gl, d_re, d_im = np.broadcast_arrays(
+        *(np.asarray(x, dtype=np.float64)
+          for x in (e, hbar, gamma_short, gamma_long, delta_re, delta_im)))
+    h = np.zeros(e.shape + (2, 2), dtype=np.complex128)
+    h.real[..., 0, 0], h.imag[..., 0, 0] = e, 0.0 - 0.5 * hb * gs
+    h.real[..., 1, 1], h.imag[..., 1, 1] = -e, 0.0 - 0.5 * hb * gl
+    h.real[..., 0, 1], h.imag[..., 0, 1] = d_re, d_im
+    h.real[..., 1, 0], h.imag[..., 1, 0] = d_re, -d_im
+    return h
+
+
+def hamiltonian_check(lanes, h) -> None:
+    """Overflow on the lanes whose H, built from finite and valid
+    parameters, has an entry that is not finite in double precision."""
+    lanes.require(np.isfinite(h).all(axis=(-2, -1)), Overflow,
+                  "a Hamiltonian entry is not finite in double precision")
+
+
 def kaon_hamiltonian(model: KaonModel, basis: str = "cp") -> np.ndarray:
     """Effective (generally non-Hermitian) two-state Hamiltonian.
 
@@ -86,17 +114,15 @@ def kaon_hamiltonian(model: KaonModel, basis: str = "cp") -> np.ndarray:
         [[ E - i hbar Gamma_S / 2,  delta                   ],
          [ conj(delta),            -E - i hbar Gamma_L / 2  ]]
     and the flavor version is the fixed similarity transform of it.
-    Hermitian only in the widthless, real-delta limit.
+    Hermitian only in the widthless, real-delta limit. An entry that is not
+    finite in double precision (hbar Gamma past 3.6e308) raises Overflow.
     """
     if basis not in BASES:
         raise InvalidInput(f"basis must be one of {BASES}, got {basis!r}")
-    e = model.mixing_energy
-    hb = model.units.hbar
     d = complex(model.delta)
-    h_cp = np.array([
-        [e - 0.5j * hb * model.gamma_short, d],
-        [d.conjugate(), -e - 0.5j * hb * model.gamma_long],
-    ], dtype=np.complex128)
+    h_cp = hamiltonian_cp(model.mixing_energy, model.units.hbar, model.gamma_short,
+                          model.gamma_long, d.real, d.imag)
+    hamiltonian_check(OnePoint, h_cp)
     if basis == "cp":
         return h_cp
     return CP_TO_FLAVOR @ h_cp @ CP_TO_FLAVOR
@@ -166,30 +192,47 @@ class ModeWidths:
     gamma_effective: float
 
 
-def _mode_table(model: KaonModel, p: ChrononParams):
-    """H's eigenpairs and the ModeWidths of their modes, from one eig2(H);
-    a zero multiplier gets gamma_effective = +inf (gone after one step).
-    A multiplier or decay rate that is not finite otherwise raises Overflow."""
-    pairs = eig2(kaon_hamiltonian(model, "cp"))
-    hb = model.units.hbar
-    step = p.step(model.units)
-    recs = []
-    for pair in pairs:
-        lam = step_eigenvalue(pair.value, p, model.units)
-        gamma = -2.0 * pair.value.imag / hb
-        try:  # abs() of a finite lam raises OverflowError past 1.8e308
-            gamma_eff = -2.0 * math.log(abs(lam)) / step if lam else 0.0
-        except OverflowError:
-            gamma_eff = math.inf
-        if not (math.isfinite(gamma) and math.isfinite(gamma_eff)):
-            raise Overflow("a multiplier or decay rate is not finite in double precision")
-        recs.append(ModeWidths(pair.value, lam, gamma, gamma_eff if lam else math.inf))
-    return pairs, recs
+@np.errstate(all="ignore")  # failed lanes carry nan and inf; their values are not used
+def _mode_widths(h, step, hbar, lanes: Lanes):
+    """H's eigenpairs (`eig2_stack`) and per-mode multipliers lambda, decay
+    rates -2 Im(h) / hbar and effective rates -2 ln|lambda| / (n tau) of a
+    stack of kaon H, with the n tau `step` (checked after the eigenvalues)
+    and hbar of each lane. A zero multiplier gets the effective rate +inf
+    (gone after one step); a multiplier or rate that is not finite
+    otherwise is Overflow on its lane."""
+    values, vectors, degenerate = eig2_stack(h, lanes)
+    step_check(lanes, step)
+    step, hbar = np.reshape(step, (-1, 1)), np.reshape(hbar, (-1, 1))
+    _, lam, log_mag = step_multipliers(values, step, hbar)
+    gamma = -2.0 * values.imag / hbar
+    zero = lam == 0
+    gamma_eff = np.where(zero, np.inf, -2.0 * log_mag / step)
+    finite = np.isfinite(lam) & np.isfinite(gamma) & (np.isfinite(gamma_eff) | zero)
+    lanes.require(finite.all(axis=1), Overflow,
+                  "a multiplier or decay rate is not finite in double precision")
+    return values, vectors, degenerate, lam, gamma, gamma_eff
 
 
-def _require_nonzero_multipliers(recs: list[ModeWidths]) -> None:
-    if any(rec.lambda_step == 0 for rec in recs):
-        raise SingularMap("step map has a zero eigenvalue")
+@np.errstate(all="ignore")
+def epsilon_stack(h, step, hbar, engine: str, lanes: Lanes) -> np.ndarray:
+    """`epsilon_mixing` of a stack of kaon H, shape (k, 2, 2), with the n tau
+    and hbar of each lane; its errors are recorded on `lanes`."""
+    values, vectors, degenerate, lam, gamma, gamma_eff = _mode_widths(h, step, hbar, lanes)
+    lanes.fail(degenerate, DegenerateModes, "continuous generator is degenerate")
+    if engine == "discrete":
+        lanes.fail((lam == 0).any(axis=1), SingularMap, "step map has a zero eigenvalue")
+    keys = gamma_eff if engine == "discrete" else gamma
+    key_scale = np.maximum(np.abs(keys[:, 0]), np.abs(keys[:, 1]))
+    tie = (np.abs(keys[:, 0] - keys[:, 1]) <= 1e-12 * key_scale) | (key_scale == 0.0)
+    w = np.hypot(vectors[:, :, 1].real, vectors[:, :, 1].imag)
+    lanes.fail(tie & (np.abs(w[:, 0] - w[:, 1]) <= 1e-12), DegenerateModes,
+               "modes have equal decay rate and equal CP content")
+    slow = np.where(np.where(tie, w[:, 0] > w[:, 1], keys[:, 0] < keys[:, 1])[:, None],
+                    vectors[:, 0], vectors[:, 1])
+    lanes.fail(slow[:, 1] == 0, UndefinedRatio, "long-lived mode has no K2 component")
+    eps = cdiv(slow[:, 0], slow[:, 1])
+    lanes.require(np.isfinite(eps), Overflow, "epsilon is not finite in double precision")
+    return eps
 
 
 def epsilon_mixing(model: KaonModel, p: ChrononParams, engine: str) -> complex:
@@ -201,32 +244,29 @@ def epsilon_mixing(model: KaonModel, p: ChrononParams, engine: str) -> complex:
     for the discrete step map (meaningful even when the map amplifies).
     Exact rate ties, e.g. the widthless limit, are broken toward the larger
     K2 component, the state long-lived at infinitesimal widths. An epsilon
-    that is not finite in double precision raises Overflow.
+    that is not finite in double precision raises Overflow. The one-model
+    case of `epsilon_stack`.
     """
     if engine not in ENGINES:
         raise InvalidInput(f"engine must be 'continuous' or 'discrete', got {engine!r}")
-    pairs, recs = _mode_table(model, p)
-    if pairs[0].degenerate:
-        raise DegenerateModes("continuous generator is degenerate")
-    if engine == "discrete":
-        _require_nonzero_multipliers(recs)
-    keys = [rec.gamma_effective if engine == "discrete" else rec.gamma_continuous
-            for rec in recs]
-    key_scale = max(abs(keys[0]), abs(keys[1]))
-    if abs(keys[0] - keys[1]) <= 1e-12 * key_scale or key_scale == 0.0:
-        w0, w1 = (abs(pair.vector[1]) for pair in pairs)
-        if abs(w0 - w1) <= 1e-12:
-            raise DegenerateModes("modes have equal decay rate and equal CP content")
-        slow = pairs[0] if w0 > w1 else pairs[1]
-    else:
-        slow = pairs[0] if keys[0] < keys[1] else pairs[1]
-    denom = complex(slow.vector[1])
-    if denom == 0.0:
-        raise UndefinedRatio("long-lived mode has no K2 component")
-    eps = complex(slow.vector[0]) / denom
-    if not cmath.isfinite(eps):
-        raise Overflow("epsilon is not finite in double precision")
-    return eps
+    lanes = Lanes(1)
+    eps = epsilon_stack(*_one_model(model, p), engine, lanes)
+    lanes.raise_first()
+    return complex(eps[0])
+
+
+@np.errstate(all="ignore")
+def width_shift_stack(h, step, hbar, lanes: Lanes):
+    """`width_shift` of a stack of kaon H, shape (k, 2, 2), with the n tau and
+    hbar of each lane: (h, lambda, gamma_continuous, gamma_effective), each
+    of shape (k, 2) with the fast mode in column 0. Its errors are recorded
+    on `lanes`."""
+    values, _, _, lam, gamma, gamma_eff = _mode_widths(h, step, hbar, lanes)
+    lanes.fail((lam == 0).any(axis=1), SingularMap, "step map has a zero eigenvalue")
+    # fast first: larger continuous width, ties broken by larger Re h
+    fast0 = (gamma[:, 0] > gamma[:, 1]) | (
+        (gamma[:, 0] == gamma[:, 1]) & (values[:, 0].real >= values[:, 1].real))
+    return tuple(np.where(fast0[:, None], x, x[:, ::-1]) for x in (values, lam, gamma, gamma_eff))
 
 
 def width_shift(model: KaonModel, p: ChrononParams) -> tuple[ModeWidths, ModeWidths]:
@@ -234,8 +274,17 @@ def width_shift(model: KaonModel, p: ChrononParams) -> tuple[ModeWidths, ModeWid
 
     Modes are ordered fast first (larger continuous width, ties broken by
     larger Re h, i.e. the K1-like mode first in the CP-conserving model).
+    The one-model case of `width_shift_stack`.
     """
-    _, recs = _mode_table(model, p)
-    _require_nonzero_multipliers(recs)
-    recs.sort(key=lambda r: (-r.gamma_continuous, -r.h_generator.real))
-    return recs[0], recs[1]
+    lanes = Lanes(1)
+    h, lam, gamma, gamma_eff = width_shift_stack(*_one_model(model, p), lanes)
+    lanes.raise_first()
+    return tuple(ModeWidths(complex(h[0, j]), complex(lam[0, j]), float(gamma[0, j]),
+                            float(gamma_eff[0, j])) for j in (0, 1))
+
+
+def _one_model(model: KaonModel, p: ChrononParams):
+    """The stack of one (H, n tau, hbar) of a kaon model."""
+    hb = model.units.hbar
+    return (kaon_hamiltonian(model, "cp")[None],
+            chronon_step(p.energy, p.n, p.tau_scale, hb), hb)

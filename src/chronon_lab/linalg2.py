@@ -14,7 +14,8 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import BranchCut, InvalidInput, Overflow, SingularMap, UndefinedMeasure
+from .errors import (BranchCut, InvalidInput, Lanes, Overflow, SingularMap,
+                     OnePoint, UndefinedMeasure)
 
 # The one tolerance of every matrix and eigenvalue test in the package.
 DEFAULT_TOL = 1e-10
@@ -37,9 +38,15 @@ def as_operator(m) -> np.ndarray:
     return a
 
 
+def finite_check(lanes, a: np.ndarray) -> None:
+    """InvalidInput on the lanes of a stack of matrices with an entry that is
+    not finite."""
+    lanes.require(np.isfinite(a).all(axis=(-2, -1)), InvalidInput,
+                  "matrix has non-finite entries")
+
+
 def require_finite(a: np.ndarray) -> None:
-    if not np.all(np.isfinite(a)):
-        raise InvalidInput("matrix has non-finite entries")
+    finite_check(OnePoint, a)
 
 
 def is_hermitian(m) -> bool:
@@ -71,51 +78,129 @@ class EigenPair2:
     degenerate: bool
 
 
-def _pow2_scale(x: float) -> float:
+def _pow2_scale(x):
     """The power of two that puts a positive x in [0.5, 1), at most 2^1023
-    (a subnormal x lands in [2^-51, 0.5)); 1 for x = 0.
+    (a subnormal x lands in [2^-51, 0.5)); 1 for x = 0. Elementwise.
 
     Scaling by it is exact, so a norm ratio keeps every bit, and it keeps
     sums of squares and products of entries from over- or underflowing.
     """
-    return math.ldexp(1.0, min(-math.frexp(x)[1], 1023))
+    return np.ldexp(1.0, np.minimum(-np.frexp(x)[1], 1023))
 
 
-def _fix_phase(v: np.ndarray) -> np.ndarray:
-    v = v / np.linalg.norm(v)
-    pivot = v[0] if abs(v[0]) > _PIVOT_EPS else v[1]
-    return v * (pivot.conjugate() / abs(pivot))
+def _modulus(z: np.ndarray) -> np.ndarray:
+    """|z| elementwise as hypot(Re z, Im z), the modulus of Python's abs."""
+    return np.hypot(z.real, z.imag)
 
 
-def _eigvec_for(m: list, lam: complex) -> np.ndarray:
-    # of the two vectors the rows of M - lam I annihilate, the longer cancels least
-    m00, m01, m10, m11 = m
-    r0 = (m01, lam - m00)
-    r1 = (lam - m11, m10)
-    n0, n1 = max(map(abs, r0)), max(map(abs, r1))
-    v, top = (r0, n0) if n0 >= n1 else (r1, n1)
-    s = _pow2_scale(top)
-    return _fix_phase(np.array((v[0] * s, v[1] * s), dtype=np.complex128))
+# Complex products and quotients of stacks, in the real arithmetic of
+# Python's complex type. NumPy's complex multiply may fuse a multiply-add,
+# which leaves the rounding error of a b in a b - b a, so that d conj(d)
+# gets a spurious imaginary part and a Hermitian H complex eigenvalues.
+
+def as_complex(re, im) -> np.ndarray:
+    """The complex array with parts re and im, broadcast."""
+    z = np.empty(np.broadcast(re, im).shape, dtype=np.complex128)
+    z.real, z.imag = re, im
+    return z
 
 
-def _char_root(a: np.ndarray) -> tuple[complex, complex, list, float]:
-    """(tr/2, D, m, s); the eigenvalues are tr/2 -/+ D, and m lists the
-    entries of a times s, the `_pow2_scale` of the largest modulus.
+def cmul(a, b) -> np.ndarray:
+    """a b elementwise: (ar br - ai bi) + i (ar bi + ai br)."""
+    a, b = np.asarray(a), np.asarray(b)
+    return as_complex(a.real * b.real - a.imag * b.imag, a.real * b.imag + a.imag * b.real)
+
+
+def cdiv(a, b) -> np.ndarray:
+    """a / b elementwise by Smith's algorithm, dividing by the larger part of
+    b (NumPy multiplies by a reciprocal, which overflows for a subnormal b);
+    nan where b = 0."""
+    a, b = np.asarray(a), np.asarray(b)
+    with np.errstate(all="ignore"):
+        by_real = np.abs(b.real) >= np.abs(b.imag)
+        ratio = np.where(by_real, b.imag / b.real, b.real / b.imag)
+        denom = np.where(by_real, b.real + b.imag * ratio, b.real * ratio + b.imag)
+        return as_complex(
+            np.where(by_real, a.real + a.imag * ratio, a.real * ratio + a.imag) / denom,
+            np.where(by_real, a.imag - a.real * ratio, a.imag * ratio - a.real) / denom)
+
+
+@np.errstate(all="ignore")  # failed lanes carry nan and inf; their values are not used
+def _char_root(a: np.ndarray, lanes: Lanes):
+    """(tr/2, D, m, s) of a stack a of shape (k, 2, 2): the eigenvalues are
+    tr/2 -/+ D, and m holds the entries of a times s, the `_pow2_scale` of
+    each matrix's largest modulus.
 
     D^2 = (tr/2)^2 - det is formed as ((m00 - m11)/2)^2 + m01 m10, which
     does not cancel when the eigenvalues are close relative to tr/2, from
-    m, so it neither over- nor underflows. An entry whose modulus is past
-    1.8e308 raises Overflow.
+    m, so it neither over- nor underflows. A finite entry whose modulus is
+    past 1.8e308 is Overflow on its lane.
     """
-    m = a.ravel().tolist()
-    try:  # abs() of a finite complex entry
-        s = _pow2_scale(max(map(abs, m)))
-    except OverflowError:
-        raise Overflow("an entry's modulus is not finite in double precision") from None
-    m00, m01, m10, m11 = m = [x * s for x in m]
-    half_diff = 0.5 * (m00 - m11)
-    return (0.5 * (m00 + m11) / s,
-            cmath.sqrt(half_diff * half_diff + m01 * m10) / s, m, s)
+    top = _modulus(a).max(axis=(-2, -1))
+    lanes.fail(np.isinf(top), Overflow, "an entry's modulus is not finite in double precision")
+    s = _pow2_scale(top)
+    m = a * s[:, None, None]
+    half_diff = 0.5 * (m[:, 0, 0] - m[:, 1, 1])
+    root = np.sqrt(cmul(half_diff, half_diff) + cmul(m[:, 0, 1], m[:, 1, 0]))
+    return _unscale(0.5 * (m[:, 0, 0] + m[:, 1, 1]), s), _unscale(root, s), m, s
+
+
+def _unscale(z: np.ndarray, s: np.ndarray) -> np.ndarray:
+    """z / s for complex z and a real power of two s, part by part: NumPy's
+    complex division multiplies by 1 / s, which overflows for s = 2^-1024."""
+    return as_complex(z.real / s, z.imag / s)
+
+
+def _one_root(a: np.ndarray) -> tuple[complex, complex]:
+    """(tr/2, D) of one finite matrix, raising the Overflow of `_char_root`."""
+    lanes = Lanes(1)
+    half_tr, root = _char_root(a[None], lanes)[:2]
+    lanes.raise_first()
+    return complex(half_tr[0]), complex(root[0])
+
+
+@np.errstate(all="ignore")  # failed lanes carry nan and inf; their values are not used
+def eig2_stack(a: np.ndarray, lanes: Lanes):
+    """The eigenpairs of a stack a of complex 2x2 matrices, shape (k, 2, 2).
+
+    Returns (values, vectors, degenerate): values (k, 2) ordered by (real,
+    imag) ascending, vectors (k, 2, 2) with vectors[:, j] the unit
+    eigenvector of values[:, j], and degenerate (k,), all by the rules of
+    `eig2`; its errors are recorded on `lanes`.
+    """
+    finite_check(lanes, a)
+    half_tr, root, m, s = _char_root(a, lanes)
+    lo, hi = half_tr - root, half_tr + root
+    swap = (hi.real < lo.real) | ((hi.real == lo.real) & (hi.imag < lo.imag))
+    values = np.stack([np.where(swap, hi, lo), np.where(swap, lo, hi)], axis=-1)
+    lanes.require(np.isfinite(values).all(axis=-1), Overflow,
+                  "eigenvalues are not finite in double precision")
+    # the tests and the vectors in the scaled units of m: nothing overflows
+    lam = values * s[:, None]
+    m00, m01, m10, m11 = (m[:, i, j, None] for i, j in ((0, 0), (0, 1), (1, 0), (1, 1)))
+    mod = _modulus(m)
+    scale = np.sqrt((mod * mod).sum(axis=(-2, -1)))
+    degenerate = np.abs(lam[:, 1] - lam[:, 0]) <= DEFAULT_TOL * scale
+    c = half_tr * s
+    off = np.maximum(np.maximum(_modulus(m[:, 0, 0] - c), _modulus(m[:, 1, 1] - c)),
+                     np.maximum(mod[:, 0, 1], mod[:, 1, 0]))
+    scalar = degenerate & (off <= DEFAULT_TOL * np.maximum(scale, s))
+    # of the two vectors the rows of M - lam I annihilate, (m01, lam - m00)
+    # and (lam - m11, m10), the longer cancels least; row 0 on a tie
+    n0 = np.maximum(_modulus(m01), _modulus(lam - m00))
+    n1 = np.maximum(_modulus(lam - m11), _modulus(m10))
+    first = n0 >= n1
+    top = _pow2_scale(np.where(first, n0, n1))
+    x = np.where(first, m01, lam - m11) * top
+    y = np.where(first, lam - m00, m10) * top
+    norm = np.sqrt((x.real * x.real + y.real * y.real) + (x.imag * x.imag + y.imag * y.imag))
+    x, y = x / norm, y / norm
+    # phase: the first component above the pivot threshold real and positive
+    pivot = np.where(_modulus(x) > _PIVOT_EPS, x, y)
+    phase = pivot.conj() / _modulus(pivot)
+    vectors = np.stack([x * phase, y * phase], axis=-1)
+    # a scalar matrix: any basis works, take the canonical one
+    return values, np.where(scalar[:, None, None], IDENTITY2, vectors), degenerate
 
 
 def eig2(m) -> tuple[EigenPair2, EigenPair2]:
@@ -128,28 +213,14 @@ def eig2(m) -> tuple[EigenPair2, EigenPair2]:
     the vectors the rows of M - lam I annihilate, row 0 on a tie, formed
     from the entries and lam scaled as in `_char_root`; a scalar matrix gets
     the canonical basis. An entry or eigenvalue past 1.8e308 raises Overflow.
+    The one-matrix case of `eig2_stack`.
     """
     a = as_operator(m)
-    require_finite(a)
-    half_tr, root, ms, s = _char_root(a)
-    lam_lo, lam_hi = sorted((half_tr - root, half_tr + root),
-                            key=lambda z: (z.real, z.imag))
-    if not (cmath.isfinite(lam_lo) and cmath.isfinite(lam_hi)):
-        raise Overflow("eigenvalues are not finite in double precision")
-    # the tests and the vectors in the scaled units of ms: nothing overflows
-    lo, hi, c = lam_lo * s, lam_hi * s, half_tr * s
-    scale = math.hypot(*map(abs, ms))
-    degenerate = abs(hi - lo) <= DEFAULT_TOL * scale
-
-    if degenerate and max(map(abs, (ms[0] - c, ms[1], ms[2], ms[3] - c))) \
-            <= DEFAULT_TOL * max(scale, s):
-        # Scalar matrix: any basis works, return the canonical one.
-        e0 = np.array([1.0, 0.0], dtype=np.complex128)
-        e1 = np.array([0.0, 1.0], dtype=np.complex128)
-        return (EigenPair2(lam_lo, e0, True), EigenPair2(lam_hi, e1, True))
-
-    return (EigenPair2(lam_lo, _eigvec_for(ms, lo), degenerate),
-            EigenPair2(lam_hi, _eigvec_for(ms, hi), degenerate))
+    lanes = Lanes(1)
+    values, vectors, degenerate = eig2_stack(a[None], lanes)
+    lanes.raise_first()
+    return tuple(EigenPair2(complex(values[0, j]), vectors[0, j], bool(degenerate[0]))
+                 for j in (0, 1))
 
 
 def exp2(m, s: complex | np.ndarray = 1.0) -> np.ndarray:
@@ -170,7 +241,7 @@ def exp2(m, s: complex | np.ndarray = 1.0) -> np.ndarray:
     if not np.all(np.isfinite(s)):
         raise InvalidInput("scale factor must be finite")
     t = s.reshape(-1)
-    half_tr, delta = _char_root(a)[:2]
+    half_tr, delta = _one_root(a)
     x = delta * t
     # sinh(s D)/D -> s (1 + x^2/6 + x^4/120 + ...) as D -> 0; np.where
     # evaluates both lanes, so the series gets only small x and the divisor
@@ -202,7 +273,7 @@ def power2(m, k: int) -> np.ndarray:
     """
     a = as_operator(m)
     require_finite(a)
-    c, root = _char_root(a)[:2]
+    c, root = _one_root(a)
     if c == 0:
         raise InvalidInput("power2 needs a matrix with nonzero trace")
     x = root / c

@@ -3,9 +3,11 @@
 Scans evaluate one quantity on a rectangular parameter grid in row-major
 axis order; per-point numeric-domain failures become rows with a non-ok
 status instead of aborting (branch-cut regions are expected and
-interesting). Output bytes are deterministic: fixed column order, shortest
-round-trip float formatting, LF line endings, and grid-order emission
-regardless of how many workers evaluated the points.
+interesting). The grid is evaluated in chunks of SCAN_CHUNK points, each a
+few array operations per quantity (the batched evaluators of `QUANTITIES`),
+and a scan returns a column table. Output bytes are deterministic: fixed
+column order, shortest round-trip float formatting, LF line endings, and
+grid-order emission regardless of how many workers evaluated the chunks.
 """
 
 from __future__ import annotations
@@ -20,21 +22,24 @@ from concurrent.futures import ProcessPoolExecutor
 from dataclasses import asdict, dataclass, field
 from datetime import datetime, timezone
 from functools import partial
-from itertools import product
 from pathlib import Path
 
 import numpy as np
 
 from . import __version__
-from .errors import (ChrononLabError, InvalidInput, Overflow, RefusedTooLarge,
-                     UndefinedRatio)
-from .evolution import (ENGINES, ChrononParams, TwoState, UnitSystem,
-                        continuous_propagator, final_state, symmetric_hamiltonian)
-from .kaon import KaonModel, epsilon_mixing, kaon_state, width_shift
-from .spectrum import CONVENTIONS, ModeRecord, imag_real_ratio, mode_report
+from .errors import ChrononLabError, InvalidInput, Lanes, Overflow, RefusedTooLarge
+from .evolution import (ENGINES, ChrononParams, TwoState, UnitSystem, chronon_check,
+                        chronon_step, continuous_propagator, final_state,
+                        require_positive, symmetric_check, symmetric_hamiltonian,
+                        symmetric_stack)
+from .kaon import (KaonModel, epsilon_stack, hamiltonian_check, hamiltonian_cp,
+                   kaon_check, kaon_state, width_shift_stack)
+from .spectrum import CONVENTIONS, mode_stack
 
 SCHEMA_VERSION = 1
 DEFAULT_GRID_CAP = 1_000_000
+# Grid points per batched evaluation, and per task of the worker pool.
+SCAN_CHUNK = 4096
 
 
 # ---------------------------------------------------------------------------
@@ -137,7 +142,9 @@ class ScanSpec:
 
 
 # ---------------------------------------------------------------------------
-# quantity evaluators (module level: they must pickle into worker processes)
+# quantity evaluators: each maps the parameters of a chunk of points (one
+# value, or an array with one value per point) to its column arrays, and
+# records each point's first error on the chunk's Lanes
 
 def parse_complex_pair(text: str) -> np.ndarray:
     """Parse 'a,b' with complex literals a and b, e.g. '1,0' or '0.6,0.8j'."""
@@ -234,15 +241,36 @@ def coerce_param(key: str, value, kind):
     return value
 
 
-def _coerce_params(quantity: str, params: dict) -> dict:
+def _coerce_lanes(quantity: str, params: dict, lanes: Lanes) -> dict:
+    """`params` over the schema of `quantity`, with its defaults, on lanes.
+
+    A missing parameter fails every lane, as does a single value that
+    `coerce_param` rejects. An array gives one value per lane; an integer
+    parameter's non-integral values fail their lanes. Numbers come back as
+    float arrays with one value per lane, strings as they are.
+    """
     schema = _PARAM_SCHEMAS[quantity]
     out = dict(_PARAM_DEFAULTS[quantity])
     out.update(params)
     missing = set(schema) - set(out)
     if missing:
-        raise InvalidInput(f"{quantity}: missing parameters {sorted(missing)}")
+        lanes.fail(True, InvalidInput, f"{quantity}: missing parameters {sorted(missing)}")
+        return out
     for key, kind in schema.items():
-        out[key] = coerce_param(key, out[key], kind)
+        value = out[key]
+        if isinstance(value, np.ndarray):
+            if kind is int:
+                lanes.require(value % 1 == 0, InvalidInput,
+                              f"bad value for {key!r}: expected an integer, got {{!r}}", value)
+        else:
+            try:
+                value = coerce_param(key, value, kind)
+            except InvalidInput as exc:
+                lanes.fail(True, InvalidInput, str(exc))
+                return out
+        if (kind is float or kind is int) and not isinstance(value, np.ndarray):
+            value = np.full(lanes.ok.shape, value, dtype=np.float64)
+        out[key] = value
     return out
 
 
@@ -263,53 +291,58 @@ def kaon_from_config(cfg: dict) -> tuple[KaonModel, ChrononParams]:
     return model, params
 
 
-def mode_fields(rec: ModeRecord) -> dict:
-    """The MODE_FIELDS cells of one mode; an undefined Im/Re ratio is None."""
-    row = {"h": rec.h_continuous,
-           "lambda_re": rec.lambda_step.real, "lambda_im": rec.lambda_step.imag,
-           "heff_re": rec.h_eff_exact.real, "heff_im": rec.h_eff_exact.imag,
-           "hfirst_re": rec.h_first_order.real,
-           "hfirst_im": rec.h_first_order.imag,
-           "step_mag": rec.step_magnitude, "efold_time": rec.efold_time}
-    for which, col in (("exact", "ratio_exact"), ("first_order", "ratio_first")):
-        try:
-            row[col] = imag_real_ratio(rec, which)
-        except UndefinedRatio:
-            row[col] = None
-    return row
+def _chronon_lanes(params: dict, energy_key: str, lanes: Lanes):
+    """The rules of `chronon_of` on lanes; returns the unchecked n tau."""
+    energy, n, tau_scale, hbar = (params[k] for k in (energy_key, "n", "tau_scale", "hbar"))
+    chronon_check(lanes, energy, n, tau_scale)
+    require_positive(lanes, "hbar", hbar)
+    return chronon_step(energy, n, tau_scale, hbar)
 
 
-def _eval_mode_report(params: dict) -> dict:
-    p, units = chronon_of(params, "energy")
-    h = symmetric_hamiltonian(params["energy"], params["diag"])
-    spec = mode_report(h, p, units, params["convention"])
-    row = {f"mode{rec.mode_index}_{col}": value for rec in spec.modes
-           for col, value in mode_fields(rec).items()}
-    row["nu_nonhermitian"] = spec.nu_nonhermitian
-    return row
+def _eval_mode_report(params: dict, lanes: Lanes) -> dict:
+    step = _chronon_lanes(params, "energy", lanes)
+    energy, diag = params["energy"], params["diag"]
+    symmetric_check(lanes, energy, diag)
+    t = mode_stack(symmetric_stack(energy, diag), energy, params["tau_scale"], step,
+                   params["hbar"], lanes)
+    cols = {f"mode{k}_{c}": tuple(x[:, k] for x in t[c]) if isinstance(t[c], tuple)
+            else t[c][:, k] for k in (0, 1) for c in MODE_FIELDS}
+    cols["nu_nonhermitian"] = t["nu_nonhermitian"]
+    return cols
 
 
-def _eval_epsilon(params: dict) -> dict:
-    model, p = kaon_from_config(params)
-    eps = epsilon_mixing(model, p, params["engine"])
-    return {"epsilon_re": eps.real, "epsilon_im": eps.imag, "epsilon_abs": abs(eps)}
+def _kaon_lanes(params: dict, lanes: Lanes):
+    """The stack of kaon H with its n tau and hbar, by the rules of
+    `kaon_from_config` and `kaon_hamiltonian`."""
+    step = _chronon_lanes(params, "mixing_e", lanes)
+    model = [params[k] for k in ("mixing_e", "gamma_s", "gamma_l", "delta_re", "delta_im")]
+    kaon_check(lanes, *model)
+    h = hamiltonian_cp(model[0], params["hbar"], *model[1:])
+    hamiltonian_check(lanes, h)
+    return h, step, params["hbar"]
 
 
-def _eval_width_shift(params: dict) -> dict:
-    fast, slow = width_shift(*kaon_from_config(params))
-    row = {}
-    for lbl, rec in (("fast", fast), ("slow", slow)):
-        row[f"{lbl}_h_re"] = rec.h_generator.real
-        row[f"{lbl}_h_im"] = rec.h_generator.imag
-        row[f"{lbl}_lambda_re"] = rec.lambda_step.real
-        row[f"{lbl}_lambda_im"] = rec.lambda_step.imag
-        row[f"{lbl}_lambda_abs"] = abs(rec.lambda_step)
-        row[f"{lbl}_gamma_continuous"] = rec.gamma_continuous
-        row[f"{lbl}_gamma_effective"] = rec.gamma_effective
-    return row
+def _eval_epsilon(params: dict, lanes: Lanes) -> dict:
+    eps = epsilon_stack(*_kaon_lanes(params, lanes), params["engine"], lanes)
+    return {"epsilon_re": eps.real, "epsilon_im": eps.imag,
+            "epsilon_abs": np.hypot(eps.real, eps.imag)}
 
 
-def _eval_trajectory_observable(params: dict) -> dict:
+def _eval_width_shift(params: dict, lanes: Lanes) -> dict:
+    h, lam, gamma, gamma_eff = width_shift_stack(*_kaon_lanes(params, lanes), lanes)
+    cols = {}
+    for k, lbl in enumerate(("fast", "slow")):
+        cols[f"{lbl}_h_re"] = h[:, k].real
+        cols[f"{lbl}_h_im"] = h[:, k].imag
+        cols[f"{lbl}_lambda_re"] = lam[:, k].real
+        cols[f"{lbl}_lambda_im"] = lam[:, k].imag
+        cols[f"{lbl}_lambda_abs"] = np.hypot(lam[:, k].real, lam[:, k].imag)
+        cols[f"{lbl}_gamma_continuous"] = gamma[:, k]
+        cols[f"{lbl}_gamma_effective"] = gamma_eff[:, k]
+    return cols
+
+
+def _trajectory_value(params: dict) -> float:
     p, units = chronon_of(params, "energy")
     h = symmetric_hamiltonian(params["energy"], params["diag"])
     psi = final_state(h, TwoState(parse_complex_pair(params["psi0"])),
@@ -322,6 +355,20 @@ def _eval_trajectory_observable(params: dict) -> dict:
             value = float(abs(psi @ d.conj()) ** 2)
     if not math.isfinite(value):
         raise Overflow(f"{params['observable']} is not finite in double precision")
+    return value
+
+
+def _eval_trajectory_observable(params: dict, lanes: Lanes) -> dict:
+    # one closed-form power2 or exp2 per point, not yet stacked
+    schema = _PARAM_SCHEMAS["trajectory-observable"]
+    value = np.full(lanes.ok.shape, np.nan)
+    for i in np.flatnonzero(lanes.ok):
+        point = {key: (int(v[i]) if schema[key] is int else float(v[i]))
+                 if isinstance(v, np.ndarray) else v for key, v in params.items()}
+        try:
+            value[i] = _trajectory_value(point)
+        except ChrononLabError as exc:
+            lanes.fail(np.arange(value.size) == i, type(exc), str(exc))
     return {"value": value}
 
 
@@ -333,6 +380,33 @@ QUANTITIES = {
 }
 
 
+def _evaluate(quantity: str, params: dict, k: int):
+    """(columns, lanes) of `quantity` on k points; `params` as for
+    `_coerce_lanes`. Each column is a pair (values, none) of arrays of k
+    values, `none` marking the cells that are None: an undefined cell (an
+    evaluator returns such a column as a (values, undefined) pair), or any
+    cell of a lane that failed."""
+    lanes = Lanes(k)
+    with np.errstate(all="ignore"):  # failed lanes carry nan and inf
+        params = _coerce_lanes(quantity, params, lanes)
+        cols = QUANTITIES[quantity](params, lanes) if lanes.ok.any() else {}
+    failed = ~lanes.ok
+    out = {}
+    for c in QUANTITY_COLUMNS[quantity]:
+        col = cols.get(c, np.zeros(k))
+        out[c] = (col[0], col[1] | failed) if isinstance(col, tuple) else (col, failed)
+    return out, lanes
+
+
+def point_row(quantity: str, params: dict) -> dict:
+    """The quantity columns of one point, computed by the batched evaluator
+    on one lane; raises the point's error (the CLI's `modes` and `kaon`
+    rows)."""
+    cols, lanes = _evaluate(quantity, params, 1)
+    lanes.raise_first()
+    return {c: None if none[0] else float(values[0]) for c, (values, none) in cols.items()}
+
+
 def evaluate_point(quantity: str, params: dict) -> dict:
     """One grid point: quantity columns plus a status field.
 
@@ -340,8 +414,7 @@ def evaluate_point(quantity: str, params: dict) -> dict:
     the error class name, value columns stay empty).
     """
     try:
-        coerced = _coerce_params(quantity, params)
-        row = QUANTITIES[quantity](coerced)
+        row = point_row(quantity, params)
         row["status"] = "ok"
     except ChrononLabError as exc:
         row = {col: None for col in QUANTITY_COLUMNS[quantity]}
@@ -356,38 +429,79 @@ def scan_columns(spec: ScanSpec) -> list[str]:
     return [ax.name for ax in spec.grid] + QUANTITY_COLUMNS[spec.quantity] + ["status"]
 
 
-def run_scan(spec: ScanSpec, workers: int = 1) -> list[dict]:
-    """Evaluate the grid in row-major axis order; output order is grid order
-    regardless of worker count."""
+class ScanTable:
+    """The result of `run_scan`: one array per column, rows made on demand.
+
+    len() is the number of grid points. Iterating or indexing gives row
+    dicts (the axis values, the quantity cells with None where undefined,
+    and `status`), as a list of rows would; `column(c)` gives column c as
+    Python values, which is how `render` reads it.
+    """
+
+    def __init__(self, columns: dict, status: np.ndarray):
+        self._columns = columns  # name -> (values, none) arrays
+        self._status = status
+
+    def __len__(self) -> int:
+        return len(self._status)
+
+    def column(self, c: str) -> list:
+        if c == "status":
+            return self._status.tolist()
+        if c not in self._columns:
+            return [None] * len(self)
+        values, none = self._columns[c]
+        cells = values.tolist()
+        for i in np.flatnonzero(none).tolist():
+            cells[i] = None
+        return cells
+
+    def __getitem__(self, i: int) -> dict:
+        row = {c: None if none[i] else float(values[i])
+               for c, (values, none) in self._columns.items()}
+        row["status"] = self._status[i]
+        return row
+
+    def __iter__(self):
+        return (self[i] for i in range(len(self)))
+
+
+def evaluate_chunk(quantity: str, fixed: dict, names: list, values: list):
+    """(columns, status) of a chunk of points: values[j] is the array of the
+    chunk's values of parameter names[j], `fixed` holds the others. Each
+    column is a (values, none) pair of arrays, `none` marking the None
+    cells; `status` holds 'ok' or the error class name of each point, the
+    status `evaluate_point` gives it alone."""
+    k = len(values[0]) if values else 1
+    cols, lanes = _evaluate(quantity, {**fixed, **dict(zip(names, values))}, k)
+    return cols, lanes.status()
+
+
+def run_scan(spec: ScanSpec, workers: int = 1) -> ScanTable:
+    """Evaluate the grid in row-major axis order, in chunks of SCAN_CHUNK
+    points (sent to a pool of `workers` processes when workers > 1); output
+    order is grid order regardless of worker count."""
     if workers < 1:
         raise InvalidInput(f"workers must be at least 1, got {workers}")
     total = spec.total_points
     cap = min(spec.max_points, DEFAULT_GRID_CAP)
     if total > cap:
         raise RefusedTooLarge(f"scan has {total} points, cap is {cap}")
-    axis_values = [ax.values() for ax in spec.grid]
     names = [ax.name for ax in spec.grid]
-    points = [dict(zip(names, (float(v) for v in combo)))
-              for combo in product(*axis_values)]
-    params_list = [{**spec.fixed, **pt} for pt in points]
-
-    eval_one = partial(evaluate_point, spec.quantity)
+    grid = [g.ravel() for g in np.meshgrid(*(ax.values() for ax in spec.grid),
+                                           indexing="ij")]
+    chunks = [[g[i:i + SCAN_CHUNK] for g in grid] for i in range(0, total, SCAN_CHUNK)]
+    task = partial(evaluate_chunk, spec.quantity, spec.fixed, names)
     if workers == 1:
-        results = [eval_one(ps) for ps in params_list]
+        results = list(map(task, chunks))
     else:
-        chunk = max(1, total // (workers * 4))
         with ProcessPoolExecutor(max_workers=workers) as ex:
-            results = list(ex.map(eval_one, params_list, chunksize=chunk))
-
-    cols = QUANTITY_COLUMNS[spec.quantity]
-    rows = []
-    for pt, res in zip(points, results):
-        row = dict(pt)
-        for c in cols:
-            row[c] = res[c]
-        row["status"] = res["status"]
-        rows.append(row)
-    return rows
+            results = list(ex.map(task, chunks))
+    columns = {name: (g, np.zeros(total, dtype=bool)) for name, g in zip(names, grid)}
+    for c in QUANTITY_COLUMNS[spec.quantity]:
+        columns[c] = tuple(np.concatenate(parts)
+                           for parts in zip(*(cols[c] for cols, _ in results)))
+    return ScanTable(columns, np.concatenate([status for _, status in results]))
 
 
 # ---------------------------------------------------------------------------
@@ -449,7 +563,7 @@ def _value(x):
     return int(x) if isinstance(x, (int, np.integer)) else _float_value(float(x))
 
 
-def _column(rows: list[dict], c: str):
+def _column(rows, c: str):
     """The JSON values of column `c`, the value rule of both formats.
 
     None, bool, int and str stay as they are (NumPy bools and ints become
@@ -457,17 +571,23 @@ def _column(rows: list[dict], c: str):
     that is not finite becomes 'inf', '-inf' or 'nan', which keeps the JSON
     strictly valid. csv.writer prints these values as the CSV cells: None
     as an empty field, a float by its shortest round-trip repr. A column of
-    Python floats skips the type tests. The cells are made lazily, so that
-    no second copy of the table is held.
+    Python floats skips the type tests. The cells of a list of row dicts
+    are made lazily, so that no second copy of the table is held; a
+    ScanTable gives each column as a list made from its arrays.
     """
+    if isinstance(rows, ScanTable):
+        values = rows.column(c)
+        rule = _float_value if set(map(type, values)) <= {float} else _value
+        return map(rule, values)
     rule = _float_value if {type(row.get(c)) for row in rows} <= {float} else _value
     return map(rule, (row.get(c) for row in rows))
 
 
-def render(rows: list[dict], fmt: str = "csv",
+def render(rows: list[dict] | ScanTable, fmt: str = "csv",
            columns: list[str] | None = None) -> bytes:
-    """Serialize rows to CSV (RFC 4180, LF endings) or JSON bytes, each
-    column's cells by the one rule of `_column`."""
+    """Serialize rows (row dicts or a ScanTable) to CSV (RFC 4180, LF
+    endings) or JSON bytes, each column's cells by the one rule of
+    `_column`."""
     if columns is None:
         if not rows:
             raise InvalidInput("empty row set needs an explicit column list")

@@ -7,7 +7,7 @@ import sys
 
 import pytest
 
-from chronon_lab import cli
+from chronon_lab import cli, runner
 from chronon_lab.cli import main
 from chronon_lab.errors import ChrononLabError
 from chronon_lab.runner import MODE_FIELDS, digest_of
@@ -177,6 +177,42 @@ def test_scan_workers_same_bytes(tmp_path):
     assert out1.read_bytes() == out3.read_bytes()
 
 
+SCANS = {
+    "mode_report": ([{"name": "energy", "start": -1.0, "stop": 2.0, "count": 4},
+                     {"name": "tau_scale", "start": 1e-3, "stop": 1.0, "count": 3,
+                      "spacing": "log"}], {"diag": 0.5}),
+    "epsilon": ([{"name": "delta_re", "start": 0.0, "stop": 0.04, "count": 4},
+                 {"name": "n", "start": 1.0, "stop": 2.0, "count": 3}],
+                {"mixing_e": 1.0, "gamma_s": 0.1, "gamma_l": 0.001, "engine": "discrete"}),
+    "width_shift": ([{"name": "gamma_s", "start": -0.1, "stop": 0.5, "count": 4},
+                     {"name": "tau_scale", "start": 0.01, "stop": 1.0, "count": 3}],
+                    {"mixing_e": 1.0, "gamma_l": 0.001, "delta_re": 0.02}),
+    "trajectory-observable": ([{"name": "steps", "start": 10.0, "stop": 12.0, "count": 5},
+                               {"name": "diag", "start": -1.0, "stop": 1.0, "count": 2}],
+                              {"energy": 1.0, "engine": "discrete", "t_max": 11.0}),
+}
+
+
+@pytest.mark.parametrize("quantity", sorted(SCANS))
+def test_scan_workers_same_bytes_every_quantity(monkeypatch, tmp_path, quantity):
+    # chunks of 5 points, so that 2 workers share each grid; failing points
+    # included; the same CSV and JSON bytes from 1 and from 2 workers
+    monkeypatch.setattr(runner, "SCAN_CHUNK", 5)
+    grid, fixed = SCANS[quantity]
+    spec_path = tmp_path / "spec.json"
+    spec_path.write_text(json.dumps({"quantity": quantity, "grid": grid, "fixed": fixed}),
+                         encoding="utf-8")
+    for fmt in ("csv", "json"):
+        out = {}
+        for workers in ("1", "2"):
+            out[workers] = tmp_path / f"w{workers}.{fmt}"
+            assert main(["scan", "--spec", str(spec_path), "--workers", workers,
+                         "--format", fmt, "--out", str(out[workers])]) == 0
+        assert out["1"].read_bytes() == out["2"].read_bytes()
+    statuses = [row["status"] for row in json.loads(out["1"].read_text())]
+    assert "ok" in statuses and len(set(statuses)) > 1
+
+
 def test_scan_bad_spec_exit_code(tmp_path):
     spec_path = tmp_path / "spec.json"
     for text in (
@@ -229,6 +265,16 @@ def test_modes_huge_energy_exit_code():
             for col in ("h", "heff_re", "heff_im", "hfirst_re", "hfirst_im"):
                 assert float(got[col]) == pytest.approx(
                     float(want[col]) * float(energy), rel=1e-15), (energy, col)
+
+
+def test_modes_subnormal_step(capsys):
+    # n tau = 1e-320 is subnormal but positive: h_eff = h i Log(1 - i x) / x
+    # with x = h n tau / hbar never forms hbar / (n tau), which overflows
+    assert main(["modes", "--energy", "1", "--tau-scale", "1e-320"]) == 0
+    out, err = capsys.readouterr()
+    assert err == ""
+    for row in parse_csv(out):
+        assert float(row["heff_re"]) == pytest.approx(float(row["h"]), rel=1e-15)
 
 
 def test_modes_step_underflow_exit_code():
