@@ -5,7 +5,10 @@ Usage: python3 scripts/compare_outputs.py PARENT_SRC CHANGE_SRC
 
 Each argument is a `src` directory holding a `chronon_lab` package. The
 commands are the four benchmark workloads at seed 101, built by
-`perfbench/workloads.py`, plus every `chronon-lab` line of the README. Each
+`perfbench/workloads.py`, every `chronon-lab` line of the README, and a
+`formats` group that renders each scan quantity in the format its workload
+does not use, a scan with InvalidInput rows in both formats, and the
+`evolve` and `kaon --observable 2pi` rows as JSON. Each
 command runs as `python -m chronon_lab` once per tree, in a fresh
 temporary directory holding the workload's spec files and a copy of
 `configs/`. The script prints every command whose exit code, stdout,
@@ -40,6 +43,49 @@ def readme_commands() -> list[list[str]]:
             if line.startswith("chronon-lab ")]
 
 
+def _with_format(argv: list[str], fmt: str, out: str | None) -> list[str]:
+    """argv with `--format fmt`, writing to `out`, or to stdout if None."""
+    argv = list(argv)
+    if "--out" in argv:
+        i = argv.index("--out")
+        del argv[i:i + 2]
+    argv[argv.index("--format") + 1] = fmt
+    return argv + (["--out", out] if out else [])
+
+
+# mode_report on 2500 points: energy <= 0 and a non-integral n fail their rows
+INVALID_SCAN = {
+    "quantity": "mode_report",
+    "grid": [{"name": "energy", "start": -1.0, "stop": 1.0, "count": 500},
+             {"name": "n", "start": 1.0, "stop": 3.0, "count": 5}],
+    "fixed": {"tau_scale": 0.5},
+}
+
+
+def formats_group() -> tuple[str, dict[str, str], list[list[str]]]:
+    """Every scan quantity in both formats: the scan_modes scan as JSON to
+    a file, the pool_kaon scans as CSV to stdout, a scan with InvalidInput
+    rows as both; and the row-dict commands `evolve` and `kaon --observable
+    2pi` as JSON."""
+    files = {"invalid.json": json.dumps(INVALID_SCAN)}
+    commands = []
+    for name, fmt, to_file in (("scan_modes", "json", True), ("pool_kaon", "csv", False)):
+        wl = workloads.build(name, SEED, Path(name), ROOT)
+        files.update(wl.files)
+        for i, c in enumerate(wl.commands):
+            commands.append(_with_format(c.argv, fmt, f"{name}/formats{i}.{fmt}"
+                                         if to_file else None))
+    for fmt in ("csv", "json"):
+        commands.append(["scan", "--spec", "invalid.json", "--format", fmt])
+    for engine in ("discrete", "continuous"):  # 2000 steps of n tau = 0.005
+        commands.append(["evolve", "--engine", engine, "--energy", "1", "--tau-scale",
+                         "0.005", "--t-max", "10", "--steps", "2000", "--psi0", "0.6,0.8j",
+                         "--format", "json"])
+    commands.append(["kaon", "--config", "configs/kaon_natural.cfg", "--observable",
+                     "2pi", "--engine", "continuous", "--format", "json"])
+    return "formats", files, commands
+
+
 def command_groups() -> list[tuple[str, dict[str, str], list[list[str]]]]:
     """(name, files to write, argv list) per group; paths are relative to
     the directory the group runs in."""
@@ -48,6 +94,7 @@ def command_groups() -> list[tuple[str, dict[str, str], list[list[str]]]]:
         wl = workloads.build(name, SEED, Path("."), ROOT)
         groups.append((name, wl.files, [c.argv for c in wl.commands]))
     groups.append(("readme", {}, readme_commands()))
+    groups.append(formats_group())
     return groups
 
 
@@ -61,6 +108,7 @@ def run_one(src: Path, files: dict[str, str], argv: list[str]) -> dict:
         work = Path(tmp)
         shutil.copytree(ROOT / "configs", work / "configs")
         for path, text in files.items():
+            (work / path).parent.mkdir(parents=True, exist_ok=True)
             (work / path).write_text(text, encoding="utf-8")
         proc = subprocess.run(
             [sys.executable, "-m", "chronon_lab", *argv], cwd=work,

@@ -1,5 +1,8 @@
 """Property tests over the whole double range (hypothesis, few examples)."""
 
+import csv
+import io
+import json
 import math
 import random
 
@@ -7,8 +10,10 @@ import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
+from chronon_lab import runner
 from chronon_lab.evolution import ChrononParams, symmetric_hamiltonian
-from chronon_lab.runner import QUANTITY_COLUMNS, evaluate_chunk, evaluate_point
+from chronon_lab.runner import (QUANTITY_COLUMNS, ScanTable, evaluate_chunk,
+                                evaluate_point, render)
 from chronon_lab.spectrum import mode_report
 
 # derandomized: the same examples on every run, and no example database
@@ -176,3 +181,82 @@ def test_trajectory_observable_ok_rows_are_finite(engine, energy, diag, tau_scal
         assert math.isfinite(row["value"]), row
     else:
         assert row["value"] is None
+
+
+# ---------------------------------------------------------------------------
+# render against the stdlib writers
+
+SPECIAL_FLOATS = [0.0, -0.0, math.nan, math.inf, -math.inf, 1.5, -2.5e-300, 1e300]
+floats = st.one_of(st.sampled_from(SPECIAL_FLOATS), st.floats())
+texts = st.text(st.one_of(st.sampled_from(',"\n\r %é\u2028'), st.characters()), max_size=6)
+cells = st.one_of(st.none(), st.booleans(), st.integers(-2 ** 70, 2 ** 70), floats, texts,
+                  st.builds(np.float64, floats), st.builds(np.int64, st.integers(-9, 9)),
+                  st.builds(np.bool_, st.booleans()))
+
+
+def oracle_value(x):
+    """The value rule, written out: NumPy scalars as Python ones, -0.0 as
+    0.0, a float that is not finite as 'inf', '-inf' or 'nan'."""
+    if isinstance(x, (bool, np.bool_)):
+        return bool(x)
+    if isinstance(x, (int, np.integer)):
+        return int(x)
+    if isinstance(x, float):
+        return x + 0.0 if math.isfinite(x) else str(float(x))
+    return x
+
+
+def oracle(rows, fmt, columns):
+    values = [[oracle_value(row.get(c)) for c in columns] for row in rows]
+    if fmt == "json":
+        return (json.dumps([dict(zip(columns, v)) for v in values], indent=2)
+                + "\n").encode("utf-8")
+    buf = io.StringIO()
+    writer = csv.writer(buf, lineterminator="\n")
+    writer.writerow(columns)
+    writer.writerows(values)
+    return buf.getvalue().encode("utf-8")
+
+
+def render_in_blocks(rows, fmt, columns, block):
+    saved = runner.RENDER_BLOCK
+    runner.RENDER_BLOCK = block
+    try:
+        return render(rows, fmt, columns)
+    finally:
+        runner.RENDER_BLOCK = saved
+
+
+@PROPERTY
+@given(columns=st.lists(st.one_of(st.sampled_from(["a", "", 'b,"%s']), texts),
+                        min_size=1, max_size=4),
+       float_columns=st.lists(st.booleans(), min_size=4, max_size=4),
+       data=st.data(), fmt=st.sampled_from(["csv", "json"]),
+       block=st.sampled_from([1, 2, 1024]))
+def test_render_equals_the_stdlib_writers(columns, float_columns, data, fmt, block):
+    # a float column has a Python float in every row (the float path of
+    # render); any other column draws any cells, and a row may lack it.
+    # One-column tables, zero rows and repeated column names included.
+    floats_in = {c: floats for c, f in zip(columns, float_columns) if f}
+    cells_in = {c: cells for c in columns if c not in floats_in}
+    rows = data.draw(st.lists(st.fixed_dictionaries(floats_in, optional=cells_in), max_size=5))
+    assert render_in_blocks(rows, fmt, columns, block) == oracle(rows, fmt, columns)
+
+
+@PROPERTY
+@given(k=st.integers(1, 7), data=st.data(), fmt=st.sampled_from(["csv", "json"]),
+       block=st.sampled_from([1, 3, 1024]))
+def test_scan_table_renders_like_its_rows(k, data, fmt, block):
+    # few distinct values, so that render formats repeats from its memo
+    pool = st.sampled_from(SPECIAL_FLOATS + [0.1, 7.0])
+    names = ["a", "b", "c"]
+    columns = {c: (np.array(data.draw(st.lists(pool, min_size=k, max_size=k))),
+                   np.array(data.draw(st.lists(st.booleans(), min_size=k, max_size=k))))
+               for c in names}
+    status = np.array(data.draw(st.lists(st.sampled_from(["ok", "Overflow"]),
+                                         min_size=k, max_size=k)))
+    table = ScanTable(columns, status)
+    for cols in (names + ["status"], ["b"], ["missing", "a"]):
+        want = oracle(list(table), fmt, cols)
+        assert render_in_blocks(table, fmt, cols, block) == want
+        assert render_in_blocks(list(table), fmt, cols, block) == want
