@@ -152,7 +152,8 @@ def build_parser() -> argparse.ArgumentParser:
 
     sub = subs.add_parser("scan", help="run a parameter scan from a JSON spec")
     sub.add_argument("--spec", required=True)
-    sub.add_argument("--workers", type=int, default=1)
+    sub.add_argument("--workers", type=int, default=1,
+                     help="at least 1, recorded in the manifest; scans run in one process")
     _add_output_args(sub)
     sub.set_defaults(handler=_cmd_scan)
 

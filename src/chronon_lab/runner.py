@@ -3,11 +3,11 @@
 Scans evaluate one quantity on a rectangular parameter grid in row-major
 axis order; per-point numeric-domain failures become rows with a non-ok
 status instead of aborting (branch-cut regions are expected and
-interesting). The grid is evaluated in chunks of SCAN_CHUNK points, each a
-few array operations per quantity (the batched evaluators of `QUANTITIES`),
-and a scan returns a column table. Output bytes are deterministic: fixed
-column order, shortest round-trip float formatting, LF line endings, and
-grid-order emission regardless of how many workers evaluated the chunks.
+interesting). The grid is evaluated in this process, in chunks of
+SCAN_CHUNK points, each a few array operations per quantity (the batched
+evaluators of `QUANTITIES`), and a scan returns a column table. Output
+bytes are deterministic: fixed column order, shortest round-trip float
+formatting, LF line endings, and grid-order emission.
 `render` writes the bytes of csv.writer and json.dumps(indent=2) from text
 columns, in blocks of RENDER_BLOCK rows.
 """
@@ -19,10 +19,8 @@ import io
 import json
 import math
 import sys
-from concurrent.futures import ProcessPoolExecutor
 from dataclasses import asdict, dataclass, field
 from datetime import datetime, timezone
-from functools import partial
 from json.encoder import encode_basestring_ascii
 from pathlib import Path
 
@@ -40,7 +38,7 @@ from .spectrum import CONVENTIONS, mode_stack
 
 SCHEMA_VERSION = 1
 DEFAULT_GRID_CAP = 1_000_000
-# Grid points per batched evaluation, and per task of the worker pool.
+# Grid points per batched evaluation.
 SCAN_CHUNK = 4096
 # Rows per block of `render`. One block's cell texts are held beside the
 # output, so a larger block formats a repeated value fewer times but raises
@@ -484,8 +482,7 @@ def evaluate_chunk(quantity: str, fixed: dict, names: list, values: list):
 
 def run_scan(spec: ScanSpec, workers: int = 1) -> ScanTable:
     """Evaluate the grid in row-major axis order, in chunks of SCAN_CHUNK
-    points (sent to a pool of `workers` processes when workers > 1); output
-    order is grid order regardless of worker count."""
+    points, in this process; `workers` must be at least 1 and changes nothing."""
     if workers < 1:
         raise InvalidInput(f"workers must be at least 1, got {workers}")
     total = spec.total_points
@@ -495,13 +492,9 @@ def run_scan(spec: ScanSpec, workers: int = 1) -> ScanTable:
     names = [ax.name for ax in spec.grid]
     grid = [g.ravel() for g in np.meshgrid(*(ax.values() for ax in spec.grid),
                                            indexing="ij")]
-    chunks = [[g[i:i + SCAN_CHUNK] for g in grid] for i in range(0, total, SCAN_CHUNK)]
-    task = partial(evaluate_chunk, spec.quantity, spec.fixed, names)
-    if workers == 1:
-        results = list(map(task, chunks))
-    else:
-        with ProcessPoolExecutor(max_workers=workers) as ex:
-            results = list(ex.map(task, chunks))
+    results = [evaluate_chunk(spec.quantity, spec.fixed, names,
+                              [g[i:i + SCAN_CHUNK] for g in grid])
+               for i in range(0, total, SCAN_CHUNK)]
     columns = {name: (g, np.zeros(total, dtype=bool)) for name, g in zip(names, grid)}
     for c in QUANTITY_COLUMNS[spec.quantity]:
         columns[c] = tuple(np.concatenate(parts)
@@ -690,11 +683,15 @@ def emit(rows: list[dict], fmt: str = "csv", destination=None,
          columns: list[str] | None = None) -> str:
     """Render and write rows; returns the SHA-256 hex digest of the bytes.
 
-    destination None writes to stdout; a path-like writes the file.
+    destination None writes the bytes to stdout; a path-like writes the file.
     """
     data = render(rows, fmt, columns)
     if destination is None:
-        sys.stdout.write(data.decode("utf-8"))
+        if hasattr(sys.stdout, "buffer"):  # not an io.StringIO
+            sys.stdout.flush()
+            sys.stdout.buffer.write(data)
+        else:
+            sys.stdout.write(data.decode("utf-8"))
     else:
         Path(destination).write_bytes(data)
     return digest_of(data)

@@ -10,7 +10,7 @@ import pytest
 from chronon_lab import cli, runner
 from chronon_lab.cli import main
 from chronon_lab.errors import ChrononLabError
-from chronon_lab.runner import MODE_FIELDS, digest_of
+from chronon_lab.runner import MODE_FIELDS, digest_of, evaluate_chunk
 
 CLI = [sys.executable, "-m", "chronon_lab"]
 
@@ -213,6 +213,44 @@ def test_scan_workers_same_bytes_every_quantity(monkeypatch, tmp_path, quantity)
     assert "ok" in statuses and len(set(statuses)) > 1
 
 
+def test_scan_workers_is_recorded_and_runs_in_process(monkeypatch, tmp_path):
+    # --workers is checked and recorded in the manifest; every chunk is
+    # evaluated in this process, so a wrapper set here sees each one
+    monkeypatch.setattr(runner, "SCAN_CHUNK", 5)
+    chunks = []
+
+    def counted(quantity, fixed, names, values):
+        chunks.append(len(values[0]))
+        return evaluate_chunk(quantity, fixed, names, values)
+
+    monkeypatch.setattr(runner, "evaluate_chunk", counted)
+    grid, fixed = SCANS["epsilon"]
+    spec_path = tmp_path / "spec.json"
+    spec_path.write_text(json.dumps({"quantity": "epsilon", "grid": grid, "fixed": fixed}),
+                         encoding="utf-8")
+    data = {}
+    for workers in (1, 2):
+        out = tmp_path / f"w{workers}.json"
+        assert main(["scan", "--spec", str(spec_path), "--workers", str(workers),
+                     "--format", "json", "--out", str(out)]) == 0
+        manifest = json.loads((tmp_path / f"w{workers}.json.manifest.json").read_text())
+        assert manifest["parameters"]["workers"] == workers
+        assert manifest["outputs"][out.name] == digest_of(out.read_bytes())
+        data[workers] = out.read_bytes()
+    assert data[1] == data[2]
+    assert chunks == [5, 5, 2] * 2
+
+
+def test_cli_import_loads_no_process_pool():
+    # scans run in-process, so no command pays for importing a process pool
+    code = ("import sys, chronon_lab.cli\n"
+            "print(*sorted(m for m in sys.modules\n"
+            "              if m.split('.')[0] in ('concurrent', 'multiprocessing')))")
+    res = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True)
+    assert res.returncode == 0, res.stderr
+    assert res.stdout.split() == []
+
+
 def test_scan_bad_spec_exit_code(tmp_path):
     spec_path = tmp_path / "spec.json"
     for text in (
@@ -246,7 +284,8 @@ def test_scan_bad_spec_exit_code(tmp_path):
     for workers in ("0", "-3"):
         res = run_cli("scan", "--spec", str(spec_path), "--workers", workers)
         assert res.returncode == 2, workers
-        assert res.stderr.startswith("error: "), workers
+        assert res.stderr == f"error: workers must be at least 1, got {workers}\n"
+        assert res.stdout == ""
 
 
 def test_modes_huge_energy_exit_code():

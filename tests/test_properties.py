@@ -186,9 +186,27 @@ def test_trajectory_observable_ok_rows_are_finite(engine, energy, diag, tau_scal
 # ---------------------------------------------------------------------------
 # render against the stdlib writers
 
+def csv_writes_bare(ch):
+    """Whether the running csv.writer writes a field holding ch unquoted."""
+    buf = io.StringIO()
+    try:
+        csv.writer(buf, lineterminator="\n").writerow([f"a{ch}b"])
+    except csv.Error:
+        return False
+    return buf.getvalue() == f"a{ch}b\n"
+
+
+# render writes \r and NUL bare, as csv.writer does on Python 3.11 and 3.12;
+# 3.13's quotes a field holding \r and 3.10's refuses NUL. Where the running
+# writer differs, the generated strings leave the character out, and
+# test_render_writes_cr_and_nul_bare keeps its rule tested.
+CSV_UNSTABLE = "".join(ch for ch in "\r\0" if not csv_writes_bare(ch))
+
 SPECIAL_FLOATS = [0.0, -0.0, math.nan, math.inf, -math.inf, 1.5, -2.5e-300, 1e300]
 floats = st.one_of(st.sampled_from(SPECIAL_FLOATS), st.floats())
-texts = st.text(st.one_of(st.sampled_from(',"\n\r %é\u2028'), st.characters()), max_size=6)
+texts = st.text(st.one_of(st.sampled_from([ch for ch in ',"\n\r %é\u2028'
+                                           if ch not in CSV_UNSTABLE]),
+                          st.characters(exclude_characters=CSV_UNSTABLE)), max_size=6)
 cells = st.one_of(st.none(), st.booleans(), st.integers(-2 ** 70, 2 ** 70), floats, texts,
                   st.builds(np.float64, floats), st.builds(np.int64, st.integers(-9, 9)),
                   st.builds(np.bool_, st.booleans()))
@@ -241,6 +259,13 @@ def test_render_equals_the_stdlib_writers(columns, float_columns, data, fmt, blo
     cells_in = {c: cells for c in columns if c not in floats_in}
     rows = data.draw(st.lists(st.fixed_dictionaries(floats_in, optional=cells_in), max_size=5))
     assert render_in_blocks(rows, fmt, columns, block) == oracle(rows, fmt, columns)
+
+
+@pytest.mark.parametrize("text,want", [("x\ry", b"a\nx\ry\n"), ("p\0q", b"a\np\x00q\n")])
+def test_render_writes_cr_and_nul_bare(text, want):
+    # whatever the running interpreter's csv rules, a CSV field holding \r
+    # or NUL is written unquoted
+    assert render([{"a": text}], "csv", ["a"]) == want
 
 
 @PROPERTY
