@@ -8,7 +8,8 @@ commands are the four benchmark workloads at seed 101, built by
 `perfbench/workloads.py`, every `chronon-lab` line of the README, and a
 `formats` group that renders each scan quantity in the format its workload
 does not use, a scan with InvalidInput rows in both formats, and the
-`evolve` and `kaon --observable 2pi` rows as JSON. Each
+`evolve` and `kaon --observable 2pi` rows as JSON, and an `errors` group
+of malformed inputs, whose exit codes and stderr are compared. Each
 command runs as `python -m chronon_lab` once per tree, in a fresh
 temporary directory holding the workload's spec files and a copy of
 `configs/`. The script prints every command whose exit code, stdout,
@@ -86,7 +87,37 @@ def formats_group() -> tuple[str, dict[str, str], list[list[str]]]:
     return "formats", files, commands
 
 
-def command_groups() -> list[tuple[str, dict[str, str], list[list[str]]]]:
+def errors_group() -> tuple[str, dict[str, str | bytes], list[list[str]]]:
+    """Malformed inputs, each of which should exit 2 with one line on stderr:
+    spec files with a malformed value, field type, nesting or encoding, a
+    kaon config that is not UTF-8, empty `--m-list`s, `--workers 0` and
+    `--format xml`."""
+    axis = {"name": "mixing_e", "start": 1.0, "stop": 2.0, "count": 2}
+    specs = {
+        "not_json": "{not json",
+        "too_deep": "[" * 100_000 + "]" * 100_000,
+        "fixed_list": {"quantity": "epsilon", "grid": [], "fixed": [1, 2]},
+        "fixed_text": {"quantity": "epsilon", "grid": [], "fixed": "abc"},
+        "quantity_list": {"quantity": ["mode_report"], "grid": []},
+        "axis_name_list": {"quantity": "epsilon", "grid": [{**axis, "name": ["mixing_e"]}]},
+        "count_huge": {"quantity": "epsilon", "grid": [{**axis, "count": 1e300}]},
+        "ok": {"quantity": "mode_report", "grid": [], "fixed": {"energy": 1.0}},
+    }
+    files = {f"{name}.json": spec if isinstance(spec, str) else json.dumps(spec)
+             for name, spec in specs.items()}
+    files["not_utf8.json"] = b'{"quantity": "mode_report", "fixed": {"energy": "\xff"}}'
+    files["not_utf8.cfg"] = b"mixing_e = 1.0\n# caf\xe9\n"
+    commands = [["scan", "--spec", f"{name}.json"] for name in specs if name != "ok"]
+    commands += [["scan", "--spec", "not_utf8.json"],
+                 ["kaon", "--config", "not_utf8.cfg", "--observable", "epsilon"],
+                 ["converge", "--energy", "1", "--t-max", "1", "--m-list", ""],
+                 ["converge", "--energy", "1", "--t-max", "1", "--m-list", ","],
+                 ["scan", "--spec", "ok.json", "--workers", "0"],
+                 ["modes", "--energy", "1", "--format", "xml"]]
+    return "errors", files, commands
+
+
+def command_groups() -> list[tuple[str, dict[str, str | bytes], list[list[str]]]]:
     """(name, files to write, argv list) per group; paths are relative to
     the directory the group runs in."""
     groups = []
@@ -95,6 +126,7 @@ def command_groups() -> list[tuple[str, dict[str, str], list[list[str]]]]:
         groups.append((name, wl.files, [c.argv for c in wl.commands]))
     groups.append(("readme", {}, readme_commands()))
     groups.append(formats_group())
+    groups.append(errors_group())
     return groups
 
 
@@ -102,14 +134,15 @@ def _out_path(argv: list[str]) -> str | None:
     return argv[argv.index("--out") + 1] if "--out" in argv else None
 
 
-def run_one(src: Path, files: dict[str, str], argv: list[str]) -> dict:
+def run_one(src: Path, files: dict[str, str | bytes], argv: list[str]) -> dict:
     """Everything one command leaves behind, with `src` masked in stderr."""
     with tempfile.TemporaryDirectory() as tmp:
         work = Path(tmp)
         shutil.copytree(ROOT / "configs", work / "configs")
         for path, text in files.items():
             (work / path).parent.mkdir(parents=True, exist_ok=True)
-            (work / path).write_text(text, encoding="utf-8")
+            (work / path).write_bytes(text if isinstance(text, bytes)
+                                      else text.encode("utf-8"))
         proc = subprocess.run(
             [sys.executable, "-m", "chronon_lab", *argv], cwd=work,
             env={**os.environ, "PYTHONPATH": str(src)},

@@ -11,7 +11,6 @@ the norm defect IS the observable of interest here.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
 
 import numpy as np
 
@@ -19,6 +18,7 @@ from . import kernels
 from .errors import GridMismatch, InvalidInput, OnePoint, Overflow
 from .linalg2 import (IDENTITY2, as_operator, exp2, is_hermitian, power2,
                       require_finite)
+from .record import Record
 
 ENGINES = ("continuous", "discrete")
 
@@ -53,14 +53,14 @@ def step_check(lanes, dt) -> None:
                   "n*tau is {} in double precision, not a positive step", dt)
 
 
-@dataclass(frozen=True)
-class UnitSystem:
+class UnitSystem(Record):
     """Unit bookkeeping: hbar in action units."""
 
-    hbar: float = 1.0
+    __slots__ = ("hbar",)
 
-    def __post_init__(self):
-        require_positive(OnePoint, "hbar", self.hbar)
+    def __init__(self, hbar: float = 1.0):
+        require_positive(OnePoint, "hbar", hbar)
+        super().__init__(hbar)
 
 
 NATURAL_UNITS = UnitSystem()
@@ -70,20 +70,18 @@ NATURAL_UNITS = UnitSystem()
 SI_SECONDS = UnitSystem(hbar=1.0)
 
 
-@dataclass(frozen=True)
-class ChrononParams:
+class ChrononParams(Record):
     """Energy scale E, step multiplier n and the chronon tau = tau_scale * hbar / E.
 
     tau_scale = 1 is the quantized-time point tau = hbar / E; smaller values
     interpolate toward the continuum and share the same code path.
     """
 
-    energy: float
-    n: int = 1
-    tau_scale: float = 1.0
+    __slots__ = ("energy", "n", "tau_scale")
 
-    def __post_init__(self):
-        chronon_check(OnePoint, self.energy, self.n, self.tau_scale)
+    def __init__(self, energy: float, n: int = 1, tau_scale: float = 1.0):
+        chronon_check(OnePoint, energy, n, tau_scale)
+        super().__init__(energy, n, tau_scale)
 
     def tau(self, units: UnitSystem = NATURAL_UNITS) -> float:
         return self.tau_scale * units.hbar / self.energy
@@ -95,19 +93,18 @@ class ChrononParams:
         return dt
 
 
-@dataclass(frozen=True)
-class TwoState:
+class TwoState(Record):
     """Two complex amplitudes; norm is tracked, not pinned to 1."""
 
-    amplitudes: np.ndarray
+    __slots__ = ("amplitudes",)
 
-    def __post_init__(self):
-        a = np.asarray(self.amplitudes, dtype=np.complex128)
+    def __init__(self, amplitudes: np.ndarray):
+        a = np.asarray(amplitudes, dtype=np.complex128)
         if a.shape != (2,):
             raise InvalidInput(f"expected 2 amplitudes, got shape {a.shape}")
         if not np.all(np.isfinite(a)):
             raise InvalidInput("amplitudes must be finite")
-        object.__setattr__(self, "amplitudes", a)
+        super().__init__(a)
 
     @property
     def norm_sq(self) -> float:
@@ -120,21 +117,18 @@ def _amplitudes_of(psi0) -> np.ndarray:
     return TwoState(psi0).amplitudes
 
 
-@dataclass(frozen=True)
-class Trajectory:
+class Trajectory(Record):
     """States on a strictly increasing, uniform time grid."""
 
-    times: np.ndarray
-    states: np.ndarray
-    engine: str
+    __slots__ = ("times", "states", "engine")
 
-    def __post_init__(self):
-        t = np.asarray(self.times, dtype=np.float64)
-        s = np.asarray(self.states, dtype=np.complex128)
+    def __init__(self, times: np.ndarray, states: np.ndarray, engine: str):
+        t = np.asarray(times, dtype=np.float64)
+        s = np.asarray(states, dtype=np.complex128)
         if t.ndim != 1 or s.shape != (t.shape[0], 2):
             raise InvalidInput("times and states have mismatched shapes")
-        if self.engine not in ENGINES:
-            raise InvalidInput(f"unknown engine tag {self.engine!r}")
+        if engine not in ENGINES:
+            raise InvalidInput(f"unknown engine tag {engine!r}")
         d = np.diff(t)
         if t.shape[0] > 1:
             h = d[0]
@@ -144,8 +138,7 @@ class Trajectory:
             if h <= 0 or np.any(d <= 0) or \
                     np.max(np.abs(d - h)) > 1e-12 * max(abs(h), span):
                 raise InvalidInput("time grid must be strictly increasing and uniform")
-        object.__setattr__(self, "times", t)
-        object.__setattr__(self, "states", s)
+        super().__init__(t, s, engine)
 
     def __len__(self) -> int:
         return int(self.times.shape[0])

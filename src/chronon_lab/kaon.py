@@ -17,7 +17,6 @@ in H, so it has H's eigenvectors and the multipliers `step_eigenvalue`.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
 
 import numpy as np
 
@@ -27,6 +26,7 @@ from .evolution import (ENGINES, ChrononParams, NATURAL_UNITS, SI_SECONDS,
                         Trajectory, TwoState, UnitSystem, chronon_step, evolve,
                         require_positive, step_check)
 from .linalg2 import cdiv, eig2_stack
+from .record import Record
 from .spectrum import step_multipliers
 
 BASES = ("cp", "flavor")
@@ -36,20 +36,16 @@ BASES = ("cp", "flavor")
 CP_TO_FLAVOR = np.array([[1.0, 1.0], [1.0, -1.0]], dtype=np.complex128) / math.sqrt(2.0)
 
 
-@dataclass(frozen=True)
-class KaonModel:
+class KaonModel(Record):
     """Mixing energy, short/long widths and the CP-violating coupling."""
 
-    mixing_energy: float
-    gamma_short: float
-    gamma_long: float
-    delta: complex = 0.0
-    units: UnitSystem = NATURAL_UNITS
+    __slots__ = ("mixing_energy", "gamma_short", "gamma_long", "delta", "units")
 
-    def __post_init__(self):
-        d = complex(self.delta)
-        kaon_check(OnePoint, self.mixing_energy, self.gamma_short, self.gamma_long,
-                   d.real, d.imag)
+    def __init__(self, mixing_energy: float, gamma_short: float, gamma_long: float,
+                 delta: complex = 0.0, units: UnitSystem = NATURAL_UNITS):
+        d = complex(delta)
+        kaon_check(OnePoint, mixing_energy, gamma_short, gamma_long, d.real, d.imag)
+        super().__init__(mixing_energy, gamma_short, gamma_long, delta, units)
 
 
 def kaon_check(lanes, mixing_energy, gamma_short, gamma_long, delta_re, delta_im) -> None:
@@ -178,18 +174,18 @@ def _channel_intensity(traj, model, basis, channel):
     return list(zip(traj.times.tolist(), vals.tolist()))
 
 
-@dataclass(frozen=True)
-class ModeWidths:
+class ModeWidths(Record):
     """Continuous vs effective (discrete-map) decay rates of one mode.
 
     Negative gamma_effective means the chronon map amplifies that mode; the
     value is reported as-is.
     """
 
-    h_generator: complex
-    lambda_step: complex
-    gamma_continuous: float
-    gamma_effective: float
+    __slots__ = ("h_generator", "lambda_step", "gamma_continuous", "gamma_effective")
+
+    def __init__(self, h_generator: complex, lambda_step: complex,
+                 gamma_continuous: float, gamma_effective: float):
+        super().__init__(h_generator, lambda_step, gamma_continuous, gamma_effective)
 
 
 @np.errstate(all="ignore")  # failed lanes carry nan and inf; their values are not used

@@ -10,12 +10,12 @@ from __future__ import annotations
 
 import cmath
 import math
-from dataclasses import dataclass
 
 import numpy as np
 
 from .errors import (BranchCut, InvalidInput, Lanes, Overflow, SingularMap,
                      OnePoint, UndefinedMeasure)
+from .record import Record
 
 # The one tolerance of every matrix and eigenvalue test in the package.
 DEFAULT_TOL = 1e-10
@@ -61,8 +61,7 @@ def is_unitary(m) -> bool:
     return float(np.max(np.abs(a @ a.conj().T - IDENTITY2))) <= DEFAULT_TOL
 
 
-@dataclass(frozen=True)
-class EigenPair2:
+class EigenPair2(Record):
     """One eigenvalue with its phase-fixed unit eigenvector.
 
     The vector has unit Euclidean norm and its first component above
@@ -73,9 +72,10 @@ class EigenPair2:
     eigenvector appears in both pairs.
     """
 
-    value: complex
-    vector: np.ndarray
-    degenerate: bool
+    __slots__ = ("value", "vector", "degenerate")
+
+    def __init__(self, value: complex, vector: np.ndarray, degenerate: bool):
+        super().__init__(value, vector, degenerate)
 
 
 def _pow2_scale(x):

@@ -19,7 +19,6 @@ import io
 import json
 import math
 import sys
-from dataclasses import asdict, dataclass, field
 from datetime import datetime, timezone
 from json.encoder import encode_basestring_ascii
 from pathlib import Path
@@ -34,6 +33,7 @@ from .evolution import (ENGINES, ChrononParams, TwoState, UnitSystem, chronon_ch
                         symmetric_stack)
 from .kaon import (KaonModel, epsilon_stack, hamiltonian_check, hamiltonian_cp,
                    kaon_check, kaon_state, width_shift_stack)
+from .record import Record
 from .spectrum import CONVENTIONS, mode_stack
 
 SCHEMA_VERSION = 1
@@ -50,23 +50,22 @@ RENDER_BLOCK = 256
 # ---------------------------------------------------------------------------
 # scan specification
 
-@dataclass(frozen=True)
-class ScanAxis:
-    name: str
-    start: float
-    stop: float
-    count: int
-    spacing: str = "linear"
+class ScanAxis(Record):
+    __slots__ = ("name", "start", "stop", "count", "spacing")
 
-    def __post_init__(self):
-        if not (math.isfinite(self.start) and math.isfinite(self.stop)):
-            raise InvalidInput(f"axis {self.name!r}: start and stop must be finite")
-        if self.count < 1 or int(self.count) != self.count:
-            raise InvalidInput(f"axis {self.name!r}: count must be a positive integer")
-        if self.spacing not in ("linear", "log"):
-            raise InvalidInput(f"axis {self.name!r}: spacing must be linear or log")
-        if self.spacing == "log" and (self.start <= 0 or self.stop <= 0):
-            raise InvalidInput(f"axis {self.name!r}: log spacing needs positive bounds")
+    def __init__(self, name: str, start: float, stop: float, count: int,
+                 spacing: str = "linear"):
+        if not isinstance(name, str):
+            raise InvalidInput(f"axis name must be a string, got {name!r}")
+        if not (math.isfinite(start) and math.isfinite(stop)):
+            raise InvalidInput(f"axis {name!r}: start and stop must be finite")
+        if count < 1 or int(count) != count:
+            raise InvalidInput(f"axis {name!r}: count must be a positive integer")
+        if spacing not in ("linear", "log"):
+            raise InvalidInput(f"axis {name!r}: spacing must be linear or log")
+        if spacing == "log" and (start <= 0 or stop <= 0):
+            raise InvalidInput(f"axis {name!r}: log spacing needs positive bounds")
+        super().__init__(name, start, stop, count, spacing)
 
     def values(self) -> np.ndarray:
         if self.count == 1:
@@ -76,37 +75,40 @@ class ScanAxis:
         return np.linspace(self.start, self.stop, self.count)
 
 
-@dataclass(frozen=True)
-class ScanSpec:
-    quantity: str
-    grid: tuple[ScanAxis, ...]
-    fixed: dict = field(default_factory=dict)
-    max_points: int = DEFAULT_GRID_CAP
+class ScanSpec(Record):
+    """One quantity on the grid of `grid`'s axes, with the parameters in
+    `fixed` (copied; None gives an empty dict) held constant."""
 
-    def __post_init__(self):
-        if self.quantity not in QUANTITIES:
+    __slots__ = ("quantity", "grid", "fixed", "max_points")
+
+    def __init__(self, quantity: str, grid: tuple[ScanAxis, ...], fixed: dict | None = None,
+                 max_points: int = DEFAULT_GRID_CAP):
+        fixed = {} if fixed is None else fixed
+        if not isinstance(quantity, str) or quantity not in QUANTITIES:
             raise InvalidInput(
-                f"unknown quantity {self.quantity!r}; known: {sorted(QUANTITIES)}")
-        names = [ax.name for ax in self.grid]
+                f"unknown quantity {quantity!r}; known: {sorted(QUANTITIES)}")
+        names = [ax.name for ax in grid]
         if len(set(names)) != len(names):
             raise InvalidInput("axis names must be unique")
-        schema = _PARAM_SCHEMAS[self.quantity]
+        schema = _PARAM_SCHEMAS[quantity]
         for name in names:
             if name not in schema or schema[name] not in (float, int):
                 raise InvalidInput(
-                    f"axis {name!r} is not a numeric parameter of {self.quantity!r}")
-        for key, value in self.fixed.items():
+                    f"axis {name!r} is not a numeric parameter of {quantity!r}")
+        if not isinstance(fixed, dict):
+            raise InvalidInput(f"fixed parameters must be an object, got {fixed!r}")
+        for key, value in fixed.items():
             if key not in schema:
-                raise InvalidInput(f"unknown parameter {key!r} for {self.quantity!r}")
+                raise InvalidInput(f"unknown parameter {key!r} for {quantity!r}")
             coerce_param(key, value, schema[key])  # raises if malformed
-        overlap = set(names) & set(self.fixed)
+        overlap = set(names) & set(fixed)
         if overlap:
             raise InvalidInput(f"parameters {sorted(overlap)} both fixed and scanned")
+        super().__init__(quantity, grid, dict(fixed), max_points)
 
     @property
     def total_points(self) -> int:
-        return int(np.prod([ax.count for ax in self.grid], dtype=np.int64)) \
-            if self.grid else 1
+        return math.prod(ax.count for ax in self.grid)
 
     @classmethod
     def from_dict(cls, d: dict) -> "ScanSpec":
@@ -123,8 +125,7 @@ class ScanSpec:
                          for a in d.get("grid", []))
         except (KeyError, TypeError, ValueError) as exc:
             raise InvalidInput(f"malformed grid axis: {exc}") from exc
-        return cls(quantity=d.get("quantity", ""), grid=axes,
-                   fixed=dict(d.get("fixed", {})),
+        return cls(quantity=d.get("quantity", ""), grid=axes, fixed=d.get("fixed"),
                    max_points=coerce_param(
                        "max_points", d.get("max_points", DEFAULT_GRID_CAP), int))
 
@@ -132,8 +133,12 @@ class ScanSpec:
     def from_json_file(cls, path) -> "ScanSpec":
         try:
             payload = json.loads(Path(path).read_text(encoding="utf-8"))
+        except UnicodeDecodeError as exc:
+            raise InvalidInput(f"scan spec is not UTF-8 text: {exc}") from exc
         except json.JSONDecodeError as exc:
             raise InvalidInput(f"scan spec is not valid JSON: {exc}") from exc
+        except RecursionError as exc:
+            raise InvalidInput(f"scan spec is nested too deeply: {exc}") from exc
         return cls.from_dict(payload)
 
     def to_dict(self) -> dict:
@@ -518,6 +523,8 @@ def convergence_study(energy: float, t_max: float, m_list,
     skipped in the order bookkeeping, not fatal.
     """
     m_list = [int(m) for m in m_list]
+    if not m_list:
+        raise InvalidInput("m_list names no step count")
     if any(m < 2 for m in m_list) or m_list != sorted(m_list):
         raise InvalidInput("m_list must be ascending integers >= 2")
     units = UnitSystem(hbar=hbar)
@@ -680,8 +687,8 @@ def digest_of(data: bytes) -> str:
 
 
 def emit(rows: list[dict], fmt: str = "csv", destination=None,
-         columns: list[str] | None = None) -> str:
-    """Render and write rows; returns the SHA-256 hex digest of the bytes.
+         columns: list[str] | None = None) -> bytes:
+    """Render and write rows; returns the bytes written.
 
     destination None writes the bytes to stdout; a path-like writes the file.
     """
@@ -694,19 +701,18 @@ def emit(rows: list[dict], fmt: str = "csv", destination=None,
             sys.stdout.write(data.decode("utf-8"))
     else:
         Path(destination).write_bytes(data)
-    return digest_of(data)
+    return data
 
 
-@dataclass(frozen=True)
-class RunManifest:
-    schema_version: int
-    timestamp: str
-    parameters: dict
-    artifact_version: str
-    outputs: dict
+class RunManifest(Record):
+    __slots__ = ("schema_version", "timestamp", "parameters", "artifact_version", "outputs")
+
+    def __init__(self, schema_version: int, timestamp: str, parameters: dict,
+                 artifact_version: str, outputs: dict):
+        super().__init__(schema_version, timestamp, parameters, artifact_version, outputs)
 
     def to_json(self) -> str:
-        return json.dumps(asdict(self), indent=2) + "\n"
+        return json.dumps(dict(zip(self.__slots__, self._values())), indent=2) + "\n"
 
 
 def build_manifest(parameters: dict, outputs: dict) -> RunManifest:
@@ -727,8 +733,8 @@ def manifest_path_for(out_path) -> Path:
 def emit_with_manifest(rows: list[dict], fmt: str, out_path, parameters: dict,
                        columns: list[str] | None = None) -> RunManifest:
     """Write rows to out_path plus `<out>.manifest.json` beside it."""
-    digest = emit(rows, fmt, out_path, columns)
-    manifest = build_manifest(parameters, {Path(out_path).name: digest})
+    data = emit(rows, fmt, out_path, columns)
+    manifest = build_manifest(parameters, {Path(out_path).name: digest_of(data)})
     manifest_path_for(out_path).write_text(manifest.to_json(), encoding="utf-8")
     return manifest
 
@@ -749,7 +755,10 @@ def load_kaon_config(path) -> dict:
     for trajectory observables.
     """
     cfg = {**_PARAM_DEFAULTS["width_shift"], "psi0": "K0"}
-    text = Path(path).read_text(encoding="utf-8")
+    try:
+        text = Path(path).read_text(encoding="utf-8")
+    except UnicodeDecodeError as exc:
+        raise InvalidInput(f"{path}: not UTF-8 text: {exc}") from exc
     for lineno, raw in enumerate(text.splitlines(), start=1):
         line = raw.split("#", 1)[0].strip()
         if not line:

@@ -19,7 +19,6 @@ The magnitude statements (|lambda|, e-folding times) are convention-free.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
 
 import numpy as np
 
@@ -28,35 +27,36 @@ from .evolution import (ChrononParams, NATURAL_UNITS, UnitSystem, chronon_step,
                         step_check)
 from .linalg2 import (_pow2_scale, _require_principal_log, as_complex, as_operator,
                       cdiv, cmul, eig2_stack, is_hermitian)
+from .record import Record
 
 CONVENTIONS = ("paper", "standard")
 
 
-@dataclass(frozen=True)
-class ModeRecord:
+class ModeRecord(Record):
     """Per-mode spectral data of the chronon step map."""
 
-    mode_index: int
-    eigvec: np.ndarray
-    h_continuous: float
-    lambda_step: complex
-    h_eff_exact: complex
-    h_first_order: complex
-    step_magnitude: float
-    efold_time: float
+    __slots__ = ("mode_index", "eigvec", "h_continuous", "lambda_step", "h_eff_exact",
+                 "h_first_order", "step_magnitude", "efold_time")
+
+    def __init__(self, mode_index: int, eigvec: np.ndarray, h_continuous: float,
+                 lambda_step: complex, h_eff_exact: complex, h_first_order: complex,
+                 step_magnitude: float, efold_time: float):
+        super().__init__(mode_index, eigvec, h_continuous, lambda_step, h_eff_exact,
+                         h_first_order, step_magnitude, efold_time)
 
 
-@dataclass(frozen=True)
-class EffectiveSpectrum:
+class EffectiveSpectrum(Record):
     """Both modes plus the non-Hermiticity of the effective generator.
 
     nu_nonhermitian is None when the step map is the identity (zero
     Hamiltonian), where the measure is undefined.
     """
 
-    modes: tuple[ModeRecord, ModeRecord]
-    convention: str
-    nu_nonhermitian: float | None
+    __slots__ = ("modes", "convention", "nu_nonhermitian")
+
+    def __init__(self, modes: tuple[ModeRecord, ModeRecord], convention: str,
+                 nu_nonhermitian: float | None):
+        super().__init__(modes, convention, nu_nonhermitian)
 
 
 def _lane_column(x) -> np.ndarray:

@@ -125,6 +125,15 @@ def test_kaon_overflow_exit_code(tmp_path):
     assert "Traceback" not in res.stderr
 
 
+def test_kaon_config_not_utf8_exit_code(tmp_path):
+    cfg = tmp_path / "model.cfg"
+    cfg.write_bytes(b"mixing_e = 1.0\n# caf\xe9\n")  # Latin-1, not UTF-8
+    res = run_cli("kaon", "--config", str(cfg), "--observable", "epsilon")
+    assert res.returncode == 2
+    assert res.stderr.startswith(f"error: {cfg}: not UTF-8 text: ")
+    assert res.stdout == ""
+
+
 def test_converge_command():
     res = run_cli("converge", "--energy", "1", "--t-max", "1",
                   "--m-list", "16,32,64,128")
@@ -137,9 +146,12 @@ def test_converge_command():
 
 
 def test_converge_bad_m_list_exit_code():
-    res = run_cli("converge", "--energy", "1", "--t-max", "1",
-                  "--m-list", "64,32")
-    assert res.returncode == 2
+    for m_list in ("64,32", "", ","):
+        res = run_cli("converge", "--energy", "1", "--t-max", "1",
+                      "--m-list", m_list)
+        assert res.returncode == 2, m_list
+        assert res.stderr.startswith("error: "), m_list
+        assert res.stdout == "", m_list
 
 
 def test_scan_with_out_and_manifest(tmp_path):
@@ -242,10 +254,11 @@ def test_scan_workers_is_recorded_and_runs_in_process(monkeypatch, tmp_path):
 
 
 def test_cli_import_loads_no_process_pool():
-    # scans run in-process, so no command pays for importing a process pool
+    # scans run in-process and the records are plain classes, so no command
+    # pays for importing a process pool or for generating dataclass methods
     code = ("import sys, chronon_lab.cli\n"
-            "print(*sorted(m for m in sys.modules\n"
-            "              if m.split('.')[0] in ('concurrent', 'multiprocessing')))")
+            "print(*sorted(m for m in sys.modules if m.split('.')[0]\n"
+            "              in ('concurrent', 'multiprocessing', 'dataclasses')))")
     res = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True)
     assert res.returncode == 0, res.stderr
     assert res.stdout.split() == []
@@ -255,6 +268,15 @@ def test_scan_bad_spec_exit_code(tmp_path):
     spec_path = tmp_path / "spec.json"
     for text in (
         "{not json",
+        "[" * 100_000 + "]" * 100_000,
+        b'{"quantity": "epsilon", "grid": [], "fixed": {"hbar": "\xff"}}',  # not UTF-8
+        json.dumps({"quantity": "epsilon", "grid": [], "fixed": [1, 2]}),
+        json.dumps({"quantity": "epsilon", "grid": [], "fixed": "abc"}),
+        json.dumps({"quantity": ["mode_report"], "grid": []}),
+        json.dumps({"quantity": "epsilon", "grid": [
+            {"name": ["mixing_e"], "start": 1, "stop": 2, "count": 2}]}),
+        json.dumps({"quantity": "epsilon", "grid": [
+            {"name": "mixing_e", "start": 1, "stop": 2, "count": 1e300}]}),
         json.dumps({"quantity": "epsilon", "grid": [], "fixed": {"hbar": "abc"}}),
         json.dumps({"quantity": "epsilon", "grid": [], "fixed": {"n": 1.5}}),
         json.dumps({"quantity": "epsilon", "grid": [
@@ -274,7 +296,7 @@ def test_scan_bad_spec_exit_code(tmp_path):
             {"name": "tau_scale", "start": True, "stop": 2, "count": 2}],
             "fixed": {"mixing_e": 1.0}}),
     ):
-        spec_path.write_text(text, encoding="utf-8")
+        spec_path.write_bytes(text if isinstance(text, bytes) else text.encode("utf-8"))
         res = run_cli("scan", "--spec", str(spec_path))
         assert res.returncode == 2, text
         assert res.stderr.startswith("error: "), text
@@ -355,6 +377,15 @@ def test_manifest_written_for_modes(tmp_path):
     manifest = json.loads((tmp_path / "modes.csv.manifest.json").read_text())
     assert manifest["parameters"]["command"] == "modes"
     assert manifest["parameters"]["convention"] == "paper"
+
+
+def test_stdout_output_is_not_hashed(monkeypatch, capsys):
+    # only a manifest records the digest, so output to stdout computes none
+    def no_digest(data):
+        raise AssertionError("digest of output that no manifest records")
+    monkeypatch.setattr(runner, "digest_of", no_digest)
+    assert main(["modes", "--energy", "1"]) == 0
+    assert capsys.readouterr().out.startswith("mode,h,")
 
 
 # ---------------------------------------------------------------------------
