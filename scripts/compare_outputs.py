@@ -89,9 +89,10 @@ def formats_group() -> tuple[str, dict[str, str], list[list[str]]]:
 
 def errors_group() -> tuple[str, dict[str, str | bytes], list[list[str]]]:
     """Malformed inputs, each of which should exit 2 with one line on stderr:
-    spec files with a malformed value, field type, nesting or encoding, a
-    kaon config that is not UTF-8, empty `--m-list`s, `--workers 0` and
-    `--format xml`."""
+    spec files with a malformed value, field type, nesting, encoding or axis
+    key, a kaon config that is not UTF-8, empty `--m-list`s, `--workers 0`,
+    `--format xml`, and `evolve` and `kaon --observable 2pi` trajectories of
+    1e12 steps, over the row cap."""
     axis = {"name": "mixing_e", "start": 1.0, "stop": 2.0, "count": 2}
     specs = {
         "not_json": "{not json",
@@ -101,19 +102,24 @@ def errors_group() -> tuple[str, dict[str, str | bytes], list[list[str]]]:
         "quantity_list": {"quantity": ["mode_report"], "grid": []},
         "axis_name_list": {"quantity": "epsilon", "grid": [{**axis, "name": ["mixing_e"]}]},
         "count_huge": {"quantity": "epsilon", "grid": [{**axis, "count": 1e300}]},
+        "axis_key_typo": {"quantity": "epsilon", "grid": [{**axis, "spaceing": "log"}]},
         "ok": {"quantity": "mode_report", "grid": [], "fixed": {"energy": 1.0}},
     }
     files = {f"{name}.json": spec if isinstance(spec, str) else json.dumps(spec)
              for name, spec in specs.items()}
     files["not_utf8.json"] = b'{"quantity": "mode_report", "fixed": {"energy": "\xff"}}'
     files["not_utf8.cfg"] = b"mixing_e = 1.0\n# caf\xe9\n"
+    files["steps_huge.cfg"] = "mixing_e = 1.0\nt_max = 1e300\nsteps = 1000000000000\n"
     commands = [["scan", "--spec", f"{name}.json"] for name in specs if name != "ok"]
     commands += [["scan", "--spec", "not_utf8.json"],
                  ["kaon", "--config", "not_utf8.cfg", "--observable", "epsilon"],
                  ["converge", "--energy", "1", "--t-max", "1", "--m-list", ""],
                  ["converge", "--energy", "1", "--t-max", "1", "--m-list", ","],
                  ["scan", "--spec", "ok.json", "--workers", "0"],
-                 ["modes", "--energy", "1", "--format", "xml"]]
+                 ["modes", "--energy", "1", "--format", "xml"],
+                 ["evolve", "--engine", "continuous", "--energy", "1", "--t-max", "1",
+                  "--steps", "1000000000000"],
+                 ["kaon", "--config", "steps_huge.cfg", "--observable", "2pi"]]
     return "errors", files, commands
 
 

@@ -24,7 +24,7 @@ class GridMismatch(ChrononLabError):
 
 
 class RefusedTooLarge(ChrononLabError):
-    """Scan grid exceeds the configured point cap; nothing was computed."""
+    """A scan grid or a trajectory exceeds its row cap; nothing was computed."""
 
 
 class SingularMap(ChrononLabError):

@@ -15,12 +15,15 @@ import math
 import numpy as np
 
 from . import kernels
-from .errors import GridMismatch, InvalidInput, OnePoint, Overflow
+from .errors import GridMismatch, InvalidInput, OnePoint, Overflow, RefusedTooLarge
 from .linalg2 import (IDENTITY2, as_operator, exp2, is_hermitian, power2,
                       require_finite)
 from .record import Record
 
 ENGINES = ("continuous", "discrete")
+# Most rows of a trajectory, and of a scan (runner.run_scan): a larger one is
+# refused before anything is allocated.
+DEFAULT_GRID_CAP = 1_000_000
 
 # Relative tolerance for "t_max is an integer number of chronon steps".
 _GRID_RTOL = 1e-9
@@ -231,13 +234,17 @@ def evolve(h, psi0, engine: str, t_max: float, steps: int,
 
     engine="discrete" repeats the chronon step map on the grid of spacing
     n * tau; engine="continuous" evaluates the exact propagator on an
-    arbitrary uniform grid. `check_grid` holds the grid rules. A state
-    whose norm^2 is not finite in double precision raises Overflow.
+    arbitrary uniform grid. `check_grid` holds the grid rules; a grid of
+    more than DEFAULT_GRID_CAP times raises RefusedTooLarge. A state whose
+    norm^2 is not finite in double precision raises Overflow.
     """
     a = as_operator(h)
     require_finite(a)
     amps = _amplitudes_of(psi0)
     steps = check_grid(engine, t_max, steps, p, units)
+    if steps + 1 > DEFAULT_GRID_CAP:
+        raise RefusedTooLarge(f"trajectory has {steps} steps, {steps + 1} rows; "
+                              f"cap is {DEFAULT_GRID_CAP} rows")
     with np.errstate(over="ignore", invalid="ignore"):  # raised as Overflow
         if engine == "discrete":
             u = discrete_step_operator(a, p, units)

@@ -9,7 +9,8 @@ evaluators of `QUANTITIES`), and a scan returns a column table. Output
 bytes are deterministic: fixed column order, shortest round-trip float
 formatting, LF line endings, and grid-order emission.
 `render` writes the bytes of csv.writer and json.dumps(indent=2) from text
-columns, in blocks of RENDER_BLOCK rows.
+columns, in blocks of RENDER_BLOCK rows; each distinct float of a block is
+formatted once, across all of the block's float columns.
 """
 
 from __future__ import annotations
@@ -27,8 +28,8 @@ import numpy as np
 
 from . import __version__
 from .errors import ChrononLabError, InvalidInput, Lanes, Overflow, RefusedTooLarge
-from .evolution import (ENGINES, ChrononParams, TwoState, UnitSystem, chronon_check,
-                        chronon_step, continuous_propagator, final_state,
+from .evolution import (DEFAULT_GRID_CAP, ENGINES, ChrononParams, TwoState, UnitSystem,
+                        chronon_check, chronon_step, continuous_propagator, final_state,
                         require_positive, symmetric_check, symmetric_hamiltonian,
                         symmetric_stack)
 from .kaon import (KaonModel, epsilon_stack, hamiltonian_check, hamiltonian_cp,
@@ -37,7 +38,6 @@ from .record import Record
 from .spectrum import CONVENTIONS, mode_stack
 
 SCHEMA_VERSION = 1
-DEFAULT_GRID_CAP = 1_000_000
 # Grid points per batched evaluation.
 SCAN_CHUNK = 4096
 # Rows per block of `render`. One block's cell texts are held beside the
@@ -66,6 +66,17 @@ class ScanAxis(Record):
         if spacing == "log" and (start <= 0 or stop <= 0):
             raise InvalidInput(f"axis {name!r}: log spacing needs positive bounds")
         super().__init__(name, start, stop, count, spacing)
+
+    @classmethod
+    def from_dict(cls, a: dict) -> "ScanAxis":
+        """The axis of a spec's grid entry; a key that is not a field of the
+        axis raises InvalidInput, others KeyError, TypeError or ValueError."""
+        unknown = set(a) - set(cls.__slots__) if isinstance(a, dict) else ()
+        if unknown:
+            raise InvalidInput(f"unknown grid axis keys {sorted(unknown)}")
+        return cls(a["name"], coerce_param("start", a["start"], float),
+                   coerce_param("stop", a["stop"], float),
+                   coerce_param("count", a["count"], int), a.get("spacing", "linear"))
 
     def values(self) -> np.ndarray:
         if self.count == 1:
@@ -118,11 +129,7 @@ class ScanSpec(Record):
         if unknown:
             raise InvalidInput(f"unknown scan spec keys {sorted(unknown)}")
         try:
-            axes = tuple(ScanAxis(a["name"], coerce_param("start", a["start"], float),
-                                  coerce_param("stop", a["stop"], float),
-                                  coerce_param("count", a["count"], int),
-                                  a.get("spacing", "linear"))
-                         for a in d.get("grid", []))
+            axes = tuple(map(ScanAxis.from_dict, d.get("grid", [])))
         except (KeyError, TypeError, ValueError) as exc:
             raise InvalidInput(f"malformed grid axis: {exc}") from exc
         return cls(quantity=d.get("quantity", ""), grid=axes, fixed=d.get("fixed"),
@@ -594,33 +601,44 @@ def _json_text(v) -> str:
     return repr(v)
 
 
-def _column(col, fmt: str) -> list[str]:
-    """The texts of one column's cells in format `fmt`.
+def _column(cells: list, fmt: str) -> list[str]:
+    """The texts of a column of cells in format `fmt` (the header, and a
+    block's columns that are not float arrays): each cell made a value by
+    `_value` and then text by the format's rule."""
+    return list(map(_csv_text if fmt == "csv" else _json_text, map(_value, cells)))
 
-    A float column is a pair (values, none) of arrays, `none` marking the
-    None cells: each distinct value is formatted once (grid scans repeat
-    their axis values), after -0.0 is folded to 0.0, by its shortest
-    round-trip repr; a value that is not finite gives 'inf', '-inf' or
-    'nan', quoted in JSON. Any other column is a list of cells, each made a
-    value by `_value` and then text by the format's rule. Both give the
-    text of the same value.
+
+def _block_texts(cols: list, fmt: str) -> list[list[str]]:
+    """The texts of one block's columns, from `_block_columns`, in `fmt`.
+
+    The float columns, (values, none) pairs, are formatted together: each
+    distinct value of the block, after -0.0 is folded to 0.0, once by its
+    shortest round-trip repr (repeats are common: axis values, and cells
+    that two modes share); a value that is not finite gives 'inf', '-inf'
+    or 'nan', quoted in JSON, and a cell marked in `none` the text of None.
+    Any other column is made text by `_column`. Both give the text of the
+    same value.
     """
-    if isinstance(col, tuple):
-        values, none = col
-        cells = (values + 0.0).tolist()
-        memo = dict.fromkeys(cells)
-        memo = dict(zip(memo, map(float.__repr__, memo)))
-        if fmt == "json" and not np.isfinite(values).all():
-            memo = {x: t if x - x == 0.0 else f'"{t}"' for x, t in memo.items()}
-        texts = list(map(memo.__getitem__, cells))
-        for i in np.flatnonzero(none).tolist():
-            texts[i] = "" if fmt == "csv" else "null"
-        return texts
-    return list(map(_csv_text if fmt == "csv" else _json_text, map(_value, col)))
+    floats = [col for col in cols if isinstance(col, tuple)]
+    float_texts = iter(())
+    if floats:
+        values = np.stack([v for v, _ in floats])
+        values += 0.0
+        unique, inverse = np.unique(values, return_inverse=True)
+        texts = list(map(float.__repr__, unique.tolist()))
+        if fmt == "json":
+            for i in np.flatnonzero(~np.isfinite(unique)).tolist():
+                texts[i] = f'"{texts[i]}"'
+        texts.append("" if fmt == "csv" else "null")
+        inverse = inverse.reshape(values.shape)  # NumPy 1.x and 2.x differ
+        inverse[np.stack([none for _, none in floats])] = len(texts) - 1
+        float_texts = iter(np.array(texts, dtype=object)[inverse].tolist())
+    return [next(float_texts) if isinstance(col, tuple) else _column(col, fmt)
+            for col in cols]
 
 
 def _block_columns(rows, columns: list[str], start: int) -> list:
-    """The columns of rows start .. start + RENDER_BLOCK, for `_column`:
+    """The columns of rows start .. start + RENDER_BLOCK, for `_block_texts`:
     a ScanTable's float columns and each all-float column of row dicts as
     (values, none) arrays, the others as lists of cells."""
     stop = start + RENDER_BLOCK
@@ -649,10 +667,11 @@ def render(rows: list[dict] | ScanTable, fmt: str = "csv",
     endings, the bytes of csv.writer) or JSON (the bytes of
     json.dumps(indent=2) plus a newline).
 
-    Each column's cells become texts by `_column`; rows are joined from
-    them with ',' (CSV) or one row template of the indented JSON layout,
-    RENDER_BLOCK rows at a time, so that only one block's cells and texts
-    are held beside the output.
+    The rows are taken RENDER_BLOCK at a time, so that only one block's
+    cells and texts are held beside the output: `_block_texts` makes the
+    block's column texts (each distinct float of the block formatted once),
+    and rows are joined from them with ',' (CSV) or one row template of the
+    indented JSON layout. The header's texts come from `_column`.
     """
     if columns is None:
         if not rows:
@@ -665,8 +684,7 @@ def render(rows: list[dict] | ScanTable, fmt: str = "csv",
     if fmt == "csv":
         out.write(_csv_rows([[t] for t in _column(list(columns), fmt)]))
         for start in starts:
-            cols = _block_columns(rows, columns, start)
-            out.write(_csv_rows([_column(col, fmt) for col in cols]))
+            out.write(_csv_rows(_block_texts(_block_columns(rows, columns, start), fmt)))
         return out.getvalue()
     if not starts:
         return b"[]\n"
@@ -675,7 +693,7 @@ def render(rows: list[dict] | ScanTable, fmt: str = "csv",
     template = "  {\n" + ",\n".join(
         f"    {encode_basestring_ascii(c).replace('%', '%%')}: %s" for c in columns) + "\n  }"
     for start in starts:
-        texts = zip(*(_column(col, fmt) for col in _block_columns(rows, columns, start)))
+        texts = zip(*_block_texts(_block_columns(rows, columns, start), fmt))
         out.write(b",\n" if start else b"[\n")
         out.write(",\n".join(map(template.__mod__, texts)).encode("utf-8"))
     out.write(b"\n]\n")

@@ -134,6 +134,18 @@ def test_kaon_config_not_utf8_exit_code(tmp_path):
     assert res.stdout == ""
 
 
+def test_trajectory_over_the_row_cap_exit_code(tmp_path):
+    # 1e12 steps: refused before the 7 TiB time grid is allocated
+    want = ("error: trajectory has 1000000000000 steps, 1000000000001 rows; "
+            "cap is 1000000 rows\n")
+    cfg = write_config(tmp_path, t_max=1e300, steps=1e12)
+    for args in (["evolve", "--engine", "continuous", "--energy", "1", "--t-max", "1",
+                  "--steps", "1000000000000"],
+                 ["kaon", "--config", str(cfg), "--observable", "2pi"]):
+        res = run_cli(*args)
+        assert (res.returncode, res.stderr, res.stdout) == (2, want, ""), args
+
+
 def test_converge_command():
     res = run_cli("converge", "--energy", "1", "--t-max", "1",
                   "--m-list", "16,32,64,128")
@@ -295,11 +307,15 @@ def test_scan_bad_spec_exit_code(tmp_path):
         json.dumps({"quantity": "epsilon", "grid": [
             {"name": "tau_scale", "start": True, "stop": 2, "count": 2}],
             "fixed": {"mixing_e": 1.0}}),
+        json.dumps({"quantity": "mode_report", "grid": [  # spacing misspelled
+            {"name": "energy", "start": 1, "stop": 100, "count": 3, "spaceing": "log"}]}),
     ):
         spec_path.write_bytes(text if isinstance(text, bytes) else text.encode("utf-8"))
         res = run_cli("scan", "--spec", str(spec_path))
         assert res.returncode == 2, text
         assert res.stderr.startswith("error: "), text
+    # the last spec's message names the misspelled key
+    assert res.stderr == "error: unknown grid axis keys ['spaceing']\n"
     # a valid spec with fewer than one worker
     spec_path.write_text(json.dumps({"quantity": "mode_report", "grid": [],
                                      "fixed": {"energy": 1.0}}), encoding="utf-8")

@@ -3,7 +3,7 @@ import math
 import numpy as np
 import pytest
 
-from chronon_lab.errors import GridMismatch, InvalidInput
+from chronon_lab.errors import GridMismatch, InvalidInput, RefusedTooLarge
 from chronon_lab.evolution import (ChrononParams, NATURAL_UNITS, Trajectory,
                                    TwoState, UnitSystem, continuous_propagator,
                                    discrete_step_operator, evolve, final_state,
@@ -215,6 +215,19 @@ def test_final_state_checks_the_grid_like_evolve(engine, t_max, steps, p):
             run(PAULI_X, [1, 0], engine, t_max, steps, p)
         errors.append((type(info.value), str(info.value)))
     assert errors[0] == errors[1]
+
+
+@pytest.mark.parametrize("engine, p", [("continuous", None),
+                                       ("discrete", chronon(tau_scale=1e-9))])
+def test_evolve_refuses_more_rows_than_the_cap(engine, p):
+    # 1e12 steps would allocate terabytes: refused before anything is
+    # allocated, while final_state, which keeps no trajectory, runs
+    steps = 10 ** 12
+    t_max = steps * p.step() if p else 1.0
+    with pytest.raises(RefusedTooLarge, match=f"{steps} steps, {steps + 1} rows; "
+                                              f"cap is 1000000 rows"):
+        evolve(PAULI_X, [1, 0], engine, t_max, steps, p)
+    assert np.isfinite(final_state(PAULI_X, [1, 0], engine, t_max, steps, p)).all()
 
 
 def test_first_order_convergence():

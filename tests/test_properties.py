@@ -285,3 +285,32 @@ def test_scan_table_renders_like_its_rows(k, data, fmt, block):
         want = oracle(list(table), fmt, cols)
         assert render_in_blocks(table, fmt, cols, block) == want
         assert render_in_blocks(list(table), fmt, cols, block) == want
+
+
+NAN, INF = math.nan, math.inf
+# one block of six rows: 1.5 in a, b and c under three None masks; nan, inf,
+# -inf, -0.0 and 0.0 each in several columns; c is finite throughout, so a
+# JSON block mixes finite and non-finite columns
+SHARED_BLOCK = {
+    "a": ([1.5, NAN, -0.0, INF, 2.0, -INF], [0, 1, 0, 0, 1, 0]),
+    "b": ([1.5, 1.5, 0.0, -INF, NAN, INF], [1, 0, 0, 0, 0, 1]),
+    "c": ([0.1, 1.5, 7.0, 2.0, 0.1, 1.5], [0, 0, 0, 0, 0, 0]),
+    "d": ([-0.0, INF, NAN, 0.0, -INF, NAN], [0, 0, 1, 0, 0, 0]),
+}
+
+
+@pytest.mark.parametrize("fmt", ["csv", "json"])
+@pytest.mark.parametrize("block", [1, 256])
+def test_render_formats_a_block_across_its_columns(fmt, block):
+    # render formats each distinct float of a block once for all its float
+    # columns: every cell still gets the text of its own value, or None's
+    table = ScanTable({c: (np.array(v), np.array(none, dtype=bool))
+                       for c, (v, none) in SHARED_BLOCK.items()},
+                      np.array(["ok", "Overflow", "ok", "ok", "InvalidInput", "ok"]))
+    names = ["status", *SHARED_BLOCK, "a"]
+    # the table's rows hold None, so only c is a float column among them;
+    # without the masks every column is
+    unmasked = [{c: v[i] for c, (v, _) in SHARED_BLOCK.items()} for i in range(6)]
+    for rows in (table, list(table), unmasked):
+        want = oracle(list(rows), fmt, names)
+        assert render_in_blocks(rows, fmt, names, block) == want
