@@ -91,8 +91,9 @@ def errors_group() -> tuple[str, dict[str, str | bytes], list[list[str]]]:
     """Malformed inputs, each of which should exit 2 with one line on stderr:
     spec files with a malformed value, field type, nesting, encoding or axis
     key, a kaon config that is not UTF-8, empty `--m-list`s, `--workers 0`,
-    `--format xml`, and `evolve` and `kaon --observable 2pi` trajectories of
-    1e12 steps, over the row cap."""
+    `--format xml`, `evolve` and `kaon --observable 2pi` trajectories of
+    1e12 steps, over the row cap, and two discrete kaon trajectories whose
+    step count t_max / (n tau) is infinite or has 301 digits."""
     axis = {"name": "mixing_e", "start": 1.0, "stop": 2.0, "count": 2}
     specs = {
         "not_json": "{not json",
@@ -110,6 +111,8 @@ def errors_group() -> tuple[str, dict[str, str | bytes], list[list[str]]]:
     files["not_utf8.json"] = b'{"quantity": "mode_report", "fixed": {"energy": "\xff"}}'
     files["not_utf8.cfg"] = b"mixing_e = 1.0\n# caf\xe9\n"
     files["steps_huge.cfg"] = "mixing_e = 1.0\nt_max = 1e300\nsteps = 1000000000000\n"
+    files["quotient_inf.cfg"] = "mixing_e = 1.0\nt_max = 1e300\ntau_scale = 1e-300\n"
+    files["quotient_huge.cfg"] = "mixing_e = 1.0\nt_max = 1e200\ntau_scale = 1e-100\n"
     commands = [["scan", "--spec", f"{name}.json"] for name in specs if name != "ok"]
     commands += [["scan", "--spec", "not_utf8.json"],
                  ["kaon", "--config", "not_utf8.cfg", "--observable", "epsilon"],
@@ -120,6 +123,8 @@ def errors_group() -> tuple[str, dict[str, str | bytes], list[list[str]]]:
                  ["evolve", "--engine", "continuous", "--energy", "1", "--t-max", "1",
                   "--steps", "1000000000000"],
                  ["kaon", "--config", "steps_huge.cfg", "--observable", "2pi"]]
+    commands += [["kaon", "--config", f"quotient_{name}.cfg", "--observable", "2pi",
+                  "--engine", "discrete"] for name in ("inf", "huge")]
     return "errors", files, commands
 
 

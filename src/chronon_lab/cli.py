@@ -13,8 +13,8 @@ from __future__ import annotations
 import argparse
 import sys
 
-from .errors import USAGE_ERRORS, ChrononLabError, InvalidInput
-from .evolution import ENGINES, TwoState, evolve, symmetric_hamiltonian
+from .errors import USAGE_ERRORS, ChrononLabError, InvalidInput, RefusedTooLarge
+from .evolution import DEFAULT_GRID_CAP, ENGINES, TwoState, evolve, symmetric_hamiltonian
 from .kaon import kaon_trajectory, three_pion_intensity, two_pion_intensity
 from .runner import (CONVERGENCE_COLUMNS, MODE_FIELDS, ScanSpec, chronon_of,
                      convergence_study, emit, emit_with_manifest, kaon_from_config,
@@ -85,7 +85,14 @@ def _cmd_kaon(args):
         steps = cfg.get("steps")
         if steps is None:
             if args.engine == "discrete":
-                steps = max(1, round(t_max / p.step(model.units)))
+                count = t_max / p.step(model.units)
+                # checked before rounding, as the quotient may be inf or have
+                # 300 digits; printed to the cap's 7 digits. One just below the
+                # cap is rounded and left to evolve's check.
+                if not count < DEFAULT_GRID_CAP:
+                    raise RefusedTooLarge(f"trajectory has {count:.7g} steps, {count + 1:.7g} "
+                                          f"rows; cap is {DEFAULT_GRID_CAP} rows")
+                steps = max(1, round(count))
             else:
                 raise InvalidInput("config must set steps for continuous trajectories")
         traj = kaon_trajectory(model, args.engine, t_max, steps, p, cfg["psi0"])

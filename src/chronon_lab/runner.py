@@ -604,8 +604,17 @@ def _json_text(v) -> str:
 def _column(cells: list, fmt: str) -> list[str]:
     """The texts of a column of cells in format `fmt` (the header, and a
     block's columns that are not float arrays): each cell made a value by
-    `_value` and then text by the format's rule."""
-    return list(map(_csv_text if fmt == "csv" else _json_text, map(_value, cells)))
+    `_value` and then text by the format's rule.
+
+    A column of strings only (the header, a ScanTable's status column) is
+    made text once per distinct string. Other columns are not memoized by
+    value: True, 1 and 1.0 are one dict key but three texts.
+    """
+    text = _csv_text if fmt == "csv" else _json_text
+    if set(map(type, cells)) == {str}:
+        texts = {c: text(c) for c in set(cells)}
+        return list(map(texts.__getitem__, cells))
+    return list(map(text, map(_value, cells)))
 
 
 def _block_texts(cols: list, fmt: str) -> list[list[str]]:

@@ -1,9 +1,11 @@
 import csv
+import gc
 import io
 import json
 import math
 import subprocess
 import sys
+from pathlib import Path
 
 import pytest
 
@@ -274,6 +276,55 @@ def test_cli_import_loads_no_process_pool():
     res = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True)
     assert res.returncode == 0, res.stderr
     assert res.stdout.split() == []
+
+
+def test_entry_point_freezes_the_import_time_objects():
+    # `python -m chronon_lab` freezes what the imports left behind, so the
+    # collector skips it at exit
+    code = ("import gc, runpy, sys\n"
+            "sys.argv = ['chronon-lab', 'modes', '--energy', '1']\n"
+            "try:\n"
+            "    runpy.run_module('chronon_lab', run_name='__main__')\n"
+            "except SystemExit as exc:\n"
+            "    print(exc.code, gc.get_freeze_count(), file=sys.stderr)\n")
+    res = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True)
+    assert res.stdout.startswith("mode,h,")
+    exit_code, frozen = res.stderr.split()
+    assert exit_code == "0" and int(frozen) > 0, res.stderr
+
+
+def test_main_in_process_freezes_nothing(capsys):
+    # only the process entry point freezes: a caller of cli.main keeps
+    # its garbage collectable
+    before = gc.get_freeze_count()
+    assert main(["modes", "--energy", "1"]) == 0
+    assert capsys.readouterr().out.startswith("mode,h,")
+    assert gc.get_freeze_count() == before
+
+
+def test_console_script_is_the_freezing_entry_point():
+    text = (Path(__file__).resolve().parent.parent / "pyproject.toml").read_text(
+        encoding="utf-8")
+    scripts = text.split("[project.scripts]\n")[1].split("\n[")[0]
+    assert scripts.split() == ["chronon-lab", "=", '"chronon_lab.__main__:run"']
+    from chronon_lab.__main__ import run
+    assert callable(run)
+
+
+@pytest.mark.parametrize("t_max,tau_scale,count", [
+    ("1e300", "1e-300", "inf"),      # the quotient overflows
+    ("1e200", "1e-100", "1e+300"),   # finite, with 301 digits
+])
+def test_kaon_step_count_over_the_cap_exit_code(tmp_path, t_max, tau_scale, count):
+    # a discrete kaon trajectory without `steps` gets t_max / (n tau) of
+    # them; a quotient past the row cap is refused before it is rounded
+    cfg = tmp_path / "model.cfg"
+    cfg.write_text(f"mixing_e = 1.0\nt_max = {t_max}\ntau_scale = {tau_scale}\n",
+                   encoding="utf-8")
+    res = run_cli("kaon", "--config", str(cfg), "--observable", "2pi",
+                  "--engine", "discrete")
+    want = f"error: trajectory has {count} steps, {count} rows; cap is 1000000 rows\n"
+    assert (res.returncode, res.stderr, res.stdout) == (2, want, "")
 
 
 def test_scan_bad_spec_exit_code(tmp_path):

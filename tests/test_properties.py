@@ -314,3 +314,14 @@ def test_render_formats_a_block_across_its_columns(fmt, block):
     for rows in (table, list(table), unmasked):
         want = oracle(list(rows), fmt, names)
         assert render_in_blocks(rows, fmt, names, block) == want
+
+
+@pytest.mark.parametrize("fmt", ["csv", "json"])
+def test_render_keeps_equal_values_of_other_types_apart(fmt):
+    # True == 1 == 1.0 and False == 0 == -0.0, yet each has its own text; a
+    # column of strings only is made text once per distinct string
+    mixed = [True, 1, 1.0, 0, -0.0, False, None, "ok"]
+    status = ["ok", "Overflow", "ok", 'a,"b', "ok", "", "Overflow", "ok"]
+    rows = [{"x": x, "status": s} for x, s in zip(mixed, status)]
+    for columns in (["x", "status"], ["status"]):
+        assert render(rows, fmt, columns) == oracle(rows, fmt, columns)
