@@ -92,8 +92,9 @@ def errors_group() -> tuple[str, dict[str, str | bytes], list[list[str]]]:
     spec files with a malformed value, field type, nesting, encoding or axis
     key, a kaon config that is not UTF-8, empty `--m-list`s, `--workers 0`,
     `--format xml`, `evolve` and `kaon --observable 2pi` trajectories of
-    1e12 steps, over the row cap, and two discrete kaon trajectories whose
-    step count t_max / (n tau) is infinite or has 301 digits."""
+    1e12 steps, over the row cap, two discrete kaon trajectories whose
+    step count t_max / (n tau) is infinite or has 301 digits, three whose
+    t_max is -inf, nan or -1, and a discrete `evolve` with t_max -1."""
     axis = {"name": "mixing_e", "start": 1.0, "stop": 2.0, "count": 2}
     specs = {
         "not_json": "{not json",
@@ -113,6 +114,8 @@ def errors_group() -> tuple[str, dict[str, str | bytes], list[list[str]]]:
     files["steps_huge.cfg"] = "mixing_e = 1.0\nt_max = 1e300\nsteps = 1000000000000\n"
     files["quotient_inf.cfg"] = "mixing_e = 1.0\nt_max = 1e300\ntau_scale = 1e-300\n"
     files["quotient_huge.cfg"] = "mixing_e = 1.0\nt_max = 1e200\ntau_scale = 1e-100\n"
+    for name, t_max in (("neg_inf", "-inf"), ("nan", "nan"), ("neg", "-1")):
+        files[f"t_max_{name}.cfg"] = f"mixing_e = 1.0\nt_max = {t_max}\n"
     commands = [["scan", "--spec", f"{name}.json"] for name in specs if name != "ok"]
     commands += [["scan", "--spec", "not_utf8.json"],
                  ["kaon", "--config", "not_utf8.cfg", "--observable", "epsilon"],
@@ -123,8 +126,12 @@ def errors_group() -> tuple[str, dict[str, str | bytes], list[list[str]]]:
                  ["evolve", "--engine", "continuous", "--energy", "1", "--t-max", "1",
                   "--steps", "1000000000000"],
                  ["kaon", "--config", "steps_huge.cfg", "--observable", "2pi"]]
-    commands += [["kaon", "--config", f"quotient_{name}.cfg", "--observable", "2pi",
-                  "--engine", "discrete"] for name in ("inf", "huge")]
+    commands += [["kaon", "--config", f"{name}.cfg", "--observable", "2pi",
+                  "--engine", "discrete"]
+                 for name in ("quotient_inf", "quotient_huge", "t_max_neg_inf", "t_max_nan",
+                              "t_max_neg")]
+    commands.append(["evolve", "--engine", "discrete", "--energy", "1", "--t-max", "-1",
+                     "--steps", "4"])
     return "errors", files, commands
 
 

@@ -7,18 +7,13 @@ two-state model, with batch scan / convergence tooling on top.
 
 __version__ = "0.1.0"
 
-from .errors import (BranchCut, ChrononLabError, DegenerateModes, GridMismatch,
-                     InvalidInput, RefusedTooLarge, SingularMap,
-                     UndefinedMeasure, UndefinedRatio)
+from .errors import (ChrononLabError, DegenerateModes, GridMismatch, InvalidInput,
+                     Overflow, RefusedTooLarge, SingularMap, UndefinedRatio)
 from .evolution import (ChrononParams, NATURAL_UNITS, SI_SECONDS, Trajectory,
                         TwoState, UnitSystem, continuous_propagator,
-                        discrete_step_operator, evolve, norm_series,
-                        probability_series, symmetric_hamiltonian)
-from .kaon import (KaonModel, default_kaon_scales, epsilon_mixing,
-                   kaon_hamiltonian, kaon_state, kaon_trajectory,
-                   three_pion_intensity, two_pion_intensity, width_shift)
-from .linalg2 import (EigenPair2, eig2, exp2, is_hermitian, is_unitary, log2,
-                      non_hermiticity, pauli_compose, pauli_decompose)
-from .spectrum import (EffectiveSpectrum, ModeRecord, effective_energy_exact,
-                       effective_energy_first_order, efold_direction,
-                       efold_time, imag_real_ratio, mode_report)
+                        discrete_step_operator, evolve, symmetric_hamiltonian)
+from .kaon import (KaonModel, epsilon_mixing, kaon_hamiltonian, kaon_state,
+                   kaon_trajectory, three_pion_intensity, two_pion_intensity,
+                   width_shift)
+from .linalg2 import EigenPair2, eig2, exp2, is_hermitian
+from .spectrum import EffectiveSpectrum, ModeRecord, mode_report

@@ -5,7 +5,7 @@ or JSON rows to stdout, or writes them to --out with a RunManifest beside
 the file as `<out>.manifest.json`.
 
 Exit codes: 0 ok, 2 invalid arguments or spec, 3 numeric-domain error
-(branch cut, singular or degenerate map) or any other lab error, 4 I/O error.
+(singular or degenerate map, overflow) or any other lab error, 4 I/O error.
 """
 
 from __future__ import annotations
@@ -13,14 +13,16 @@ from __future__ import annotations
 import argparse
 import sys
 
-from .errors import USAGE_ERRORS, ChrononLabError, InvalidInput, RefusedTooLarge
-from .evolution import DEFAULT_GRID_CAP, ENGINES, TwoState, evolve, symmetric_hamiltonian
+from .errors import (USAGE_ERRORS, ChrononLabError, InvalidInput, OnePoint,
+                     RefusedTooLarge)
+from .evolution import (DEFAULT_GRID_CAP, ENGINES, TwoState, evolve, require_positive,
+                        symmetric_hamiltonian)
 from .kaon import kaon_trajectory, three_pion_intensity, two_pion_intensity
 from .runner import (CONVERGENCE_COLUMNS, MODE_FIELDS, ScanSpec, chronon_of,
                      convergence_study, emit, emit_with_manifest, kaon_from_config,
                      load_kaon_config, parse_complex_pair, point_row, run_scan,
                      scan_columns)
-from .spectrum import CONVENTIONS, decay_reading, efold_direction
+from .spectrum import CONVENTIONS
 
 # MODE_FIELDS ends with the two ratio cells; `modes` puts the readings before them.
 MODES_COLUMNS = ["mode", *MODE_FIELDS[:-2], "direction", "reading",
@@ -48,11 +50,16 @@ def _cmd_modes(args):
     rows = []
     for k in (0, 1):
         mode = {c: cells[f"mode{k}_{c}"] for c in MODE_FIELDS}
+        # direction: |lambda| grows (1), decays (-1) or is steady (0) per
+        # step. reading: the sign of Im h_eff under the convention, where
+        # "standard" (phases e^{-iEt/hbar}) reads a positive sign as growth
+        # and "paper" (e^{+iEt/hbar}) as decay
+        mag, im = mode["step_mag"], mode["heff_im"]
+        growing = (im > 0) == (args.convention == "standard")
         rows.append({
             "mode": k, **mode,
-            "direction": efold_direction(complex(mode["lambda_re"], mode["lambda_im"])),
-            "reading": decay_reading(complex(mode["heff_re"], mode["heff_im"]),
-                                     args.convention),
+            "direction": (mag > 1) - (mag < 1),
+            "reading": "steady" if im == 0 else "growth" if growing else "decay",
             "nu_nonhermitian": cells["nu_nonhermitian"]})
     return rows, MODES_COLUMNS, {"command": "modes", **params}
 
@@ -85,6 +92,7 @@ def _cmd_kaon(args):
         steps = cfg.get("steps")
         if steps is None:
             if args.engine == "discrete":
+                require_positive(OnePoint, "t_max", t_max)
                 count = t_max / p.step(model.units)
                 # checked before rounding, as the quotient may be inf or have
                 # 300 digits; printed to the cap's 7 digits. One just below the

@@ -31,14 +31,6 @@ class SingularMap(ChrononLabError):
     """Step map has a (numerically) zero eigenvalue; no generator exists."""
 
 
-class BranchCut(ChrononLabError):
-    """Eigenvalue on the negative real axis; principal log is ill-defined."""
-
-
-class UndefinedMeasure(ChrononLabError):
-    """Non-Hermiticity measure evaluated on the zero matrix."""
-
-
 class UndefinedRatio(ChrononLabError):
     """Im/Re ratio requested for an energy with zero real part."""
 

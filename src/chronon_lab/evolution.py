@@ -200,23 +200,22 @@ def check_grid(engine: str, t_max: float, steps: int, p: ChrononParams | None = 
                units: UnitSystem = NATURAL_UNITS) -> int:
     """The grid rules of `evolve`; returns `steps` as an int.
 
-    steps must be a positive integer. The discrete grid spacing is n * tau,
-    so steps must be t_max / (n tau), rounded within 1e-9 relative, or
-    GridMismatch is raised. The continuous grid needs a finite t_max > 0.
+    steps must be a positive integer and t_max positive and finite. The
+    discrete grid spacing is n * tau, so steps must be t_max / (n tau),
+    rounded within 1e-9 relative, or GridMismatch is raised.
     """
     if engine not in ENGINES:
         raise InvalidInput(f"engine must be one of {ENGINES}, got {engine!r}")
     if int(steps) != steps or steps < 1:
         raise InvalidInput("steps must be a positive integer")
     steps = int(steps)
+    require_positive(OnePoint, "t_max", t_max)
     if engine == "continuous":
-        if not (np.isfinite(t_max) and t_max > 0):
-            raise InvalidInput("continuous engine needs t_max > 0")
         return steps
     if p is None:
         raise InvalidInput("discrete engine needs ChrononParams")
     dt = p.step(units)
-    k_float = t_max / dt  # may be nan or overflow
+    k_float = t_max / dt  # may overflow
     k = round(k_float) if math.isfinite(k_float) else 0
     if k < 1 or abs(k_float - k) > _GRID_RTOL * max(abs(k_float), 1.0):
         raise GridMismatch(
@@ -273,24 +272,3 @@ def final_state(h, psi0, engine: str, t_max: float, steps: int,
     if engine == "discrete":
         return power2(discrete_step_operator(a, p, units), steps) @ amps
     return continuous_propagator(a, t_max, units) @ amps
-
-
-def probability_series(traj: Trajectory, direction,
-                       normalized: bool = False) -> list[tuple[float, float]]:
-    """(t, |<direction|state>|^2) along a trajectory.
-
-    Raw by default (no division by the total norm, which the discrete map
-    does not conserve); normalized=True divides by norm^2 at each time.
-    """
-    d = np.asarray(direction, dtype=np.complex128)
-    if d.shape != (2,) or abs(np.linalg.norm(d) - 1.0) > 1e-9:
-        raise InvalidInput("direction must be a unit 2-vector")
-    vals = np.abs(traj.states @ d.conj()) ** 2
-    if normalized:
-        vals = vals / traj.norm_sq()
-    return list(zip(traj.times.tolist(), vals.tolist()))
-
-
-def norm_series(traj: Trajectory) -> list[tuple[float, float]]:
-    """(t, norm^2) along a trajectory; constant only for unitary evolution."""
-    return list(zip(traj.times.tolist(), traj.norm_sq().tolist()))

@@ -11,7 +11,8 @@ both the continuous generator and the chronon step map are diagonal in the
 CP basis, so time discretization alone produces no K1 <-> K2 mixing.
 
 Every mode quantity comes from H's eigenpairs: the step map is a polynomial
-in H, so it has H's eigenvectors and the multipliers `step_eigenvalue`.
+in H, so it has H's eigenvectors and the multipliers lambda = 1 - i h n tau /
+hbar of its eigenvalues h (`spectrum.step_multipliers`).
 """
 
 from __future__ import annotations
@@ -22,9 +23,9 @@ import numpy as np
 
 from .errors import (DegenerateModes, InvalidInput, Lanes, Overflow, SingularMap,
                      OnePoint, UndefinedRatio)
-from .evolution import (ENGINES, ChrononParams, NATURAL_UNITS, SI_SECONDS,
-                        Trajectory, TwoState, UnitSystem, chronon_step, evolve,
-                        require_positive, step_check)
+from .evolution import (ENGINES, ChrononParams, NATURAL_UNITS, Trajectory,
+                        TwoState, UnitSystem, chronon_step, evolve, require_positive,
+                        step_check)
 from .linalg2 import cdiv, eig2_stack
 from .record import Record
 from .spectrum import step_multipliers
@@ -122,19 +123,6 @@ def kaon_hamiltonian(model: KaonModel, basis: str = "cp") -> np.ndarray:
     if basis == "cp":
         return h_cp
     return CP_TO_FLAVOR @ h_cp @ CP_TO_FLAVOR
-
-
-def default_kaon_scales(tau_scale: float = 1.0) -> tuple[ChrononParams, KaonModel]:
-    """Chronon parameters at the neutral-kaon scale, in SI-seconds units.
-
-    E/hbar = 1e10 1/s gives tau = tau_scale * 1e-10 s. The returned model
-    is a skeleton: its widths are zero placeholders, to be replaced with
-    measured values (external constants, see configs/).
-    """
-    params = ChrononParams(energy=1.0e10, n=1, tau_scale=tau_scale)
-    model = KaonModel(mixing_energy=1.0e10, gamma_short=0.0, gamma_long=0.0,
-                      delta=0.0, units=SI_SECONDS)
-    return params, model
 
 
 def kaon_trajectory(model: KaonModel, engine: str, t_max: float, steps: int,

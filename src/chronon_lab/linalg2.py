@@ -1,9 +1,9 @@
 """Closed-form complex 2x2 linear algebra.
 
-Oracle-grade kernel the rest of the package builds on: eigenpairs, matrix
-exponential, principal matrix logarithm, Pauli decomposition and a normalized
-non-Hermiticity measure, all in exact 2x2 closed form (no iterative
-factorizations). All functions are pure and safe to call concurrently.
+Oracle-grade kernel the rest of the package builds on: eigenpairs, the
+matrix exponential and integer matrix powers, all in exact 2x2 closed form
+(no iterative factorizations). All functions are pure and safe to call
+concurrently.
 """
 
 from __future__ import annotations
@@ -13,8 +13,7 @@ import math
 
 import numpy as np
 
-from .errors import (BranchCut, InvalidInput, Lanes, Overflow, SingularMap,
-                     OnePoint, UndefinedMeasure)
+from .errors import InvalidInput, Lanes, Overflow, SingularMap, OnePoint
 from .record import Record
 
 # The one tolerance of every matrix and eigenvalue test in the package.
@@ -27,7 +26,6 @@ _PIVOT_EPS = 1e-12
 IDENTITY2 = np.eye(2, dtype=np.complex128)
 PAULI_X = np.array([[0.0, 1.0], [1.0, 0.0]], dtype=np.complex128)
 PAULI_Y = np.array([[0.0, -1.0j], [1.0j, 0.0]], dtype=np.complex128)
-PAULI_Z = np.array([[1.0, 0.0], [0.0, -1.0]], dtype=np.complex128)
 
 
 def as_operator(m) -> np.ndarray:
@@ -53,12 +51,6 @@ def is_hermitian(m) -> bool:
     """Max-entry test of M == M^dagger within DEFAULT_TOL."""
     a = as_operator(m)
     return float(np.max(np.abs(a - a.conj().T))) <= DEFAULT_TOL
-
-
-def is_unitary(m) -> bool:
-    """Max-entry test of M M^dagger == I within DEFAULT_TOL."""
-    a = as_operator(m)
-    return float(np.max(np.abs(a @ a.conj().T - IDENTITY2))) <= DEFAULT_TOL
 
 
 class EigenPair2(Record):
@@ -296,64 +288,3 @@ def power2(m, k: int) -> np.ndarray:
     except OverflowError:
         raise Overflow(f"M^{k} is not finite in double precision") from None
     return np.array(out, dtype=np.complex128).reshape(2, 2)
-
-
-def _require_principal_log(lam: complex, what: str) -> None:
-    """Raise SingularMap for |lam| <= DEFAULT_TOL and BranchCut for lam on
-    the negative real axis, where the principal log is undefined; `what`
-    names lam in the message."""
-    if abs(lam) <= DEFAULT_TOL:
-        raise SingularMap(f"{what} {lam} is numerically zero")
-    if lam.real < 0 and abs(lam.imag) <= DEFAULT_TOL * abs(lam):
-        raise BranchCut(f"{what} {lam} lies on the negative real axis")
-
-
-def log2(u) -> np.ndarray:
-    """Principal matrix logarithm of a nonsingular 2x2 complex matrix.
-
-    Eigenvalues of the result have imaginary part in (-pi, pi]. An
-    eigenvalue with |l| <= DEFAULT_TOL raises SingularMap; one on the
-    negative real axis raises BranchCut rather than silently picking a sheet.
-    """
-    a = as_operator(u)
-    require_finite(a)
-    lo, hi = eig2(a)
-    for pair in (lo, hi):
-        _require_principal_log(pair.value, "eigenvalue")
-    if lo.degenerate:
-        lam = 0.5 * (lo.value + hi.value)
-        # U = lam I + N with N^2 = 0, so log U = log(lam) I + N / lam.
-        return cmath.log(lam) * IDENTITY2 + (a - lam * IDENTITY2) / lam
-    v = np.column_stack([lo.vector, hi.vector])
-    det_v = complex(v[0, 0]) * complex(v[1, 1]) - complex(v[0, 1]) * complex(v[1, 0])
-    v_inv = np.array([[v[1, 1], -v[0, 1]], [-v[1, 0], v[0, 0]]],
-                     dtype=np.complex128) / det_v
-    return (v * np.array([cmath.log(lo.value), cmath.log(hi.value)])) @ v_inv
-
-
-def pauli_decompose(m) -> tuple[complex, complex, complex, complex]:
-    """Coefficients (a0, ax, ay, az) with M = a0 I + ax sx + ay sy + az sz."""
-    a = as_operator(m)
-    return (complex(0.5 * (a[0, 0] + a[1, 1])),
-            complex(0.5 * (a[0, 1] + a[1, 0])),
-            complex(0.5j * (a[0, 1] - a[1, 0])),
-            complex(0.5 * (a[0, 0] - a[1, 1])))
-
-
-def pauli_compose(a0: complex, ax: complex, ay: complex, az: complex) -> np.ndarray:
-    return a0 * IDENTITY2 + ax * PAULI_X + ay * PAULI_Y + az * PAULI_Z
-
-
-def non_hermiticity(m) -> float:
-    """Normalized Frobenius measure nu = ||M - M^dagger||_F / (2 ||M||_F).
-
-    nu is 0 iff M is Hermitian and 1 iff M is anti-Hermitian; the zero
-    matrix has no defined measure and raises UndefinedMeasure.
-    """
-    a = as_operator(m)
-    require_finite(a)
-    top = max(map(abs, a.ravel().tolist()))
-    if top == 0.0:
-        raise UndefinedMeasure("non-Hermiticity of the zero matrix is undefined")
-    a = a * _pow2_scale(top)
-    return float(np.linalg.norm(a - a.conj().T) / (2.0 * float(np.linalg.norm(a))))

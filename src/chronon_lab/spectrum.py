@@ -18,15 +18,13 @@ The magnitude statements (|lambda|, e-folding times) are convention-free.
 
 from __future__ import annotations
 
-import math
-
 import numpy as np
 
-from .errors import InvalidInput, Lanes, Overflow, SingularMap, UndefinedRatio
+from .errors import InvalidInput, Lanes, Overflow
 from .evolution import (ChrononParams, NATURAL_UNITS, UnitSystem, chronon_step,
                         step_check)
-from .linalg2 import (_pow2_scale, _require_principal_log, as_complex, as_operator,
-                      cdiv, cmul, eig2_stack, is_hermitian)
+from .linalg2 import (_pow2_scale, as_complex, as_operator, cdiv, cmul, eig2_stack,
+                      is_hermitian)
 from .record import Record
 
 CONVENTIONS = ("paper", "standard")
@@ -105,100 +103,6 @@ def im_re_ratio(e) -> tuple[np.ndarray, np.ndarray]:
     e = np.asarray(e)
     with np.errstate(all="ignore"):
         return np.abs(e.imag / e.real), e.real == 0
-
-
-def step_eigenvalue(h: complex, p: ChrononParams,
-                    units: UnitSystem = NATURAL_UNITS) -> complex:
-    """One-step multiplier lambda = 1 - i h (n tau) / hbar of an H-eigenmode."""
-    return complex(step_multipliers(complex(h), p.step(units), units.hbar)[1])
-
-
-def branch_cut_distance(lam: complex) -> float:
-    """Distance from lambda to the principal-log branch cut (-inf, 0]."""
-    lam = complex(lam)
-    if lam.real <= 0:
-        return abs(lam.imag)
-    return abs(lam)
-
-
-def effective_energy_exact(h: complex, p: ChrononParams,
-                           units: UnitSystem = NATURAL_UNITS) -> complex:
-    """Exact effective energy (i hbar / (n tau)) Log(1 - i h n tau / hbar).
-
-    This is the unique complex energy with exp(-i h_eff n tau / hbar) equal
-    to the one-step multiplier and principal-branch phase. For
-    |h| n tau / hbar -> 0 it approaches h + i h^2 n tau / (2 hbar).
-    """
-    y, lam, log_mag = step_multipliers(complex(h), p.step(units), units.hbar)
-    _require_principal_log(complex(lam), "one-step multiplier")
-    return complex(_exact_energies(complex(h), y, lam, log_mag))
-
-
-def effective_energy_first_order(energy: float, p: ChrononParams) -> complex:
-    """First-order effective energy E + i E^2 tau / hbar.
-
-    Uses tau alone (the n multiplier is not applied), and hbar cancels:
-    E + i E (E / p.energy) tau_scale, which neither over- nor underflows
-    where E^2 would; it is exactly E (1 + i) at E = p.energy, tau_scale = 1.
-    """
-    return complex(energy, energy * (energy / p.energy) * p.tau_scale)
-
-
-def efold_time(lambda_step: complex, p: ChrononParams,
-               units: UnitSystem = NATURAL_UNITS) -> float:
-    """Time for the mode magnitude to change by a factor e: n tau / |ln|lambda||.
-
-    +inf when |lambda| = 1 (no magnitude change). Growth vs decay is
-    reported separately by `efold_direction`. This is the e-folding time of
-    a given multiplier; `mode_report` forms ln|lambda| from the step
-    quantities instead (`step_multipliers`), which keeps its digits where
-    |lambda| is close to 1.
-    """
-    mag = abs(complex(lambda_step))
-    if mag == 0.0:
-        raise SingularMap("zero one-step multiplier has no e-folding time")
-    g = math.log(mag)
-    if g == 0.0:
-        return math.inf
-    return p.step(units) / abs(g)
-
-
-def efold_direction(lambda_step: complex) -> int:
-    """+1 if the mode magnitude grows per step, -1 if it decays, 0 if steady."""
-    mag = abs(complex(lambda_step))
-    if mag == 0.0:
-        raise SingularMap("zero one-step multiplier has no direction")
-    return (mag > 1.0) - (mag < 1.0)
-
-
-def imag_real_ratio(mode: ModeRecord, which: str = "exact") -> float:
-    """|Im / Re| of the selected effective energy of a mode."""
-    if which == "exact":
-        e = mode.h_eff_exact
-    elif which == "first_order":
-        e = mode.h_first_order
-    else:
-        raise InvalidInput(f"which must be 'exact' or 'first_order', got {which!r}")
-    ratio, undefined = im_re_ratio(e)
-    if undefined:
-        raise UndefinedRatio("effective energy has zero real part")
-    return float(ratio)
-
-
-def decay_reading(h_eff: complex, convention: str = "paper") -> str:
-    """How a convention reads the sign of Im(h_eff): 'growth', 'decay' or 'steady'.
-
-    With phases e^{-iEt/hbar} ("standard") a positive imaginary part means
-    the amplitude grows; with e^{+iEt/hbar} ("paper") the same sign is read
-    as decay.
-    """
-    if convention not in CONVENTIONS:
-        raise InvalidInput(f"convention must be one of {CONVENTIONS}")
-    im = complex(h_eff).imag
-    if im == 0.0:
-        return "steady"
-    growing = im > 0 if convention == "standard" else im < 0
-    return "growth" if growing else "decay"
 
 
 @np.errstate(all="ignore")  # failed lanes carry nan and inf; their values are not used

@@ -8,23 +8,24 @@ recomputed from their independent derivations next to each use.
 import contextlib
 import math
 import time
+from pathlib import Path
 
 import numpy as np
 
 from chronon_lab.evolution import (ChrononParams, NATURAL_UNITS, TwoState,
                                    discrete_step_operator, evolve,
                                    symmetric_hamiltonian)
-from chronon_lab.kaon import (KaonModel, default_kaon_scales, epsilon_mixing,
-                              width_shift)
+from chronon_lab.kaon import KaonModel, epsilon_mixing, width_shift
 from chronon_lab.linalg2 import PAULI_X, eig2
 from chronon_lab.runner import (ScanSpec, convergence_study, digest_of,
-                                render, run_scan, scan_columns)
-from chronon_lab.spectrum import (effective_energy_first_order, imag_real_ratio,
-                                  mode_report)
+                                kaon_from_config, load_kaon_config, render,
+                                run_scan, scan_columns)
+from chronon_lab.spectrum import im_re_ratio, mode_report
 
 import golden_defs
 
 SIX_DECADES = np.geomspace(1e-3, 1e3, 25)
+CONFIGS = Path(__file__).resolve().parent.parent / "configs"
 
 
 @contextlib.contextmanager
@@ -47,14 +48,16 @@ def test_criterion_1_first_order_formula_fidelity():
     with criterion(1, "first-order energy is E(1+i) at tau = hbar/E", 1.0):
         for e in SIX_DECADES:
             e = float(e)
-            got = effective_energy_first_order(e, ChrononParams(energy=e))
+            # the mode h = +E of the symmetric H
+            spec = mode_report(symmetric_hamiltonian(e), ChrononParams(energy=e))
+            got = spec.modes[1].h_first_order
             want = e * (1 + 1j)
             assert abs(got - want) <= 1e-15 * abs(want)
 
 
 def test_criterion_2_chronon_scale():
     with criterion(2, "kaon-scale chronon is exactly 1e-10 s", 1.0):
-        params, model = default_kaon_scales()
+        model, params = kaon_from_config(load_kaon_config(CONFIGS / "kaon_physical.cfg"))
         assert model.mixing_energy / model.units.hbar == 1.0e10
         assert params.tau(model.units) == 1.0e-10
 
@@ -66,7 +69,8 @@ def test_criterion_3_same_order_ratio():
             spec = mode_report(symmetric_hamiltonian(float(e)),
                                ChrononParams(energy=float(e)))
             for rec in spec.modes:
-                r = imag_real_ratio(rec, "exact")
+                r, undefined = im_re_ratio(rec.h_eff_exact)
+                assert not undefined
                 assert abs(r - want) <= 1e-9
                 assert 0.2 <= r <= 2.0
 

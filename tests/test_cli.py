@@ -327,6 +327,26 @@ def test_kaon_step_count_over_the_cap_exit_code(tmp_path, t_max, tau_scale, coun
     assert (res.returncode, res.stderr, res.stdout) == (2, want, "")
 
 
+@pytest.mark.parametrize("t_max", ["-inf", "nan", "-1", "0"])
+def test_kaon_discrete_t_max_not_positive_exit_code(capsys, tmp_path, t_max):
+    # checked before t_max / (n tau) is formed: -inf made round() raise,
+    # nan and -1 were reported as a step count or a grid mismatch
+    cfg = tmp_path / "model.cfg"
+    cfg.write_text(f"mixing_e = 1.0\nt_max = {t_max}\n", encoding="utf-8")
+    code = main(["kaon", "--config", str(cfg), "--observable", "2pi",
+                 "--engine", "discrete"])
+    out, err = capsys.readouterr()
+    assert (code, err, out) == (2, "error: t_max must be positive and finite\n", "")
+
+
+@pytest.mark.parametrize("engine", ["discrete", "continuous"])
+def test_evolve_t_max_not_positive_exit_code(capsys, engine):
+    code = main(["evolve", "--engine", engine, "--energy", "1", "--t-max", "-1",
+                 "--steps", "4"])
+    out, err = capsys.readouterr()
+    assert (code, err, out) == (2, "error: t_max must be positive and finite\n", "")
+
+
 def test_scan_bad_spec_exit_code(tmp_path):
     spec_path = tmp_path / "spec.json"
     for text in (
@@ -489,6 +509,18 @@ def test_modes_cells_equal_mode_report_scan(capsys, tmp_path, energy, n,
         assert {c: row[c] for c in MODE_FIELDS} == \
             {c: scan[f"mode{k}_{c}"] for c in MODE_FIELDS}
         assert row["nu_nonhermitian"] == scan["nu_nonhermitian"]
+
+
+@pytest.mark.parametrize("tau_scale,convention,want", [
+    ("1", "standard", ("1", "growth")), ("1", "paper", ("1", "decay")),
+    ("1e-9", "paper", ("0", "decay"))])
+def test_modes_direction_and_reading(capsys, tau_scale, convention, want):
+    # direction is the sign of |lambda| - 1 in double precision, which
+    # rounds to 0 at tau_scale 1e-9; reading is the sign of Im h_eff (here
+    # positive) as the convention reads it
+    rows = cli_rows(capsys, "modes", "--energy", "1", "--tau-scale", tau_scale,
+                    "--convention", convention)
+    assert [(row["direction"], row["reading"]) for row in rows] == [want, want]
 
 
 @pytest.mark.parametrize("observable,engine", [

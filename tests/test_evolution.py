@@ -5,12 +5,12 @@ import pytest
 
 from chronon_lab.errors import GridMismatch, InvalidInput, RefusedTooLarge
 from chronon_lab.evolution import (ChrononParams, NATURAL_UNITS, Trajectory,
-                                   TwoState, UnitSystem, continuous_propagator,
-                                   discrete_step_operator, evolve, final_state,
-                                   norm_series, probability_series,
+                                   TwoState, UnitSystem, check_grid,
+                                   continuous_propagator, discrete_step_operator,
+                                   evolve, final_state,
                                    symmetric_hamiltonian)
 from chronon_lab.kaon import KaonModel, kaon_hamiltonian
-from chronon_lab.linalg2 import IDENTITY2, PAULI_X, eig2, is_unitary
+from chronon_lab.linalg2 import DEFAULT_TOL, IDENTITY2, PAULI_X, eig2
 
 SQ2 = math.sqrt(2.0)
 
@@ -69,7 +69,8 @@ def test_continuous_propagator_unitary_property():
     for _ in range(100):
         h = random_hermitian(rng)
         t = rng.uniform(0, 10.0 / np.linalg.norm(h))
-        assert is_unitary(continuous_propagator(h, t))
+        u = continuous_propagator(h, t)
+        assert np.max(np.abs(u @ u.conj().T - IDENTITY2)) <= DEFAULT_TOL
 
 
 def test_continuous_propagator_group_property():
@@ -163,6 +164,14 @@ def test_evolve_rejects_bad_args():
         evolve(PAULI_X, TwoState([1, 0]), "continuous", 1.0, 0)
     with pytest.raises(InvalidInput):
         evolve(PAULI_X, TwoState([1, 0]), "discrete", 1.0, 1, None)
+
+
+@pytest.mark.parametrize("engine", ["discrete", "continuous"])
+@pytest.mark.parametrize("t_max", [0.0, -1.0, math.nan, math.inf, -math.inf])
+def test_check_grid_t_max_not_positive(engine, t_max):
+    # one rule for both engines: a discrete t_max <= 0 is not a grid mismatch
+    with pytest.raises(InvalidInput, match="^t_max must be positive and finite$"):
+        check_grid(engine, t_max, 4, chronon())
 
 
 def test_final_state_continuous_is_last_state_of_evolve():
@@ -263,68 +272,51 @@ def test_discrete_norm_growth_law():
 
 
 # ---------------------------------------------------------------------------
-# series extraction
+# probabilities and norms along a trajectory
+
+def probabilities(traj, direction):
+    """|<direction|state>|^2 at each time, raw (not divided by the norm)."""
+    return np.abs(traj.states @ np.conj(direction)) ** 2
+
 
 def test_probability_series_self_direction_at_t0():
     psi0 = TwoState(np.array([1.0, 1.0]) / SQ2)
     traj = evolve(PAULI_X, psi0, "discrete", 3.0, 3, chronon())
-    series = probability_series(traj, psi0.amplitudes)
-    assert series[0] == (0.0, pytest.approx(psi0.norm_sq))
+    assert traj.times[0] == 0.0
+    assert probabilities(traj, psi0.amplitudes)[0] == pytest.approx(psi0.norm_sq)
     # unnormalized state projected on its own direction reads off norm^2
     big = TwoState(np.array([2.0, 0.0]))
     traj = evolve(PAULI_X, big, "continuous", 1.0, 4)
-    assert probability_series(traj, np.array([1.0, 0.0]))[0][1] == pytest.approx(4.0)
+    assert probabilities(traj, np.array([1.0, 0.0]))[0] == pytest.approx(4.0)
 
 
 def test_probability_series_oscillation_peak():
     steps = 64
     t_max = math.pi
     traj = evolve(PAULI_X, TwoState([1, 0]), "continuous", t_max, steps)
-    series = probability_series(traj, np.array([0, 1]))
     # t = pi/2 sits exactly on the grid at index steps/2
-    t, val = series[steps // 2]
-    assert t == pytest.approx(math.pi / 2)
-    assert val == pytest.approx(1.0, abs=1e-12)
+    assert traj.times[steps // 2] == pytest.approx(math.pi / 2)
+    assert probabilities(traj, np.array([0, 1]))[steps // 2] == pytest.approx(1.0, abs=1e-12)
 
 
 def test_probability_series_orthogonal_to_stationary_mode():
     mode = np.array([1.0, 1.0]) / SQ2       # sx eigenvector
     orth = np.array([1.0, -1.0]) / SQ2
     traj = evolve(PAULI_X, TwoState(mode), "continuous", 2.0, 20)
-    for _, val in probability_series(traj, orth):
+    for val in probabilities(traj, orth):
         assert val == pytest.approx(0.0, abs=1e-14)
-
-
-def test_probability_series_requires_unit_direction():
-    traj = evolve(PAULI_X, TwoState([1, 0]), "continuous", 1.0, 4)
-    with pytest.raises(InvalidInput):
-        probability_series(traj, np.array([1.0, 1.0]))
-
-
-def test_probability_series_normalized_variant():
-    psi0 = TwoState(np.array([1.0, 1.0]) / SQ2)
-    traj = evolve(PAULI_X, psi0, "discrete", 5.0, 5, chronon())
-    raw = probability_series(traj, psi0.amplitudes)
-    normed = probability_series(traj, psi0.amplitudes, normalized=True)
-    norms = traj.norm_sq()
-    for (t, r), (_, n), total in zip(raw, normed, norms):
-        assert n == pytest.approx(r / total)
-    # the eigenmode stays put after normalization
-    for _, n in normed:
-        assert n == pytest.approx(1.0, abs=1e-12)
 
 
 def test_norm_series_constant_for_unitary():
     traj = evolve(PAULI_X, TwoState([1, 0]), "continuous", 4.0, 40)
-    for _, val in norm_series(traj):
+    for val in traj.norm_sq():
         assert val == pytest.approx(1.0, abs=1e-12)
 
 
 def test_norm_series_chronon_doubling():
     psi0 = TwoState(np.array([1.0, 1.0]) / SQ2)
     traj = evolve(PAULI_X, psi0, "discrete", 20.0, 20, chronon())
-    series = norm_series(traj)
-    for k, (_, val) in enumerate(series):
+    for k, val in enumerate(traj.norm_sq()):
         assert val == pytest.approx(2.0 ** k, rel=1e-12)
 
 

@@ -5,13 +5,12 @@ import numpy as np
 import pytest
 
 from chronon_lab.errors import InvalidInput
-from chronon_lab.evolution import (ChrononParams, NATURAL_UNITS, SI_SECONDS,
-                                   TwoState, discrete_step_operator, evolve)
+from chronon_lab.evolution import (ChrononParams, TwoState,
+                                   discrete_step_operator, evolve)
 from chronon_lab.kaon import (CP_TO_FLAVOR, KaonModel, change_basis,
-                              default_kaon_scales, epsilon_mixing,
-                              kaon_hamiltonian, kaon_state, kaon_trajectory,
-                              three_pion_intensity, two_pion_intensity,
-                              width_shift)
+                              epsilon_mixing, kaon_hamiltonian, kaon_state,
+                              kaon_trajectory, three_pion_intensity,
+                              two_pion_intensity, width_shift)
 from chronon_lab.linalg2 import is_hermitian
 
 SQ2 = math.sqrt(2.0)
@@ -88,20 +87,6 @@ def test_kaon_state_conventions():
     np.testing.assert_allclose(kaon_state("K0bar", "flavor"), [0, 1], atol=1e-15)
     with pytest.raises(InvalidInput):
         kaon_state("K3")
-
-
-# ---------------------------------------------------------------------------
-# scales
-
-def test_default_kaon_scales():
-    params, model = default_kaon_scales()
-    assert params.tau(model.units) == 1.0e-10
-    assert model.units is SI_SECONDS
-    assert model.gamma_short == model.gamma_long == 0.0
-    params2, model2 = default_kaon_scales(tau_scale=2.0)
-    assert params2.tau(model2.units) == 2.0e-10
-    # natural-units rescaling of the same chronon relation
-    assert ChrononParams(energy=1.0).tau(NATURAL_UNITS) == 1.0
 
 
 # ---------------------------------------------------------------------------

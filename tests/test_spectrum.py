@@ -4,21 +4,21 @@ import math
 import mpmath
 import numpy as np
 import pytest
+import scipy.linalg
 
-from chronon_lab.errors import (BranchCut, InvalidInput, SingularMap,
-                                UndefinedRatio)
+from chronon_lab.errors import InvalidInput
 from chronon_lab.evolution import (ChrononParams, NATURAL_UNITS, UnitSystem,
                                    discrete_step_operator,
                                    symmetric_hamiltonian)
-from chronon_lab.linalg2 import DEFAULT_TOL, PAULI_X, log2, non_hermiticity
-from chronon_lab.spectrum import (branch_cut_distance, decay_reading,
-                                  effective_energy_exact,
-                                  effective_energy_first_order,
-                                  efold_direction, efold_time,
-                                  imag_real_ratio, mode_report,
-                                  step_eigenvalue)
+from chronon_lab.linalg2 import DEFAULT_TOL, IDENTITY2, PAULI_X
+from chronon_lab.spectrum import im_re_ratio, mode_report
 
 CHRONON_POINT = ChrononParams(energy=1.0)
+
+
+def one_mode(h, p):
+    """The ModeRecord of the continuous energy h: a mode of H = h I."""
+    return mode_report(h * IDENTITY2, p).modes[0]
 
 
 # ---------------------------------------------------------------------------
@@ -26,24 +26,24 @@ CHRONON_POINT = ChrononParams(energy=1.0)
 
 def test_effective_energy_exact_chronon_point():
     # i Log(1 - i) = pi/4 + i ln(sqrt 2), from the scalar log oracle
-    got = effective_energy_exact(1.0, CHRONON_POINT)
+    got = one_mode(1.0, CHRONON_POINT).h_eff_exact
     assert got == pytest.approx(1j * cmath.log(1 - 1j))
     assert got.real == pytest.approx(0.785398, abs=1e-6)
     assert got.imag == pytest.approx(0.346574, abs=1e-6)
 
-    got = effective_energy_exact(-1.0, CHRONON_POINT)
+    got = one_mode(-1.0, CHRONON_POINT).h_eff_exact
     assert got == pytest.approx(1j * cmath.log(1 + 1j))
     assert got.real == pytest.approx(-0.785398, abs=1e-6)
     assert got.imag == pytest.approx(0.346574, abs=1e-6)
 
 
 def test_effective_energy_exact_zero():
-    assert effective_energy_exact(0.0, CHRONON_POINT) == 0.0
+    assert one_mode(0.0, CHRONON_POINT).h_eff_exact == 0.0
 
 
 def test_effective_energy_exact_series_limit():
     p = ChrononParams(energy=1.0, tau_scale=1e-6)
-    got = effective_energy_exact(1.0, p)
+    got = one_mode(1.0, p).h_eff_exact
     assert abs(got - (1 + 0.5e-6j)) / abs(got) < 1e-12
 
 
@@ -58,18 +58,9 @@ def test_effective_energy_exact_series_bound():
                           tau_scale=float(rng.uniform(0.001, 0.1)))
         s = p.step(NATURAL_UNITS)
         assert abs(h) * s <= 0.1 + 1e-12
-        exact = effective_energy_exact(h, p)
+        exact = one_mode(h, p).h_eff_exact
         series = h + 0.5j * h * h * s
         assert abs(exact - series) <= abs(h) * (abs(h) * s) ** 2
-
-
-def test_effective_energy_exact_branch_cut_and_singular():
-    # purely decaying generator eigenvalue h = -i g drives lambda down the
-    # real axis: g step = 1 hits zero, g step = 2 lands on the cut
-    with pytest.raises(SingularMap):
-        effective_energy_exact(-1j, CHRONON_POINT)
-    with pytest.raises(BranchCut):
-        effective_energy_exact(-2j, CHRONON_POINT)
 
 
 def test_consistency_exp_of_h_eff_reproduces_lambda():
@@ -80,8 +71,8 @@ def test_consistency_exp_of_h_eff_reproduces_lambda():
                           n=int(rng.integers(1, 4)),
                           tau_scale=float(rng.uniform(0.05, 2)))
         s = p.step(NATURAL_UNITS)
-        h_eff = effective_energy_exact(h, p)
-        lam = step_eigenvalue(h, p)
+        h_eff = one_mode(h, p).h_eff_exact
+        lam = 1 - 1j * h * s
         assert cmath.exp(-1j * h_eff * s) == pytest.approx(lam, abs=1e-12)
 
 
@@ -89,22 +80,22 @@ def test_consistency_exp_of_h_eff_reproduces_lambda():
 # first-order energy
 
 def test_first_order_energy_is_e_times_one_plus_i():
-    got = effective_energy_first_order(1.0, CHRONON_POINT)
+    got = one_mode(1.0, CHRONON_POINT).h_first_order
     assert got == 1 + 1j
     # tau = hbar/E makes this E(1+i) at any scale
-    got = effective_energy_first_order(2.0, ChrononParams(energy=2.0))
+    got = one_mode(2.0, ChrononParams(energy=2.0)).h_first_order
     assert got == pytest.approx(2 + 2j, rel=1e-15)
 
 
 def test_first_order_energy_continuum_limit():
-    got = effective_energy_first_order(1.0, ChrononParams(energy=1.0, tau_scale=1e-300))
+    got = one_mode(1.0, ChrononParams(energy=1.0, tau_scale=1e-300)).h_first_order
     assert got.real == 1.0
     assert abs(got.imag) < 1e-299
 
 
 def test_first_order_uses_tau_not_n_tau():
     p = ChrononParams(energy=1.0, n=7)
-    assert effective_energy_first_order(1.0, p) == 1 + 1j
+    assert one_mode(1.0, p).h_first_order == 1 + 1j
 
 
 def test_first_order_doubles_the_series_term():
@@ -114,7 +105,7 @@ def test_first_order_doubles_the_series_term():
     for _ in range(50):
         e = float(rng.uniform(0.1, 5))
         p = ChrononParams(energy=e, tau_scale=float(rng.uniform(0.1, 2)))
-        first = effective_energy_first_order(e, p)
+        first = one_mode(e, p).h_first_order
         series_term = 0.5 * e * e * p.tau(NATURAL_UNITS)
         assert first.imag == pytest.approx(2.0 * series_term, rel=1e-14)
 
@@ -136,7 +127,7 @@ def test_mode_report_sigma_x_chronon_point():
     for rec in spec.modes:
         assert rec.step_magnitude == pytest.approx(math.sqrt(2.0))
         # ModeRecord internal consistency
-        lam = step_eigenvalue(rec.h_continuous, CHRONON_POINT)
+        lam = 1 - 1j * rec.h_continuous * CHRONON_POINT.step()
         assert rec.lambda_step == pytest.approx(lam, abs=1e-12)
         assert rec.step_magnitude == pytest.approx(abs(rec.lambda_step), abs=1e-14)
 
@@ -148,8 +139,7 @@ def test_mode_report_zero_hamiltonian():
         assert rec.h_eff_exact == 0.0
         assert rec.efold_time == math.inf
     assert spec.nu_nonhermitian is None
-    with pytest.raises(UndefinedRatio):
-        imag_real_ratio(spec.modes[0])
+    assert im_re_ratio(spec.modes[0].h_eff_exact)[1]  # undefined: Re = 0
 
 
 def test_mode_report_continuum_limit():
@@ -205,9 +195,11 @@ def test_mode_report_nu_matches_log_of_step_map(convention):
         p = ChrononParams(energy=1.0, n=int(rng.integers(1, 4)),
                           tau_scale=float(rng.uniform(0.2, 2.0)))
         units = UnitSystem(hbar=float(rng.uniform(0.5, 2.0)))
-        gen = 1j * units.hbar / p.step(units) * log2(discrete_step_operator(h, p, units))
+        gen = 1j * units.hbar / p.step(units) * scipy.linalg.logm(
+            discrete_step_operator(h, p, units))
+        want = np.linalg.norm(gen - gen.conj().T) / (2 * np.linalg.norm(gen))
         got = mode_report(h, p, units, convention).nu_nonhermitian
-        assert got == pytest.approx(non_hermiticity(gen), rel=1e-13, abs=0)
+        assert got == pytest.approx(want, rel=1e-13, abs=0)
 
 
 @pytest.mark.parametrize("tau_scale", [1.0, 0.1, 1e-3, 1e-6, 1e-9, 1e-12])
@@ -230,31 +222,20 @@ def test_imag_real_ratio_values():
     spec = mode_report(PAULI_X, CHRONON_POINT)
     want = 2 * math.log(2) / math.pi   # (ln2/2)/(pi/4) from the log oracle
     for rec in spec.modes:
-        assert imag_real_ratio(rec, "exact") == pytest.approx(want, abs=1e-9)
-        assert imag_real_ratio(rec, "exact") == pytest.approx(0.441271, abs=1e-6)
-        assert imag_real_ratio(rec, "first_order") == pytest.approx(1.0)
-    with pytest.raises(InvalidInput):
-        imag_real_ratio(spec.modes[0], "resummed")
+        ratio, undefined = im_re_ratio(rec.h_eff_exact)
+        assert not undefined
+        assert ratio == pytest.approx(want, abs=1e-9)
+        assert ratio == pytest.approx(0.441271, abs=1e-6)
+        assert im_re_ratio(rec.h_first_order)[0] == pytest.approx(1.0)
 
 
 def test_ratio_band_scale_invariance():
     for e in np.geomspace(1e-3, 1e3, 13):
         spec = mode_report(PAULI_X * e, ChrononParams(energy=float(e)))
         for rec in spec.modes:
-            r = imag_real_ratio(rec, "exact")
+            r = im_re_ratio(rec.h_eff_exact)[0]
             assert 0.2 <= r <= 2.0
             assert r == pytest.approx(2 * math.log(2) / math.pi, abs=1e-9)
-
-
-def test_efold_time_examples():
-    assert efold_time(1 - 1j, CHRONON_POINT) == pytest.approx(2.885390, abs=1e-6)
-    assert efold_direction(1 - 1j) == 1
-    assert efold_time(cmath.exp(1j * 0.3), CHRONON_POINT) == math.inf
-    assert efold_direction(cmath.exp(1j * 0.3)) == 0
-    assert efold_time(math.exp(-0.5), CHRONON_POINT) == pytest.approx(2.0)
-    assert efold_direction(math.exp(-0.5)) == -1
-    with pytest.raises(SingularMap):
-        efold_time(0.0, CHRONON_POINT)
 
 
 def test_efold_time_is_lifetime_in_chronon_units():
@@ -266,19 +247,3 @@ def test_efold_time_is_lifetime_in_chronon_units():
         for rec in spec.modes:
             assert rec.efold_time == pytest.approx(
                 want_factor * p.tau(NATURAL_UNITS), rel=1e-9)
-
-
-def test_decay_reading_flips_with_convention():
-    assert decay_reading(1 + 1j, "standard") == "growth"
-    assert decay_reading(1 + 1j, "paper") == "decay"
-    assert decay_reading(1 - 1j, "paper") == "growth"
-    assert decay_reading(1.0, "paper") == "steady"
-    with pytest.raises(InvalidInput):
-        decay_reading(1j, "folklore")
-
-
-def test_branch_cut_distance():
-    assert branch_cut_distance(-1 + 0.5j) == pytest.approx(0.5)
-    assert branch_cut_distance(0.3) == pytest.approx(0.3)
-    assert branch_cut_distance(1 + 1j) == pytest.approx(math.sqrt(2))
-    assert branch_cut_distance(-2.0) == 0.0
