@@ -8,7 +8,8 @@ commands are the four benchmark workloads at seed 101, built by
 `perfbench/workloads.py`, every `chronon-lab` line of the README, and a
 `formats` group that renders each scan quantity in the format its workload
 does not use, a scan with InvalidInput rows in both formats, and the
-`evolve` and `kaon --observable 2pi` rows as JSON, and an `errors` group
+`evolve`, `converge` and `kaon` tables in the formats the other groups do
+not use, and an `errors` group
 of malformed inputs, whose exit codes and stderr are compared. Each
 command runs as `python -m chronon_lab` once per tree, in a fresh
 temporary directory holding the workload's spec files and a copy of
@@ -66,8 +67,8 @@ INVALID_SCAN = {
 def formats_group() -> tuple[str, dict[str, str], list[list[str]]]:
     """Every scan quantity in both formats: the scan_modes scan as JSON to
     a file, the pool_kaon scans as CSV to stdout, a scan with InvalidInput
-    rows as both; and the row-dict commands `evolve` and `kaon --observable
-    2pi` as JSON."""
+    rows as both; `evolve` and `converge` (also with invalid rows) as JSON,
+    and each kaon observable in the format the README does not show."""
     files = {"invalid.json": json.dumps(INVALID_SCAN)}
     commands = []
     for name, fmt, to_file in (("scan_modes", "json", True), ("pool_kaon", "csv", False)):
@@ -82,8 +83,14 @@ def formats_group() -> tuple[str, dict[str, str], list[list[str]]]:
         commands.append(["evolve", "--engine", engine, "--energy", "1", "--tau-scale",
                          "0.005", "--t-max", "10", "--steps", "2000", "--psi0", "0.6,0.8j",
                          "--format", "json"])
-    commands.append(["kaon", "--config", "configs/kaon_natural.cfg", "--observable",
-                     "2pi", "--engine", "continuous", "--format", "json"])
+    # at energy 1e300 every composition overflows; at t_max 0 no order is defined
+    for energy, t_max in (("1", "1"), ("1e300", "1"), ("1", "0")):
+        commands.append(["converge", "--energy", energy, "--t-max", t_max, "--m-list",
+                         "4,8,16", "--format", "json"])
+    for observable, fmt in (("2pi", "json"), ("3pi", "json"), ("epsilon", "json"),
+                            ("width-shift", "csv")):
+        commands.append(["kaon", "--config", "configs/kaon_natural.cfg", "--observable",
+                         observable, "--engine", "continuous", "--format", fmt])
     return "formats", files, commands
 
 
@@ -94,7 +101,8 @@ def errors_group() -> tuple[str, dict[str, str | bytes], list[list[str]]]:
     `--format xml`, `evolve` and `kaon --observable 2pi` trajectories of
     1e12 steps, over the row cap, two discrete kaon trajectories whose
     step count t_max / (n tau) is infinite or has 301 digits, three whose
-    t_max is -inf, nan or -1, and a discrete `evolve` with t_max -1."""
+    t_max is -inf, nan or -1, a discrete `evolve` with t_max -1, and
+    `converge` at t_max inf and nan."""
     axis = {"name": "mixing_e", "start": 1.0, "stop": 2.0, "count": 2}
     specs = {
         "not_json": "{not json",
@@ -132,6 +140,8 @@ def errors_group() -> tuple[str, dict[str, str | bytes], list[list[str]]]:
                               "t_max_neg")]
     commands.append(["evolve", "--engine", "discrete", "--energy", "1", "--t-max", "-1",
                      "--steps", "4"])
+    commands += [["converge", "--energy", "1", "--t-max", t_max, "--m-list", "4,8"]
+                 for t_max in ("inf", "nan")]
     return "errors", files, commands
 
 

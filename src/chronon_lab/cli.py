@@ -13,22 +13,17 @@ from __future__ import annotations
 import argparse
 import sys
 
+import numpy as np
+
 from .errors import (USAGE_ERRORS, ChrononLabError, InvalidInput, OnePoint,
                      RefusedTooLarge)
 from .evolution import (DEFAULT_GRID_CAP, ENGINES, TwoState, evolve, require_positive,
                         symmetric_hamiltonian)
 from .kaon import kaon_trajectory, three_pion_intensity, two_pion_intensity
-from .runner import (CONVERGENCE_COLUMNS, MODE_FIELDS, ScanSpec, chronon_of,
-                     convergence_study, emit, emit_with_manifest, kaon_from_config,
-                     load_kaon_config, parse_complex_pair, point_row, run_scan,
-                     scan_columns)
+from .runner import (MODE_FIELDS, ScanSpec, Table, chronon_of, convergence_study, emit,
+                     emit_with_manifest, float_column, kaon_from_config, load_kaon_config,
+                     parse_complex_pair, point_row, run_scan, stack_columns)
 from .spectrum import CONVENTIONS
-
-# MODE_FIELDS ends with the two ratio cells; `modes` puts the readings before them.
-MODES_COLUMNS = ["mode", *MODE_FIELDS[:-2], "direction", "reading",
-                 *MODE_FIELDS[-2:], "nu_nonhermitian"]
-
-EVOLVE_COLUMNS = ["t", "a0_re", "a0_im", "a1_re", "a1_im", "norm2"]
 
 
 def _add_output_args(sub):
@@ -47,21 +42,21 @@ def _cmd_modes(args):
     params = {"energy": args.energy, "n": args.n, "tau_scale": args.tau_scale,
               "hbar": args.hbar, "convention": args.convention}
     cells = point_row("mode_report", params)  # the symmetric H, diag 0
-    rows = []
-    for k in (0, 1):
-        mode = {c: cells[f"mode{k}_{c}"] for c in MODE_FIELDS}
-        # direction: |lambda| grows (1), decays (-1) or is steady (0) per
-        # step. reading: the sign of Im h_eff under the convention, where
-        # "standard" (phases e^{-iEt/hbar}) reads a positive sign as growth
-        # and "paper" (e^{+iEt/hbar}) as decay
-        mag, im = mode["step_mag"], mode["heff_im"]
-        growing = (im > 0) == (args.convention == "standard")
-        rows.append({
-            "mode": k, **mode,
-            "direction": (mag > 1) - (mag < 1),
-            "reading": "steady" if im == 0 else "growth" if growing else "decay",
-            "nu_nonhermitian": cells["nu_nonhermitian"]})
-    return rows, MODES_COLUMNS, {"command": "modes", **params}
+    cols = {c: stack_columns(cells[f"mode{k}_{c}"] for k in (0, 1)) for c in MODE_FIELDS}
+    # direction: |lambda| grows (1), decays (-1) or is steady (0) per step.
+    # reading: the sign of Im h_eff under the convention, where "standard"
+    # (phases e^{-iEt/hbar}) reads a positive sign as growth and "paper"
+    # (e^{+iEt/hbar}) as decay. Both go before the two ratio cells.
+    mags, ims = cols["step_mag"][0].tolist(), cols["heff_im"][0].tolist()
+    growth = args.convention == "standard"
+    ratios = {c: cols.pop(c) for c in MODE_FIELDS[-2:]}
+    table = Table({
+        "mode": [0, 1], **cols,
+        "direction": [(mag > 1) - (mag < 1) for mag in mags],
+        "reading": ["steady" if im == 0 else "growth" if (im > 0) == growth else "decay"
+                    for im in ims],
+        **ratios, "nu_nonhermitian": stack_columns([cells["nu_nonhermitian"]] * 2)})
+    return table, {"command": "modes", **params}
 
 
 def _cmd_evolve(args):
@@ -70,13 +65,13 @@ def _cmd_evolve(args):
     traj = evolve(symmetric_hamiltonian(args.energy), psi0, args.engine,
                   args.t_max, args.steps, p, units)
     a0, a1 = traj.states.T
-    columns = (traj.times, a0.real, a0.imag, a1.real, a1.imag, traj.norm_sq())
-    rows = [dict(zip(EVOLVE_COLUMNS, cells))
-            for cells in zip(*(col.tolist() for col in columns))]
+    table = Table({name: float_column(col) for name, col in (
+        ("t", traj.times), ("a0_re", a0.real), ("a0_im", a0.imag), ("a1_re", a1.real),
+        ("a1_im", a1.imag), ("norm2", traj.norm_sq()))})
     params = {"command": "evolve", "engine": args.engine, "energy": args.energy,
               "n": args.n, "tau_scale": args.tau_scale, "hbar": args.hbar,
               "t_max": args.t_max, "steps": args.steps, "psi0": args.psi0}
-    return rows, EVOLVE_COLUMNS, params
+    return table, params
 
 
 def _cmd_kaon(args):
@@ -106,23 +101,22 @@ def _cmd_kaon(args):
         traj = kaon_trajectory(model, args.engine, t_max, steps, p, cfg["psi0"])
         series = (two_pion_intensity if args.observable == "2pi"
                   else three_pion_intensity)(traj, model)
-        rows = [{"t": t, "rate": v} for t, v in series]
-        return rows, ["t", "rate"], params
+        t, rate = np.array(series).T
+        return Table({"t": float_column(t), "rate": float_column(rate)}), params
 
     # one point of the scan evaluators, raising so that domain errors exit 3
     if args.observable == "epsilon":
-        row = {"engine": args.engine,
-               **point_row("epsilon", {**cfg, "engine": args.engine})}
+        cols = {"engine": [args.engine],
+                **point_row("epsilon", {**cfg, "engine": args.engine})}
     else:  # width-shift (engine-independent)
-        row = point_row("width_shift", cfg)
-    return [row], list(row), params
+        cols = point_row("width_shift", cfg)
+    return Table(cols), params
 
 
 def _cmd_scan(args):
     spec = ScanSpec.from_json_file(args.spec)
-    rows = run_scan(spec, workers=args.workers)
-    params = {"command": "scan", "workers": args.workers, "spec": spec.to_dict()}
-    return rows, scan_columns(spec), params
+    table = run_scan(spec, workers=args.workers)
+    return table, {"command": "scan", "workers": args.workers, "spec": spec.to_dict()}
 
 
 def _cmd_converge(args):
@@ -130,10 +124,10 @@ def _cmd_converge(args):
         m_list = [int(tok) for tok in args.m_list.split(",") if tok.strip()]
     except ValueError as exc:
         raise InvalidInput(f"bad --m-list: {exc}") from exc
-    rows = convergence_study(args.energy, args.t_max, m_list, hbar=args.hbar)
+    table = convergence_study(args.energy, args.t_max, m_list, hbar=args.hbar)
     params = {"command": "converge", "energy": args.energy, "t_max": args.t_max,
               "m_list": m_list, "hbar": args.hbar}
-    return rows, CONVERGENCE_COLUMNS, params
+    return table, params
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -187,11 +181,11 @@ def main(argv=None) -> int:
     parser = build_parser()
     args = parser.parse_args(argv)
     try:
-        rows, columns, params = args.handler(args)
+        table, params = args.handler(args)
         if args.out:
-            emit_with_manifest(rows, args.format, args.out, params, columns)
+            emit_with_manifest(table, args.format, args.out, params)
         else:
-            emit(rows, args.format, None, columns)
+            emit(table, args.format)
     except USAGE_ERRORS as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2

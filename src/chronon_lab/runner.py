@@ -5,12 +5,14 @@ axis order; per-point numeric-domain failures become rows with a non-ok
 status instead of aborting (branch-cut regions are expected and
 interesting). The grid is evaluated in this process, in chunks of
 SCAN_CHUNK points, each a few array operations per quantity (the batched
-evaluators of `QUANTITIES`), and a scan returns a column table. Output
-bytes are deterministic: fixed column order, shortest round-trip float
-formatting, LF line endings, and grid-order emission.
-`render` writes the bytes of csv.writer and json.dumps(indent=2) from text
-columns, in blocks of RENDER_BLOCK rows; each distinct float of a block is
-formatted once, across all of the block's float columns.
+evaluators of `QUANTITIES`). Every command's output is a `Table` of
+columns: float columns as (values, none) arrays, the others as lists of
+str or int cells. Output bytes are deterministic: fixed column order,
+shortest round-trip float formatting, LF line endings, and grid-order
+emission. `render` writes the bytes of csv.writer and json.dumps(indent=2)
+from a table's text columns, in blocks of RENDER_BLOCK rows; each distinct
+float of a block is formatted once, across all of the block's float
+columns.
 """
 
 from __future__ import annotations
@@ -416,12 +418,12 @@ def _evaluate(quantity: str, params: dict, k: int):
 
 
 def point_row(quantity: str, params: dict) -> dict:
-    """The quantity columns of one point, computed by the batched evaluator
-    on one lane; raises the point's error (the CLI's `modes` and `kaon`
-    rows)."""
+    """The quantity columns of one point as (values, none) pairs of one
+    cell, computed by the batched evaluator on one lane; raises the point's
+    error (the CLI's `modes` and `kaon` tables)."""
     cols, lanes = _evaluate(quantity, params, 1)
     lanes.raise_first()
-    return {c: None if none[0] else float(values[0]) for c, (values, none) in cols.items()}
+    return cols
 
 
 def evaluate_point(quantity: str, params: dict) -> dict:
@@ -431,8 +433,7 @@ def evaluate_point(quantity: str, params: dict) -> dict:
     the error class name, value columns stay empty).
     """
     try:
-        row = point_row(quantity, params)
-        row["status"] = "ok"
+        row = Table({**point_row(quantity, params), "status": ["ok"]})[0]
     except ChrononLabError as exc:
         row = {col: None for col in QUANTITY_COLUMNS[quantity]}
         row["status"] = type(exc).__name__
@@ -442,43 +443,45 @@ def evaluate_point(quantity: str, params: dict) -> dict:
 # ---------------------------------------------------------------------------
 # scan driver
 
-def scan_columns(spec: ScanSpec) -> list[str]:
-    return [ax.name for ax in spec.grid] + QUANTITY_COLUMNS[spec.quantity] + ["status"]
+class Table:
+    """An output table: named columns of equal length, in output order.
 
-
-class ScanTable:
-    """The result of `run_scan`: one array per column, rows made on demand.
-
-    len() is the number of grid points. Iterating or indexing gives row
-    dicts (the axis values, the quantity cells with None where undefined,
-    and `status`), as a list of rows would; `block(c, start, stop)` gives a
-    slice of column c, which is how `render` reads it.
+    A float column is a (values, none) pair of arrays, `none` marking the
+    cells that are None; any other column is a list of str or int cells.
+    len() is the row count. Iterating or indexing gives row dicts, as a
+    list of rows would (a slice gives a list of them); `block(c, start,
+    stop)` gives a slice of column c, which is how `render` reads it.
     """
 
-    def __init__(self, columns: dict, status: np.ndarray):
-        self._columns = columns  # name -> (values, none) arrays
-        self._status = status
+    def __init__(self, columns: dict):
+        self.columns = columns
 
     def __len__(self) -> int:
-        return len(self._status)
+        col = next(iter(self.columns.values()), [])
+        return len(col[0] if isinstance(col, tuple) else col)
 
     def block(self, c: str, start: int, stop: int):
-        """Rows start .. stop of column c: the status cells as a list, a
-        value column as its (values, none) arrays."""
-        if c == "status":
-            return self._status[start:stop].tolist()
-        if c not in self._columns:
-            return [None] * len(self._status[start:stop])
-        return tuple(a[start:stop] for a in self._columns[c])
+        col = self.columns[c]
+        return tuple(a[start:stop] for a in col) if isinstance(col, tuple) else col[start:stop]
 
-    def __getitem__(self, i: int) -> dict:
-        row = {c: None if none[i] else float(values[i])
-               for c, (values, none) in self._columns.items()}
-        row["status"] = self._status[i]
-        return row
+    def __getitem__(self, i):
+        if isinstance(i, slice):
+            return [self[j] for j in range(len(self))[i]]
+        return {c: (None if col[1][i] else float(col[0][i])) if isinstance(col, tuple)
+                else col[i] for c, col in self.columns.items()}
 
     def __iter__(self):
         return (self[i] for i in range(len(self)))
+
+
+def float_column(values: np.ndarray) -> tuple:
+    """The (values, none) pair of a float column without None cells."""
+    return values, np.zeros(len(values), dtype=bool)
+
+
+def stack_columns(pairs) -> tuple:
+    """One (values, none) column of the rows of the columns `pairs`, in order."""
+    return tuple(map(np.concatenate, zip(*pairs)))
 
 
 def evaluate_chunk(quantity: str, fixed: dict, names: list, values: list):
@@ -492,7 +495,7 @@ def evaluate_chunk(quantity: str, fixed: dict, names: list, values: list):
     return cols, lanes.status()
 
 
-def run_scan(spec: ScanSpec, workers: int = 1) -> ScanTable:
+def run_scan(spec: ScanSpec, workers: int = 1) -> Table:
     """Evaluate the grid in row-major axis order, in chunks of SCAN_CHUNK
     points, in this process; `workers` must be at least 1 and changes nothing."""
     if workers < 1:
@@ -507,22 +510,19 @@ def run_scan(spec: ScanSpec, workers: int = 1) -> ScanTable:
     results = [evaluate_chunk(spec.quantity, spec.fixed, names,
                               [g[i:i + SCAN_CHUNK] for g in grid])
                for i in range(0, total, SCAN_CHUNK)]
-    columns = {name: (g, np.zeros(total, dtype=bool)) for name, g in zip(names, grid)}
+    columns = {name: float_column(g) for name, g in zip(names, grid)}
     for c in QUANTITY_COLUMNS[spec.quantity]:
-        columns[c] = tuple(np.concatenate(parts)
-                           for parts in zip(*(cols[c] for cols, _ in results)))
-    return ScanTable(columns, np.concatenate([status for _, status in results]))
+        columns[c] = stack_columns(cols[c] for cols, _ in results)
+    columns["status"] = np.concatenate([status for _, status in results]).tolist()
+    return Table(columns)
 
 
 # ---------------------------------------------------------------------------
 # convergence study
 
-CONVERGENCE_COLUMNS = ["m", "max_entry_error", "observed_order", "status"]
-
-
-def convergence_study(energy: float, t_max: float, m_list,
-                      hbar: float = 1.0) -> list[dict]:
-    """Error of the m-fold composed step map against the exact propagator.
+def convergence_study(energy: float, t_max: float, m_list, hbar: float = 1.0) -> Table:
+    """Error of the m-fold composed step map against the exact propagator:
+    a table of m, max_entry_error, observed_order and status.
 
     observed_order between consecutive valid rows is
     log(err_prev / err) / log(m / m_prev), ~1 for this forward-difference
@@ -534,55 +534,40 @@ def convergence_study(energy: float, t_max: float, m_list,
         raise InvalidInput("m_list names no step count")
     if any(m < 2 for m in m_list) or m_list != sorted(m_list):
         raise InvalidInput("m_list must be ascending integers >= 2")
+    if not math.isfinite(t_max):
+        raise InvalidInput("t_max must be finite")
     units = UnitSystem(hbar=hbar)
     h = symmetric_hamiltonian(energy)
     target = continuous_propagator(h, t_max, units)
-    rows = []
+    k = len(m_list)
+    err, order = np.zeros(k), np.zeros(k)
+    invalid, no_order = np.ones(k, dtype=bool), np.ones(k, dtype=bool)
     prev = None  # (m, err) of the last valid row
-    for m in m_list:
+    for i, m in enumerate(m_list):
         dt = t_max / m
         u = np.eye(2, dtype=np.complex128) - (1j * dt / hbar) * h
-        composed = np.linalg.matrix_power(u, m)
+        with np.errstate(over="ignore", invalid="ignore"):  # an overflow is an invalid row
+            composed = np.linalg.matrix_power(u, m)
         if not np.all(np.isfinite(composed)):
-            rows.append({"m": m, "max_entry_error": None,
-                         "observed_order": None, "status": "invalid"})
             continue
-        err = float(np.max(np.abs(composed - target)))
-        order = None
-        if prev is not None and err > 0 and prev[1] > 0 and m != prev[0]:
-            order = math.log(prev[1] / err) / math.log(m / prev[0])
-        rows.append({"m": m, "max_entry_error": err,
-                     "observed_order": order, "status": "ok"})
-        prev = (m, err)
-    return rows
+        err[i] = e = float(np.max(np.abs(composed - target)))
+        invalid[i] = False
+        if prev is not None and e > 0 and prev[1] > 0 and m != prev[0]:
+            order[i] = math.log(prev[1] / e) / math.log(m / prev[0])
+            no_order[i] = False
+        prev = (m, e)
+    return Table({"m": m_list, "max_entry_error": (err, invalid),
+                  "observed_order": (order, no_order),
+                  "status": ["invalid" if x else "ok" for x in invalid.tolist()]})
 
 
 # ---------------------------------------------------------------------------
 # emission and manifests
 
-def _value(x):
-    """The value rule of both formats: None, bool, int and str as they are
-    (NumPy bools and ints as Python ones); a float with -0.0 folded to 0.0,
-    or 'inf', '-inf' or 'nan' if it is not finite (which keeps the JSON
-    strictly valid)."""
-    if x is None or isinstance(x, str):
-        return x
-    if isinstance(x, (bool, np.bool_)):
-        return bool(x)
-    if isinstance(x, (int, np.integer)):
-        return int(x)
-    x = float(x)
-    if x - x == 0.0:
-        return x + 0.0
-    return "nan" if x != x else ("inf" if x > 0 else "-inf")
-
-
 def _csv_text(v) -> str:
-    """The CSV field of a value of `_value`, as csv.writer writes it with
-    QUOTE_MINIMAL: None empty, a float by its shortest round-trip repr, and
-    a string with ',', '"' or a newline in quotes, its quotes doubled."""
-    if v is None:
-        return ""
+    """The CSV field of a str or int cell, as csv.writer writes it with
+    QUOTE_MINIMAL: a string with ',', '"' or a newline in quotes, its
+    quotes doubled."""
     if not isinstance(v, str):
         return str(v)
     if "," in v or '"' in v or "\n" in v:
@@ -591,42 +576,29 @@ def _csv_text(v) -> str:
 
 
 def _json_text(v) -> str:
-    """The JSON text of a value of `_value`, as json.dumps writes it."""
-    if v is None:
-        return "null"
-    if isinstance(v, str):
-        return encode_basestring_ascii(v)
-    if type(v) is bool:
-        return "true" if v else "false"
-    return repr(v)
+    """The JSON text of a str or int cell, as json.dumps writes it."""
+    return encode_basestring_ascii(v) if isinstance(v, str) else str(v)
 
 
 def _column(cells: list, fmt: str) -> list[str]:
-    """The texts of a column of cells in format `fmt` (the header, and a
-    block's columns that are not float arrays): each cell made a value by
-    `_value` and then text by the format's rule.
-
-    A column of strings only (the header, a ScanTable's status column) is
-    made text once per distinct string. Other columns are not memoized by
-    value: True, 1 and 1.0 are one dict key but three texts.
-    """
+    """The texts in format `fmt` of a column of str and int cells (the
+    header, and a table's columns that are not float columns), each
+    distinct cell made text once."""
     text = _csv_text if fmt == "csv" else _json_text
-    if set(map(type, cells)) == {str}:
-        texts = {c: text(c) for c in set(cells)}
-        return list(map(texts.__getitem__, cells))
-    return list(map(text, map(_value, cells)))
+    texts = {c: text(c) for c in set(cells)}
+    return list(map(texts.__getitem__, cells))
 
 
 def _block_texts(cols: list, fmt: str) -> list[list[str]]:
-    """The texts of one block's columns, from `_block_columns`, in `fmt`.
+    """The texts of one block's columns, from `Table.block`, in `fmt`.
 
     The float columns, (values, none) pairs, are formatted together: each
     distinct value of the block, after -0.0 is folded to 0.0, once by its
     shortest round-trip repr (repeats are common: axis values, and cells
     that two modes share); a value that is not finite gives 'inf', '-inf'
-    or 'nan', quoted in JSON, and a cell marked in `none` the text of None.
-    Any other column is made text by `_column`. Both give the text of the
-    same value.
+    or 'nan', quoted in JSON (which keeps the JSON strictly valid), and a
+    cell marked in `none` the text of None. Any other column is made text
+    by `_column`.
     """
     floats = [col for col in cols if isinstance(col, tuple)]
     float_texts = iter(())
@@ -646,23 +618,6 @@ def _block_texts(cols: list, fmt: str) -> list[list[str]]:
             for col in cols]
 
 
-def _block_columns(rows, columns: list[str], start: int) -> list:
-    """The columns of rows start .. start + RENDER_BLOCK, for `_block_texts`:
-    a ScanTable's float columns and each all-float column of row dicts as
-    (values, none) arrays, the others as lists of cells."""
-    stop = start + RENDER_BLOCK
-    if isinstance(rows, ScanTable):
-        return [rows.block(c, start, stop) for c in columns]
-    block = rows[start:stop]
-    cols = []
-    for c in columns:
-        cells = [row.get(c) for row in block]
-        if set(map(type, cells)) == {float}:
-            cells = (np.array(cells), np.zeros(len(cells), dtype=bool))
-        cols.append(cells)
-    return cols
-
-
 def _csv_rows(texts: list[list[str]]) -> bytes:
     """The CSV lines of the rows whose column texts are `texts`."""
     if len(texts) == 1:  # csv.writer writes a lone empty field as ""
@@ -670,11 +625,10 @@ def _csv_rows(texts: list[list[str]]) -> bytes:
     return ("\n".join(map(",".join, zip(*texts))) + "\n").encode("utf-8")
 
 
-def render(rows: list[dict] | ScanTable, fmt: str = "csv",
-           columns: list[str] | None = None) -> bytes:
-    """Serialize rows (row dicts or a ScanTable) to CSV (RFC 4180, LF
-    endings, the bytes of csv.writer) or JSON (the bytes of
-    json.dumps(indent=2) plus a newline).
+def render(rows: Table, fmt: str = "csv") -> bytes:
+    """Serialize a table to CSV (RFC 4180, LF endings, the bytes of
+    csv.writer) or JSON (the bytes of json.dumps(indent=2) plus a newline),
+    its columns in the table's order.
 
     The rows are taken RENDER_BLOCK at a time, so that only one block's
     cells and texts are held beside the output: `_block_texts` makes the
@@ -682,29 +636,25 @@ def render(rows: list[dict] | ScanTable, fmt: str = "csv",
     and rows are joined from them with ',' (CSV) or one row template of the
     indented JSON layout. The header's texts come from `_column`.
     """
-    if columns is None:
-        if not rows:
-            raise InvalidInput("empty row set needs an explicit column list")
-        columns = list(rows[0].keys())
     if fmt not in ("csv", "json"):
         raise InvalidInput(f"format must be csv or json, got {fmt!r}")
-    starts = range(0, len(rows) if columns else 0, RENDER_BLOCK)
+    columns = list(rows.columns)
+    starts = range(0, len(rows), RENDER_BLOCK)
+    blocks = (_block_texts([rows.block(c, start, start + RENDER_BLOCK) for c in columns], fmt)
+              for start in starts)
     out = io.BytesIO()
     if fmt == "csv":
-        out.write(_csv_rows([[t] for t in _column(list(columns), fmt)]))
-        for start in starts:
-            out.write(_csv_rows(_block_texts(_block_columns(rows, columns, start), fmt)))
+        out.write(_csv_rows([[t] for t in _column(columns, fmt)]))
+        for texts in blocks:
+            out.write(_csv_rows(texts))
         return out.getvalue()
     if not starts:
         return b"[]\n"
-    # json.dumps writes a repeated key once, at its first place
-    columns = list(dict.fromkeys(columns))
     template = "  {\n" + ",\n".join(
         f"    {encode_basestring_ascii(c).replace('%', '%%')}: %s" for c in columns) + "\n  }"
-    for start in starts:
-        texts = zip(*_block_texts(_block_columns(rows, columns, start), fmt))
+    for start, texts in zip(starts, blocks):
         out.write(b",\n" if start else b"[\n")
-        out.write(",\n".join(map(template.__mod__, texts)).encode("utf-8"))
+        out.write(",\n".join(map(template.__mod__, zip(*texts))).encode("utf-8"))
     out.write(b"\n]\n")
     return out.getvalue()
 
@@ -713,13 +663,12 @@ def digest_of(data: bytes) -> str:
     return hashlib.sha256(data).hexdigest()
 
 
-def emit(rows: list[dict], fmt: str = "csv", destination=None,
-         columns: list[str] | None = None) -> bytes:
-    """Render and write rows; returns the bytes written.
+def emit(rows: Table, fmt: str = "csv", destination=None) -> bytes:
+    """Render and write a table; returns the bytes written.
 
     destination None writes the bytes to stdout; a path-like writes the file.
     """
-    data = render(rows, fmt, columns)
+    data = render(rows, fmt)
     if destination is None:
         if hasattr(sys.stdout, "buffer"):  # not an io.StringIO
             sys.stdout.flush()
@@ -757,10 +706,9 @@ def manifest_path_for(out_path) -> Path:
     return out.with_name(out.name + ".manifest.json")
 
 
-def emit_with_manifest(rows: list[dict], fmt: str, out_path, parameters: dict,
-                       columns: list[str] | None = None) -> RunManifest:
-    """Write rows to out_path plus `<out>.manifest.json` beside it."""
-    data = emit(rows, fmt, out_path, columns)
+def emit_with_manifest(rows: Table, fmt: str, out_path, parameters: dict) -> RunManifest:
+    """Write a table to out_path plus `<out>.manifest.json` beside it."""
+    data = emit(rows, fmt, out_path)
     manifest = build_manifest(parameters, {Path(out_path).name: digest_of(data)})
     manifest_path_for(out_path).write_text(manifest.to_json(), encoding="utf-8")
     return manifest

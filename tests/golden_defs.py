@@ -6,9 +6,7 @@ acceptance suite (to regenerate and byte-compare).
 
 from pathlib import Path
 
-from chronon_lab.runner import (CONVERGENCE_COLUMNS, ScanSpec,
-                                convergence_study, render, run_scan,
-                                scan_columns)
+from chronon_lab.runner import ScanSpec, convergence_study, render, run_scan
 
 GOLDEN_DIR = Path(__file__).parent / "golden"
 
@@ -30,18 +28,15 @@ CONVERGE_M_LIST = [2 ** k for k in range(4, 13)]
 
 
 def ratio_scan_bytes() -> bytes:
-    spec = ScanSpec.from_dict(RATIO_SCAN)
-    return render(run_scan(spec), "csv", scan_columns(spec))
+    return render(run_scan(ScanSpec.from_dict(RATIO_SCAN)), "csv")
 
 
 def width_shift_bytes() -> bytes:
-    spec = ScanSpec.from_dict(WIDTH_SHIFT_POINT)
-    return render(run_scan(spec), "csv", scan_columns(spec))
+    return render(run_scan(ScanSpec.from_dict(WIDTH_SHIFT_POINT)), "csv")
 
 
 def converge_bytes() -> bytes:
-    rows = convergence_study(1.0, 1.0, CONVERGE_M_LIST)
-    return render(rows, "csv", CONVERGENCE_COLUMNS)
+    return render(convergence_study(1.0, 1.0, CONVERGE_M_LIST), "csv")
 
 
 GOLDEN_BUILDERS = {

@@ -19,7 +19,7 @@ from chronon_lab.kaon import KaonModel, epsilon_mixing, width_shift
 from chronon_lab.linalg2 import PAULI_X, eig2
 from chronon_lab.runner import (ScanSpec, convergence_study, digest_of,
                                 kaon_from_config, load_kaon_config, render,
-                                run_scan, scan_columns)
+                                run_scan)
 from chronon_lab.spectrum import im_re_ratio, mode_report
 
 import golden_defs
@@ -168,9 +168,8 @@ def test_criterion_10_width_shift_oracle_point():
 def test_criterion_11_determinism_and_goldens():
     with criterion(11, "byte-identical scans across workers; goldens match", 10.0):
         spec = ScanSpec.from_dict(golden_defs.RATIO_SCAN)
-        cols = scan_columns(spec)
-        serial = render(run_scan(spec, workers=1), "csv", cols)
-        parallel = render(run_scan(spec, workers=3), "csv", cols)
+        serial = render(run_scan(spec, workers=1), "csv")
+        parallel = render(run_scan(spec, workers=3), "csv")
         assert serial == parallel
         assert digest_of(serial) == digest_of(parallel)
 

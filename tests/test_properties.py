@@ -12,8 +12,8 @@ from hypothesis import given, settings, strategies as st
 
 from chronon_lab import runner
 from chronon_lab.evolution import ChrononParams, symmetric_hamiltonian
-from chronon_lab.runner import (QUANTITY_COLUMNS, ScanTable, evaluate_chunk,
-                                evaluate_point, render)
+from chronon_lab.runner import (QUANTITY_COLUMNS, Table, evaluate_chunk, evaluate_point,
+                                render)
 from chronon_lab.spectrum import mode_report
 
 # derandomized: the same examples on every run, and no example database
@@ -207,25 +207,33 @@ floats = st.one_of(st.sampled_from(SPECIAL_FLOATS), st.floats())
 texts = st.text(st.one_of(st.sampled_from([ch for ch in ',"\n\r %é\u2028'
                                            if ch not in CSV_UNSTABLE]),
                           st.characters(exclude_characters=CSV_UNSTABLE)), max_size=6)
-cells = st.one_of(st.none(), st.booleans(), st.integers(-2 ** 70, 2 ** 70), floats, texts,
-                  st.builds(np.float64, floats), st.builds(np.int64, st.integers(-9, 9)),
-                  st.builds(np.bool_, st.booleans()))
+# the cells of a table's columns: a float column's cells are a float or None
+COLUMN_CELLS = {"float": st.one_of(st.none(), floats), "int": st.integers(-2 ** 70, 2 ** 70),
+                "str": texts}
+
+
+def table_of(rows: list[dict], kinds: dict) -> Table:
+    """The table of the row dicts `rows`, whose columns are of `kinds`: a
+    float column as (values, none) arrays, the others as lists of cells."""
+    columns = {}
+    for c, kind in kinds.items():
+        cells = [row[c] for row in rows]
+        columns[c] = cells if kind != "float" else (
+            np.array([0.0 if x is None else x for x in cells], dtype=float),
+            np.array([x is None for x in cells], dtype=bool))
+    return Table(columns)
 
 
 def oracle_value(x):
-    """The value rule, written out: NumPy scalars as Python ones, -0.0 as
-    0.0, a float that is not finite as 'inf', '-inf' or 'nan'."""
-    if isinstance(x, (bool, np.bool_)):
-        return bool(x)
-    if isinstance(x, (int, np.integer)):
-        return int(x)
+    """The value rule, written out: -0.0 as 0.0, a float that is not finite
+    as 'inf', '-inf' or 'nan'."""
     if isinstance(x, float):
-        return x + 0.0 if math.isfinite(x) else str(float(x))
+        return x + 0.0 if math.isfinite(x) else str(x)
     return x
 
 
 def oracle(rows, fmt, columns):
-    values = [[oracle_value(row.get(c)) for c in columns] for row in rows]
+    values = [[oracle_value(row[c]) for c in columns] for row in rows]
     if fmt == "json":
         return (json.dumps([dict(zip(columns, v)) for v in values], indent=2)
                 + "\n").encode("utf-8")
@@ -236,92 +244,84 @@ def oracle(rows, fmt, columns):
     return buf.getvalue().encode("utf-8")
 
 
-def render_in_blocks(rows, fmt, columns, block):
+def render_in_blocks(table, fmt, block):
     saved = runner.RENDER_BLOCK
     runner.RENDER_BLOCK = block
     try:
-        return render(rows, fmt, columns)
+        return render(table, fmt)
     finally:
         runner.RENDER_BLOCK = saved
 
 
 @PROPERTY
 @given(columns=st.lists(st.one_of(st.sampled_from(["a", "", 'b,"%s']), texts),
-                        min_size=1, max_size=4),
-       float_columns=st.lists(st.booleans(), min_size=4, max_size=4),
+                        min_size=1, max_size=4, unique=True),
+       kinds=st.lists(st.sampled_from(list(COLUMN_CELLS)), min_size=4, max_size=4),
        data=st.data(), fmt=st.sampled_from(["csv", "json"]),
        block=st.sampled_from([1, 2, 1024]))
-def test_render_equals_the_stdlib_writers(columns, float_columns, data, fmt, block):
-    # a float column has a Python float in every row (the float path of
-    # render); any other column draws any cells, and a row may lack it.
-    # One-column tables, zero rows and repeated column names included.
-    floats_in = {c: floats for c, f in zip(columns, float_columns) if f}
-    cells_in = {c: cells for c in columns if c not in floats_in}
-    rows = data.draw(st.lists(st.fixed_dictionaries(floats_in, optional=cells_in), max_size=5))
-    assert render_in_blocks(rows, fmt, columns, block) == oracle(rows, fmt, columns)
+def test_render_equals_the_stdlib_writers(columns, kinds, data, fmt, block):
+    # float columns with None cells and int and str columns, in any order;
+    # one-column tables and zero rows included
+    kinds = dict(zip(columns, kinds))
+    rows = data.draw(st.lists(st.fixed_dictionaries(
+        {c: COLUMN_CELLS[kind] for c, kind in kinds.items()}), max_size=5))
+    table = table_of(rows, kinds)
+    assert render_in_blocks(table, fmt, block) == oracle(rows, fmt, columns)
 
 
 @pytest.mark.parametrize("text,want", [("x\ry", b"a\nx\ry\n"), ("p\0q", b"a\np\x00q\n")])
 def test_render_writes_cr_and_nul_bare(text, want):
     # whatever the running interpreter's csv rules, a CSV field holding \r
     # or NUL is written unquoted
-    assert render([{"a": text}], "csv", ["a"]) == want
+    assert render(Table({"a": [text]}), "csv") == want
 
 
 @PROPERTY
 @given(k=st.integers(1, 7), data=st.data(), fmt=st.sampled_from(["csv", "json"]),
-       block=st.sampled_from([1, 3, 1024]))
+       block=st.sampled_from([1, 2, 1024]))
 def test_scan_table_renders_like_its_rows(k, data, fmt, block):
-    # few distinct values, so that render formats repeats from its memo
-    pool = st.sampled_from(SPECIAL_FLOATS + [0.1, 7.0])
-    names = ["a", "b", "c"]
-    columns = {c: (np.array(data.draw(st.lists(pool, min_size=k, max_size=k))),
-                   np.array(data.draw(st.lists(st.booleans(), min_size=k, max_size=k))))
-               for c in names}
-    status = np.array(data.draw(st.lists(st.sampled_from(["ok", "Overflow"]),
-                                         min_size=k, max_size=k)))
-    table = ScanTable(columns, status)
-    for cols in (names + ["status"], ["b"], ["missing", "a"]):
-        want = oracle(list(table), fmt, cols)
-        assert render_in_blocks(table, fmt, cols, block) == want
-        assert render_in_blocks(list(table), fmt, cols, block) == want
+    # a scan's table: float columns and a status column. Few distinct
+    # values, so that render formats repeats from its memo; the table's
+    # rows are its row dicts
+    pool = st.one_of(st.none(), st.sampled_from(SPECIAL_FLOATS + [0.1, 7.0]))
+    kinds = {"a": "float", "b": "float", "c": "float", "status": "str"}
+    rows = data.draw(st.lists(st.fixed_dictionaries(
+        {"a": pool, "b": pool, "c": pool, "status": st.sampled_from(["ok", "Overflow"])}),
+        min_size=k, max_size=k))
+    table = table_of(rows, kinds)
+    assert len(table) == k
+    # repr, as nan != nan; the row dict's keys in column order
+    assert [repr(row) for row in table] == [repr({c: row[c] for c in kinds}) for row in rows]
+    assert render_in_blocks(table, fmt, block) == oracle(rows, fmt, list(kinds))
 
 
 NAN, INF = math.nan, math.inf
 # one block of six rows: 1.5 in a, b and c under three None masks; nan, inf,
 # -inf, -0.0 and 0.0 each in several columns; c is finite throughout, so a
-# JSON block mixes finite and non-finite columns
+# JSON block mixes finite and non-finite columns. The int and str columns
+# repeat their cells, the quoted string among them.
 SHARED_BLOCK = {
     "a": ([1.5, NAN, -0.0, INF, 2.0, -INF], [0, 1, 0, 0, 1, 0]),
     "b": ([1.5, 1.5, 0.0, -INF, NAN, INF], [1, 0, 0, 0, 0, 1]),
     "c": ([0.1, 1.5, 7.0, 2.0, 0.1, 1.5], [0, 0, 0, 0, 0, 0]),
     "d": ([-0.0, INF, NAN, 0.0, -INF, NAN], [0, 0, 1, 0, 0, 0]),
 }
+SHARED_TEXT = {"m": [1, 0, 1, -1, 0, 2 ** 70],
+               "status": ["ok", "Overflow", 'a,"b', "ok", "", 'a,"b']}
 
 
 @pytest.mark.parametrize("fmt", ["csv", "json"])
-@pytest.mark.parametrize("block", [1, 256])
+@pytest.mark.parametrize("block", [1, 2, 256])
 def test_render_formats_a_block_across_its_columns(fmt, block):
     # render formats each distinct float of a block once for all its float
-    # columns: every cell still gets the text of its own value, or None's
-    table = ScanTable({c: (np.array(v), np.array(none, dtype=bool))
-                       for c, (v, none) in SHARED_BLOCK.items()},
-                      np.array(["ok", "Overflow", "ok", "ok", "InvalidInput", "ok"]))
-    names = ["status", *SHARED_BLOCK, "a"]
-    # the table's rows hold None, so only c is a float column among them;
-    # without the masks every column is
-    unmasked = [{c: v[i] for c, (v, _) in SHARED_BLOCK.items()} for i in range(6)]
-    for rows in (table, list(table), unmasked):
-        want = oracle(list(rows), fmt, names)
-        assert render_in_blocks(rows, fmt, names, block) == want
-
-
-@pytest.mark.parametrize("fmt", ["csv", "json"])
-def test_render_keeps_equal_values_of_other_types_apart(fmt):
-    # True == 1 == 1.0 and False == 0 == -0.0, yet each has its own text; a
-    # column of strings only is made text once per distinct string
-    mixed = [True, 1, 1.0, 0, -0.0, False, None, "ok"]
-    status = ["ok", "Overflow", "ok", 'a,"b', "ok", "", "Overflow", "ok"]
-    rows = [{"x": x, "status": s} for x, s in zip(mixed, status)]
-    for columns in (["x", "status"], ["status"]):
-        assert render(rows, fmt, columns) == oracle(rows, fmt, columns)
+    # columns, and each distinct cell of another column once: every cell
+    # still gets the text of its own value, or None's
+    columns = {"status": SHARED_TEXT["status"],
+               **{c: (np.array(v), np.array(none, dtype=bool))
+                  for c, (v, none) in SHARED_BLOCK.items()},
+               "m": SHARED_TEXT["m"]}
+    rows = [{"status": SHARED_TEXT["status"][i],
+             **{c: None if none[i] else v[i] for c, (v, none) in SHARED_BLOCK.items()},
+             "m": SHARED_TEXT["m"][i]} for i in range(6)]
+    want = oracle(rows, fmt, list(columns))
+    assert render_in_blocks(Table(columns), fmt, block) == want

@@ -14,12 +14,12 @@ from chronon_lab.evolution import (ChrononParams, TwoState, UnitSystem,
                                    continuous_propagator, discrete_step_operator,
                                    evolve, symmetric_hamiltonian)
 from chronon_lab.kaon import KaonModel, kaon_hamiltonian
-from chronon_lab.runner import (ScanAxis, ScanSpec, build_manifest,
+from chronon_lab.runner import (ScanAxis, ScanSpec, Table, build_manifest,
                                 convergence_study, digest_of,
                                 emit_with_manifest, evaluate_point,
                                 kaon_from_config, load_kaon_config,
                                 manifest_path_for, parse_complex_pair, render,
-                                run_scan, scan_columns)
+                                run_scan)
 
 import golden_defs
 
@@ -172,9 +172,8 @@ def test_scan_parallel_serial_equivalence():
     spec = ratio_scan_spec()
     serial = run_scan(spec, workers=1)
     parallel = run_scan(spec, workers=3)
-    cols = scan_columns(spec)
-    assert render(serial, "csv", cols) == render(parallel, "csv", cols)
-    assert render(serial, "json", cols) == render(parallel, "json", cols)
+    assert render(serial, "csv") == render(parallel, "csv")
+    assert render(serial, "json") == render(parallel, "json")
 
 
 def test_trajectory_observable_quantity():
@@ -382,48 +381,75 @@ def test_convergence_study_validates_m_list():
         convergence_study(1.0, 1.0, [1, 2])
 
 
+@pytest.mark.parametrize("t_max", [math.inf, -math.inf, math.nan])
+def test_convergence_study_t_max_not_finite(t_max):
+    with pytest.raises(InvalidInput, match="^t_max must be finite$"):
+        convergence_study(1.0, t_max, [4, 8])
+
+
+def test_convergence_study_overflow_rows_do_not_warn():
+    # the composition overflows at every m: the rows say so, nothing warns
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        rows = convergence_study(1e300, 1.0, [4, 8])
+    assert list(rows) == [{"m": m, "max_entry_error": None, "observed_order": None,
+                           "status": "invalid"} for m in (4, 8)]
+
+
+def test_convergence_study_table_contracts():
+    # what the benchmark's tracer relies on: len() is the row count, and
+    # iterating gives row dicts with a status; m is a Python int
+    rows = convergence_study(1.0, 1.0, [16, 32, 64])
+    assert len(rows) == 3
+    got = list(rows)
+    assert all(isinstance(row, dict) and row["status"] == "ok" for row in got)
+    assert [type(row["m"]) for row in got] == [int] * 3
+    assert got[0]["observed_order"] is None and got[1]["observed_order"] > 0
+    assert list(got[0]) == ["m", "max_entry_error", "observed_order", "status"]
+
+
 # ---------------------------------------------------------------------------
 # emission
 
+def float_cells(*cells):
+    """The (values, none) column of float cells, None where a cell is None."""
+    return (np.array([0.0 if c is None else c for c in cells], dtype=float),
+            np.array([c is None for c in cells]))
+
+
 def test_render_empty_rows_header_only():
-    data = render([], "csv", columns=["a", "b"])
-    assert data == b"a,b\n"
-    with pytest.raises(InvalidInput):
-        render([], "csv")
+    assert render(Table({"a": float_cells(), "b": []}), "csv") == b"a,b\n"
+    assert render(Table({"a": float_cells(), "b": []}), "json") == b"[]\n"
 
 
 def test_render_csv_cells():
     # one value rule for both formats: a CSV cell is the text of the JSON
-    # value; row 2 mixes value types within the columns
-    rows = [{"a": 1.5, "b": None, "c": math.inf, "d": -math.inf, "e": 7,
-             "f": "text,with comma", "g": -0.0, "h": math.nan, "i": True,
-             "j": np.float64(2.5), "k": np.int64(-3), "l": np.bool_(False)},
-            {"a": "x", "c": 0.25, "g": np.float64(-0.0), "h": np.float64(math.nan),
-             "i": np.float64(-math.inf)}]
-    assert render(rows, "csv") == (
-        b'a,b,c,d,e,f,g,h,i,j,k,l\n'
-        b'1.5,,inf,-inf,7,"text,with comma",0.0,nan,True,2.5,-3,False\n'
-        b'x,,0.25,,,,0.0,nan,-inf,,,\n')
+    # value; float columns with None cells, an int and a str column
+    table = Table({"a": float_cells(1.5, 0.25), "b": float_cells(None, None),
+                   "c": float_cells(math.inf, 0.25), "d": float_cells(-math.inf, None),
+                   "e": [7, -3], "f": ["text,with comma", "x"],
+                   "g": float_cells(-0.0, 2.5), "h": float_cells(math.nan, None)})
+    assert render(table, "csv") == (
+        b'a,b,c,d,e,f,g,h\n'
+        b'1.5,,inf,-inf,7,"text,with comma",0.0,nan\n'
+        b'0.25,,0.25,,-3,x,2.5,\n')
     want = [{"a": 1.5, "b": None, "c": "inf", "d": "-inf", "e": 7,
-             "f": "text,with comma", "g": 0.0, "h": "nan", "i": True, "j": 2.5,
-             "k": -3, "l": False},
-            {"a": "x", "b": None, "c": 0.25, "d": None, "e": None, "f": None,
-             "g": 0.0, "h": "nan", "i": "-inf", "j": None, "k": None, "l": None}]
-    assert render(rows, "json") == (json.dumps(want, indent=2) + "\n").encode()
+             "f": "text,with comma", "g": 0.0, "h": "nan"},
+            {"a": 0.25, "b": None, "c": 0.25, "d": None, "e": -3, "f": "x",
+             "g": 2.5, "h": None}]
+    assert render(table, "json") == (json.dumps(want, indent=2) + "\n").encode()
 
 
 def test_render_is_deterministic():
     spec = ratio_scan_spec(5)
-    rows = run_scan(spec)
-    cols = scan_columns(spec)
-    d1 = digest_of(render(rows, "csv", cols))
-    d2 = digest_of(render(run_scan(spec), "csv", cols))
+    d1 = digest_of(render(run_scan(spec), "csv"))
+    d2 = digest_of(render(run_scan(spec), "csv"))
     assert d1 == d2
 
 
 def test_csv_round_trip():
-    rows = [{"x": 0.1, "y": float("inf"), "status": "ok"},
-            {"x": -3.25e-7, "y": None, "status": "BranchCut"}]
+    rows = Table({"x": float_cells(0.1, -3.25e-7), "y": float_cells(math.inf, None),
+                  "status": ["ok", "BranchCut"]})
     data = render(rows, "csv")
     reader = csv.DictReader(io.StringIO(data.decode("utf-8")))
     parsed = list(reader)
@@ -437,9 +463,9 @@ def test_csv_round_trip():
 def test_json_csv_value_agreement():
     spec = ratio_scan_spec(5)
     rows = run_scan(spec)
-    cols = scan_columns(spec)
-    parsed_json = json.loads(render(rows, "json", cols))
-    reader = csv.DictReader(io.StringIO(render(rows, "csv", cols).decode()))
+    cols = list(rows.columns)
+    parsed_json = json.loads(render(rows, "json"))
+    reader = csv.DictReader(io.StringIO(render(rows, "csv").decode()))
     for jrow, crow in zip(parsed_json, csv_rows(reader)):
         for col in cols:
             jv, cv = jrow[col], crow[col]
@@ -459,8 +485,7 @@ def test_emit_with_manifest(tmp_path):
     spec = ratio_scan_spec(3)
     rows = run_scan(spec)
     out = tmp_path / "ratios.csv"
-    manifest = emit_with_manifest(rows, "csv", out, {"spec": spec.to_dict()},
-                                  scan_columns(spec))
+    manifest = emit_with_manifest(rows, "csv", out, {"spec": spec.to_dict()})
     assert out.exists()
     assert manifest_path_for(out).exists()
     on_disk = json.loads(manifest_path_for(out).read_text())
@@ -563,14 +588,15 @@ def test_run_scan_table_contracts():
     assert table[7] == rows[7] == {"mixing_e": 1.0, "n": 1.5, "epsilon_re": None,
                                    "epsilon_im": None, "epsilon_abs": None,
                                    "status": "InvalidInput"}
-    assert list(table[8]) == scan_columns(spec)
+    columns = ["mixing_e", "n", "epsilon_re", "epsilon_im", "epsilon_abs", "status"]
+    assert list(table.columns) == list(table[8]) == columns
     for row in rows:
         assert row == {**{c: row[c] for c in ("mixing_e", "n")},
                        **evaluate_point("epsilon", {**spec.fixed, "mixing_e": row["mixing_e"],
                                                     "n": row["n"]})}
-    for fmt in ("csv", "json"):
-        assert render(table, fmt, scan_columns(spec)) == render(rows, fmt, scan_columns(spec))
-        assert render(table, fmt) == render(rows, fmt)
+    # render writes the rows it iterates, in the table's column order
+    assert json.loads(render(table, "json")) == rows
+    assert render(table, "csv").decode().splitlines()[0] == ",".join(columns)
 
 
 def test_run_scan_chunks_are_the_points(monkeypatch):
