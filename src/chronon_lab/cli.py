@@ -6,6 +6,11 @@ the file as `<out>.manifest.json`.
 
 Exit codes: 0 ok, 2 invalid arguments or spec, 3 numeric-domain error
 (singular or degenerate map, overflow) or any other lab error, 4 I/O error.
+
+Importing this module loads NumPy and the modules that every command runs
+(the evolution engines and the output path, `runner`), which the process
+entry point then freezes. A command imports the rest of what it runs,
+`quantities` (the scan evaluators), `spectrum` or `kaon`, when it runs.
 """
 
 from __future__ import annotations
@@ -13,17 +18,12 @@ from __future__ import annotations
 import argparse
 import sys
 
-import numpy as np
-
 from .errors import (USAGE_ERRORS, ChrononLabError, InvalidInput, OnePoint,
                      RefusedTooLarge)
-from .evolution import (DEFAULT_GRID_CAP, ENGINES, TwoState, evolve, require_positive,
-                        symmetric_hamiltonian)
-from .kaon import kaon_trajectory, three_pion_intensity, two_pion_intensity
-from .runner import (MODE_FIELDS, ScanSpec, Table, chronon_of, convergence_study, emit,
-                     emit_with_manifest, float_column, kaon_from_config, load_kaon_config,
-                     parse_complex_pair, point_row, run_scan, stack_columns)
-from .spectrum import CONVENTIONS
+from .evolution import (CONVENTIONS, DEFAULT_GRID_CAP, ENGINES, TwoState, chronon_of, evolve,
+                        parse_complex_pair, require_positive, symmetric_hamiltonian)
+from .runner import (Table, convergence_study, emit, emit_with_manifest, float_column,
+                     run_scan, stack_columns)
 
 
 def _add_output_args(sub):
@@ -39,6 +39,7 @@ def _add_chronon_args(sub):
 
 
 def _cmd_modes(args):
+    from .quantities import MODE_FIELDS, point_row
     params = {"energy": args.energy, "n": args.n, "tau_scale": args.tau_scale,
               "hbar": args.hbar, "convention": args.convention}
     cells = point_row("mode_report", params)  # the symmetric H, diag 0
@@ -75,6 +76,8 @@ def _cmd_evolve(args):
 
 
 def _cmd_kaon(args):
+    from .kaon import kaon_trajectory, three_pion_intensity, two_pion_intensity
+    from .quantities import kaon_from_config, load_kaon_config, point_row
     cfg = load_kaon_config(args.config)
     params = {"command": "kaon", "config": str(args.config),
               "observable": args.observable, "engine": args.engine, **cfg}
@@ -99,9 +102,8 @@ def _cmd_kaon(args):
             else:
                 raise InvalidInput("config must set steps for continuous trajectories")
         traj = kaon_trajectory(model, args.engine, t_max, steps, p, cfg["psi0"])
-        series = (two_pion_intensity if args.observable == "2pi"
-                  else three_pion_intensity)(traj, model)
-        t, rate = np.array(series).T
+        t, rate = (two_pion_intensity if args.observable == "2pi"
+                   else three_pion_intensity)(traj, model)
         return Table({"t": float_column(t), "rate": float_column(rate)}), params
 
     # one point of the scan evaluators, raising so that domain errors exit 3
@@ -114,6 +116,7 @@ def _cmd_kaon(args):
 
 
 def _cmd_scan(args):
+    from .quantities import ScanSpec
     spec = ScanSpec.from_json_file(args.spec)
     table = run_scan(spec, workers=args.workers)
     return table, {"command": "scan", "workers": args.workers, "spec": spec.to_dict()}

@@ -11,6 +11,7 @@ the norm defect IS the observable of interest here.
 from __future__ import annotations
 
 import math
+import sys
 
 import numpy as np
 
@@ -21,6 +22,8 @@ from .linalg2 import (IDENTITY2, as_operator, exp2, is_hermitian, power2,
 from .record import Record
 
 ENGINES = ("continuous", "discrete")
+# The phase conventions in which `spectrum` reads the sign of an imaginary part.
+CONVENTIONS = ("paper", "standard")
 # Most rows of a trajectory, and of a scan (runner.run_scan): a larger one is
 # refused before anything is allocated.
 DEFAULT_GRID_CAP = 1_000_000
@@ -40,6 +43,9 @@ def chronon_check(lanes, energy, n, tau_scale) -> None:
     """The rules of ChrononParams, in their order, on lanes of values."""
     require_positive(lanes, "energy", energy)
     lanes.require((n >= 1) & (n % 1 == 0), InvalidInput, "n must be a positive integer")
+    # an int n past the double range would make n * tau raise OverflowError
+    lanes.require(n <= sys.float_info.max, InvalidInput,
+                  "n must not exceed the largest double, about 1.8e308")
     require_positive(lanes, "tau_scale", tau_scale)
 
 
@@ -94,6 +100,24 @@ class ChrononParams(Record):
         dt = chronon_step(self.energy, self.n, self.tau_scale, units.hbar)
         step_check(OnePoint, dt)
         return dt
+
+
+def chronon_of(params: dict, energy_key: str) -> tuple[ChrononParams, UnitSystem]:
+    """ChrononParams at energy `params[energy_key]` plus the UnitSystem of `params`."""
+    p = ChrononParams(energy=params[energy_key], n=params["n"],
+                      tau_scale=params["tau_scale"])
+    return p, UnitSystem(hbar=params["hbar"])
+
+
+def parse_complex_pair(text: str) -> np.ndarray:
+    """Parse 'a,b' with complex literals a and b, e.g. '1,0' or '0.6,0.8j'."""
+    parts = [p.strip() for p in str(text).split(",")]
+    if len(parts) != 2:
+        raise InvalidInput(f"expected two comma-separated complex numbers, got {text!r}")
+    try:
+        return np.array([complex(parts[0]), complex(parts[1])], dtype=np.complex128)
+    except ValueError as exc:
+        raise InvalidInput(f"cannot parse complex pair {text!r}: {exc}") from exc
 
 
 class TwoState(Record):
@@ -181,7 +205,9 @@ def continuous_propagator(h, t: float | np.ndarray, units: UnitSystem = NATURAL_
     if not allow_nonhermitian and not is_hermitian(a):
         raise InvalidInput(
             "H is not Hermitian; pass allow_nonhermitian=True for open systems")
-    return exp2((-1j / units.hbar) * a, t)
+    with np.errstate(over="ignore", invalid="ignore"):  # exp2 rejects non-finite entries
+        g = (-1j / units.hbar) * a
+    return exp2(g, t)
 
 
 def discrete_step_operator(h, p: ChrononParams,

@@ -136,8 +136,9 @@ def kaon_trajectory(model: KaonModel, engine: str, t_max: float, steps: int,
 
 
 def two_pion_intensity(traj: Trajectory, model: KaonModel,
-                       basis: str = "cp") -> list[tuple[float, float]]:
-    """Instantaneous 2-pion decay rate Gamma_S |<K1|psi(t)>|^2.
+                       basis: str = "cp") -> tuple[np.ndarray, np.ndarray]:
+    """Instantaneous 2-pion decay rate Gamma_S |<K1|psi(t)>|^2, as the arrays
+    (times, rates) of the trajectory's times and the rate at each.
 
     `basis` names the basis the trajectory states are expressed in; flavor
     trajectories are converted.
@@ -146,8 +147,9 @@ def two_pion_intensity(traj: Trajectory, model: KaonModel,
 
 
 def three_pion_intensity(traj: Trajectory, model: KaonModel,
-                         basis: str = "cp") -> list[tuple[float, float]]:
-    """Instantaneous 3-pion decay rate Gamma_L |<K2|psi(t)>|^2."""
+                         basis: str = "cp") -> tuple[np.ndarray, np.ndarray]:
+    """Instantaneous 3-pion decay rate Gamma_L |<K2|psi(t)>|^2, as the arrays
+    (times, rates) of `two_pion_intensity`."""
     return _channel_intensity(traj, model, basis, channel=1)
 
 
@@ -158,8 +160,7 @@ def _channel_intensity(traj, model, basis, channel):
     if basis == "flavor":
         states = states @ CP_TO_FLAVOR.T  # involutive and symmetric
     gamma = model.gamma_short if channel == 0 else model.gamma_long
-    vals = gamma * np.abs(states[:, channel]) ** 2
-    return list(zip(traj.times.tolist(), vals.tolist()))
+    return traj.times, gamma * np.abs(states[:, channel]) ** 2
 
 
 class ModeWidths(Record):

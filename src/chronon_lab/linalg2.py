@@ -235,13 +235,13 @@ def exp2(m, s: complex | np.ndarray = 1.0) -> np.ndarray:
     t = s.reshape(-1)
     half_tr, delta = _one_root(a)
     x = delta * t
-    # sinh(s D)/D -> s (1 + x^2/6 + x^4/120 + ...) as D -> 0; np.where
-    # evaluates both lanes, so the series gets only small x and the divisor
-    # guard keeps the 0/0 lane quiet
+    # sinh(s D)/D -> s (1 + x^2/6 + x^4/120 + ...) as D -> 0: the series
+    # gets only small x, and the quotient only the other lanes, so that a
+    # subnormal D (whose reciprocal overflows) or D = 0 stays quiet
     small = np.abs(x) < 1e-6
     xs = np.where(small, x, 0.0)
-    sinch = np.where(small, t * (1.0 + (xs * xs) / 6.0 * (1.0 + (xs * xs) / 20.0)),
-                     np.divide(np.sinh(x), delta if delta != 0 else 1.0))
+    sinch = t * (1.0 + (xs * xs) / 6.0 * (1.0 + (xs * xs) / 20.0))
+    np.divide(np.sinh(x), delta if delta != 0 else 1.0, out=sinch, where=~small)
     out = (np.cosh(x)[:, None, None] * IDENTITY2
            + sinch[:, None, None] * (a - half_tr * IDENTITY2))
     return (np.exp(half_tr * t)[:, None, None] * out).reshape(s.shape + (2, 2))

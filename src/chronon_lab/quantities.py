@@ -1,0 +1,460 @@
+"""The scan quantities: scan specs, parameter schemas and batched evaluators.
+
+Each quantity of `QUANTITIES` has a schema of typed parameters with
+defaults, a fixed list of output columns (`QUANTITY_COLUMNS`), and one
+evaluator that maps the parameters of a chunk of points (one value, or an
+array with one value per point) to its column arrays, recording each
+point's first error on the chunk's `Lanes`. `runner.run_scan` drives them
+over a grid; the CLI's `modes` and `kaon --observable epsilon|width-shift`
+rows are one-point calls of the same evaluators (`point_row`).
+
+An evaluator imports its physics module (`spectrum` or `kaon`) when it
+runs, and the spec-file reader imports `json`, so a command loads only the
+modules of what it evaluates and reads.
+"""
+
+from __future__ import annotations
+
+import math
+from pathlib import Path
+
+import numpy as np
+
+from .errors import ChrononLabError, InvalidInput, Lanes, Overflow
+from .evolution import (CONVENTIONS, DEFAULT_GRID_CAP, ENGINES, TwoState, chronon_check,
+                        chronon_of, chronon_step, final_state, parse_complex_pair,
+                        require_positive, symmetric_check, symmetric_hamiltonian,
+                        symmetric_stack)
+from .record import Record
+from .runner import Table
+
+
+# ---------------------------------------------------------------------------
+# scan specification
+
+class ScanAxis(Record):
+    __slots__ = ("name", "start", "stop", "count", "spacing")
+
+    def __init__(self, name: str, start: float, stop: float, count: int,
+                 spacing: str = "linear"):
+        if not isinstance(name, str):
+            raise InvalidInput(f"axis name must be a string, got {name!r}")
+        if not (math.isfinite(start) and math.isfinite(stop)):
+            raise InvalidInput(f"axis {name!r}: start and stop must be finite")
+        if count < 1 or int(count) != count:
+            raise InvalidInput(f"axis {name!r}: count must be a positive integer")
+        if spacing not in ("linear", "log"):
+            raise InvalidInput(f"axis {name!r}: spacing must be linear or log")
+        if spacing == "log" and (start <= 0 or stop <= 0):
+            raise InvalidInput(f"axis {name!r}: log spacing needs positive bounds")
+        super().__init__(name, start, stop, count, spacing)
+
+    @classmethod
+    def from_dict(cls, a: dict) -> "ScanAxis":
+        """The axis of a spec's grid entry; a key that is not a field of the
+        axis raises InvalidInput, others KeyError, TypeError or ValueError."""
+        unknown = set(a) - set(cls.__slots__) if isinstance(a, dict) else ()
+        if unknown:
+            raise InvalidInput(f"unknown grid axis keys {sorted(unknown)}")
+        return cls(a["name"], coerce_param("start", a["start"], float),
+                   coerce_param("stop", a["stop"], float),
+                   coerce_param("count", a["count"], int), a.get("spacing", "linear"))
+
+    def values(self) -> np.ndarray:
+        if self.count == 1:
+            return np.array([float(self.start)])
+        if self.spacing == "log":
+            return np.geomspace(self.start, self.stop, self.count)
+        return np.linspace(self.start, self.stop, self.count)
+
+
+class ScanSpec(Record):
+    """One quantity on the grid of `grid`'s axes, with the parameters in
+    `fixed` (copied; None gives an empty dict) held constant."""
+
+    __slots__ = ("quantity", "grid", "fixed", "max_points")
+
+    def __init__(self, quantity: str, grid: tuple[ScanAxis, ...], fixed: dict | None = None,
+                 max_points: int = DEFAULT_GRID_CAP):
+        fixed = {} if fixed is None else fixed
+        if not isinstance(quantity, str) or quantity not in QUANTITIES:
+            raise InvalidInput(
+                f"unknown quantity {quantity!r}; known: {sorted(QUANTITIES)}")
+        names = [ax.name for ax in grid]
+        if len(set(names)) != len(names):
+            raise InvalidInput("axis names must be unique")
+        schema = _PARAM_SCHEMAS[quantity]
+        for name in names:
+            if name not in schema or schema[name] not in (float, int):
+                raise InvalidInput(
+                    f"axis {name!r} is not a numeric parameter of {quantity!r}")
+        if not isinstance(fixed, dict):
+            raise InvalidInput(f"fixed parameters must be an object, got {fixed!r}")
+        for key, value in fixed.items():
+            if key not in schema:
+                raise InvalidInput(f"unknown parameter {key!r} for {quantity!r}")
+            coerce_param(key, value, schema[key])  # raises if malformed
+        overlap = set(names) & set(fixed)
+        if overlap:
+            raise InvalidInput(f"parameters {sorted(overlap)} both fixed and scanned")
+        super().__init__(quantity, grid, dict(fixed), max_points)
+
+    @property
+    def total_points(self) -> int:
+        return math.prod(ax.count for ax in self.grid)
+
+    @classmethod
+    def from_dict(cls, d: dict) -> "ScanSpec":
+        if not isinstance(d, dict):
+            raise InvalidInput("scan spec must be a JSON object")
+        unknown = set(d) - {"quantity", "grid", "fixed", "max_points"}
+        if unknown:
+            raise InvalidInput(f"unknown scan spec keys {sorted(unknown)}")
+        try:
+            axes = tuple(map(ScanAxis.from_dict, d.get("grid", [])))
+        except (KeyError, TypeError, ValueError) as exc:
+            raise InvalidInput(f"malformed grid axis: {exc}") from exc
+        return cls(quantity=d.get("quantity", ""), grid=axes, fixed=d.get("fixed"),
+                   max_points=coerce_param(
+                       "max_points", d.get("max_points", DEFAULT_GRID_CAP), int))
+
+    @classmethod
+    def from_json_file(cls, path) -> "ScanSpec":
+        import json
+        try:
+            payload = json.loads(Path(path).read_text(encoding="utf-8"))
+        except UnicodeDecodeError as exc:
+            raise InvalidInput(f"scan spec is not UTF-8 text: {exc}") from exc
+        except json.JSONDecodeError as exc:
+            raise InvalidInput(f"scan spec is not valid JSON: {exc}") from exc
+        except RecursionError as exc:
+            raise InvalidInput(f"scan spec is nested too deeply: {exc}") from exc
+        return cls.from_dict(payload)
+
+    def to_dict(self) -> dict:
+        return {
+            "quantity": self.quantity,
+            "grid": [{"name": ax.name, "start": ax.start, "stop": ax.stop,
+                      "count": ax.count, "spacing": ax.spacing} for ax in self.grid],
+            "fixed": dict(self.fixed),
+            "max_points": self.max_points,
+        }
+
+
+# ---------------------------------------------------------------------------
+# parameter schemas
+
+def _parse_direction(text: str) -> np.ndarray:
+    """The unit vector along the complex pair 'a,b', which must be nonzero."""
+    d = parse_complex_pair(text)
+    norm = np.linalg.norm(d)
+    if not 0.0 < norm < math.inf:
+        raise InvalidInput(f"direction {text!r} must be nonzero and finite")
+    return d / norm
+
+
+_CHRONON_KEYS = {"n": int, "tau_scale": float, "hbar": float}
+_KAON_KEYS = {"mixing_e": float, "gamma_s": float, "gamma_l": float,
+              "delta_re": float, "delta_im": float}
+
+_PARAM_SCHEMAS = {
+    "mode_report": {"energy": float, "diag": float, "convention": CONVENTIONS,
+                    **_CHRONON_KEYS},
+    "epsilon": {**_KAON_KEYS, **_CHRONON_KEYS, "engine": ENGINES},
+    "width_shift": {**_KAON_KEYS, **_CHRONON_KEYS},
+    "trajectory-observable": {"energy": float, "diag": float, "engine": ENGINES,
+                              "t_max": float, "steps": int, "psi0": parse_complex_pair,
+                              "observable": ("norm2_final", "prob_final"),
+                              "direction": _parse_direction, **_CHRONON_KEYS},
+}
+
+# hbar first keeps the key order of a loaded kaon config, which its manifest shows
+_KAON_DEFAULTS = {"hbar": 1.0, "gamma_s": 0.0, "gamma_l": 0.0, "delta_re": 0.0,
+                  "delta_im": 0.0, "n": 1, "tau_scale": 1.0}
+
+_PARAM_DEFAULTS = {
+    "mode_report": {"diag": 0.0, "convention": "paper", "n": 1,
+                    "tau_scale": 1.0, "hbar": 1.0},
+    "epsilon": {**_KAON_DEFAULTS, "engine": "continuous"},
+    "width_shift": _KAON_DEFAULTS,
+    "trajectory-observable": {"diag": 0.0, "engine": "continuous", "n": 1,
+                              "tau_scale": 1.0, "hbar": 1.0, "psi0": "1,0",
+                              "observable": "norm2_final", "direction": "1,0"},
+}
+
+# Per-mode cells: one `modes` row each, prefixed `mode{k}_` in a mode_report row.
+MODE_FIELDS = ["h", "lambda_re", "lambda_im", "heff_re", "heff_im", "hfirst_re",
+               "hfirst_im", "step_mag", "efold_time", "ratio_exact", "ratio_first"]
+
+QUANTITY_COLUMNS = {
+    "mode_report": [f"mode{k}_{c}" for k in (0, 1) for c in MODE_FIELDS]
+                   + ["nu_nonhermitian"],
+    "epsilon": ["epsilon_re", "epsilon_im", "epsilon_abs"],
+    "width_shift": [f"{lbl}_{c}" for lbl in ("fast", "slow") for c in (
+        "h_re", "h_im", "lambda_re", "lambda_im", "lambda_abs",
+        "gamma_continuous", "gamma_effective")],
+    "trajectory-observable": ["value"],
+}
+
+
+def coerce_param(key: str, value, kind):
+    """`value` checked against its parameter kind, or InvalidInput naming `key`.
+
+    float: any number. int: the int of an integral value; 1, 1.0, "1" and
+    "1.0" all give 1, while 1.5, "abc" or a bool raise rather than being
+    truncated or cast. A tuple: one of its strings. Otherwise a parser that
+    raises InvalidInput on a malformed string. Strings are returned as given.
+    """
+    if kind is float or kind is int:
+        try:
+            x = None if isinstance(value, bool) else float(value)
+        except (TypeError, ValueError, OverflowError):
+            x = None
+        if x is None:
+            raise InvalidInput(f"bad value for {key!r}: expected a number, got {value!r}")
+        if kind is float:
+            return x
+        if not x.is_integer():
+            raise InvalidInput(
+                f"bad value for {key!r}: expected an integer, got {value!r}")
+        return int(x)
+    try:
+        if isinstance(kind, tuple) and value not in kind:
+            raise InvalidInput(f"expected one of {list(kind)}, got {value!r}")
+        if not isinstance(kind, tuple):
+            kind(value)
+    except InvalidInput as exc:
+        raise InvalidInput(f"bad value for {key!r}: {exc}") from exc
+    return value
+
+
+def _coerce_lanes(quantity: str, params: dict, lanes: Lanes) -> dict:
+    """`params` over the schema of `quantity`, with its defaults, on lanes.
+
+    A missing parameter fails every lane, as does a single value that
+    `coerce_param` rejects. An array gives one value per lane; an integer
+    parameter's non-integral values fail their lanes. Numbers come back as
+    float arrays with one value per lane, strings as they are.
+    """
+    schema = _PARAM_SCHEMAS[quantity]
+    out = dict(_PARAM_DEFAULTS[quantity])
+    out.update(params)
+    missing = set(schema) - set(out)
+    if missing:
+        lanes.fail(True, InvalidInput, f"{quantity}: missing parameters {sorted(missing)}")
+        return out
+    for key, kind in schema.items():
+        value = out[key]
+        if isinstance(value, np.ndarray):
+            if kind is int:
+                lanes.require(value % 1 == 0, InvalidInput,
+                              f"bad value for {key!r}: expected an integer, got {{!r}}", value)
+        else:
+            try:
+                value = coerce_param(key, value, kind)
+            except InvalidInput as exc:
+                lanes.fail(True, InvalidInput, str(exc))
+                return out
+        if (kind is float or kind is int) and not isinstance(value, np.ndarray):
+            value = np.full(lanes.ok.shape, value, dtype=np.float64)
+        out[key] = value
+    return out
+
+
+# ---------------------------------------------------------------------------
+# quantity evaluators
+
+def _chronon_lanes(params: dict, energy_key: str, lanes: Lanes):
+    """The rules of `chronon_of` on lanes; returns the unchecked n tau."""
+    energy, n, tau_scale, hbar = (params[k] for k in (energy_key, "n", "tau_scale", "hbar"))
+    chronon_check(lanes, energy, n, tau_scale)
+    require_positive(lanes, "hbar", hbar)
+    return chronon_step(energy, n, tau_scale, hbar)
+
+
+def _eval_mode_report(params: dict, lanes: Lanes) -> dict:
+    from .spectrum import mode_stack
+    step = _chronon_lanes(params, "energy", lanes)
+    energy, diag = params["energy"], params["diag"]
+    symmetric_check(lanes, energy, diag)
+    t = mode_stack(symmetric_stack(energy, diag), energy, params["tau_scale"], step,
+                   params["hbar"], lanes)
+    cols = {f"mode{k}_{c}": tuple(x[:, k] for x in t[c]) if isinstance(t[c], tuple)
+            else t[c][:, k] for k in (0, 1) for c in MODE_FIELDS}
+    cols["nu_nonhermitian"] = t["nu_nonhermitian"]
+    return cols
+
+
+def _kaon_lanes(params: dict, lanes: Lanes):
+    """The stack of kaon H with its n tau and hbar, by the rules of
+    `kaon_from_config` and `kaon_hamiltonian`."""
+    from .kaon import hamiltonian_check, hamiltonian_cp, kaon_check
+    step = _chronon_lanes(params, "mixing_e", lanes)
+    model = [params[k] for k in ("mixing_e", "gamma_s", "gamma_l", "delta_re", "delta_im")]
+    kaon_check(lanes, *model)
+    h = hamiltonian_cp(model[0], params["hbar"], *model[1:])
+    hamiltonian_check(lanes, h)
+    return h, step, params["hbar"]
+
+
+def _eval_epsilon(params: dict, lanes: Lanes) -> dict:
+    from .kaon import epsilon_stack
+    eps = epsilon_stack(*_kaon_lanes(params, lanes), params["engine"], lanes)
+    return {"epsilon_re": eps.real, "epsilon_im": eps.imag,
+            "epsilon_abs": np.hypot(eps.real, eps.imag)}
+
+
+def _eval_width_shift(params: dict, lanes: Lanes) -> dict:
+    from .kaon import width_shift_stack
+    h, lam, gamma, gamma_eff = width_shift_stack(*_kaon_lanes(params, lanes), lanes)
+    cols = {}
+    for k, lbl in enumerate(("fast", "slow")):
+        cols[f"{lbl}_h_re"] = h[:, k].real
+        cols[f"{lbl}_h_im"] = h[:, k].imag
+        cols[f"{lbl}_lambda_re"] = lam[:, k].real
+        cols[f"{lbl}_lambda_im"] = lam[:, k].imag
+        cols[f"{lbl}_lambda_abs"] = np.hypot(lam[:, k].real, lam[:, k].imag)
+        cols[f"{lbl}_gamma_continuous"] = gamma[:, k]
+        cols[f"{lbl}_gamma_effective"] = gamma_eff[:, k]
+    return cols
+
+
+def _trajectory_value(params: dict) -> float:
+    p, units = chronon_of(params, "energy")
+    h = symmetric_hamiltonian(params["energy"], params["diag"])
+    psi = final_state(h, TwoState(parse_complex_pair(params["psi0"])),
+                      params["engine"], params["t_max"], params["steps"], p, units)
+    with np.errstate(over="ignore", invalid="ignore"):  # raised as Overflow
+        if params["observable"] == "norm2_final":
+            value = float(np.sum(np.abs(psi) ** 2))
+        else:  # prob_final
+            d = _parse_direction(params["direction"])
+            value = float(abs(psi @ d.conj()) ** 2)
+    if not math.isfinite(value):
+        raise Overflow(f"{params['observable']} is not finite in double precision")
+    return value
+
+
+def _eval_trajectory_observable(params: dict, lanes: Lanes) -> dict:
+    # one closed-form power2 or exp2 per point, not yet stacked
+    schema = _PARAM_SCHEMAS["trajectory-observable"]
+    value = np.full(lanes.ok.shape, np.nan)
+    for i in np.flatnonzero(lanes.ok):
+        point = {key: (int(v[i]) if schema[key] is int else float(v[i]))
+                 if isinstance(v, np.ndarray) else v for key, v in params.items()}
+        try:
+            value[i] = _trajectory_value(point)
+        except ChrononLabError as exc:
+            lanes.fail(np.arange(value.size) == i, type(exc), str(exc))
+    return {"value": value}
+
+
+QUANTITIES = {
+    "mode_report": _eval_mode_report,
+    "epsilon": _eval_epsilon,
+    "width_shift": _eval_width_shift,
+    "trajectory-observable": _eval_trajectory_observable,
+}
+
+
+def _evaluate(quantity: str, params: dict, k: int):
+    """(columns, lanes) of `quantity` on k points; `params` as for
+    `_coerce_lanes`. Each column is a pair (values, none) of arrays of k
+    values, `none` marking the cells that are None: an undefined cell (an
+    evaluator returns such a column as a (values, undefined) pair), or any
+    cell of a lane that failed."""
+    lanes = Lanes(k)
+    with np.errstate(all="ignore"):  # failed lanes carry nan and inf
+        params = _coerce_lanes(quantity, params, lanes)
+        cols = QUANTITIES[quantity](params, lanes) if lanes.ok.any() else {}
+    failed = ~lanes.ok
+    out = {}
+    for c in QUANTITY_COLUMNS[quantity]:
+        col = cols.get(c, np.zeros(k))
+        out[c] = (col[0], col[1] | failed) if isinstance(col, tuple) else (col, failed)
+    return out, lanes
+
+
+def point_row(quantity: str, params: dict) -> dict:
+    """The quantity columns of one point as (values, none) pairs of one
+    cell, computed by the batched evaluator on one lane; raises the point's
+    error (the CLI's `modes` and `kaon` tables)."""
+    cols, lanes = _evaluate(quantity, params, 1)
+    lanes.raise_first()
+    return cols
+
+
+def evaluate_point(quantity: str, params: dict) -> dict:
+    """One grid point: quantity columns plus a status field.
+
+    Numeric-domain and input errors are captured per point (status carries
+    the error class name, value columns stay empty).
+    """
+    try:
+        row = Table({**point_row(quantity, params), "status": ["ok"]})[0]
+    except ChrononLabError as exc:
+        row = {col: None for col in QUANTITY_COLUMNS[quantity]}
+        row["status"] = type(exc).__name__
+    return row
+
+
+def evaluate_chunk(quantity: str, fixed: dict, names: list, values: list):
+    """(columns, status) of a chunk of points: values[j] is the array of the
+    chunk's values of parameter names[j], `fixed` holds the others. Each
+    column is a (values, none) pair of arrays, `none` marking the None
+    cells; `status` holds 'ok' or the error class name of each point, the
+    status `evaluate_point` gives it alone."""
+    k = len(values[0]) if values else 1
+    cols, lanes = _evaluate(quantity, {**fixed, **dict(zip(names, values))}, k)
+    return cols, lanes.status()
+
+
+# ---------------------------------------------------------------------------
+# kaon model config files (flat `key = value`, '#' comments)
+
+def kaon_from_config(cfg: dict):
+    """The kaon model and its chronon parameters from config or scan values."""
+    from .kaon import KaonModel
+    params, units = chronon_of(cfg, "mixing_e")
+    model = KaonModel(mixing_energy=cfg["mixing_e"], gamma_short=cfg["gamma_s"],
+                      gamma_long=cfg["gamma_l"],
+                      delta=complex(cfg["delta_re"], cfg["delta_im"]),
+                      units=units)
+    return model, params
+
+
+def load_kaon_config(path) -> dict:
+    """Parse a kaon model config file into a typed dict.
+
+    Format: UTF-8 text, one `key = value` per line, '#' starts a comment.
+    Keys, types and defaults are those of the width_shift scan quantity plus
+    t_max/steps/psi0 (a `kaon.kaon_state` label). Required key: mixing_e.
+    t_max/steps are only needed for trajectory observables.
+    """
+    from .kaon import kaon_state
+    schema = {**_PARAM_SCHEMAS["width_shift"], "t_max": float, "steps": int,
+              "psi0": kaon_state}
+    cfg = {**_PARAM_DEFAULTS["width_shift"], "psi0": "K0"}
+    try:
+        text = Path(path).read_text(encoding="utf-8")
+    except UnicodeDecodeError as exc:
+        raise InvalidInput(f"{path}: not UTF-8 text: {exc}") from exc
+    for lineno, raw in enumerate(text.splitlines(), start=1):
+        line = raw.split("#", 1)[0].strip()
+        if not line:
+            continue
+        if "=" not in line:
+            raise InvalidInput(f"{path}:{lineno}: expected 'key = value'")
+        key, _, value = line.partition("=")
+        key = key.strip()
+        value = value.strip()
+        kind = schema.get(key)
+        if kind is None:
+            raise InvalidInput(f"{path}:{lineno}: unknown key {key!r}")
+        try:
+            cfg[key] = coerce_param(key, value, kind)
+        except InvalidInput as exc:
+            raise InvalidInput(f"{path}:{lineno}: {exc}") from exc
+    if "mixing_e" not in cfg:
+        raise InvalidInput(f"{path}: missing required key 'mixing_e'")
+    return cfg

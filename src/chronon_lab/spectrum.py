@@ -21,13 +21,11 @@ from __future__ import annotations
 import numpy as np
 
 from .errors import InvalidInput, Lanes, Overflow
-from .evolution import (ChrononParams, NATURAL_UNITS, UnitSystem, chronon_step,
-                        step_check)
+from .evolution import (CONVENTIONS, ChrononParams, NATURAL_UNITS, UnitSystem,
+                        chronon_step, step_check)
 from .linalg2 import (_pow2_scale, as_complex, as_operator, cdiv, cmul, eig2_stack,
                       is_hermitian)
 from .record import Record
-
-CONVENTIONS = ("paper", "standard")
 
 
 class ModeRecord(Record):

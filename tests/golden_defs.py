@@ -6,7 +6,8 @@ acceptance suite (to regenerate and byte-compare).
 
 from pathlib import Path
 
-from chronon_lab.runner import ScanSpec, convergence_study, render, run_scan
+from chronon_lab.quantities import ScanSpec
+from chronon_lab.runner import convergence_study, render, run_scan
 
 GOLDEN_DIR = Path(__file__).parent / "golden"
 

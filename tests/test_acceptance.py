@@ -17,9 +17,8 @@ from chronon_lab.evolution import (ChrononParams, NATURAL_UNITS, TwoState,
                                    symmetric_hamiltonian)
 from chronon_lab.kaon import KaonModel, epsilon_mixing, width_shift
 from chronon_lab.linalg2 import PAULI_X, eig2
-from chronon_lab.runner import (ScanSpec, convergence_study, digest_of,
-                                kaon_from_config, load_kaon_config, render,
-                                run_scan)
+from chronon_lab.quantities import ScanSpec, kaon_from_config, load_kaon_config
+from chronon_lab.runner import convergence_study, digest_of, render, run_scan
 from chronon_lab.spectrum import im_re_ratio, mode_report
 
 import golden_defs

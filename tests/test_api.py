@@ -1,5 +1,7 @@
-"""The names `import chronon_lab` binds: the package's public API."""
+"""The names `import chronon_lab` exports: the package's public API."""
 
+import subprocess
+import sys
 import types
 
 import chronon_lab
@@ -19,8 +21,10 @@ PUBLIC = [
 
 
 def test_public_names():
-    names = sorted(name for name, value in vars(chronon_lab).items()
-                   if not name.startswith("_") and not isinstance(value, types.ModuleType))
+    # the exports are lazy (PEP 562), so they are read through dir() and
+    # getattr, not from the package's namespace
+    names = sorted(name for name in dir(chronon_lab) if not name.startswith("_")
+                   and not isinstance(getattr(chronon_lab, name), types.ModuleType))
     assert names == PUBLIC
 
 
@@ -29,3 +33,11 @@ def test_public_names_resolve_to_their_modules():
         value = getattr(chronon_lab, name)
         assert any(getattr(m, name, None) is value
                    for m in (errors, evolution, kaon, linalg2, spectrum)), name
+
+
+def test_package_import_loads_no_submodule():
+    code = ("import sys, chronon_lab\n"
+            "print(*sorted(m for m in sys.modules if m.startswith('chronon_lab.')))")
+    res = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True)
+    assert res.returncode == 0, res.stderr
+    assert res.stdout.split() == []

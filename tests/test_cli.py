@@ -9,10 +9,11 @@ from pathlib import Path
 
 import pytest
 
-from chronon_lab import cli, runner
+from chronon_lab import cli, quantities, runner
 from chronon_lab.cli import main
 from chronon_lab.errors import ChrononLabError
-from chronon_lab.runner import MODE_FIELDS, digest_of, evaluate_chunk
+from chronon_lab.quantities import MODE_FIELDS, evaluate_chunk
+from chronon_lab.runner import digest_of
 
 CLI = [sys.executable, "-m", "chronon_lab"]
 
@@ -168,6 +169,18 @@ def test_converge_bad_m_list_exit_code():
         assert res.stdout == "", m_list
 
 
+def test_counts_past_the_double_range_exit_code(capsys):
+    # a step count or n that no double holds is refused, not a traceback
+    huge = str(10 ** 400)
+    for argv, name in (
+            (["converge", "--energy", "1", "--t-max", "1", "--m-list", f"2,{huge}"], "m_list"),
+            (["evolve", "--engine", "discrete", "--energy", "1", "--n", huge,
+              "--t-max", "1", "--steps", "1"], "n")):
+        assert main(argv) == 2
+        assert capsys.readouterr() == (
+            "", f"error: {name} must not exceed the largest double, about 1.8e308\n")
+
+
 def test_scan_with_out_and_manifest(tmp_path):
     spec = {
         "quantity": "epsilon",
@@ -249,7 +262,7 @@ def test_scan_workers_is_recorded_and_runs_in_process(monkeypatch, tmp_path):
         chunks.append(len(values[0]))
         return evaluate_chunk(quantity, fixed, names, values)
 
-    monkeypatch.setattr(runner, "evaluate_chunk", counted)
+    monkeypatch.setattr(quantities, "evaluate_chunk", counted)
     grid, fixed = SCANS["epsilon"]
     spec_path = tmp_path / "spec.json"
     spec_path.write_text(json.dumps({"quantity": "epsilon", "grid": grid, "fixed": fixed}),
@@ -276,6 +289,32 @@ def test_cli_import_loads_no_process_pool():
     res = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True)
     assert res.returncode == 0, res.stderr
     assert res.stdout.split() == []
+
+
+def test_each_command_loads_only_what_it_runs():
+    # a command imports its own modules when it runs: the trajectories and
+    # the convergence study need neither the scan evaluators (`quantities`)
+    # nor kaon or spectrum, `modes` needs no kaon, only a manifest hashes,
+    # and only JSON output, spec files and manifests need json
+    config = str(Path(__file__).resolve().parent.parent / "configs" / "kaon_natural.cfg")
+    engines_only = ["chronon_lab.quantities", "chronon_lab.kaon", "chronon_lab.spectrum",
+                    "hashlib", "json"]
+    commands = [
+        (["evolve", "--engine", "discrete", "--energy", "1", "--t-max", "10",
+          "--steps", "10"], engines_only),
+        (["converge", "--energy", "1", "--t-max", "1", "--m-list", "16,32"], engines_only),
+        (["modes", "--energy", "1", "--format", "csv"], ["chronon_lab.kaon", "hashlib", "json"]),
+        (["kaon", "--config", config, "--observable", "2pi"], ["hashlib", "json"]),
+    ]
+    code = ("import contextlib, io, sys\n"
+            "from chronon_lab.cli import main\n"
+            f"for argv, absent in {commands!r}:\n"
+            "    with contextlib.redirect_stdout(io.StringIO()):\n"
+            "        code = main(argv)\n"
+            "    print(argv[0], code, *sorted(set(absent) & set(sys.modules)))\n")
+    res = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True)
+    assert res.returncode == 0, res.stderr
+    assert res.stdout.splitlines() == ["evolve 0", "converge 0", "modes 0", "kaon 0"]
 
 
 def test_entry_point_freezes_the_import_time_objects():

@@ -96,8 +96,8 @@ def test_two_pion_rate_closed_form():
     gs = 0.1
     model = natural_model(gamma_s=gs, gamma_l=0.0)
     traj = kaon_trajectory(model, "continuous", t_max=60.0, steps=600)
-    series = two_pion_intensity(traj, model)
-    for t, rate in series[::40]:
+    times, rates = two_pion_intensity(traj, model)
+    for t, rate in zip(times[::40].tolist(), rates[::40].tolist()):
         assert rate == pytest.approx(0.5 * gs * math.exp(-gs * t), rel=1e-9)
 
 
@@ -105,10 +105,10 @@ def test_two_pion_rate_zero_cases():
     model = natural_model(gamma_s=0.1, gamma_l=0.0)
     traj = kaon_trajectory(model, "continuous", 10.0, 100, psi0_label="K2")
     assert all(rate == pytest.approx(0.0, abs=1e-20)
-               for _, rate in two_pion_intensity(traj, model))
+               for rate in two_pion_intensity(traj, model)[1].tolist())
     model0 = natural_model(gamma_s=0.0, gamma_l=0.0)
     traj0 = kaon_trajectory(model0, "continuous", 10.0, 100)
-    assert all(rate == 0.0 for _, rate in two_pion_intensity(traj0, model0))
+    assert all(rate == 0.0 for rate in two_pion_intensity(traj0, model0)[1].tolist())
 
 
 def test_two_pion_branch_integrates_to_half():
@@ -118,8 +118,8 @@ def test_two_pion_branch_integrates_to_half():
     model = natural_model(gamma_s=gs, gamma_l=0.0)
     t_max = 20.0 / gs
     traj = kaon_trajectory(model, "continuous", t_max, 10_000)
-    times, rates = zip(*two_pion_intensity(traj, model))
-    total = np.trapezoid(np.array(rates), np.array(times))
+    times, rates = two_pion_intensity(traj, model)
+    total = np.trapezoid(rates, times)
     assert total == pytest.approx(0.5, abs=1e-3)
 
 
@@ -127,7 +127,8 @@ def test_three_pion_rate_closed_form():
     gl = 0.02
     model = natural_model(gamma_s=0.1, gamma_l=gl)
     traj = kaon_trajectory(model, "continuous", 60.0, 600)
-    for t, rate in three_pion_intensity(traj, model)[::40]:
+    times, rates = three_pion_intensity(traj, model)
+    for t, rate in zip(times[::40].tolist(), rates[::40].tolist()):
         assert rate == pytest.approx(0.5 * gl * math.exp(-gl * t), rel=1e-9)
 
 
@@ -139,8 +140,8 @@ def test_intensity_accepts_flavor_basis_trajectory():
     got = two_pion_intensity(traj, model, basis="flavor")
     traj_cp = kaon_trajectory(model, "continuous", 10.0, 100)
     want = two_pion_intensity(traj_cp, model, basis="cp")
-    np.testing.assert_allclose([v for _, v in got], [v for _, v in want],
-                               atol=1e-12)
+    np.testing.assert_array_equal(got[0], want[0])
+    np.testing.assert_allclose(got[1], want[1], atol=1e-12)
 
 
 # ---------------------------------------------------------------------------

@@ -1,5 +1,6 @@
 """Property tests over the whole double range (hypothesis, few examples)."""
 
+import contextlib
 import csv
 import io
 import json
@@ -12,8 +13,8 @@ from hypothesis import given, settings, strategies as st
 
 from chronon_lab import runner
 from chronon_lab.evolution import ChrononParams, symmetric_hamiltonian
-from chronon_lab.runner import (QUANTITY_COLUMNS, Table, evaluate_chunk, evaluate_point,
-                                render)
+from chronon_lab.quantities import QUANTITY_COLUMNS, evaluate_chunk, evaluate_point
+from chronon_lab.runner import Table, render
 from chronon_lab.spectrum import mode_report
 
 # derandomized: the same examples on every run, and no example database
@@ -325,3 +326,110 @@ def test_render_formats_a_block_across_its_columns(fmt, block):
              "m": SHARED_TEXT["m"][i]} for i in range(6)]
     want = oracle(rows, fmt, list(columns))
     assert render_in_blocks(Table(columns), fmt, block) == want
+
+
+# ---------------------------------------------------------------------------
+# malformed input: every command line ends in an exit code, never a traceback
+
+# Numbers and non-numbers at the edges of every parameter's domain; OMIT
+# leaves the parameter out.
+OMIT = object()
+EDGES = [0, -0.0, -1, 1.5, NAN, INF, -INF, 1e-320, 10 ** 30, -10 ** 30, 10 ** 400, True,
+         False, "abc", "", "1e400", OMIT]
+NUMBER = st.one_of(st.sampled_from([1, 0.5, 2]), st.sampled_from(EDGES[:-1]))
+INT = st.one_of(st.sampled_from([1, 2]), st.sampled_from(EDGES[:-1]))
+FORMATS = st.sampled_from(["csv", "json"])
+
+
+def one_odd(**plain):
+    """Parameter dicts of the plain values `plain` (lists) in which at most
+    one value is replaced by an edge value, so that it reaches the checks
+    behind the other parameters."""
+    def build(values, key, odd):
+        if key is not None:
+            values[key] = odd
+        return {k: v for k, v in values.items() if v is not OMIT}
+    return st.builds(build, st.fixed_dictionaries(
+        {k: st.sampled_from(v) for k, v in plain.items()}),
+        st.sampled_from([None, *plain]), st.sampled_from(EDGES))
+
+
+def options(values: dict) -> list[str]:
+    return [f"--{key.replace('_', '-')}={v}" for key, v in values.items()]
+
+
+CHRONON = {"energy": [1, 0.5, 2], "n": [1, 2], "tau_scale": [1, 0.5], "hbar": [1, 2]}
+modes_argv = one_odd(**CHRONON, convention=["paper", "standard"], format=["csv", "json"]).map(
+    lambda v: ["modes", *options(v)])
+evolve_argv = one_odd(engine=["continuous", "discrete"], **CHRONON, t_max=[1, 2],
+                      steps=[1, 2], psi0=["1,0", "0.6,0.8j"], format=["csv", "json"]).map(
+    lambda v: ["evolve", *options(v)])
+converge_argv = one_odd(energy=[1, 2], t_max=[1, -1], m_list=["16,32", "2"], hbar=[1, 2],
+                        format=["csv", "json"]).map(lambda v: ["converge", *options(v)])
+kaon_case = st.tuples(
+    st.just("kaon"),
+    one_odd(mixing_e=[1, 2], gamma_s=[0.1, 0.5], gamma_l=[0.001, 0], delta_re=[0, 0.01],
+            delta_im=[0, 0.01], n=[1, 2], tau_scale=[1, 0.5], hbar=[1, 2], t_max=[1, 2],
+            steps=[2, 10, OMIT], psi0=["K0", "K1"]).map(
+        lambda cfg: "".join(f"{k} = {v}\n" for k, v in cfg.items())),
+    st.sampled_from(["2pi", "3pi", "epsilon", "width-shift"]),
+    st.sampled_from(["continuous", "discrete"]), FORMATS)
+
+SCAN_PARAMS = ["energy", "diag", "n", "tau_scale", "hbar", "mixing_e", "gamma_s",
+               "gamma_l", "delta_re", "delta_im", "t_max", "steps", "engine", "convention",
+               "psi0", "observable", "direction"]
+scan_axis = st.fixed_dictionaries(
+    {"name": st.sampled_from(SCAN_PARAMS), "start": NUMBER, "stop": NUMBER, "count": INT},
+    optional={"spacing": st.sampled_from(["linear", "log", "x"])})
+scan_spec = st.fixed_dictionaries(
+    {"quantity": st.sampled_from(["mode_report", "epsilon", "width_shift",
+                                  "trajectory-observable", "x"]),
+     "grid": st.lists(scan_axis, max_size=2),
+     "fixed": st.dictionaries(st.sampled_from(SCAN_PARAMS),
+                              st.one_of(NUMBER, st.sampled_from(
+                                  ["continuous", "discrete", "paper", "norm2_final",
+                                   "prob_final", "1,0", "0,0", "1,nan"])), max_size=6)},
+    optional={"max_points": INT})
+scan_case = st.tuples(st.just("scan"), scan_spec.map(json.dumps), FORMATS)
+
+
+def run_main(argv: list[str]) -> tuple[int, str]:
+    """(exit code, stdout) of `cli.main(argv)`; argparse's exit is a code."""
+    from chronon_lab.cli import main
+    out = io.StringIO()
+    with contextlib.redirect_stdout(out), contextlib.redirect_stderr(io.StringIO()):
+        try:
+            code = main(argv)
+        except SystemExit as exc:
+            code = exc.code
+    return code, out.getvalue()
+
+
+@settings(PROPERTY, max_examples=200)
+@given(case=st.one_of(modes_argv, evolve_argv, converge_argv, kaon_case, scan_case))
+def test_cli_exit_codes_over_odd_inputs(tmp_path_factory, case):
+    # every command line, spec file or kaon config ends in exit code 0, 2,
+    # 3 or 4 with no exception escaping; a failed command prints nothing to
+    # stdout, and no ok row holds a nan
+    if case[0] == "kaon":
+        _, text, observable, engine, fmt = case
+        path = tmp_path_factory.getbasetemp() / "fuzz.cfg"
+        path.write_text(text, encoding="utf-8")
+        argv = ["kaon", f"--config={path}", f"--observable={observable}",
+                f"--engine={engine}", f"--format={fmt}"]
+    elif case[0] == "scan":
+        _, text, fmt = case
+        path = tmp_path_factory.getbasetemp() / "fuzz.json"
+        path.write_text(text, encoding="utf-8")
+        argv = ["scan", f"--spec={path}", f"--format={fmt}"]
+    else:
+        argv = case
+    code, out = run_main(argv)
+    assert code in (0, 2, 3, 4), argv
+    if code != 0:
+        assert out == "", argv
+        return
+    rows = json.loads(out) if "--format=json" in argv else list(csv.DictReader(io.StringIO(out)))
+    for row in rows:
+        if row.get("status", "ok") == "ok":
+            assert "nan" not in row.values(), (argv, row)

@@ -8,11 +8,12 @@ import numpy as np
 import pytest
 
 from chronon_lab.errors import InvalidInput
-from chronon_lab.evolution import (NATURAL_UNITS, ChrononParams, Trajectory, TwoState,
-                                   UnitSystem)
+from chronon_lab.evolution import (DEFAULT_GRID_CAP, NATURAL_UNITS, ChrononParams, Trajectory,
+                                   TwoState, UnitSystem)
 from chronon_lab.kaon import KaonModel, ModeWidths
 from chronon_lab.linalg2 import EigenPair2
-from chronon_lab.runner import DEFAULT_GRID_CAP, RunManifest, ScanAxis, ScanSpec
+from chronon_lab.quantities import ScanAxis, ScanSpec
+from chronon_lab.runner import RunManifest
 from chronon_lab.spectrum import EffectiveSpectrum, ModeRecord
 
 VEC = np.array([1.0, 0.0], dtype=np.complex128)
@@ -171,6 +172,8 @@ SCHEMA_ERROR = ("unknown quantity 'nonsense'; known: "
     (lambda: UnitSystem(hbar=0.0), "hbar must be positive and finite"),
     (lambda: ChrononParams(energy=float("inf")), "energy must be positive and finite"),
     (lambda: ChrononParams(energy=1.0, n=1.5), "n must be a positive integer"),
+    (lambda: ChrononParams(energy=1.0, n=10 ** 400),
+     "n must not exceed the largest double, about 1.8e308"),
     (lambda: ChrononParams(energy=1.0, tau_scale=-1.0),
      "tau_scale must be positive and finite"),
     (lambda: TwoState([1.0, 0.0, 0.0]), "expected 2 amplitudes, got shape (3,)"),

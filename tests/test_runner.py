@@ -12,14 +12,12 @@ from chronon_lab import runner
 from chronon_lab.errors import ChrononLabError, InvalidInput, Overflow, RefusedTooLarge
 from chronon_lab.evolution import (ChrononParams, TwoState, UnitSystem,
                                    continuous_propagator, discrete_step_operator,
-                                   evolve, symmetric_hamiltonian)
+                                   evolve, parse_complex_pair, symmetric_hamiltonian)
 from chronon_lab.kaon import KaonModel, kaon_hamiltonian
-from chronon_lab.runner import (ScanAxis, ScanSpec, Table, build_manifest,
-                                convergence_study, digest_of,
-                                emit_with_manifest, evaluate_point,
-                                kaon_from_config, load_kaon_config,
-                                manifest_path_for, parse_complex_pair, render,
-                                run_scan)
+from chronon_lab.quantities import (ScanAxis, ScanSpec, evaluate_point, kaon_from_config,
+                                    load_kaon_config)
+from chronon_lab.runner import (Table, build_manifest, convergence_study, digest_of,
+                                emit_with_manifest, manifest_path_for, render, run_scan)
 
 import golden_defs
 
