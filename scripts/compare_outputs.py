@@ -101,8 +101,9 @@ def errors_group() -> tuple[str, dict[str, str | bytes], list[list[str]]]:
     `--format xml`, `evolve` and `kaon --observable 2pi` trajectories of
     1e12 steps, over the row cap, two discrete kaon trajectories whose
     step count t_max / (n tau) is infinite or has 301 digits, three whose
-    t_max is -inf, nan or -1, a discrete `evolve` with t_max -1, and
-    `converge` at t_max inf and nan."""
+    t_max is -inf, nan or -1, a discrete `evolve` with t_max -1,
+    `converge` at t_max inf and nan, and a continuous `evolve` and a
+    `converge` at the subnormal hbar 1e-320."""
     axis = {"name": "mixing_e", "start": 1.0, "stop": 2.0, "count": 2}
     specs = {
         "not_json": "{not json",
@@ -142,6 +143,10 @@ def errors_group() -> tuple[str, dict[str, str | bytes], list[list[str]]]:
                      "--steps", "4"])
     commands += [["converge", "--energy", "1", "--t-max", t_max, "--m-list", "4,8"]
                  for t_max in ("inf", "nan")]
+    commands += [["evolve", "--engine", "continuous", "--energy", "1", "--hbar", "1e-320",
+                  "--t-max", "1", "--steps", "4"],
+                 ["converge", "--energy", "1", "--hbar", "1e-320", "--t-max", "1",
+                  "--m-list", "4,8"]]
     return "errors", files, commands
 
 

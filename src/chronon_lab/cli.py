@@ -133,56 +133,69 @@ def _cmd_converge(args):
     return table, params
 
 
-def build_parser() -> argparse.ArgumentParser:
-    parser = argparse.ArgumentParser(
-        prog="chronon-lab",
-        description="Quantized-time two-state evolution laboratory")
-    subs = parser.add_subparsers(dest="command", required=True)
-
-    sub = subs.add_parser("modes", help="effective-energy report for the symmetric H")
+def _modes_args(sub):
     _add_chronon_args(sub)
     sub.add_argument("--convention", choices=CONVENTIONS, default="paper")
-    _add_output_args(sub)
-    sub.set_defaults(handler=_cmd_modes)
 
-    sub = subs.add_parser("evolve", help="generate a trajectory")
+
+def _evolve_args(sub):
     sub.add_argument("--engine", choices=ENGINES, required=True)
     _add_chronon_args(sub)
     sub.add_argument("--t-max", type=float, required=True)
     sub.add_argument("--steps", type=int, required=True)
     sub.add_argument("--psi0", default="1,0", help="two complex amplitudes, e.g. '1,0'")
-    _add_output_args(sub)
-    sub.set_defaults(handler=_cmd_evolve)
 
-    sub = subs.add_parser("kaon", help="kaon-model observables from a config file")
+
+def _kaon_args(sub):
     sub.add_argument("--config", required=True)
     sub.add_argument("--observable", choices=("2pi", "3pi", "epsilon", "width-shift"),
                      required=True)
     sub.add_argument("--engine", choices=ENGINES, default="continuous")
-    _add_output_args(sub)
-    sub.set_defaults(handler=_cmd_kaon)
 
-    sub = subs.add_parser("scan", help="run a parameter scan from a JSON spec")
+
+def _scan_args(sub):
     sub.add_argument("--spec", required=True)
     sub.add_argument("--workers", type=int, default=1,
                      help="at least 1, recorded in the manifest; scans run in one process")
-    _add_output_args(sub)
-    sub.set_defaults(handler=_cmd_scan)
 
-    sub = subs.add_parser("converge", help="integrator convergence study")
+
+def _converge_args(sub):
     sub.add_argument("--energy", type=float, required=True)
     sub.add_argument("--t-max", type=float, required=True)
     sub.add_argument("--m-list", required=True, help="comma-separated step counts")
     sub.add_argument("--hbar", type=float, default=1.0)
-    _add_output_args(sub)
-    sub.set_defaults(handler=_cmd_converge)
 
+
+def build_parser(argv) -> argparse.ArgumentParser:
+    """The parser of `argv`. Every subcommand is listed, but only the one
+    that argv names (its first token not starting with '-') gets its
+    arguments, or all of them when argv names none, since a command parses
+    only its own; the help and error texts are those of the full parser."""
+    parser = argparse.ArgumentParser(
+        prog="chronon-lab",
+        description="Quantized-time two-state evolution laboratory")
+    subs = parser.add_subparsers(dest="command", required=True)
+    # name -> (help, the arguments before the output arguments, handler)
+    commands = {
+        "modes": ("effective-energy report for the symmetric H", _modes_args, _cmd_modes),
+        "evolve": ("generate a trajectory", _evolve_args, _cmd_evolve),
+        "kaon": ("kaon-model observables from a config file", _kaon_args, _cmd_kaon),
+        "scan": ("run a parameter scan from a JSON spec", _scan_args, _cmd_scan),
+        "converge": ("integrator convergence study", _converge_args, _cmd_converge),
+    }
+    named = next((arg for arg in argv if not arg.startswith("-")), None)
+    for name, (help_text, add_args, handler) in commands.items():
+        sub = subs.add_parser(name, help=help_text)
+        if named not in commands or named == name:
+            add_args(sub)
+            _add_output_args(sub)
+        sub.set_defaults(handler=handler)
     return parser
 
 
 def main(argv=None) -> int:
-    parser = build_parser()
-    args = parser.parse_args(argv)
+    argv = sys.argv[1:] if argv is None else argv
+    args = build_parser(argv).parse_args(argv)
     try:
         table, params = args.handler(args)
         if args.out:

@@ -207,6 +207,8 @@ def continuous_propagator(h, t: float | np.ndarray, units: UnitSystem = NATURAL_
             "H is not Hermitian; pass allow_nonhermitian=True for open systems")
     with np.errstate(over="ignore", invalid="ignore"):  # exp2 rejects non-finite entries
         g = (-1j / units.hbar) * a
+    if not np.all(np.isfinite(g)) and np.all(np.isfinite(a)):  # e.g. a subnormal hbar
+        raise InvalidInput(f"H / hbar is not finite in double precision (hbar = {units.hbar!r})")
     return exp2(g, t)
 
 

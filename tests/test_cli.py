@@ -1,5 +1,6 @@
 import csv
 import gc
+import hashlib
 import io
 import json
 import math
@@ -13,9 +14,13 @@ from chronon_lab import cli, quantities, runner
 from chronon_lab.cli import main
 from chronon_lab.errors import ChrononLabError
 from chronon_lab.quantities import MODE_FIELDS, evaluate_chunk
-from chronon_lab.runner import digest_of
 
 CLI = [sys.executable, "-m", "chronon_lab"]
+
+
+def digest_of(data: bytes) -> str:
+    """The SHA-256 a manifest should record of `data`."""
+    return hashlib.sha256(data).hexdigest()
 
 
 def run_cli(*args, **kwargs):
@@ -77,6 +82,27 @@ def test_argparse_usage_error_exit_code():
     res = run_cli("evolve", "--engine", "sideways", "--energy", "1",
                   "--t-max", "1", "--steps", "1")
     assert res.returncode == 2
+
+
+def subparsers(argv):
+    parser = cli.build_parser(argv)
+    [action] = parser._subparsers._group_actions
+    return parser, action.choices
+
+
+def test_parser_adds_only_the_named_command_arguments():
+    # a command parses only its own arguments, so only its subparser gets
+    # them; with no command named (--help, a misspelled command) every one
+    # does, and every help text is that of the full parser
+    full, every = subparsers([])
+    for name in every:
+        parser, subs = subparsers([name, "--help"])
+        assert parser.format_help() == full.format_help()
+        assert subs[name].format_help() == every[name].format_help()
+        assert [n for n, sub in subs.items() if len(sub._actions) > 1] == [name]
+    for argv in (["--help"], ["nonsense"], ["-h", "modez"]):
+        _, subs = subparsers(argv)
+        assert all(len(subs[n]._actions) == len(every[n]._actions) for n in every)
 
 
 def test_kaon_epsilon_null(tmp_path):
@@ -167,6 +193,17 @@ def test_converge_bad_m_list_exit_code():
         assert res.returncode == 2, m_list
         assert res.stderr.startswith("error: "), m_list
         assert res.stdout == "", m_list
+
+
+@pytest.mark.parametrize("argv", [
+    ["evolve", "--engine", "continuous", "--energy", "1", "--t-max", "1", "--steps", "4"],
+    ["converge", "--energy", "1", "--t-max", "1", "--m-list", "4,8"]])
+def test_subnormal_hbar_names_hbar(capsys, argv):
+    # H / hbar overflows at a subnormal hbar: the message names hbar, not a
+    # matrix the user never gave
+    assert main([*argv, "--hbar", "1e-320"]) == 2
+    assert capsys.readouterr() == (
+        "", "error: H / hbar is not finite in double precision (hbar = 1e-320)\n")
 
 
 def test_counts_past_the_double_range_exit_code(capsys):
@@ -505,13 +542,16 @@ def test_manifest_written_for_modes(tmp_path):
     assert manifest["parameters"]["convention"] == "paper"
 
 
-def test_stdout_output_is_not_hashed(monkeypatch, capsys):
-    # only a manifest records the digest, so output to stdout computes none
-    def no_digest(data):
+def test_stdout_output_is_not_hashed(monkeypatch, capsys, tmp_path):
+    # only a manifest records the digest, so output to stdout computes none;
+    # output to a file with a manifest is what calls runner.new_digest
+    def no_digest():
         raise AssertionError("digest of output that no manifest records")
-    monkeypatch.setattr(runner, "digest_of", no_digest)
+    monkeypatch.setattr(runner, "new_digest", no_digest)
     assert main(["modes", "--energy", "1"]) == 0
     assert capsys.readouterr().out.startswith("mode,h,")
+    with pytest.raises(AssertionError, match="no manifest records"):
+        main(["modes", "--energy", "1", "--out", str(tmp_path / "modes.csv")])
 
 
 # ---------------------------------------------------------------------------

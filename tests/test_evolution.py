@@ -325,3 +325,9 @@ def test_trajectory_grid_validation():
         Trajectory(np.array([0.0, 1.0, 1.5]), np.zeros((3, 2)), "continuous")
     with pytest.raises(InvalidInput):
         Trajectory(np.array([0.0, -1.0]), np.zeros((2, 2)), "continuous")
+
+
+def test_continuous_propagator_names_a_subnormal_hbar():
+    # H is finite but H / hbar is not: the error names hbar
+    with pytest.raises(InvalidInput, match=r"H / hbar is not finite .*hbar = 1e-320"):
+        continuous_propagator(symmetric_hamiltonian(1.0), 1.0, UnitSystem(hbar=1e-320))

@@ -1,7 +1,9 @@
 import csv
+import hashlib
 import io
 import json
 import math
+import tracemalloc
 import warnings
 
 import mpmath
@@ -16,10 +18,16 @@ from chronon_lab.evolution import (ChrononParams, TwoState, UnitSystem,
 from chronon_lab.kaon import KaonModel, kaon_hamiltonian
 from chronon_lab.quantities import (ScanAxis, ScanSpec, evaluate_point, kaon_from_config,
                                     load_kaon_config)
-from chronon_lab.runner import (Table, build_manifest, convergence_study, digest_of,
-                                emit_with_manifest, manifest_path_for, render, run_scan)
+from chronon_lab.runner import (RENDER_BLOCK, Table, build_manifest, convergence_study, emit,
+                                emit_with_manifest, manifest_path_for, render, render_blocks,
+                                run_scan)
 
 import golden_defs
+
+
+def digest_of(data: bytes) -> str:
+    """The SHA-256 a manifest should record of `data`."""
+    return hashlib.sha256(data).hexdigest()
 
 
 def ratio_scan_spec(count=13):
@@ -500,6 +508,136 @@ def test_build_manifest_fields():
     assert m.artifact_version
     payload = json.loads(m.to_json())
     assert payload["parameters"] == {"k": 1}
+
+
+def mixed_table(k):
+    """k rows of a float column with None cells, an int and a non-ASCII str column."""
+    return Table({"x": (np.arange(k) / 7.0, np.arange(k) % 3 == 1),
+                  "i": list(range(k)), "s": ["caf\u00e9" if j % 2 else "a,b" for j in range(k)]})
+
+
+@pytest.mark.parametrize("k", [0, 1, RENDER_BLOCK, RENDER_BLOCK + 1])
+@pytest.mark.parametrize("fmt", ["csv", "json"])
+def test_emit_streams_the_bytes_of_render(monkeypatch, capsysbinary, tmp_path, fmt, k):
+    # the header (or the JSON bracket), one block per RENDER_BLOCK rows and
+    # the closing bracket; each destination gets exactly render's bytes
+    table = mixed_table(k)
+    want = render(table, fmt)
+    blocks = list(render_blocks(table, fmt))
+    assert b"".join(blocks) == want
+    assert len(blocks) == {"csv": 1 + -(-k // RENDER_BLOCK),
+                           "json": 2 + -(-k // RENDER_BLOCK) if k else 1}[fmt]
+    out = tmp_path / f"t.{fmt}"
+    emit(table, fmt, out)
+    assert out.read_bytes() == want
+    emit(table, fmt)  # stdout, through its binary buffer
+    assert capsysbinary.readouterr().out == want
+    text = io.StringIO()
+    monkeypatch.setattr("sys.stdout", text)  # no buffer: each block decoded
+    emit(table, fmt)
+    assert text.getvalue().encode("utf-8") == want
+
+
+@pytest.mark.parametrize("fmt", ["csv", "json"])
+def test_manifest_digest_is_the_digest_of_render(tmp_path, fmt):
+    table = mixed_table(3 * RENDER_BLOCK + 5)
+    out = tmp_path / f"t.{fmt}"
+    manifest = emit_with_manifest(table, fmt, out, {})
+    assert manifest.outputs[out.name] == digest_of(render(table, fmt)) == digest_of(
+        out.read_bytes())
+    assert json.loads(manifest_path_for(out).read_text())["outputs"] == manifest.outputs
+
+
+def test_a_bad_format_writes_nothing(capsysbinary, tmp_path):
+    # the format is checked before the first byte: no stdout, no file, and
+    # an earlier run's manifest stays
+    table = mixed_table(2)
+    with pytest.raises(InvalidInput, match="format must be csv or json"):
+        emit(table, "xml")
+    assert capsysbinary.readouterr() == (b"", b"")
+    with pytest.raises(InvalidInput):
+        emit(table, "xml", tmp_path / "t.xml")
+    out = tmp_path / "t.csv"
+    emit_with_manifest(table, "csv", out, {})
+    before = manifest_path_for(out).read_bytes()
+    with pytest.raises(InvalidInput):
+        emit_with_manifest(table, "xml", out, {})
+    assert not (tmp_path / "t.xml").exists()
+    assert manifest_path_for(out).read_bytes() == before
+
+
+def test_failed_write_after_the_first_block_exits_4_without_manifest(
+        monkeypatch, capsys, tmp_path):
+    # an OSError part way through the output reaches cli.main as exit 4; the
+    # partial file has no manifest beside it, not even an earlier run's
+    from chronon_lab import cli
+    spec = tmp_path / "spec.json"
+    spec.write_text(json.dumps({"quantity": "mode_report", "grid": [
+        {"name": "energy", "start": 0.5, "stop": 2.0, "count": 2 * RENDER_BLOCK}]}),
+        encoding="utf-8")
+    out = tmp_path / "scan.csv"
+    argv = ["scan", "--spec", str(spec), "--out", str(out)]
+    assert cli.main(argv) == 0
+    whole = out.read_bytes()
+    assert manifest_path_for(out).exists()
+    real = runner.render_blocks
+
+    def failing(rows, fmt):
+        blocks = real(rows, fmt)
+        yield next(blocks)
+        raise OSError(28, "No space left on device")
+
+    monkeypatch.setattr(runner, "render_blocks", failing)
+    capsys.readouterr()
+    assert cli.main(argv) == 4
+    assert capsys.readouterr() == ("", "i/o error: [Errno 28] No space left on device\n")
+    assert whole.startswith(out.read_bytes()) and 0 < len(out.read_bytes()) < len(whole)
+    assert not manifest_path_for(out).exists()
+
+
+# ---------------------------------------------------------------------------
+# memory: the output is never held whole, and the scan table is built once
+
+def traced_peak(fn, *args):
+    """(result, peak, current) of fn(*args) under tracemalloc, in bytes, from
+    the start of the call."""
+    tracemalloc.start()
+    try:
+        result = fn(*args)
+        current, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    return result, peak, current
+
+
+@pytest.mark.parametrize("fmt", ["csv", "json"])
+def test_emit_with_manifest_peak_is_a_fraction_of_the_output(tmp_path, fmt):
+    # NumPy reports its arrays to tracemalloc, so the peak counts the block
+    # texts and arrays; holding the output whole would exceed it by far
+    table = run_scan(ScanSpec.from_dict({"quantity": "mode_report", "grid": [
+        {"name": "energy", "start": 0.1, "stop": 10.0, "count": 200, "spacing": "log"},
+        {"name": "tau_scale", "start": 1e-3, "stop": 1.0, "count": 100, "spacing": "log"}]}))
+    assert len(table) == 20_000
+    out = tmp_path / f"scan.{fmt}"
+    _, peak, _ = traced_peak(emit_with_manifest, table, fmt, out, {})
+    assert peak < out.stat().st_size / 4
+
+
+def test_run_scan_overhead_does_not_grow_with_the_chunk_count(monkeypatch):
+    # what run_scan holds beyond the table it returns is one chunk's work,
+    # whether the grid is 2 chunks or 16
+    monkeypatch.setattr(runner, "SCAN_CHUNK", 256)
+
+    def overhead(chunks):
+        spec = ScanSpec.from_dict({"quantity": "mode_report", "grid": [
+            {"name": "energy", "start": 0.1, "stop": 10.0, "count": 256 * chunks}]})
+        table, peak, current = traced_peak(run_scan, spec)
+        return peak - current, len(table)
+
+    overhead(2)  # imports and first-use caches out of the way
+    (two, k2), (sixteen, k16) = overhead(2), overhead(16)
+    assert (k2, k16) == (512, 4096)
+    assert sixteen < 1.25 * two
 
 
 # ---------------------------------------------------------------------------
