@@ -59,7 +59,7 @@ class Table:
     cells that are None; any other column is a list of str or int cells.
     len() is the row count. Iterating or indexing gives row dicts, as a
     list of rows would (a slice gives a list of them); `block(c, start,
-    stop)` gives a slice of column c, which is how `render` reads it.
+    stop)` gives a slice of column c, which is how `render_blocks` reads it.
     """
 
     def __init__(self, columns: dict):
