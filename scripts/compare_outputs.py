@@ -7,9 +7,10 @@ Each argument is a `src` directory holding a `chronon_lab` package. The
 commands are the four benchmark workloads at seed 101, built by
 `perfbench/workloads.py`, every `chronon-lab` line of the README, and a
 `formats` group that renders each scan quantity in the format its workload
-does not use, a scan with InvalidInput rows in both formats, and the
-`evolve`, `converge` and `kaon` tables in the formats the other groups do
-not use, and an `errors` group
+does not use, a scan with InvalidInput rows in both formats, a
+`trajectory-observable` scan per engine with failing lanes in both formats,
+and the `evolve`, `converge` and `kaon` tables in the formats the other
+groups do not use, and an `errors` group
 of malformed inputs, whose exit codes and stderr are compared. Each
 command runs as `python -m chronon_lab` once per tree, in a fresh
 temporary directory holding the workload's spec files and a copy of
@@ -64,12 +65,39 @@ INVALID_SCAN = {
 }
 
 
+# trajectory-observable on each engine, with the lane statuses it can give:
+# energy 0 is InvalidInput; a discrete grid off t_max / (n tau) is
+# GridMismatch and 2000 steps at tau_scale 1 overflow; a continuous E t_max
+# of 2e308 overflows
+TRAJECTORY_SCANS = {
+    "trajectory_discrete.json": {
+        "quantity": "trajectory-observable",
+        "grid": [{"name": "energy", "start": 0.0, "stop": 2.0, "count": 3},
+                 {"name": "tau_scale", "start": 1e-3, "stop": 1.0, "count": 2,
+                  "spacing": "log"},
+                 {"name": "t_max", "start": 2.0, "stop": 2000.0, "count": 2,
+                  "spacing": "log"},
+                 {"name": "steps", "start": 2000, "stop": 4000, "count": 2}],
+        "fixed": {"engine": "discrete", "psi0": "0.6,0.8j", "observable": "prob_final",
+                  "direction": "1,1j"}},
+    "trajectory_continuous.json": {
+        "quantity": "trajectory-observable",
+        "grid": [{"name": "energy", "start": 0.0, "stop": 2.0, "count": 3},
+                 {"name": "t_max", "start": 1.0, "stop": 1e308, "count": 2,
+                  "spacing": "log"},
+                 {"name": "diag", "start": -0.5, "stop": 0.5, "count": 2}],
+        "fixed": {"engine": "continuous", "steps": 4, "psi0": "0.6,0.8j"}},
+}
+
+
 def formats_group() -> tuple[str, dict[str, str], list[list[str]]]:
     """Every scan quantity in both formats: the scan_modes scan as JSON to
     a file, the pool_kaon scans as CSV to stdout, a scan with InvalidInput
-    rows as both; `evolve` and `converge` (also with invalid rows) as JSON,
-    and each kaon observable in the format the README does not show."""
+    rows and the failing-lanes trajectory scans as both; `evolve` and
+    `converge` (also with invalid rows) as JSON, and each kaon observable in
+    the format the README does not show."""
     files = {"invalid.json": json.dumps(INVALID_SCAN)}
+    files.update((name, json.dumps(spec)) for name, spec in TRAJECTORY_SCANS.items())
     commands = []
     for name, fmt, to_file in (("scan_modes", "json", True), ("pool_kaon", "csv", False)):
         wl = workloads.build(name, SEED, Path(name), ROOT)
@@ -77,8 +105,9 @@ def formats_group() -> tuple[str, dict[str, str], list[list[str]]]:
         for i, c in enumerate(wl.commands):
             commands.append(_with_format(c.argv, fmt, f"{name}/formats{i}.{fmt}"
                                          if to_file else None))
-    for fmt in ("csv", "json"):
-        commands.append(["scan", "--spec", "invalid.json", "--format", fmt])
+    for spec in ("invalid.json", *TRAJECTORY_SCANS):
+        for fmt in ("csv", "json"):
+            commands.append(["scan", "--spec", spec, "--format", fmt])
     for engine in ("discrete", "continuous"):  # 2000 steps of n tau = 0.005
         commands.append(["evolve", "--engine", engine, "--energy", "1", "--tau-scale",
                          "0.005", "--t-max", "10", "--steps", "2000", "--psi0", "0.6,0.8j",

@@ -72,19 +72,23 @@ class Lanes:
         self.fail(~np.asarray(valid, dtype=bool), cls, message, *values)
 
     def status(self) -> np.ndarray:
-        """'ok' or the error class name of each lane, as an object array."""
-        out = np.full(self.ok.shape, "ok", dtype=object)
-        for new, cls, _, _ in self._errors:
-            out[new] = cls.__name__
-        return out
+        """'ok' or the error class name of each lane, as an object array
+        whose cells of one status are one str object."""
+        index = np.zeros(self.ok.shape, dtype=np.intp)
+        for i, (new, _, _, _) in enumerate(self._errors, 1):
+            index[new] = i
+        names = ["ok"] + [cls.__name__ for _, cls, _, _ in self._errors]
+        return np.array(names, dtype=object)[index]
 
     def raise_first(self) -> None:
-        """Raise the error recorded on the first lane, if any: the way back
-        to exceptions of a one-point evaluation."""
-        for new, cls, message, values in self._errors:
-            if new[0]:
-                raise cls(_format(message, *(
-                    np.broadcast_to(v, new.shape)[0].item() for v in values)))
+        """Raise the first error recorded, with the values of its first lane:
+        the error of a one-point evaluation, and of a one-matrix call over
+        many scales the error its first failing check would raise."""
+        if self._errors:
+            new, cls, message, values = self._errors[0]
+            i = int(np.argmax(new))
+            raise cls(_format(message, *(
+                np.broadcast_to(v, new.shape)[i].item() for v in values)))
 
 
 class OnePoint:

@@ -17,8 +17,8 @@ import numpy as np
 
 from . import kernels
 from .errors import GridMismatch, InvalidInput, OnePoint, Overflow, RefusedTooLarge
-from .linalg2 import (IDENTITY2, as_operator, exp2, is_hermitian, power2,
-                      require_finite)
+from .linalg2 import (IDENTITY2, as_operator, as_stack, exp2, finite_check, is_hermitian,
+                      power2, require_finite)
 from .record import Record
 
 ENGINES = ("continuous", "discrete")
@@ -63,12 +63,13 @@ def step_check(lanes, dt) -> None:
 
 
 class UnitSystem(Record):
-    """Unit bookkeeping: hbar in action units."""
+    """Unit bookkeeping: hbar in action units. With a `Lanes`, hbar may hold
+    one value per lane, its rule recorded there."""
 
     __slots__ = ("hbar",)
 
-    def __init__(self, hbar: float = 1.0):
-        require_positive(OnePoint, "hbar", hbar)
+    def __init__(self, hbar: float = 1.0, lanes=OnePoint):
+        require_positive(lanes, "hbar", hbar)
         super().__init__(hbar)
 
 
@@ -129,13 +130,16 @@ class TwoState(Record):
         a = np.asarray(amplitudes, dtype=np.complex128)
         if a.shape != (2,):
             raise InvalidInput(f"expected 2 amplitudes, got shape {a.shape}")
-        if not np.all(np.isfinite(a)):
-            raise InvalidInput("amplitudes must be finite")
+        amplitude_check(OnePoint, a)
         super().__init__(a)
 
     @property
     def norm_sq(self) -> float:
         return float(np.sum(np.abs(self.amplitudes) ** 2))
+
+
+def amplitude_check(lanes, amplitudes) -> None:
+    lanes.require(np.isfinite(amplitudes).all(), InvalidInput, "amplitudes must be finite")
 
 
 def _amplitudes_of(psi0) -> np.ndarray:
@@ -198,18 +202,27 @@ def symmetric_hamiltonian(energy: float, diag: float = 0.0) -> np.ndarray:
 
 
 def continuous_propagator(h, t: float | np.ndarray, units: UnitSystem = NATURAL_UNITS,
-                          allow_nonhermitian: bool = False) -> np.ndarray:
-    """exp(-i H t / hbar), unitary whenever H is Hermitian; an array of times
-    `t` gives one stacked propagator per time, of shape t.shape + (2, 2)."""
-    a = as_operator(h)
-    if not allow_nonhermitian and not is_hermitian(a):
-        raise InvalidInput(
-            "H is not Hermitian; pass allow_nonhermitian=True for open systems")
+                          allow_nonhermitian: bool = False, lanes=OnePoint) -> np.ndarray:
+    """exp(-i H t / hbar), unitary whenever H is Hermitian, per time of an
+    array `t` (shape t.shape + (2, 2)) or per H of a stack (k, 2, 2) with
+    one time and hbar or one per H. Errors as in `exp2`."""
+    a = as_stack(h)
+    if not allow_nonhermitian:
+        lanes.require(is_hermitian(a), InvalidInput,
+                      "H is not Hermitian; pass allow_nonhermitian=True for open systems")
     with np.errstate(over="ignore", invalid="ignore"):  # exp2 rejects non-finite entries
-        g = (-1j / units.hbar) * a
-    if not np.all(np.isfinite(g)) and np.all(np.isfinite(a)):  # e.g. a subnormal hbar
-        raise InvalidInput(f"H / hbar is not finite in double precision (hbar = {units.hbar!r})")
-    return exp2(g, t)
+        g = np.asarray(-1j / units.hbar)[..., None, None] * a
+    # e.g. a subnormal hbar
+    lanes.fail(~np.isfinite(g).all(axis=(-2, -1)) & np.isfinite(a).all(axis=(-2, -1)),
+               InvalidInput, "H / hbar is not finite in double precision (hbar = {!r})",
+               units.hbar)
+    return exp2(g, t, lanes)
+
+
+def step_map(h, dt, hbar) -> np.ndarray:
+    """U = I - i H dt / hbar for one H, or per H of a stack with one dt and
+    hbar or one per H, unchecked."""
+    return IDENTITY2 - np.asarray(1j * (dt / hbar))[..., None, None] * h
 
 
 def discrete_step_operator(h, p: ChrononParams,
@@ -221,37 +234,49 @@ def discrete_step_operator(h, p: ChrononParams,
     """
     a = as_operator(h)
     require_finite(a)
-    return IDENTITY2 - (1j * p.step(units) / units.hbar) * a
+    return step_map(a, p.step(units), units.hbar)
+
+
+def grid_check(lanes, engine: str, t_max, steps, dt) -> None:
+    """The grid rules of `evolve` on lanes: steps a positive integer, t_max
+    positive and finite, and on the discrete engine (dt = n * tau, None
+    failing it, checked here) steps = t_max / dt rounded within 1e-9
+    relative, or GridMismatch."""
+    lanes.require(engine in ENGINES, InvalidInput,
+                  f"engine must be one of {ENGINES}, got {engine!r}")
+    lanes.require((steps >= 1) & (steps % 1 == 0), InvalidInput,
+                  "steps must be a positive integer")
+    require_positive(lanes, "t_max", t_max)
+    if engine != "discrete":
+        return
+    if dt is None:
+        lanes.fail(True, InvalidInput, "discrete engine needs ChrononParams")
+        return
+    step_check(lanes, dt)
+    with np.errstate(all="ignore"):
+        k_float = t_max / dt  # may overflow
+        k = np.where(np.isfinite(k_float), np.round(k_float), 0.0)
+        lanes.require((k >= 1) & (abs(k_float - k)
+                                  <= _GRID_RTOL * np.maximum(abs(k_float), 1.0)),
+                      GridMismatch, "t_max={} is not an integer multiple of n*tau={}",
+                      t_max, dt)
+    mismatch = "steps={} but t_max/(n*tau)={:.0f}; the discrete grid is n*tau"
+    # a steps past the double range differs from every k, and is no double
+    lanes.require(steps <= sys.float_info.max, GridMismatch, mismatch, steps, k)
+    lanes.require(k == steps, GridMismatch, mismatch, steps, k)
 
 
 def check_grid(engine: str, t_max: float, steps: int, p: ChrononParams | None = None,
                units: UnitSystem = NATURAL_UNITS) -> int:
-    """The grid rules of `evolve`; returns `steps` as an int.
+    """`grid_check` on one point, with n * tau from `p`; returns `steps` as
+    an int."""
+    grid_check(OnePoint, engine, t_max, steps, _step_of(p, units))
+    return int(steps)
 
-    steps must be a positive integer and t_max positive and finite. The
-    discrete grid spacing is n * tau, so steps must be t_max / (n tau),
-    rounded within 1e-9 relative, or GridMismatch is raised.
-    """
-    if engine not in ENGINES:
-        raise InvalidInput(f"engine must be one of {ENGINES}, got {engine!r}")
-    if int(steps) != steps or steps < 1:
-        raise InvalidInput("steps must be a positive integer")
-    steps = int(steps)
-    require_positive(OnePoint, "t_max", t_max)
-    if engine == "continuous":
-        return steps
-    if p is None:
-        raise InvalidInput("discrete engine needs ChrononParams")
-    dt = p.step(units)
-    k_float = t_max / dt  # may overflow
-    k = round(k_float) if math.isfinite(k_float) else 0
-    if k < 1 or abs(k_float - k) > _GRID_RTOL * max(abs(k_float), 1.0):
-        raise GridMismatch(
-            f"t_max={t_max} is not an integer multiple of n*tau={dt}")
-    if k != steps:
-        raise GridMismatch(
-            f"steps={steps} but t_max/(n*tau)={k}; the discrete grid is n*tau")
-    return steps
+
+def _step_of(p: ChrononParams | None, units: UnitSystem):
+    """The unchecked n * tau of `p`, or None."""
+    return None if p is None else chronon_step(p.energy, p.n, p.tau_scale, units.hbar)
 
 
 def evolve(h, psi0, engine: str, t_max: float, steps: int,
@@ -290,13 +315,21 @@ def final_state(h, psi0, engine: str, t_max: float, steps: int,
                 p: ChrononParams | None = None,
                 units: UnitSystem = NATURAL_UNITS) -> np.ndarray:
     """The amplitudes at t_max of `evolve` with the same arguments, computed
-    without the states before them: U^steps psi0 from `power2` (which raises
-    Overflow) for the discrete engine, the propagator at t_max for the
-    continuous one, which needs a Hermitian H."""
-    a = as_operator(h)
-    require_finite(a)
-    amps = _amplitudes_of(psi0)
-    steps = check_grid(engine, t_max, steps, p, units)
+    without the states before them: `final_states` on one point."""
+    return final_states(as_operator(h), _amplitudes_of(psi0), engine, t_max, steps,
+                        _step_of(p, units), units)
+
+
+def final_states(h, amplitudes, engine: str, t_max, steps, dt, units: UnitSystem,
+                 lanes=OnePoint) -> np.ndarray:
+    """The amplitudes at t_max of `evolve` per H of a stack (k, 2, 2), with
+    one t_max, steps, unchecked n * tau (dt) and hbar or one per H: U^steps
+    psi0 by `power2` (discrete) or the `continuous_propagator` at t_max.
+    The rules of `evolve` and these two's errors: raised with OnePoint,
+    recorded per lane with a `Lanes`."""
+    finite_check(lanes, h)
+    amplitude_check(lanes, amplitudes)
+    grid_check(lanes, engine, t_max, steps, dt)
     if engine == "discrete":
-        return power2(discrete_step_operator(a, p, units), steps) @ amps
-    return continuous_propagator(a, t_max, units) @ amps
+        return power2(step_map(h, dt, units.hbar), steps, lanes) @ amplitudes
+    return continuous_propagator(h, t_max, units, lanes=lanes) @ amplitudes

@@ -8,12 +8,9 @@ concurrently.
 
 from __future__ import annotations
 
-import cmath
-import math
-
 import numpy as np
 
-from .errors import InvalidInput, Lanes, Overflow, SingularMap, OnePoint
+from .errors import InvalidInput, Lanes, OnePoint, Overflow, SingularMap
 from .record import Record
 
 # The one tolerance of every matrix and eigenvalue test in the package.
@@ -36,6 +33,15 @@ def as_operator(m) -> np.ndarray:
     return a
 
 
+def as_stack(m) -> np.ndarray:
+    """Coerce to a complex 2x2 ndarray or a stack of k of them, shape
+    (k, 2, 2), raising InvalidInput on another shape."""
+    a = np.asarray(m, dtype=np.complex128)
+    if a.shape[-2:] != (2, 2) or a.ndim > 3:
+        raise InvalidInput(f"expected a 2x2 matrix or a stack of them, got shape {a.shape}")
+    return a
+
+
 def finite_check(lanes, a: np.ndarray) -> None:
     """InvalidInput on the lanes of a stack of matrices with an entry that is
     not finite."""
@@ -47,10 +53,11 @@ def require_finite(a: np.ndarray) -> None:
     finite_check(OnePoint, a)
 
 
-def is_hermitian(m) -> bool:
-    """Max-entry test of M == M^dagger within DEFAULT_TOL."""
-    a = as_operator(m)
-    return float(np.max(np.abs(a - a.conj().T))) <= DEFAULT_TOL
+def is_hermitian(m):
+    """Max-entry test of M == M^dagger within DEFAULT_TOL: a bool for one
+    matrix, an array of them for a stack."""
+    a = as_stack(m)
+    return np.max(np.abs(a - np.swapaxes(a.conj(), -1, -2)), axis=(-2, -1)) <= DEFAULT_TOL
 
 
 class EigenPair2(Record):
@@ -143,14 +150,6 @@ def _unscale(z: np.ndarray, s: np.ndarray) -> np.ndarray:
     return as_complex(z.real / s, z.imag / s)
 
 
-def _one_root(a: np.ndarray) -> tuple[complex, complex]:
-    """(tr/2, D) of one finite matrix, raising the Overflow of `_char_root`."""
-    lanes = Lanes(1)
-    half_tr, root = _char_root(a[None], lanes)[:2]
-    lanes.raise_first()
-    return complex(half_tr[0]), complex(root[0])
-
-
 @np.errstate(all="ignore")  # failed lanes carry nan and inf; their values are not used
 def eig2_stack(a: np.ndarray, lanes: Lanes):
     """The eigenpairs of a stack a of complex 2x2 matrices, shape (k, 2, 2).
@@ -215,25 +214,30 @@ def eig2(m) -> tuple[EigenPair2, EigenPair2]:
                  for j in (0, 1))
 
 
-def exp2(m, s: complex | np.ndarray = 1.0) -> np.ndarray:
-    """exp(s*M) for a 2x2 complex matrix, exactly.
-
-    `s` is a scalar scale, giving a (2, 2) result, or an array of scales,
-    giving one stacked (2, 2) exponential per scale (shape s.shape + (2, 2)).
-    Uses the trace/determinant closed form
+@np.errstate(all="ignore")  # failed lanes carry nan and inf; their values are not used
+def exp2(m, s: complex | np.ndarray = 1.0, lanes=OnePoint) -> np.ndarray:
+    """exp(s*M) for a complex 2x2 matrix M, exactly, per scale of an array
+    `s` (shape s.shape + (2, 2)) or per matrix of a stack (k, 2, 2) with one
+    scale or one per matrix. Uses the trace/determinant closed form
         exp(sM) = e^{s tr/2} [cosh(sD) I + sinh(sD)/D (M - (tr/2) I)],
         D^2 = (tr/2)^2 - det M,
-    which agrees with the eigendecomposition for diagonalizable M and takes
-    the D -> 0 limit analytically, so degenerate and defective inputs need
-    no special casing.
+    with tr/2 and D from `_char_root`, which agrees with the
+    eigendecomposition for diagonalizable M and takes the D -> 0 limit
+    analytically, so degenerate and defective inputs need no special
+    casing. A non-finite entry or scale is InvalidInput and an entry past
+    1.8e308 Overflow: with OnePoint the first of these checks to fail
+    raises, with a `Lanes` each lane records its own.
     """
-    a = as_operator(m)
-    require_finite(a)
+    a = as_stack(m)
     s = np.asarray(s)
-    if not np.all(np.isfinite(s)):
-        raise InvalidInput("scale factor must be finite")
-    t = s.reshape(-1)
-    half_tr, delta = _one_root(a)
+    shape = (a.shape[:-2] or s.shape) + (2, 2)
+    a, t = a.reshape(-1, 2, 2), s.reshape(-1)
+    checks = Lanes(max(len(a), t.size)) if lanes is OnePoint else lanes
+    finite_check(checks, a)
+    checks.require(np.isfinite(t), InvalidInput, "scale factor must be finite")
+    half_tr, delta = _char_root(a, checks)[:2]
+    if lanes is OnePoint:
+        checks.raise_first()
     x = delta * t
     # sinh(s D)/D -> s (1 + x^2/6 + x^4/120 + ...) as D -> 0: the series
     # gets only small x, and the quotient only the other lanes, so that a
@@ -241,14 +245,16 @@ def exp2(m, s: complex | np.ndarray = 1.0) -> np.ndarray:
     small = np.abs(x) < 1e-6
     xs = np.where(small, x, 0.0)
     sinch = t * (1.0 + (xs * xs) / 6.0 * (1.0 + (xs * xs) / 20.0))
-    np.divide(np.sinh(x), delta if delta != 0 else 1.0, out=sinch, where=~small)
+    np.divide(np.sinh(x), np.where(delta != 0, delta, 1.0), out=sinch, where=~small)
     out = (np.cosh(x)[:, None, None] * IDENTITY2
-           + sinch[:, None, None] * (a - half_tr * IDENTITY2))
-    return (np.exp(half_tr * t)[:, None, None] * out).reshape(s.shape + (2, 2))
+           + sinch[:, None, None] * (a - half_tr[:, None, None] * IDENTITY2))
+    return (np.exp(half_tr * t)[:, None, None] * out).reshape(shape)
 
 
-def power2(m, k: int) -> np.ndarray:
-    """M^k for a 2x2 complex matrix and an integer k, in closed form.
+@np.errstate(all="ignore")  # failed lanes carry nan and inf; an overflow is Overflow
+def power2(m, k, lanes=OnePoint) -> np.ndarray:
+    """M^k for a complex 2x2 matrix M and an integer k, in closed form, per
+    matrix of a stack (n, 2, 2) with one power or one per matrix.
 
     The trace/discriminant form of `exp2`: with c = tr/2, D from
     `_char_root` and x = D / c, the eigenvalues are c (1 -/+ x) and
@@ -259,32 +265,34 @@ def power2(m, k: int) -> np.ndarray:
     accuracy (a complex log of 1 - x^2 would lose k eps), and
     sinh(k atanh x)/x keeps the small
     off-diagonal amplitudes that V diag(lambda^k) V^-1 loses to eps/|x|.
-    M needs a nonzero trace and nonzero eigenvalues (InvalidInput,
-    SingularMap); a power that is not finite in double precision raises
-    Overflow.
+    M needs finite entries and a nonzero trace (InvalidInput) and nonzero
+    eigenvalues (SingularMap); a power past the double range is Overflow.
+    Errors as in `exp2`.
     """
-    a = as_operator(m)
-    require_finite(a)
-    c, root = _one_root(a)
-    if c == 0:
-        raise InvalidInput("power2 needs a matrix with nonzero trace")
-    x = root / c
-    z = x * x
+    a = as_stack(m)
+    k = np.asarray(k, dtype=np.float64)
+    shape = (a.shape[:-2] or k.shape) + (2, 2)
+    a, k = a.reshape(-1, 2, 2), k.reshape(-1)
+    checks = Lanes(max(len(a), k.size)) if lanes is OnePoint else lanes
+    finite_check(checks, a)
+    c, root = _char_root(a, checks)[:2]
+    checks.fail(c == 0, InvalidInput, "power2 needs a matrix with nonzero trace")
+    x = cdiv(root, c)
+    z = cmul(x, x)
     q = z.real * (z.real - 2.0) + z.imag * z.imag  # |1 - x^2|^2 - 1
-    if q <= -1.0:
-        raise SingularMap("power2 needs a nonsingular matrix")
+    checks.fail(q <= -1.0, SingularMap, "power2 needs a nonsingular matrix")
     # arg(1 + x) and arg(1 - x) have opposite signs, so the principal logs
     # give Log(1 - x^2)/2 + atanh x = Log(1 + x): no branch to fix
-    log_1mz = complex(0.5 * math.log1p(q), math.atan2(-z.imag, 1.0 - z.real))
-    m00, m01, m10, m11 = a.ravel().tolist()
-    try:  # cmath raises OverflowError; a product may overflow to inf or nan
-        scale = cmath.exp(k * cmath.log(c) + 0.5 * k * log_1mz)
-        w = k * cmath.atanh(x)
-        diag = scale * cmath.cosh(w)
-        off = scale * (cmath.sinh(w) / x if x else k) / c
-        out = [diag + off * (m00 - c), off * m01, off * m10, diag + off * (m11 - c)]
-        if not all(map(cmath.isfinite, out)):
-            raise OverflowError
-    except OverflowError:
-        raise Overflow(f"M^{k} is not finite in double precision") from None
-    return np.array(out, dtype=np.complex128).reshape(2, 2)
+    log_1mz = as_complex(0.5 * np.log1p(q), np.arctan2(-z.imag, 1.0 - z.real))
+    scale = np.exp(k * np.log(c) + 0.5 * k * log_1mz)
+    w = k * np.arctanh(x)
+    off = cdiv(cmul(scale, np.where(x == 0, k, cdiv(np.sinh(w), x))), c)
+    out = cmul(off[:, None, None], a - c[:, None, None] * IDENTITY2)
+    diag = cmul(scale, np.cosh(w))
+    out[:, 0, 0] += diag
+    out[:, 1, 1] += diag
+    checks.require(np.isfinite(out).all(axis=(-2, -1)), Overflow,
+                   "M^{:.0f} is not finite in double precision", k)
+    if lanes is OnePoint:
+        checks.raise_first()
+    return out.reshape(shape)

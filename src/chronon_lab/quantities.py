@@ -6,7 +6,11 @@ evaluator that maps the parameters of a chunk of points (one value, or an
 array with one value per point) to its column arrays, recording each
 point's first error on the chunk's `Lanes`. `runner.run_scan` drives them
 over a grid; the CLI's `modes` and `kaon --observable epsilon|width-shift`
-rows are one-point calls of the same evaluators (`point_row`).
+rows are one-point calls of the same evaluators (`point_row`). No
+evaluator loops over points: `trajectory-observable` is one
+`evolution.final_states` call per chunk, one stacked `power2` (discrete)
+or one `continuous_propagator` and so one `exp2` (continuous), called in
+`evolution`, where perfbench's tracer sees them.
 
 An evaluator imports its physics module (`spectrum` or `kaon`) when it
 runs, and the spec-file reader imports `json`, so a command loads only the
@@ -21,10 +25,9 @@ from pathlib import Path
 import numpy as np
 
 from .errors import ChrononLabError, InvalidInput, Lanes, Overflow
-from .evolution import (CONVENTIONS, DEFAULT_GRID_CAP, ENGINES, TwoState, chronon_check,
-                        chronon_of, chronon_step, final_state, parse_complex_pair,
-                        require_positive, symmetric_check, symmetric_hamiltonian,
-                        symmetric_stack)
+from .evolution import (CONVENTIONS, DEFAULT_GRID_CAP, ENGINES, UnitSystem, chronon_check,
+                        chronon_of, chronon_step, final_states, parse_complex_pair,
+                        symmetric_check, symmetric_stack)
 from .record import Record
 from .runner import Table
 
@@ -265,16 +268,17 @@ def _coerce_lanes(quantity: str, params: dict, lanes: Lanes) -> dict:
 # quantity evaluators
 
 def _chronon_lanes(params: dict, energy_key: str, lanes: Lanes):
-    """The rules of `chronon_of` on lanes; returns the unchecked n tau."""
+    """The rules of `chronon_of` on lanes; returns the unchecked n tau and
+    the UnitSystem of the lanes' hbar."""
     energy, n, tau_scale, hbar = (params[k] for k in (energy_key, "n", "tau_scale", "hbar"))
     chronon_check(lanes, energy, n, tau_scale)
-    require_positive(lanes, "hbar", hbar)
-    return chronon_step(energy, n, tau_scale, hbar)
+    units = UnitSystem(hbar, lanes)
+    return chronon_step(energy, n, tau_scale, hbar), units
 
 
 def _eval_mode_report(params: dict, lanes: Lanes) -> dict:
     from .spectrum import mode_stack
-    step = _chronon_lanes(params, "energy", lanes)
+    step, _ = _chronon_lanes(params, "energy", lanes)
     energy, diag = params["energy"], params["diag"]
     symmetric_check(lanes, energy, diag)
     t = mode_stack(symmetric_stack(energy, diag), energy, params["tau_scale"], step,
@@ -289,7 +293,7 @@ def _kaon_lanes(params: dict, lanes: Lanes):
     """The stack of kaon H with its n tau and hbar, by the rules of
     `kaon_from_config` and `kaon_hamiltonian`."""
     from .kaon import hamiltonian_check, hamiltonian_cp, kaon_check
-    step = _chronon_lanes(params, "mixing_e", lanes)
+    step, _ = _chronon_lanes(params, "mixing_e", lanes)
     model = [params[k] for k in ("mixing_e", "gamma_s", "gamma_l", "delta_re", "delta_im")]
     kaon_check(lanes, *model)
     h = hamiltonian_cp(model[0], params["hbar"], *model[1:])
@@ -319,33 +323,21 @@ def _eval_width_shift(params: dict, lanes: Lanes) -> dict:
     return cols
 
 
-def _trajectory_value(params: dict) -> float:
-    p, units = chronon_of(params, "energy")
-    h = symmetric_hamiltonian(params["energy"], params["diag"])
-    psi = final_state(h, TwoState(parse_complex_pair(params["psi0"])),
-                      params["engine"], params["t_max"], params["steps"], p, units)
-    with np.errstate(over="ignore", invalid="ignore"):  # raised as Overflow
-        if params["observable"] == "norm2_final":
-            value = float(np.sum(np.abs(psi) ** 2))
-        else:  # prob_final
-            d = _parse_direction(params["direction"])
-            value = float(abs(psi @ d.conj()) ** 2)
-    if not math.isfinite(value):
-        raise Overflow(f"{params['observable']} is not finite in double precision")
-    return value
-
-
 def _eval_trajectory_observable(params: dict, lanes: Lanes) -> dict:
-    # one closed-form power2 or exp2 per point, not yet stacked
-    schema = _PARAM_SCHEMAS["trajectory-observable"]
-    value = np.full(lanes.ok.shape, np.nan)
-    for i in np.flatnonzero(lanes.ok):
-        point = {key: (int(v[i]) if schema[key] is int else float(v[i]))
-                 if isinstance(v, np.ndarray) else v for key, v in params.items()}
-        try:
-            value[i] = _trajectory_value(point)
-        except ChrononLabError as exc:
-            lanes.fail(np.arange(value.size) == i, type(exc), str(exc))
+    step, units = _chronon_lanes(params, "energy", lanes)
+    energy, diag = params["energy"], params["diag"]
+    symmetric_check(lanes, energy, diag)
+    psi = final_states(symmetric_stack(energy, diag), parse_complex_pair(params["psi0"]),
+                       params["engine"], params["t_max"], params["steps"], step, units, lanes)
+    if params["observable"] == "norm2_final":
+        value = (np.abs(psi) ** 2).sum(axis=-1)
+    else:  # prob_final
+        amp = psi @ _parse_direction(params["direction"]).conj()
+        # abs and ** of each NumPy scalar, which round as libm's hypot and
+        # pow: the array loops differ in the last place
+        value = np.array([abs(z) ** 2 for z in amp])
+    lanes.require(np.isfinite(value), Overflow,
+                  f"{params['observable']} is not finite in double precision")
     return {"value": value}
 
 

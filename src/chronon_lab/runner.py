@@ -35,7 +35,7 @@ import numpy as np
 
 from . import __version__
 from .errors import InvalidInput, RefusedTooLarge
-from .evolution import (DEFAULT_GRID_CAP, UnitSystem, continuous_propagator,
+from .evolution import (DEFAULT_GRID_CAP, UnitSystem, continuous_propagator, step_map,
                         symmetric_hamiltonian)
 from .record import Record
 
@@ -151,8 +151,7 @@ def convergence_study(energy: float, t_max: float, m_list, hbar: float = 1.0) ->
     invalid, no_order = np.ones(k, dtype=bool), np.ones(k, dtype=bool)
     prev = None  # (m, err) of the last valid row
     for i, m in enumerate(m_list):
-        dt = t_max / m
-        u = np.eye(2, dtype=np.complex128) - (1j * dt / hbar) * h
+        u = step_map(h, t_max / m, hbar)
         with np.errstate(over="ignore", invalid="ignore"):  # an overflow is an invalid row
             composed = np.linalg.matrix_power(u, m)
         if not np.all(np.isfinite(composed)):

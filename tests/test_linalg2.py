@@ -7,7 +7,7 @@ import numpy as np
 import pytest
 import scipy.linalg
 
-from chronon_lab.errors import InvalidInput, Overflow, SingularMap
+from chronon_lab.errors import ChrononLabError, InvalidInput, Lanes, Overflow, SingularMap
 from chronon_lab.linalg2 import (DEFAULT_TOL, IDENTITY2, PAULI_X, PAULI_Y, eig2,
                                  exp2, is_hermitian, power2)
 
@@ -270,6 +270,73 @@ def test_power2_errors():
         power2(2.0 * IDENTITY2, 1100)
     with pytest.raises(Overflow):
         power2(IDENTITY2 - 1j * PAULI_X, 2100)
+
+
+# ---------------------------------------------------------------------------
+# stacks: each lane is the one-matrix call on it
+
+def lane_cases(rng, count=40):
+    """(stack, powers): random matrices and powers 0..60 with, at shuffled
+    positions, near-identity step maps (powers 1e4 and 1e6), defective and
+    scalar matrices, and lanes with zero trace, a singular matrix, an
+    overflowing power, a non-finite entry and an entry modulus past the
+    double range."""
+    h = np.array([[1.3, 1.0], [1.0, 1.3]])
+    special = [
+        (IDENTITY2 - 1e-3j * h, 10_000), (IDENTITY2 - 1e-7j * PAULI_X, 1_000_000),
+        ([[2.0, 1.0], [0.0, 2.0]], 7), ([[0.3, 1.0], [0.0, 0.3]], 60),
+        (3.0 * IDENTITY2, 5), (-0.5j * IDENTITY2, 0),
+        (PAULI_X, 3),                                  # zero trace
+        ([[1.0, 1.0], [1.0, 1.0]], 3),                 # singular
+        (2.0 * IDENTITY2, 1100), (IDENTITY2 - 1j * PAULI_X, 2100),  # overflow
+        ([[0.0, np.nan], [0.0, 1.0]], 2),
+        ([[0.5, 1.5e308 + 1.5e308j], [1.5e308 - 1.5e308j, -0.5]], 2),
+    ]
+    mats = [random_complex_matrix(rng) for _ in range(count)] + [m for m, _ in special]
+    powers = list(rng.integers(0, 61, count)) + [k for _, k in special]
+    order = rng.permutation(len(mats))
+    return (np.array(mats, dtype=complex)[order],
+            np.array(powers, dtype=float)[order])
+
+
+def assert_lanes_are_one_matrix_calls(got, lanes, one_matrix_call, n):
+    """Each ok lane of `got` bit-equal to the one-matrix call on it, each
+    failed lane failed with the error class that call raises."""
+    status = lanes.status()
+    for i in range(n):
+        try:
+            want = one_matrix_call(i)
+        except ChrononLabError as exc:
+            assert status[i] == type(exc).__name__, i
+        else:
+            assert status[i] == "ok", i
+            np.testing.assert_array_equal(got[i], want)
+
+
+@pytest.mark.parametrize("seed", [83, 89])
+def test_power2_lanes_are_one_matrix_calls(seed):
+    stack, powers = lane_cases(np.random.default_rng(seed))
+    lanes = Lanes(len(stack))
+    got = power2(stack, powers, lanes)
+    assert got.shape == stack.shape
+    assert set(lanes.status()) == {"ok", "InvalidInput", "SingularMap", "Overflow"}
+    assert_lanes_are_one_matrix_calls(got, lanes, lambda i: power2(stack[i], int(powers[i])),
+                                      len(stack))
+
+
+@pytest.mark.parametrize("seed", [97, 101])
+def test_exp2_lanes_are_one_matrix_calls(seed):
+    rng = np.random.default_rng(seed)
+    stack, _ = lane_cases(rng)
+    scales = rng.standard_normal(len(stack)) + 1j * rng.standard_normal(len(stack))
+    scales[rng.integers(len(stack))] = np.nan  # a non-finite scale
+    scales[rng.integers(len(stack))] = 0.0
+    lanes = Lanes(len(stack))
+    got = exp2(stack, scales, lanes)
+    assert got.shape == stack.shape
+    assert set(lanes.status()) == {"ok", "InvalidInput", "Overflow"}
+    assert_lanes_are_one_matrix_calls(got, lanes, lambda i: exp2(stack[i], scales[i]),
+                                      len(stack))
 
 
 def test_hermitian_unitary_predicates():

@@ -752,6 +752,58 @@ def test_run_scan_chunks_are_the_points(monkeypatch):
         assert row == {**point, **evaluate_point("mode_report", {**spec.fixed, **point})}
 
 
+# trajectory-observable scans whose lanes fail in every way their engine can:
+# energy 0 is InvalidInput; a discrete grid off t_max / (n tau) is
+# GridMismatch, and 2000 steps at tau_scale 1 overflow (|lambda|^2 = 2); a
+# continuous E t_max of 2e308 overflows the propagator's argument
+TRAJECTORY_LANE_SCANS = {
+    "discrete": {
+        "quantity": "trajectory-observable",
+        "grid": [{"name": "energy", "start": 0.0, "stop": 2.0, "count": 3},
+                 {"name": "tau_scale", "start": 1e-3, "stop": 1.0, "count": 2,
+                  "spacing": "log"},
+                 {"name": "t_max", "start": 2.0, "stop": 2000.0, "count": 2,
+                  "spacing": "log"},
+                 {"name": "steps", "start": 2000, "stop": 4000, "count": 2}],
+        "fixed": {"engine": "discrete", "psi0": "0.6,0.8j", "observable": "prob_final",
+                  "direction": "1,1j"}},
+    "continuous": {
+        "quantity": "trajectory-observable",
+        "grid": [{"name": "energy", "start": 0.0, "stop": 2.0, "count": 3},
+                 {"name": "t_max", "start": 1.0, "stop": 1e308, "count": 2,
+                  "spacing": "log"},
+                 {"name": "diag", "start": -0.5, "stop": 0.5, "count": 2}],
+        "fixed": {"engine": "continuous", "steps": 4, "psi0": "0.6,0.8j"}},
+}
+
+
+@pytest.mark.parametrize("engine, statuses", [
+    ("discrete", {"ok", "GridMismatch", "InvalidInput", "Overflow"}),
+    ("continuous", {"ok", "InvalidInput", "Overflow"}),
+])
+def test_trajectory_observable_lanes_are_points(monkeypatch, engine, statuses):
+    # two chunks of the batched evaluator: each row's status and value are
+    # those of the point evaluated alone
+    spec = ScanSpec.from_dict(TRAJECTORY_LANE_SCANS[engine])
+    monkeypatch.setattr(runner, "SCAN_CHUNK", spec.total_points // 2 + 1)
+    rows = list(run_scan(spec))
+    assert {row["status"] for row in rows} == statuses
+    names = [ax.name for ax in spec.grid]
+    for row in rows:
+        point = {name: row[name] for name in names}
+        assert row == {**point, **evaluate_point("trajectory-observable",
+                                                 {**spec.fixed, **point})}
+
+
+def test_status_column_holds_one_str_per_status(monkeypatch):
+    # 24 points in two chunks
+    monkeypatch.setattr(runner, "SCAN_CHUNK", 13)
+    spec = ScanSpec.from_dict(TRAJECTORY_LANE_SCANS["discrete"])
+    status = run_scan(spec).columns["status"]
+    assert len(status) == 24 and len(set(status)) == 4
+    assert len(set(map(id, status))) <= len(set(status))
+
+
 def test_width_shift_hamiltonian_overflow_is_overflow():
     # hbar gamma_s / 2 = 5e308 is past the double range: a valid model whose
     # H does not fit in double precision, not a usage error
