@@ -9,16 +9,16 @@ commands are the four benchmark workloads at seed 101, built by
 `formats` group that renders each scan quantity in the format its workload
 does not use, a scan with InvalidInput rows in both formats, a
 `trajectory-observable` scan per engine with failing lanes in both formats,
-and the `evolve`, `converge` and `kaon` tables in the formats the other
-groups do not use, and an `errors` group
-of malformed inputs, whose exit codes and stderr are compared. Each
-command runs as `python -m chronon_lab` once per tree, in a fresh
-temporary directory holding the workload's spec files and a copy of
-`configs/`. The script prints every command whose exit code, stdout,
-stderr, `--out` bytes or manifest (without its timestamp) differs between
-the trees; for a differing stdout or `--out` file it adds the changed-cell
-count and the largest relative change of each changed column. Then it
-prints the total and exits 1 when anything differs.
+mode_report scans that end at and one point past a chunk boundary in both
+formats, and the `evolve`, `converge` and `kaon` tables in the formats the
+other groups do not use, and an `errors` group of malformed inputs, whose
+exit codes and stderr are compared. Each command runs as `python -m
+chronon_lab` once per tree, in a fresh temporary directory holding the
+workload's spec files and a copy of `configs/`. The script prints every
+command whose exit code, stdout, stderr, `--out` bytes or manifest (without
+its timestamp) differs between the trees; for a differing stdout or `--out`
+file it adds the changed-cell count and the largest relative change of each
+changed column. Then it prints the total and exits 1 when anything differs.
 """
 
 import json
@@ -90,14 +90,28 @@ TRAJECTORY_SCANS = {
 }
 
 
+# mode_report scans of two 1024-point chunks (runner.SCAN_CHUNK) and of one
+# point more, so that a chunk boundary falls between two render blocks
+CHUNK_SCANS = {
+    f"chunks{count}.json": {
+        "quantity": "mode_report",
+        "grid": [{"name": "energy", "start": 1e-3, "stop": 1e3, "count": count,
+                  "spacing": "log"}],
+        "fixed": {"tau_scale": 0.5}}
+    for count in (2048, 2049)
+}
+
+
 def formats_group() -> tuple[str, dict[str, str], list[list[str]]]:
     """Every scan quantity in both formats: the scan_modes scan as JSON to
     a file, the pool_kaon scans as CSV to stdout, a scan with InvalidInput
-    rows and the failing-lanes trajectory scans as both; `evolve` and
+    rows, the failing-lanes trajectory scans and the chunk-boundary scans as
+    both; `evolve` and
     `converge` (also with invalid rows) as JSON, and each kaon observable in
     the format the README does not show."""
     files = {"invalid.json": json.dumps(INVALID_SCAN)}
-    files.update((name, json.dumps(spec)) for name, spec in TRAJECTORY_SCANS.items())
+    files.update((name, json.dumps(spec))
+                 for name, spec in {**TRAJECTORY_SCANS, **CHUNK_SCANS}.items())
     commands = []
     for name, fmt, to_file in (("scan_modes", "json", True), ("pool_kaon", "csv", False)):
         wl = workloads.build(name, SEED, Path(name), ROOT)
@@ -105,7 +119,7 @@ def formats_group() -> tuple[str, dict[str, str], list[list[str]]]:
         for i, c in enumerate(wl.commands):
             commands.append(_with_format(c.argv, fmt, f"{name}/formats{i}.{fmt}"
                                          if to_file else None))
-    for spec in ("invalid.json", *TRAJECTORY_SCANS):
+    for spec in ("invalid.json", *TRAJECTORY_SCANS, *CHUNK_SCANS):
         for fmt in ("csv", "json"):
             commands.append(["scan", "--spec", spec, "--format", fmt])
     for engine in ("discrete", "continuous"):  # 2000 steps of n tau = 0.005

@@ -7,16 +7,18 @@ quantity of `quantities.QUANTITIES` on a rectangular parameter grid in
 row-major axis order; per-point numeric-domain failures become rows with a
 non-ok status instead of aborting (branch-cut regions are expected and
 interesting). The grid is evaluated in this process, in chunks of
-SCAN_CHUNK points, each written into result columns allocated once for the
-whole grid. Output bytes are deterministic: fixed column order, shortest
-round-trip float formatting, LF line endings, and grid-order emission.
-`render_blocks` makes the bytes of csv.writer and json.dumps(indent=2)
-from a table's text columns, in blocks of RENDER_BLOCK rows; each distinct
-float of a block is formatted once, across all of the block's float
-columns. The output is never held whole: `emit` writes each block to
-stdout or a file as it is made, and into the manifest's digest, so a
-1e6-point mode_report scan to a file peaks at 317 MB RSS, not the 971 MB
-of holding the output and a second copy of the table (one CPU).
+SCAN_CHUNK points: `run_scan` gives a `ScanTable`, whose chunk tables are
+evaluated one at a time as they are read. Output bytes are deterministic:
+fixed column order, shortest round-trip float formatting, LF line endings,
+and grid-order emission. `render_blocks` makes the bytes of csv.writer and
+json.dumps(indent=2) from a table's text columns, chunk by chunk in blocks
+of RENDER_BLOCK rows; each distinct float of a block is formatted once,
+across all of the block's float columns, unless the block before formatted
+it. Neither the output nor a scan's table is ever held whole: `emit`
+writes each block to stdout or a file as it is made, and into the
+manifest's digest, before the next chunk is evaluated, so a 1e6-point
+mode_report scan peaks at 36 MB RSS to a file and 33 MB to stdout, not
+the 255 MB of holding the scan's table (one CPU).
 
 This module is the output path of every command, so it imports neither
 the evaluators nor their physics modules: `run_scan` imports `quantities`
@@ -40,8 +42,13 @@ from .evolution import (DEFAULT_GRID_CAP, UnitSystem, continuous_propagator, ste
 from .record import Record
 
 SCHEMA_VERSION = 1
-# Grid points per batched evaluation.
-SCAN_CHUNK = 4096
+# Grid points per batched evaluation, a multiple of RENDER_BLOCK so that
+# every block of a scan but its last is RENDER_BLOCK rows. A scan holds one
+# chunk's table and evaluation temporaries at a time (0.8 MB traced for
+# 1024 mode_report points); smaller chunks cost more per point (a 5e3-point
+# mode_report grid evaluates in 7.6 ms at 1024 points per chunk, 9.8 ms at
+# 512 and 14.9 ms at 256, one CPU).
+SCAN_CHUNK = 1024
 # Rows per block of `render_blocks`. One block's cell texts and bytes are
 # held at a time, so a larger block formats a repeated value fewer times but
 # raises the peak memory (1024 rows added 0.3 MB to the peak RSS of a
@@ -59,7 +66,9 @@ class Table:
     cells that are None; any other column is a list of str or int cells.
     len() is the row count. Iterating or indexing gives row dicts, as a
     list of rows would (a slice gives a list of them); `block(c, start,
-    stop)` gives a slice of column c, which is how `render_blocks` reads it.
+    stop)` gives a slice of column c, which is how `render_blocks` reads it,
+    from `chunks()`: a table is its own single chunk, as a `ScanTable` is
+    a sequence of them.
     """
 
     def __init__(self, columns: dict):
@@ -72,6 +81,9 @@ class Table:
     def block(self, c: str, start: int, stop: int):
         col = self.columns[c]
         return tuple(a[start:stop] for a in col) if isinstance(col, tuple) else col[start:stop]
+
+    def chunks(self):
+        return iter((self,))
 
     def __getitem__(self, i):
         if isinstance(i, slice):
@@ -93,10 +105,11 @@ def stack_columns(pairs) -> tuple:
     return tuple(map(np.concatenate, zip(*pairs)))
 
 
-def run_scan(spec, workers: int = 1) -> Table:
-    """Evaluate the grid of a `quantities.ScanSpec` in row-major axis order,
-    in chunks of SCAN_CHUNK points, in this process; `workers` must be at
-    least 1 and changes nothing."""
+def run_scan(spec, workers: int = 1) -> "ScanTable":
+    """The table of a `quantities.ScanSpec`'s grid in row-major axis order,
+    evaluated in this process chunk by chunk as it is read; `workers` must
+    be at least 1 and changes nothing. The first chunk is evaluated here,
+    so that a spec refused for what it holds fails before any output."""
     from .quantities import QUANTITY_COLUMNS, evaluate_chunk
     if workers < 1:
         raise InvalidInput(f"workers must be at least 1, got {workers}")
@@ -104,22 +117,43 @@ def run_scan(spec, workers: int = 1) -> Table:
     cap = min(spec.max_points, DEFAULT_GRID_CAP)
     if total > cap:
         raise RefusedTooLarge(f"scan has {total} points, cap is {cap}")
-    names = [ax.name for ax in spec.grid]
-    grid = [g.ravel() for g in np.meshgrid(*(ax.values() for ax in spec.grid),
-                                           indexing="ij")]
-    columns = {name: float_column(g) for name, g in zip(names, grid)}
-    # each result column is allocated once for the whole grid and filled
-    # chunk by chunk, so the table is never held twice
-    results = {c: (np.empty(total), np.empty(total, dtype=bool))
-               for c in QUANTITY_COLUMNS[spec.quantity]}
-    status = []
-    for i in range(0, total, SCAN_CHUNK):
-        cols, chunk_status = evaluate_chunk(spec.quantity, spec.fixed, names,
-                                            [g[i:i + SCAN_CHUNK] for g in grid])
-        for c, (values, none) in results.items():
-            values[i:i + SCAN_CHUNK], none[i:i + SCAN_CHUNK] = cols[c]
-        status += chunk_status.tolist()
-    return Table({**columns, **results, "status": status})
+    return ScanTable(spec, QUANTITY_COLUMNS[spec.quantity], evaluate_chunk, SCAN_CHUNK)
+
+
+class ScanTable:
+    """A scan's table, never held whole: `columns` are its column names,
+    len() is its point count, and `chunks()` gives one `Table` of each
+    `size` points in grid order, each evaluated when it is reached (the
+    first is kept from the start). Iterating gives row dicts."""
+
+    def __init__(self, spec, quantity_columns, evaluate_chunk, size: int):
+        self._spec, self._evaluate, self._size = spec, evaluate_chunk, size
+        self._names = [ax.name for ax in spec.grid]
+        self._axes = [ax.values() for ax in spec.grid]
+        self.columns = [*self._names, *quantity_columns, "status"]
+        self._first = self._chunk(0)
+
+    def __len__(self) -> int:
+        return self._spec.total_points
+
+    def _chunk(self, start: int) -> Table:
+        values = []
+        if self._axes:  # a grid with no axes is one point; unravel_index needs a shape
+            points = np.arange(start, min(start + self._size, len(self)))
+            index = np.unravel_index(points, [len(v) for v in self._axes])
+            values = [v[i] for v, i in zip(self._axes, index)]
+        cols, status = self._evaluate(self._spec.quantity, self._spec.fixed, self._names,
+                                      values)
+        return Table({**{name: float_column(v) for name, v in zip(self._names, values)},
+                      **cols, "status": status.tolist()})
+
+    def chunks(self):
+        yield self._first
+        for start in range(self._size, len(self), self._size):
+            yield self._chunk(start)
+
+    def __iter__(self):
+        return (row for chunk in self.chunks() for row in chunk)
 
 
 # ---------------------------------------------------------------------------
@@ -199,16 +233,20 @@ def _column(cells: list, text) -> list[str]:
     return list(map(texts.__getitem__, cells))
 
 
-def _block_texts(cols: list, fmt: str, text) -> list[list[str]]:
-    """The texts of one block's columns, from `Table.block`, in `fmt`.
+def _block_texts(cols: list, fmt: str, text, carry) -> tuple[list[list[str]], tuple]:
+    """The texts of one block's columns, from `Table.block`, in `fmt`, and
+    the carry of the next block.
 
     The float columns, (values, none) pairs, are formatted together: each
     distinct value of the block, after -0.0 is folded to 0.0, once by its
     shortest round-trip repr (repeats are common: axis values, and cells
     that two modes share); a value that is not finite gives 'inf', '-inf'
     or 'nan', quoted in JSON (which keeps the JSON strictly valid), and a
-    cell marked in `none` the text of None. Any other column is made text
-    by `_column` with the cell rule `text`.
+    cell marked in `none` the text of None. `carry` is the sorted distinct
+    values and texts of the previous block's floats, or None; a value found
+    there takes its text instead of being formatted again, as neighbouring
+    blocks share axis values. Any other column is made text by `_column`
+    with the cell rule `text`.
     """
     floats = [col for col in cols if isinstance(col, tuple)]
     float_texts = iter(())
@@ -216,16 +254,25 @@ def _block_texts(cols: list, fmt: str, text) -> list[list[str]]:
         values = np.stack([v for v, _ in floats])
         values += 0.0
         unique, inverse = np.unique(values, return_inverse=True)
-        texts = list(map(float.__repr__, unique.tolist()))
+        texts = np.empty(len(unique) + 1, dtype=object)
+        new = np.ones(len(unique), dtype=bool)
+        if carry is not None:
+            seen, seen_texts = carry
+            at = np.minimum(np.searchsorted(seen, unique), len(seen) - 1)
+            new = seen[at] != unique  # nan is never found, and formatted again
+            texts[:-1][~new] = seen_texts[at[~new]]
+        fresh = list(map(float.__repr__, unique[new].tolist()))
         if fmt == "json":
-            for i in np.flatnonzero(~np.isfinite(unique)).tolist():
-                texts[i] = f'"{texts[i]}"'
-        texts.append("" if fmt == "csv" else "null")
+            for i in np.flatnonzero(~np.isfinite(unique[new])).tolist():
+                fresh[i] = f'"{fresh[i]}"'
+        texts[:-1][new] = fresh
+        texts[-1] = "" if fmt == "csv" else "null"
+        carry = unique, texts[:-1]
         inverse = inverse.reshape(values.shape)  # NumPy 1.x and 2.x differ
         inverse[np.stack([none for _, none in floats])] = len(texts) - 1
-        float_texts = iter(np.array(texts, dtype=object)[inverse].tolist())
+        float_texts = iter(texts[inverse].tolist())
     return [next(float_texts) if isinstance(col, tuple) else _column(col, text)
-            for col in cols]
+            for col in cols], carry
 
 
 def _csv_rows(texts: list[list[str]]) -> bytes:
@@ -235,19 +282,20 @@ def _csv_rows(texts: list[list[str]]) -> bytes:
     return ("\n".join(map(",".join, zip(*texts))) + "\n").encode("utf-8")
 
 
-def render_blocks(rows: Table, fmt: str = "csv"):
+def render_blocks(rows: Table | ScanTable, fmt: str = "csv"):
     """The bytes of a table in CSV (RFC 4180, LF endings, the bytes of
     csv.writer) or JSON (the bytes of json.dumps(indent=2) plus a newline),
     its columns in the table's order, as an iterator of encoded blocks: the
-    CSV header or the JSON opening bracket, one block per RENDER_BLOCK rows,
-    and the JSON closing bracket. The format is checked by this call, before
-    any block is made.
+    CSV header or the JSON opening bracket, one block per RENDER_BLOCK rows
+    of each of the table's `chunks()` in turn, and the JSON closing bracket.
+    The format is checked by this call, before any block is made.
 
-    Only one block's cells and texts are held at a time: `_block_texts`
+    Only one chunk and one block's texts are held at a time, so a scan's
+    chunk is evaluated, rendered and written before the next: `_block_texts`
     makes the block's column texts (each distinct float of the block
-    formatted once), and rows are joined from them with ',' (CSV) or one
-    row template of the indented JSON layout. The header's texts come from
-    `_column`.
+    formatted once, or taken from the block before), and rows are joined
+    from them with ',' (CSV) or one row template of the indented JSON
+    layout. The header's texts come from `_column`.
     """
     _require_format(fmt)
     return _blocks(rows, fmt)
@@ -258,34 +306,39 @@ def _require_format(fmt: str) -> None:
         raise InvalidInput(f"format must be csv or json, got {fmt!r}")
 
 
-def _blocks(rows: Table, fmt: str):
+def _blocks(rows: Table | ScanTable, fmt: str):
     columns = list(rows.columns)
-    starts = range(0, len(rows), RENDER_BLOCK)
     text = _cell_text(fmt)
-    blocks = (_block_texts([rows.block(c, start, start + RENDER_BLOCK) for c in columns],
-                           fmt, text) for start in starts)
     if fmt == "csv":
         yield _csv_rows([[t] for t in _column(columns, text)])
-        yield from map(_csv_rows, blocks)
-        return
-    if not starts:
+    elif not len(rows):
         yield b"[]\n"
         return
-    template = "  {\n" + ",\n".join(
-        f"    {text(c).replace('%', '%%')}: %s" for c in columns) + "\n  }"
-    yield b"[\n"
-    for start, texts in zip(starts, blocks):
-        block = ",\n".join(map(template.__mod__, zip(*texts)))
-        yield (",\n" + block if start else block).encode("utf-8")
-    yield b"\n]\n"
+    else:
+        template = "  {\n" + ",\n".join(
+            f"    {text(c).replace('%', '%%')}: %s" for c in columns) + "\n  }"
+        yield b"[\n"
+    carry, lead = None, ""
+    for chunk in rows.chunks():
+        for start in range(0, len(chunk), RENDER_BLOCK):
+            texts, carry = _block_texts(
+                [chunk.block(c, start, start + RENDER_BLOCK) for c in columns], fmt, text, carry)
+            if fmt == "csv":
+                yield _csv_rows(texts)
+                continue
+            # every block but the grid's first follows a ",\n"
+            yield (lead + ",\n".join(map(template.__mod__, zip(*texts)))).encode("utf-8")
+            lead = ",\n"
+    if fmt == "json":
+        yield b"\n]\n"
 
 
-def render(rows: Table, fmt: str = "csv") -> bytes:
+def render(rows: Table | ScanTable, fmt: str = "csv") -> bytes:
     """The whole output of `render_blocks` as one bytes object."""
     return b"".join(render_blocks(rows, fmt))
 
 
-def emit(rows: Table, fmt: str = "csv", destination=None, digest=None) -> None:
+def emit(rows: Table | ScanTable, fmt: str = "csv", destination=None, digest=None) -> None:
     """Write a table block by block as `render_blocks` makes it, so that the
     output is never held whole: destination None writes to stdout (its
     binary buffer after a flush, or each block decoded where stdout has no
@@ -347,7 +400,8 @@ def new_digest():
     return hashlib.sha256()
 
 
-def emit_with_manifest(rows: Table, fmt: str, out_path, parameters: dict) -> RunManifest:
+def emit_with_manifest(rows: Table | ScanTable, fmt: str, out_path,
+                       parameters: dict) -> RunManifest:
     """Write a table to out_path plus `<out>.manifest.json` beside it.
 
     The manifest is written after the data, with the digest of the blocks

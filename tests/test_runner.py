@@ -102,7 +102,7 @@ def test_scan_non_integral_n_is_an_invalid_point():
         "grid": [{"name": "n", "start": 1, "stop": 2, "count": 3}],
         "fixed": {"energy": 1.0},
     })
-    rows = run_scan(spec)
+    rows = list(run_scan(spec))
     assert [r["n"] for r in rows] == [1.0, 1.5, 2.0]
     assert [r["status"] for r in rows] == ["ok", "InvalidInput", "ok"]
     assert rows[1]["mode0_heff_re"] is None
@@ -133,7 +133,7 @@ def test_scan_counting_contract_row_major():
         "fixed": {"gamma_s": 0.1, "gamma_l": 0.001, "engine": "continuous",
                   "mixing_e": 1.0},
     })
-    rows = run_scan(spec)
+    rows = list(run_scan(spec))
     assert len(rows) == 100
     assert rows[0]["delta_re"] == 0.0 and rows[0]["tau_scale"] == 0.5
     # last axis varies fastest
@@ -157,7 +157,7 @@ def test_scan_epsilon_null_result():
         "fixed": {"gamma_s": 0.1, "gamma_l": 0.001, "mixing_e": 1.0,
                   "engine": "discrete"},
     })
-    rows = run_scan(spec)
+    rows = list(run_scan(spec))
     assert rows[0]["epsilon_abs"] == 0.0
 
 
@@ -167,7 +167,7 @@ def test_scan_error_rows_are_captured_not_fatal():
         "grid": [{"name": "mixing_e", "start": -1.0, "stop": 1.0, "count": 2}],
         "fixed": {"gamma_s": 0.1, "engine": "continuous"},
     })
-    rows = run_scan(spec)
+    rows = list(run_scan(spec))
     assert rows[0]["status"] == "InvalidInput"
     assert rows[0]["epsilon_abs"] is None
     assert rows[1]["status"] == "ok"
@@ -191,7 +191,7 @@ def test_trajectory_observable_quantity():
                   "observable": "norm2_final"},
     })
     # steps=1 only matches t_max=1; other points are GridMismatch rows
-    rows = run_scan(spec)
+    rows = list(run_scan(spec))
     assert rows[0]["status"] == "ok"
     assert rows[0]["value"] == pytest.approx(2.0)
     assert rows[1]["status"] == "GridMismatch"
@@ -595,8 +595,26 @@ def test_failed_write_after_the_first_block_exits_4_without_manifest(
     assert not manifest_path_for(out).exists()
 
 
+def test_a_spec_refused_by_its_first_chunk_writes_nothing(monkeypatch, capsys, tmp_path):
+    # the first chunk is evaluated before the output is opened: an error
+    # there exits 2 with no stdout, no file and no manifest
+    from chronon_lab import cli, quantities
+
+    def refusing(quantity, fixed, names, values):
+        raise InvalidInput("refused by the first chunk")
+
+    monkeypatch.setattr(quantities, "evaluate_chunk", refusing)
+    spec = tmp_path / "spec.json"
+    spec.write_text(json.dumps({"quantity": "mode_report", "grid": [
+        {"name": "energy", "start": 0.5, "stop": 2.0, "count": 3}]}), encoding="utf-8")
+    out = tmp_path / "scan.csv"
+    assert cli.main(["scan", "--spec", str(spec), "--out", str(out)]) == 2
+    assert capsys.readouterr() == ("", "error: refused by the first chunk\n")
+    assert not out.exists() and not manifest_path_for(out).exists()
+
+
 # ---------------------------------------------------------------------------
-# memory: the output is never held whole, and the scan table is built once
+# memory: neither the output nor a scan's table is ever held whole
 
 def traced_peak(fn, *args):
     """(result, peak, current) of fn(*args) under tracemalloc, in bytes, from
@@ -623,20 +641,21 @@ def test_emit_with_manifest_peak_is_a_fraction_of_the_output(tmp_path, fmt):
     assert peak < out.stat().st_size / 4
 
 
-def test_run_scan_overhead_does_not_grow_with_the_chunk_count(monkeypatch):
-    # what run_scan holds beyond the table it returns is one chunk's work,
-    # whether the grid is 2 chunks or 16
+def test_scan_peak_does_not_grow_with_the_chunk_count(monkeypatch, tmp_path):
+    # a scan written by emit holds one chunk at a time, whether the grid is
+    # 2 chunks or 16
     monkeypatch.setattr(runner, "SCAN_CHUNK", 256)
 
-    def overhead(chunks):
+    def peak(chunks):
         spec = ScanSpec.from_dict({"quantity": "mode_report", "grid": [
             {"name": "energy", "start": 0.1, "stop": 10.0, "count": 256 * chunks}]})
-        table, peak, current = traced_peak(run_scan, spec)
-        return peak - current, len(table)
+        out = tmp_path / f"{chunks}.csv"
+        _, peak, _ = traced_peak(lambda: emit(run_scan(spec), "csv", out))
+        return peak, len(out.read_bytes().splitlines())
 
-    overhead(2)  # imports and first-use caches out of the way
-    (two, k2), (sixteen, k16) = overhead(2), overhead(16)
-    assert (k2, k16) == (512, 4096)
+    peak(2)  # imports and first-use caches out of the way
+    (two, k2), (sixteen, k16) = peak(2), peak(16)
+    assert (k2, k16) == (513, 4097)
     assert sixteen < 1.25 * two
 
 
@@ -710,7 +729,7 @@ def test_parse_complex_pair():
 
 def test_run_scan_table_contracts():
     # what the benchmark's tracer relies on: len() is the point count, and
-    # iterating or indexing gives row dicts with a status; render reads it
+    # iterating gives row dicts with a status; render reads it
     spec = ScanSpec.from_dict({
         "quantity": "epsilon",
         "grid": [{"name": "mixing_e", "start": -1.0, "stop": 1.0, "count": 3},
@@ -721,11 +740,10 @@ def test_run_scan_table_contracts():
     rows = list(table)
     assert len(rows) == 9 and all(isinstance(row, dict) for row in rows)
     assert [row["status"] for row in rows] == ["InvalidInput"] * 6 + ["ok", "InvalidInput", "ok"]
-    assert table[7] == rows[7] == {"mixing_e": 1.0, "n": 1.5, "epsilon_re": None,
-                                   "epsilon_im": None, "epsilon_abs": None,
-                                   "status": "InvalidInput"}
+    assert rows[7] == {"mixing_e": 1.0, "n": 1.5, "epsilon_re": None,
+                       "epsilon_im": None, "epsilon_abs": None, "status": "InvalidInput"}
     columns = ["mixing_e", "n", "epsilon_re", "epsilon_im", "epsilon_abs", "status"]
-    assert list(table.columns) == list(table[8]) == columns
+    assert list(table.columns) == list(rows[8]) == columns
     for row in rows:
         assert row == {**{c: row[c] for c in ("mixing_e", "n")},
                        **evaluate_point("epsilon", {**spec.fixed, "mixing_e": row["mixing_e"],
@@ -750,6 +768,27 @@ def test_run_scan_chunks_are_the_points(monkeypatch):
     for row in rows:
         point = {"energy": row["energy"], "tau_scale": row["tau_scale"]}
         assert row == {**point, **evaluate_point("mode_report", {**spec.fixed, **point})}
+
+
+def test_a_scan_with_no_axis_is_one_row():
+    spec = ScanSpec.from_dict({"quantity": "mode_report", "grid": [],
+                               "fixed": {"energy": 1.0, "tau_scale": 0.5}})
+    table = run_scan(spec)
+    assert len(table) == 1 and len(list(table.chunks())) == 1
+    assert list(table) == [evaluate_point("mode_report", spec.fixed)]
+
+
+@pytest.mark.parametrize("extra", [0, 1])
+def test_scans_of_two_chunks_and_one_point_more(extra):
+    # the chunk boundary falls between two render blocks; the JSON is the
+    # rows iterated, and the CSV one line per row after the header
+    total = 2 * runner.SCAN_CHUNK + extra
+    spec = ScanSpec.from_dict({"quantity": "mode_report", "grid": [
+        {"name": "energy", "start": 0.5, "stop": 2.0, "count": total}]})
+    table = run_scan(spec)
+    assert [len(chunk) for chunk in table.chunks()] == [runner.SCAN_CHUNK] * 2 + [1] * extra
+    assert json.loads(render(table, "json")) == list(table)
+    assert len(render(table, "csv").splitlines()) == total + 1
 
 
 # trajectory-observable scans whose lanes fail in every way their engine can:
@@ -799,7 +838,7 @@ def test_status_column_holds_one_str_per_status(monkeypatch):
     # 24 points in two chunks
     monkeypatch.setattr(runner, "SCAN_CHUNK", 13)
     spec = ScanSpec.from_dict(TRAJECTORY_LANE_SCANS["discrete"])
-    status = run_scan(spec).columns["status"]
+    status = [s for chunk in run_scan(spec).chunks() for s in chunk.columns["status"]]
     assert len(status) == 24 and len(set(status)) == 4
     assert len(set(map(id, status))) <= len(set(status))
 
