@@ -11,7 +11,8 @@ does not use, a scan with InvalidInput rows in both formats, a
 `trajectory-observable` scan per engine with failing lanes in both formats,
 mode_report scans that end at and one point past a chunk boundary in both
 formats, and the `evolve`, `converge` and `kaon` tables in the formats the
-other groups do not use, and an `errors` group of malformed inputs, whose
+other groups do not use, a `help` group of the `--help` texts of the
+program and of each command, and an `errors` group of malformed inputs, whose
 exit codes and stderr are compared. Each command runs as `python -m
 chronon_lab` once per tree, in a fresh temporary directory holding the
 workload's spec files and a copy of `configs/`. The script prints every
@@ -137,16 +138,28 @@ def formats_group() -> tuple[str, dict[str, str], list[list[str]]]:
     return "formats", files, commands
 
 
+def help_group() -> tuple[str, dict[str, str | bytes], list[list[str]]]:
+    """The `--help` text of the program and of each command."""
+    commands = [["--help"]]
+    commands += [[name, "--help"] for name in ("modes", "evolve", "kaon", "scan", "converge")]
+    return "help", {}, commands
+
+
 def errors_group() -> tuple[str, dict[str, str | bytes], list[list[str]]]:
     """Malformed inputs, each of which should exit 2 with one line on stderr:
     spec files with a malformed value, field type, nesting, encoding or axis
-    key, a kaon config that is not UTF-8, empty `--m-list`s, `--workers 0`,
+    key, an axis count and a max_points past the double range, a kaon config
+    that is not UTF-8, empty `--m-list`s, `--workers 0`,
     `--format xml`, `evolve` and `kaon --observable 2pi` trajectories of
     1e12 steps, over the row cap, two discrete kaon trajectories whose
     step count t_max / (n tau) is infinite or has 301 digits, three whose
     t_max is -inf, nan or -1, a discrete `evolve` with t_max -1,
-    `converge` at t_max inf and nan, and a continuous `evolve` and a
-    `converge` at the subnormal hbar 1e-320."""
+    `converge` at t_max inf and nan, a continuous `evolve` and a
+    `converge` at the subnormal hbar 1e-320; and flags that are numbers of
+    the wrong kind or past the double range: `modes --n` 1.0 and 1.5,
+    `modes --energy abc`, `evolve --steps` 3.0 and 10**400, and `--m-list`
+    4,8.0 and 4,8.5 (some of these are well formed since integral numbers
+    are integers)."""
     axis = {"name": "mixing_e", "start": 1.0, "stop": 2.0, "count": 2}
     specs = {
         "not_json": "{not json",
@@ -156,6 +169,9 @@ def errors_group() -> tuple[str, dict[str, str | bytes], list[list[str]]]:
         "quantity_list": {"quantity": ["mode_report"], "grid": []},
         "axis_name_list": {"quantity": "epsilon", "grid": [{**axis, "name": ["mixing_e"]}]},
         "count_huge": {"quantity": "epsilon", "grid": [{**axis, "count": 1e300}]},
+        "count_past_double": {"quantity": "epsilon", "grid": [{**axis, "count": 10 ** 400}]},
+        "max_points_past_double": {"quantity": "epsilon", "grid": [axis],
+                                   "max_points": 10 ** 400},
         "axis_key_typo": {"quantity": "epsilon", "grid": [{**axis, "spaceing": "log"}]},
         "ok": {"quantity": "mode_report", "grid": [], "fixed": {"energy": 1.0}},
     }
@@ -190,6 +206,12 @@ def errors_group() -> tuple[str, dict[str, str | bytes], list[list[str]]]:
                   "--t-max", "1", "--steps", "4"],
                  ["converge", "--energy", "1", "--hbar", "1e-320", "--t-max", "1",
                   "--m-list", "4,8"]]
+    commands += [["modes", "--energy", "1", "--n", n] for n in ("1.0", "1.5")]
+    commands.append(["modes", "--energy", "abc"])
+    commands += [["evolve", "--engine", "continuous", "--energy", "1", "--t-max", "1",
+                  "--steps", steps] for steps in ("3.0", str(10 ** 400))]
+    commands += [["converge", "--energy", "1", "--t-max", "1", "--m-list", m_list]
+                 for m_list in ("4,8.0", "4,8.5")]
     return "errors", files, commands
 
 
@@ -202,6 +224,7 @@ def command_groups() -> list[tuple[str, dict[str, str | bytes], list[list[str]]]
         groups.append((name, wl.files, [c.argv for c in wl.commands]))
     groups.append(("readme", {}, readme_commands()))
     groups.append(formats_group())
+    groups.append(help_group())
     groups.append(errors_group())
     return groups
 

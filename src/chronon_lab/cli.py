@@ -2,7 +2,9 @@
 
 Subcommands: modes, evolve, kaon, scan, converge. Every command prints CSV
 or JSON rows to stdout, or writes them to --out with a RunManifest beside
-the file as `<out>.manifest.json`.
+the file as `<out>.manifest.json`. A parameter flag is built from
+`evolution.PARAMETERS` and its string coerced by `coerce_param`, as a scan
+spec or kaon config key of the same name is.
 
 Exit codes: 0 ok, 2 invalid arguments or spec, 3 numeric-domain error
 (singular or degenerate map, overflow) or any other lab error, 4 I/O error.
@@ -20,7 +22,7 @@ import sys
 
 from .errors import (USAGE_ERRORS, ChrononLabError, InvalidInput, OnePoint,
                      RefusedTooLarge)
-from .evolution import (CONVENTIONS, DEFAULT_GRID_CAP, ENGINES, TwoState, chronon_of, evolve,
+from .evolution import (DEFAULT_GRID_CAP, PARAMETERS, chronon_of, coerce_param, evolve,
                         parse_complex_pair, require_positive, symmetric_hamiltonian)
 from .runner import (Table, convergence_study, emit, emit_with_manifest, float_column,
                      run_scan, stack_columns)
@@ -31,17 +33,31 @@ def _add_output_args(sub):
     sub.add_argument("--out", default=None, help="output path (writes a manifest too)")
 
 
-def _add_chronon_args(sub):
-    sub.add_argument("--energy", type=float, required=True)
-    sub.add_argument("--n", type=int, default=1)
-    sub.add_argument("--tau-scale", type=float, default=1.0)
-    sub.add_argument("--hbar", type=float, default=1.0)
+_MODES = ("energy", "n", "tau_scale", "hbar", "convention")
+_EVOLVE = ("engine", "energy", "n", "tau_scale", "hbar", "t_max", "steps", "psi0")
+_HELP = {"psi0": "two complex amplitudes, e.g. '1,0'"}
+
+
+def _add_params(sub, names, required=()):
+    """A flag `--name-with-dashes` per parameter of `names`, with the choices of
+    a tuple kind, required if it has no default or is in `required`."""
+    for name in names:
+        kind, default = PARAMETERS[name]
+        sub.add_argument("--" + name.replace("_", "-"), help=_HELP.get(name),
+                         choices=kind if isinstance(kind, tuple) else None,
+                         required=default is None or name in required)
+
+
+def _params(args, names) -> dict:
+    """The flags of `names` coerced as spec and config keys are, or their defaults."""
+    given = {name: getattr(args, name) for name in names}
+    return {k: PARAMETERS[k][1] if v is None else coerce_param(k, v, PARAMETERS[k][0])
+            for k, v in given.items()}
 
 
 def _cmd_modes(args):
     from .quantities import MODE_FIELDS, point_row
-    params = {"energy": args.energy, "n": args.n, "tau_scale": args.tau_scale,
-              "hbar": args.hbar, "convention": args.convention}
+    params = _params(args, _MODES)
     cells = point_row("mode_report", params)  # the symmetric H, diag 0
     cols = {c: stack_columns(cells[f"mode{k}_{c}"] for k in (0, 1)) for c in MODE_FIELDS}
     # direction: |lambda| grows (1), decays (-1) or is steady (0) per step.
@@ -49,7 +65,7 @@ def _cmd_modes(args):
     # (phases e^{-iEt/hbar}) reads a positive sign as growth and "paper"
     # (e^{+iEt/hbar}) as decay. Both go before the two ratio cells.
     mags, ims = cols["step_mag"][0].tolist(), cols["heff_im"][0].tolist()
-    growth = args.convention == "standard"
+    growth = params["convention"] == "standard"
     ratios = {c: cols.pop(c) for c in MODE_FIELDS[-2:]}
     table = Table({
         "mode": [0, 1], **cols,
@@ -61,26 +77,24 @@ def _cmd_modes(args):
 
 
 def _cmd_evolve(args):
-    p, units = chronon_of(vars(args), "energy")
-    psi0 = TwoState(parse_complex_pair(args.psi0))
-    traj = evolve(symmetric_hamiltonian(args.energy), psi0, args.engine,
-                  args.t_max, args.steps, p, units)
+    params = _params(args, _EVOLVE)
+    p, units = chronon_of(params, "energy")
+    traj = evolve(symmetric_hamiltonian(params["energy"]), parse_complex_pair(params["psi0"]),
+                  params["engine"], params["t_max"], params["steps"], p, units)
     a0, a1 = traj.states.T
     table = Table({name: float_column(col) for name, col in (
         ("t", traj.times), ("a0_re", a0.real), ("a0_im", a0.imag), ("a1_re", a1.real),
         ("a1_im", a1.imag), ("norm2", traj.norm_sq()))})
-    params = {"command": "evolve", "engine": args.engine, "energy": args.energy,
-              "n": args.n, "tau_scale": args.tau_scale, "hbar": args.hbar,
-              "t_max": args.t_max, "steps": args.steps, "psi0": args.psi0}
-    return table, params
+    return table, {"command": "evolve", **params}
 
 
 def _cmd_kaon(args):
     from .kaon import kaon_trajectory, three_pion_intensity, two_pion_intensity
     from .quantities import kaon_from_config, load_kaon_config, point_row
     cfg = load_kaon_config(args.config)
+    engine = _params(args, ("engine",))["engine"]
     params = {"command": "kaon", "config": str(args.config),
-              "observable": args.observable, "engine": args.engine, **cfg}
+              "observable": args.observable, "engine": engine, **cfg}
 
     if args.observable in ("2pi", "3pi"):
         model, p = kaon_from_config(cfg)
@@ -89,7 +103,7 @@ def _cmd_kaon(args):
             raise InvalidInput("config must set t_max for trajectory observables")
         steps = cfg.get("steps")
         if steps is None:
-            if args.engine == "discrete":
+            if engine == "discrete":
                 require_positive(OnePoint, "t_max", t_max)
                 count = t_max / p.step(model.units)
                 # checked before rounding, as the quotient may be inf or have
@@ -101,15 +115,14 @@ def _cmd_kaon(args):
                 steps = max(1, round(count))
             else:
                 raise InvalidInput("config must set steps for continuous trajectories")
-        traj = kaon_trajectory(model, args.engine, t_max, steps, p, cfg["psi0"])
+        traj = kaon_trajectory(model, engine, t_max, steps, p, cfg["psi0"])
         t, rate = (two_pion_intensity if args.observable == "2pi"
                    else three_pion_intensity)(traj, model)
         return Table({"t": float_column(t), "rate": float_column(rate)}), params
 
     # one point of the scan evaluators, raising so that domain errors exit 3
     if args.observable == "epsilon":
-        cols = {"engine": [args.engine],
-                **point_row("epsilon", {**cfg, "engine": args.engine})}
+        cols = {"engine": [engine], **point_row("epsilon", {**cfg, "engine": engine})}
     else:  # width-shift (engine-independent)
         cols = point_row("width_shift", cfg)
     return Table(cols), params
@@ -123,34 +136,18 @@ def _cmd_scan(args):
 
 
 def _cmd_converge(args):
-    try:
-        m_list = [int(tok) for tok in args.m_list.split(",") if tok.strip()]
-    except ValueError as exc:
-        raise InvalidInput(f"bad --m-list: {exc}") from exc
-    table = convergence_study(args.energy, args.t_max, m_list, hbar=args.hbar)
-    params = {"command": "converge", "energy": args.energy, "t_max": args.t_max,
-              "m_list": m_list, "hbar": args.hbar}
-    return table, params
-
-
-def _modes_args(sub):
-    _add_chronon_args(sub)
-    sub.add_argument("--convention", choices=CONVENTIONS, default="paper")
-
-
-def _evolve_args(sub):
-    sub.add_argument("--engine", choices=ENGINES, required=True)
-    _add_chronon_args(sub)
-    sub.add_argument("--t-max", type=float, required=True)
-    sub.add_argument("--steps", type=int, required=True)
-    sub.add_argument("--psi0", default="1,0", help="two complex amplitudes, e.g. '1,0'")
+    params = _params(args, ("energy", "t_max"))
+    params["m_list"] = [coerce_param("m_list", tok, int)
+                        for tok in args.m_list.split(",") if tok.strip()]
+    params.update(_params(args, ("hbar",)))
+    return convergence_study(**params), {"command": "converge", **params}
 
 
 def _kaon_args(sub):
     sub.add_argument("--config", required=True)
     sub.add_argument("--observable", choices=("2pi", "3pi", "epsilon", "width-shift"),
                      required=True)
-    sub.add_argument("--engine", choices=ENGINES, default="continuous")
+    _add_params(sub, ("engine",))
 
 
 def _scan_args(sub):
@@ -160,10 +157,9 @@ def _scan_args(sub):
 
 
 def _converge_args(sub):
-    sub.add_argument("--energy", type=float, required=True)
-    sub.add_argument("--t-max", type=float, required=True)
+    _add_params(sub, ("energy", "t_max"))
     sub.add_argument("--m-list", required=True, help="comma-separated step counts")
-    sub.add_argument("--hbar", type=float, default=1.0)
+    _add_params(sub, ("hbar",))
 
 
 def build_parser(argv) -> argparse.ArgumentParser:
@@ -177,8 +173,10 @@ def build_parser(argv) -> argparse.ArgumentParser:
     subs = parser.add_subparsers(dest="command", required=True)
     # name -> (help, the arguments before the output arguments, handler)
     commands = {
-        "modes": ("effective-energy report for the symmetric H", _modes_args, _cmd_modes),
-        "evolve": ("generate a trajectory", _evolve_args, _cmd_evolve),
+        "modes": ("effective-energy report for the symmetric H",
+                  lambda sub: _add_params(sub, _MODES), _cmd_modes),
+        "evolve": ("generate a trajectory",
+                   lambda sub: _add_params(sub, _EVOLVE, required=("engine",)), _cmd_evolve),
         "kaon": ("kaon-model observables from a config file", _kaon_args, _cmd_kaon),
         "scan": ("run a parameter scan from a JSON spec", _scan_args, _cmd_scan),
         "converge": ("integrator convergence study", _converge_args, _cmd_converge),

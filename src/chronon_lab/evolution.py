@@ -12,6 +12,7 @@ from __future__ import annotations
 
 import math
 import sys
+from contextlib import suppress
 
 import numpy as np
 
@@ -119,6 +120,62 @@ def parse_complex_pair(text: str) -> np.ndarray:
         return np.array([complex(parts[0]), complex(parts[1])], dtype=np.complex128)
     except ValueError as exc:
         raise InvalidInput(f"cannot parse complex pair {text!r}: {exc}") from exc
+
+
+def parse_direction(text: str) -> np.ndarray:
+    """The unit vector along the complex pair 'a,b', which must be nonzero."""
+    d = parse_complex_pair(text)
+    norm = np.linalg.norm(d)
+    if not 0.0 < norm < math.inf:
+        raise InvalidInput(f"direction {text!r} must be nonzero and finite")
+    return d / norm
+
+
+# Every parameter of a command flag, a scan quantity or a kaon config: name ->
+# (kind as `coerce_param` reads it, default), None for no default (required).
+PARAMETERS = {
+    "energy": (float, None), "diag": (float, 0.0), "convention": (CONVENTIONS, "paper"),
+    "n": (int, 1), "tau_scale": (float, 1.0), "hbar": (float, 1.0),
+    "mixing_e": (float, None), "gamma_s": (float, 0.0), "gamma_l": (float, 0.0),
+    "delta_re": (float, 0.0), "delta_im": (float, 0.0),
+    "engine": (ENGINES, "continuous"), "t_max": (float, None), "steps": (int, None),
+    "psi0": (parse_complex_pair, "1,0"),
+    "observable": (("norm2_final", "prob_final"), "norm2_final"),
+    "direction": (parse_direction, "1,0"),
+}
+
+
+def coerce_param(key: str, value, kind):
+    """`value` checked against its parameter kind, or InvalidInput naming `key`.
+
+    float: any number. int: an int or int() text as that exact integer, or
+    the int of another integral number (1, 1.0, "1" and "1.0" give 1), while
+    1.5, "abc", a bool or an integer past the double range raise. A tuple:
+    one of its strings. Otherwise a parser that raises InvalidInput on a
+    malformed string. Strings are returned as given.
+    """
+    if kind is int and isinstance(value, (int, str)) and not isinstance(value, bool):
+        with suppress(ValueError):  # other numeric text, such as "1.0", is read as a float
+            if abs(x := int(value)) > sys.float_info.max:
+                raise InvalidInput(f"{key} must not exceed the largest double, about 1.8e308")
+            return x
+    if kind is float or kind is int:
+        x = None
+        with suppress(TypeError, ValueError, OverflowError):
+            x = None if isinstance(value, bool) else float(value)
+        if x is None:
+            raise InvalidInput(f"bad value for {key!r}: expected a number, got {value!r}")
+        if kind is int and not x.is_integer():
+            raise InvalidInput(f"bad value for {key!r}: expected an integer, got {value!r}")
+        return x if kind is float else int(x)
+    try:
+        if isinstance(kind, tuple) and value not in kind:
+            raise InvalidInput(f"expected one of {list(kind)}, got {value!r}")
+        if not isinstance(kind, tuple):
+            kind(value)
+    except InvalidInput as exc:
+        raise InvalidInput(f"bad value for {key!r}: {exc}") from exc
+    return value
 
 
 class TwoState(Record):

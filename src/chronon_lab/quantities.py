@@ -1,16 +1,17 @@
 """The scan quantities: scan specs, parameter schemas and batched evaluators.
 
-Each quantity of `QUANTITIES` has a schema of typed parameters with
-defaults, a fixed list of output columns (`QUANTITY_COLUMNS`), and one
-evaluator that maps the parameters of a chunk of points (one value, or an
-array with one value per point) to its column arrays, recording each
-point's first error on the chunk's `Lanes`. `runner.run_scan` drives them
-over a grid; the CLI's `modes` and `kaon --observable epsilon|width-shift`
-rows are one-point calls of the same evaluators (`point_row`). No
-evaluator loops over points: `trajectory-observable` is one
-`evolution.final_states` call per chunk, one stacked `power2` (discrete)
-or one `continuous_propagator` and so one `exp2` (continuous), called in
-`evolution`, where perfbench's tracer sees them.
+Each quantity of `QUANTITIES` has a schema, the names of its parameters in
+`evolution.PARAMETERS` (which a kaon config's keys also name), a fixed
+list of output columns (`QUANTITY_COLUMNS`), and one evaluator that maps
+the parameters of a chunk of points (one value, or an array with one value
+per point) to its column arrays, recording each point's first error on
+the chunk's `Lanes`. `runner.run_scan` drives them over a grid; the CLI's
+`modes` and `kaon --observable epsilon|width-shift` rows are one-point
+calls of the same evaluators (`point_row`). No evaluator loops over
+points: `trajectory-observable` is one `evolution.final_states` call per
+chunk, one stacked `power2` (discrete) or one `continuous_propagator` and
+so one `exp2` (continuous), called in `evolution`, where perfbench's
+tracer sees them.
 
 An evaluator imports its physics module (`spectrum` or `kaon`) when it
 runs, and the spec-file reader imports `json`, so a command loads only the
@@ -25,9 +26,9 @@ from pathlib import Path
 import numpy as np
 
 from .errors import ChrononLabError, InvalidInput, Lanes, Overflow
-from .evolution import (CONVENTIONS, DEFAULT_GRID_CAP, ENGINES, UnitSystem, chronon_check,
-                        chronon_of, chronon_step, final_states, parse_complex_pair,
-                        symmetric_check, symmetric_stack)
+from .evolution import (DEFAULT_GRID_CAP, PARAMETERS, UnitSystem, chronon_check, chronon_of,
+                        chronon_step, coerce_param, final_states, parse_complex_pair,
+                        parse_direction, symmetric_check, symmetric_stack)
 from .record import Record
 from .runner import Table
 
@@ -88,7 +89,7 @@ class ScanSpec(Record):
             raise InvalidInput("axis names must be unique")
         schema = _PARAM_SCHEMAS[quantity]
         for name in names:
-            if name not in schema or schema[name] not in (float, int):
+            if name not in schema or PARAMETERS[name][0] not in (float, int):
                 raise InvalidInput(
                     f"axis {name!r} is not a numeric parameter of {quantity!r}")
         if not isinstance(fixed, dict):
@@ -96,7 +97,7 @@ class ScanSpec(Record):
         for key, value in fixed.items():
             if key not in schema:
                 raise InvalidInput(f"unknown parameter {key!r} for {quantity!r}")
-            coerce_param(key, value, schema[key])  # raises if malformed
+            coerce_param(key, value, PARAMETERS[key][0])  # raises if malformed
         overlap = set(names) & set(fixed)
         if overlap:
             raise InvalidInput(f"parameters {sorted(overlap)} both fixed and scanned")
@@ -145,45 +146,18 @@ class ScanSpec(Record):
 
 
 # ---------------------------------------------------------------------------
-# parameter schemas
-
-def _parse_direction(text: str) -> np.ndarray:
-    """The unit vector along the complex pair 'a,b', which must be nonzero."""
-    d = parse_complex_pair(text)
-    norm = np.linalg.norm(d)
-    if not 0.0 < norm < math.inf:
-        raise InvalidInput(f"direction {text!r} must be nonzero and finite")
-    return d / norm
-
-
-_CHRONON_KEYS = {"n": int, "tau_scale": float, "hbar": float}
-_KAON_KEYS = {"mixing_e": float, "gamma_s": float, "gamma_l": float,
-              "delta_re": float, "delta_im": float}
+# parameter schemas: each quantity's names of `evolution.PARAMETERS`
 
 _PARAM_SCHEMAS = {
-    "mode_report": {"energy": float, "diag": float, "convention": CONVENTIONS,
-                    **_CHRONON_KEYS},
-    "epsilon": {**_KAON_KEYS, **_CHRONON_KEYS, "engine": ENGINES},
-    "width_shift": {**_KAON_KEYS, **_CHRONON_KEYS},
-    "trajectory-observable": {"energy": float, "diag": float, "engine": ENGINES,
-                              "t_max": float, "steps": int, "psi0": parse_complex_pair,
-                              "observable": ("norm2_final", "prob_final"),
-                              "direction": _parse_direction, **_CHRONON_KEYS},
+    "mode_report": ("energy", "diag", "convention", "n", "tau_scale", "hbar"),
+    # hbar first keeps the key order of a loaded kaon config, which its manifest shows
+    "width_shift": ("hbar", "mixing_e", "gamma_s", "gamma_l", "delta_re", "delta_im", "n",
+                    "tau_scale"),
+    "trajectory-observable": ("energy", "diag", "engine", "t_max", "steps", "psi0",
+                              "observable", "direction", "n", "tau_scale", "hbar"),
 }
+_PARAM_SCHEMAS["epsilon"] = (*_PARAM_SCHEMAS["width_shift"], "engine")
 
-# hbar first keeps the key order of a loaded kaon config, which its manifest shows
-_KAON_DEFAULTS = {"hbar": 1.0, "gamma_s": 0.0, "gamma_l": 0.0, "delta_re": 0.0,
-                  "delta_im": 0.0, "n": 1, "tau_scale": 1.0}
-
-_PARAM_DEFAULTS = {
-    "mode_report": {"diag": 0.0, "convention": "paper", "n": 1,
-                    "tau_scale": 1.0, "hbar": 1.0},
-    "epsilon": {**_KAON_DEFAULTS, "engine": "continuous"},
-    "width_shift": _KAON_DEFAULTS,
-    "trajectory-observable": {"diag": 0.0, "engine": "continuous", "n": 1,
-                              "tau_scale": 1.0, "hbar": 1.0, "psi0": "1,0",
-                              "observable": "norm2_final", "direction": "1,0"},
-}
 
 # Per-mode cells: one `modes` row each, prefixed `mode{k}_` in a mode_report row.
 MODE_FIELDS = ["h", "lambda_re", "lambda_im", "heff_re", "heff_im", "hfirst_re",
@@ -200,37 +174,6 @@ QUANTITY_COLUMNS = {
 }
 
 
-def coerce_param(key: str, value, kind):
-    """`value` checked against its parameter kind, or InvalidInput naming `key`.
-
-    float: any number. int: the int of an integral value; 1, 1.0, "1" and
-    "1.0" all give 1, while 1.5, "abc" or a bool raise rather than being
-    truncated or cast. A tuple: one of its strings. Otherwise a parser that
-    raises InvalidInput on a malformed string. Strings are returned as given.
-    """
-    if kind is float or kind is int:
-        try:
-            x = None if isinstance(value, bool) else float(value)
-        except (TypeError, ValueError, OverflowError):
-            x = None
-        if x is None:
-            raise InvalidInput(f"bad value for {key!r}: expected a number, got {value!r}")
-        if kind is float:
-            return x
-        if not x.is_integer():
-            raise InvalidInput(
-                f"bad value for {key!r}: expected an integer, got {value!r}")
-        return int(x)
-    try:
-        if isinstance(kind, tuple) and value not in kind:
-            raise InvalidInput(f"expected one of {list(kind)}, got {value!r}")
-        if not isinstance(kind, tuple):
-            kind(value)
-    except InvalidInput as exc:
-        raise InvalidInput(f"bad value for {key!r}: {exc}") from exc
-    return value
-
-
 def _coerce_lanes(quantity: str, params: dict, lanes: Lanes) -> dict:
     """`params` over the schema of `quantity`, with its defaults, on lanes.
 
@@ -240,14 +183,14 @@ def _coerce_lanes(quantity: str, params: dict, lanes: Lanes) -> dict:
     float arrays with one value per lane, strings as they are.
     """
     schema = _PARAM_SCHEMAS[quantity]
-    out = dict(_PARAM_DEFAULTS[quantity])
-    out.update(params)
-    missing = set(schema) - set(out)
+    missing = [k for k in schema if k not in params and PARAMETERS[k][1] is None]
     if missing:
         lanes.fail(True, InvalidInput, f"{quantity}: missing parameters {sorted(missing)}")
-        return out
-    for key, kind in schema.items():
-        value = out[key]
+        return params
+    out = dict(params)
+    for key in schema:
+        kind, default = PARAMETERS[key]
+        value = params.get(key, default)
         if isinstance(value, np.ndarray):
             if kind is int:
                 lanes.require(value % 1 == 0, InvalidInput,
@@ -332,7 +275,7 @@ def _eval_trajectory_observable(params: dict, lanes: Lanes) -> dict:
     if params["observable"] == "norm2_final":
         value = (np.abs(psi) ** 2).sum(axis=-1)
     else:  # prob_final
-        amp = psi @ _parse_direction(params["direction"]).conj()
+        amp = psi @ parse_direction(params["direction"]).conj()
         # abs and ** of each NumPy scalar, which round as libm's hypot and
         # pow: the array loops differ in the last place
         value = np.array([abs(z) ** 2 for z in amp])
@@ -424,9 +367,10 @@ def load_kaon_config(path) -> dict:
     t_max/steps are only needed for trajectory observables.
     """
     from .kaon import kaon_state
-    schema = {**_PARAM_SCHEMAS["width_shift"], "t_max": float, "steps": int,
-              "psi0": kaon_state}
-    cfg = {**_PARAM_DEFAULTS["width_shift"], "psi0": "K0"}
+    keys = _PARAM_SCHEMAS["width_shift"]
+    schema = {k: PARAMETERS[k][0] for k in (*keys, "t_max", "steps")}
+    schema["psi0"] = kaon_state  # a label, not the complex pair of `evolve`
+    cfg = {**{k: d for k in keys if (d := PARAMETERS[k][1]) is not None}, "psi0": "K0"}
     try:
         text = Path(path).read_text(encoding="utf-8")
     except UnicodeDecodeError as exc:

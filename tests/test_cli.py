@@ -13,6 +13,7 @@ import pytest
 from chronon_lab import cli, quantities, runner
 from chronon_lab.cli import main
 from chronon_lab.errors import ChrononLabError
+from chronon_lab.evolution import coerce_param
 from chronon_lab.quantities import MODE_FIELDS, evaluate_chunk
 
 CLI = [sys.executable, "-m", "chronon_lab"]
@@ -216,6 +217,103 @@ def test_counts_past_the_double_range_exit_code(capsys):
         assert main(argv) == 2
         assert capsys.readouterr() == (
             "", f"error: {name} must not exceed the largest double, about 1.8e308\n")
+
+
+@pytest.mark.parametrize("value, want", [
+    (12345678901234567891, 12345678901234567891), ("12345678901234567891", 12345678901234567891),
+    (" 7 ", 7), ("-3", -3), (4.0, 4), ("1.0", 1), ("1e3", 1000), (2 ** 1023, 2 ** 1023)])
+def test_coerce_param_keeps_integers_exact(value, want):
+    got = coerce_param("n", value, int)
+    assert (got, type(got)) == (want, int)
+
+
+@pytest.mark.parametrize("value, message", [
+    (10 ** 400, "n must not exceed the largest double, about 1.8e308"),
+    (-10 ** 400, "n must not exceed the largest double, about 1.8e308"),
+    (str(10 ** 400), "n must not exceed the largest double, about 1.8e308"),
+    (True, "bad value for 'n': expected a number, got True"),
+    ("1.5", "bad value for 'n': expected an integer, got '1.5'"),
+    ("1e400", "bad value for 'n': expected an integer, got '1e400'")],
+    ids=["huge", "-huge", "huge text", "bool", "1.5", "1e400"])
+def test_coerce_param_refuses_what_no_integer_double_holds(value, message):
+    with pytest.raises(ChrononLabError) as info:
+        coerce_param("n", value, int)
+    assert str(info.value) == message
+
+
+def test_kaon_config_records_an_integer_exactly(tmp_path):
+    # a config's n is coerced to the exact integer, not rounded through a double
+    cfg = write_config(tmp_path, n=12345678901234567891)
+    out = tmp_path / "eps.csv"
+    assert main(["kaon", "--config", str(cfg), "--observable", "epsilon",
+                 "--out", str(out)]) == 0
+    manifest = json.loads((tmp_path / "eps.csv.manifest.json").read_text())
+    assert manifest["parameters"]["n"] == 12345678901234567891
+
+
+def test_converge_m_list_takes_integral_numbers(capsys):
+    assert main(["converge", "--energy", "1", "--t-max", "1", "--m-list", "4,8.0"]) == 0
+    assert [r["m"] for r in parse_csv(capsys.readouterr().out)] == ["4", "8"]
+    assert main(["converge", "--energy", "1", "--t-max", "1", "--m-list", "4,8.5"]) == 2
+    assert capsys.readouterr() == (
+        "", "error: bad value for 'm_list': expected an integer, got '8.5'\n")
+
+
+# parameter -> (the command line before its flag, the scan quantity and the
+# other fixed values of a spec that sets it, the kaon observable of a config
+# that sets it or None)
+ONE_PARAMETER = {
+    "n": (["modes", "--energy", "1"], "mode_report", {"energy": 1}, "epsilon"),
+    "energy": (["modes"], "mode_report", {}, None),
+    "hbar": (["modes", "--energy", "1"], "mode_report", {"energy": 1}, "epsilon"),
+    "convention": (["modes", "--energy", "1"], "mode_report", {"energy": 1}, None),
+    "steps": (["evolve", "--engine", "continuous", "--energy", "1", "--t-max", "1"],
+              "trajectory-observable", {"energy": 1, "t_max": 1}, "2pi"),
+    "engine": (["evolve", "--energy", "1", "--t-max", "1", "--steps", "1"],
+               "trajectory-observable", {"energy": 1, "t_max": 1, "steps": 1}, None),
+}
+
+
+def _refusal(capsys, argv):
+    """The exit code of `argv` and, if its kind rule or argparse refused a
+    value, the text of the refusal without a config's 'path:line: ' prefix."""
+    try:
+        code = main(argv)
+    except SystemExit as exc:  # argparse
+        code = exc.code
+    text = capsys.readouterr().err.strip().splitlines()[-1:]
+    text = text[0].split("error: ", 1)[-1] if text else ""
+    text = text.split(": ", 1)[-1] if text.startswith("c.cfg:") else text
+    kind = text.startswith(("bad value for", "argument --")) or "largest double" in text
+    return code, text if kind else None
+
+
+@pytest.mark.parametrize("key", ONE_PARAMETER)
+def test_a_flag_a_spec_key_and_a_config_key_are_one_parameter(tmp_path, monkeypatch,
+                                                              capsys, key):
+    # a value goes through one kind rule as a flag, as a scan spec's fixed
+    # value and as a kaon config key: every way accepts it, or every way
+    # refuses it with exit code 2 and the same text. A choice flag is refused
+    # by argparse's choices, which are the kind's strings. What an accepted
+    # value meets next (a domain check, a row status) is the command's own.
+    monkeypatch.chdir(tmp_path)
+    flag, quantity, fixed, observable = ONE_PARAMETER[key]
+    for value in ("1", "1.0", "1.5", "abc", "1e400", "nan", str(10 ** 400),
+                  "12345678901234567891"):
+        ways = {"flag": _refusal(capsys, [*flag, "--" + key.replace("_", "-"), value])}
+        Path("s.json").write_text(json.dumps(
+            {"quantity": quantity, "grid": [], "fixed": {**fixed, key: value}}))
+        ways["spec"] = _refusal(capsys, ["scan", "--spec", "s.json"])
+        if observable:
+            Path("c.cfg").write_text(f"mixing_e = 1\nt_max = 1\n{key} = {value}\n")
+            ways["config"] = _refusal(capsys, ["kaon", "--config", "c.cfg",
+                                               "--observable", observable])
+        refused = {way: text is not None for way, (_, text) in ways.items()}
+        assert len(set(refused.values())) == 1, (value, ways)
+        if refused["flag"]:
+            assert {code for code, _ in ways.values()} == {2}, (value, ways)
+            if key not in ("engine", "convention"):
+                assert len({text for _, text in ways.values()}) == 1, (value, ways)
 
 
 def test_scan_with_out_and_manifest(tmp_path):
