@@ -159,7 +159,10 @@ def errors_group() -> tuple[str, dict[str, str | bytes], list[list[str]]]:
     the wrong kind or past the double range: `modes --n` 1.0 and 1.5,
     `modes --energy abc`, `evolve --steps` 3.0 and 10**400, and `--m-list`
     4,8.0 and 4,8.5 (some of these are well formed since integral numbers
-    are integers)."""
+    are integers); a choice flag with another string (`modes --convention`,
+    `evolve --engine`, `kaon --engine`); and finite numbers past the double
+    range for a float parameter: `modes --energy 1e400`, a spec `fixed`
+    value "1e400" and 10**400, and an axis start of 10**400."""
     axis = {"name": "mixing_e", "start": 1.0, "stop": 2.0, "count": 2}
     specs = {
         "not_json": "{not json",
@@ -173,6 +176,11 @@ def errors_group() -> tuple[str, dict[str, str | bytes], list[list[str]]]:
         "max_points_past_double": {"quantity": "epsilon", "grid": [axis],
                                    "max_points": 10 ** 400},
         "axis_key_typo": {"quantity": "epsilon", "grid": [{**axis, "spaceing": "log"}]},
+        "fixed_text_past_double": {"quantity": "mode_report", "grid": [],
+                                   "fixed": {"energy": 1, "tau_scale": "1e400"}},
+        "fixed_past_double": {"quantity": "mode_report", "grid": [],
+                              "fixed": {"energy": 1, "tau_scale": 10 ** 400}},
+        "start_past_double": {"quantity": "epsilon", "grid": [{**axis, "start": 10 ** 400}]},
         "ok": {"quantity": "mode_report", "grid": [], "fixed": {"energy": 1.0}},
     }
     files = {f"{name}.json": spec if isinstance(spec, str) else json.dumps(spec)
@@ -212,6 +220,11 @@ def errors_group() -> tuple[str, dict[str, str | bytes], list[list[str]]]:
                   "--steps", steps] for steps in ("3.0", str(10 ** 400))]
     commands += [["converge", "--energy", "1", "--t-max", "1", "--m-list", m_list]
                  for m_list in ("4,8.0", "4,8.5")]
+    commands += [["modes", "--energy", "1", "--convention", "nope"],
+                 ["evolve", "--engine", "nope", "--energy", "1", "--t-max", "1", "--steps", "1"],
+                 ["kaon", "--config", "configs/kaon_natural.cfg", "--observable", "epsilon",
+                  "--engine", "nope"],
+                 ["modes", "--energy", "1e400"]]
     return "errors", files, commands
 
 

@@ -39,12 +39,14 @@ _HELP = {"psi0": "two complex amplitudes, e.g. '1,0'"}
 
 
 def _add_params(sub, names, required=()):
-    """A flag `--name-with-dashes` per parameter of `names`, with the choices of
-    a tuple kind, required if it has no default or is in `required`."""
+    """A flag `--name-with-dashes` per parameter of `names`, required if it has
+    no default or is in `required`. A tuple kind's strings are its metavar,
+    the text argparse would build from `choices`; `coerce_param` refuses
+    another string, as it does for a spec or config key."""
     for name in names:
         kind, default = PARAMETERS[name]
-        sub.add_argument("--" + name.replace("_", "-"), help=_HELP.get(name),
-                         choices=kind if isinstance(kind, tuple) else None,
+        metavar = "{" + ",".join(kind) + "}" if isinstance(kind, tuple) else None
+        sub.add_argument("--" + name.replace("_", "-"), help=_HELP.get(name), metavar=metavar,
                          required=default is None or name in required)
 
 
@@ -91,8 +93,8 @@ def _cmd_evolve(args):
 def _cmd_kaon(args):
     from .kaon import kaon_trajectory, three_pion_intensity, two_pion_intensity
     from .quantities import kaon_from_config, load_kaon_config, point_row
+    engine = _params(args, ("engine",))["engine"]  # a bad flag is refused before the file is read
     cfg = load_kaon_config(args.config)
-    engine = _params(args, ("engine",))["engine"]
     params = {"command": "kaon", "config": str(args.config),
               "observable": args.observable, "engine": engine, **cfg}
 

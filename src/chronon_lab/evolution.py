@@ -148,11 +148,13 @@ PARAMETERS = {
 def coerce_param(key: str, value, kind):
     """`value` checked against its parameter kind, or InvalidInput naming `key`.
 
-    float: any number. int: an int or int() text as that exact integer, or
-    the int of another integral number (1, 1.0, "1" and "1.0" give 1), while
-    1.5, "abc", a bool or an integer past the double range raise. A tuple:
-    one of its strings. Otherwise a parser that raises InvalidInput on a
-    malformed string. Strings are returned as given.
+    float: any number but a finite one past the double range (an int, or
+    numeric text such as "1e400"), which raises; "inf" text and a float inf
+    give inf. int: an int or int() text as that exact integer, or the int of
+    another integral number (1, 1.0, "1" and "1.0" give 1), while 1.5,
+    "abc", a bool or an integer past the double range raise. A tuple: one of
+    its strings. Otherwise a parser that raises InvalidInput on a malformed
+    string. Strings are returned as given.
     """
     if kind is int and isinstance(value, (int, str)) and not isinstance(value, bool):
         with suppress(ValueError):  # other numeric text, such as "1.0", is read as a float
@@ -163,6 +165,8 @@ def coerce_param(key: str, value, kind):
         x = None
         with suppress(TypeError, ValueError, OverflowError):
             x = None if isinstance(value, bool) else float(value)
+        if kind is float and _past_double(value, x):
+            raise InvalidInput(f"{key} must not exceed the largest double, about 1.8e308")
         if x is None:
             raise InvalidInput(f"bad value for {key!r}: expected a number, got {value!r}")
         if kind is int and not x.is_integer():
@@ -176,6 +180,17 @@ def coerce_param(key: str, value, kind):
     except InvalidInput as exc:
         raise InvalidInput(f"bad value for {key!r}: {exc}") from exc
     return value
+
+
+def _past_double(value, x) -> bool:
+    """Whether `value`, which float() read as `x` (None if it raised), is a
+    finite number past the double range: an int, on which float() raises
+    OverflowError, or numeric text, which it reads as inf. An inf spelling
+    stays inf, as does a float inf (a JSON number 1e400 is one once parsed)."""
+    if isinstance(value, str):
+        return (x is not None and math.isinf(x)
+                and value.strip().lstrip("+-").lower() not in ("inf", "infinity"))
+    return x is None and isinstance(value, int) and not isinstance(value, bool)
 
 
 class TwoState(Record):

@@ -4,6 +4,7 @@ import hashlib
 import io
 import json
 import math
+import os
 import subprocess
 import sys
 from pathlib import Path
@@ -241,6 +242,34 @@ def test_coerce_param_refuses_what_no_integer_double_holds(value, message):
     assert str(info.value) == message
 
 
+@pytest.mark.parametrize("value", [
+    10 ** 400, -10 ** 400, "1" + "0" * 400, "1e400", " -1E400 ", "1.8e308"],
+    ids=["huge", "-huge", "huge text", "1e400", "-1E400 spaced", "1.8e308"])
+def test_coerce_param_refuses_a_finite_float_past_the_double_range(value):
+    with pytest.raises(ChrononLabError) as info:
+        coerce_param("energy", value, float)
+    assert str(info.value) == "energy must not exceed the largest double, about 1.8e308"
+
+
+@pytest.mark.parametrize("value", ["inf", " -Infinity ", math.inf, "nan"])
+def test_coerce_param_keeps_the_spellings_of_inf_and_nan(value):
+    got = coerce_param("energy", value, float)
+    assert math.isinf(got) or math.isnan(got)
+    assert repr(got) == repr(float(value))
+
+
+@pytest.mark.parametrize("value", [10 ** 400, "1e400"], ids=["json integer", "text"])
+def test_spec_value_past_the_double_range_exit_code(tmp_path, capsys, value):
+    # a JSON integer and numeric text past the double range get one refusal,
+    # that of a flag, not 'expected a number' or a row of inf
+    spec = tmp_path / "s.json"
+    spec.write_text(json.dumps({"quantity": "mode_report", "grid": [],
+                                "fixed": {"energy": 1, "tau_scale": value}}))
+    assert main(["scan", "--spec", str(spec)]) == 2
+    assert capsys.readouterr() == (
+        "", "error: tau_scale must not exceed the largest double, about 1.8e308\n")
+
+
 def test_kaon_config_records_an_integer_exactly(tmp_path):
     # a config's n is coerced to the exact integer, not rounded through a double
     cfg = write_config(tmp_path, n=12345678901234567891)
@@ -293,9 +322,9 @@ def test_a_flag_a_spec_key_and_a_config_key_are_one_parameter(tmp_path, monkeypa
                                                               capsys, key):
     # a value goes through one kind rule as a flag, as a scan spec's fixed
     # value and as a kaon config key: every way accepts it, or every way
-    # refuses it with exit code 2 and the same text. A choice flag is refused
-    # by argparse's choices, which are the kind's strings. What an accepted
-    # value meets next (a domain check, a row status) is the command's own.
+    # refuses it with exit code 2 and the same text, a choice flag included.
+    # What an accepted value meets next (a domain check, a row status) is the
+    # command's own.
     monkeypatch.chdir(tmp_path)
     flag, quantity, fixed, observable = ONE_PARAMETER[key]
     for value in ("1", "1.0", "1.5", "abc", "1e400", "nan", str(10 ** 400),
@@ -312,8 +341,7 @@ def test_a_flag_a_spec_key_and_a_config_key_are_one_parameter(tmp_path, monkeypa
         assert len(set(refused.values())) == 1, (value, ways)
         if refused["flag"]:
             assert {code for code, _ in ways.values()} == {2}, (value, ways)
-            if key not in ("engine", "convention"):
-                assert len({text for _, text in ways.values()}) == 1, (value, ways)
+            assert len({text for _, text in ways.values()}) == 1, (value, ways)
 
 
 def test_scan_with_out_and_manifest(tmp_path):
@@ -452,28 +480,63 @@ def test_each_command_loads_only_what_it_runs():
     assert res.stdout.splitlines() == ["evolve 0", "converge 0", "modes 0", "kaon 0"]
 
 
+# the two ways a process starts at chronon_lab.__main__:run
+STARTS = {"python -m": "runpy.run_module('chronon_lab', run_name='__main__')",
+          "console script": "from chronon_lab.__main__ import run; sys.exit(run())"}
+
+
+def run_entry_point(report: str, start: str = "python -m", blas_threads=None) -> list[str]:
+    """`modes --energy 1` in a new process started as `start` names, with
+    OPENBLAS_NUM_THREADS unset or set to `blas_threads`; the words of its
+    exit code and of `report`, an expression evaluated after the command."""
+    env = {k: v for k, v in os.environ.items() if k != "OPENBLAS_NUM_THREADS"}
+    if blas_threads is not None:
+        env["OPENBLAS_NUM_THREADS"] = blas_threads
+    code = ("import gc, os, runpy, sys\n"
+            "sys.argv = ['chronon-lab', 'modes', '--energy', '1']\n"
+            "try:\n"
+            f"    {STARTS[start]}\n"
+            "except SystemExit as exc:\n"
+            f"    print(exc.code, {report}, file=sys.stderr)\n")
+    res = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True,
+                         env=env)
+    assert res.stdout.startswith("mode,h,"), res.stderr
+    return res.stderr.split()
+
+
 def test_entry_point_freezes_the_import_time_objects():
     # `python -m chronon_lab` freezes what the imports left behind, so the
     # collector skips it at exit
-    code = ("import gc, runpy, sys\n"
-            "sys.argv = ['chronon-lab', 'modes', '--energy', '1']\n"
-            "try:\n"
-            "    runpy.run_module('chronon_lab', run_name='__main__')\n"
-            "except SystemExit as exc:\n"
-            "    print(exc.code, gc.get_freeze_count(), file=sys.stderr)\n")
-    res = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True)
-    assert res.stdout.startswith("mode,h,")
-    exit_code, frozen = res.stderr.split()
-    assert exit_code == "0" and int(frozen) > 0, res.stderr
+    exit_code, frozen = run_entry_point("gc.get_freeze_count()")
+    assert exit_code == "0" and int(frozen) > 0
+
+
+@pytest.mark.parametrize("preset", [None, "2"])
+def test_entry_point_asks_for_one_blas_thread_unless_told(preset):
+    # the entry point sets OPENBLAS_NUM_THREADS=1 for the process it runs,
+    # and a count the user gave wins
+    assert run_entry_point("os.environ.get('OPENBLAS_NUM_THREADS')",
+                           blas_threads=preset) == ["0", preset or "1"]
+
+
+@pytest.mark.skipif(not (sys.platform.startswith("linux")
+                         and len(os.sched_getaffinity(0)) >= 2),
+                    reason="counts /proc/self/task on a process free to use 2 or more CPUs")
+@pytest.mark.parametrize("start", STARTS)
+def test_entry_point_process_runs_one_thread(start):
+    # NumPy loads after the variable is set, so OpenBLAS starts no idle
+    # worker thread beside the main one, however the process started
+    assert run_entry_point("len(os.listdir('/proc/self/task'))", start) == ["0", "1"]
 
 
 def test_main_in_process_freezes_nothing(capsys):
-    # only the process entry point freezes: a caller of cli.main keeps
-    # its garbage collectable
-    before = gc.get_freeze_count()
+    # only the process entry point freezes and sets the BLAS thread count:
+    # a caller of cli.main keeps its garbage collectable and its environment
+    before, environ = gc.get_freeze_count(), dict(os.environ)
     assert main(["modes", "--energy", "1"]) == 0
     assert capsys.readouterr().out.startswith("mode,h,")
     assert gc.get_freeze_count() == before
+    assert dict(os.environ) == environ
 
 
 def test_console_script_is_the_freezing_entry_point():
@@ -483,6 +546,11 @@ def test_console_script_is_the_freezing_entry_point():
     assert scripts.split() == ["chronon-lab", "=", '"chronon_lab.__main__:run"']
     from chronon_lab.__main__ import run
     assert callable(run)
+    # the script imports the module before it calls run: that import loads
+    # no NumPy, so the variable run sets is in place before NumPy reads it
+    code = "import sys, chronon_lab.__main__; print('numpy' in sys.modules)"
+    res = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True)
+    assert res.stdout == "False\n", res.stderr
 
 
 @pytest.mark.parametrize("t_max,tau_scale,count", [
