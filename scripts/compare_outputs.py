@@ -108,8 +108,8 @@ def formats_group() -> tuple[str, dict[str, str], list[list[str]]]:
     a file, the pool_kaon scans as CSV to stdout, a scan with InvalidInput
     rows, the failing-lanes trajectory scans and the chunk-boundary scans as
     both; `evolve` and
-    `converge` (also with invalid rows) as JSON, and each kaon observable in
-    the format the README does not show."""
+    `converge` (also with invalid rows, and at m = 2^40 and 2^53) as JSON,
+    and each kaon observable in the format the README does not show."""
     files = {"invalid.json": json.dumps(INVALID_SCAN)}
     files.update((name, json.dumps(spec))
                  for name, spec in {**TRAJECTORY_SCANS, **CHUNK_SCANS}.items())
@@ -131,6 +131,9 @@ def formats_group() -> tuple[str, dict[str, str], list[list[str]]]:
     for energy, t_max in (("1", "1"), ("1e300", "1"), ("1", "0")):
         commands.append(["converge", "--energy", energy, "--t-max", t_max, "--m-list",
                          "4,8,16", "--format", "json"])
+    # m = 2^40, and 2^53, the largest power that a double holds exactly
+    commands.append(["converge", "--energy", "1", "--t-max", "1", "--m-list",
+                     f"16,{2 ** 40},{2 ** 53}", "--format", "json"])
     for observable, fmt in (("2pi", "json"), ("3pi", "json"), ("epsilon", "json"),
                             ("width-shift", "csv")):
         commands.append(["kaon", "--config", "configs/kaon_natural.cfg", "--observable",
@@ -158,11 +161,12 @@ def errors_group() -> tuple[str, dict[str, str | bytes], list[list[str]]]:
     `converge` at the subnormal hbar 1e-320; and flags that are numbers of
     the wrong kind or past the double range: `modes --n` 1.0 and 1.5,
     `modes --energy abc`, `evolve --steps` 3.0 and 10**400, and `--m-list`
-    4,8.0 and 4,8.5 (some of these are well formed since integral numbers
-    are integers); a choice flag with another string (`modes --convention`,
-    `evolve --engine`, `kaon --engine`); and finite numbers past the double
-    range for a float parameter: `modes --energy 1e400`, a spec `fixed`
-    value "1e400" and 10**400, and an axis start of 10**400."""
+    4,8.0, 4,8.5 and 2,2**53+1 (some of these are well formed since integral
+    numbers are integers); a choice flag with another string (`modes
+    --convention`, `evolve --engine`, `kaon --engine`); finite numbers past
+    the double range for a float parameter: `modes --energy 1e400`, a spec
+    `fixed` value "1e400" and 10**400, and an axis start of 10**400; and an
+    axis start "abc" and count "x"."""
     axis = {"name": "mixing_e", "start": 1.0, "stop": 2.0, "count": 2}
     specs = {
         "not_json": "{not json",
@@ -181,6 +185,8 @@ def errors_group() -> tuple[str, dict[str, str | bytes], list[list[str]]]:
         "fixed_past_double": {"quantity": "mode_report", "grid": [],
                               "fixed": {"energy": 1, "tau_scale": 10 ** 400}},
         "start_past_double": {"quantity": "epsilon", "grid": [{**axis, "start": 10 ** 400}]},
+        "start_text": {"quantity": "epsilon", "grid": [{**axis, "start": "abc"}]},
+        "count_text": {"quantity": "epsilon", "grid": [{**axis, "count": "x"}]},
         "ok": {"quantity": "mode_report", "grid": [], "fixed": {"energy": 1.0}},
     }
     files = {f"{name}.json": spec if isinstance(spec, str) else json.dumps(spec)
@@ -219,7 +225,7 @@ def errors_group() -> tuple[str, dict[str, str | bytes], list[list[str]]]:
     commands += [["evolve", "--engine", "continuous", "--energy", "1", "--t-max", "1",
                   "--steps", steps] for steps in ("3.0", str(10 ** 400))]
     commands += [["converge", "--energy", "1", "--t-max", "1", "--m-list", m_list]
-                 for m_list in ("4,8.0", "4,8.5")]
+                 for m_list in ("4,8.0", "4,8.5", f"2,{2 ** 53 + 1}")]
     commands += [["modes", "--energy", "1", "--convention", "nope"],
                  ["evolve", "--engine", "nope", "--energy", "1", "--t-max", "1", "--steps", "1"],
                  ["kaon", "--config", "configs/kaon_natural.cfg", "--observable", "epsilon",

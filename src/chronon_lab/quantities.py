@@ -60,9 +60,15 @@ class ScanAxis(Record):
         unknown = set(a) - set(cls.__slots__) if isinstance(a, dict) else ()
         if unknown:
             raise InvalidInput(f"unknown grid axis keys {sorted(unknown)}")
-        return cls(a["name"], coerce_param("start", a["start"], float),
-                   coerce_param("stop", a["stop"], float),
-                   coerce_param("count", a["count"], int), a.get("spacing", "linear"))
+        name = a["name"]
+        try:
+            bounds = [coerce_param(key, a[key], kind)
+                      for key, kind in (("start", float), ("stop", float), ("count", int))]
+        except InvalidInput as exc:
+            if not isinstance(name, str):  # __init__ refuses such a name
+                raise
+            raise InvalidInput(f"axis {name!r}: {exc}") from exc
+        return cls(name, *bounds, a.get("spacing", "linear"))
 
     def values(self) -> np.ndarray:
         if self.count == 1:

@@ -14,7 +14,8 @@ from chronon_lab import runner
 from chronon_lab.errors import ChrononLabError, InvalidInput, Overflow, RefusedTooLarge
 from chronon_lab.evolution import (ChrononParams, TwoState, UnitSystem,
                                    continuous_propagator, discrete_step_operator,
-                                   evolve, parse_complex_pair, symmetric_hamiltonian)
+                                   evolve, parse_complex_pair, step_map,
+                                   symmetric_hamiltonian)
 from chronon_lab.kaon import KaonModel, kaon_hamiltonian
 from chronon_lab.quantities import (ScanAxis, ScanSpec, evaluate_point, kaon_from_config,
                                     load_kaon_config)
@@ -86,6 +87,19 @@ def test_scan_spec_validation():
         with pytest.raises(InvalidInput, match=f"'{key}'"):
             ScanSpec.from_dict({"quantity": quantity, "grid": [],
                                 "fixed": {key: value}})
+
+
+@pytest.mark.parametrize("bound, message", [
+    ({"start": 1e999}, "start and stop must be finite"),
+    ({"start": 10 ** 400}, "start must not exceed the largest double, about 1.8e308"),
+    ({"start": "abc"}, "bad value for 'start': expected a number, got 'abc'"),
+    ({"count": "x"}, "bad value for 'count': expected a number, got 'x'")],
+    ids=["inf", "past double", "text", "count text"])
+def test_axis_bound_refusals_name_the_axis(bound, message):
+    axis = {"name": "mixing_e", "start": 1.0, "stop": 2.0, "count": 2, **bound}
+    with pytest.raises(InvalidInput) as info:
+        ScanSpec.from_dict({"quantity": "epsilon", "grid": [axis]})
+    assert str(info.value) == f"axis 'mixing_e': {message}"
 
 
 def test_scan_axis_values():
@@ -352,10 +366,10 @@ def converge_oracle(m: int) -> mpmath.mpf:
 
 
 def test_converge_golden_matches_mpmath_oracle():
-    # Double rounding leaves the committed rows within 6e-11 (errors) and
-    # 1.4e-10 (orders) of the 50-digit values, relative; 1e-9 passes any
-    # rounding-level regeneration and fails a real change of the composed
-    # map or of the baseline.
+    # The closed-form power leaves the committed rows within 7.6e-13
+    # (errors) and 1.2e-12 (orders) of the 50-digit values, relative; 1e-11
+    # passes any rounding-level regeneration and fails a real change of the
+    # composed map or of the baseline, such as repeated squaring's 5.9e-11.
     with open(golden_defs.GOLDEN_DIR / "converge.csv", newline="") as f:
         rows = list(csv.DictReader(f))
     assert [int(r["m"]) for r in rows] == golden_defs.CONVERGE_M_LIST
@@ -364,13 +378,42 @@ def test_converge_golden_matches_mpmath_oracle():
         m = int(row["m"])
         err = converge_oracle(m)
         assert row["status"] == "ok"
-        assert float(row["max_entry_error"]) == pytest.approx(float(err), rel=1e-9)
+        assert float(row["max_entry_error"]) == pytest.approx(float(err), rel=1e-11)
         if prev is None:
             assert row["observed_order"] == ""
         else:
             order = mpmath.log(prev[1] / err) / mpmath.log(mpmath.mpf(m) / prev[0])
-            assert float(row["observed_order"]) == pytest.approx(float(order), rel=1e-9)
+            assert float(row["observed_order"]) == pytest.approx(float(order), rel=1e-11)
         prev = (m, err)
+
+
+def test_convergence_study_error_is_that_of_the_float_maps_power():
+    # at m = 2^40 the row is U^m of the program's own float U against
+    # exp(-i H), 3.83e-13 (repeated squaring read 6.27e-9 there). The
+    # reference takes U's entry u01 from step_map, not H / m, so it tests the
+    # power and not the rounding of dt, and forms U^m from U's eigenvalues
+    # 1 +/- u01 at 60 digits.
+    m = 2 ** 40
+    row = convergence_study(1.0, 1.0, [16, m])[1]
+    u01 = mpmath.mpc(complex(step_map(symmetric_hamiltonian(1.0), 1.0 / m, 1.0)[0, 1]))
+    with mpmath.workdps(60):
+        a, b = (1 + u01) ** m, (1 - u01) ** m
+        want = max(abs((a + b) / 2 - mpmath.cos(1)), abs((a - b) / 2 + 1j * mpmath.sin(1)))
+    assert row["status"] == "ok"
+    assert 0.8 <= row["observed_order"] <= 1.2
+    assert abs(row["max_entry_error"] - float(want)) <= 1e-14
+
+
+def test_convergence_study_refuses_m_past_2_53(capsys):
+    # power2 takes its powers as doubles, which hold every integer to 2**53
+    from chronon_lab import cli
+    assert convergence_study(1.0, 1.0, [2, 2 ** 53])[1]["status"] == "ok"
+    with pytest.raises(InvalidInput, match=r"^m_list must not exceed 2\*\*53"):
+        convergence_study(1.0, 1.0, [2, 2 ** 53 + 1])
+    assert cli.main(["converge", "--energy", "1", "--t-max", "1", "--m-list",
+                     f"2,{2 ** 53 + 1}"]) == 2
+    out, err = capsys.readouterr()
+    assert (out, err.startswith("error: m_list must"), err.count("\n")) == ("", True, 1)
 
 
 def test_convergence_study_zero_time():
