@@ -10,8 +10,8 @@ commands are the four benchmark workloads at seed 101, built by
 does not use, a scan with InvalidInput rows in both formats, a
 `trajectory-observable` scan per engine with failing lanes in both formats,
 mode_report scans that end at and one point past a chunk boundary in both
-formats, and the `evolve`, `converge` and `kaon` tables in the formats the
-other groups do not use, a `help` group of the `--help` texts of the
+formats, the `evolve`, `converge` and `kaon` tables in the formats the
+other groups do not use, and `modes` at tau_scale 1e-9, a `help` group of the `--help` texts of the
 program and of each command, and an `errors` group of malformed inputs, whose
 exit codes and stderr are compared. Each command runs as `python -m
 chronon_lab` once per tree, in a fresh temporary directory holding the
@@ -109,7 +109,8 @@ def formats_group() -> tuple[str, dict[str, str], list[list[str]]]:
     rows, the failing-lanes trajectory scans and the chunk-boundary scans as
     both; `evolve` and
     `converge` (also with invalid rows, and at m = 2^40 and 2^53) as JSON,
-    and each kaon observable in the format the README does not show."""
+    each kaon observable in the format the README does not show, and
+    `modes` at tau_scale 1e-9."""
     files = {"invalid.json": json.dumps(INVALID_SCAN)}
     files.update((name, json.dumps(spec))
                  for name, spec in {**TRAJECTORY_SCANS, **CHUNK_SCANS}.items())
@@ -134,6 +135,8 @@ def formats_group() -> tuple[str, dict[str, str], list[list[str]]]:
     # m = 2^40, and 2^53, the largest power that a double holds exactly
     commands.append(["converge", "--energy", "1", "--t-max", "1", "--m-list",
                      f"16,{2 ** 40},{2 ** 53}", "--format", "json"])
+    # |lambda| - 1 rounds to 0 at tau_scale 1e-9, while Im h_eff does not
+    commands.append(["modes", "--energy", "1", "--tau-scale", "1e-9"])
     for observable, fmt in (("2pi", "json"), ("3pi", "json"), ("epsilon", "json"),
                             ("width-shift", "csv")):
         commands.append(["kaon", "--config", "configs/kaon_natural.cfg", "--observable",
@@ -149,7 +152,8 @@ def help_group() -> tuple[str, dict[str, str | bytes], list[list[str]]]:
 
 
 def errors_group() -> tuple[str, dict[str, str | bytes], list[list[str]]]:
-    """Malformed inputs, each of which should exit 2 with one line on stderr:
+    """Malformed inputs, each of which but the last should exit 2 with one
+    line on stderr:
     spec files with a malformed value, field type, nesting, encoding or axis
     key, an axis count and a max_points past the double range, a kaon config
     that is not UTF-8, empty `--m-list`s, `--workers 0`,
@@ -166,7 +170,11 @@ def errors_group() -> tuple[str, dict[str, str | bytes], list[list[str]]]:
     --convention`, `evolve --engine`, `kaon --engine`); finite numbers past
     the double range for a float parameter: `modes --energy 1e400`, a spec
     `fixed` value "1e400" and 10**400, and an axis start of 10**400; and an
-    axis start "abc" and count "x"."""
+    axis start "abc" and count "x"; an axis spacing "cubic", an axis whose
+    name is a list and whose start is "abc" (refused for its name), a
+    mode_report spec with no `energy`, and a kaon config with `psi0 = K3`;
+    last, a `converge` whose step map overflows, which exits 0 with both
+    rows invalid and nothing on stderr."""
     axis = {"name": "mixing_e", "start": 1.0, "stop": 2.0, "count": 2}
     specs = {
         "not_json": "{not json",
@@ -187,6 +195,11 @@ def errors_group() -> tuple[str, dict[str, str | bytes], list[list[str]]]:
         "start_past_double": {"quantity": "epsilon", "grid": [{**axis, "start": 10 ** 400}]},
         "start_text": {"quantity": "epsilon", "grid": [{**axis, "start": "abc"}]},
         "count_text": {"quantity": "epsilon", "grid": [{**axis, "count": "x"}]},
+        "spacing_cubic": {"quantity": "epsilon", "grid": [{**axis, "spacing": "cubic"}]},
+        "axis_name_list_start_text": {"quantity": "epsilon", "grid": [
+            {**axis, "name": ["mixing_e"], "start": "abc"}]},
+        "missing_energy": {"quantity": "mode_report", "grid": [
+            {"name": "tau_scale", "start": 0.1, "stop": 1.0, "count": 3}]},
         "ok": {"quantity": "mode_report", "grid": [], "fixed": {"energy": 1.0}},
     }
     files = {f"{name}.json": spec if isinstance(spec, str) else json.dumps(spec)
@@ -196,6 +209,7 @@ def errors_group() -> tuple[str, dict[str, str | bytes], list[list[str]]]:
     files["steps_huge.cfg"] = "mixing_e = 1.0\nt_max = 1e300\nsteps = 1000000000000\n"
     files["quotient_inf.cfg"] = "mixing_e = 1.0\nt_max = 1e300\ntau_scale = 1e-300\n"
     files["quotient_huge.cfg"] = "mixing_e = 1.0\nt_max = 1e200\ntau_scale = 1e-100\n"
+    files["psi0_k3.cfg"] = "mixing_e = 1.0\nt_max = 1.0\nsteps = 4\npsi0 = K3\n"
     for name, t_max in (("neg_inf", "-inf"), ("nan", "nan"), ("neg", "-1")):
         files[f"t_max_{name}.cfg"] = f"mixing_e = 1.0\nt_max = {t_max}\n"
     commands = [["scan", "--spec", f"{name}.json"] for name in specs if name != "ok"]
@@ -230,7 +244,9 @@ def errors_group() -> tuple[str, dict[str, str | bytes], list[list[str]]]:
                  ["evolve", "--engine", "nope", "--energy", "1", "--t-max", "1", "--steps", "1"],
                  ["kaon", "--config", "configs/kaon_natural.cfg", "--observable", "epsilon",
                   "--engine", "nope"],
-                 ["modes", "--energy", "1e400"]]
+                 ["modes", "--energy", "1e400"],
+                 ["kaon", "--config", "psi0_k3.cfg", "--observable", "2pi"],
+                 ["converge", "--energy", "1e300", "--t-max", "1e300", "--m-list", "4,8"]]
     return "errors", files, commands
 
 

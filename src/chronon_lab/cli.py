@@ -24,12 +24,12 @@ from .errors import (USAGE_ERRORS, ChrononLabError, InvalidInput, OnePoint,
                      RefusedTooLarge)
 from .evolution import (DEFAULT_GRID_CAP, PARAMETERS, chronon_of, coerce_param, evolve,
                         parse_complex_pair, require_positive, symmetric_hamiltonian)
-from .runner import (Table, convergence_study, emit, emit_with_manifest, float_column,
-                     run_scan, stack_columns)
+from .runner import (FORMATS, Table, convergence_study, emit, emit_with_manifest,
+                     float_column, run_scan, stack_columns)
 
 
 def _add_output_args(sub):
-    sub.add_argument("--format", choices=("csv", "json"), default="csv")
+    sub.add_argument("--format", choices=FORMATS, default="csv")
     sub.add_argument("--out", default=None, help="output path (writes a manifest too)")
 
 
@@ -62,16 +62,17 @@ def _cmd_modes(args):
     params = _params(args, _MODES)
     cells = point_row("mode_report", params)  # the symmetric H, diag 0
     cols = {c: stack_columns(cells[f"mode{k}_{c}"] for k in (0, 1)) for c in MODE_FIELDS}
-    # direction: |lambda| grows (1), decays (-1) or is steady (0) per step.
-    # reading: the sign of Im h_eff under the convention, where "standard"
-    # (phases e^{-iEt/hbar}) reads a positive sign as growth and "paper"
+    # direction: the sign of Im h_eff, that of ln|lambda|: |lambda| grows (1),
+    # decays (-1) or is steady (0) per step, also where |lambda| rounds to 1.
+    # reading: that sign under the convention, where "standard" (phases
+    # e^{-iEt/hbar}) reads a positive sign as growth and "paper"
     # (e^{+iEt/hbar}) as decay. Both go before the two ratio cells.
-    mags, ims = cols["step_mag"][0].tolist(), cols["heff_im"][0].tolist()
+    ims = cols["heff_im"][0].tolist()
     growth = params["convention"] == "standard"
     ratios = {c: cols.pop(c) for c in MODE_FIELDS[-2:]}
     table = Table({
         "mode": [0, 1], **cols,
-        "direction": [(mag > 1) - (mag < 1) for mag in mags],
+        "direction": [(im > 0) - (im < 0) for im in ims],
         "reading": ["steady" if im == 0 else "growth" if (im > 0) == growth else "decay"
                     for im in ims],
         **ratios, "nu_nonhermitian": stack_columns([cells["nu_nonhermitian"]] * 2)})

@@ -18,8 +18,7 @@ import numpy as np
 
 from . import kernels
 from .errors import GridMismatch, InvalidInput, OnePoint, Overflow, RefusedTooLarge
-from .linalg2 import (IDENTITY2, as_operator, as_stack, exp2, finite_check, is_hermitian,
-                      power2, require_finite)
+from .linalg2 import IDENTITY2, as_operator, as_stack, exp2, finite_check, is_hermitian, power2
 from .record import Record
 
 ENGINES = ("continuous", "discrete")
@@ -214,12 +213,6 @@ def amplitude_check(lanes, amplitudes) -> None:
     lanes.require(np.isfinite(amplitudes).all(), InvalidInput, "amplitudes must be finite")
 
 
-def _amplitudes_of(psi0) -> np.ndarray:
-    if isinstance(psi0, TwoState):
-        return psi0.amplitudes
-    return TwoState(psi0).amplitudes
-
-
 class Trajectory(Record):
     """States on a strictly increasing, uniform time grid."""
 
@@ -230,8 +223,7 @@ class Trajectory(Record):
         s = np.asarray(states, dtype=np.complex128)
         if t.ndim != 1 or s.shape != (t.shape[0], 2):
             raise InvalidInput("times and states have mismatched shapes")
-        if engine not in ENGINES:
-            raise InvalidInput(f"unknown engine tag {engine!r}")
+        coerce_param("engine", engine, ENGINES)
         d = np.diff(t)
         if t.shape[0] > 1:
             h = d[0]
@@ -291,6 +283,7 @@ def continuous_propagator(h, t: float | np.ndarray, units: UnitSystem = NATURAL_
     return exp2(g, t, lanes)
 
 
+@np.errstate(over="ignore", invalid="ignore")  # every caller checks U
 def step_map(h, dt, hbar) -> np.ndarray:
     """U = I - i H dt / hbar for one H, or per H of a stack with one dt and
     hbar or one per H, unchecked."""
@@ -305,7 +298,7 @@ def discrete_step_operator(h, p: ChrononParams,
     eigenvalues are distorted by the discretization.
     """
     a = as_operator(h)
-    require_finite(a)
+    finite_check(OnePoint, a)
     return step_map(a, p.step(units), units.hbar)
 
 
@@ -313,9 +306,9 @@ def grid_check(lanes, engine: str, t_max, steps, dt) -> None:
     """The grid rules of `evolve` on lanes: steps a positive integer, t_max
     positive and finite, and on the discrete engine (dt = n * tau, None
     failing it, checked here) steps = t_max / dt rounded within 1e-9
-    relative, or GridMismatch."""
-    lanes.require(engine in ENGINES, InvalidInput,
-                  f"engine must be one of {ENGINES}, got {engine!r}")
+    relative, or GridMismatch. An engine that ENGINES does not name, one
+    value for every lane, raises InvalidInput."""
+    coerce_param("engine", engine, ENGINES)
     lanes.require((steps >= 1) & (steps % 1 == 0), InvalidInput,
                   "steps must be a positive integer")
     require_positive(lanes, "t_max", t_max)
@@ -338,19 +331,6 @@ def grid_check(lanes, engine: str, t_max, steps, dt) -> None:
     lanes.require(k == steps, GridMismatch, mismatch, steps, k)
 
 
-def check_grid(engine: str, t_max: float, steps: int, p: ChrononParams | None = None,
-               units: UnitSystem = NATURAL_UNITS) -> int:
-    """`grid_check` on one point, with n * tau from `p`; returns `steps` as
-    an int."""
-    grid_check(OnePoint, engine, t_max, steps, _step_of(p, units))
-    return int(steps)
-
-
-def _step_of(p: ChrononParams | None, units: UnitSystem):
-    """The unchecked n * tau of `p`, or None."""
-    return None if p is None else chronon_step(p.energy, p.n, p.tau_scale, units.hbar)
-
-
 def evolve(h, psi0, engine: str, t_max: float, steps: int,
            p: ChrononParams | None = None, units: UnitSystem = NATURAL_UNITS,
            allow_nonhermitian: bool = False) -> Trajectory:
@@ -358,22 +338,23 @@ def evolve(h, psi0, engine: str, t_max: float, steps: int,
 
     engine="discrete" repeats the chronon step map on the grid of spacing
     n * tau; engine="continuous" evaluates the exact propagator on an
-    arbitrary uniform grid. `check_grid` holds the grid rules; a grid of
+    arbitrary uniform grid. `grid_check` holds the grid rules; a grid of
     more than DEFAULT_GRID_CAP times raises RefusedTooLarge. A state whose
     norm^2 is not finite in double precision raises Overflow.
     """
     a = as_operator(h)
-    require_finite(a)
-    amps = _amplitudes_of(psi0)
-    steps = check_grid(engine, t_max, steps, p, units)
+    finite_check(OnePoint, a)
+    amps = (psi0 if isinstance(psi0, TwoState) else TwoState(psi0)).amplitudes
+    dt = None if p is None else chronon_step(p.energy, p.n, p.tau_scale, units.hbar)
+    grid_check(OnePoint, engine, t_max, steps, dt)
+    steps = int(steps)
     if steps + 1 > DEFAULT_GRID_CAP:
         raise RefusedTooLarge(f"trajectory has {steps} steps, {steps + 1} rows; "
                               f"cap is {DEFAULT_GRID_CAP} rows")
     with np.errstate(over="ignore", invalid="ignore"):  # raised as Overflow
         if engine == "discrete":
-            u = discrete_step_operator(a, p, units)
-            states = kernels.step_trajectory(u, amps, steps)
-            times = np.arange(steps + 1, dtype=np.float64) * p.step(units)
+            states = kernels.step_trajectory(step_map(a, dt, units.hbar), amps, steps)
+            times = np.arange(steps + 1, dtype=np.float64) * dt
         else:
             times = np.linspace(0.0, t_max, steps + 1)
             states = continuous_propagator(a, times, units, allow_nonhermitian) @ amps
@@ -383,22 +364,14 @@ def evolve(h, psi0, engine: str, t_max: float, steps: int,
     return traj
 
 
-def final_state(h, psi0, engine: str, t_max: float, steps: int,
-                p: ChrononParams | None = None,
-                units: UnitSystem = NATURAL_UNITS) -> np.ndarray:
-    """The amplitudes at t_max of `evolve` with the same arguments, computed
-    without the states before them: `final_states` on one point."""
-    return final_states(as_operator(h), _amplitudes_of(psi0), engine, t_max, steps,
-                        _step_of(p, units), units)
-
-
 def final_states(h, amplitudes, engine: str, t_max, steps, dt, units: UnitSystem,
                  lanes=OnePoint) -> np.ndarray:
     """The amplitudes at t_max of `evolve` per H of a stack (k, 2, 2), with
     one t_max, steps, unchecked n * tau (dt) and hbar or one per H: U^steps
     psi0 by `power2` (discrete) or the `continuous_propagator` at t_max.
     The rules of `evolve` and these two's errors: raised with OnePoint,
-    recorded per lane with a `Lanes`."""
+    recorded per lane with a `Lanes` (a bad engine raises, as in
+    `grid_check`)."""
     finite_check(lanes, h)
     amplitude_check(lanes, amplitudes)
     grid_check(lanes, engine, t_max, steps, dt)

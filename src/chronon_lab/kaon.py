@@ -24,8 +24,8 @@ import numpy as np
 from .errors import (DegenerateModes, InvalidInput, Lanes, Overflow, SingularMap,
                      OnePoint, UndefinedRatio)
 from .evolution import (ENGINES, ChrononParams, NATURAL_UNITS, Trajectory,
-                        TwoState, UnitSystem, chronon_step, evolve, require_positive,
-                        step_check)
+                        TwoState, UnitSystem, chronon_step, coerce_param, evolve,
+                        require_positive, step_check)
 from .linalg2 import cdiv, eig2_stack
 from .record import Record
 from .spectrum import step_multipliers
@@ -35,6 +35,13 @@ BASES = ("cp", "flavor")
 # Columns are K1 and K2 written in flavor coordinates; the matrix is real,
 # symmetric and involutive, so it is its own inverse.
 CP_TO_FLAVOR = np.array([[1.0, 1.0], [1.0, -1.0]], dtype=np.complex128) / math.sqrt(2.0)
+
+# The labels of `kaon_state`, each with its unit amplitudes in the cp basis:
+# K0 and K0bar, the flavor basis vectors, are the columns of CP_TO_FLAVOR.
+_CP_STATES = {"K0": CP_TO_FLAVOR[:, 0], "K0bar": CP_TO_FLAVOR[:, 1],
+              "K1": np.array([1.0, 0.0], dtype=np.complex128),
+              "K2": np.array([0.0, 1.0], dtype=np.complex128)}
+STATES = tuple(_CP_STATES)
 
 
 class KaonModel(Record):
@@ -61,8 +68,7 @@ def kaon_check(lanes, mixing_energy, gamma_short, gamma_long, delta_re, delta_im
 def change_basis(amplitudes, source: str, target: str) -> np.ndarray:
     """Convert a two-component state between the cp and flavor bases."""
     for b in (source, target):
-        if b not in BASES:
-            raise InvalidInput(f"basis must be one of {BASES}, got {b!r}")
+        coerce_param("basis", b, BASES)
     a = np.asarray(amplitudes, dtype=np.complex128)
     if source == target:
         return a.copy()
@@ -70,16 +76,9 @@ def change_basis(amplitudes, source: str, target: str) -> np.ndarray:
 
 
 def kaon_state(label: str, basis: str = "cp") -> np.ndarray:
-    """Unit amplitudes of K0, K0bar, K1 or K2 in the requested basis."""
-    cp = {
-        "K0": np.array([1.0, 1.0], dtype=np.complex128) / math.sqrt(2.0),
-        "K0bar": np.array([1.0, -1.0], dtype=np.complex128) / math.sqrt(2.0),
-        "K1": np.array([1.0, 0.0], dtype=np.complex128),
-        "K2": np.array([0.0, 1.0], dtype=np.complex128),
-    }
-    if label not in cp:
-        raise InvalidInput(f"unknown state label {label!r}; use one of {sorted(cp)}")
-    return change_basis(cp[label], "cp", basis)
+    """Unit amplitudes of a label of STATES (K0, K0bar, K1 or K2) in the
+    requested basis."""
+    return change_basis(_CP_STATES[coerce_param("label", label, STATES)], "cp", basis)
 
 
 @np.errstate(all="ignore")  # an entry past the double range is hamiltonian_check's
@@ -114,8 +113,7 @@ def kaon_hamiltonian(model: KaonModel, basis: str = "cp") -> np.ndarray:
     Hermitian only in the widthless, real-delta limit. An entry that is not
     finite in double precision (hbar Gamma past 3.6e308) raises Overflow.
     """
-    if basis not in BASES:
-        raise InvalidInput(f"basis must be one of {BASES}, got {basis!r}")
+    coerce_param("basis", basis, BASES)
     d = complex(model.delta)
     h_cp = hamiltonian_cp(model.mixing_energy, model.units.hbar, model.gamma_short,
                           model.gamma_long, d.real, d.imag)
@@ -154,8 +152,7 @@ def three_pion_intensity(traj: Trajectory, model: KaonModel,
 
 
 def _channel_intensity(traj, model, basis, channel):
-    if basis not in BASES:
-        raise InvalidInput(f"basis must be one of {BASES}, got {basis!r}")
+    coerce_param("basis", basis, BASES)
     states = traj.states
     if basis == "flavor":
         states = states @ CP_TO_FLAVOR.T  # involutive and symmetric
@@ -232,8 +229,7 @@ def epsilon_mixing(model: KaonModel, p: ChrononParams, engine: str) -> complex:
     that is not finite in double precision raises Overflow. The one-model
     case of `epsilon_stack`.
     """
-    if engine not in ENGINES:
-        raise InvalidInput(f"engine must be 'continuous' or 'discrete', got {engine!r}")
+    coerce_param("engine", engine, ENGINES)
     lanes = Lanes(1)
     eps = epsilon_stack(*_one_model(model, p), engine, lanes)
     lanes.raise_first()

@@ -49,10 +49,6 @@ def finite_check(lanes, a: np.ndarray) -> None:
                   "matrix has non-finite entries")
 
 
-def require_finite(a: np.ndarray) -> None:
-    finite_check(OnePoint, a)
-
-
 def is_hermitian(m):
     """Max-entry test of M == M^dagger within DEFAULT_TOL: a bool for one
     matrix, an array of them for a stack."""

@@ -37,18 +37,25 @@ from .runner import Table
 # scan specification
 
 class ScanAxis(Record):
+    """One axis of a scan grid. Its bounds, count and spacing are coerced by
+    `coerce_param` (a refusal names the axis) after the name is checked."""
+
     __slots__ = ("name", "start", "stop", "count", "spacing")
 
     def __init__(self, name: str, start: float, stop: float, count: int,
                  spacing: str = "linear"):
         if not isinstance(name, str):
             raise InvalidInput(f"axis name must be a string, got {name!r}")
+        try:
+            start, stop = coerce_param("start", start, float), coerce_param("stop", stop, float)
+            count = coerce_param("count", count, int)
+            spacing = coerce_param("spacing", spacing, ("linear", "log"))
+        except InvalidInput as exc:
+            raise InvalidInput(f"axis {name!r}: {exc}") from exc
         if not (math.isfinite(start) and math.isfinite(stop)):
             raise InvalidInput(f"axis {name!r}: start and stop must be finite")
-        if count < 1 or int(count) != count:
+        if count < 1:
             raise InvalidInput(f"axis {name!r}: count must be a positive integer")
-        if spacing not in ("linear", "log"):
-            raise InvalidInput(f"axis {name!r}: spacing must be linear or log")
         if spacing == "log" and (start <= 0 or stop <= 0):
             raise InvalidInput(f"axis {name!r}: log spacing needs positive bounds")
         super().__init__(name, start, stop, count, spacing)
@@ -60,15 +67,7 @@ class ScanAxis(Record):
         unknown = set(a) - set(cls.__slots__) if isinstance(a, dict) else ()
         if unknown:
             raise InvalidInput(f"unknown grid axis keys {sorted(unknown)}")
-        name = a["name"]
-        try:
-            bounds = [coerce_param(key, a[key], kind)
-                      for key, kind in (("start", float), ("stop", float), ("count", int))]
-        except InvalidInput as exc:
-            if not isinstance(name, str):  # __init__ refuses such a name
-                raise
-            raise InvalidInput(f"axis {name!r}: {exc}") from exc
-        return cls(name, *bounds, a.get("spacing", "linear"))
+        return cls(a["name"], a["start"], a["stop"], a["count"], a.get("spacing", "linear"))
 
     def values(self) -> np.ndarray:
         if self.count == 1:
@@ -112,6 +111,12 @@ class ScanSpec(Record):
     @property
     def total_points(self) -> int:
         return math.prod(ax.count for ax in self.grid)
+
+    def require_complete(self) -> None:
+        """InvalidInput if a parameter of the quantity without a default is
+        neither fixed nor scanned, with the text its rows would get."""
+        if missing := _missing(self.quantity, {*self.fixed, *(ax.name for ax in self.grid)}):
+            raise InvalidInput(missing)
 
     @classmethod
     def from_dict(cls, d: dict) -> "ScanSpec":
@@ -180,6 +185,14 @@ QUANTITY_COLUMNS = {
 }
 
 
+def _missing(quantity: str, given) -> str:
+    """The refusal of `quantity` without its parameters that have no default
+    and are not in `given`, or '' if none is missing."""
+    missing = sorted(k for k in _PARAM_SCHEMAS[quantity]
+                     if k not in given and PARAMETERS[k][1] is None)
+    return f"{quantity}: missing parameters {missing}" if missing else ""
+
+
 def _coerce_lanes(quantity: str, params: dict, lanes: Lanes) -> dict:
     """`params` over the schema of `quantity`, with its defaults, on lanes.
 
@@ -188,13 +201,11 @@ def _coerce_lanes(quantity: str, params: dict, lanes: Lanes) -> dict:
     parameter's non-integral values fail their lanes. Numbers come back as
     float arrays with one value per lane, strings as they are.
     """
-    schema = _PARAM_SCHEMAS[quantity]
-    missing = [k for k in schema if k not in params and PARAMETERS[k][1] is None]
-    if missing:
-        lanes.fail(True, InvalidInput, f"{quantity}: missing parameters {sorted(missing)}")
+    if missing := _missing(quantity, params):
+        lanes.fail(True, InvalidInput, missing)
         return params
     out = dict(params)
-    for key in schema:
+    for key in _PARAM_SCHEMAS[quantity]:
         kind, default = PARAMETERS[key]
         value = params.get(key, default)
         if isinstance(value, np.ndarray):
@@ -369,13 +380,13 @@ def load_kaon_config(path) -> dict:
 
     Format: UTF-8 text, one `key = value` per line, '#' starts a comment.
     Keys, types and defaults are those of the width_shift scan quantity plus
-    t_max/steps/psi0 (a `kaon.kaon_state` label). Required key: mixing_e.
+    t_max/steps/psi0 (a label of `kaon.STATES`). Required key: mixing_e.
     t_max/steps are only needed for trajectory observables.
     """
-    from .kaon import kaon_state
+    from .kaon import STATES
     keys = _PARAM_SCHEMAS["width_shift"]
     schema = {k: PARAMETERS[k][0] for k in (*keys, "t_max", "steps")}
-    schema["psi0"] = kaon_state  # a label, not the complex pair of `evolve`
+    schema["psi0"] = STATES  # a label, not the complex pair of `evolve`
     cfg = {**{k: d for k in keys if (d := PARAMETERS[k][1]) is not None}, "psi0": "K0"}
     try:
         text = Path(path).read_text(encoding="utf-8")

@@ -37,12 +37,13 @@ import numpy as np
 
 from . import __version__
 from .errors import InvalidInput, Lanes, RefusedTooLarge
-from .evolution import (DEFAULT_GRID_CAP, UnitSystem, continuous_propagator, step_map,
-                        symmetric_hamiltonian)
+from .evolution import (DEFAULT_GRID_CAP, UnitSystem, coerce_param, continuous_propagator,
+                        step_map, symmetric_hamiltonian)
 from .linalg2 import power2
 from .record import Record
 
 SCHEMA_VERSION = 1
+FORMATS = ("csv", "json")
 # Grid points per batched evaluation, a multiple of RENDER_BLOCK so that
 # every block of a scan but its last is RENDER_BLOCK rows. A scan holds one
 # chunk's table and evaluation temporaries at a time (0.8 MB traced for
@@ -118,6 +119,7 @@ def run_scan(spec, workers: int = 1) -> "ScanTable":
     cap = min(spec.max_points, DEFAULT_GRID_CAP)
     if total > cap:
         raise RefusedTooLarge(f"scan has {total} points, cap is {cap}")
+    spec.require_complete()
     return ScanTable(spec, QUANTITY_COLUMNS[spec.quantity], evaluate_chunk, SCAN_CHUNK)
 
 
@@ -171,7 +173,7 @@ def convergence_study(energy: float, t_max: float, m_list, hbar: float = 1.0) ->
     forward-difference scheme. Rows whose U or U^m is not finite are
     flagged invalid and skipped in the order bookkeeping, not fatal.
     """
-    m_list = [int(m) for m in m_list]
+    m_list = [coerce_param("m_list", m, int) for m in m_list]
     if not m_list:
         raise InvalidInput("m_list names no step count")
     if any(m < 2 for m in m_list) or m_list != sorted(m_list):
@@ -290,13 +292,8 @@ def render_blocks(rows: Table | ScanTable, fmt: str = "csv"):
     from them with ',' (CSV) or one row template of the indented JSON
     layout. The header's texts come from `_column`.
     """
-    _require_format(fmt)
+    coerce_param("format", fmt, FORMATS)
     return _blocks(rows, fmt)
-
-
-def _require_format(fmt: str) -> None:
-    if fmt not in ("csv", "json"):
-        raise InvalidInput(f"format must be csv or json, got {fmt!r}")
 
 
 def _blocks(rows: Table | ScanTable, fmt: str):
@@ -402,7 +399,7 @@ def emit_with_manifest(rows: Table | ScanTable, fmt: str, out_path,
     first: a write that fails part way leaves no manifest beside the
     partial file.
     """
-    _require_format(fmt)  # before an earlier manifest is removed
+    coerce_param("format", fmt, FORMATS)  # before an earlier manifest is removed
     manifest_file = manifest_path_for(out_path)
     manifest_file.unlink(missing_ok=True)
     digest = new_digest()

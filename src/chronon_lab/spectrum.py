@@ -22,7 +22,7 @@ import numpy as np
 
 from .errors import InvalidInput, Lanes, Overflow
 from .evolution import (CONVENTIONS, ChrononParams, NATURAL_UNITS, UnitSystem,
-                        chronon_step, step_check)
+                        chronon_step, coerce_param, step_check)
 from .linalg2 import (_pow2_scale, as_complex, as_operator, cdiv, cmul, eig2_stack,
                       is_hermitian)
 from .record import Record
@@ -157,8 +157,7 @@ def mode_report(h, p: ChrononParams, units: UnitSystem = NATURAL_UNITS,
     of `mode_stack`.
     """
     a = as_operator(h)
-    if convention not in CONVENTIONS:
-        raise InvalidInput(f"convention must be one of {CONVENTIONS}")
+    coerce_param("convention", convention, CONVENTIONS)
     if not is_hermitian(a):
         raise InvalidInput("mode_report requires a Hermitian H")
     lanes = Lanes(1)

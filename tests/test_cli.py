@@ -188,6 +188,14 @@ def test_converge_command():
         assert 0.8 <= float(row["observed_order"]) <= 1.2
 
 
+def test_converge_overflowing_step_map_prints_no_warning():
+    # U = I - i H (t_max / m) / hbar overflows: the rows are invalid and
+    # stderr holds no NumPy RuntimeWarning
+    res = run_cli("converge", "--energy", "1e300", "--t-max", "1e300", "--m-list", "4,8")
+    assert (res.returncode, res.stderr) == (0, "")
+    assert [r["status"] for r in parse_csv(res.stdout)] == ["invalid", "invalid"]
+
+
 def test_converge_bad_m_list_exit_code():
     for m_list in ("64,32", "", ","):
         res = run_cli("converge", "--energy", "1", "--t-max", "1",
@@ -268,6 +276,22 @@ def test_spec_value_past_the_double_range_exit_code(tmp_path, capsys, value):
     assert main(["scan", "--spec", str(spec)]) == 2
     assert capsys.readouterr() == (
         "", "error: tau_scale must not exceed the largest double, about 1.8e308\n")
+
+
+def test_kaon_config_psi0_is_a_choice_of_states(tmp_path, capsys):
+    cfg = write_config(tmp_path, psi0="K3")
+    assert main(["kaon", "--config", str(cfg), "--observable", "2pi"]) == 2
+    assert capsys.readouterr() == ("", f"error: {cfg}:6: bad value for 'psi0': expected one "
+                                       "of ['K0', 'K0bar', 'K1', 'K2'], got 'K3'\n")
+
+
+def test_scan_missing_a_required_parameter_exit_code(tmp_path, capsys):
+    # refused before any row, with the text each row would have had
+    spec = tmp_path / "s.json"
+    spec.write_text(json.dumps({"quantity": "mode_report", "grid": [
+        {"name": "tau_scale", "start": 0.1, "stop": 1, "count": 3}]}))
+    assert main(["scan", "--spec", str(spec)]) == 2
+    assert capsys.readouterr() == ("", "error: mode_report: missing parameters ['energy']\n")
 
 
 def test_kaon_config_records_an_integer_exactly(tmp_path):
@@ -758,11 +782,11 @@ def test_modes_cells_equal_mode_report_scan(capsys, tmp_path, energy, n,
 
 @pytest.mark.parametrize("tau_scale,convention,want", [
     ("1", "standard", ("1", "growth")), ("1", "paper", ("1", "decay")),
-    ("1e-9", "paper", ("0", "decay"))])
+    ("1e-9", "paper", ("1", "decay"))])
 def test_modes_direction_and_reading(capsys, tau_scale, convention, want):
-    # direction is the sign of |lambda| - 1 in double precision, which
-    # rounds to 0 at tau_scale 1e-9; reading is the sign of Im h_eff (here
-    # positive) as the convention reads it
+    # direction is the sign of Im h_eff, which is that of ln|lambda|, also
+    # at tau_scale 1e-9, where |lambda| - 1 rounds to 0 in double precision;
+    # reading is the same sign (here positive) as the convention reads it
     rows = cli_rows(capsys, "modes", "--energy", "1", "--tau-scale", tau_scale,
                     "--convention", convention)
     assert [(row["direction"], row["reading"]) for row in rows] == [want, want]

@@ -3,11 +3,11 @@ import math
 import numpy as np
 import pytest
 
-from chronon_lab.errors import GridMismatch, InvalidInput, RefusedTooLarge
+from chronon_lab.errors import GridMismatch, InvalidInput, OnePoint, RefusedTooLarge
 from chronon_lab.evolution import (ChrononParams, NATURAL_UNITS, Trajectory,
-                                   TwoState, UnitSystem, check_grid,
+                                   TwoState, UnitSystem, chronon_step,
                                    continuous_propagator, discrete_step_operator,
-                                   evolve, final_state,
+                                   evolve, final_states, grid_check,
                                    symmetric_hamiltonian)
 from chronon_lab.kaon import KaonModel, kaon_hamiltonian
 from chronon_lab.linalg2 import DEFAULT_TOL, IDENTITY2, PAULI_X, eig2
@@ -17,6 +17,12 @@ SQ2 = math.sqrt(2.0)
 
 def chronon(energy=1.0, n=1, tau_scale=1.0):
     return ChrononParams(energy=energy, n=n, tau_scale=tau_scale)
+
+
+def step_of(p):
+    """The unchecked n * tau of `p` in natural units, or None, as `evolve`
+    reads it."""
+    return None if p is None else chronon_step(p.energy, p.n, p.tau_scale, 1.0)
 
 
 def random_hermitian(rng, scale=1.0):
@@ -171,7 +177,7 @@ def test_evolve_rejects_bad_args():
 def test_check_grid_t_max_not_positive(engine, t_max):
     # one rule for both engines: a discrete t_max <= 0 is not a grid mismatch
     with pytest.raises(InvalidInput, match="^t_max must be positive and finite$"):
-        check_grid(engine, t_max, 4, chronon())
+        grid_check(OnePoint, engine, t_max, 4, step_of(chronon()))
 
 
 def test_final_state_continuous_is_last_state_of_evolve():
@@ -183,7 +189,7 @@ def test_final_state_continuous_is_last_state_of_evolve():
         t_max, steps = 10 ** rng.uniform(-2, 2), int(rng.integers(1, 3000))
         traj = evolve(h, psi0, "continuous", t_max, steps, units=units)
         np.testing.assert_array_equal(
-            final_state(h, psi0, "continuous", t_max, steps, units=units),
+            final_states(h, psi0, "continuous", t_max, steps, None, units),
             traj.states[-1])
 
 
@@ -196,7 +202,8 @@ def test_final_state_discrete_is_close_to_last_state_of_evolve():
         steps = int(rng.integers(1, 400))
         traj = evolve(h, [0.6, 0.8j], "discrete", steps * p.step(), steps, p)
         np.testing.assert_allclose(
-            final_state(h, [0.6, 0.8j], "discrete", steps * p.step(), steps, p),
+            final_states(h, [0.6, 0.8j], "discrete", steps * p.step(), steps, step_of(p),
+                         NATURAL_UNITS),
             traj.states[-1], rtol=1e-12, atol=1e-13 * np.max(np.abs(traj.states[-1])))
 
 
@@ -219,9 +226,11 @@ def test_final_state_discrete_is_close_to_last_state_of_evolve():
 ])
 def test_final_state_checks_the_grid_like_evolve(engine, t_max, steps, p):
     errors = []
-    for run in (evolve, final_state):
+    for run in (lambda: evolve(PAULI_X, [1, 0], engine, t_max, steps, p),
+                lambda: final_states(PAULI_X, [1, 0], engine, t_max, steps, step_of(p),
+                                     NATURAL_UNITS)):
         with pytest.raises((GridMismatch, InvalidInput)) as info:
-            run(PAULI_X, [1, 0], engine, t_max, steps, p)
+            run()
         errors.append((type(info.value), str(info.value)))
     assert errors[0] == errors[1]
 
@@ -230,13 +239,14 @@ def test_final_state_checks_the_grid_like_evolve(engine, t_max, steps, p):
                                        ("discrete", chronon(tau_scale=1e-9))])
 def test_evolve_refuses_more_rows_than_the_cap(engine, p):
     # 1e12 steps would allocate terabytes: refused before anything is
-    # allocated, while final_state, which keeps no trajectory, runs
+    # allocated, while final_states, which keeps no trajectory, runs
     steps = 10 ** 12
     t_max = steps * p.step() if p else 1.0
     with pytest.raises(RefusedTooLarge, match=f"{steps} steps, {steps + 1} rows; "
                                               f"cap is 1000000 rows"):
         evolve(PAULI_X, [1, 0], engine, t_max, steps, p)
-    assert np.isfinite(final_state(PAULI_X, [1, 0], engine, t_max, steps, p)).all()
+    assert np.isfinite(final_states(PAULI_X, [1, 0], engine, t_max, steps, step_of(p),
+                                    NATURAL_UNITS)).all()
 
 
 def test_first_order_convergence():

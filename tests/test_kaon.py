@@ -89,6 +89,14 @@ def test_kaon_state_conventions():
         kaon_state("K3")
 
 
+@pytest.mark.parametrize("label", ["K3", ["K0"]], ids=["K3", "list"])
+def test_kaon_state_refuses_a_label_not_in_states(label):
+    with pytest.raises(InvalidInput) as info:
+        kaon_state(label)
+    assert str(info.value) == ("bad value for 'label': expected one of "
+                               f"['K0', 'K0bar', 'K1', 'K2'], got {label!r}")
+
+
 # ---------------------------------------------------------------------------
 # decay intensities
 

@@ -180,7 +180,8 @@ SCHEMA_ERROR = ("unknown quantity 'nonsense'; known: "
     (lambda: TwoState([1.0, float("nan")]), "amplitudes must be finite"),
     (lambda: Trajectory(GRID, np.zeros((3, 2)), "discrete"),
      "times and states have mismatched shapes"),
-    (lambda: Trajectory(GRID, STATES, "sideways"), "unknown engine tag 'sideways'"),
+    (lambda: Trajectory(GRID, STATES, "sideways"),
+     "bad value for 'engine': expected one of ['continuous', 'discrete'], got 'sideways'"),
     (lambda: Trajectory(np.array([0.0, 1.0, 1.5]), np.zeros((3, 2)), "continuous"),
      "time grid must be strictly increasing and uniform"),
     (lambda: KaonModel(0.0, 0.1, 0.0), "mixing_energy must be positive and finite"),
@@ -188,8 +189,11 @@ SCHEMA_ERROR = ("unknown quantity 'nonsense'; known: "
     (lambda: KaonModel(1.0, 0.1, 0.0, delta=complex(0, float("inf"))),
      "delta must be finite"),
     (lambda: ScanAxis("x", float("nan"), 1.0, 2), "axis 'x': start and stop must be finite"),
-    (lambda: ScanAxis("x", 0.0, 1.0, 2.5), "axis 'x': count must be a positive integer"),
-    (lambda: ScanAxis("x", 0.0, 1.0, 2, "cubic"), "axis 'x': spacing must be linear or log"),
+    (lambda: ScanAxis("x", 0.0, 1.0, 2.5),
+     "axis 'x': bad value for 'count': expected an integer, got 2.5"),
+    (lambda: ScanAxis("x", 0.0, 1.0, 0), "axis 'x': count must be a positive integer"),
+    (lambda: ScanAxis("x", 0.0, 1.0, 2, "cubic"),
+     "axis 'x': bad value for 'spacing': expected one of ['linear', 'log'], got 'cubic'"),
     (lambda: ScanAxis("x", 0.0, 1.0, 2, "log"), "axis 'x': log spacing needs positive bounds"),
     (lambda: ScanSpec("nonsense", ()), SCHEMA_ERROR),
     (lambda: ScanSpec("epsilon", (ScanAxis("n", 1, 2, 2), ScanAxis("n", 1, 2, 2))),

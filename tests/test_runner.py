@@ -102,6 +102,13 @@ def test_axis_bound_refusals_name_the_axis(bound, message):
     assert str(info.value) == f"axis 'mixing_e': {message}"
 
 
+def test_an_axis_name_that_is_not_a_string_is_refused_before_its_bounds():
+    axis = {"name": ["mixing_e"], "start": "abc", "stop": 2.0, "count": 2}
+    with pytest.raises(InvalidInput) as info:
+        ScanSpec.from_dict({"quantity": "epsilon", "grid": [axis]})
+    assert str(info.value) == "axis name must be a string, got ['mixing_e']"
+
+
 def test_scan_axis_values():
     np.testing.assert_allclose(ScanAxis("x", 0.0, 1.0, 5).values(),
                                [0, 0.25, 0.5, 0.75, 1.0])
@@ -416,6 +423,13 @@ def test_convergence_study_refuses_m_past_2_53(capsys):
     assert (out, err.startswith("error: m_list must"), err.count("\n")) == ("", True, 1)
 
 
+def test_convergence_study_refuses_a_fractional_m():
+    # m is a step count: 4.7 is refused, not truncated to 4
+    with pytest.raises(InvalidInput) as info:
+        convergence_study(1.0, 1.0, [4.7, 8])
+    assert str(info.value) == "bad value for 'm_list': expected an integer, got 4.7"
+
+
 def test_convergence_study_zero_time():
     rows = convergence_study(1.0, 0.0, [4, 8])
     for row in rows:
@@ -595,7 +609,8 @@ def test_a_bad_format_writes_nothing(capsysbinary, tmp_path):
     # the format is checked before the first byte: no stdout, no file, and
     # an earlier run's manifest stays
     table = mixed_table(2)
-    with pytest.raises(InvalidInput, match="format must be csv or json"):
+    with pytest.raises(InvalidInput, match=r"^bad value for 'format': expected one of "
+                                           r"\['csv', 'json'\], got 'xml'$"):
         emit(table, "xml")
     assert capsysbinary.readouterr() == (b"", b"")
     with pytest.raises(InvalidInput):
