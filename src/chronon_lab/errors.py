@@ -5,7 +5,8 @@ GridMismatch, RefusedTooLarge) exit 2, every other ChrononLabError (the
 numeric-domain errors) exits 3, I/O failures (plain OSError) exit 4.
 
 A batched evaluation records these errors per lane in a `Lanes` instead of
-raising them; its one-point wrappers raise the error of their one lane.
+raising them; called with `OnePoint` instead, it raises the error of its
+first failing lane.
 """
 
 import numpy as np
@@ -55,7 +56,8 @@ class Lanes:
     scalar evaluation raises its first error; `require(valid, ...)` fails
     the lanes where `valid` does not hold. `message` is formatted with the
     lane's element of each of `values` (arrays or scalars, broadcast over
-    the lanes). `ok` is True on the lanes without error.
+    the lanes). `ok` is True on the lanes without error. `OnePoint` takes
+    the same checks and raises instead of recording.
     """
 
     def __init__(self, n: int):
@@ -81,31 +83,42 @@ class Lanes:
         return np.array(names, dtype=object)[index]
 
     def raise_first(self) -> None:
-        """Raise the first error recorded, with the values of its first lane:
-        the error of a one-point evaluation, and of a one-matrix call over
-        many scales the error its first failing check would raise."""
+        """Raise the first error recorded, as `OnePoint` raises it."""
         if self._errors:
             new, cls, message, values = self._errors[0]
-            i = int(np.argmax(new))
-            raise cls(_format(message, *(
-                np.broadcast_to(v, new.shape)[i].item() for v in values)))
+            OnePoint.fail(new, cls, message, *values)
+
+
+_BOOLS = (bool, np.bool_)  # a check on one point, taken by a plain `if`
 
 
 class OnePoint:
-    """The Lanes of one point of Python scalars: a check raises its error at
-    once, without arrays. Scalar code passes it to a lane check, such as
-    `evolution.chronon_check(OnePoint, ...)`, to apply the batched rule at
-    scalar cost."""
+    """The Lanes of a call that raises: a check raises its error at once.
+
+    A check's condition is one bool or an array of lanes. The first check
+    that fails any lane raises, with the values of its first failing lane:
+    the error `Lanes(k)` and `raise_first()` give. A Python or NumPy bool
+    costs one `if`, so scalar code, such as `ChrononParams`, applies the
+    batched rule (`evolution.chronon_check(OnePoint, ...)`) at scalar cost.
+    """
 
     @staticmethod
     def fail(bad, cls, message: str, *values) -> None:
-        if bad:
-            raise cls(_format(message, *values))
+        if isinstance(bad, _BOOLS):
+            if bad:
+                raise cls(_format(message, *values))
+        elif np.any(bad):
+            bad, *values = np.broadcast_arrays(bad, *values)
+            i = np.unravel_index(np.argmax(bad), bad.shape)
+            raise cls(_format(message, *(v[i].item() for v in values)))
 
     @staticmethod
     def require(valid, cls, message: str, *values) -> None:
-        if not valid:
-            raise cls(_format(message, *values))
+        if isinstance(valid, _BOOLS):
+            if not valid:
+                raise cls(_format(message, *values))
+        else:
+            OnePoint.fail(~np.asarray(valid, dtype=bool), cls, message, *values)
 
 
 def _format(message: str, *values) -> str:

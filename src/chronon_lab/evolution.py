@@ -269,7 +269,9 @@ def continuous_propagator(h, t: float | np.ndarray, units: UnitSystem = NATURAL_
                           allow_nonhermitian: bool = False, lanes=OnePoint) -> np.ndarray:
     """exp(-i H t / hbar), unitary whenever H is Hermitian, per time of an
     array `t` (shape t.shape + (2, 2)) or per H of a stack (k, 2, 2) with
-    one time and hbar or one per H. Errors as in `exp2`."""
+    one time and hbar or one per H. A non-Hermitian H (unless allowed) and
+    an H / hbar past the double range are InvalidInput; other errors as in
+    `exp2`."""
     a = as_stack(h)
     if not allow_nonhermitian:
         lanes.require(is_hermitian(a), InvalidInput,
@@ -295,11 +297,15 @@ def discrete_step_operator(h, p: ChrononParams,
     """One-chronon update map U = I - i H (n tau) / hbar.
 
     U is a polynomial in H, so it shares H's eigenvectors exactly; only the
-    eigenvalues are distorted by the discretization.
+    eigenvalues are distorted by the discretization. A U that is not finite
+    in double precision raises Overflow.
     """
     a = as_operator(h)
     finite_check(OnePoint, a)
-    return step_map(a, p.step(units), units.hbar)
+    u = step_map(a, p.step(units), units.hbar)
+    OnePoint.require(np.isfinite(u).all(), Overflow,
+                     "step map U is not finite in double precision")
+    return u
 
 
 def grid_check(lanes, engine: str, t_max, steps, dt) -> None:
@@ -369,9 +375,9 @@ def final_states(h, amplitudes, engine: str, t_max, steps, dt, units: UnitSystem
     """The amplitudes at t_max of `evolve` per H of a stack (k, 2, 2), with
     one t_max, steps, unchecked n * tau (dt) and hbar or one per H: U^steps
     psi0 by `power2` (discrete) or the `continuous_propagator` at t_max.
-    The rules of `evolve` and these two's errors: raised with OnePoint,
-    recorded per lane with a `Lanes` (a bad engine raises, as in
-    `grid_check`)."""
+    The rules of `evolve` and these two's errors, for one H or a stack
+    alike: a `Lanes` records each lane's first error, `OnePoint` raises the
+    first failing lane's (a bad engine raises, as in `grid_check`)."""
     finite_check(lanes, h)
     amplitude_check(lanes, amplitudes)
     grid_check(lanes, engine, t_max, steps, dt)

@@ -230,10 +230,7 @@ def epsilon_mixing(model: KaonModel, p: ChrononParams, engine: str) -> complex:
     case of `epsilon_stack`.
     """
     coerce_param("engine", engine, ENGINES)
-    lanes = Lanes(1)
-    eps = epsilon_stack(*_one_model(model, p), engine, lanes)
-    lanes.raise_first()
-    return complex(eps[0])
+    return complex(epsilon_stack(*_one_model(model, p), engine, OnePoint)[0])
 
 
 @np.errstate(all="ignore")
@@ -257,9 +254,7 @@ def width_shift(model: KaonModel, p: ChrononParams) -> tuple[ModeWidths, ModeWid
     larger Re h, i.e. the K1-like mode first in the CP-conserving model).
     The one-model case of `width_shift_stack`.
     """
-    lanes = Lanes(1)
-    h, lam, gamma, gamma_eff = width_shift_stack(*_one_model(model, p), lanes)
-    lanes.raise_first()
+    h, lam, gamma, gamma_eff = width_shift_stack(*_one_model(model, p), OnePoint)
     return tuple(ModeWidths(complex(h[0, j]), complex(lam[0, j]), float(gamma[0, j]),
                             float(gamma_eff[0, j])) for j in (0, 1))
 

@@ -153,7 +153,7 @@ def eig2_stack(a: np.ndarray, lanes: Lanes):
     Returns (values, vectors, degenerate): values (k, 2) ordered by (real,
     imag) ascending, vectors (k, 2, 2) with vectors[:, j] the unit
     eigenvector of values[:, j], and degenerate (k,), all by the rules of
-    `eig2`; its errors are recorded on `lanes`.
+    `eig2`; its errors are recorded on a `Lanes`, or raised by `OnePoint`.
     """
     finite_check(lanes, a)
     half_tr, root, m, s = _char_root(a, lanes)
@@ -202,10 +202,7 @@ def eig2(m) -> tuple[EigenPair2, EigenPair2]:
     the canonical basis. An entry or eigenvalue past 1.8e308 raises Overflow.
     The one-matrix case of `eig2_stack`.
     """
-    a = as_operator(m)
-    lanes = Lanes(1)
-    values, vectors, degenerate = eig2_stack(a[None], lanes)
-    lanes.raise_first()
+    values, vectors, degenerate = eig2_stack(as_operator(m)[None], OnePoint)
     return tuple(EigenPair2(complex(values[0, j]), vectors[0, j], bool(degenerate[0]))
                  for j in (0, 1))
 
@@ -221,19 +218,16 @@ def exp2(m, s: complex | np.ndarray = 1.0, lanes=OnePoint) -> np.ndarray:
     eigendecomposition for diagonalizable M and takes the D -> 0 limit
     analytically, so degenerate and defective inputs need no special
     casing. A non-finite entry or scale is InvalidInput and an entry past
-    1.8e308 Overflow: with OnePoint the first of these checks to fail
-    raises, with a `Lanes` each lane records its own.
+    1.8e308 Overflow. A `Lanes` records each lane's first error; `OnePoint`
+    raises the first failing lane's.
     """
     a = as_stack(m)
     s = np.asarray(s)
     shape = (a.shape[:-2] or s.shape) + (2, 2)
     a, t = a.reshape(-1, 2, 2), s.reshape(-1)
-    checks = Lanes(max(len(a), t.size)) if lanes is OnePoint else lanes
-    finite_check(checks, a)
-    checks.require(np.isfinite(t), InvalidInput, "scale factor must be finite")
-    half_tr, delta = _char_root(a, checks)[:2]
-    if lanes is OnePoint:
-        checks.raise_first()
+    finite_check(lanes, a)
+    lanes.require(np.isfinite(t), InvalidInput, "scale factor must be finite")
+    half_tr, delta = _char_root(a, lanes)[:2]
     x = delta * t
     # sinh(s D)/D -> s (1 + x^2/6 + x^4/120 + ...) as D -> 0: the series
     # gets only small x, and the quotient only the other lanes, so that a
@@ -269,14 +263,13 @@ def power2(m, k, lanes=OnePoint) -> np.ndarray:
     k = np.asarray(k, dtype=np.float64)
     shape = (a.shape[:-2] or k.shape) + (2, 2)
     a, k = a.reshape(-1, 2, 2), k.reshape(-1)
-    checks = Lanes(max(len(a), k.size)) if lanes is OnePoint else lanes
-    finite_check(checks, a)
-    c, root = _char_root(a, checks)[:2]
-    checks.fail(c == 0, InvalidInput, "power2 needs a matrix with nonzero trace")
+    finite_check(lanes, a)
+    c, root = _char_root(a, lanes)[:2]
+    lanes.fail(c == 0, InvalidInput, "power2 needs a matrix with nonzero trace")
     x = cdiv(root, c)
     z = cmul(x, x)
     q = z.real * (z.real - 2.0) + z.imag * z.imag  # |1 - x^2|^2 - 1
-    checks.fail(q <= -1.0, SingularMap, "power2 needs a nonsingular matrix")
+    lanes.fail(q <= -1.0, SingularMap, "power2 needs a nonsingular matrix")
     # arg(1 + x) and arg(1 - x) have opposite signs, so the principal logs
     # give Log(1 - x^2)/2 + atanh x = Log(1 + x): no branch to fix
     log_1mz = as_complex(0.5 * np.log1p(q), np.arctan2(-z.imag, 1.0 - z.real))
@@ -287,8 +280,6 @@ def power2(m, k, lanes=OnePoint) -> np.ndarray:
     diag = cmul(scale, np.cosh(w))
     out[:, 0, 0] += diag
     out[:, 1, 1] += diag
-    checks.require(np.isfinite(out).all(axis=(-2, -1)), Overflow,
-                   "M^{:.0f} is not finite in double precision", k)
-    if lanes is OnePoint:
-        checks.raise_first()
+    lanes.require(np.isfinite(out).all(axis=(-2, -1)), Overflow,
+                  "M^{:.0f} is not finite in double precision", k)
     return out.reshape(shape)

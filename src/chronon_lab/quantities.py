@@ -25,7 +25,7 @@ from pathlib import Path
 
 import numpy as np
 
-from .errors import ChrononLabError, InvalidInput, Lanes, Overflow
+from .errors import InvalidInput, Lanes, Overflow
 from .evolution import (DEFAULT_GRID_CAP, PARAMETERS, UnitSystem, chronon_check, chronon_of,
                         chronon_step, coerce_param, final_states, parse_complex_pair,
                         parse_direction, symmetric_check, symmetric_stack)
@@ -86,9 +86,7 @@ class ScanSpec(Record):
     def __init__(self, quantity: str, grid: tuple[ScanAxis, ...], fixed: dict | None = None,
                  max_points: int = DEFAULT_GRID_CAP):
         fixed = {} if fixed is None else fixed
-        if not isinstance(quantity, str) or quantity not in QUANTITIES:
-            raise InvalidInput(
-                f"unknown quantity {quantity!r}; known: {sorted(QUANTITIES)}")
+        coerce_param("quantity", quantity, tuple(QUANTITIES))
         names = [ax.name for ax in grid]
         if len(set(names)) != len(names):
             raise InvalidInput("axis names must be unique")
@@ -337,17 +335,11 @@ def point_row(quantity: str, params: dict) -> dict:
 
 
 def evaluate_point(quantity: str, params: dict) -> dict:
-    """One grid point: quantity columns plus a status field.
-
-    Numeric-domain and input errors are captured per point (status carries
-    the error class name, value columns stay empty).
-    """
-    try:
-        row = Table({**point_row(quantity, params), "status": ["ok"]})[0]
-    except ChrononLabError as exc:
-        row = {col: None for col in QUANTITY_COLUMNS[quantity]}
-        row["status"] = type(exc).__name__
-    return row
+    """One grid point: quantity columns plus a status field, the row of a
+    one-point `evaluate_chunk`. A point that fails has the error class name
+    as its status and None in every value column."""
+    cols, status = evaluate_chunk(quantity, params, [], [])
+    return Table({**cols, "status": status})[0]
 
 
 def evaluate_chunk(quantity: str, fixed: dict, names: list, values: list):

@@ -20,7 +20,7 @@ from __future__ import annotations
 
 import numpy as np
 
-from .errors import InvalidInput, Lanes, Overflow
+from .errors import InvalidInput, Lanes, OnePoint, Overflow
 from .evolution import (CONVENTIONS, ChrononParams, NATURAL_UNITS, UnitSystem,
                         chronon_step, coerce_param, step_check)
 from .linalg2 import (_pow2_scale, as_complex, as_operator, cdiv, cmul, eig2_stack,
@@ -160,10 +160,8 @@ def mode_report(h, p: ChrononParams, units: UnitSystem = NATURAL_UNITS,
     coerce_param("convention", convention, CONVENTIONS)
     if not is_hermitian(a):
         raise InvalidInput("mode_report requires a Hermitian H")
-    lanes = Lanes(1)
     t = mode_stack(a[None], p.energy, p.tau_scale,
-                   chronon_step(p.energy, p.n, p.tau_scale, units.hbar), units.hbar, lanes)
-    lanes.raise_first()
+                   chronon_step(p.energy, p.n, p.tau_scale, units.hbar), units.hbar, OnePoint)
     records = tuple(ModeRecord(
         mode_index=j, eigvec=t["eigvec"][0, j], h_continuous=float(t["h"][0, j]),
         lambda_step=complex(t["lambda_re"][0, j], t["lambda_im"][0, j]),

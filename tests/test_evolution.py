@@ -3,7 +3,8 @@ import math
 import numpy as np
 import pytest
 
-from chronon_lab.errors import GridMismatch, InvalidInput, OnePoint, RefusedTooLarge
+from chronon_lab.errors import (ChrononLabError, GridMismatch, InvalidInput, OnePoint,
+                                Overflow, RefusedTooLarge)
 from chronon_lab.evolution import (ChrononParams, NATURAL_UNITS, Trajectory,
                                    TwoState, UnitSystem, chronon_step,
                                    continuous_propagator, discrete_step_operator,
@@ -98,6 +99,12 @@ def test_discrete_step_operator_examples():
                                IDENTITY2)
     np.testing.assert_allclose(discrete_step_operator(PAULI_X, chronon(n=2)),
                                [[1, -2j], [-2j, 1]], atol=1e-15)
+
+
+def test_discrete_step_operator_refuses_an_overflowing_map():
+    # H and n tau are finite, their product is not
+    with pytest.raises(Overflow, match="step map U is not finite"):
+        discrete_step_operator(1e300 * PAULI_X, chronon(tau_scale=1e300))
 
 
 def test_step_map_preserves_eigenvectors():
@@ -335,6 +342,48 @@ def test_trajectory_grid_validation():
         Trajectory(np.array([0.0, 1.0, 1.5]), np.zeros((3, 2)), "continuous")
     with pytest.raises(InvalidInput):
         Trajectory(np.array([0.0, -1.0]), np.zeros((2, 2)), "continuous")
+
+
+# ---------------------------------------------------------------------------
+# a stack of H: each lane is the one-matrix call, a bad lane raises its error
+
+def one_matrix_error(call):
+    """(class, text) of the ChrononLabError `call` raises."""
+    with pytest.raises(ChrononLabError) as info:
+        call()
+    return type(info.value), str(info.value)
+
+
+def test_continuous_propagator_of_a_stack_is_each_h():
+    rng = np.random.default_rng(73)
+    hs = np.array([random_hermitian(rng) for _ in range(5)])
+    got = continuous_propagator(hs, 0.7)
+    for h, u in zip(hs, got, strict=True):
+        np.testing.assert_array_equal(u, continuous_propagator(h, 0.7))
+    hs[3], hs[4] = 1j * PAULI_X, np.nan  # not Hermitian, non-finite
+    assert one_matrix_error(lambda: continuous_propagator(hs, 0.7)) == one_matrix_error(
+        lambda: continuous_propagator(hs[3], 0.7))
+
+
+@pytest.mark.parametrize("engine", ["continuous", "discrete"])
+def test_final_states_of_a_stack_is_each_h(engine):
+    rng = np.random.default_rng(79)
+    hs = np.array([random_hermitian(rng) for _ in range(5)])
+    p, steps, psi0 = chronon(tau_scale=0.01), 40, np.array([0.6, 0.8j])
+    t_max, dt = steps * p.step(), step_of(p)
+
+    def run(h, steps=steps, hbar=1.0):
+        return final_states(h, psi0, engine, t_max, steps, dt, UnitSystem(hbar))
+
+    for h, psi in zip(hs, run(hs), strict=True):
+        np.testing.assert_array_equal(psi, run(h))
+    # lanes 2 and 4 fail one check with different values: lane 2's error;
+    # discrete lanes off the grid, continuous lanes whose H / hbar overflows
+    arg = "steps" if engine == "discrete" else "hbar"
+    lane_values = (np.array([steps, steps, steps + 1, steps, steps + 2]) if arg == "steps"
+                   else np.array([1.0, 1.0, 1e-320, 1.0, 1e-319]))
+    assert one_matrix_error(lambda: run(hs, **{arg: lane_values})) == one_matrix_error(
+        lambda: run(hs[2], **{arg: lane_values[2].item()}))
 
 
 def test_continuous_propagator_names_a_subnormal_hbar():

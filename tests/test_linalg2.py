@@ -339,6 +339,21 @@ def test_exp2_lanes_are_one_matrix_calls(seed):
                                       len(stack))
 
 
+def test_a_stack_raises_its_first_failing_check_at_its_first_lane():
+    # lanes 1 and 2 overflow, each at its own power: lane 1's error, raised
+    # by a one-point call as a Lanes records it
+    stack = np.array([2.0 * IDENTITY2 + PAULI_X, 2.0 * IDENTITY2, IDENTITY2 - 1j * PAULI_X])
+    powers = np.array([2.0, 1100.0, 2100.0])
+    lanes = Lanes(len(stack))
+    power2(stack, powers, lanes)
+    for call in (lambda: power2(stack, powers), lanes.raise_first):
+        with pytest.raises(Overflow, match=r"^M\^1100 is not finite"):
+            call()
+    stack[2, 0, 1] = np.nan  # a later lane failing an earlier check raises
+    with pytest.raises(InvalidInput, match="non-finite entries"):
+        power2(stack, powers)
+
+
 def test_hermitian_unitary_predicates():
     assert is_hermitian(PAULI_Y)
     assert not is_hermitian(1j * PAULI_X)

@@ -12,7 +12,9 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from chronon_lab import runner
+from chronon_lab.errors import ChrononLabError, Lanes, OnePoint
 from chronon_lab.evolution import ChrononParams, symmetric_hamiltonian
+from chronon_lab.linalg2 import eig2_stack, exp2, power2
 from chronon_lab.quantities import QUANTITY_COLUMNS, evaluate_chunk, evaluate_point
 from chronon_lab.runner import Table, render
 from chronon_lab.spectrum import mode_report
@@ -152,6 +154,45 @@ def test_chunk_rows_equal_point_rows(case, seeds):
         for col, (values, none) in cols.items():
             got = None if none[i] else float(values[i])
             assert repr(got) == repr(alone[col]), (col, point)
+
+
+# ---------------------------------------------------------------------------
+# a one-point call raises the error a Lanes records first, at its first lane
+
+# (matrix, power, scale) lanes that fail: a non-finite entry or scale, zero
+# trace, a singular matrix, a power or an entry past the double range
+BAD_LANES = [
+    ([[0.0, math.nan], [0.0, 1.0]], 2, 1.0), ([[1.0, 0.0], [0.0, 2.0]], 2, math.inf),
+    ([[0.0, 1.0], [1.0, 0.0]], 3, 1.0), ([[1.0, 1.0], [1.0, 1.0]], 3, 1.0),
+    ([[2.0, 0.0], [0.0, 2.0]], 1100, 1.0), ([[1.0, -1j], [-1j, 1.0]], 2100, 1.0),
+    ([[0.5, 1.5e308 + 1.5e308j], [1.5e308 - 1.5e308j, -0.5]], 2, 1.0),
+]
+entries = st.complex_numbers(max_magnitude=1e3, allow_nan=False, allow_infinity=False)
+good_lanes = st.tuples(st.lists(entries, min_size=4, max_size=4).map(
+    lambda e: np.reshape(e, (2, 2))), st.integers(0, 60), entries)
+
+
+def first_error(call):
+    """(class, text) of the ChrononLabError `call` raises, or None."""
+    try:
+        call()
+    except ChrononLabError as exc:
+        return type(exc), str(exc)
+    return None
+
+
+@settings(PROPERTY, max_examples=40)
+@given(lanes=st.lists(st.one_of(good_lanes, st.sampled_from(BAD_LANES)),
+                      min_size=1, max_size=6))
+def test_one_point_raises_the_first_recorded_error(lanes):
+    mats, powers, scales = zip(*lanes)
+    a = np.array(mats, dtype=complex)
+    k, s = np.array(powers, dtype=float), np.array(scales, dtype=complex)
+    for call in (lambda checks: exp2(a, s, checks), lambda checks: power2(a, k, checks),
+                 lambda checks: eig2_stack(a, checks)):
+        recorded = Lanes(len(a))
+        call(recorded)
+        assert first_error(lambda: call(OnePoint)) == first_error(recorded.raise_first)
 
 
 def complex_pairs(top: float):

@@ -164,8 +164,8 @@ def test_run_manifest_json_field_order():
 
 GRID = np.array([0.0, 1.0])
 STATES = np.zeros((2, 2))
-SCHEMA_ERROR = ("unknown quantity 'nonsense'; known: "
-                "['epsilon', 'mode_report', 'trajectory-observable', 'width_shift']")
+SCHEMA_ERROR = ("bad value for 'quantity': expected one of ['mode_report', 'epsilon', "
+                "'width_shift', 'trajectory-observable'], got 'nonsense'")
 
 
 @pytest.mark.parametrize("make, message", [
