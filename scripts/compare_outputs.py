@@ -173,8 +173,12 @@ def errors_group() -> tuple[str, dict[str, str | bytes], list[list[str]]]:
     axis start "abc" and count "x"; an axis spacing "cubic", an axis whose
     name is a list and whose start is "abc" (refused for its name), a
     mode_report spec with no `energy`, and a kaon config with `psi0 = K3`;
-    last, a `converge` whose step map overflows, which exits 0 with both
-    rows invalid and nothing on stderr."""
+    values outside their domain: a spec `fixed` energy -1 (mode_report) and
+    t_max 0 (trajectory-observable), a spec max_points -5, and kaon configs
+    with `mixing_e = -1` and with `t_max = -1` under `--observable epsilon`,
+    which does not use t_max; `kaon --observable 4pi`; last, a `converge`
+    whose step map overflows, which exits 0 with both rows invalid and
+    nothing on stderr."""
     axis = {"name": "mixing_e", "start": 1.0, "stop": 2.0, "count": 2}
     specs = {
         "not_json": "{not json",
@@ -200,6 +204,11 @@ def errors_group() -> tuple[str, dict[str, str | bytes], list[list[str]]]:
             {**axis, "name": ["mixing_e"], "start": "abc"}]},
         "missing_energy": {"quantity": "mode_report", "grid": [
             {"name": "tau_scale", "start": 0.1, "stop": 1.0, "count": 3}]},
+        "fixed_energy_negative": {"quantity": "mode_report", "grid": [],
+                                  "fixed": {"energy": -1}},
+        "fixed_t_max_zero": {"quantity": "trajectory-observable", "grid": [],
+                             "fixed": {"energy": 1, "t_max": 0, "steps": 4}},
+        "max_points_negative": {"quantity": "epsilon", "grid": [axis], "max_points": -5},
         "ok": {"quantity": "mode_report", "grid": [], "fixed": {"energy": 1.0}},
     }
     files = {f"{name}.json": spec if isinstance(spec, str) else json.dumps(spec)
@@ -210,6 +219,7 @@ def errors_group() -> tuple[str, dict[str, str | bytes], list[list[str]]]:
     files["quotient_inf.cfg"] = "mixing_e = 1.0\nt_max = 1e300\ntau_scale = 1e-300\n"
     files["quotient_huge.cfg"] = "mixing_e = 1.0\nt_max = 1e200\ntau_scale = 1e-100\n"
     files["psi0_k3.cfg"] = "mixing_e = 1.0\nt_max = 1.0\nsteps = 4\npsi0 = K3\n"
+    files["mixing_e_neg.cfg"] = "mixing_e = -1\n"
     for name, t_max in (("neg_inf", "-inf"), ("nan", "nan"), ("neg", "-1")):
         files[f"t_max_{name}.cfg"] = f"mixing_e = 1.0\nt_max = {t_max}\n"
     commands = [["scan", "--spec", f"{name}.json"] for name in specs if name != "ok"]
@@ -246,6 +256,9 @@ def errors_group() -> tuple[str, dict[str, str | bytes], list[list[str]]]:
                   "--engine", "nope"],
                  ["modes", "--energy", "1e400"],
                  ["kaon", "--config", "psi0_k3.cfg", "--observable", "2pi"],
+                 ["kaon", "--config", "mixing_e_neg.cfg", "--observable", "epsilon"],
+                 ["kaon", "--config", "t_max_neg.cfg", "--observable", "epsilon"],
+                 ["kaon", "--config", "configs/kaon_natural.cfg", "--observable", "4pi"],
                  ["converge", "--energy", "1e300", "--t-max", "1e300", "--m-list", "4,8"]]
     return "errors", files, commands
 

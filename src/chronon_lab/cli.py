@@ -20,22 +20,23 @@ from __future__ import annotations
 import argparse
 import sys
 
-from .errors import (USAGE_ERRORS, ChrononLabError, InvalidInput, OnePoint,
-                     RefusedTooLarge)
+from .errors import USAGE_ERRORS, ChrononLabError, InvalidInput, RefusedTooLarge
 from .evolution import (DEFAULT_GRID_CAP, PARAMETERS, chronon_of, coerce_param, evolve,
-                        parse_complex_pair, require_positive, symmetric_hamiltonian)
+                        parse_complex_pair, symmetric_hamiltonian)
 from .runner import (FORMATS, Table, convergence_study, emit, emit_with_manifest,
                      float_column, run_scan, stack_columns)
 
 
 def _add_output_args(sub):
-    sub.add_argument("--format", choices=FORMATS, default="csv")
+    sub.add_argument("--format", metavar="{%s}" % ",".join(FORMATS), default="csv")
     sub.add_argument("--out", default=None, help="output path (writes a manifest too)")
 
 
 _MODES = ("energy", "n", "tau_scale", "hbar", "convention")
 _EVOLVE = ("engine", "energy", "n", "tau_scale", "hbar", "t_max", "steps", "psi0")
 _HELP = {"psi0": "two complex amplitudes, e.g. '1,0'"}
+# the choice flags that name no parameter, refused by `main` before the command runs
+_CHOICES = {"format": FORMATS, "observable": ("2pi", "3pi", "epsilon", "width-shift")}
 
 
 def _add_params(sub, names, required=()):
@@ -44,8 +45,8 @@ def _add_params(sub, names, required=()):
     the text argparse would build from `choices`; `coerce_param` refuses
     another string, as it does for a spec or config key."""
     for name in names:
-        kind, default = PARAMETERS[name]
-        metavar = "{" + ",".join(kind) + "}" if isinstance(kind, tuple) else None
+        kind, default, _ = PARAMETERS[name]
+        metavar = "{%s}" % ",".join(kind) if isinstance(kind, tuple) else None
         sub.add_argument("--" + name.replace("_", "-"), help=_HELP.get(name), metavar=metavar,
                          required=default is None or name in required)
 
@@ -107,7 +108,6 @@ def _cmd_kaon(args):
         steps = cfg.get("steps")
         if steps is None:
             if engine == "discrete":
-                require_positive(OnePoint, "t_max", t_max)
                 count = t_max / p.step(model.units)
                 # checked before rounding, as the quotient may be inf or have
                 # 300 digits; printed to the cap's 7 digits. One just below the
@@ -148,7 +148,7 @@ def _cmd_converge(args):
 
 def _kaon_args(sub):
     sub.add_argument("--config", required=True)
-    sub.add_argument("--observable", choices=("2pi", "3pi", "epsilon", "width-shift"),
+    sub.add_argument("--observable", metavar="{%s}" % ",".join(_CHOICES["observable"]),
                      required=True)
     _add_params(sub, ("engine",))
 
@@ -198,6 +198,8 @@ def main(argv=None) -> int:
     argv = sys.argv[1:] if argv is None else argv
     args = build_parser(argv).parse_args(argv)
     try:
+        for key in (k for k in _CHOICES if k in vars(args)):
+            coerce_param(key, getattr(args, key), _CHOICES[key])
         table, params = args.handler(args)
         if args.out:
             emit_with_manifest(table, args.format, args.out, params)

@@ -99,7 +99,7 @@ class OnePoint:
     that fails any lane raises, with the values of its first failing lane:
     the error `Lanes(k)` and `raise_first()` give. A Python or NumPy bool
     costs one `if`, so scalar code, such as `ChrononParams`, applies the
-    batched rule (`evolution.chronon_check(OnePoint, ...)`) at scalar cost.
+    batched rule (`evolution.domain_check(OnePoint, ...)`) at scalar cost.
     """
 
     @staticmethod

@@ -18,7 +18,8 @@ import numpy as np
 
 from . import kernels
 from .errors import GridMismatch, InvalidInput, OnePoint, Overflow, RefusedTooLarge
-from .linalg2 import IDENTITY2, as_operator, as_stack, exp2, finite_check, is_hermitian, power2
+from .linalg2 import (IDENTITY2, as_operator, as_stack, exp2, finite_check, is_hermitian,
+                      lane_check, power2)
 from .record import Record
 
 ENGINES = ("continuous", "discrete")
@@ -32,82 +33,11 @@ DEFAULT_GRID_CAP = 1_000_000
 _GRID_RTOL = 1e-9
 
 
-def require_positive(lanes, name: str, x) -> None:
-    """InvalidInput '<name> must be positive and finite' on the lanes where
-    x is not."""
-    lanes.require((x > 0) & (x < math.inf), InvalidInput,
-                  f"{name} must be positive and finite")
-
-
-def chronon_check(lanes, energy, n, tau_scale) -> None:
-    """The rules of ChrononParams, in their order, on lanes of values."""
-    require_positive(lanes, "energy", energy)
-    lanes.require((n >= 1) & (n % 1 == 0), InvalidInput, "n must be a positive integer")
-    # an int n past the double range would make n * tau raise OverflowError
-    lanes.require(n <= sys.float_info.max, InvalidInput,
-                  "n must not exceed the largest double, about 1.8e308")
-    require_positive(lanes, "tau_scale", tau_scale)
-
-
-def chronon_step(energy, n, tau_scale, hbar):
-    """The grid spacing n * tau, tau = tau_scale * hbar / E, unchecked
-    (`step_check`)."""
-    with np.errstate(all="ignore"):
-        return n * (tau_scale * hbar / energy)
-
-
-def step_check(lanes, dt) -> None:
-    """InvalidInput on the lanes whose n * tau under- or overflowed."""
-    lanes.require((dt > 0) & (dt < math.inf), InvalidInput,
-                  "n*tau is {} in double precision, not a positive step", dt)
-
-
-class UnitSystem(Record):
-    """Unit bookkeeping: hbar in action units. With a `Lanes`, hbar may hold
-    one value per lane, its rule recorded there."""
-
-    __slots__ = ("hbar",)
-
-    def __init__(self, hbar: float = 1.0, lanes=OnePoint):
-        require_positive(lanes, "hbar", hbar)
-        super().__init__(hbar)
-
-
-NATURAL_UNITS = UnitSystem()
-
-# Time in seconds, energies expressed as hbar times an angular frequency,
-# so hbar is numerically 1 and E/hbar is read directly in 1/s.
-SI_SECONDS = UnitSystem(hbar=1.0)
-
-
-class ChrononParams(Record):
-    """Energy scale E, step multiplier n and the chronon tau = tau_scale * hbar / E.
-
-    tau_scale = 1 is the quantized-time point tau = hbar / E; smaller values
-    interpolate toward the continuum and share the same code path.
-    """
-
-    __slots__ = ("energy", "n", "tau_scale")
-
-    def __init__(self, energy: float, n: int = 1, tau_scale: float = 1.0):
-        chronon_check(OnePoint, energy, n, tau_scale)
-        super().__init__(energy, n, tau_scale)
-
-    def tau(self, units: UnitSystem = NATURAL_UNITS) -> float:
-        return self.tau_scale * units.hbar / self.energy
-
-    def step(self, units: UnitSystem = NATURAL_UNITS) -> float:
-        """Grid spacing n * tau; InvalidInput if it under- or overflows."""
-        dt = chronon_step(self.energy, self.n, self.tau_scale, units.hbar)
-        step_check(OnePoint, dt)
-        return dt
-
-
-def chronon_of(params: dict, energy_key: str) -> tuple[ChrononParams, UnitSystem]:
-    """ChrononParams at energy `params[energy_key]` plus the UnitSystem of `params`."""
-    p = ChrononParams(energy=params[energy_key], n=params["n"],
-                      tau_scale=params["tau_scale"])
-    return p, UnitSystem(hbar=params["hbar"])
+# The domains of PARAMETERS, (test of one value or of an array of lane values,
+# refusal text after the value's name), as `domain_check` applies them.
+POSITIVE = (lambda x: (x > 0) & (x < math.inf), "must be positive and finite")
+FINITE = (lambda x: abs(x) < math.inf, "must be finite")
+COUNT = (lambda x: (x >= 1) & (x % 1 == 0), "must be a positive integer")
 
 
 def parse_complex_pair(text: str) -> np.ndarray:
@@ -131,17 +61,91 @@ def parse_direction(text: str) -> np.ndarray:
 
 
 # Every parameter of a command flag, a scan quantity or a kaon config: name ->
-# (kind as `coerce_param` reads it, default), None for no default (required).
+# (kind as `coerce_param` reads it, default (None: required), domain or None).
 PARAMETERS = {
-    "energy": (float, None), "diag": (float, 0.0), "convention": (CONVENTIONS, "paper"),
-    "n": (int, 1), "tau_scale": (float, 1.0), "hbar": (float, 1.0),
-    "mixing_e": (float, None), "gamma_s": (float, 0.0), "gamma_l": (float, 0.0),
-    "delta_re": (float, 0.0), "delta_im": (float, 0.0),
-    "engine": (ENGINES, "continuous"), "t_max": (float, None), "steps": (int, None),
-    "psi0": (parse_complex_pair, "1,0"),
-    "observable": (("norm2_final", "prob_final"), "norm2_final"),
-    "direction": (parse_direction, "1,0"),
+    "energy": (float, None, POSITIVE), "diag": (float, 0.0, FINITE), "n": (int, 1, COUNT),
+    "convention": (CONVENTIONS, "paper", None), "tau_scale": (float, 1.0, POSITIVE),
+    "hbar": (float, 1.0, POSITIVE), "mixing_e": (float, None, POSITIVE),
+    "gamma_s": (float, 0.0, None), "gamma_l": (float, 0.0, None),
+    "delta_re": (float, 0.0, FINITE), "delta_im": (float, 0.0, FINITE),
+    "engine": (ENGINES, "continuous", None), "t_max": (float, None, POSITIVE),
+    "steps": (int, None, COUNT), "psi0": (parse_complex_pair, "1,0", None),
+    "observable": (("norm2_final", "prob_final"), "norm2_final", None),
+    "direction": (parse_direction, "1,0", None),
 }
+
+
+def domain_check(lanes, key: str, value, domain=None) -> None:
+    """InvalidInput '<key> must be ...' on the lanes where `value` lies outside
+    `domain`, by default that of parameter `key` (None: any value of its kind)."""
+    if domain := domain or PARAMETERS[key][2]:
+        lanes.require(domain[0](value), InvalidInput, f"{key} {domain[1]}")
+
+
+def chronon_step(energy, n, tau_scale, hbar):
+    """The grid spacing n * tau, tau = tau_scale * hbar / E, unchecked
+    (`step_check`)."""
+    with np.errstate(all="ignore"):
+        return n * (tau_scale * hbar / energy)
+
+
+def step_check(lanes, dt) -> None:
+    """InvalidInput on the lanes whose n * tau under- or overflowed."""
+    lanes.require((dt > 0) & (dt < math.inf), InvalidInput,
+                  "n*tau is {} in double precision, not a positive step", dt)
+
+
+class UnitSystem(Record):
+    """Unit bookkeeping: hbar in action units. With a `Lanes`, hbar may hold
+    one value per lane, its rule recorded there."""
+
+    __slots__ = ("hbar",)
+
+    def __init__(self, hbar: float = 1.0, lanes=OnePoint):
+        domain_check(lanes, "hbar", hbar)
+        super().__init__(hbar)
+
+
+NATURAL_UNITS = UnitSystem()
+
+# Time in seconds, energies expressed as hbar times an angular frequency,
+# so hbar is numerically 1 and E/hbar is read directly in 1/s.
+SI_SECONDS = UnitSystem(hbar=1.0)
+
+
+class ChrononParams(Record):
+    """Energy scale E, step multiplier n and the chronon tau = tau_scale * hbar / E.
+
+    tau_scale = 1 is the quantized-time point tau = hbar / E; smaller values
+    interpolate toward the continuum and share the same code path.
+    """
+
+    __slots__ = ("energy", "n", "tau_scale")
+
+    def __init__(self, energy: float, n: int = 1, tau_scale: float = 1.0):
+        domain_check(OnePoint, "energy", energy)
+        domain_check(OnePoint, "n", n)
+        # an int n past the double range would make n * tau raise OverflowError
+        OnePoint.require(n <= sys.float_info.max, InvalidInput,
+                         "n must not exceed the largest double, about 1.8e308")
+        domain_check(OnePoint, "tau_scale", tau_scale)
+        super().__init__(energy, n, tau_scale)
+
+    def tau(self, units: UnitSystem = NATURAL_UNITS) -> float:
+        return self.tau_scale * units.hbar / self.energy
+
+    def step(self, units: UnitSystem = NATURAL_UNITS) -> float:
+        """Grid spacing n * tau; InvalidInput if it under- or overflows."""
+        dt = chronon_step(self.energy, self.n, self.tau_scale, units.hbar)
+        step_check(OnePoint, dt)
+        return dt
+
+
+def chronon_of(params: dict, energy_key: str) -> tuple[ChrononParams, UnitSystem]:
+    """ChrononParams at energy `params[energy_key]` plus the UnitSystem of `params`."""
+    p = ChrononParams(energy=params[energy_key], n=params["n"],
+                      tau_scale=params["tau_scale"])
+    return p, UnitSystem(hbar=params["hbar"])
 
 
 def coerce_param(key: str, value, kind):
@@ -242,11 +246,6 @@ class Trajectory(Record):
         return np.sum(np.abs(self.states) ** 2, axis=1)
 
 
-def symmetric_check(lanes, energy, diag) -> None:
-    lanes.require((abs(energy) < math.inf) & (abs(diag) < math.inf), InvalidInput,
-                  "energy and diag must be finite")
-
-
 def symmetric_stack(energy, diag) -> np.ndarray:
     """[[diag, E], [E, diag]] per lane of energies and diagonals, shape
     (..., 2, 2), unchecked."""
@@ -259,9 +258,9 @@ def symmetric_hamiltonian(energy: float, diag: float = 0.0) -> np.ndarray:
     """The symmetric two-level Hamiltonian [[diag, E], [E, diag]].
 
     Equal diagonal entries (only relative energies matter, so they default
-    to 0) and equal real off-diagonal coupling E.
+    to 0) and equal real off-diagonal coupling E, both finite.
     """
-    symmetric_check(OnePoint, energy, diag)
+    domain_check(OnePoint, "energy and diag", np.maximum(abs(energy), abs(diag)), FINITE)
     return symmetric_stack(energy, diag)
 
 
@@ -273,6 +272,7 @@ def continuous_propagator(h, t: float | np.ndarray, units: UnitSystem = NATURAL_
     an H / hbar past the double range are InvalidInput; other errors as in
     `exp2`."""
     a = as_stack(h)
+    lane_check(a, t=t, hbar=units.hbar)
     if not allow_nonhermitian:
         lanes.require(is_hermitian(a), InvalidInput,
                       "H is not Hermitian; pass allow_nonhermitian=True for open systems")
@@ -315,9 +315,8 @@ def grid_check(lanes, engine: str, t_max, steps, dt) -> None:
     relative, or GridMismatch. An engine that ENGINES does not name, one
     value for every lane, raises InvalidInput."""
     coerce_param("engine", engine, ENGINES)
-    lanes.require((steps >= 1) & (steps % 1 == 0), InvalidInput,
-                  "steps must be a positive integer")
-    require_positive(lanes, "t_max", t_max)
+    domain_check(lanes, "steps", steps)
+    domain_check(lanes, "t_max", t_max)
     if engine != "discrete":
         return
     if dt is None:
@@ -377,7 +376,8 @@ def final_states(h, amplitudes, engine: str, t_max, steps, dt, units: UnitSystem
     psi0 by `power2` (discrete) or the `continuous_propagator` at t_max.
     The rules of `evolve` and these two's errors, for one H or a stack
     alike: a `Lanes` records each lane's first error, `OnePoint` raises the
-    first failing lane's (a bad engine raises, as in `grid_check`)."""
+    first failing lane's (a bad engine or `lane_check` shape raises)."""
+    lane_check(h := as_stack(h), t_max=t_max, steps=steps, dt=dt, hbar=units.hbar)
     finite_check(lanes, h)
     amplitude_check(lanes, amplitudes)
     grid_check(lanes, engine, t_max, steps, dt)

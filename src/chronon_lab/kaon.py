@@ -23,9 +23,9 @@ import numpy as np
 
 from .errors import (DegenerateModes, InvalidInput, Lanes, Overflow, SingularMap,
                      OnePoint, UndefinedRatio)
-from .evolution import (ENGINES, ChrononParams, NATURAL_UNITS, Trajectory,
-                        TwoState, UnitSystem, chronon_step, coerce_param, evolve,
-                        require_positive, step_check)
+from .evolution import (ENGINES, FINITE, NATURAL_UNITS, POSITIVE, ChrononParams,
+                        Trajectory, TwoState, UnitSystem, chronon_step, coerce_param,
+                        domain_check, evolve, step_check)
 from .linalg2 import cdiv, eig2_stack
 from .record import Record
 from .spectrum import step_multipliers
@@ -52,17 +52,16 @@ class KaonModel(Record):
     def __init__(self, mixing_energy: float, gamma_short: float, gamma_long: float,
                  delta: complex = 0.0, units: UnitSystem = NATURAL_UNITS):
         d = complex(delta)
-        kaon_check(OnePoint, mixing_energy, gamma_short, gamma_long, d.real, d.imag)
+        domain_check(OnePoint, "mixing_energy", mixing_energy, POSITIVE)
+        width_check(OnePoint, gamma_short, gamma_long)
+        domain_check(OnePoint, "delta", np.array([d.real, d.imag]), FINITE)
         super().__init__(mixing_energy, gamma_short, gamma_long, delta, units)
 
 
-def kaon_check(lanes, mixing_energy, gamma_short, gamma_long, delta_re, delta_im) -> None:
-    """The rules of KaonModel, in their order, on lanes of values."""
-    require_positive(lanes, "mixing_energy", mixing_energy)
+def width_check(lanes, gamma_short, gamma_long) -> None:
+    """The width rule of KaonModel on lanes of values."""
     lanes.require((gamma_short >= gamma_long) & (gamma_long >= 0.0), InvalidInput,
                   "widths must satisfy gamma_short >= gamma_long >= 0")
-    lanes.require((abs(delta_re) < math.inf) & (abs(delta_im) < math.inf), InvalidInput,
-                  "delta must be finite")
 
 
 def change_basis(amplitudes, source: str, target: str) -> np.ndarray:

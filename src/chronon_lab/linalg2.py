@@ -42,6 +42,13 @@ def as_stack(m) -> np.ndarray:
     return a
 
 
+def lane_check(a: np.ndarray, **values) -> None:
+    """InvalidInput unless each of `values` is one value or one per matrix of a stack a."""
+    for name, x in values.items():
+        if a.ndim == 3 and np.shape(x) not in ((), (1,), a.shape[:1]):
+            raise InvalidInput(f"{name} must be one value or one per matrix, got {np.shape(x)}")
+
+
 def finite_check(lanes, a: np.ndarray) -> None:
     """InvalidInput on the lanes of a stack of matrices with an entry that is
     not finite."""
@@ -217,11 +224,12 @@ def exp2(m, s: complex | np.ndarray = 1.0, lanes=OnePoint) -> np.ndarray:
     with tr/2 and D from `_char_root`, which agrees with the
     eigendecomposition for diagonalizable M and takes the D -> 0 limit
     analytically, so degenerate and defective inputs need no special
-    casing. A non-finite entry or scale is InvalidInput and an entry past
-    1.8e308 Overflow. A `Lanes` records each lane's first error; `OnePoint`
-    raises the first failing lane's.
+    casing. A non-finite entry or scale, or scales of another shape, are
+    InvalidInput, an entry past 1.8e308 Overflow. A `Lanes` records each
+    lane's first error; `OnePoint` raises the first failing lane's.
     """
     a = as_stack(m)
+    lane_check(a, s=s)
     s = np.asarray(s)
     shape = (a.shape[:-2] or s.shape) + (2, 2)
     a, t = a.reshape(-1, 2, 2), s.reshape(-1)
@@ -260,6 +268,7 @@ def power2(m, k, lanes=OnePoint) -> np.ndarray:
     Errors as in `exp2`.
     """
     a = as_stack(m)
+    lane_check(a, k=k)
     k = np.asarray(k, dtype=np.float64)
     shape = (a.shape[:-2] or k.shape) + (2, 2)
     a, k = a.reshape(-1, 2, 2), k.reshape(-1)

@@ -25,10 +25,10 @@ from pathlib import Path
 
 import numpy as np
 
-from .errors import InvalidInput, Lanes, Overflow
-from .evolution import (DEFAULT_GRID_CAP, PARAMETERS, UnitSystem, chronon_check, chronon_of,
-                        chronon_step, coerce_param, final_states, parse_complex_pair,
-                        parse_direction, symmetric_check, symmetric_stack)
+from .errors import InvalidInput, Lanes, OnePoint, Overflow
+from .evolution import (COUNT, DEFAULT_GRID_CAP, FINITE, PARAMETERS, UnitSystem, chronon_of,
+                        chronon_step, coerce_param, domain_check, final_states,
+                        parse_complex_pair, parse_direction, symmetric_stack)
 from .record import Record
 from .runner import Table
 
@@ -50,12 +50,10 @@ class ScanAxis(Record):
             start, stop = coerce_param("start", start, float), coerce_param("stop", stop, float)
             count = coerce_param("count", count, int)
             spacing = coerce_param("spacing", spacing, ("linear", "log"))
+            domain_check(OnePoint, "start and stop", np.array([start, stop]), FINITE)
+            domain_check(OnePoint, "count", count, COUNT)
         except InvalidInput as exc:
             raise InvalidInput(f"axis {name!r}: {exc}") from exc
-        if not (math.isfinite(start) and math.isfinite(stop)):
-            raise InvalidInput(f"axis {name!r}: start and stop must be finite")
-        if count < 1:
-            raise InvalidInput(f"axis {name!r}: count must be a positive integer")
         if spacing == "log" and (start <= 0 or stop <= 0):
             raise InvalidInput(f"axis {name!r}: log spacing needs positive bounds")
         super().__init__(name, start, stop, count, spacing)
@@ -79,7 +77,7 @@ class ScanAxis(Record):
 
 class ScanSpec(Record):
     """One quantity on the grid of `grid`'s axes, with the parameters in
-    `fixed` (copied; None gives an empty dict) held constant."""
+    `fixed` (copied and checked; None gives an empty dict) held constant."""
 
     __slots__ = ("quantity", "grid", "fixed", "max_points")
 
@@ -100,10 +98,11 @@ class ScanSpec(Record):
         for key, value in fixed.items():
             if key not in schema:
                 raise InvalidInput(f"unknown parameter {key!r} for {quantity!r}")
-            coerce_param(key, value, PARAMETERS[key][0])  # raises if malformed
+            domain_check(OnePoint, key, coerce_param(key, value, PARAMETERS[key][0]))
         overlap = set(names) & set(fixed)
         if overlap:
             raise InvalidInput(f"parameters {sorted(overlap)} both fixed and scanned")
+        domain_check(OnePoint, "max_points", max_points, COUNT)
         super().__init__(quantity, grid, dict(fixed), max_points)
 
     @property
@@ -195,52 +194,43 @@ def _coerce_lanes(quantity: str, params: dict, lanes: Lanes) -> dict:
     """`params` over the schema of `quantity`, with its defaults, on lanes.
 
     A missing parameter fails every lane, as does a single value that
-    `coerce_param` rejects. An array gives one value per lane; an integer
-    parameter's non-integral values fail their lanes. Numbers come back as
-    float arrays with one value per lane, strings as they are.
+    `coerce_param` rejects. An array gives one value per lane; a value
+    outside its domain (`domain_check`) fails its lanes. Numbers come back
+    as float arrays with one value per lane, strings as they are.
     """
     if missing := _missing(quantity, params):
         lanes.fail(True, InvalidInput, missing)
         return params
     out = dict(params)
     for key in _PARAM_SCHEMAS[quantity]:
-        kind, default = PARAMETERS[key]
+        kind, default, _ = PARAMETERS[key]
         value = params.get(key, default)
-        if isinstance(value, np.ndarray):
-            if kind is int:
-                lanes.require(value % 1 == 0, InvalidInput,
-                              f"bad value for {key!r}: expected an integer, got {{!r}}", value)
-        else:
+        if not isinstance(value, np.ndarray):
             try:
                 value = coerce_param(key, value, kind)
             except InvalidInput as exc:
                 lanes.fail(True, InvalidInput, str(exc))
                 return out
-        if (kind is float or kind is int) and not isinstance(value, np.ndarray):
-            value = np.full(lanes.ok.shape, value, dtype=np.float64)
+            if kind is float or kind is int:
+                value = np.full(lanes.ok.shape, value, dtype=np.float64)
+        domain_check(lanes, key, value)
         out[key] = value
     return out
 
 
 # ---------------------------------------------------------------------------
-# quantity evaluators
+# quantity evaluators, on the lanes of `_coerce_lanes` (which checked the domains)
 
-def _chronon_lanes(params: dict, energy_key: str, lanes: Lanes):
-    """The rules of `chronon_of` on lanes; returns the unchecked n tau and
-    the UnitSystem of the lanes' hbar."""
-    energy, n, tau_scale, hbar = (params[k] for k in (energy_key, "n", "tau_scale", "hbar"))
-    chronon_check(lanes, energy, n, tau_scale)
-    units = UnitSystem(hbar, lanes)
-    return chronon_step(energy, n, tau_scale, hbar), units
+def _step(params: dict, energy_key: str):
+    """The unchecked n tau of the lanes at the energy `params[energy_key]`."""
+    return chronon_step(*(params[k] for k in (energy_key, "n", "tau_scale", "hbar")))
 
 
 def _eval_mode_report(params: dict, lanes: Lanes) -> dict:
     from .spectrum import mode_stack
-    step, _ = _chronon_lanes(params, "energy", lanes)
     energy, diag = params["energy"], params["diag"]
-    symmetric_check(lanes, energy, diag)
-    t = mode_stack(symmetric_stack(energy, diag), energy, params["tau_scale"], step,
-                   params["hbar"], lanes)
+    t = mode_stack(symmetric_stack(energy, diag), energy, params["tau_scale"],
+                   _step(params, "energy"), params["hbar"], lanes)
     cols = {f"mode{k}_{c}": tuple(x[:, k] for x in t[c]) if isinstance(t[c], tuple)
             else t[c][:, k] for k in (0, 1) for c in MODE_FIELDS}
     cols["nu_nonhermitian"] = t["nu_nonhermitian"]
@@ -250,13 +240,12 @@ def _eval_mode_report(params: dict, lanes: Lanes) -> dict:
 def _kaon_lanes(params: dict, lanes: Lanes):
     """The stack of kaon H with its n tau and hbar, by the rules of
     `kaon_from_config` and `kaon_hamiltonian`."""
-    from .kaon import hamiltonian_check, hamiltonian_cp, kaon_check
-    step, _ = _chronon_lanes(params, "mixing_e", lanes)
-    model = [params[k] for k in ("mixing_e", "gamma_s", "gamma_l", "delta_re", "delta_im")]
-    kaon_check(lanes, *model)
-    h = hamiltonian_cp(model[0], params["hbar"], *model[1:])
+    from .kaon import hamiltonian_check, hamiltonian_cp, width_check
+    width_check(lanes, params["gamma_s"], params["gamma_l"])
+    h = hamiltonian_cp(*(params[k] for k in ("mixing_e", "hbar", "gamma_s", "gamma_l",
+                                              "delta_re", "delta_im")))
     hamiltonian_check(lanes, h)
-    return h, step, params["hbar"]
+    return h, _step(params, "mixing_e"), params["hbar"]
 
 
 def _eval_epsilon(params: dict, lanes: Lanes) -> dict:
@@ -282,11 +271,10 @@ def _eval_width_shift(params: dict, lanes: Lanes) -> dict:
 
 
 def _eval_trajectory_observable(params: dict, lanes: Lanes) -> dict:
-    step, units = _chronon_lanes(params, "energy", lanes)
-    energy, diag = params["energy"], params["diag"]
-    symmetric_check(lanes, energy, diag)
-    psi = final_states(symmetric_stack(energy, diag), parse_complex_pair(params["psi0"]),
-                       params["engine"], params["t_max"], params["steps"], step, units, lanes)
+    psi = final_states(symmetric_stack(params["energy"], params["diag"]),
+                       parse_complex_pair(params["psi0"]), params["engine"], params["t_max"],
+                       params["steps"], _step(params, "energy"),
+                       UnitSystem(params["hbar"], lanes), lanes)
     if params["observable"] == "norm2_final":
         value = (np.abs(psi) ** 2).sum(axis=-1)
     else:  # prob_final
@@ -371,9 +359,10 @@ def load_kaon_config(path) -> dict:
     """Parse a kaon model config file into a typed dict.
 
     Format: UTF-8 text, one `key = value` per line, '#' starts a comment.
-    Keys, types and defaults are those of the width_shift scan quantity plus
-    t_max/steps/psi0 (a label of `kaon.STATES`). Required key: mixing_e.
-    t_max/steps are only needed for trajectory observables.
+    Keys, kinds, defaults and domains are those of the width_shift scan
+    quantity plus t_max/steps/psi0 (a label of `kaon.STATES`). Required key:
+    mixing_e. t_max/steps are only needed for trajectory observables (but
+    always checked). A refusal names the file and line.
     """
     from .kaon import STATES
     keys = _PARAM_SCHEMAS["width_shift"]
@@ -398,6 +387,7 @@ def load_kaon_config(path) -> dict:
             raise InvalidInput(f"{path}:{lineno}: unknown key {key!r}")
         try:
             cfg[key] = coerce_param(key, value, kind)
+            domain_check(OnePoint, key, cfg[key])
         except InvalidInput as exc:
             raise InvalidInput(f"{path}:{lineno}: {exc}") from exc
     if "mixing_e" not in cfg:

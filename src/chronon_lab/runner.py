@@ -36,9 +36,9 @@ from pathlib import Path
 import numpy as np
 
 from . import __version__
-from .errors import InvalidInput, Lanes, RefusedTooLarge
-from .evolution import (DEFAULT_GRID_CAP, UnitSystem, coerce_param, continuous_propagator,
-                        step_map, symmetric_hamiltonian)
+from .errors import InvalidInput, Lanes, OnePoint, RefusedTooLarge
+from .evolution import (DEFAULT_GRID_CAP, FINITE, UnitSystem, coerce_param,
+                        continuous_propagator, domain_check, step_map, symmetric_hamiltonian)
 from .linalg2 import power2
 from .record import Record
 
@@ -180,8 +180,7 @@ def convergence_study(energy: float, t_max: float, m_list, hbar: float = 1.0) ->
         raise InvalidInput("m_list must be ascending integers >= 2")
     if m_list[-1] > 2 ** 53:  # power2 takes its powers as doubles
         raise InvalidInput("m_list must not exceed 2**53, the largest exact double integer")
-    if not math.isfinite(t_max):
-        raise InvalidInput("t_max must be finite")
+    domain_check(OnePoint, "t_max", t_max, FINITE)
     h = symmetric_hamiltonian(energy)
     target = continuous_propagator(h, t_max, UnitSystem(hbar=hbar))
     m, lanes = np.array(m_list, dtype=float), Lanes(len(m_list))

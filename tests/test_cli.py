@@ -86,6 +86,29 @@ def test_argparse_usage_error_exit_code():
     assert res.returncode == 2
 
 
+@pytest.mark.parametrize("argv, key, choices", [
+    (["modes", "--energy", "1", "--format", "xml"], "format", ["csv", "json"]),
+    (["kaon", "--config", "missing.cfg", "--observable", "4pi"], "observable",
+     ["2pi", "3pi", "epsilon", "width-shift"]),
+])
+def test_format_and_observable_are_refused_as_spec_keys_are(capsys, argv, key, choices):
+    # by coerce_param, before the command runs: the missing config is not read
+    assert main(argv) == 2
+    assert capsys.readouterr() == (
+        "", f"error: bad value for {key!r}: expected one of {choices}, got {argv[-1]!r}\n")
+
+
+@pytest.mark.parametrize("max_points", [-5, 0, 2.5])
+def test_scan_max_points_must_be_a_positive_integer(capsys, tmp_path, max_points):
+    spec = tmp_path / "spec.json"
+    spec.write_text(json.dumps({"quantity": "mode_report", "grid": [],
+                                "fixed": {"energy": 1}, "max_points": max_points}))
+    assert main(["scan", "--spec", str(spec)]) == 2
+    text = ("max_points must be a positive integer" if max_points != 2.5
+            else "bad value for 'max_points': expected an integer, got 2.5")
+    assert capsys.readouterr() == ("", f"error: {text}\n")
+
+
 def subparsers(argv):
     parser = cli.build_parser(argv)
     [action] = parser._subparsers._group_actions
@@ -328,8 +351,9 @@ ONE_PARAMETER = {
 
 
 def _refusal(capsys, argv):
-    """The exit code of `argv` and, if its kind rule or argparse refused a
-    value, the text of the refusal without a config's 'path:line: ' prefix."""
+    """The exit code of `argv` and, if its kind rule, its domain or argparse
+    refused a value, the text of the refusal without a config's
+    'path:line: ' prefix."""
     try:
         code = main(argv)
     except SystemExit as exc:  # argparse
@@ -337,23 +361,25 @@ def _refusal(capsys, argv):
     text = capsys.readouterr().err.strip().splitlines()[-1:]
     text = text[0].split("error: ", 1)[-1] if text else ""
     text = text.split(": ", 1)[-1] if text.startswith("c.cfg:") else text
-    kind = text.startswith(("bad value for", "argument --")) or "largest double" in text
+    kind = (text.startswith(("bad value for", "argument --")) or "largest double" in text
+            or " must be " in text)
     return code, text if kind else None
 
 
 @pytest.mark.parametrize("key", ONE_PARAMETER)
 def test_a_flag_a_spec_key_and_a_config_key_are_one_parameter(tmp_path, monkeypatch,
                                                               capsys, key):
-    # a value goes through one kind rule as a flag, as a scan spec's fixed
-    # value and as a kaon config key: every way accepts it, or every way
-    # refuses it with exit code 2 and the same text, a choice flag included.
-    # What an accepted value meets next (a domain check, a row status) is the
+    # a value goes through one kind rule and one domain as a flag, as a scan
+    # spec's fixed value and as a kaon config key: every way accepts it, or
+    # every way refuses it with exit code 2 and the same text, a choice flag
+    # included. What an accepted value meets next (a row status) is the
     # command's own.
     monkeypatch.chdir(tmp_path)
     flag, quantity, fixed, observable = ONE_PARAMETER[key]
+    domain = ("0", "-1", "inf", "-inf")
     for value in ("1", "1.0", "1.5", "abc", "1e400", "nan", str(10 ** 400),
-                  "12345678901234567891"):
-        ways = {"flag": _refusal(capsys, [*flag, "--" + key.replace("_", "-"), value])}
+                  "12345678901234567891", *domain):
+        ways = {"flag": _refusal(capsys, [*flag, f"--{key.replace('_', '-')}={value}"])}
         Path("s.json").write_text(json.dumps(
             {"quantity": quantity, "grid": [], "fixed": {**fixed, key: value}}))
         ways["spec"] = _refusal(capsys, ["scan", "--spec", "s.json"])
@@ -363,6 +389,7 @@ def test_a_flag_a_spec_key_and_a_config_key_are_one_parameter(tmp_path, monkeypa
                                                "--observable", observable])
         refused = {way: text is not None for way, (_, text) in ways.items()}
         assert len(set(refused.values())) == 1, (value, ways)
+        assert refused["flag"] or value not in domain, (value, ways)
         if refused["flag"]:
             assert {code for code, _ in ways.values()} == {2}, (value, ways)
             assert len({text for _, text in ways.values()}) == 1, (value, ways)
@@ -595,14 +622,15 @@ def test_kaon_step_count_over_the_cap_exit_code(tmp_path, t_max, tau_scale, coun
 
 @pytest.mark.parametrize("t_max", ["-inf", "nan", "-1", "0"])
 def test_kaon_discrete_t_max_not_positive_exit_code(capsys, tmp_path, t_max):
-    # checked before t_max / (n tau) is formed: -inf made round() raise,
-    # nan and -1 were reported as a step count or a grid mismatch
+    # checked as the config is read, before t_max / (n tau) is formed: -inf
+    # made round() raise, nan and -1 were reported as a step count or a grid
+    # mismatch
     cfg = tmp_path / "model.cfg"
     cfg.write_text(f"mixing_e = 1.0\nt_max = {t_max}\n", encoding="utf-8")
     code = main(["kaon", "--config", str(cfg), "--observable", "2pi",
                  "--engine", "discrete"])
     out, err = capsys.readouterr()
-    assert (code, err, out) == (2, "error: t_max must be positive and finite\n", "")
+    assert (code, err, out) == (2, f"error: {cfg}:2: t_max must be positive and finite\n", "")
 
 
 @pytest.mark.parametrize("engine", ["discrete", "continuous"])

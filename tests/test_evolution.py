@@ -11,7 +11,7 @@ from chronon_lab.evolution import (ChrononParams, NATURAL_UNITS, Trajectory,
                                    evolve, final_states, grid_check,
                                    symmetric_hamiltonian)
 from chronon_lab.kaon import KaonModel, kaon_hamiltonian
-from chronon_lab.linalg2 import DEFAULT_TOL, IDENTITY2, PAULI_X, eig2
+from chronon_lab.linalg2 import DEFAULT_TOL, IDENTITY2, PAULI_X, eig2, exp2, power2
 
 SQ2 = math.sqrt(2.0)
 
@@ -384,6 +384,26 @@ def test_final_states_of_a_stack_is_each_h(engine):
                    else np.array([1.0, 1.0, 1e-320, 1.0, 1e-319]))
     assert one_matrix_error(lambda: run(hs, **{arg: lane_values})) == one_matrix_error(
         lambda: run(hs[2], **{arg: lane_values[2].item()}))
+
+
+def test_a_stack_takes_one_value_or_one_per_matrix():
+    # a per-H argument of another length than the stack is InvalidInput,
+    # not NumPy's broadcast ValueError
+    hs = np.array([symmetric_hamiltonian(e, 0.5) for e in (1.0, 2.0, 3.0)])
+    two, psi0 = np.array([0.1, 0.2]), np.array([1.0, 0.0])
+    for call in (lambda: exp2(hs, two),
+                 lambda: power2(hs, np.array([2, 3])),
+                 lambda: continuous_propagator(hs, two),
+                 lambda: continuous_propagator(hs, 1.0, UnitSystem(np.array([1.0, 2.0]))),
+                 lambda: final_states(hs, psi0, "discrete", 1.0, np.array([4, 4]), 0.25,
+                                      NATURAL_UNITS),
+                 lambda: final_states(hs, psi0, "continuous", np.array([1.0, 2.0]), 4, None,
+                                      NATURAL_UNITS)):
+        with pytest.raises(InvalidInput, match=r"must be one value or one per matrix, "
+                                               r"got \(2,\)$"):
+            call()
+    # one value, or one per matrix, is taken
+    assert exp2(hs, np.array([0.1])).shape == power2(hs, np.array([2, 3, 4])).shape == (3, 2, 2)
 
 
 def test_continuous_propagator_names_a_subnormal_hbar():
