@@ -152,8 +152,8 @@ def help_group() -> tuple[str, dict[str, str | bytes], list[list[str]]]:
 
 
 def errors_group() -> tuple[str, dict[str, str | bytes], list[list[str]]]:
-    """Malformed inputs, each of which but the last should exit 2 with one
-    line on stderr:
+    """Malformed inputs, each of which but the last three should exit 2
+    with one line on stderr:
     spec files with a malformed value, field type, nesting, encoding or axis
     key, an axis count and a max_points past the double range, a kaon config
     that is not UTF-8, empty `--m-list`s, `--workers 0`,
@@ -176,9 +176,15 @@ def errors_group() -> tuple[str, dict[str, str | bytes], list[list[str]]]:
     values outside their domain: a spec `fixed` energy -1 (mode_report) and
     t_max 0 (trajectory-observable), a spec max_points -5, and kaon configs
     with `mixing_e = -1` and with `t_max = -1` under `--observable epsilon`,
-    which does not use t_max; `kaon --observable 4pi`; last, a `converge`
+    which does not use t_max; `kaon --observable 4pi`; values that are not
+    finite: an `evolve --psi0 inf,0`, spec `fixed` values `gamma_s` "inf"
+    (width_shift) and `psi0` "inf,0" (trajectory-observable), and kaon
+    configs with `gamma_s = inf` and `nan` under `--observable width-shift`;
+    `modes --hbar -inf` with the value as its own token; last, a `converge`
     whose step map overflows, which exits 0 with both rows invalid and
-    nothing on stderr."""
+    nothing on stderr, and two well-formed commands with a value that starts
+    with '-' as its own token, `converge --t-max -1e-3` and `evolve --psi0
+    -1,0`, which exit 0."""
     axis = {"name": "mixing_e", "start": 1.0, "stop": 2.0, "count": 2}
     specs = {
         "not_json": "{not json",
@@ -209,6 +215,10 @@ def errors_group() -> tuple[str, dict[str, str | bytes], list[list[str]]]:
         "fixed_t_max_zero": {"quantity": "trajectory-observable", "grid": [],
                              "fixed": {"energy": 1, "t_max": 0, "steps": 4}},
         "max_points_negative": {"quantity": "epsilon", "grid": [axis], "max_points": -5},
+        "fixed_gamma_s_inf": {"quantity": "width_shift", "grid": [],
+                              "fixed": {"mixing_e": 1, "gamma_s": "inf"}},
+        "fixed_psi0_inf": {"quantity": "trajectory-observable", "grid": [],
+                           "fixed": {"energy": 1, "t_max": 1, "steps": 2, "psi0": "inf,0"}},
         "ok": {"quantity": "mode_report", "grid": [], "fixed": {"energy": 1.0}},
     }
     files = {f"{name}.json": spec if isinstance(spec, str) else json.dumps(spec)
@@ -222,6 +232,8 @@ def errors_group() -> tuple[str, dict[str, str | bytes], list[list[str]]]:
     files["mixing_e_neg.cfg"] = "mixing_e = -1\n"
     for name, t_max in (("neg_inf", "-inf"), ("nan", "nan"), ("neg", "-1")):
         files[f"t_max_{name}.cfg"] = f"mixing_e = 1.0\nt_max = {t_max}\n"
+    for gamma_s in ("inf", "nan"):
+        files[f"gamma_s_{gamma_s}.cfg"] = f"mixing_e = 1.0\ngamma_s = {gamma_s}\n"
     commands = [["scan", "--spec", f"{name}.json"] for name in specs if name != "ok"]
     commands += [["scan", "--spec", "not_utf8.json"],
                  ["kaon", "--config", "not_utf8.cfg", "--observable", "epsilon"],
@@ -259,7 +271,15 @@ def errors_group() -> tuple[str, dict[str, str | bytes], list[list[str]]]:
                  ["kaon", "--config", "mixing_e_neg.cfg", "--observable", "epsilon"],
                  ["kaon", "--config", "t_max_neg.cfg", "--observable", "epsilon"],
                  ["kaon", "--config", "configs/kaon_natural.cfg", "--observable", "4pi"],
-                 ["converge", "--energy", "1e300", "--t-max", "1e300", "--m-list", "4,8"]]
+                 ["evolve", "--engine", "continuous", "--energy", "1", "--t-max", "1",
+                  "--steps", "2", "--psi0", "inf,0"]]
+    commands += [["kaon", "--config", f"gamma_s_{gamma_s}.cfg", "--observable", "width-shift"]
+                 for gamma_s in ("inf", "nan")]
+    commands += [["modes", "--energy", "1", "--hbar", "-inf"],
+                 ["converge", "--energy", "1e300", "--t-max", "1e300", "--m-list", "4,8"],
+                 ["converge", "--energy", "1", "--t-max", "-1e-3", "--m-list", "4,8"],
+                 ["evolve", "--engine", "continuous", "--energy", "1", "--t-max", "1",
+                  "--steps", "2", "--psi0", "-1,0"]]
     return "errors", files, commands
 
 

@@ -4,7 +4,8 @@ Subcommands: modes, evolve, kaon, scan, converge. Every command prints CSV
 or JSON rows to stdout, or writes them to --out with a RunManifest beside
 the file as `<out>.manifest.json`. A parameter flag is built from
 `evolution.PARAMETERS` and its string coerced by `coerce_param`, as a scan
-spec or kaon config key of the same name is.
+spec or kaon config key of the same name is. A flag's value may start
+with '-' whether it is written `--flag=value` or `--flag value`.
 
 Exit codes: 0 ok, 2 invalid arguments or spec, 3 numeric-domain error
 (singular or degenerate map, overflow) or any other lab error, 4 I/O error.
@@ -165,11 +166,8 @@ def _converge_args(sub):
     _add_params(sub, ("hbar",))
 
 
-def build_parser(argv) -> argparse.ArgumentParser:
-    """The parser of `argv`. Every subcommand is listed, but only the one
-    that argv names (its first token not starting with '-') gets its
-    arguments, or all of them when argv names none, since a command parses
-    only its own; the help and error texts are those of the full parser."""
+def build_parser() -> argparse.ArgumentParser:
+    """The parser of every command line: each subcommand with its arguments."""
     parser = argparse.ArgumentParser(
         prog="chronon-lab",
         description="Quantized-time two-state evolution laboratory")
@@ -184,19 +182,32 @@ def build_parser(argv) -> argparse.ArgumentParser:
         "scan": ("run a parameter scan from a JSON spec", _scan_args, _cmd_scan),
         "converge": ("integrator convergence study", _converge_args, _cmd_converge),
     }
-    named = next((arg for arg in argv if not arg.startswith("-")), None)
     for name, (help_text, add_args, handler) in commands.items():
         sub = subs.add_parser(name, help=help_text)
-        if named not in commands or named == name:
-            add_args(sub)
-            _add_output_args(sub)
+        add_args(sub)
+        _add_output_args(sub)
         sub.set_defaults(handler=handler)
     return parser
 
 
+def _join_values(argv) -> list:
+    """argv with `--flag value` written `--flag=value` where the value starts
+    with a single '-', which argparse reads as an option unless it looks like
+    -12 or -1.5. `-h`, `--` and a prefix of `--help` stay options."""
+    out = []
+    for tok in argv:
+        flag = out[-1] if out else ""
+        if (flag.startswith("--") and "=" not in flag and not "--help".startswith(flag)
+                and tok.startswith("-") and not tok.startswith("--") and tok != "-h"):
+            out[-1] = f"{flag}={tok}"
+        else:
+            out.append(tok)
+    return out
+
+
 def main(argv=None) -> int:
     argv = sys.argv[1:] if argv is None else argv
-    args = build_parser(argv).parse_args(argv)
+    args = build_parser().parse_args(_join_values(argv))
     try:
         for key in (k for k in _CHOICES if k in vars(args)):
             coerce_param(key, getattr(args, key), _CHOICES[key])

@@ -41,14 +41,17 @@ COUNT = (lambda x: (x >= 1) & (x % 1 == 0), "must be a positive integer")
 
 
 def parse_complex_pair(text: str) -> np.ndarray:
-    """Parse 'a,b' with complex literals a and b, e.g. '1,0' or '0.6,0.8j'."""
+    """Parse 'a,b' with finite complex literals a and b, e.g. '1,0' or '0.6,0.8j'."""
     parts = [p.strip() for p in str(text).split(",")]
     if len(parts) != 2:
         raise InvalidInput(f"expected two comma-separated complex numbers, got {text!r}")
     try:
-        return np.array([complex(parts[0]), complex(parts[1])], dtype=np.complex128)
+        pair = np.array([complex(parts[0]), complex(parts[1])], dtype=np.complex128)
     except ValueError as exc:
         raise InvalidInput(f"cannot parse complex pair {text!r}: {exc}") from exc
+    if not np.isfinite(pair).all():
+        raise InvalidInput(f"complex pair {text!r} must be finite")
+    return pair
 
 
 def parse_direction(text: str) -> np.ndarray:
@@ -66,7 +69,7 @@ PARAMETERS = {
     "energy": (float, None, POSITIVE), "diag": (float, 0.0, FINITE), "n": (int, 1, COUNT),
     "convention": (CONVENTIONS, "paper", None), "tau_scale": (float, 1.0, POSITIVE),
     "hbar": (float, 1.0, POSITIVE), "mixing_e": (float, None, POSITIVE),
-    "gamma_s": (float, 0.0, None), "gamma_l": (float, 0.0, None),
+    "gamma_s": (float, 0.0, FINITE), "gamma_l": (float, 0.0, FINITE),
     "delta_re": (float, 0.0, FINITE), "delta_im": (float, 0.0, FINITE),
     "engine": (ENGINES, "continuous", None), "t_max": (float, None, POSITIVE),
     "steps": (int, None, COUNT), "psi0": (parse_complex_pair, "1,0", None),

@@ -53,6 +53,8 @@ class KaonModel(Record):
                  delta: complex = 0.0, units: UnitSystem = NATURAL_UNITS):
         d = complex(delta)
         domain_check(OnePoint, "mixing_energy", mixing_energy, POSITIVE)
+        domain_check(OnePoint, "gamma_short and gamma_long",
+                     np.maximum(abs(gamma_short), abs(gamma_long)), FINITE)
         width_check(OnePoint, gamma_short, gamma_long)
         domain_check(OnePoint, "delta", np.array([d.real, d.imag]), FINITE)
         super().__init__(mixing_energy, gamma_short, gamma_long, delta, units)

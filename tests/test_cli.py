@@ -109,25 +109,65 @@ def test_scan_max_points_must_be_a_positive_integer(capsys, tmp_path, max_points
     assert capsys.readouterr() == ("", f"error: {text}\n")
 
 
-def subparsers(argv):
-    parser = cli.build_parser(argv)
+# each command's flags after -h/--help, before --format and --out
+COMMAND_FLAGS = {
+    "modes": ["--energy", "--n", "--tau-scale", "--hbar", "--convention"],
+    "evolve": ["--engine", "--energy", "--n", "--tau-scale", "--hbar", "--t-max", "--steps",
+               "--psi0"],
+    "kaon": ["--config", "--observable", "--engine"],
+    "scan": ["--spec", "--workers"],
+    "converge": ["--energy", "--t-max", "--m-list", "--hbar"],
+}
+
+
+def test_every_subparser_holds_its_arguments():
+    # one parser for every command line: each subcommand has its own flags,
+    # and one parser parses the lines of different commands
+    parser = cli.build_parser()
     [action] = parser._subparsers._group_actions
-    return parser, action.choices
+    assert list(action.choices) == list(COMMAND_FLAGS)
+    for name, sub in action.choices.items():
+        flags = [flag for a in sub._actions for flag in a.option_strings]
+        assert flags == ["-h", "--help", *COMMAND_FLAGS[name], "--format", "--out"]
+    assert parser.parse_args(["modes", "--energy", "2"]).energy == "2"
+    assert parser.parse_args(["converge", "--energy", "1", "--t-max", "1",
+                              "--m-list", "4"]).m_list == "4"
 
 
-def test_parser_adds_only_the_named_command_arguments():
-    # a command parses only its own arguments, so only its subparser gets
-    # them; with no command named (--help, a misspelled command) every one
-    # does, and every help text is that of the full parser
-    full, every = subparsers([])
-    for name in every:
-        parser, subs = subparsers([name, "--help"])
-        assert parser.format_help() == full.format_help()
-        assert subs[name].format_help() == every[name].format_help()
-        assert [n for n, sub in subs.items() if len(sub._actions) > 1] == [name]
-    for argv in (["--help"], ["nonsense"], ["-h", "modez"]):
-        _, subs = subparsers(argv)
-        assert all(len(subs[n]._actions) == len(every[n]._actions) for n in every)
+# (command line with a value after its flag, the same with `--flag=value`)
+DASHED_VALUES = [
+    ("converge --energy 1 --t-max -1e-3 --m-list 4,8",
+     "converge --energy 1 --t-max=-1e-3 --m-list 4,8"),
+    ("evolve --engine continuous --energy 1 --t-max 1 --steps 2 --psi0 -1,0",
+     "evolve --engine continuous --energy 1 --t-max 1 --steps 2 --psi0=-1,0"),
+    ("evolve --engine continuous --energy 1 --t-max 1 --steps 2 --psi0 -0.6,0.8j",
+     "evolve --engine continuous --energy 1 --t-max 1 --steps 2 --psi0=-0.6,0.8j"),
+    ("modes --energy 1 --hbar -inf", "modes --energy 1 --hbar=-inf"),
+]
+
+
+@pytest.mark.parametrize("spaced, joined", DASHED_VALUES,
+                         ids=["converge", "evolve", "evolve-complex", "modes"])
+def test_a_flag_value_may_start_with_a_dash_in_either_spelling(capsys, spaced, joined):
+    # the token after a value flag is its value, whatever its first character
+    results = []
+    for line in (spaced, joined):
+        try:
+            code = main(line.split())
+        except SystemExit as exc:  # argparse
+            code = exc.code
+        results.append((code, *capsys.readouterr()))
+    assert results[0] == results[1]
+    assert results[0][0] in (0, 2) and "expected one argument" not in results[0][2]
+
+
+@pytest.mark.parametrize("argv", [["converge", "--energy", "1", "--t-max", "--m-list", "4,8"],
+                                  ["modes", "--energy", "-h"]])
+def test_an_option_after_a_value_flag_is_still_an_option(capsys, argv):
+    with pytest.raises(SystemExit) as info:
+        main(argv)
+    assert info.value.code == 2
+    assert "expected one argument" in capsys.readouterr().err
 
 
 def test_kaon_epsilon_null(tmp_path):
@@ -335,18 +375,27 @@ def test_converge_m_list_takes_integral_numbers(capsys):
         "", "error: bad value for 'm_list': expected an integer, got '8.5'\n")
 
 
-# parameter -> (the command line before its flag, the scan quantity and the
-# other fixed values of a spec that sets it, the kaon observable of a config
-# that sets it or None)
+POSITIVE_EDGES = ("0", "-1", "inf", "-inf")
+# parameter -> (the command line before its flag or None, the scan quantity
+# and the other fixed values of a spec that sets it, the kaon observable of a
+# config that sets it or None, values that its domain refuses)
 ONE_PARAMETER = {
-    "n": (["modes", "--energy", "1"], "mode_report", {"energy": 1}, "epsilon"),
-    "energy": (["modes"], "mode_report", {}, None),
-    "hbar": (["modes", "--energy", "1"], "mode_report", {"energy": 1}, "epsilon"),
-    "convention": (["modes", "--energy", "1"], "mode_report", {"energy": 1}, None),
+    "n": (["modes", "--energy", "1"], "mode_report", {"energy": 1}, "epsilon",
+          POSITIVE_EDGES),
+    "energy": (["modes"], "mode_report", {}, None, POSITIVE_EDGES),
+    "hbar": (["modes", "--energy", "1"], "mode_report", {"energy": 1}, "epsilon",
+             POSITIVE_EDGES),
+    "convention": (["modes", "--energy", "1"], "mode_report", {"energy": 1}, None,
+                   POSITIVE_EDGES),
     "steps": (["evolve", "--engine", "continuous", "--energy", "1", "--t-max", "1"],
-              "trajectory-observable", {"energy": 1, "t_max": 1}, "2pi"),
+              "trajectory-observable", {"energy": 1, "t_max": 1}, "2pi", POSITIVE_EDGES),
     "engine": (["evolve", "--energy", "1", "--t-max", "1", "--steps", "1"],
-               "trajectory-observable", {"energy": 1, "t_max": 1, "steps": 1}, None),
+               "trajectory-observable", {"energy": 1, "t_max": 1, "steps": 1}, None,
+               POSITIVE_EDGES),
+    "gamma_s": (None, "width_shift", {"mixing_e": 1}, "width-shift", ("inf", "-inf", "nan")),
+    "psi0": (["evolve", "--engine", "continuous", "--energy", "1", "--t-max", "1",
+              "--steps", "2"], "trajectory-observable", {"energy": 1, "t_max": 1, "steps": 2},
+             None, ("inf,0", "0,-inf", "nan,0")),
 }
 
 
@@ -375,11 +424,12 @@ def test_a_flag_a_spec_key_and_a_config_key_are_one_parameter(tmp_path, monkeypa
     # included. What an accepted value meets next (a row status) is the
     # command's own.
     monkeypatch.chdir(tmp_path)
-    flag, quantity, fixed, observable = ONE_PARAMETER[key]
-    domain = ("0", "-1", "inf", "-inf")
+    flag, quantity, fixed, observable, domain = ONE_PARAMETER[key]
     for value in ("1", "1.0", "1.5", "abc", "1e400", "nan", str(10 ** 400),
                   "12345678901234567891", *domain):
-        ways = {"flag": _refusal(capsys, [*flag, f"--{key.replace('_', '-')}={value}"])}
+        ways = {}
+        if flag:
+            ways["flag"] = _refusal(capsys, [*flag, f"--{key.replace('_', '-')}={value}"])
         Path("s.json").write_text(json.dumps(
             {"quantity": quantity, "grid": [], "fixed": {**fixed, key: value}}))
         ways["spec"] = _refusal(capsys, ["scan", "--spec", "s.json"])
@@ -389,8 +439,8 @@ def test_a_flag_a_spec_key_and_a_config_key_are_one_parameter(tmp_path, monkeypa
                                                "--observable", observable])
         refused = {way: text is not None for way, (_, text) in ways.items()}
         assert len(set(refused.values())) == 1, (value, ways)
-        assert refused["flag"] or value not in domain, (value, ways)
-        if refused["flag"]:
+        assert all(refused.values()) or value not in domain, (value, ways)
+        if all(refused.values()):
             assert {code for code, _ in ways.values()} == {2}, (value, ways)
             assert len({text for _, text in ways.values()}) == 1, (value, ways)
 

@@ -395,18 +395,25 @@ def one_odd(**plain):
         st.sampled_from([None, *plain]), st.sampled_from(EDGES))
 
 
-def options(values: dict) -> list[str]:
-    return [f"--{key.replace('_', '-')}={v}" for key, v in values.items()]
+def options(command: str):
+    """The strategy, given a dict of values, of the argv of `command` with a
+    flag per value, each drawn as `--flag=value` or as `--flag value`."""
+    def spell(values, joined):
+        flags = [f"--{key.replace('_', '-')}" for key in values]
+        return [command, *(tok for flag, v, j in zip(flags, values.values(), joined)
+                           for tok in ([f"{flag}={v}"] if j else [flag, str(v)]))]
+    return lambda values: st.lists(st.booleans(), min_size=len(values),
+                                   max_size=len(values)).map(lambda j: spell(values, j))
 
 
 CHRONON = {"energy": [1, 0.5, 2], "n": [1, 2], "tau_scale": [1, 0.5], "hbar": [1, 2]}
-modes_argv = one_odd(**CHRONON, convention=["paper", "standard"], format=["csv", "json"]).map(
-    lambda v: ["modes", *options(v)])
+modes_argv = one_odd(**CHRONON, convention=["paper", "standard"],
+                     format=["csv", "json"]).flatmap(options("modes"))
 evolve_argv = one_odd(engine=["continuous", "discrete"], **CHRONON, t_max=[1, 2],
-                      steps=[1, 2], psi0=["1,0", "0.6,0.8j"], format=["csv", "json"]).map(
-    lambda v: ["evolve", *options(v)])
+                      steps=[1, 2], psi0=["1,0", "0.6,0.8j"], format=["csv", "json"]).flatmap(
+    options("evolve"))
 converge_argv = one_odd(energy=[1, 2], t_max=[1, -1], m_list=["16,32", "2"], hbar=[1, 2],
-                        format=["csv", "json"]).map(lambda v: ["converge", *options(v)])
+                        format=["csv", "json"]).flatmap(options("converge"))
 kaon_case = st.tuples(
     st.just("kaon"),
     one_odd(mixing_e=[1, 2], gamma_s=[0.1, 0.5], gamma_l=[0.001, 0], delta_re=[0, 0.01],
@@ -470,7 +477,8 @@ def test_cli_exit_codes_over_odd_inputs(tmp_path_factory, case):
     if code != 0:
         assert out == "", argv
         return
-    rows = json.loads(out) if "--format=json" in argv else list(csv.DictReader(io.StringIO(out)))
+    rows = (json.loads(out) if {"--format=json", "json"} & set(argv)
+            else list(csv.DictReader(io.StringIO(out))))
     for row in rows:
         if row.get("status", "ok") == "ok":
             assert "nan" not in row.values(), (argv, row)

@@ -186,6 +186,7 @@ SCHEMA_ERROR = ("bad value for 'quantity': expected one of ['mode_report', 'epsi
      "time grid must be strictly increasing and uniform"),
     (lambda: KaonModel(0.0, 0.1, 0.0), "mixing_energy must be positive and finite"),
     (lambda: KaonModel(1.0, 0.1, 0.2), "widths must satisfy gamma_short >= gamma_long >= 0"),
+    (lambda: KaonModel(1.0, float("inf"), 0.0), "gamma_short and gamma_long must be finite"),
     (lambda: KaonModel(1.0, 0.1, 0.0, delta=complex(0, float("inf"))),
      "delta must be finite"),
     (lambda: ScanAxis("x", float("nan"), 1.0, 2), "axis 'x': start and stop must be finite"),
