@@ -152,7 +152,7 @@ def help_group() -> tuple[str, dict[str, str | bytes], list[list[str]]]:
 
 
 def errors_group() -> tuple[str, dict[str, str | bytes], list[list[str]]]:
-    """Malformed inputs, each of which but the last three should exit 2
+    """Malformed inputs, each of which but the last five should exit 2
     with one line on stderr:
     spec files with a malformed value, field type, nesting, encoding or axis
     key, an axis count and a max_points past the double range, a kaon config
@@ -160,7 +160,8 @@ def errors_group() -> tuple[str, dict[str, str | bytes], list[list[str]]]:
     `--format xml`, `evolve` and `kaon --observable 2pi` trajectories of
     1e12 steps, over the row cap, two discrete kaon trajectories whose
     step count t_max / (n tau) is infinite or has 301 digits, three whose
-    t_max is -inf, nan or -1, a discrete `evolve` with t_max -1,
+    t_max is -inf, nan or -1, kaon trajectories without `steps` on the
+    continuous engine and without `t_max`, a discrete `evolve` with t_max -1,
     `converge` at t_max inf and nan, a continuous `evolve` and a
     `converge` at the subnormal hbar 1e-320; and flags that are numbers of
     the wrong kind or past the double range: `modes --n` 1.0 and 1.5,
@@ -182,9 +183,12 @@ def errors_group() -> tuple[str, dict[str, str | bytes], list[list[str]]]:
     configs with `gamma_s = inf` and `nan` under `--observable width-shift`;
     `modes --hbar -inf` with the value as its own token; last, a `converge`
     whose step map overflows, which exits 0 with both rows invalid and
-    nothing on stderr, and two well-formed commands with a value that starts
+    nothing on stderr, two well-formed commands with a value that starts
     with '-' as its own token, `converge --t-max -1e-3` and `evolve --psi0
-    -1,0`, which exit 0."""
+    -1,0`, a discrete kaon trajectory whose 10 steps come from t_max / (n
+    tau), and a width_shift scan whose gamma_s axis runs from -1.7e308 to
+    1.7e308, so that its bounds differ by more than the double range; these
+    exit 0."""
     axis = {"name": "mixing_e", "start": 1.0, "stop": 2.0, "count": 2}
     specs = {
         "not_json": "{not json",
@@ -220,6 +224,8 @@ def errors_group() -> tuple[str, dict[str, str | bytes], list[list[str]]]:
         "fixed_psi0_inf": {"quantity": "trajectory-observable", "grid": [],
                            "fixed": {"energy": 1, "t_max": 1, "steps": 2, "psi0": "inf,0"}},
         "ok": {"quantity": "mode_report", "grid": [], "fixed": {"energy": 1.0}},
+        "span_past_double": {"quantity": "width_shift", "fixed": {"mixing_e": 1}, "grid": [
+            {"name": "gamma_s", "start": -1.7e308, "stop": 1.7e308, "count": 3}]},
     }
     files = {f"{name}.json": spec if isinstance(spec, str) else json.dumps(spec)
              for name, spec in specs.items()}
@@ -234,7 +240,10 @@ def errors_group() -> tuple[str, dict[str, str | bytes], list[list[str]]]:
         files[f"t_max_{name}.cfg"] = f"mixing_e = 1.0\nt_max = {t_max}\n"
     for gamma_s in ("inf", "nan"):
         files[f"gamma_s_{gamma_s}.cfg"] = f"mixing_e = 1.0\ngamma_s = {gamma_s}\n"
-    commands = [["scan", "--spec", f"{name}.json"] for name in specs if name != "ok"]
+    files["t_max_only.cfg"] = "mixing_e = 1.0\nt_max = 10\n"
+    files["no_t_max.cfg"] = "mixing_e = 1.0\nsteps = 4\n"
+    commands = [["scan", "--spec", f"{name}.json"] for name in specs
+                if name not in ("ok", "span_past_double")]
     commands += [["scan", "--spec", "not_utf8.json"],
                  ["kaon", "--config", "not_utf8.cfg", "--observable", "epsilon"],
                  ["converge", "--energy", "1", "--t-max", "1", "--m-list", ""],
@@ -248,6 +257,8 @@ def errors_group() -> tuple[str, dict[str, str | bytes], list[list[str]]]:
                   "--engine", "discrete"]
                  for name in ("quotient_inf", "quotient_huge", "t_max_neg_inf", "t_max_nan",
                               "t_max_neg")]
+    commands += [["kaon", "--config", "t_max_only.cfg", "--observable", "3pi"],
+                 ["kaon", "--config", "no_t_max.cfg", "--observable", "2pi"]]
     commands.append(["evolve", "--engine", "discrete", "--energy", "1", "--t-max", "-1",
                      "--steps", "4"])
     commands += [["converge", "--energy", "1", "--t-max", t_max, "--m-list", "4,8"]
@@ -279,7 +290,10 @@ def errors_group() -> tuple[str, dict[str, str | bytes], list[list[str]]]:
                  ["converge", "--energy", "1e300", "--t-max", "1e300", "--m-list", "4,8"],
                  ["converge", "--energy", "1", "--t-max", "-1e-3", "--m-list", "4,8"],
                  ["evolve", "--engine", "continuous", "--energy", "1", "--t-max", "1",
-                  "--steps", "2", "--psi0", "-1,0"]]
+                  "--steps", "2", "--psi0", "-1,0"],
+                 ["kaon", "--config", "t_max_only.cfg", "--observable", "2pi",
+                  "--engine", "discrete"],
+                 ["scan", "--spec", "span_past_double.json"]]
     return "errors", files, commands
 
 

@@ -7,6 +7,12 @@ the file as `<out>.manifest.json`. A parameter flag is built from
 spec or kaon config key of the same name is. A flag's value may start
 with '-' whether it is written `--flag=value` or `--flag value`.
 
+Each command is a params step and a table function in `COMMANDS`: the
+first reads the flags, and the config or spec they name, into the dict that
+the manifest records; the second makes the table from that dict alone.
+`run_scan`, `convergence_study` and the emitters are looked up in this
+module when they are called, where perfbench's tracer rebinds them.
+
 Exit codes: 0 ok, 2 invalid arguments or spec, 3 numeric-domain error
 (singular or degenerate map, overflow) or any other lab error, 4 I/O error.
 
@@ -21,16 +27,11 @@ from __future__ import annotations
 import argparse
 import sys
 
-from .errors import USAGE_ERRORS, ChrononLabError, InvalidInput, RefusedTooLarge
-from .evolution import (DEFAULT_GRID_CAP, PARAMETERS, chronon_of, coerce_param, evolve,
-                        parse_complex_pair, symmetric_hamiltonian)
+from .errors import USAGE_ERRORS, ChrononLabError
+from .evolution import (PARAMETERS, chronon_of, coerce_param, evolve, parse_complex_pair,
+                        symmetric_hamiltonian)
 from .runner import (FORMATS, Table, convergence_study, emit, emit_with_manifest,
                      float_column, run_scan, stack_columns)
-
-
-def _add_output_args(sub):
-    sub.add_argument("--format", metavar="{%s}" % ",".join(FORMATS), default="csv")
-    sub.add_argument("--out", default=None, help="output path (writes a manifest too)")
 
 
 _MODES = ("energy", "n", "tau_scale", "hbar", "convention")
@@ -54,14 +55,30 @@ def _add_params(sub, names, required=()):
 
 def _params(args, names) -> dict:
     """The flags of `names` coerced as spec and config keys are, or their defaults."""
-    given = {name: getattr(args, name) for name in names}
-    return {k: PARAMETERS[k][1] if v is None else coerce_param(k, v, PARAMETERS[k][0])
-            for k, v in given.items()}
+    return {k: PARAMETERS[k][1] if (v := getattr(args, k)) is None
+            else coerce_param(k, v, PARAMETERS[k][0]) for k in names}
 
 
-def _cmd_modes(args):
+def _kaon_params(args) -> dict:
+    from .quantities import load_kaon_config
+    engine = _params(args, ("engine",))["engine"]  # a bad flag is refused before the file is read
+    return {"config": str(args.config), "observable": args.observable, "engine": engine,
+            **load_kaon_config(args.config)}
+
+
+def _scan_params(args) -> dict:
+    from .quantities import ScanSpec
+    return {"workers": args.workers, "spec": ScanSpec.from_json_file(args.spec).to_dict()}
+
+
+def _converge_params(args) -> dict:
+    params = _params(args, ("energy", "t_max"))  # the first bad flag in this order is refused
+    m_list = [coerce_param("m_list", tok, int) for tok in args.m_list.split(",") if tok.strip()]
+    return {**params, "m_list": m_list, **_params(args, ("hbar",))}
+
+
+def _modes(params) -> Table:
     from .quantities import MODE_FIELDS, point_row
-    params = _params(args, _MODES)
     cells = point_row("mode_report", params)  # the symmetric H, diag 0
     cols = {c: stack_columns(cells[f"mode{k}_{c}"] for k in (0, 1)) for c in MODE_FIELDS}
     # direction: the sign of Im h_eff, that of ln|lambda|: |lambda| grows (1),
@@ -72,79 +89,48 @@ def _cmd_modes(args):
     ims = cols["heff_im"][0].tolist()
     growth = params["convention"] == "standard"
     ratios = {c: cols.pop(c) for c in MODE_FIELDS[-2:]}
-    table = Table({
+    return Table({
         "mode": [0, 1], **cols,
         "direction": [(im > 0) - (im < 0) for im in ims],
         "reading": ["steady" if im == 0 else "growth" if (im > 0) == growth else "decay"
                     for im in ims],
         **ratios, "nu_nonhermitian": stack_columns([cells["nu_nonhermitian"]] * 2)})
-    return table, {"command": "modes", **params}
 
 
-def _cmd_evolve(args):
-    params = _params(args, _EVOLVE)
+def _evolve(params) -> Table:
     p, units = chronon_of(params, "energy")
     traj = evolve(symmetric_hamiltonian(params["energy"]), parse_complex_pair(params["psi0"]),
                   params["engine"], params["t_max"], params["steps"], p, units)
     a0, a1 = traj.states.T
-    table = Table({name: float_column(col) for name, col in (
+    return Table({name: float_column(col) for name, col in (
         ("t", traj.times), ("a0_re", a0.real), ("a0_im", a0.imag), ("a1_re", a1.real),
         ("a1_im", a1.imag), ("norm2", traj.norm_sq()))})
-    return table, {"command": "evolve", **params}
 
 
-def _cmd_kaon(args):
-    from .kaon import kaon_trajectory, three_pion_intensity, two_pion_intensity
-    from .quantities import kaon_from_config, load_kaon_config, point_row
-    engine = _params(args, ("engine",))["engine"]  # a bad flag is refused before the file is read
-    cfg = load_kaon_config(args.config)
-    params = {"command": "kaon", "config": str(args.config),
-              "observable": args.observable, "engine": engine, **cfg}
-
-    if args.observable in ("2pi", "3pi"):
-        model, p = kaon_from_config(cfg)
-        t_max = cfg.get("t_max")
-        if t_max is None:
-            raise InvalidInput("config must set t_max for trajectory observables")
-        steps = cfg.get("steps")
-        if steps is None:
-            if engine == "discrete":
-                count = t_max / p.step(model.units)
-                # checked before rounding, as the quotient may be inf or have
-                # 300 digits; printed to the cap's 7 digits. One just below the
-                # cap is rounded and left to evolve's check.
-                if not count < DEFAULT_GRID_CAP:
-                    raise RefusedTooLarge(f"trajectory has {count:.7g} steps, {count + 1:.7g} "
-                                          f"rows; cap is {DEFAULT_GRID_CAP} rows")
-                steps = max(1, round(count))
-            else:
-                raise InvalidInput("config must set steps for continuous trajectories")
-        traj = kaon_trajectory(model, engine, t_max, steps, p, cfg["psi0"])
-        t, rate = (two_pion_intensity if args.observable == "2pi"
+def _kaon(params) -> Table:  # of the config's values; its path is only recorded
+    from .quantities import kaon_from_config, point_row
+    observable = params["observable"]
+    if observable in ("2pi", "3pi"):
+        from .kaon import kaon_trajectory, three_pion_intensity, two_pion_intensity
+        model, p = kaon_from_config(params)
+        traj = kaon_trajectory(model, params["engine"], params.get("t_max"),
+                               params.get("steps"), p, params["psi0"])
+        t, rate = (two_pion_intensity if observable == "2pi"
                    else three_pion_intensity)(traj, model)
-        return Table({"t": float_column(t), "rate": float_column(rate)}), params
-
+        return Table({"t": float_column(t), "rate": float_column(rate)})
     # one point of the scan evaluators, raising so that domain errors exit 3
-    if args.observable == "epsilon":
-        cols = {"engine": [engine], **point_row("epsilon", {**cfg, "engine": engine})}
-    else:  # width-shift (engine-independent)
-        cols = point_row("width_shift", cfg)
-    return Table(cols), params
+    if observable == "epsilon":
+        return Table({"engine": [params["engine"]], **point_row("epsilon", params)})
+    return Table(point_row("width_shift", params))  # width-shift (engine-independent)
 
 
-def _cmd_scan(args):
+def _scan(params) -> Table:
     from .quantities import ScanSpec
-    spec = ScanSpec.from_json_file(args.spec)
-    table = run_scan(spec, workers=args.workers)
-    return table, {"command": "scan", "workers": args.workers, "spec": spec.to_dict()}
+    return run_scan(ScanSpec.from_dict(params["spec"]), workers=params["workers"])
 
 
-def _cmd_converge(args):
-    params = _params(args, ("energy", "t_max"))
-    params["m_list"] = [coerce_param("m_list", tok, int)
-                        for tok in args.m_list.split(",") if tok.strip()]
-    params.update(_params(args, ("hbar",)))
-    return convergence_study(**params), {"command": "converge", **params}
+def _converge(params) -> Table:
+    return convergence_study(*(params[k] for k in ("energy", "t_max", "m_list", "hbar")))
 
 
 def _kaon_args(sub):
@@ -166,27 +152,28 @@ def _converge_args(sub):
     _add_params(sub, ("hbar",))
 
 
+# name -> (help, the arguments before --format and --out, params step, table function)
+COMMANDS = {
+    "modes": ("effective-energy report for the symmetric H",
+              lambda sub: _add_params(sub, _MODES), lambda args: _params(args, _MODES), _modes),
+    "evolve": ("generate a trajectory",
+               lambda sub: _add_params(sub, _EVOLVE, required=("engine",)),
+               lambda args: _params(args, _EVOLVE), _evolve),
+    "kaon": ("kaon-model observables from a config file", _kaon_args, _kaon_params, _kaon),
+    "scan": ("run a parameter scan from a JSON spec", _scan_args, _scan_params, _scan),
+    "converge": ("integrator convergence study", _converge_args, _converge_params, _converge),
+}
+
+
 def build_parser() -> argparse.ArgumentParser:
     """The parser of every command line: each subcommand with its arguments."""
-    parser = argparse.ArgumentParser(
-        prog="chronon-lab",
-        description="Quantized-time two-state evolution laboratory")
+    parser = argparse.ArgumentParser(prog="chronon-lab",
+                                     description="Quantized-time two-state evolution laboratory")
     subs = parser.add_subparsers(dest="command", required=True)
-    # name -> (help, the arguments before the output arguments, handler)
-    commands = {
-        "modes": ("effective-energy report for the symmetric H",
-                  lambda sub: _add_params(sub, _MODES), _cmd_modes),
-        "evolve": ("generate a trajectory",
-                   lambda sub: _add_params(sub, _EVOLVE, required=("engine",)), _cmd_evolve),
-        "kaon": ("kaon-model observables from a config file", _kaon_args, _cmd_kaon),
-        "scan": ("run a parameter scan from a JSON spec", _scan_args, _cmd_scan),
-        "converge": ("integrator convergence study", _converge_args, _cmd_converge),
-    }
-    for name, (help_text, add_args, handler) in commands.items():
-        sub = subs.add_parser(name, help=help_text)
-        add_args(sub)
-        _add_output_args(sub)
-        sub.set_defaults(handler=handler)
+    for name, (help_text, add_args, _, _) in COMMANDS.items():
+        add_args(sub := subs.add_parser(name, help=help_text))
+        sub.add_argument("--format", metavar="{%s}" % ",".join(FORMATS), default="csv")
+        sub.add_argument("--out", default=None, help="output path (writes a manifest too)")
     return parser
 
 
@@ -211,7 +198,9 @@ def main(argv=None) -> int:
     try:
         for key in (k for k in _CHOICES if k in vars(args)):
             coerce_param(key, getattr(args, key), _CHOICES[key])
-        table, params = args.handler(args)
+        _, _, params_of, table_of = COMMANDS[args.command]
+        params = {"command": args.command, **params_of(args)}  # what the manifest records
+        table = table_of(params)
         if args.out:
             emit_with_manifest(table, args.format, args.out, params)
         else:

@@ -21,11 +21,11 @@ import math
 
 import numpy as np
 
-from .errors import (DegenerateModes, InvalidInput, Lanes, Overflow, SingularMap,
-                     OnePoint, UndefinedRatio)
-from .evolution import (ENGINES, FINITE, NATURAL_UNITS, POSITIVE, ChrononParams,
-                        Trajectory, TwoState, UnitSystem, chronon_step, coerce_param,
-                        domain_check, evolve, step_check)
+from .errors import (DegenerateModes, InvalidInput, Lanes, Overflow, RefusedTooLarge,
+                     SingularMap, OnePoint, UndefinedRatio)
+from .evolution import (DEFAULT_GRID_CAP, ENGINES, FINITE, NATURAL_UNITS, POSITIVE,
+                        ChrononParams, Trajectory, TwoState, UnitSystem, chronon_step,
+                        coerce_param, domain_check, evolve, step_check)
 from .linalg2 import cdiv, eig2_stack
 from .record import Record
 from .spectrum import step_multipliers
@@ -124,10 +124,25 @@ def kaon_hamiltonian(model: KaonModel, basis: str = "cp") -> np.ndarray:
     return CP_TO_FLAVOR @ h_cp @ CP_TO_FLAVOR
 
 
-def kaon_trajectory(model: KaonModel, engine: str, t_max: float, steps: int,
-                    p: ChrononParams | None = None,
+def kaon_trajectory(model: KaonModel, engine: str, t_max: float | None,
+                    steps: int | None = None, p: ChrononParams | None = None,
                     psi0_label: str = "K0") -> Trajectory:
-    """Evolve a kaon state in the cp basis with either engine."""
+    """Evolve a kaon state in the cp basis with either engine, by the step
+    rule of a kaon config: t_max is required, and without `steps` a discrete
+    trajectory takes t_max / (n tau) of them, rounded (at least 1), where a
+    quotient not below the row cap, inf included, is RefusedTooLarge."""
+    if t_max is None:
+        raise InvalidInput("config must set t_max for trajectory observables")
+    if steps is None:
+        if coerce_param("engine", engine, ENGINES) == "continuous":
+            raise InvalidInput("config must set steps for continuous trajectories")
+        OnePoint.require(p is not None, InvalidInput, "discrete engine needs ChrononParams")
+        domain_check(OnePoint, "t_max", t_max)
+        count = t_max / p.step(model.units)  # checked before round(): it may be inf
+        if not count < DEFAULT_GRID_CAP:
+            raise RefusedTooLarge(f"trajectory has {count:.7g} steps, {count + 1:.7g} "
+                                  f"rows; cap is {DEFAULT_GRID_CAP} rows")
+        steps = max(1, round(count))
     h = kaon_hamiltonian(model, "cp")
     psi0 = TwoState(kaon_state(psi0_label, "cp"))
     return evolve(h, psi0, engine, t_max, steps, p, model.units,

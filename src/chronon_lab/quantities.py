@@ -72,7 +72,9 @@ class ScanAxis(Record):
             return np.array([float(self.start)])
         if self.spacing == "log":
             return np.geomspace(self.start, self.stop, self.count)
-        return np.linspace(self.start, self.stop, self.count)
+        # bounds that differ by more than the double range are halved (exactly) first
+        s = 2.0 if math.isinf(self.stop - self.start) else 1.0
+        return np.linspace(self.start / s, self.stop / s, self.count) * s
 
 
 class ScanSpec(Record):
@@ -258,16 +260,9 @@ def _eval_epsilon(params: dict, lanes: Lanes) -> dict:
 def _eval_width_shift(params: dict, lanes: Lanes) -> dict:
     from .kaon import width_shift_stack
     h, lam, gamma, gamma_eff = width_shift_stack(*_kaon_lanes(params, lanes), lanes)
-    cols = {}
-    for k, lbl in enumerate(("fast", "slow")):
-        cols[f"{lbl}_h_re"] = h[:, k].real
-        cols[f"{lbl}_h_im"] = h[:, k].imag
-        cols[f"{lbl}_lambda_re"] = lam[:, k].real
-        cols[f"{lbl}_lambda_im"] = lam[:, k].imag
-        cols[f"{lbl}_lambda_abs"] = np.hypot(lam[:, k].real, lam[:, k].imag)
-        cols[f"{lbl}_gamma_continuous"] = gamma[:, k]
-        cols[f"{lbl}_gamma_effective"] = gamma_eff[:, k]
-    return cols
+    per_mode = (h.real, h.imag, lam.real, lam.imag, np.hypot(lam.real, lam.imag), gamma,
+                gamma_eff)  # the column order of each mode in QUANTITY_COLUMNS
+    return dict(zip(QUANTITY_COLUMNS["width_shift"], (x[:, k] for k in (0, 1) for x in per_mode)))
 
 
 def _eval_trajectory_observable(params: dict, lanes: Lanes) -> dict:

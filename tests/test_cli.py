@@ -788,11 +788,56 @@ def test_evolve_overflow_exit_code():
 
 
 def test_unmapped_lab_error_exit_code(monkeypatch, capsys):
-    def broken(args):
+    def broken(params):
         raise ChrononLabError("internal consistency failure")
-    monkeypatch.setattr(cli, "_cmd_modes", broken)
+    monkeypatch.setitem(cli.COMMANDS, "modes", (*cli.COMMANDS["modes"][:3], broken))
     assert main(["modes", "--energy", "1"]) == 3
     assert "internal consistency failure" in capsys.readouterr().err
+
+
+# a command line per command, and per branch of the kaon table function
+TABLE_COMMANDS = {
+    "modes": ["modes", "--energy", "2", "--tau-scale", "0.5", "--convention", "standard"],
+    "evolve": ["evolve", "--engine", "discrete", "--energy", "1", "--t-max", "4", "--steps",
+               "4", "--psi0", "0.6,0.8j"],
+    "kaon-2pi": ["kaon", "--config", "model.cfg", "--observable", "2pi", "--engine",
+                 "discrete"],
+    "kaon-epsilon": ["kaon", "--config", "model.cfg", "--observable", "epsilon", "--engine",
+                     "discrete"],
+    "kaon-width-shift": ["kaon", "--config", "model.cfg", "--observable", "width-shift"],
+    "scan": ["scan", "--spec", "spec.json", "--workers", "2"],
+    "converge": ["converge", "--energy", "1", "--t-max", "1", "--m-list", "4,8,16", "--hbar",
+                 "2"],
+}
+
+
+@pytest.mark.parametrize("fmt", ["csv", "json"])
+@pytest.mark.parametrize("argv", TABLE_COMMANDS.values(), ids=TABLE_COMMANDS)
+def test_table_function_of_the_recorded_params_renders_the_output(
+        monkeypatch, tmp_path, argv, fmt):
+    # main runs parse -> params -> table -> emit: the table function, called
+    # again on the params that it took, which the manifest records, renders
+    # the bytes that main wrote (the kaon config's steps come from t_max)
+    monkeypatch.chdir(tmp_path)
+    Path("model.cfg").write_text("mixing_e = 1.0\ngamma_s = 0.1\ngamma_l = 0.001\n"
+                                 "delta_re = 0.01\nn = 2\ntau_scale = 0.25\nt_max = 5\n")
+    Path("spec.json").write_text(json.dumps({
+        "quantity": "mode_report", "fixed": {"tau_scale": "0.5"},
+        "grid": [{"name": "energy", "start": 1, "stop": 4, "count": 3}]}))
+    name = argv[0]
+    help_text, add_args, params_of, table_of = cli.COMMANDS[name]
+    taken = []
+
+    def recorded(params):
+        taken.append(params)
+        return table_of(params)
+
+    monkeypatch.setitem(cli.COMMANDS, name, (help_text, add_args, params_of, recorded))
+    assert main([*argv, "--format", fmt, "--out", "out"]) == 0
+    [params] = taken
+    assert params["command"] == name
+    assert runner.render(table_of(params), fmt) == Path("out").read_bytes()
+    assert json.loads(Path("out.manifest.json").read_text())["parameters"] == params
 
 
 def test_io_error_exit_code(tmp_path):

@@ -4,7 +4,8 @@ import mpmath
 import numpy as np
 import pytest
 
-from chronon_lab.errors import InvalidInput
+from chronon_lab import cli
+from chronon_lab.errors import GridMismatch, InvalidInput, RefusedTooLarge
 from chronon_lab.evolution import (ChrononParams, TwoState,
                                    discrete_step_operator, evolve)
 from chronon_lab.kaon import (CP_TO_FLAVOR, KaonModel, change_basis,
@@ -12,6 +13,7 @@ from chronon_lab.kaon import (CP_TO_FLAVOR, KaonModel, change_basis,
                               kaon_trajectory, three_pion_intensity,
                               two_pion_intensity, width_shift)
 from chronon_lab.linalg2 import is_hermitian
+from chronon_lab.quantities import kaon_from_config, load_kaon_config
 
 SQ2 = math.sqrt(2.0)
 
@@ -150,6 +152,72 @@ def test_intensity_accepts_flavor_basis_trajectory():
     want = two_pion_intensity(traj_cp, model, basis="cp")
     np.testing.assert_array_equal(got[0], want[0])
     np.testing.assert_allclose(got[1], want[1], atol=1e-12)
+
+
+# ---------------------------------------------------------------------------
+# the step rule of a kaon trajectory
+
+@pytest.mark.parametrize("t_max, tau_scale, steps", [
+    (10.0, 1.0, 10), (0.9, 0.3, 3), (5.0, 0.25, 20)])
+def test_discrete_steps_are_t_max_over_n_tau_rounded(t_max, tau_scale, steps):
+    # 0.9 / 0.3 is 3.0000000000000004
+    p = ChrononParams(energy=1.0, tau_scale=tau_scale)
+    traj = kaon_trajectory(natural_model(), "discrete", t_max, None, p)
+    assert len(traj) == steps + 1
+    explicit = kaon_trajectory(natural_model(), "discrete", t_max, steps, p)
+    np.testing.assert_array_equal(traj.states, explicit.states)
+
+
+def test_a_quotient_below_one_step_takes_one_and_evolve_refuses_the_grid():
+    with pytest.raises(GridMismatch, match="^t_max=0.25 is not an integer multiple"):
+        kaon_trajectory(natural_model(), "discrete", 0.25, None, ChrononParams(1.0))
+
+
+@pytest.mark.parametrize("t_max, tau_scale, text", [
+    (1e6, 1.0, "trajectory has 1000000 steps, 1000001 rows"),
+    (1e300, 1e-300, "trajectory has inf steps, inf rows"),
+    (1e200, 1e-100, "trajectory has 1e+300 steps, 1e+300 rows")])
+def test_discrete_steps_past_the_row_cap_are_refused(t_max, tau_scale, text):
+    # before rounding, whose int of an infinite quotient would raise
+    p = ChrononParams(energy=1.0, tau_scale=tau_scale)
+    with pytest.raises(RefusedTooLarge) as info:
+        kaon_trajectory(natural_model(), "discrete", t_max, None, p)
+    assert str(info.value) == f"{text}; cap is 1000000 rows"
+
+
+@pytest.mark.parametrize("engine, t_max, steps, p, text", [
+    ("discrete", None, 4, ChrononParams(1.0),
+     "config must set t_max for trajectory observables"),
+    ("continuous", None, None, None, "config must set t_max for trajectory observables"),
+    ("continuous", 10.0, None, None, "config must set steps for continuous trajectories"),
+    ("discrete", 10.0, None, None, "discrete engine needs ChrononParams"),
+    ("discrete", math.nan, None, ChrononParams(1.0), "t_max must be positive and finite"),
+    ("sideways", 10.0, None, None,
+     "bad value for 'engine': expected one of ['continuous', 'discrete'], got 'sideways'")])
+def test_trajectory_without_its_keys_is_refused(engine, t_max, steps, p, text):
+    with pytest.raises(InvalidInput) as info:
+        kaon_trajectory(natural_model(), engine, t_max, steps, p)
+    assert str(info.value) == text
+
+
+@pytest.mark.parametrize("keys, engine", [
+    ("t_max = 5\nn = 2\ntau_scale = 0.25\n", "discrete"),
+    ("t_max = 5\n", "continuous"), ("steps = 4\n", "discrete"),
+    ("t_max = 1e300\ntau_scale = 1e-300\n", "discrete")])
+def test_the_cli_and_the_api_read_a_config_by_one_rule(tmp_path, capsys, keys, engine):
+    cfg = tmp_path / "model.cfg"
+    cfg.write_text("mixing_e = 1.0\ngamma_s = 0.1\ngamma_l = 0.001\n" + keys)
+    values = load_kaon_config(cfg)
+    model, p = kaon_from_config(values)
+    code = cli.main(["kaon", "--config", str(cfg), "--observable", "2pi", "--engine", engine])
+    out, err = capsys.readouterr()
+    try:
+        traj = kaon_trajectory(model, engine, values.get("t_max"), values.get("steps"), p)
+    except (InvalidInput, RefusedTooLarge) as exc:
+        assert (code, out, err) == (2, "", f"error: {exc}\n")
+    else:
+        assert code == 0 and err == ""
+        assert len(out.splitlines()) == 1 + len(traj)  # the header and a row per time
 
 
 # ---------------------------------------------------------------------------

@@ -72,6 +72,14 @@ def test_eig2_ordering_and_phase_fix():
             assert abs(pivot.imag) < 1e-12
 
 
+def test_eig2_orders_a_tie_of_real_parts_by_imag():
+    # the root 1e-5 - 1.00000000005j moves the real parts by less than half an
+    # ulp of 1e20, so c + root and c - root tie there and are ordered by imag
+    lo, hi = eig2([[1e20, 1], [-1 - 2e-5j, 1e20]])
+    assert lo.value == 1e20 - 1.00000000005j
+    assert hi.value == 1e20 + 1.00000000005j
+
+
 def test_eig2_reconstruction_property():
     rng = np.random.default_rng(11)
     done = 0

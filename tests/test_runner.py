@@ -117,6 +117,21 @@ def test_scan_axis_values():
     np.testing.assert_array_equal(ScanAxis("x", 3.0, 9.0, 1).values(), [3.0])
 
 
+def test_linear_axis_whose_bounds_differ_past_the_double_range():
+    # stop - start overflows: the grid comes from the halved bounds, exactly,
+    # with no warning (which fails the test) and no value that is not finite
+    np.testing.assert_array_equal(ScanAxis("gamma_s", -1.7e308, 1.7e308, 3).values(),
+                                  [-1.7e308, 0.0, 1.7e308])
+    values = ScanAxis("x", -1e300, 1.7976931348623157e308, 4).values()
+    np.testing.assert_array_equal(values[[0, -1]], [-1e300, 1.7976931348623157e308])
+    assert (np.diff(values) > 0).all()
+    spec = ScanSpec.from_dict({"quantity": "width_shift", "fixed": {"mixing_e": 1}, "grid": [
+        {"name": "gamma_s", "start": -1.7e308, "stop": 1.7e308, "count": 3}]})
+    rows = list(run_scan(spec))
+    assert [(r["gamma_s"], r["status"]) for r in rows] == [
+        (-1.7e308, "InvalidInput"), (0.0, "ok"), (1.7e308, "ok")]
+
+
 def test_scan_non_integral_n_is_an_invalid_point():
     spec = ScanSpec.from_dict({
         "quantity": "mode_report",
