@@ -17,8 +17,8 @@ __version__ = "0.1.0"
 _EXPORTS = {
     "errors": ("ChrononLabError", "DegenerateModes", "GridMismatch", "InvalidInput",
                "Overflow", "RefusedTooLarge", "SingularMap", "UndefinedRatio"),
-    "evolution": ("ChrononParams", "NATURAL_UNITS", "SI_SECONDS", "Trajectory", "TwoState",
-                  "UnitSystem", "continuous_propagator", "discrete_step_operator", "evolve",
+    "evolution": ("ChrononParams", "NATURAL_UNITS", "Trajectory", "TwoState", "UnitSystem",
+                  "continuous_propagator", "discrete_step_operator", "evolve",
                   "symmetric_hamiltonian"),
     "kaon": ("KaonModel", "epsilon_mixing", "kaon_hamiltonian", "kaon_state",
              "kaon_trajectory", "three_pion_intensity", "two_pion_intensity", "width_shift"),

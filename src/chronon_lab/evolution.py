@@ -106,14 +106,10 @@ class UnitSystem(Record):
 
     def __init__(self, hbar: float = 1.0, lanes=OnePoint):
         domain_check(lanes, "hbar", hbar)
-        super().__init__(hbar)
+        Record.__init__(self, hbar)
 
 
 NATURAL_UNITS = UnitSystem()
-
-# Time in seconds, energies expressed as hbar times an angular frequency,
-# so hbar is numerically 1 and E/hbar is read directly in 1/s.
-SI_SECONDS = UnitSystem(hbar=1.0)
 
 
 class ChrononParams(Record):
@@ -132,7 +128,7 @@ class ChrononParams(Record):
         OnePoint.require(n <= sys.float_info.max, InvalidInput,
                          "n must not exceed the largest double, about 1.8e308")
         domain_check(OnePoint, "tau_scale", tau_scale)
-        super().__init__(energy, n, tau_scale)
+        Record.__init__(self, energy, n, tau_scale)
 
     def tau(self, units: UnitSystem = NATURAL_UNITS) -> float:
         return self.tau_scale * units.hbar / self.energy
@@ -209,7 +205,7 @@ class TwoState(Record):
         if a.shape != (2,):
             raise InvalidInput(f"expected 2 amplitudes, got shape {a.shape}")
         amplitude_check(OnePoint, a)
-        super().__init__(a)
+        Record.__init__(self, a)
 
     @property
     def norm_sq(self) -> float:
@@ -225,6 +221,7 @@ class Trajectory(Record):
 
     __slots__ = ("times", "states", "engine")
 
+    @np.errstate(all="ignore")
     def __init__(self, times: np.ndarray, states: np.ndarray, engine: str):
         t = np.asarray(times, dtype=np.float64)
         s = np.asarray(states, dtype=np.complex128)
@@ -232,15 +229,12 @@ class Trajectory(Record):
             raise InvalidInput("times and states have mismatched shapes")
         coerce_param("engine", engine, ENGINES)
         d = np.diff(t)
-        if t.shape[0] > 1:
-            h = d[0]
-            # spacing jitter is measured against the grid span: double-
-            # precision grids cannot be more uniform than eps * t_max
-            span = float(t[-1] - t[0])
-            if h <= 0 or np.any(d <= 0) or \
-                    np.max(np.abs(d - h)) > 1e-12 * max(abs(h), span):
-                raise InvalidInput("time grid must be strictly increasing and uniform")
-        super().__init__(t, s, engine)
+        # finite positive steps, quietly, whose jitter is measured against the grid
+        # span: double-precision grids cannot be more uniform than eps * t_max
+        if d.size and not (POSITIVE[0](d).all()
+                           and np.max(np.abs(d - d[0])) <= 1e-12 * (t[-1] - t[0])):
+            raise InvalidInput("time grid must be strictly increasing and uniform")
+        Record.__init__(self, t, s, engine)
 
     def __len__(self) -> int:
         return int(self.times.shape[0])

@@ -26,9 +26,9 @@ from .errors import (DegenerateModes, InvalidInput, Lanes, Overflow, RefusedTooL
 from .evolution import (DEFAULT_GRID_CAP, ENGINES, FINITE, NATURAL_UNITS, POSITIVE,
                         ChrononParams, Trajectory, TwoState, UnitSystem, chronon_step,
                         coerce_param, domain_check, evolve, step_check)
-from .linalg2 import cdiv, eig2_stack
+from .linalg2 import _modulus, cdiv, eig2_stack
 from .record import Record
-from .spectrum import step_multipliers
+from .spectrum import _lane_column, step_multipliers
 
 BASES = ("cp", "flavor")
 
@@ -57,7 +57,7 @@ class KaonModel(Record):
                      np.maximum(abs(gamma_short), abs(gamma_long)), FINITE)
         width_check(OnePoint, gamma_short, gamma_long)
         domain_check(OnePoint, "delta", np.array([d.real, d.imag]), FINITE)
-        super().__init__(mixing_energy, gamma_short, gamma_long, delta, units)
+        Record.__init__(self, mixing_energy, gamma_short, gamma_long, delta, units)
 
 
 def width_check(lanes, gamma_short, gamma_long) -> None:
@@ -185,27 +185,24 @@ class ModeWidths(Record):
 
     __slots__ = ("h_generator", "lambda_step", "gamma_continuous", "gamma_effective")
 
-    def __init__(self, h_generator: complex, lambda_step: complex,
-                 gamma_continuous: float, gamma_effective: float):
-        super().__init__(h_generator, lambda_step, gamma_continuous, gamma_effective)
-
 
 @np.errstate(all="ignore")  # failed lanes carry nan and inf; their values are not used
 def _mode_widths(h, step, hbar, lanes: Lanes):
     """H's eigenpairs (`eig2_stack`) and per-mode multipliers lambda, decay
     rates -2 Im(h) / hbar and effective rates -2 ln|lambda| / (n tau) of a
     stack of kaon H, with the n tau `step` (checked after the eigenvalues)
-    and hbar of each lane. A zero multiplier gets the effective rate +inf
-    (gone after one step); a multiplier or rate that is not finite
-    otherwise is Overflow on its lane."""
+    and hbar of each lane. A multiplier or rate that is not finite is
+    Overflow on its lane, except the rate of a zero multiplier, which no
+    caller reads (each refuses the lane as SingularMap or ranks by gamma)."""
     values, vectors, degenerate = eig2_stack(h, lanes)
     step_check(lanes, step)
-    step, hbar = np.reshape(step, (-1, 1)), np.reshape(hbar, (-1, 1))
+    step, hbar = _lane_column(step), _lane_column(hbar)
     _, lam, log_mag = step_multipliers(values, step, hbar)
-    gamma = -2.0 * values.imag / hbar
+    gamma = -2.0 * (values.imag / hbar)  # -2 Im h may overflow where the rate does not
     zero = lam == 0
-    gamma_eff = np.where(zero, np.inf, -2.0 * log_mag / step)
-    finite = np.isfinite(lam) & np.isfinite(gamma) & (np.isfinite(gamma_eff) | zero)
+    gamma_eff = -2.0 * log_mag / step
+    # a lambda that is not finite makes gamma_eff -inf
+    finite = np.isfinite(gamma) & (np.isfinite(gamma_eff) | zero)
     lanes.require(finite.all(axis=1), Overflow,
                   "a multiplier or decay rate is not finite in double precision")
     return values, vectors, degenerate, lam, gamma, gamma_eff
@@ -221,8 +218,8 @@ def epsilon_stack(h, step, hbar, engine: str, lanes: Lanes) -> np.ndarray:
         lanes.fail((lam == 0).any(axis=1), SingularMap, "step map has a zero eigenvalue")
     keys = gamma_eff if engine == "discrete" else gamma
     key_scale = np.maximum(np.abs(keys[:, 0]), np.abs(keys[:, 1]))
-    tie = (np.abs(keys[:, 0] - keys[:, 1]) <= 1e-12 * key_scale) | (key_scale == 0.0)
-    w = np.hypot(vectors[:, :, 1].real, vectors[:, :, 1].imag)
+    tie = np.abs(keys[:, 0] - keys[:, 1]) <= 1e-12 * key_scale
+    w = _modulus(vectors[:, :, 1])
     lanes.fail(tie & (np.abs(w[:, 0] - w[:, 1]) <= 1e-12), DegenerateModes,
                "modes have equal decay rate and equal CP content")
     slow = np.where(np.where(tie, w[:, 0] > w[:, 1], keys[:, 0] < keys[:, 1])[:, None],
@@ -257,17 +254,16 @@ def width_shift_stack(h, step, hbar, lanes: Lanes):
     on `lanes`."""
     values, _, _, lam, gamma, gamma_eff = _mode_widths(h, step, hbar, lanes)
     lanes.fail((lam == 0).any(axis=1), SingularMap, "step map has a zero eigenvalue")
-    # fast first: larger continuous width, ties broken by larger Re h
-    fast0 = (gamma[:, 0] > gamma[:, 1]) | (
-        (gamma[:, 0] == gamma[:, 1]) & (values[:, 0].real >= values[:, 1].real))
+    # fast first: the smaller Im h, the larger width; on a tie column 1, the larger Re h
+    fast0 = values[:, 0].imag < values[:, 1].imag
     return tuple(np.where(fast0[:, None], x, x[:, ::-1]) for x in (values, lam, gamma, gamma_eff))
 
 
 def width_shift(model: KaonModel, p: ChrononParams) -> tuple[ModeWidths, ModeWidths]:
     """Per-mode decay rates of the generator vs the chronon step map.
 
-    Modes are ordered fast first (larger continuous width, ties broken by
-    larger Re h, i.e. the K1-like mode first in the CP-conserving model).
+    Modes are ordered fast first (smaller Im h, i.e. larger continuous width;
+    ties broken by larger Re h, the K1-like mode in the CP-conserving model).
     The one-model case of `width_shift_stack`.
     """
     h, lam, gamma, gamma_eff = width_shift_stack(*_one_model(model, p), OnePoint)

@@ -76,9 +76,6 @@ class EigenPair2(Record):
 
     __slots__ = ("value", "vector", "degenerate")
 
-    def __init__(self, value: complex, vector: np.ndarray, degenerate: bool):
-        super().__init__(value, vector, degenerate)
-
 
 def _pow2_scale(x):
     """The power of two that puts a positive x in [0.5, 1), at most 2^1023
@@ -171,7 +168,6 @@ def eig2_stack(a: np.ndarray, lanes: Lanes):
                   "eigenvalues are not finite in double precision")
     # the tests and the vectors in the scaled units of m: nothing overflows
     lam = values * s[:, None]
-    m00, m01, m10, m11 = (m[:, i, j, None] for i, j in ((0, 0), (0, 1), (1, 0), (1, 1)))
     mod = _modulus(m)
     scale = np.sqrt((mod * mod).sum(axis=(-2, -1)))
     degenerate = np.abs(lam[:, 1] - lam[:, 0]) <= DEFAULT_TOL * scale
@@ -181,12 +177,13 @@ def eig2_stack(a: np.ndarray, lanes: Lanes):
     scalar = degenerate & (off <= DEFAULT_TOL * np.maximum(scale, s))
     # of the two vectors the rows of M - lam I annihilate, (m01, lam - m00)
     # and (lam - m11, m10), the longer cancels least; row 0 on a tie
-    n0 = np.maximum(_modulus(m01), _modulus(lam - m00))
-    n1 = np.maximum(_modulus(lam - m11), _modulus(m10))
+    d0, d1 = lam - m[:, 0, 0, None], lam - m[:, 1, 1, None]
+    n0 = np.maximum(mod[:, 0, 1, None], _modulus(d0))
+    n1 = np.maximum(_modulus(d1), mod[:, 1, 0, None])
     first = n0 >= n1
     top = _pow2_scale(np.where(first, n0, n1))
-    x = np.where(first, m01, lam - m11) * top
-    y = np.where(first, lam - m00, m10) * top
+    x = np.where(first, m[:, 0, 1, None], d1) * top
+    y = np.where(first, d0, m[:, 1, 0, None]) * top
     norm = np.sqrt((x.real * x.real + y.real * y.real) + (x.imag * x.imag + y.imag * y.imag))
     x, y = x / norm, y / norm
     # phase: the first component above the pivot threshold real and positive

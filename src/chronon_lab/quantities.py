@@ -29,6 +29,7 @@ from .errors import InvalidInput, Lanes, OnePoint, Overflow
 from .evolution import (COUNT, DEFAULT_GRID_CAP, FINITE, PARAMETERS, UnitSystem, chronon_of,
                         chronon_step, coerce_param, domain_check, final_states,
                         parse_complex_pair, parse_direction, symmetric_stack)
+from .linalg2 import _modulus
 from .record import Record
 from .runner import Table
 
@@ -56,7 +57,7 @@ class ScanAxis(Record):
             raise InvalidInput(f"axis {name!r}: {exc}") from exc
         if spacing == "log" and (start <= 0 or stop <= 0):
             raise InvalidInput(f"axis {name!r}: log spacing needs positive bounds")
-        super().__init__(name, start, stop, count, spacing)
+        Record.__init__(self, name, start, stop, count, spacing)
 
     @classmethod
     def from_dict(cls, a: dict) -> "ScanAxis":
@@ -105,7 +106,7 @@ class ScanSpec(Record):
         if overlap:
             raise InvalidInput(f"parameters {sorted(overlap)} both fixed and scanned")
         domain_check(OnePoint, "max_points", max_points, COUNT)
-        super().__init__(quantity, grid, dict(fixed), max_points)
+        Record.__init__(self, quantity, grid, dict(fixed), max_points)
 
     @property
     def total_points(self) -> int:
@@ -254,14 +255,14 @@ def _eval_epsilon(params: dict, lanes: Lanes) -> dict:
     from .kaon import epsilon_stack
     eps = epsilon_stack(*_kaon_lanes(params, lanes), params["engine"], lanes)
     return {"epsilon_re": eps.real, "epsilon_im": eps.imag,
-            "epsilon_abs": np.hypot(eps.real, eps.imag)}
+            "epsilon_abs": _modulus(eps)}
 
 
 def _eval_width_shift(params: dict, lanes: Lanes) -> dict:
     from .kaon import width_shift_stack
     h, lam, gamma, gamma_eff = width_shift_stack(*_kaon_lanes(params, lanes), lanes)
-    per_mode = (h.real, h.imag, lam.real, lam.imag, np.hypot(lam.real, lam.imag), gamma,
-                gamma_eff)  # the column order of each mode in QUANTITY_COLUMNS
+    # the column order of each mode in QUANTITY_COLUMNS
+    per_mode = (h.real, h.imag, lam.real, lam.imag, _modulus(lam), gamma, gamma_eff)
     return dict(zip(QUANTITY_COLUMNS["width_shift"], (x[:, k] for k in (0, 1) for x in per_mode)))
 
 

@@ -11,17 +11,28 @@ _set = object.__setattr__
 class Record:
     """A record whose fields are its `__slots__`, set once by `__init__`.
 
-    A subclass's `__init__` checks its arguments, then passes the field
-    values in `__slots__` order to `Record.__init__`. Assigning or deleting
-    an attribute afterwards raises AttributeError. Records print, compare,
-    hash and pickle by their field values.
+    `Record.__init__` takes the field values by position or by name and
+    raises TypeError on a missing, repeated or unknown field: a record
+    without checks needs no `__init__`, one with checks passes its checked
+    values on. Assigning or deleting an attribute afterwards raises
+    AttributeError. Records print, compare, hash and pickle by their field
+    values.
     """
 
     __slots__ = ()
 
-    def __init__(self, *values):
-        for name, value in zip(self.__slots__, values):
-            _set(self, name, value)
+    def __init__(self, *values, **named):
+        slots = self.__slots__
+        if named:  # an unknown name, or one given by position too, is extra
+            rest = slots[len(values):]
+            if extra := named.keys() - set(rest):
+                raise TypeError(f"{type(self).__name__} got extra fields {sorted(extra)}")
+            values = (*values, *(named[f] for f in rest if f in named))
+        if len(values) != len(slots):
+            raise TypeError(f"{type(self).__name__} takes {len(slots)} fields "
+                            f"({', '.join(slots)}), got {len(values)}")
+        for field, value in zip(slots, values):
+            _set(self, field, value)
 
     def _values(self) -> tuple:
         return tuple(getattr(self, name) for name in self.__slots__)

@@ -112,7 +112,7 @@ def run_scan(spec, workers: int = 1) -> "ScanTable":
     evaluated in this process chunk by chunk as it is read; `workers` must
     be at least 1 and changes nothing. The first chunk is evaluated here,
     so that a spec refused for what it holds fails before any output."""
-    from .quantities import QUANTITY_COLUMNS, evaluate_chunk
+    from .quantities import evaluate_chunk
     if workers < 1:
         raise InvalidInput(f"workers must be at least 1, got {workers}")
     total = spec.total_points
@@ -120,21 +120,22 @@ def run_scan(spec, workers: int = 1) -> "ScanTable":
     if total > cap:
         raise RefusedTooLarge(f"scan has {total} points, cap is {cap}")
     spec.require_complete()
-    return ScanTable(spec, QUANTITY_COLUMNS[spec.quantity], evaluate_chunk, SCAN_CHUNK)
+    return ScanTable(spec, evaluate_chunk, SCAN_CHUNK)
 
 
 class ScanTable:
     """A scan's table, never held whole: `columns` are its column names,
-    len() is its point count, and `chunks()` gives one `Table` of each
-    `size` points in grid order, each evaluated when it is reached (the
-    first is kept from the start). Iterating gives row dicts."""
+    those of its first chunk, len() is its point count, and `chunks()`
+    gives one `Table` of each `size` points in grid order, each evaluated
+    when it is reached (the first is kept from the start). Iterating gives
+    row dicts."""
 
-    def __init__(self, spec, quantity_columns, evaluate_chunk, size: int):
+    def __init__(self, spec, evaluate_chunk, size: int):
         self._spec, self._evaluate, self._size = spec, evaluate_chunk, size
         self._names = [ax.name for ax in spec.grid]
         self._axes = [ax.values() for ax in spec.grid]
-        self.columns = [*self._names, *quantity_columns, "status"]
         self._first = self._chunk(0)
+        self.columns = list(self._first.columns)
 
     def __len__(self) -> int:
         return self._spec.total_points
@@ -357,10 +358,6 @@ def _write_blocks(blocks, write, digest) -> None:
 
 class RunManifest(Record):
     __slots__ = ("schema_version", "timestamp", "parameters", "artifact_version", "outputs")
-
-    def __init__(self, schema_version: int, timestamp: str, parameters: dict,
-                 artifact_version: str, outputs: dict):
-        super().__init__(schema_version, timestamp, parameters, artifact_version, outputs)
 
     def to_json(self) -> str:
         import json

@@ -23,7 +23,7 @@ import numpy as np
 from .errors import InvalidInput, Lanes, OnePoint, Overflow
 from .evolution import (CONVENTIONS, ChrononParams, NATURAL_UNITS, UnitSystem,
                         chronon_step, coerce_param, step_check)
-from .linalg2 import (_pow2_scale, as_complex, as_operator, cdiv, cmul, eig2_stack,
+from .linalg2 import (_modulus, _pow2_scale, as_complex, as_operator, cdiv, cmul, eig2_stack,
                       is_hermitian)
 from .record import Record
 
@@ -34,12 +34,6 @@ class ModeRecord(Record):
     __slots__ = ("mode_index", "eigvec", "h_continuous", "lambda_step", "h_eff_exact",
                  "h_first_order", "step_magnitude", "efold_time")
 
-    def __init__(self, mode_index: int, eigvec: np.ndarray, h_continuous: float,
-                 lambda_step: complex, h_eff_exact: complex, h_first_order: complex,
-                 step_magnitude: float, efold_time: float):
-        super().__init__(mode_index, eigvec, h_continuous, lambda_step, h_eff_exact,
-                         h_first_order, step_magnitude, efold_time)
-
 
 class EffectiveSpectrum(Record):
     """Both modes plus the non-Hermiticity of the effective generator.
@@ -49,10 +43,6 @@ class EffectiveSpectrum(Record):
     """
 
     __slots__ = ("modes", "convention", "nu_nonhermitian")
-
-    def __init__(self, modes: tuple[ModeRecord, ModeRecord], convention: str,
-                 nu_nonhermitian: float | None):
-        super().__init__(modes, convention, nu_nonhermitian)
 
 
 def _lane_column(x) -> np.ndarray:
@@ -124,19 +114,18 @@ def mode_stack(h, energy, tau_scale, step, hbar, lanes: Lanes) -> dict:
     y, lam, log_mag = step_multipliers(hk, step, hbar)
     h_eff = _exact_energies(hk, y, lam, log_mag)
     h_first = as_complex(hk, hk * (hk / _lane_column(energy)) * _lane_column(tau_scale))
-    finite = np.isfinite(lam) & np.isfinite(h_eff) & np.isfinite(h_first)
+    finite = np.isfinite(h_eff) & np.isfinite(h_first)  # h_eff is not where lambda is not
     for k in (0, 1):
         lanes.require(finite[:, k], Overflow, f"mode {k} is not finite in double precision")
     # ||G - G^dagger||_F / (2 ||G||_F) of G = V diag(h0, h1) V^dagger, scaled
     # by a power of two so that the hypots cannot overflow
     g = h_eff * _lane_column(_pow2_scale(np.maximum(abs(h_eff.real), abs(h_eff.imag)).max(axis=1)))
-    mod = np.hypot(g.real, g.imag)
+    mod = _modulus(g)
     nu = np.hypot(g.imag[:, 0], g.imag[:, 1]) / np.hypot(mod[:, 0], mod[:, 1])
     return {"h": hk, "lambda_re": lam.real, "lambda_im": lam.imag,
             "heff_re": h_eff.real, "heff_im": h_eff.imag,
             "hfirst_re": h_first.real, "hfirst_im": h_first.imag,
-            "step_mag": np.hypot(lam.real, lam.imag),
-            "efold_time": np.where(log_mag == 0, np.inf, step / np.abs(log_mag)),
+            "step_mag": _modulus(lam), "efold_time": step / np.abs(log_mag),
             "ratio_exact": im_re_ratio(h_eff), "ratio_first": im_re_ratio(h_first),
             "eigvec": vectors,
             "nu_nonhermitian": (nu, (h_eff == 0).all(axis=1))}

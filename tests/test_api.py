@@ -11,7 +11,7 @@ from chronon_lab import errors, evolution, kaon, linalg2, spectrum
 PUBLIC = [
     "ChrononLabError", "ChrononParams", "DegenerateModes", "EffectiveSpectrum",
     "EigenPair2", "GridMismatch", "InvalidInput", "KaonModel", "ModeRecord",
-    "NATURAL_UNITS", "Overflow", "RefusedTooLarge", "SI_SECONDS", "SingularMap",
+    "NATURAL_UNITS", "Overflow", "RefusedTooLarge", "SingularMap",
     "Trajectory", "TwoState", "UndefinedRatio", "UnitSystem",
     "continuous_propagator", "discrete_step_operator", "eig2", "epsilon_mixing",
     "evolve", "exp2", "is_hermitian", "kaon_hamiltonian", "kaon_state",

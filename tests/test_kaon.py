@@ -5,8 +5,9 @@ import numpy as np
 import pytest
 
 from chronon_lab import cli
-from chronon_lab.errors import GridMismatch, InvalidInput, RefusedTooLarge
-from chronon_lab.evolution import (ChrononParams, TwoState,
+from chronon_lab.errors import (DegenerateModes, GridMismatch, InvalidInput, Overflow,
+                                RefusedTooLarge, SingularMap)
+from chronon_lab.evolution import (ChrononParams, TwoState, UnitSystem,
                                    discrete_step_operator, evolve)
 from chronon_lab.kaon import (CP_TO_FLAVOR, KaonModel, change_basis,
                               epsilon_mixing, kaon_hamiltonian, kaon_state,
@@ -82,6 +83,7 @@ def test_basis_round_trip_is_identity():
 
 def test_kaon_state_conventions():
     np.testing.assert_allclose(kaon_state("K1", "cp"), [1, 0])
+    np.testing.assert_allclose(kaon_state("K2", "cp"), [0, 1])
     np.testing.assert_allclose(kaon_state("K0", "cp"), [1 / SQ2, 1 / SQ2])
     np.testing.assert_allclose(kaon_state("K0bar", "cp"), [1 / SQ2, -1 / SQ2])
     # K0 is the first flavor axis by definition
@@ -273,16 +275,22 @@ def test_epsilon_against_numpy_eig_oracle():
 EPS_MODEL = natural_model(gamma_s=0.1, gamma_l=0.001, delta=0.02)
 
 
+def _mp_modes(model, p):
+    """(b, d, the eigenvalues of H, hbar, n tau) of a kaon model in mpmath
+    numbers, H = [[a, d], [conj d, b]] in the cp basis; call at 50 digits."""
+    e, hb = mpmath.mpf(model.mixing_energy), mpmath.mpf(model.units.hbar)
+    a = e - 0.5j * hb * mpmath.mpf(model.gamma_short)
+    b = -e - 0.5j * hb * mpmath.mpf(model.gamma_long)
+    d = mpmath.mpc(model.delta)
+    disc = mpmath.sqrt(((a - b) / 2) ** 2 + d * mpmath.conj(d))
+    step = p.n * mpmath.mpf(p.tau_scale) * hb / mpmath.mpf(p.energy)
+    return b, d, ((a + b) / 2 - disc, (a + b) / 2 + disc), hb, step
+
+
 def epsilon_oracle(model, p, engine):
     """<K1|v>/<K2|v> = -(b - h)/conj(d) of the long-lived mode at 50 digits."""
     with mpmath.workdps(50):
-        e, hb = mpmath.mpf(model.mixing_energy), mpmath.mpf(model.units.hbar)
-        a = e - 0.5j * hb * mpmath.mpf(model.gamma_short)
-        b = -e - 0.5j * hb * mpmath.mpf(model.gamma_long)
-        d = mpmath.mpc(model.delta)
-        disc = mpmath.sqrt(((a - b) / 2) ** 2 + d * mpmath.conj(d))
-        hs = ((a + b) / 2 - disc, (a + b) / 2 + disc)
-        step = p.n * mpmath.mpf(p.tau_scale) * hb / mpmath.mpf(p.energy)
+        b, d, hs, hb, step = _mp_modes(model, p)
         if engine == "continuous":
             rates = [-2 * h.imag / hb for h in hs]
         else:
@@ -307,6 +315,50 @@ def test_epsilon_matches_mpmath(engine, tau_scale):
     got = epsilon_mixing(EPS_MODEL, p, engine)
     assert got == pytest.approx(epsilon_oracle(EPS_MODEL, p, engine),
                                 rel=1e-12, abs=0)
+
+
+# hbar and n tau far from 1, so that step / hbar, step and hbar all differ
+HBAR_MODEL = KaonModel(1.3, 0.4, 0.002, delta=0.03 + 0.01j, units=UnitSystem(hbar=2.5))
+HBAR_POINT = ChrononParams(energy=0.7, n=3, tau_scale=0.2)
+
+
+@pytest.mark.parametrize("engine", ["continuous", "discrete"])
+def test_epsilon_matches_mpmath_at_hbar_and_n(engine):
+    got = epsilon_mixing(HBAR_MODEL, HBAR_POINT, engine)
+    assert got == pytest.approx(epsilon_oracle(HBAR_MODEL, HBAR_POINT, engine),
+                                rel=1e-12, abs=0)
+
+
+def width_oracle(model, p):
+    """(h, lambda, gamma_continuous, gamma_effective) of each mode at 50
+    digits, fast (larger continuous width) first."""
+    with mpmath.workdps(50):
+        _, _, hs, hb, step = _mp_modes(model, p)
+        modes = [(h, 1 - 1j * h * step / hb) for h in hs]
+        return sorted(((complex(h), complex(lam), float(-2 * h.imag / hb),
+                        float(-2 / step * mpmath.log(abs(lam)))) for h, lam in modes),
+                      key=lambda mode: -mode[2])
+
+
+def test_width_shift_matches_mpmath_at_hbar_and_n():
+    for rec, want in zip(width_shift(HBAR_MODEL, HBAR_POINT),
+                         width_oracle(HBAR_MODEL, HBAR_POINT)):
+        got = (rec.h_generator, rec.lambda_step, rec.gamma_continuous, rec.gamma_effective)
+        assert got == pytest.approx(want, rel=1e-12, abs=0)
+
+
+def test_width_shift_of_a_decaying_mode_past_the_double_range():
+    # gamma_s = 1e200: the fast mode decays, yet |lambda|^2 - 1, about 1e400,
+    # is past 2^1000 (and the double range), where ln|lambda| is
+    # log(hypot(1 + v, u)). Only that mode is checked: the slow one's h is
+    # the difference of two numbers near 6e199
+    model = KaonModel(1.3, 1e200, 0.002, units=UnitSystem(hbar=2.5))
+    fast, _ = width_shift(model, HBAR_POINT)
+    h, lam, gamma, gamma_eff = width_oracle(model, HBAR_POINT)[0]
+    assert abs(fast.lambda_step) == pytest.approx(abs(lam), rel=1e-12)
+    assert fast.gamma_continuous == pytest.approx(gamma, rel=1e-12)
+    assert fast.gamma_effective == pytest.approx(gamma_eff, rel=1e-12)
+    assert fast.gamma_effective < 0
 
 
 def test_epsilon_monotone_in_delta():
@@ -358,6 +410,81 @@ def test_width_shift_widthless_continuum_limit():
     for rec in (fast, slow):
         assert abs(rec.gamma_effective) < 1e-7
         assert rec.gamma_continuous == 0.0
+    # equal widths: the larger Re h, the K1 mode, comes first
+    assert (fast.h_generator, slow.h_generator) == (1.0, -1.0)
+
+
+@pytest.mark.parametrize("mixing_e", [5e-324, 1e-300, 1.0])
+def test_width_shift_puts_the_wider_mode_first(mixing_e):
+    # overdamped (|delta| < hbar (gamma_s - gamma_l) / 4): at mixing_e 5e-324
+    # both eigenvalues are imaginary, and H's order puts the wider one first
+    fast, slow = width_shift(KaonModel(mixing_e, 2.0, 0.0, delta=0.1), ChrononParams(1.0))
+    assert fast.gamma_continuous > 1.9 and slow.gamma_continuous < 0.03
+
+
+def test_width_shift_puts_the_wider_mode_first_when_hbar_rounds_the_widths_equal():
+    # overdamped, both eigenvalues on the imaginary axis one ulp apart: H's
+    # order puts the wider first, and -2 Im h / hbar rounds both to one width
+    model = KaonModel(5e-324, 1.0967494745500235, 1.0967494745500233, delta=1e-300,
+                      units=UnitSystem(hbar=0.9117852556166322))
+    fast, slow = width_shift(model, ChrononParams(1.0))
+    assert fast.gamma_continuous == slow.gamma_continuous
+    assert (fast.h_generator, slow.h_generator) == (-0.5j, -0.49999999999999994j)
+
+
+@pytest.mark.parametrize("engine", ["continuous", "discrete"])
+def test_epsilon_of_the_widthless_cp_conserving_model_is_zero(engine):
+    # both rates are 0 (continuous) or -ln 2 (discrete): an exact tie, which
+    # takes the K2 mode, the one with the larger K2 component
+    assert epsilon_mixing(natural_model(0.0, 0.0), ChrononParams(energy=1.0), engine) == 0
+
+
+def test_epsilon_of_equal_cp_content_and_distinct_rates_is_not_degenerate():
+    # mixing_e 5e-13 against |delta| 0.4: CP contents equal within 1e-12, but
+    # the continuous rates differ by 1.3e-12 relative, past the tie tolerance
+    model = KaonModel(4.712833585959812e-13, 0.0044828164921842314, 0.0011990756688169193,
+                      delta=complex(-0.14082308802564172, 0.3839480827422455),
+                      units=UnitSystem(hbar=1.0867370140562231))
+    p = ChrononParams(energy=4.712833585959812e-13, tau_scale=0.6933709638292784)
+    assert abs(epsilon_mixing(model, p, "continuous")) == pytest.approx(1.0, rel=1e-6)
+
+
+def test_a_finite_width_near_the_top_of_the_double_range():
+    # hbar gamma_s = 3.4e308 is not finite, but gamma_s = 1.7e308, H's entry
+    # hbar gamma_s / 2 and, at n tau = 0.5, lambda are
+    fast, slow = width_shift(KaonModel(1.0, 1.7e308, 0.0, units=UnitSystem(hbar=2.0)),
+                             ChrononParams(energy=4.0))
+    assert fast.gamma_continuous == 1.7e308
+    assert math.isfinite(fast.gamma_effective) and slow.gamma_continuous == 0
+
+
+def test_a_zero_multiplier_is_singular_map():
+    # lambda = 1 - i h n tau = 0 for the K1 mode at n tau = 1e-5, h = -1e5 i
+    # (its real part 1e-320 vanishes in H's scaled eigenvalues)
+    model, p = KaonModel(1e-320, 2e5, 0.0), ChrononParams(energy=1.0, tau_scale=1e-5)
+    with pytest.raises(SingularMap, match="zero eigenvalue"):
+        width_shift(model, p)
+    with pytest.raises(SingularMap, match="zero eigenvalue"):
+        epsilon_mixing(model, p, "discrete")
+    assert epsilon_mixing(model, p, "continuous") == 0  # needs no multiplier
+
+
+@pytest.mark.parametrize("model, message", [
+    (KaonModel(1e-12, 0.1, 0.1), "continuous generator is degenerate"),
+    # mixing_e 1e-15 against delta 1: both modes half K2, at equal rates
+    (KaonModel(1e-15, 0.1, 0.1, delta=1.0), "modes have equal decay rate and equal CP content")])
+@pytest.mark.parametrize("engine", ["continuous", "discrete"])
+def test_epsilon_of_indistinguishable_modes_is_degenerate(model, message, engine):
+    with pytest.raises(DegenerateModes, match=message):
+        epsilon_mixing(model, ChrononParams(energy=1.0), engine)
+
+
+def test_an_effective_rate_past_the_double_range_is_overflow():
+    # E / hbar = 1e310 at n tau / tau = 2: -2 ln|lambda| / (n tau) = -0.8e310
+    model = KaonModel(1e300, 0.0, 0.0, units=UnitSystem(hbar=1e-10))
+    p = ChrononParams(energy=1e300, tau_scale=2.0)
+    with pytest.raises(Overflow, match="decay rate is not finite"):
+        width_shift(model, p)
 
 
 def test_width_shift_continuum_convergence_by_halving():

@@ -80,6 +80,48 @@ def test_eig2_orders_a_tie_of_real_parts_by_imag():
     assert hi.value == 1e20 + 1.00000000005j
 
 
+def _row0_vector(b, lam):
+    """The phase-fixed unit vector along (b, lam), in the array operations of
+    `eig2_stack`; M's power-of-two scaling changes no bit of it."""
+    x, y = np.array([b]), np.array([lam])
+    norm = np.sqrt((x.real * x.real + y.real * y.real) + (x.imag * x.imag + y.imag * y.imag))
+    x, y = x / norm, y / norm
+    phase = x.conj() / np.hypot(x.real, x.imag)
+    return np.concatenate([x * phase, y * phase])
+
+
+def test_eig2_phase_pivot_is_the_first_component_above_1e_12():
+    # the eigenvector of 2 in [[1, a], [0, 2]] is (a, 1) exactly for |a| < 1e-8
+    _, hi = eig2([[1.0, -1e-12], [0.0, 2.0]])
+    np.testing.assert_array_equal(hi.vector, [-1e-12, 1.0])  # at the threshold: not above
+    _, hi = eig2([[1.0, -1.0005e-12], [0.0, 2.0]])
+    np.testing.assert_array_equal(hi.vector, [1.0005e-12, -1.0])
+
+
+def test_eig2_tolerances_scale_with_the_frobenius_norm():
+    # [[0.9, 0.9], [c, 0.9]]: ||M||_F = 1.56, eigenvalue gap 2 sqrt(0.9 c)
+    lo, _ = eig2([[0.9, 0.9], [2.7777777777777778e-21, 0.9]])  # gap 1e-10
+    assert lo.degenerate
+    lo, _ = eig2([[0.9, 0.9], [1.1111111111111111e-20, 0.9]])  # gap 2e-10
+    assert not lo.degenerate
+    # [[0.9, b], [0, 0.9]]: ||M||_F = 1.27, so b = 1e-10 is a scalar matrix
+    # (the canonical basis) and b = 2e-10 a Jordan block (one vector)
+    lo, hi = eig2([[0.9, 1e-10], [0.0, 0.9]])
+    np.testing.assert_array_equal([lo.vector, hi.vector], IDENTITY2)
+    lo, hi = eig2([[0.9, 2e-10], [0.0, 0.9]])
+    np.testing.assert_array_equal([lo.vector, hi.vector], [[1.0, 0.0], [1.0, 0.0]])
+
+
+@pytest.mark.parametrize("theta", [0.3, 1.1, 2.5])
+def test_eig2_takes_row_0_on_a_tie(theta):
+    # in M = [[0, b], [conj b, 0]] with |b| = 1 both rows of M - lam I,
+    # (b, lam) and (lam, conj b), have largest modulus 1. They are parallel,
+    # so only the rounding tells which one gave the vector: row 0
+    b = np.exp(1j * theta)
+    for pair in eig2([[0, b], [np.conj(b), 0]]):
+        np.testing.assert_array_equal(pair.vector, _row0_vector(b, pair.value))
+
+
 def test_eig2_reconstruction_property():
     rng = np.random.default_rng(11)
     done = 0
@@ -161,6 +203,21 @@ def test_entry_modulus_past_double_range_is_overflow():
 # ---------------------------------------------------------------------------
 # exp2
 
+def test_exp2_default_scale_is_one():
+    # exp(sx) = cosh(1) I + sinh(1) sx
+    want = math.cosh(1.0) * IDENTITY2 + math.sinh(1.0) * PAULI_X
+    np.testing.assert_allclose(exp2(PAULI_X), want, rtol=1e-15, atol=0)
+    np.testing.assert_array_equal(exp2(PAULI_X), exp2(PAULI_X, 1.0))
+
+
+@pytest.mark.parametrize("d", [7e-7, 9e-7, 9.9e-7])
+def test_exp2_series_below_the_cutover_is_sinh_to_the_last_bit(d):
+    # |s D| < 1e-6 takes sinh(x)/x = 1 + x^2/6; just below the cutover
+    # that is libm's sinh to the last bit
+    u = exp2(d * PAULI_X)
+    assert u[0, 1] == math.sinh(d) and u[0, 0] == math.cosh(d)
+
+
 def test_exp2_zero_matrix():
     np.testing.assert_allclose(exp2(np.zeros((2, 2)), 3.7 - 0.2j), IDENTITY2)
 
@@ -229,9 +286,9 @@ def test_exp2_rejects_nonfinite():
 # power2
 
 def mp_power(m, k):
-    mpmath.mp.dps = 50
-    return np.array((mpmath.matrix(np.asarray(m).tolist()) ** k).tolist(),
-                    dtype=np.complex128)
+    with mpmath.workdps(50):
+        return np.array((mpmath.matrix(np.asarray(m).tolist()) ** k).tolist(),
+                        dtype=np.complex128)
 
 
 def test_power2_matches_mpmath():

@@ -212,3 +212,29 @@ def test_record_checks_keep_their_errors(make, message):
     with pytest.raises(InvalidInput) as info:
         make()
     assert str(info.value) == message
+
+
+@pytest.mark.parametrize("times", [[0.0, np.nan], [0.0, 1.0, np.nan], [np.nan, np.nan],
+                                   [0.0, np.inf], [0.0, 1.0, np.inf], [-np.inf, 0.0],
+                                   [np.inf, np.inf], [-1.7e308, 1.7e308]])
+def test_trajectory_refuses_a_time_grid_that_is_not_finite(times):
+    # a NumPy warning fails the test, so the refusal is also quiet
+    with pytest.raises(InvalidInput, match="time grid must be strictly increasing and uniform"):
+        Trajectory(np.array(times), np.zeros((len(times), 2)), "continuous")
+
+
+# the records whose fields need no checks, and so have no __init__ of their own
+UNCHECKED = [EigenPair2, ModeWidths, ModeRecord, EffectiveSpectrum, RunManifest]
+
+
+@pytest.mark.parametrize("cls", UNCHECKED, ids=[cls.__name__ for cls in UNCHECKED])
+def test_record_fields_by_position_or_name(cls):
+    kwargs = RECORDS[cls]
+    values, names = list(kwargs.values()), list(kwargs)
+    assert "__init__" not in vars(cls)
+    assert_same(cls(*values[:2], **dict(list(kwargs.items())[2:])), cls(**kwargs))
+    for args, named in [(values[:-1], {}), ([*values, 0], {}), ((), {**kwargs, "bogus": 0}),
+                        (values[:1], kwargs), ((), dict(list(kwargs.items())[1:]))]:
+        with pytest.raises(TypeError, match=cls.__name__):
+            cls(*args, **named)
+    assert names == list(cls.__slots__)

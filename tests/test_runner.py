@@ -246,18 +246,20 @@ def mp_final_state(params):
     p = ChrononParams(params["energy"], 1, params["tau_scale"])
     u = discrete_step_operator(symmetric_hamiltonian(params["energy"],
                                                      params["diag"]), p)
-    mpmath.mp.dps = 50
     psi0 = parse_complex_pair(params.get("psi0", "1,0")).tolist()
-    return mpmath.matrix(u.tolist()) ** params["steps"] * mpmath.matrix(psi0)
+    with mpmath.workdps(50):
+        return mpmath.matrix(u.tolist()) ** params["steps"] * mpmath.matrix(psi0)
 
 
 def mp_observable(params, psi):
-    if params.get("observable", "norm2_final") == "norm2_final":
-        return abs(psi[0]) ** 2 + abs(psi[1]) ** 2
-    d = parse_complex_pair(params["direction"]).tolist()
-    d_norm = mpmath.sqrt(abs(d[0]) ** 2 + abs(d[1]) ** 2)
-    return abs(psi[0] * mpmath.conj(d[0]) + psi[1] * mpmath.conj(d[1])) ** 2 \
-        / d_norm ** 2
+    """The observable of `params` of the state psi at 50 digits."""
+    with mpmath.workdps(50):
+        if params.get("observable", "norm2_final") == "norm2_final":
+            return abs(psi[0]) ** 2 + abs(psi[1]) ** 2
+        d = parse_complex_pair(params["direction"]).tolist()
+        d_norm = mpmath.sqrt(abs(d[0]) ** 2 + abs(d[1]) ** 2)
+        return abs(psi[0] * mpmath.conj(d[0]) + psi[1] * mpmath.conj(d[1])) ** 2 \
+            / d_norm ** 2
 
 
 def test_trajectory_observable_discrete_matches_mpmath():

@@ -6,11 +6,12 @@ import numpy as np
 import pytest
 import scipy.linalg
 
-from chronon_lab.errors import InvalidInput
+from chronon_lab.errors import InvalidInput, Overflow
 from chronon_lab.evolution import (ChrononParams, NATURAL_UNITS, UnitSystem,
                                    discrete_step_operator,
                                    symmetric_hamiltonian)
 from chronon_lab.linalg2 import DEFAULT_TOL, IDENTITY2, PAULI_X
+from chronon_lab.quantities import evaluate_point
 from chronon_lab.spectrum import im_re_ratio, mode_report
 
 CHRONON_POINT = ChrononParams(energy=1.0)
@@ -247,3 +248,28 @@ def test_efold_time_is_lifetime_in_chronon_units():
         for rec in spec.modes:
             assert rec.efold_time == pytest.approx(
                 want_factor * p.tau(NATURAL_UNITS), rel=1e-9)
+
+
+@pytest.mark.parametrize("energy, diag, n", [
+    # h = 1e200 at E = 1e-100: lambda = 1 - 1e300i and h_eff are finite, but
+    # the first-order h + i h (h / E) tau_scale is not
+    (1e-100, 1e200, 1),
+    # h = 8 at n tau = 1e308: lambda and h_eff are not finite, but the
+    # first-order 8 + 64i is
+    (1.0, 9.0, 10 ** 308)])
+def test_a_mode_with_one_value_past_the_double_range_is_overflow(energy, diag, n):
+    h, p = symmetric_hamiltonian(energy, diag), ChrononParams(energy, n)
+    with pytest.raises(Overflow, match="mode 0 is not finite in double precision"):
+        mode_report(h, p)
+    row = evaluate_point("mode_report", {"energy": energy, "diag": diag, "n": n})
+    assert row["status"] == "Overflow"
+
+
+def test_exact_energy_where_the_step_quantity_underflows_is_h():
+    # h = 2^-52 at n tau = 1e-320: y = h n tau / hbar underflows to 0, and
+    # h_eff takes its limit h (the other mode's y = -2e-320 does not)
+    h = symmetric_hamiltonian(1.0, -1.0 + 2.0 ** -52)
+    low, high = mode_report(h, ChrononParams(energy=1.0, tau_scale=1e-320)).modes
+    assert high.h_continuous == 2.0 ** -52 and high.lambda_step == 1.0
+    assert high.h_eff_exact == complex(2.0 ** -52, 0.0)
+    assert low.h_eff_exact.real == pytest.approx(low.h_continuous, rel=1e-15)
