@@ -10,10 +10,11 @@ commands are the four benchmark workloads at seed 101, built by
 does not use, a scan with InvalidInput rows in both formats, a
 `trajectory-observable` scan per engine with failing lanes in both formats,
 mode_report scans that end at and one point past a chunk boundary in both
-formats, the `evolve`, `converge` and `kaon` tables in the formats the
-other groups do not use, and `modes` at tau_scale 1e-9, a `help` group of the `--help` texts of the
-program and of each command, and an `errors` group of malformed inputs, whose
-exit codes and stderr are compared. Each command runs as `python -m
+formats, two `prob_final` scans along a direction of 1e200 and of 1e-200,
+the `evolve`, `converge` and `kaon` tables in the formats the other groups
+do not use, and `modes` at tau_scale 1e-9, a `help` group of the `--help`
+texts of the program and of each command, and an `errors` group of
+malformed inputs, whose exit codes and stderr are compared. Each command runs as `python -m
 chronon_lab` once per tree, in a fresh temporary directory holding the
 workload's spec files and a copy of `configs/`. The script prints every
 command whose exit code, stdout, stderr, `--out` bytes or manifest (without
@@ -103,17 +104,29 @@ CHUNK_SCANS = {
 }
 
 
+# prob_final along a direction whose norm over- (1e200) or underflows (1e-200)
+# when it is formed unscaled
+DIRECTION_SCANS = {
+    f"direction_{name}.json": {
+        "quantity": "trajectory-observable",
+        "grid": [{"name": "energy", "start": 0.5, "stop": 2.0, "count": 3}],
+        "fixed": {"t_max": 1.0, "steps": 4, "observable": "prob_final",
+                  "direction": direction, "psi0": "0.6,0.8j"}}
+    for name, direction in (("huge", "1e200,0"), ("tiny", "1e-200,0"))
+}
+
+
 def formats_group() -> tuple[str, dict[str, str], list[list[str]]]:
     """Every scan quantity in both formats: the scan_modes scan as JSON to
     a file, the pool_kaon scans as CSV to stdout, a scan with InvalidInput
     rows, the failing-lanes trajectory scans and the chunk-boundary scans as
-    both; `evolve` and
+    both, `prob_final` scans along a huge and a tiny direction as CSV; `evolve` and
     `converge` (also with invalid rows, and at m = 2^40 and 2^53) as JSON,
     each kaon observable in the format the README does not show, and
     `modes` at tau_scale 1e-9."""
     files = {"invalid.json": json.dumps(INVALID_SCAN)}
-    files.update((name, json.dumps(spec))
-                 for name, spec in {**TRAJECTORY_SCANS, **CHUNK_SCANS}.items())
+    files.update((name, json.dumps(spec)) for name, spec in
+                 {**TRAJECTORY_SCANS, **CHUNK_SCANS, **DIRECTION_SCANS}.items())
     commands = []
     for name, fmt, to_file in (("scan_modes", "json", True), ("pool_kaon", "csv", False)):
         wl = workloads.build(name, SEED, Path(name), ROOT)
@@ -124,6 +137,7 @@ def formats_group() -> tuple[str, dict[str, str], list[list[str]]]:
     for spec in ("invalid.json", *TRAJECTORY_SCANS, *CHUNK_SCANS):
         for fmt in ("csv", "json"):
             commands.append(["scan", "--spec", spec, "--format", fmt])
+    commands += [["scan", "--spec", spec, "--format", "csv"] for spec in DIRECTION_SCANS]
     for engine in ("discrete", "continuous"):  # 2000 steps of n tau = 0.005
         commands.append(["evolve", "--engine", engine, "--energy", "1", "--tau-scale",
                          "0.005", "--t-max", "10", "--steps", "2000", "--psi0", "0.6,0.8j",

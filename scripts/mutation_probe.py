@@ -24,8 +24,10 @@ then the score: killed mutants over those that are not equivalent. It
 exits 1 if a mutant that is not equivalent survives.
 
 A run takes about as long as COUNT test runs, less the part that `-x`
-saves on killed mutants: on a 2-core host the suite takes 20 s, and the
-40 mutants of linalg2, spectrum or kaon take 3 to 5 minutes.
+saves on killed mutants: on a 2-core host the suite takes 20-28 s, the
+40 mutants of linalg2, spectrum, kaon or evolution take 3 to 5 minutes,
+and quantities (16 sites) and runner (26 sites), whose sites are all
+mutants, take about 5 and 2 minutes.
 """
 
 import argparse
@@ -91,6 +93,12 @@ EQUIVALENT = {
         "equal keys are a tie, so this test sees unequal ones only",
     ("kaon", _SLOW, "w[:, 0] > w[:, 1] -> w[:, 0] >= w[:, 1]"):
         "equal CP contents on a tie are DegenerateModes, so this test sees unequal ones only",
+    ("evolution", "lanes.require((k >= 1) & (abs(k_float - k)",
+     "abs(k_float - k) <= _GRID_RTOL * np.maximum(abs(k_float), 1.0) -> "
+     "abs(k_float - k) < _GRID_RTOL * np.maximum(abs(k_float), 1.0)"):
+        "a tie needs k_float - k, a multiple of ulp(k_float), to equal the rounded 1e-9 "
+        "max(|k_float|, 1), on a grid 2^30 times finer: no k_float within a few ulps of "
+        "1e-9 k of an integer k up to 1e8 gives one",
 }
 
 

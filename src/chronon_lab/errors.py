@@ -107,7 +107,7 @@ class OnePoint:
         if isinstance(bad, _BOOLS):
             if bad:
                 raise cls(_format(message, *values))
-        elif np.any(bad):
+        elif (bad := np.asarray(bad)).any():
             bad, *values = np.broadcast_arrays(bad, *values)
             i = np.unravel_index(np.argmax(bad), bad.shape)
             raise cls(_format(message, *(v[i].item() for v in values)))

@@ -18,8 +18,8 @@ import numpy as np
 
 from . import kernels
 from .errors import GridMismatch, InvalidInput, OnePoint, Overflow, RefusedTooLarge
-from .linalg2 import (IDENTITY2, as_operator, as_stack, exp2, finite_check, is_hermitian,
-                      lane_check, power2)
+from .linalg2 import (IDENTITY2, _pow2_scale, as_operator, as_stack, exp2, finite_check,
+                      is_hermitian, lane_check, power2)
 from .record import Record
 
 ENGINES = ("continuous", "discrete")
@@ -57,8 +57,10 @@ def parse_complex_pair(text: str) -> np.ndarray:
 def parse_direction(text: str) -> np.ndarray:
     """The unit vector along the complex pair 'a,b', which must be nonzero."""
     d = parse_complex_pair(text)
+    # scaled exactly by a power of two, so that the norm neither over- nor underflows
+    d = d * _pow2_scale(np.maximum(abs(d.real), abs(d.imag)).max())
     norm = np.linalg.norm(d)
-    if not 0.0 < norm < math.inf:
+    if norm == 0:
         raise InvalidInput(f"direction {text!r} must be nonzero and finite")
     return d / norm
 
@@ -94,7 +96,7 @@ def chronon_step(energy, n, tau_scale, hbar):
 
 def step_check(lanes, dt) -> None:
     """InvalidInput on the lanes whose n * tau under- or overflowed."""
-    lanes.require((dt > 0) & (dt < math.inf), InvalidInput,
+    lanes.require(POSITIVE[0](dt), InvalidInput,
                   "n*tau is {} in double precision, not a positive step", dt)
 
 

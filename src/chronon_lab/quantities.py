@@ -1,17 +1,17 @@
 """The scan quantities: scan specs, parameter schemas and batched evaluators.
 
 Each quantity of `QUANTITIES` has a schema, the names of its parameters in
-`evolution.PARAMETERS` (which a kaon config's keys also name), a fixed
-list of output columns (`QUANTITY_COLUMNS`), and one evaluator that maps
-the parameters of a chunk of points (one value, or an array with one value
-per point) to its column arrays, recording each point's first error on
-the chunk's `Lanes`. `runner.run_scan` drives them over a grid; the CLI's
-`modes` and `kaon --observable epsilon|width-shift` rows are one-point
-calls of the same evaluators (`point_row`). No evaluator loops over
-points: `trajectory-observable` is one `evolution.final_states` call per
-chunk, one stacked `power2` (discrete) or one `continuous_propagator` and
-so one `exp2` (continuous), called in `evolution`, where perfbench's
-tracer sees them.
+`evolution.PARAMETERS` (which a kaon config's keys also name), and one
+evaluator that maps the parameters of a chunk of points (one value, or an
+array with one value per point) to its columns, in output order, recording
+each point's first error on the chunk's `Lanes` (`_coerce_lanes` holds the
+two refusals of a parameter). `runner.run_scan` drives them over a grid;
+the CLI's `modes` and `kaon --observable epsilon|width-shift` rows are
+calls of the same evaluators on `OnePoint` (`point_row`). No evaluator
+loops over points: `trajectory-observable` is one `evolution.final_states`
+call per chunk, one stacked `power2` (discrete) or one
+`continuous_propagator` and so one `exp2` (continuous), called in
+`evolution`, where perfbench's tracer sees them.
 
 An evaluator imports its physics module (`spectrum` or `kaon`) when it
 runs, and the spec-file reader imports `json`, so a command loads only the
@@ -112,12 +112,6 @@ class ScanSpec(Record):
     def total_points(self) -> int:
         return math.prod(ax.count for ax in self.grid)
 
-    def require_complete(self) -> None:
-        """InvalidInput if a parameter of the quantity without a default is
-        neither fixed nor scanned, with the text its rows would get."""
-        if missing := _missing(self.quantity, {*self.fixed, *(ax.name for ax in self.grid)}):
-            raise InvalidInput(missing)
-
     @classmethod
     def from_dict(cls, d: dict) -> "ScanSpec":
         if not isinstance(d, dict):
@@ -174,48 +168,27 @@ _PARAM_SCHEMAS["epsilon"] = (*_PARAM_SCHEMAS["width_shift"], "engine")
 MODE_FIELDS = ["h", "lambda_re", "lambda_im", "heff_re", "heff_im", "hfirst_re",
                "hfirst_im", "step_mag", "efold_time", "ratio_exact", "ratio_first"]
 
-QUANTITY_COLUMNS = {
-    "mode_report": [f"mode{k}_{c}" for k in (0, 1) for c in MODE_FIELDS]
-                   + ["nu_nonhermitian"],
-    "epsilon": ["epsilon_re", "epsilon_im", "epsilon_abs"],
-    "width_shift": [f"{lbl}_{c}" for lbl in ("fast", "slow") for c in (
-        "h_re", "h_im", "lambda_re", "lambda_im", "lambda_abs",
-        "gamma_continuous", "gamma_effective")],
-    "trajectory-observable": ["value"],
-}
 
+def _coerce_lanes(quantity: str, params: dict, k: int, lanes) -> dict:
+    """`params` over the schema of `quantity`, with its defaults, on k lanes.
 
-def _missing(quantity: str, given) -> str:
-    """The refusal of `quantity` without its parameters that have no default
-    and are not in `given`, or '' if none is missing."""
-    missing = sorted(k for k in _PARAM_SCHEMAS[quantity]
-                     if k not in given and PARAMETERS[k][1] is None)
-    return f"{quantity}: missing parameters {missing}" if missing else ""
-
-
-def _coerce_lanes(quantity: str, params: dict, lanes: Lanes) -> dict:
-    """`params` over the schema of `quantity`, with its defaults, on lanes.
-
-    A missing parameter fails every lane, as does a single value that
-    `coerce_param` rejects. An array gives one value per lane; a value
-    outside its domain (`domain_check`) fails its lanes. Numbers come back
-    as float arrays with one value per lane, strings as they are.
+    A missing parameter or a value of the wrong kind raises InvalidInput,
+    for every lane alike; a value outside its domain (`domain_check`) fails
+    its lanes, so a single value of an integer kind is read as a number (1.5
+    fails as an array lane of 1.5 does). Numbers come back as float arrays
+    with one value per lane, strings as they are.
     """
-    if missing := _missing(quantity, params):
-        lanes.fail(True, InvalidInput, missing)
-        return params
+    if missing := sorted(key for key in _PARAM_SCHEMAS[quantity]
+                         if key not in params and PARAMETERS[key][1] is None):
+        raise InvalidInput(f"{quantity}: missing parameters {missing}")
     out = dict(params)
     for key in _PARAM_SCHEMAS[quantity]:
         kind, default, _ = PARAMETERS[key]
         value = params.get(key, default)
         if not isinstance(value, np.ndarray):
-            try:
-                value = coerce_param(key, value, kind)
-            except InvalidInput as exc:
-                lanes.fail(True, InvalidInput, str(exc))
-                return out
+            value = coerce_param(key, value, float if kind is int else kind)
             if kind is float or kind is int:
-                value = np.full(lanes.ok.shape, value, dtype=np.float64)
+                value = np.full(k, value, dtype=np.float64)
         domain_check(lanes, key, value)
         out[key] = value
     return out
@@ -229,7 +202,7 @@ def _step(params: dict, energy_key: str):
     return chronon_step(*(params[k] for k in (energy_key, "n", "tau_scale", "hbar")))
 
 
-def _eval_mode_report(params: dict, lanes: Lanes) -> dict:
+def _eval_mode_report(params: dict, lanes) -> dict:
     from .spectrum import mode_stack
     energy, diag = params["energy"], params["diag"]
     t = mode_stack(symmetric_stack(energy, diag), energy, params["tau_scale"],
@@ -240,7 +213,7 @@ def _eval_mode_report(params: dict, lanes: Lanes) -> dict:
     return cols
 
 
-def _kaon_lanes(params: dict, lanes: Lanes):
+def _kaon_lanes(params: dict, lanes):
     """The stack of kaon H with its n tau and hbar, by the rules of
     `kaon_from_config` and `kaon_hamiltonian`."""
     from .kaon import hamiltonian_check, hamiltonian_cp, width_check
@@ -251,22 +224,23 @@ def _kaon_lanes(params: dict, lanes: Lanes):
     return h, _step(params, "mixing_e"), params["hbar"]
 
 
-def _eval_epsilon(params: dict, lanes: Lanes) -> dict:
+def _eval_epsilon(params: dict, lanes) -> dict:
     from .kaon import epsilon_stack
     eps = epsilon_stack(*_kaon_lanes(params, lanes), params["engine"], lanes)
     return {"epsilon_re": eps.real, "epsilon_im": eps.imag,
             "epsilon_abs": _modulus(eps)}
 
 
-def _eval_width_shift(params: dict, lanes: Lanes) -> dict:
+def _eval_width_shift(params: dict, lanes) -> dict:
     from .kaon import width_shift_stack
     h, lam, gamma, gamma_eff = width_shift_stack(*_kaon_lanes(params, lanes), lanes)
-    # the column order of each mode in QUANTITY_COLUMNS
-    per_mode = (h.real, h.imag, lam.real, lam.imag, _modulus(lam), gamma, gamma_eff)
-    return dict(zip(QUANTITY_COLUMNS["width_shift"], (x[:, k] for k in (0, 1) for x in per_mode)))
+    per_mode = dict(h_re=h.real, h_im=h.imag, lambda_re=lam.real, lambda_im=lam.imag,
+                    lambda_abs=_modulus(lam), gamma_continuous=gamma, gamma_effective=gamma_eff)
+    return {f"{label}_{c}": x[:, k] for k, label in enumerate(("fast", "slow"))
+            for c, x in per_mode.items()}
 
 
-def _eval_trajectory_observable(params: dict, lanes: Lanes) -> dict:
+def _eval_trajectory_observable(params: dict, lanes) -> dict:
     psi = final_states(symmetric_stack(params["energy"], params["diag"]),
                        parse_complex_pair(params["psi0"]), params["engine"], params["t_max"],
                        params["steps"], _step(params, "energy"),
@@ -291,37 +265,31 @@ QUANTITIES = {
 }
 
 
-def _evaluate(quantity: str, params: dict, k: int):
-    """(columns, lanes) of `quantity` on k points; `params` as for
-    `_coerce_lanes`. Each column is a pair (values, none) of arrays of k
-    values, `none` marking the cells that are None: an undefined cell (an
-    evaluator returns such a column as a (values, undefined) pair), or any
-    cell of a lane that failed."""
-    lanes = Lanes(k)
+def _evaluate(quantity: str, params: dict, k: int, lanes) -> dict:
+    """The columns of `quantity` on k points, `params` as for
+    `_coerce_lanes`, each a pair (values, none) of arrays of k values,
+    `none` marking the cells that are None: an undefined cell (an evaluator
+    returns such a column as a (values, undefined) pair), or any cell of a
+    lane that failed. `lanes` records each point's first error, or is
+    `OnePoint`, which raises it."""
     with np.errstate(all="ignore"):  # failed lanes carry nan and inf
-        params = _coerce_lanes(quantity, params, lanes)
-        cols = QUANTITIES[quantity](params, lanes) if lanes.ok.any() else {}
-    failed = ~lanes.ok
-    out = {}
-    for c in QUANTITY_COLUMNS[quantity]:
-        col = cols.get(c, np.zeros(k))
-        out[c] = (col[0], col[1] | failed) if isinstance(col, tuple) else (col, failed)
-    return out, lanes
+        cols = QUANTITIES[quantity](_coerce_lanes(quantity, params, k, lanes), lanes)
+    failed = np.zeros(k, dtype=bool) if lanes is OnePoint else ~lanes.ok
+    return {c: (col[0], col[1] | failed) if isinstance(col, tuple) else (col, failed)
+            for c, col in cols.items()}
 
 
 def point_row(quantity: str, params: dict) -> dict:
     """The quantity columns of one point as (values, none) pairs of one
-    cell, computed by the batched evaluator on one lane; raises the point's
-    error (the CLI's `modes` and `kaon` tables)."""
-    cols, lanes = _evaluate(quantity, params, 1)
-    lanes.raise_first()
-    return cols
+    cell, computed by the batched evaluator on `OnePoint`, so that the
+    point's error is raised (the CLI's `modes` and `kaon` tables)."""
+    return _evaluate(quantity, params, 1, OnePoint)
 
 
 def evaluate_point(quantity: str, params: dict) -> dict:
     """One grid point: quantity columns plus a status field, the row of a
-    one-point `evaluate_chunk`. A point that fails has the error class name
-    as its status and None in every value column."""
+    one-point `evaluate_chunk`, raising what that raises. A point that fails
+    has the error class name as its status and None in every value column."""
     cols, status = evaluate_chunk(quantity, params, [], [])
     return Table({**cols, "status": status})[0]
 
@@ -331,10 +299,11 @@ def evaluate_chunk(quantity: str, fixed: dict, names: list, values: list):
     chunk's values of parameter names[j], `fixed` holds the others. Each
     column is a (values, none) pair of arrays, `none` marking the None
     cells; `status` holds 'ok' or the error class name of each point, the
-    status `evaluate_point` gives it alone."""
+    status `evaluate_point` gives it alone. A parameter that is missing or
+    of the wrong kind raises InvalidInput."""
     k = len(values[0]) if values else 1
-    cols, lanes = _evaluate(quantity, {**fixed, **dict(zip(names, values))}, k)
-    return cols, lanes.status()
+    lanes = Lanes(k)
+    return _evaluate(quantity, {**fixed, **dict(zip(names, values))}, k, lanes), lanes.status()
 
 
 # ---------------------------------------------------------------------------

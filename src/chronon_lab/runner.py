@@ -6,24 +6,25 @@ none) arrays, the others as lists of str or int cells. Scans evaluate one
 quantity of `quantities.QUANTITIES` on a rectangular parameter grid in
 row-major axis order; per-point numeric-domain failures become rows with a
 non-ok status instead of aborting (branch-cut regions are expected and
-interesting). The grid is evaluated in this process, in chunks of
-SCAN_CHUNK points: `run_scan` gives a `ScanTable`, whose chunk tables are
-evaluated one at a time as they are read. Output bytes are deterministic:
-fixed column order, shortest round-trip float formatting, LF line endings,
-and grid-order emission. `render_blocks` makes the bytes of csv.writer and
-json.dumps(indent=2) from a table's text columns, chunk by chunk in blocks
-of RENDER_BLOCK rows; each distinct float of a block is formatted once,
-across all of the block's float columns, unless the block before formatted
-it. Neither the output nor a scan's table is ever held whole: `emit`
-writes each block to stdout or a file as it is made, and into the
-manifest's digest, before the next chunk is evaluated, so a 1e6-point
-mode_report scan peaks at 36 MB RSS to a file and 33 MB to stdout, not
-the 255 MB of holding the scan's table (one CPU).
+interesting), while a parameter that is missing or of the wrong kind
+refuses the whole scan before any output. The grid is evaluated in this
+process, in chunks of SCAN_CHUNK points: `run_scan` gives a `ScanTable`,
+whose chunk tables are evaluated one at a time as they are read. Output
+bytes are deterministic: fixed column order, shortest round-trip float
+formatting, LF line endings, and grid-order emission. `render_blocks`
+makes the bytes of csv.writer and json.dumps(indent=2) from a table's text
+columns, chunk by chunk in blocks of RENDER_BLOCK rows; each distinct
+float of a block is formatted once, across all of the block's float
+columns, unless the block before formatted it. Neither the output nor a
+scan's table is ever held whole: `emit` writes each block to stdout or a
+file as it is made, and into the manifest's digest, before the next chunk
+is evaluated, so a 1e6-point mode_report scan peaks at 36 MB RSS to a file
+and 33 MB to stdout, not the 255 MB of holding the scan's table (one CPU).
 
 This module is the output path of every command, so it imports neither
-the evaluators nor their physics modules: `run_scan` imports `quantities`
-when it runs, and `json` and `hashlib` are imported by the JSON output and
-the manifest that use them.
+the evaluators nor their physics modules: a `ScanTable` imports
+`quantities` when it is built, and `json` and `hashlib` are imported by
+the JSON output and the manifest that use them.
 """
 
 from __future__ import annotations
@@ -112,26 +113,26 @@ def run_scan(spec, workers: int = 1) -> "ScanTable":
     evaluated in this process chunk by chunk as it is read; `workers` must
     be at least 1 and changes nothing. The first chunk is evaluated here,
     so that a spec refused for what it holds fails before any output."""
-    from .quantities import evaluate_chunk
     if workers < 1:
         raise InvalidInput(f"workers must be at least 1, got {workers}")
     total = spec.total_points
     cap = min(spec.max_points, DEFAULT_GRID_CAP)
     if total > cap:
         raise RefusedTooLarge(f"scan has {total} points, cap is {cap}")
-    spec.require_complete()
-    return ScanTable(spec, evaluate_chunk, SCAN_CHUNK)
+    return ScanTable(spec)
 
 
 class ScanTable:
     """A scan's table, never held whole: `columns` are its column names,
     those of its first chunk, len() is its point count, and `chunks()`
-    gives one `Table` of each `size` points in grid order, each evaluated
-    when it is reached (the first is kept from the start). Iterating gives
-    row dicts."""
+    gives one `Table` of each SCAN_CHUNK points in grid order, evaluated
+    by `quantities.evaluate_chunk` (both names are read when the table is
+    built, which evaluates the first chunk) as it is reached. Iterating
+    gives row dicts."""
 
-    def __init__(self, spec, evaluate_chunk, size: int):
-        self._spec, self._evaluate, self._size = spec, evaluate_chunk, size
+    def __init__(self, spec):
+        from .quantities import evaluate_chunk
+        self._spec, self._evaluate, self._size = spec, evaluate_chunk, SCAN_CHUNK
         self._names = [ax.name for ax in spec.grid]
         self._axes = [ax.values() for ax in spec.grid]
         self._first = self._chunk(0)

@@ -1,4 +1,6 @@
 import math
+import re
+import sys
 
 import numpy as np
 import pytest
@@ -6,9 +8,9 @@ import pytest
 from chronon_lab.errors import (ChrononLabError, GridMismatch, InvalidInput, OnePoint,
                                 Overflow, RefusedTooLarge)
 from chronon_lab.evolution import (ChrononParams, NATURAL_UNITS, Trajectory,
-                                   TwoState, UnitSystem, chronon_step,
+                                   TwoState, UnitSystem, chronon_step, coerce_param,
                                    continuous_propagator, discrete_step_operator,
-                                   evolve, final_states, grid_check,
+                                   evolve, final_states, grid_check, parse_direction,
                                    symmetric_hamiltonian)
 from chronon_lab.kaon import KaonModel, kaon_hamiltonian
 from chronon_lab.linalg2 import DEFAULT_TOL, IDENTITY2, PAULI_X, eig2, exp2, power2
@@ -51,6 +53,34 @@ def test_chronon_params():
         ChrononParams(energy=1.0, n=0)
     with pytest.raises(InvalidInput):
         UnitSystem(hbar=0.0)
+
+
+def test_chronon_params_in_other_units():
+    # tau = tau_scale hbar / E = 0.5 * 3 / 2
+    p = chronon(energy=2.0, n=3, tau_scale=0.5)
+    assert (p.tau(UnitSystem(hbar=3.0)), p.step(UnitSystem(hbar=3.0))) == (0.75, 2.25)
+
+
+def test_chronon_params_n_up_to_the_largest_double():
+    top = int(sys.float_info.max)
+    assert coerce_param("n", top, int) == top
+    assert ChrononParams(1.0, n=top).n == top
+    with pytest.raises(InvalidInput, match="^n must not exceed the largest double"):
+        ChrononParams(1.0, n=top + 1)
+
+
+@pytest.mark.parametrize("text, want", [
+    ("1,0", [1, 0]), ("0.6,0.8j", [0.6, 0.8j]), ("1e200,0", [1, 0]), ("1e-200,0", [1, 0]),
+    ("3e-170,4e-170", [0.6, 0.8]), ("0,-1e300j", [0, -1j]), ("5e-324,0", [1, 0])])
+def test_parse_direction_of_any_finite_nonzero_pair(text, want):
+    # the norm of the pair is formed without over- or underflow
+    np.testing.assert_allclose(parse_direction(text), want, rtol=1e-15, atol=0)
+
+
+@pytest.mark.parametrize("text", ["0,0", "0j,-0j"])
+def test_parse_direction_refuses_zero(text):
+    with pytest.raises(InvalidInput, match=f"^direction '{text}' must be nonzero and finite$"):
+        parse_direction(text)
 
 
 def test_continuous_propagator_examples():
@@ -135,6 +165,12 @@ def test_evolve_discrete_single_step():
     assert traj.engine == "discrete"
 
 
+def test_evolve_discrete_times_are_the_chronon_grid():
+    # n tau = 3 (0.5 hbar / 2) = 0.75
+    traj = evolve(PAULI_X, [1, 0], "discrete", 2.25, 3, chronon(energy=2.0, n=3, tau_scale=0.5))
+    np.testing.assert_array_equal(traj.times, [0.0, 0.75, 1.5, 2.25])
+
+
 def test_evolve_continuous_rabi_oscillation():
     traj = evolve(PAULI_X, TwoState([1, 0]), "continuous", 3.0, 60)
     p2 = np.abs(traj.states[:, 1]) ** 2
@@ -185,6 +221,31 @@ def test_check_grid_t_max_not_positive(engine, t_max):
     # one rule for both engines: a discrete t_max <= 0 is not a grid mismatch
     with pytest.raises(InvalidInput, match="^t_max must be positive and finite$"):
         grid_check(OnePoint, engine, t_max, 4, step_of(chronon()))
+
+
+@pytest.mark.parametrize("t_max, dt", [(1e300, 1e-300), (1e-12, 1.0)],
+                         ids=["quotient inf", "quotient rounds to 0"])
+def test_check_grid_of_no_whole_step(t_max, dt):
+    with pytest.raises(GridMismatch, match=re.escape(f"t_max={t_max!r} is not an integer "
+                                                     "multiple of n*tau=")):
+        grid_check(OnePoint, "discrete", t_max, 4, dt)
+
+
+@pytest.mark.parametrize("steps, k", [(3, 3.0), (1, 1.0)])
+def test_check_grid_rounding_tolerance(steps, k):
+    # t_max / (n tau) is taken as the integer steps within 1e-9 of max(t_max / (n tau), 1)
+    grid_check(OnePoint, "discrete", k * (1 + 0.9995e-9), steps, 1.0)
+    grid_check(OnePoint, "discrete", k * (1 - 0.9995e-9), steps, 1.0)
+    for t_max in (k * (1 + 1.0005e-9), k * (1 - 1.0005e-9)):
+        with pytest.raises(GridMismatch, match="is not an integer multiple"):
+            grid_check(OnePoint, "discrete", t_max, steps, 1.0)
+
+
+def test_check_grid_steps_up_to_the_largest_double():
+    top = sys.float_info.max
+    grid_check(OnePoint, "discrete", top, int(top), 1.0)
+    with pytest.raises(GridMismatch, match="^steps=1797693134862315708"):
+        grid_check(OnePoint, "discrete", top, int(top) + 1, 1.0)
 
 
 def test_final_state_continuous_is_last_state_of_evolve():
@@ -342,6 +403,20 @@ def test_trajectory_grid_validation():
         Trajectory(np.array([0.0, 1.0, 1.5]), np.zeros((3, 2)), "continuous")
     with pytest.raises(InvalidInput):
         Trajectory(np.array([0.0, -1.0]), np.zeros((2, 2)), "continuous")
+    # steps may differ by up to 1e-12 of the grid's span t[-1] - t[0]
+    for t, uniform in (([0.0, 1.0, 2 + 1.999e-12], True), ([0.0, 1.0, 2 + 2.001e-12], False),
+                       ([1e3, 1e3 + 1, 1e3 + 2 + 1e-9], False)):
+        if uniform:
+            assert len(Trajectory(np.array(t), np.zeros((3, 2)), "discrete")) == 3
+        else:
+            with pytest.raises(InvalidInput, match="strictly increasing and uniform"):
+                Trajectory(np.array(t), np.zeros((3, 2)), "discrete")
+    # a jitter of exactly 1e-12 of the span is taken
+    span = 931.3225746154785
+    assert 1e-12 * span == 2.0 ** -30
+    t = np.array([0.0, (span - 2.0 ** -30) / 2, span])
+    assert np.diff(t)[1] - np.diff(t)[0] == 2.0 ** -30
+    assert len(Trajectory(t, np.zeros((3, 2)), "discrete")) == 3
 
 
 # ---------------------------------------------------------------------------
@@ -404,6 +479,13 @@ def test_a_stack_takes_one_value_or_one_per_matrix():
             call()
     # one value, or one per matrix, is taken
     assert exp2(hs, np.array([0.1])).shape == power2(hs, np.array([2, 3, 4])).shape == (3, 2, 2)
+
+
+@pytest.mark.parametrize("bad", [math.inf, math.nan])
+def test_continuous_propagator_of_a_non_finite_h(bad):
+    # the error of the entries, not of H / hbar
+    with pytest.raises(InvalidInput, match="^matrix has non-finite entries$"):
+        continuous_propagator(np.array([[bad, 0.0], [0.0, 1.0]]), 1.0, allow_nonhermitian=True)
 
 
 def test_continuous_propagator_names_a_subnormal_hbar():

@@ -17,8 +17,8 @@ from chronon_lab.evolution import (ChrononParams, TwoState, UnitSystem,
                                    evolve, parse_complex_pair, step_map,
                                    symmetric_hamiltonian)
 from chronon_lab.kaon import KaonModel, kaon_hamiltonian
-from chronon_lab.quantities import (ScanAxis, ScanSpec, evaluate_point, kaon_from_config,
-                                    load_kaon_config)
+from chronon_lab.quantities import (ScanAxis, ScanSpec, evaluate_chunk, evaluate_point,
+                                    kaon_from_config, load_kaon_config, point_row)
 from chronon_lab.runner import (RENDER_BLOCK, Table, build_manifest, convergence_study, emit,
                                 emit_with_manifest, manifest_path_for, render, render_blocks,
                                 run_scan)
@@ -102,6 +102,12 @@ def test_axis_bound_refusals_name_the_axis(bound, message):
     assert str(info.value) == f"axis 'mixing_e': {message}"
 
 
+@pytest.mark.parametrize("start, stop", [(-1.0, 1.0), (0.0, 1.0), (1.0, 0.0), (1.0, -1.0)])
+def test_a_log_axis_needs_positive_bounds(start, stop):
+    with pytest.raises(InvalidInput, match="^axis 'x': log spacing needs positive bounds$"):
+        ScanAxis("x", start, stop, 5, "log")
+
+
 def test_an_axis_name_that_is_not_a_string_is_refused_before_its_bounds():
     axis = {"name": ["mixing_e"], "start": "abc", "stop": 2.0, "count": 2}
     with pytest.raises(InvalidInput) as info:
@@ -122,6 +128,9 @@ def test_linear_axis_whose_bounds_differ_past_the_double_range():
     # with no warning (which fails the test) and no value that is not finite
     np.testing.assert_array_equal(ScanAxis("gamma_s", -1.7e308, 1.7e308, 3).values(),
                                   [-1.7e308, 0.0, 1.7e308])
+    # halved by 2 exactly: a grid of round values keeps them
+    np.testing.assert_array_equal(ScanAxis("x", -1e308, 1.5e308, 6).values(),
+                                  [-1e308, -5e307, 0.0, 5e307, 1e308, 1.5e308])
     values = ScanAxis("x", -1e300, 1.7976931348623157e308, 4).values()
     np.testing.assert_array_equal(values[[0, -1]], [-1e300, 1.7976931348623157e308])
     assert (np.diff(values) > 0).all()
@@ -154,6 +163,59 @@ def test_scan_refuses_oversized_grid():
     })
     with pytest.raises(RefusedTooLarge):
         run_scan(spec)
+
+
+@pytest.mark.parametrize("count", [3, 4])
+def test_a_scan_of_max_points_points_runs(count):
+    spec = ScanSpec.from_dict({"quantity": "mode_report", "fixed": {"energy": 1.0},
+                               "grid": [{"name": "diag", "start": 0, "stop": 1, "count": count}],
+                               "max_points": 3})
+    if count > 3:
+        with pytest.raises(RefusedTooLarge, match="^scan has 4 points, cap is 3$"):
+            run_scan(spec)
+    else:
+        assert [row["status"] for row in run_scan(spec)] == ["ok"] * 3
+
+
+@pytest.mark.parametrize("params, message", [
+    ({"tau_scale": 0.5}, "mode_report: missing parameters ['energy']"),
+    ({"energy": "abc"}, "bad value for 'energy': expected a number, got 'abc'"),
+    ({"energy": 1.0, "n": True}, "bad value for 'n': expected a number, got True"),
+    ({"energy": 1.0, "convention": "nope"},
+     "bad value for 'convention': expected one of ['paper', 'standard'], got 'nope'")],
+    ids=["missing", "text", "bool", "choice"])
+def test_a_parameter_missing_or_of_the_wrong_kind_raises(params, message):
+    # wrong for every point alike: a chunk, a point row and a CLI row raise
+    for call in (lambda: evaluate_chunk("mode_report", params, ["diag"], [np.zeros(3)]),
+                 lambda: evaluate_point("mode_report", params),
+                 lambda: point_row("mode_report", params)):
+        with pytest.raises(InvalidInput) as info:
+            call()
+        assert str(info.value) == message
+
+
+def test_a_value_outside_its_domain_fails_its_point():
+    # a single n of 1.5 is a number outside the COUNT domain, as an array
+    # lane of 1.5 is: its row fails, and a one-point row raises the domain's text
+    assert evaluate_point("mode_report", {"energy": 1.0, "n": 1.5})["status"] == "InvalidInput"
+    with pytest.raises(InvalidInput, match="^n must be a positive integer$"):
+        point_row("mode_report", {"energy": 1.0, "n": 1.5})
+    # n tau = n (tau_scale hbar / E) overflows to inf
+    params = {"energy": 1e-300, "tau_scale": 1e300}
+    assert evaluate_point("mode_report", params)["status"] == "InvalidInput"
+    with pytest.raises(InvalidInput, match="^n[*]tau is inf in double precision"):
+        point_row("mode_report", params)
+
+
+def test_an_undefined_ratio_on_an_ok_lane_is_none():
+    # diag = energy puts an eigenvalue of H at 0, whose ratio Im/Re is
+    # undefined: None on that ok lane, and on the failed lane (energy -1),
+    # whose ratio is defined
+    cols, status = evaluate_chunk("mode_report", {}, ["energy", "diag"],
+                                  [np.array([1.0, -1.0, 2.0]), np.array([1.0, 0.0, 0.0])])
+    assert status.tolist() == ["ok", "InvalidInput", "ok"]
+    assert cols["mode0_ratio_exact"][1].tolist() == [True, True, False]
+    assert cols["mode1_ratio_exact"][1].tolist() == [False, True, False]
 
 
 # ---------------------------------------------------------------------------
@@ -452,6 +514,14 @@ def test_convergence_study_zero_time():
     for row in rows:
         assert row["max_entry_error"] == 0.0
         assert row["observed_order"] is None
+
+
+def test_convergence_study_order_after_a_zero_error():
+    # at t_max 1e-9, U^64 is the propagator to the last bit and U^128 is not:
+    # no order is defined from an error of 0
+    rows = list(convergence_study(1.0, 1e-9, [64, 128]))
+    assert rows[0]["max_entry_error"] == 0.0 and rows[1]["max_entry_error"] > 0
+    assert [row["observed_order"] for row in rows] == [None, None]
 
 
 def test_convergence_study_validates_m_list():
