@@ -12,28 +12,26 @@ parses its source with `ast` and lists every mutation site:
 - one operand of `&` or `|` dropped;
 - `np.where(c, a, b)` replaced by `b`.
 
-Annotations are skipped: the package never evaluates them. The sites are
-shuffled by `random.Random(SEED)` and the first COUNT are the mutants. Each one
-is written, alone, into a copy of the repository in a temporary directory,
-where `python -m pytest -x` runs the tests (by default every test file, the
-module's own first). A failing run kills the mutant, as does one that takes
-five times as long as the unmutated run. A survivor that EQUIVALENT lists
-is reported as equivalent, with its reason: no input tells it from the
-module, or none that can be built. The probe prints one line per mutant,
-then the score: killed mutants over those that are not equivalent. It
-exits 1 if a mutant that is not equivalent survives.
+Annotations are skipped: the package never evaluates them. Every site is a
+mutant: each one is written, alone, into a copy of the repository in a
+temporary directory, where `python -m pytest -x` runs the tests (by default
+every test file, the module's own first). A failing run kills the mutant, as
+does one that takes five times as long as the unmutated run. A survivor
+that EQUIVALENT lists is reported as equivalent, with its reason: no input
+tells it from the module, or none that can be built. The probe prints one
+line per mutant, then the score: killed mutants over those that are not
+equivalent. It exits 1 if a mutant that is not equivalent survives.
 
-A run takes about as long as COUNT test runs, less the part that `-x`
-saves on killed mutants: on a 2-core host the suite takes 20-28 s, the
-40 mutants of linalg2, spectrum, kaon or evolution take 3 to 5 minutes,
-and quantities (16 sites) and runner (26 sites), whose sites are all
-mutants, take about 5 and 2 minutes.
+A run takes about as long as one test run per site, less the part that
+`-x` saves on killed mutants. On a 2-core host the suite takes 20-28 s,
+and the runs took: linalg2 (134 sites) 7.5 minutes, evolution (58) 4,
+kaon (54) 4.7, spectrum (32) 3.7, cli (6) 2.5, and quantities (16) and
+runner (26) about 5 and 2.
 """
 
 import argparse
 import ast
 import os
-import random
 import shutil
 import subprocess
 import sys
@@ -43,9 +41,6 @@ from collections import namedtuple
 from pathlib import Path
 
 ROOT = Path(__file__).resolve().parent.parent
-# how many mutation sites a run takes, and the seed of their choice
-COUNT = 40
-SEED = 24
 
 SWAPS = {ast.Add: ast.Sub, ast.Sub: ast.Add, ast.Mult: ast.Div, ast.Div: ast.Mult,
          ast.BitAnd: ast.BitOr, ast.BitOr: ast.BitAnd, ast.Lt: ast.LtE, ast.LtE: ast.Lt,
@@ -62,16 +57,23 @@ _BIG_ARGUMENT = ("where q is past 2^1000, |1 + v| is past 2^472 and 1 + v is v, 
 _FINITE = "finite = np.isfinite(gamma) & (np.isfinite(gamma_eff) | zero)"
 _WIDTH = ("gamma = -2 (Im h / hbar) is a width of the model, between gamma_long and "
           "gamma_short up to rounding, so it is finite")
-_TIE = "tie = np.abs(keys[:, 0] - keys[:, 1]) <= 1e-12 * key_scale"
-_SAME_CP = "lanes.fail(tie & (np.abs(w[:, 0] - w[:, 1]) <= 1e-12), DegenerateModes,"
+_TIE = "tie = np.abs(keys[:, 0] - keys[:, 1]) <= 1e-12 * key_scale  # relative, so scale-free"
+_SAME_CP = ("lanes.fail(tie & (np.abs(w[:, 0] - w[:, 1]) <= 1e-12), DegenerateModes,  "
+            "# unit vectors")
 _SLOW = "slow = np.where(np.where(tie, w[:, 0] > w[:, 1], keys[:, 0] < keys[:, 1])[:, None],"
 _NEAR_TIE = ("no input found where the tolerance's last 0.1% decides: none of 60000 "
              "random kaon points, many of them near a tie, tells the two apart")
+_DIRECTION = '"direction": [(im > 0) - (im < 0) for im in ims],'
+_HERMITIAN_MODES = ("`modes` builds a Hermitian H, whose step map has |lambda| >= 1, so Im h_eff "
+                    ">= 0 and (im < 0) is 0")
 EQUIVALENT = {
-    ("linalg2", "degenerate = np.abs(lam[:, 1] - lam[:, 0]) <= DEFAULT_TOL * scale",
-     "np.abs(lam[:, 1] - lam[:, 0]) <= DEFAULT_TOL * scale -> "
-     "np.abs(lam[:, 1] - lam[:, 0]) < DEFAULT_TOL * scale"):
-        "a tie needs the rounded gap to equal the rounded DEFAULT_TOL * scale",
+    ("linalg2", "by_real = np.abs(b.real) >= np.abs(b.imag)",
+     "np.abs(b.real) >= np.abs(b.imag) -> np.abs(b.real) > np.abs(b.imag)"):
+        "where |Re b| = |Im b| the ratio is +-1 and both branches give the same quotient "
+        "bit for bit",
+    ("linalg2", "swap = (hi.real == lo.real) & (hi.imag < lo.imag)  # hi.real >= lo.real: "
+     "Re root >= 0", "hi.imag < lo.imag -> hi.imag <= lo.imag"):
+        "where the imaginary parts tie too the two values are equal, so a swap changes nothing",
     ("linalg2", "np.divide(np.sinh(x), np.where(delta != 0, delta, 1.0), out=sinch, "
      "where=~small)", "np.where(delta != 0, delta, 1.0) -> np.where(delta != 0, delta, 1.001)"):
         "read only where delta = 0, so x = 0: a series lane, which where=~small skips",
@@ -93,6 +95,9 @@ EQUIVALENT = {
         "equal keys are a tie, so this test sees unequal ones only",
     ("kaon", _SLOW, "w[:, 0] > w[:, 1] -> w[:, 0] >= w[:, 1]"):
         "equal CP contents on a tie are DegenerateModes, so this test sees unequal ones only",
+    ("cli", _DIRECTION, "(im > 0) - (im < 0) -> (im > 0) + (im < 0)"): _HERMITIAN_MODES,
+    ("cli", '"reading": ["steady" if im == 0 else "growth" if (im > 0) == growth else "decay"',
+     "im > 0 -> im >= 0"): "read only where im != 0, where im > 0 and im >= 0 agree",
     ("evolution", "lanes.require((k >= 1) & (abs(k_float - k)",
      "abs(k_float - k) <= _GRID_RTOL * np.maximum(abs(k_float), 1.0) -> "
      "abs(k_float - k) < _GRID_RTOL * np.maximum(abs(k_float), 1.0)"):
@@ -210,9 +215,7 @@ def main(argv=None) -> int:
     tests = args.tests or sorted(files, key=lambda t: t != own)
     source = path.read_text()
     lines = source.splitlines()
-    all_sites = sites(source)
-    chosen = random.Random(SEED).sample(all_sites, min(COUNT, len(all_sites)))
-    mutants = sorted(((s, *mutate(source, s)) for s in chosen), key=lambda m: m[0].line)
+    mutants = sorted(((s, *mutate(source, s)) for s in sites(source)), key=lambda m: m[0].line)
     with tempfile.TemporaryDirectory(prefix="mutation_probe_") as tmp:
         work = Path(tmp)
         # the tests read the configs, the README and the scripts beside them
@@ -222,8 +225,7 @@ def main(argv=None) -> int:
         if not passed:
             print("the unmutated module fails its tests", file=sys.stderr)
             return 2
-        print(f"{args.module}: {len(mutants)} of {len(all_sites)} sites, seed {SEED}; "
-              f"unmutated run {base:.1f} s")
+        print(f"{args.module}: {len(mutants)} sites; unmutated run {base:.1f} s")
         target = work / "src" / "chronon_lab" / path.name
         counts = {"killed": 0, "equivalent": 0, "SURVIVED": 0}
         for site, mutated, what in mutants:

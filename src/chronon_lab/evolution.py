@@ -29,7 +29,7 @@ CONVENTIONS = ("paper", "standard")
 # refused before anything is allocated.
 DEFAULT_GRID_CAP = 1_000_000
 
-# Relative tolerance for "t_max is an integer number of chronon steps".
+# Tolerance of "t_max is an integer number of chronon steps", relative to t_max / (n tau).
 _GRID_RTOL = 1e-9
 
 
@@ -231,7 +231,7 @@ class Trajectory(Record):
             raise InvalidInput("times and states have mismatched shapes")
         coerce_param("engine", engine, ENGINES)
         d = np.diff(t)
-        # finite positive steps, quietly, whose jitter is measured against the grid
+        # finite positive steps, quietly, whose jitter is at most 1e-12 of the grid
         # span: double-precision grids cannot be more uniform than eps * t_max
         if d.size and not (POSITIVE[0](d).all()
                            and np.max(np.abs(d - d[0])) <= 1e-12 * (t[-1] - t[0])):
@@ -272,8 +272,8 @@ def continuous_propagator(h, t: float | np.ndarray, units: UnitSystem = NATURAL_
     `exp2`."""
     a = as_stack(h)
     lane_check(a, t=t, hbar=units.hbar)
-    if not allow_nonhermitian:
-        lanes.require(is_hermitian(a), InvalidInput,
+    if not allow_nonhermitian:  # a non-finite H is exp2's to refuse
+        lanes.require(is_hermitian(a) | ~np.isfinite(a).all(axis=(-2, -1)), InvalidInput,
                       "H is not Hermitian; pass allow_nonhermitian=True for open systems")
     with np.errstate(over="ignore", invalid="ignore"):  # exp2 rejects non-finite entries
         g = np.asarray(-1j / units.hbar)[..., None, None] * a

@@ -186,7 +186,6 @@ class ModeWidths(Record):
     __slots__ = ("h_generator", "lambda_step", "gamma_continuous", "gamma_effective")
 
 
-@np.errstate(all="ignore")  # failed lanes carry nan and inf; their values are not used
 def _mode_widths(h, step, hbar, lanes: Lanes):
     """H's eigenpairs (`eig2_stack`) and per-mode multipliers lambda, decay
     rates -2 Im(h) / hbar and effective rates -2 ln|lambda| / (n tau) of a
@@ -218,9 +217,9 @@ def epsilon_stack(h, step, hbar, engine: str, lanes: Lanes) -> np.ndarray:
         lanes.fail((lam == 0).any(axis=1), SingularMap, "step map has a zero eigenvalue")
     keys = gamma_eff if engine == "discrete" else gamma
     key_scale = np.maximum(np.abs(keys[:, 0]), np.abs(keys[:, 1]))
-    tie = np.abs(keys[:, 0] - keys[:, 1]) <= 1e-12 * key_scale
+    tie = np.abs(keys[:, 0] - keys[:, 1]) <= 1e-12 * key_scale  # relative, so scale-free
     w = _modulus(vectors[:, :, 1])
-    lanes.fail(tie & (np.abs(w[:, 0] - w[:, 1]) <= 1e-12), DegenerateModes,
+    lanes.fail(tie & (np.abs(w[:, 0] - w[:, 1]) <= 1e-12), DegenerateModes,  # unit vectors
                "modes have equal decay rate and equal CP content")
     slow = np.where(np.where(tie, w[:, 0] > w[:, 1], keys[:, 0] < keys[:, 1])[:, None],
                     vectors[:, 0], vectors[:, 1])

@@ -17,7 +17,7 @@ from .record import Record
 DEFAULT_TOL = 1e-10
 
 # Components of a unit vector below this are treated as zero when picking the
-# phase-fixing pivot.
+# phase-fixing pivot; the vector is normalized, so the threshold is scale-free.
 _PIVOT_EPS = 1e-12
 
 IDENTITY2 = np.eye(2, dtype=np.complex128)
@@ -57,10 +57,22 @@ def finite_check(lanes, a: np.ndarray) -> None:
 
 
 def is_hermitian(m):
-    """Max-entry test of M == M^dagger within DEFAULT_TOL: a bool for one
-    matrix, an array of them for a stack."""
+    """Whether the largest entry of M - M^dagger is `_negligible` against M,
+    both scaled by the power of two of M's largest part: a bool for one
+    matrix, an array of them for a stack. A non-finite entry makes it False."""
     a = as_stack(m)
-    return np.max(np.abs(a - np.swapaxes(a.conj(), -1, -2)), axis=(-2, -1)) <= DEFAULT_TOL
+    with np.errstate(all="ignore"):  # a non-finite entry fails the test, quietly
+        top = np.maximum(abs(a.real), abs(a.imag)).max(axis=(-2, -1))
+        a = a * _pow2_scale(top)[..., None, None]
+        asym = _modulus(a - np.swapaxes(a.conj(), -1, -2)).max(axis=(-2, -1))
+        return np.isfinite(a).all(axis=(-2, -1)) & _negligible(asym, a)
+
+
+def _negligible(x, m):
+    """x <= DEFAULT_TOL ||m||_F per matrix of a stack m scaled by a power of
+    two, so that M -> 2^k M changes no verdict: the rule of every matrix test."""
+    mod = _modulus(m)
+    return x <= DEFAULT_TOL * np.sqrt((mod * mod).sum(axis=(-2, -1)))
 
 
 class EigenPair2(Record):
@@ -115,16 +127,14 @@ def cdiv(a, b) -> np.ndarray:
     b (NumPy multiplies by a reciprocal, which overflows for a subnormal b);
     nan where b = 0."""
     a, b = np.asarray(a), np.asarray(b)
-    with np.errstate(all="ignore"):
-        by_real = np.abs(b.real) >= np.abs(b.imag)
-        ratio = np.where(by_real, b.imag / b.real, b.real / b.imag)
-        denom = np.where(by_real, b.real + b.imag * ratio, b.real * ratio + b.imag)
-        return as_complex(
-            np.where(by_real, a.real + a.imag * ratio, a.real * ratio + a.imag) / denom,
-            np.where(by_real, a.imag - a.real * ratio, a.imag * ratio - a.real) / denom)
+    by_real = np.abs(b.real) >= np.abs(b.imag)
+    ratio = np.where(by_real, b.imag / b.real, b.real / b.imag)
+    denom = np.where(by_real, b.real + b.imag * ratio, b.real * ratio + b.imag)
+    return as_complex(
+        np.where(by_real, a.real + a.imag * ratio, a.real * ratio + a.imag) / denom,
+        np.where(by_real, a.imag - a.real * ratio, a.imag * ratio - a.real) / denom)
 
 
-@np.errstate(all="ignore")  # failed lanes carry nan and inf; their values are not used
 def _char_root(a: np.ndarray, lanes: Lanes):
     """(tr/2, D, m, s) of a stack a of shape (k, 2, 2): the eigenvalues are
     tr/2 -/+ D, and m holds the entries of a times s, the `_pow2_scale` of
@@ -168,13 +178,11 @@ def eig2_stack(a: np.ndarray, lanes: Lanes):
                   "eigenvalues are not finite in double precision")
     # the tests and the vectors in the scaled units of m: nothing overflows
     lam = values * s[:, None]
-    mod = _modulus(m)
-    scale = np.sqrt((mod * mod).sum(axis=(-2, -1)))
-    degenerate = np.abs(lam[:, 1] - lam[:, 0]) <= DEFAULT_TOL * scale
-    c = half_tr * s
+    degenerate = _negligible(np.abs(lam[:, 1] - lam[:, 0]), m)
+    c, mod = half_tr * s, _modulus(m)
     off = np.maximum(np.maximum(_modulus(m[:, 0, 0] - c), _modulus(m[:, 1, 1] - c)),
                      np.maximum(mod[:, 0, 1], mod[:, 1, 0]))
-    scalar = degenerate & (off <= DEFAULT_TOL * np.maximum(scale, s))
+    scalar = degenerate & _negligible(off, m)
     # of the two vectors the rows of M - lam I annihilate, (m01, lam - m00)
     # and (lam - m11, m10), the longer cancels least; row 0 on a tie
     d0, d1 = lam - m[:, 0, 0, None], lam - m[:, 1, 1, None]
@@ -234,9 +242,9 @@ def exp2(m, s: complex | np.ndarray = 1.0, lanes=OnePoint) -> np.ndarray:
     lanes.require(np.isfinite(t), InvalidInput, "scale factor must be finite")
     half_tr, delta = _char_root(a, lanes)[:2]
     x = delta * t
-    # sinh(s D)/D -> s (1 + x^2/6 + x^4/120 + ...) as D -> 0: the series
-    # gets only small x, and the quotient only the other lanes, so that a
-    # subnormal D (whose reciprocal overflows) or D = 0 stays quiet
+    # sinh(s D)/D -> s (1 + x^2/6 + x^4/120 + ...) as D -> 0: the series gets
+    # only small x (dimensionless, so the cut is scale-free), the quotient the
+    # other lanes, so that a subnormal D (reciprocal past 1.8e308) or 0 is quiet
     small = np.abs(x) < 1e-6
     xs = np.where(small, x, 0.0)
     sinch = t * (1.0 + (xs * xs) / 6.0)  # x^4/120 < 1e-26: below a double's eps

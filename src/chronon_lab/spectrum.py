@@ -24,7 +24,7 @@ from .errors import InvalidInput, Lanes, OnePoint, Overflow
 from .evolution import (CONVENTIONS, ChrononParams, NATURAL_UNITS, UnitSystem,
                         chronon_step, coerce_param, step_check)
 from .linalg2 import (_modulus, _pow2_scale, as_complex, as_operator, cdiv, cmul, eig2_stack,
-                      is_hermitian)
+                      finite_check, is_hermitian)
 from .record import Record
 
 
@@ -50,7 +50,6 @@ def _lane_column(x) -> np.ndarray:
     return np.reshape(np.asarray(x, dtype=np.float64), (-1, 1))
 
 
-@np.errstate(all="ignore")  # failed lanes carry nan and inf; their values are not used
 def step_multipliers(h, step, hbar):
     """(y, lambda, ln|lambda|) of modes h (an array) at grid spacing
     n tau = step: y = h n tau / hbar = u + i v and the one-step multiplier
@@ -147,8 +146,8 @@ def mode_report(h, p: ChrononParams, units: UnitSystem = NATURAL_UNITS,
     """
     a = as_operator(h)
     coerce_param("convention", convention, CONVENTIONS)
-    if not is_hermitian(a):
-        raise InvalidInput("mode_report requires a Hermitian H")
+    finite_check(OnePoint, a)
+    OnePoint.require(is_hermitian(a), InvalidInput, "mode_report requires a Hermitian H")
     t = mode_stack(a[None], p.energy, p.tau_scale,
                    chronon_step(p.energy, p.n, p.tau_scale, units.hbar), units.hbar, OnePoint)
     records = tuple(ModeRecord(

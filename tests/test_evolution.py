@@ -7,6 +7,7 @@ import pytest
 
 from chronon_lab.errors import (ChrononLabError, GridMismatch, InvalidInput, OnePoint,
                                 Overflow, RefusedTooLarge)
+from chronon_lab import evolution
 from chronon_lab.evolution import (ChrononParams, NATURAL_UNITS, Trajectory,
                                    TwoState, UnitSystem, chronon_step, coerce_param,
                                    continuous_propagator, discrete_step_operator,
@@ -317,6 +318,14 @@ def test_evolve_refuses_more_rows_than_the_cap(engine, p):
                                     NATURAL_UNITS)).all()
 
 
+def test_evolve_takes_exactly_the_cap_of_rows(monkeypatch):
+    # steps + 1 rows: 9 steps fill a cap of 10 rows, 10 steps exceed it
+    monkeypatch.setattr(evolution, "DEFAULT_GRID_CAP", 10)
+    assert len(evolve(PAULI_X, [1, 0], "continuous", 1.0, 9)) == 10
+    with pytest.raises(RefusedTooLarge, match="10 steps, 11 rows; cap is 10 rows"):
+        evolve(PAULI_X, [1, 0], "continuous", 1.0, 10)
+
+
 def test_first_order_convergence():
     # composed discrete map converges to the exact propagator like C/m
     h = PAULI_X
@@ -486,6 +495,18 @@ def test_continuous_propagator_of_a_non_finite_h(bad):
     # the error of the entries, not of H / hbar
     with pytest.raises(InvalidInput, match="^matrix has non-finite entries$"):
         continuous_propagator(np.array([[bad, 0.0], [0.0, 1.0]]), 1.0, allow_nonhermitian=True)
+
+
+def test_continuous_propagator_refuses_a_non_finite_h_for_its_entries():
+    # quietly, and not as a non-Hermitian H
+    with pytest.raises(InvalidInput, match="^matrix has non-finite entries$"):
+        continuous_propagator(np.array([[math.inf, 0.0], [0.0, 1.0]]), 1.0)
+
+
+def test_continuous_propagator_refuses_a_tiny_non_hermitian_h():
+    # the asymmetry 2e-20 is below any absolute tolerance, but all of H
+    with pytest.raises(InvalidInput, match="H is not Hermitian"):
+        continuous_propagator([[1e-20j, 0.0], [0.0, 0.0]], 1e20)
 
 
 def test_continuous_propagator_names_a_subnormal_hbar():

@@ -112,6 +112,30 @@ def test_eig2_tolerances_scale_with_the_frobenius_norm():
     np.testing.assert_array_equal([lo.vector, hi.vector], [[1.0, 0.0], [1.0, 0.0]])
 
 
+def test_eig2_tolerance_boundaries_within_half_a_permille():
+    # [[0.9, 0.9], [c, 0.9]]: gap 2 sqrt(0.9 c) at 0.9995 and 1.0005 times
+    # 1e-10 ||M||_F, ||M||_F = sqrt(2.43)
+    for f, degenerate in ((0.9995, True), (1.0005, False)):
+        c = (f * 1e-10 * math.sqrt(2.43) / 2) ** 2 / 0.9
+        assert eig2([[0.9, 0.9], [c, 0.9]])[0].degenerate is degenerate
+
+
+def test_eig2_scalar_test_needs_a_degenerate_matrix():
+    # the off-diagonal 1e-10 is below 1e-10 ||M||_F, but the gap 2e-10 is
+    # not degenerate: the vectors are (1, -/+1)/sqrt(2), not the canonical basis
+    lo, hi = eig2([[1.0, 1e-10], [1e-10, 1.0]])
+    assert not lo.degenerate
+    np.testing.assert_allclose([lo.vector, hi.vector], [[1 / SQ2, -1 / SQ2], [1 / SQ2, 1 / SQ2]],
+                               atol=1e-7)
+
+
+@pytest.mark.parametrize("s", [1.0, 1e-11, 1e-20, 1e-300])
+def test_eig2_gives_a_jordan_block_of_any_scale_its_one_vector_twice(s):
+    lo, hi = eig2(s * np.array([[1.0, 1.0], [0.0, 1.0]]))
+    assert lo.degenerate
+    np.testing.assert_allclose([lo.vector, hi.vector], [[1.0, 0.0], [1.0, 0.0]], atol=1e-15)
+
+
 @pytest.mark.parametrize("theta", [0.3, 1.1, 2.5])
 def test_eig2_takes_row_0_on_a_tie(theta):
     # in M = [[0, b], [conj b, 0]] with |b| = 1 both rows of M - lam I,
@@ -216,6 +240,16 @@ def test_exp2_series_below_the_cutover_is_sinh_to_the_last_bit(d):
     # that is libm's sinh to the last bit
     u = exp2(d * PAULI_X)
     assert u[0, 1] == math.sinh(d) and u[0, 0] == math.cosh(d)
+
+
+@pytest.mark.parametrize("d, t", [(1e-6 / 3.3277927640777283, 3.3277927640777283),
+                                  (1.00000125e-06, 1.0)])
+def test_exp2_quotient_from_the_cutover(d, t):
+    # x = s D = 1e-6 exactly, and x just above it, take sinh(x)/D, which
+    # here differs from the series in the last bit of the result
+    x = np.complex128(d) * t
+    assert abs(x) >= 1e-6 and t * (1.0 + x * x / 6.0) * d != np.sinh(x) / d * d
+    assert exp2(d * PAULI_X, t)[0, 1] == np.sinh(x) / d * d
 
 
 def test_exp2_zero_matrix():
@@ -422,3 +456,22 @@ def test_a_stack_raises_its_first_failing_check_at_its_first_lane():
 def test_hermitian_unitary_predicates():
     assert is_hermitian(PAULI_Y)
     assert not is_hermitian(1j * PAULI_X)
+
+
+def test_is_hermitian_is_relative_to_the_matrix():
+    assert is_hermitian(np.zeros((2, 2)))
+    assert not is_hermitian([[0.0, 1e-20], [0.0, 0.0]])  # nilpotent
+    # the asymmetry at 0.9995 and 1.0005 times 1e-10 ||M||_F, ||M||_F = sqrt(0.5)
+    for f, hermitian in ((0.9995, True), (1.0005, False)):
+        eps = f * 1e-10 * math.sqrt(0.5)
+        for scale in (1.0, 2.0 ** -1000, 2.0 ** 1000):
+            assert is_hermitian(scale * np.array([[0.5, 0.0], [eps, 0.5]])) == hermitian
+    # a Hermitian matrix whose entry modulus is past the double range
+    assert is_hermitian([[0.5, 1.5e308 + 1.5e308j], [1.5e308 - 1.5e308j, -0.5]])
+
+
+@pytest.mark.parametrize("m", [[[math.inf, 0.0], [0.0, 1.0]], [[1.0, math.inf], [0.0, 1.0]],
+                               [[1.0, 0.0], [math.nan, 1.0]]])
+def test_is_hermitian_of_a_non_finite_matrix_is_quietly_false(m):
+    assert not is_hermitian(m)
+    np.testing.assert_array_equal(is_hermitian(np.array([m, IDENTITY2])), [False, True])

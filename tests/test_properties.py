@@ -14,7 +14,7 @@ from hypothesis import given, settings, strategies as st
 from chronon_lab import runner
 from chronon_lab.errors import ChrononLabError, InvalidInput, Lanes, OnePoint
 from chronon_lab.evolution import ChrononParams, parse_direction, symmetric_hamiltonian
-from chronon_lab.linalg2 import eig2_stack, exp2, power2
+from chronon_lab.linalg2 import IDENTITY2, as_complex, eig2, eig2_stack, exp2, is_hermitian, power2
 from chronon_lab.quantities import evaluate_chunk, evaluate_point
 from chronon_lab.runner import Table, render
 from chronon_lab.spectrum import mode_report
@@ -48,8 +48,12 @@ def test_mode_report_is_scale_free(energy, tau_scale):
     assert got.nu_nonhermitian == pytest.approx(ref.nu_nonhermitian, rel=1e-14)
 
 
-signed = st.one_of(st.just(0.0), magnitudes(-1073, 1024),
-                   magnitudes(-1073, 1024).map(lambda x: -x))
+def signed_parts(lo: int, hi: int):
+    """0, or a `magnitudes(lo, hi)` double of either sign."""
+    return st.one_of(st.just(0.0), magnitudes(lo, hi), magnitudes(lo, hi).map(lambda x: -x))
+
+
+signed = signed_parts(-1073, 1024)
 
 
 @PROPERTY
@@ -99,6 +103,95 @@ def test_kaon_ok_rows_are_finite(quantity, mixing_e, gammas, delta_re, delta_im,
         return
     for col in columns:
         assert math.isfinite(row[col]), (col, row[col])
+
+
+# ---------------------------------------------------------------------------
+# H -> 2^k H scales exactly, so every matrix test and dimensionless value
+# keeps its bits and every dimensional value scales by 2^k or 2^-k
+
+def complexes(lo: int, hi: int):
+    return st.builds(complex, signed_parts(lo, hi), signed_parts(lo, hi))
+
+
+@st.composite
+def matrix_families(draw, family: str) -> np.ndarray:
+    """An H of `family`, entries of modulus up to 2^5: "hermitian";
+    "near_hermitian", whose lower coupling is off by 2^-40 to 2^-28, about
+    1e-12 to 4e-9 absolute and on both sides of the tolerance relative to H;
+    "defective", a Jordan block [[a, b], [0, a]] or its transpose; and
+    "near_scalar", c (I + E) with entries of E 0 or 2^-45 to 2^-25."""
+    if family == "defective":
+        a, b = draw(complexes(-4, 4)), draw(complexes(-4, 4).map(lambda z: z or 1.0))
+        h = np.array([[a, b], [0.0, a]])
+        return h.T.copy() if draw(st.booleans()) else h
+    if family == "near_scalar":
+        c = draw(complexes(-4, 4).map(lambda z: z or 1.0))
+        e = np.array(draw(st.lists(complexes(-45, -25), min_size=4, max_size=4)))
+        return c * (IDENTITY2 + e.reshape(2, 2))
+    a, d, b = draw(signed_parts(-4, 4)), draw(signed_parts(-4, 4)), draw(complexes(-4, 4))
+    lower = b.conjugate() + (draw(complexes(-40, -28)) if family == "near_hermitian" else 0.0)
+    return np.array([[a, b], [lower, d]])
+
+
+@st.composite
+def scaled_pairs(draw, family: str) -> tuple:
+    """(H of `family`, k) with k in [-1000, 1000] such that each nonzero part
+    of 2^k H is a normal double at least 2^4 below the overflow threshold."""
+    h = draw(matrix_families(family))
+    exps = [math.frexp(x)[1] for x in np.concatenate([h.real.ravel(), h.imag.ravel()]) if x]
+    return h, draw(st.integers(max(-1000, -1021 - min(exps, default=0)),
+                               min(1000, 1020 - max(exps, default=0))))
+
+
+def times_2k(x, k: int):
+    """x 2^k, part by part for a complex x: exact for a normal result."""
+    x = np.asarray(x)
+    if np.iscomplexobj(x):
+        return as_complex(np.ldexp(x.real, k), np.ldexp(x.imag, k))
+    return np.ldexp(x, k)
+
+
+def assert_same_bits(got, want):
+    got, want = np.asarray(got), np.asarray(want)
+    assert got.dtype == want.dtype and got.tobytes() == want.tobytes(), (got, want)
+
+
+FAMILIES = ("hermitian", "near_hermitian", "defective", "near_scalar")
+
+
+@settings(PROPERTY, max_examples=50)
+@given(pair=st.sampled_from(FAMILIES).flatmap(scaled_pairs))
+def test_matrix_tests_are_unchanged_by_a_power_of_two(pair):
+    h, k = pair
+    g = times_2k(h, k)
+    assert is_hermitian(g) == is_hermitian(h)
+    for got, want in zip(eig2(g), eig2(h), strict=True):
+        assert got.degenerate == want.degenerate
+        assert_same_bits(got.vector, want.vector)
+
+
+@settings(PROPERTY, max_examples=40)
+@given(pair=st.sampled_from(FAMILIES[:2]).flatmap(scaled_pairs), energy=magnitudes(-2, 2),
+       tau_scale=magnitudes(-4, 4), n=st.integers(1, 3))
+def test_mode_report_scales_with_a_power_of_two(pair, energy, tau_scale, n):
+    # at energy 2^k E the step n tau is 2^-k times: lambda, |lambda|, the
+    # vectors and nu keep their bits, h and the energies scale by 2^k and
+    # the e-folding time by 2^-k; a refusal is the same at every k
+    h, k = pair
+    g, p = times_2k(h, k), ChrononParams(float(times_2k(energy, k)), n, tau_scale)
+    try:
+        want = mode_report(h, ChrononParams(energy, n, tau_scale))
+    except ChrononLabError as exc:
+        assert first_error(lambda: mode_report(g, p)) == (type(exc), str(exc))
+        return
+    got = mode_report(g, p)
+    for g_mode, w_mode in zip(got.modes, want.modes, strict=True):
+        for field in ("eigvec", "lambda_step", "step_magnitude"):
+            assert_same_bits(getattr(g_mode, field), getattr(w_mode, field))
+        for field in ("h_continuous", "h_eff_exact", "h_first_order"):
+            assert_same_bits(getattr(g_mode, field), times_2k(getattr(w_mode, field), k))
+        assert_same_bits(g_mode.efold_time, times_2k(w_mode.efold_time, -k))
+    assert repr(got.nu_nonhermitian) == repr(want.nu_nonhermitian)
 
 
 # ---------------------------------------------------------------------------

@@ -155,6 +155,23 @@ def test_mode_report_rejects_nonhermitian():
         mode_report(np.array([[0, 1], [1, -0.5j]]), CHRONON_POINT)
 
 
+def test_mode_report_refuses_a_non_finite_h_for_its_entries():
+    with pytest.raises(InvalidInput, match="^matrix has non-finite entries$"):
+        mode_report([[math.inf, 1.0], [1.0, 0.0]], CHRONON_POINT)
+
+
+def test_mode_report_takes_a_rotated_h_at_1e10():
+    # U diag(E, 2E) U^dagger at E = 1e10, as the SI kaon config's mixing
+    # energy: its rounding asymmetry is far above 1e-10, yet 1e-16 of H
+    e = 1e10
+    c, s = math.cos(0.3), math.sin(0.3) * cmath.exp(0.7j)
+    u = np.array([[c, -s.conjugate()], [s, c]])
+    h = u @ np.diag([e, 2 * e]) @ u.conj().T
+    assert np.max(np.abs(h - h.conj().T)) > 1e-10
+    spec = mode_report(h, ChrononParams(energy=e))
+    assert [m.h_continuous for m in spec.modes] == pytest.approx([e, 2 * e], rel=1e-15)
+
+
 def test_mode_report_mixed_scale_hermitian():
     # diagonal magnitudes 10^U(-3, 4), off-diagonal 10^U(-6, 1): H's
     # eigenvectors must hold where the diagonal gap dwarfs the coupling, and
