@@ -121,7 +121,8 @@ def formats_group() -> tuple[str, dict[str, str], list[list[str]]]:
     a file, the pool_kaon scans as CSV to stdout, a scan with InvalidInput
     rows, the failing-lanes trajectory scans and the chunk-boundary scans as
     both, `prob_final` scans along a huge and a tiny direction as CSV; `evolve` and
-    `converge` (also with invalid rows, and at m = 2^40 and 2^53) as JSON,
+    `converge` (also with invalid rows, refused at t_max 0, and at m = 2^40
+    and 2^53) as JSON,
     each kaon observable in the format the README does not show, and
     `modes` at tau_scale 1e-9."""
     files = {"invalid.json": json.dumps(INVALID_SCAN)}
@@ -142,7 +143,7 @@ def formats_group() -> tuple[str, dict[str, str], list[list[str]]]:
         commands.append(["evolve", "--engine", engine, "--energy", "1", "--tau-scale",
                          "0.005", "--t-max", "10", "--steps", "2000", "--psi0", "0.6,0.8j",
                          "--format", "json"])
-    # at energy 1e300 every composition overflows; at t_max 0 no order is defined
+    # at energy 1e300 every composition overflows; t_max 0 is refused (exit 2)
     for energy, t_max in (("1", "1"), ("1e300", "1"), ("1", "0")):
         commands.append(["converge", "--energy", energy, "--t-max", t_max, "--m-list",
                          "4,8,16", "--format", "json"])
@@ -166,7 +167,7 @@ def help_group() -> tuple[str, dict[str, str | bytes], list[list[str]]]:
 
 
 def errors_group() -> tuple[str, dict[str, str | bytes], list[list[str]]]:
-    """Malformed inputs, each of which but the last five should exit 2
+    """Malformed inputs, each of which but the last four should exit 2
     with one line on stderr:
     spec files with a malformed value, field type, nesting, encoding or axis
     key, an axis count and a max_points past the double range, a kaon config
@@ -176,7 +177,9 @@ def errors_group() -> tuple[str, dict[str, str | bytes], list[list[str]]]:
     step count t_max / (n tau) is infinite or has 301 digits, three whose
     t_max is -inf, nan or -1, kaon trajectories without `steps` on the
     continuous engine and without `t_max`, a discrete `evolve` with t_max -1,
-    `converge` at t_max inf and nan, a continuous `evolve` and a
+    `converge` at t_max inf and nan, at energy -1 and 0 and at t_max 0 and
+    -1e-3 (values outside their domain, two of them tokens that start with
+    '-'), a continuous `evolve` and a
     `converge` at the subnormal hbar 1e-320; and flags that are numbers of
     the wrong kind or past the double range: `modes --n` 1.0 and 1.5,
     `modes --energy abc`, `evolve --steps` 3.0 and 10**400, and `--m-list`
@@ -197,12 +200,11 @@ def errors_group() -> tuple[str, dict[str, str | bytes], list[list[str]]]:
     configs with `gamma_s = inf` and `nan` under `--observable width-shift`;
     `modes --hbar -inf` with the value as its own token; last, a `converge`
     whose step map overflows, which exits 0 with both rows invalid and
-    nothing on stderr, two well-formed commands with a value that starts
-    with '-' as its own token, `converge --t-max -1e-3` and `evolve --psi0
-    -1,0`, a discrete kaon trajectory whose 10 steps come from t_max / (n
-    tau), and a width_shift scan whose gamma_s axis runs from -1.7e308 to
-    1.7e308, so that its bounds differ by more than the double range; these
-    exit 0."""
+    nothing on stderr, a well-formed command with a value that starts with
+    '-' as its own token, `evolve --psi0 -1,0`, a discrete kaon trajectory
+    whose 10 steps come from t_max / (n tau), and a width_shift scan whose
+    gamma_s axis runs from -1.7e308 to 1.7e308, so that its bounds differ by
+    more than the double range; these exit 0."""
     axis = {"name": "mixing_e", "start": 1.0, "stop": 2.0, "count": 2}
     specs = {
         "not_json": "{not json",
@@ -277,6 +279,8 @@ def errors_group() -> tuple[str, dict[str, str | bytes], list[list[str]]]:
                      "--steps", "4"])
     commands += [["converge", "--energy", "1", "--t-max", t_max, "--m-list", "4,8"]
                  for t_max in ("inf", "nan")]
+    commands += [["converge", "--energy", energy, "--t-max", t_max, "--m-list", "4,8"]
+                 for energy, t_max in (("-1", "1"), ("0", "1"), ("1", "0"), ("1", "-1e-3"))]
     commands += [["evolve", "--engine", "continuous", "--energy", "1", "--hbar", "1e-320",
                   "--t-max", "1", "--steps", "4"],
                  ["converge", "--energy", "1", "--hbar", "1e-320", "--t-max", "1",
@@ -302,7 +306,6 @@ def errors_group() -> tuple[str, dict[str, str | bytes], list[list[str]]]:
                  for gamma_s in ("inf", "nan")]
     commands += [["modes", "--energy", "1", "--hbar", "-inf"],
                  ["converge", "--energy", "1e300", "--t-max", "1e300", "--m-list", "4,8"],
-                 ["converge", "--energy", "1", "--t-max", "-1e-3", "--m-list", "4,8"],
                  ["evolve", "--engine", "continuous", "--energy", "1", "--t-max", "1",
                   "--steps", "2", "--psi0", "-1,0"],
                  ["kaon", "--config", "t_max_only.cfg", "--observable", "2pi",

@@ -1,17 +1,18 @@
 """Batch command-line interface.
 
 Subcommands: modes, evolve, kaon, scan, converge. Every command prints CSV
-or JSON rows to stdout, or writes them to --out with a RunManifest beside
-the file as `<out>.manifest.json`. A parameter flag is built from
-`evolution.PARAMETERS` and its string coerced by `coerce_param`, as a scan
-spec or kaon config key of the same name is. A flag's value may start
-with '-' whether it is written `--flag=value` or `--flag value`.
+or JSON rows to stdout, or writes them to --out with a run manifest beside
+the file as `<out>.manifest.json`, in one `runner.emit` call. A parameter
+flag is built from `evolution.PARAMETERS` and its string coerced by
+`coerce_param`, as a scan spec or kaon config key of the same name is. A
+flag's value may start with '-' whether it is written `--flag=value` or
+`--flag value`.
 
 Each command is a params step and a table function in `COMMANDS`: the
 first reads the flags, and the config or spec they name, into the dict that
 the manifest records; the second makes the table from that dict alone.
-`run_scan`, `convergence_study` and the emitters are looked up in this
-module when they are called, where perfbench's tracer rebinds them.
+`run_scan`, `convergence_study` and `emit` are looked up in this module
+when they are called, where perfbench's tracer rebinds them.
 
 Exit codes: 0 ok, 2 invalid arguments or spec, 3 numeric-domain error
 (singular or degenerate map, overflow) or any other lab error, 4 I/O error.
@@ -30,8 +31,8 @@ import sys
 from .errors import USAGE_ERRORS, ChrononLabError
 from .evolution import (PARAMETERS, chronon_of, coerce_param, evolve, parse_complex_pair,
                         symmetric_hamiltonian)
-from .runner import (FORMATS, Table, convergence_study, emit, emit_with_manifest,
-                     float_column, run_scan, stack_columns)
+from .runner import (FORMATS, Table, convergence_study, emit, float_column, run_scan,
+                     stack_columns)
 
 
 _MODES = ("energy", "n", "tau_scale", "hbar", "convention")
@@ -200,11 +201,7 @@ def main(argv=None) -> int:
             coerce_param(key, getattr(args, key), _CHOICES[key])
         _, _, params_of, table_of = COMMANDS[args.command]
         params = {"command": args.command, **params_of(args)}  # what the manifest records
-        table = table_of(params)
-        if args.out:
-            emit_with_manifest(table, args.format, args.out, params)
-        else:
-            emit(table, args.format)
+        emit(table_of(params), args.format, args.out, params)
     except USAGE_ERRORS as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2

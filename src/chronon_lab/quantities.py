@@ -31,7 +31,6 @@ from .evolution import (COUNT, DEFAULT_GRID_CAP, FINITE, PARAMETERS, UnitSystem,
                         parse_complex_pair, parse_direction, symmetric_stack)
 from .linalg2 import _modulus
 from .record import Record
-from .runner import Table
 
 
 # ---------------------------------------------------------------------------
@@ -286,21 +285,13 @@ def point_row(quantity: str, params: dict) -> dict:
     return _evaluate(quantity, params, 1, OnePoint)
 
 
-def evaluate_point(quantity: str, params: dict) -> dict:
-    """One grid point: quantity columns plus a status field, the row of a
-    one-point `evaluate_chunk`, raising what that raises. A point that fails
-    has the error class name as its status and None in every value column."""
-    cols, status = evaluate_chunk(quantity, params, [], [])
-    return Table({**cols, "status": status})[0]
-
-
 def evaluate_chunk(quantity: str, fixed: dict, names: list, values: list):
     """(columns, status) of a chunk of points: values[j] is the array of the
     chunk's values of parameter names[j], `fixed` holds the others. Each
     column is a (values, none) pair of arrays, `none` marking the None
     cells; `status` holds 'ok' or the error class name of each point, the
-    status `evaluate_point` gives it alone. A parameter that is missing or
-    of the wrong kind raises InvalidInput."""
+    same whether the point is evaluated in a chunk or alone (values empty).
+    A parameter that is missing or of the wrong kind raises InvalidInput."""
     k = len(values[0]) if values else 1
     lanes = Lanes(k)
     return _evaluate(quantity, {**fixed, **dict(zip(names, values))}, k, lanes), lanes.status()

@@ -1,5 +1,6 @@
 """Batch machinery: the output table, the scan driver, convergence studies,
-CSV/JSON emission and run manifests.
+and `emit`, the one writer of every command's CSV/JSON, to stdout or to a
+file with its run manifest.
 
 Every command's output is a `Table` of columns: float columns as (values,
 none) arrays, the others as lists of str or int cells. Scans evaluate one
@@ -16,8 +17,8 @@ makes the bytes of csv.writer and json.dumps(indent=2) from a table's text
 columns, chunk by chunk in blocks of RENDER_BLOCK rows; each distinct
 float of a block is formatted once, across all of the block's float
 columns, unless the block before formatted it. Neither the output nor a
-scan's table is ever held whole: `emit` writes each block to stdout or a
-file as it is made, and into the manifest's digest, before the next chunk
+scan's table is ever held whole: `emit` writes each block to stdout, or to
+a file and into its manifest's digest, as it is made, before the next chunk
 is evaluated, so a 1e6-point mode_report scan peaks at 36 MB RSS to a file
 and 33 MB to stdout, not the 255 MB of holding the scan's table (one CPU).
 
@@ -38,10 +39,9 @@ import numpy as np
 
 from . import __version__
 from .errors import InvalidInput, Lanes, OnePoint, RefusedTooLarge
-from .evolution import (DEFAULT_GRID_CAP, FINITE, UnitSystem, coerce_param,
-                        continuous_propagator, domain_check, step_map, symmetric_hamiltonian)
+from .evolution import (DEFAULT_GRID_CAP, UnitSystem, coerce_param, continuous_propagator,
+                        domain_check, step_map, symmetric_hamiltonian)
 from .linalg2 import power2
-from .record import Record
 
 SCHEMA_VERSION = 1
 FORMATS = ("csv", "json")
@@ -174,6 +174,9 @@ def convergence_study(energy: float, t_max: float, m_list, hbar: float = 1.0) ->
     valid rows is log(err_prev / err) / log(m / m_prev), ~1 for this
     forward-difference scheme. Rows whose U or U^m is not finite are
     flagged invalid and skipped in the order bookkeeping, not fatal.
+    Its energy and t_max must lie in their `evolution.PARAMETERS` domains,
+    as the `converge` flags must: the error of a real symmetric H depends on
+    |energy| alone, so a negative coupling would show nothing new.
     """
     m_list = [coerce_param("m_list", m, int) for m in m_list]
     if not m_list:
@@ -182,7 +185,8 @@ def convergence_study(energy: float, t_max: float, m_list, hbar: float = 1.0) ->
         raise InvalidInput("m_list must be ascending integers >= 2")
     if m_list[-1] > 2 ** 53:  # power2 takes its powers as doubles
         raise InvalidInput("m_list must not exceed 2**53, the largest exact double integer")
-    domain_check(OnePoint, "t_max", t_max, FINITE)
+    domain_check(OnePoint, "energy", energy)
+    domain_check(OnePoint, "t_max", t_max)
     h = symmetric_hamiltonian(energy)
     target = continuous_propagator(h, t_max, UnitSystem(hbar=hbar))
     m, lanes = np.array(m_list, dtype=float), Lanes(len(m_list))
@@ -329,78 +333,41 @@ def render(rows: Table | ScanTable, fmt: str = "csv") -> bytes:
     return b"".join(render_blocks(rows, fmt))
 
 
-def emit(rows: Table | ScanTable, fmt: str = "csv", destination=None, digest=None) -> None:
+def emit(rows: Table | ScanTable, fmt: str = "csv", out=None, parameters=None) -> None:
     """Write a table block by block as `render_blocks` makes it, so that the
-    output is never held whole: destination None writes to stdout (its
-    binary buffer after a flush, or each block decoded where stdout has no
-    buffer, as an io.StringIO has not), a path-like writes the file. Each
-    block written is also fed to `digest`, a hashlib object, if given.
+    output is never held whole: to stdout (its binary buffer after a flush,
+    or each block decoded where stdout has no buffer, as an io.StringIO has
+    not) if `out` is None or empty, else to the file `out` with a manifest
+    beside it, `<out>.manifest.json`: the schema version, the time, the run's
+    `parameters`, the package version and the SHA-256 of the blocks as they
+    were written. An earlier run's manifest is removed before the file is
+    opened and the manifest is written after the data, so a write that fails
+    part way leaves no manifest beside the partial file.
     """
-    blocks = render_blocks(rows, fmt)
-    if destination is not None:
-        with open(destination, "wb") as f:
-            _write_blocks(blocks, f.write, digest)
+    blocks = render_blocks(rows, fmt)  # refuses a bad format before anything is written
+    if not out:
+        if hasattr(sys.stdout, "buffer"):  # not an io.StringIO
+            sys.stdout.flush()
+            sys.stdout.buffer.writelines(blocks)
+        else:
+            sys.stdout.writelines(block.decode("utf-8") for block in blocks)
         return
-    if hasattr(sys.stdout, "buffer"):  # not an io.StringIO
-        sys.stdout.flush()
-        write = sys.stdout.buffer.write
-    else:
-        def write(block):
-            sys.stdout.write(block.decode("utf-8"))
-    _write_blocks(blocks, write, digest)
-
-
-def _write_blocks(blocks, write, digest) -> None:
-    for block in blocks:
-        write(block)
-        if digest is not None:
+    import hashlib
+    import json
+    manifest = manifest_path_for(out)
+    manifest.unlink(missing_ok=True)
+    digest = hashlib.sha256()
+    with open(out, "wb") as f:
+        for block in blocks:
+            f.write(block)
             digest.update(block)
-
-
-class RunManifest(Record):
-    __slots__ = ("schema_version", "timestamp", "parameters", "artifact_version", "outputs")
-
-    def to_json(self) -> str:
-        import json
-        return json.dumps(dict(zip(self.__slots__, self._values())), indent=2) + "\n"
-
-
-def build_manifest(parameters: dict, outputs: dict) -> RunManifest:
-    return RunManifest(
-        schema_version=SCHEMA_VERSION,
-        timestamp=datetime.now(timezone.utc).isoformat(timespec="seconds"),
-        parameters=parameters,
-        artifact_version=__version__,
-        outputs=outputs,
-    )
+    manifest.write_text(json.dumps({
+        "schema_version": SCHEMA_VERSION,
+        "timestamp": datetime.now(timezone.utc).isoformat(timespec="seconds"),
+        "parameters": parameters, "artifact_version": __version__,
+        "outputs": {Path(out).name: digest.hexdigest()}}, indent=2) + "\n", encoding="utf-8")
 
 
 def manifest_path_for(out_path) -> Path:
     out = Path(out_path)
     return out.with_name(out.name + ".manifest.json")
-
-
-def new_digest():
-    """The digest a manifest records of an output: a SHA-256 hashlib object,
-    fed the output's bytes block by block."""
-    import hashlib
-    return hashlib.sha256()
-
-
-def emit_with_manifest(rows: Table | ScanTable, fmt: str, out_path,
-                       parameters: dict) -> RunManifest:
-    """Write a table to out_path plus `<out>.manifest.json` beside it.
-
-    The manifest is written after the data, with the digest of the blocks
-    as they were written, and any manifest of an earlier run is removed
-    first: a write that fails part way leaves no manifest beside the
-    partial file.
-    """
-    coerce_param("format", fmt, FORMATS)  # before an earlier manifest is removed
-    manifest_file = manifest_path_for(out_path)
-    manifest_file.unlink(missing_ok=True)
-    digest = new_digest()
-    emit(rows, fmt, out_path, digest)
-    manifest = build_manifest(parameters, {Path(out_path).name: digest.hexdigest()})
-    manifest_file.write_text(manifest.to_json(), encoding="utf-8")
-    return manifest

@@ -60,10 +60,13 @@ def step_multipliers(h, step, hbar):
     log(|lambda|) cancels, it keeps its digits. Where that sum is past
     2^1000 or not finite, it is log(hypot(1 + v, u)). Where the sum is
     below 2^-1074 (|y| below about 1e-154), ln|lambda| underflows to 0.
+    u and v are formed from the mantissas and exponents of h, n tau and hbar,
+    so that h n tau does not overflow (or underflow) where y is a double:
+    where h n tau is a normal double they are the bits of h n tau / hbar.
     """
     h = np.asarray(h)
-    u = h.real * step / hbar
-    v = h.imag * step / hbar
+    (ms, es), (mb, eb) = np.frexp(step), np.frexp(hbar)
+    u, v = (np.ldexp(m * ms / mb, e + es - eb) for m, e in map(np.frexp, (h.real, h.imag)))
     # in extended precision where the platform has it: where the decay of a
     # mode and the growth of the chronon map cancel in |lambda|^2 - 1, the
     # rounding of u and v would otherwise cost digits

@@ -13,7 +13,7 @@ import pytest
 
 from chronon_lab import cli, quantities, runner
 from chronon_lab.cli import main
-from chronon_lab.errors import ChrononLabError
+from chronon_lab.errors import ChrononLabError, InvalidInput
 from chronon_lab.evolution import coerce_param
 from chronon_lab.quantities import MODE_FIELDS, evaluate_chunk
 
@@ -257,6 +257,18 @@ def test_converge_overflowing_step_map_prints_no_warning():
     res = run_cli("converge", "--energy", "1e300", "--t-max", "1e300", "--m-list", "4,8")
     assert (res.returncode, res.stderr) == (0, "")
     assert [r["status"] for r in parse_csv(res.stdout)] == ["invalid", "invalid"]
+
+
+@pytest.mark.parametrize("energy, t_max, key", [
+    ("-1", "1", "energy"), ("0", "1", "energy"), ("1", "0", "t_max"), ("1", "-1e-3", "t_max")])
+def test_converge_refuses_energy_and_t_max_outside_their_domains(capsys, energy, t_max, key):
+    # the flags and the API call are refused by the one rule of
+    # evolution.PARAMETERS, with the same text
+    message = f"{key} must be positive and finite"
+    assert main(["converge", "--energy", energy, "--t-max", t_max, "--m-list", "4,8"]) == 2
+    assert capsys.readouterr() == ("", f"error: {message}\n")
+    with pytest.raises(InvalidInput, match=f"^{message}$"):
+        runner.convergence_study(float(energy), float(t_max), [4, 8])
 
 
 def test_converge_bad_m_list_exit_code():
@@ -846,6 +858,14 @@ def test_io_error_exit_code(tmp_path):
     assert res.returncode == 4
 
 
+def test_an_empty_out_writes_stdout(monkeypatch, capsys, tmp_path):
+    # `--out ""` names no file: the rows go to stdout and no manifest is written
+    monkeypatch.chdir(tmp_path)
+    assert main(["modes", "--energy", "1", "--out", ""]) == 0
+    assert capsys.readouterr().out.startswith("mode,h,")
+    assert list(tmp_path.iterdir()) == []
+
+
 def test_manifest_written_for_modes(tmp_path):
     out = tmp_path / "modes.csv"
     res = run_cli("modes", "--energy", "1", "--out", str(out))
@@ -857,10 +877,10 @@ def test_manifest_written_for_modes(tmp_path):
 
 def test_stdout_output_is_not_hashed(monkeypatch, capsys, tmp_path):
     # only a manifest records the digest, so output to stdout computes none;
-    # output to a file with a manifest is what calls runner.new_digest
+    # output to a file with a manifest is what calls hashlib.sha256
     def no_digest():
         raise AssertionError("digest of output that no manifest records")
-    monkeypatch.setattr(runner, "new_digest", no_digest)
+    monkeypatch.setattr(hashlib, "sha256", no_digest)
     assert main(["modes", "--energy", "1"]) == 0
     assert capsys.readouterr().out.startswith("mode,h,")
     with pytest.raises(AssertionError, match="no manifest records"):
@@ -913,6 +933,18 @@ def test_modes_direction_and_reading(capsys, tau_scale, convention, want):
     rows = cli_rows(capsys, "modes", "--energy", "1", "--tau-scale", tau_scale,
                     "--convention", convention)
     assert [(row["direction"], row["reading"]) for row in rows] == [want, want]
+
+
+@pytest.mark.parametrize("tau_scale", ["1", "1e-9", "1e-170"])
+def test_modes_direction_is_the_sign_of_the_printed_heff_im(capsys, tau_scale):
+    # also at tau_scale 1e-170, where heff_im underflows to 0 although
+    # |lambda| > 1: direction and reading follow the row's own heff_im cell
+    for row in cli_rows(capsys, "modes", "--energy", "1", "--tau-scale", tau_scale,
+                        "--convention", "standard"):
+        im = float(row["heff_im"])
+        sign = (im > 0) - (im < 0)
+        assert (row["direction"], row["reading"]) == (
+            str(sign), {1: "growth", 0: "steady", -1: "decay"}[sign])
 
 
 @pytest.mark.parametrize("observable,engine", [

@@ -361,6 +361,17 @@ def test_width_shift_of_a_decaying_mode_past_the_double_range():
     assert fast.gamma_effective < 0
 
 
+def test_width_shift_where_h_n_tau_overflows():
+    # gamma_s = 1.7e308 at n tau = hbar = 2: h n tau overflows, while
+    # y = h, lambda = (1 - 1.7e308) - 1i and both rates are finite
+    model, point = KaonModel(1.0, 1.7e308, 0.0, units=UnitSystem(hbar=2.0)), ChrononParams(1.0)
+    fast, _ = width_shift(model, point)
+    _, lam, gamma, gamma_eff = width_oracle(model, point)[0]
+    assert fast.lambda_step == pytest.approx(lam, rel=1e-12)
+    assert fast.gamma_continuous == pytest.approx(gamma, rel=1e-12)
+    assert fast.gamma_effective == pytest.approx(gamma_eff, rel=1e-12)
+
+
 def test_epsilon_monotone_in_delta():
     p = ChrononParams(energy=1.0)
     deltas = np.linspace(0.01, 0.1, 10)

@@ -15,7 +15,7 @@ from chronon_lab import runner
 from chronon_lab.errors import ChrononLabError, InvalidInput, Lanes, OnePoint
 from chronon_lab.evolution import ChrononParams, parse_direction, symmetric_hamiltonian
 from chronon_lab.linalg2 import IDENTITY2, as_complex, eig2, eig2_stack, exp2, is_hermitian, power2
-from chronon_lab.quantities import evaluate_chunk, evaluate_point
+from chronon_lab.quantities import evaluate_chunk
 from chronon_lab.runner import Table, render
 from chronon_lab.spectrum import mode_report
 
@@ -56,6 +56,12 @@ def signed_parts(lo: int, hi: int):
 signed = signed_parts(-1073, 1024)
 
 
+def cell(column, i=0):
+    """Cell i of a (values, none) column of `evaluate_chunk`, None or a float."""
+    values, none = column
+    return None if none[i] else float(values[i])
+
+
 @PROPERTY
 @given(energy=magnitudes(-1073, 1024), diag=signed,
        tau_scale=magnitudes(-1073, 1024), hbar=magnitudes(-1073, 1024),
@@ -63,17 +69,17 @@ signed = signed_parts(-1073, 1024)
 def test_mode_report_ok_rows_are_finite(energy, diag, tau_scale, hbar, n):
     # any failure is a named status; an ok row holds no nan or inf, except
     # efold_time, which is +inf for a mode with |lambda| = 1
-    row = evaluate_point("mode_report", {"energy": energy, "diag": diag,
-                                         "tau_scale": tau_scale, "hbar": hbar, "n": n})
-    columns = [c for c in row if c != "status"]
-    if row["status"] != "ok":
-        assert all(row[c] is None for c in columns)
+    cols, [status] = evaluate_chunk("mode_report", {"energy": energy, "diag": diag,
+                                                    "tau_scale": tau_scale, "hbar": hbar,
+                                                    "n": n}, [], [])
+    if status != "ok":
+        assert all(cell(col) is None for col in cols.values())
         return
-    for col in columns:
-        value = row[col]
-        if value is None or col.endswith("efold_time"):
+    for name, col in cols.items():
+        value = cell(col)
+        if value is None or name.endswith("efold_time"):
             continue
-        assert math.isfinite(value), (col, value)
+        assert math.isfinite(value), (name, value)
 
 
 widths = st.tuples(st.one_of(st.just(0.0), magnitudes(-1073, 1024)),
@@ -96,13 +102,12 @@ def test_kaon_ok_rows_are_finite(quantity, mixing_e, gammas, delta_re, delta_im,
               "hbar": hbar, "n": n}
     if engine:
         params["engine"] = engine
-    row = evaluate_point(name, params)
-    columns = [c for c in row if c != "status"]
-    if row["status"] != "ok":
-        assert all(row[c] is None for c in columns)
+    cols, [status] = evaluate_chunk(name, params, [], [])
+    if status != "ok":
+        assert all(cell(col) is None for col in cols.values())
         return
-    for col in columns:
-        assert math.isfinite(row[col]), (col, row[col])
+    for name, col in cols.items():
+        assert math.isfinite(cell(col)), (name, cell(col))
 
 
 # ---------------------------------------------------------------------------
@@ -244,11 +249,10 @@ def test_chunk_rows_equal_point_rows(case, seeds):
     cols, status = evaluate_chunk(quantity, fixed, names,
                                   [np.array([pt[c] for pt in points]) for c in names])
     for i, point in enumerate(points):
-        alone = evaluate_point(quantity, {**fixed, **point})
-        assert status[i] == alone["status"], point
-        for col, (values, none) in cols.items():
-            got = None if none[i] else float(values[i])
-            assert repr(got) == repr(alone[col]), (col, point)
+        alone, [alone_status] = evaluate_chunk(quantity, {**fixed, **point}, [], [])
+        assert status[i] == alone_status, point
+        for col, column in cols.items():
+            assert repr(cell(column, i)) == repr(cell(alone[col])), (col, point)
 
 
 # ---------------------------------------------------------------------------
@@ -316,14 +320,15 @@ def test_trajectory_observable_ok_rows_are_finite(engine, energy, diag, tau_scal
     refused = first_error(lambda: parse_direction(direction))
     if refused is not None:
         # a zero direction is of the wrong kind: the call raises its refusal
-        assert first_error(lambda: evaluate_point("trajectory-observable", params)) == (
+        assert first_error(lambda: evaluate_chunk("trajectory-observable", params, [], [])) == (
             InvalidInput, f"bad value for 'direction': {refused[1]}")
         return
-    row = evaluate_point("trajectory-observable", params)
-    if row["status"] == "ok":
-        assert math.isfinite(row["value"]), row
+    cols, [status] = evaluate_chunk("trajectory-observable", params, [], [])
+    value = cell(cols["value"])
+    if status == "ok":
+        assert math.isfinite(value), value
     else:
-        assert row["value"] is None
+        assert value is None
 
 
 # ---------------------------------------------------------------------------

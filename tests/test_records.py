@@ -13,7 +13,6 @@ from chronon_lab.evolution import (DEFAULT_GRID_CAP, NATURAL_UNITS, ChrononParam
 from chronon_lab.kaon import KaonModel, ModeWidths
 from chronon_lab.linalg2 import EigenPair2
 from chronon_lab.quantities import ScanAxis, ScanSpec
-from chronon_lab.runner import RunManifest
 from chronon_lab.spectrum import EffectiveSpectrum, ModeRecord
 
 VEC = np.array([1.0, 0.0], dtype=np.complex128)
@@ -46,9 +45,6 @@ RECORDS = {
                             nu_nonhermitian=0.4),
     ScanAxis: dict(name="energy", start=1.0, stop=2.0, count=3, spacing="log"),
     ScanSpec: dict(quantity="mode_report", grid=(AXIS,), fixed={"n": 2}, max_points=10),
-    RunManifest: dict(schema_version=1, timestamp="2026-01-01T00:00:00+00:00",
-                      parameters={"command": "modes"}, artifact_version="0.1.0",
-                      outputs={"out.csv": "ab12"}),
 }
 
 # the defaults of the fields that have one
@@ -154,14 +150,6 @@ def test_scan_specs_do_not_share_fixed():
     assert ScanSpec("mode_report", (), fixed).fixed is not fixed
 
 
-def test_run_manifest_json_field_order():
-    text = RunManifest(**RECORDS[RunManifest]).to_json()
-    assert text == (
-        '{\n  "schema_version": 1,\n  "timestamp": "2026-01-01T00:00:00+00:00",\n'
-        '  "parameters": {\n    "command": "modes"\n  },\n'
-        '  "artifact_version": "0.1.0",\n  "outputs": {\n    "out.csv": "ab12"\n  }\n}\n')
-
-
 GRID = np.array([0.0, 1.0])
 STATES = np.zeros((2, 2))
 SCHEMA_ERROR = ("bad value for 'quantity': expected one of ['mode_report', 'epsilon', "
@@ -224,7 +212,7 @@ def test_trajectory_refuses_a_time_grid_that_is_not_finite(times):
 
 
 # the records whose fields need no checks, and so have no __init__ of their own
-UNCHECKED = [EigenPair2, ModeWidths, ModeRecord, EffectiveSpectrum, RunManifest]
+UNCHECKED = [EigenPair2, ModeWidths, ModeRecord, EffectiveSpectrum]
 
 
 @pytest.mark.parametrize("cls", UNCHECKED, ids=[cls.__name__ for cls in UNCHECKED])

@@ -5,23 +5,23 @@ import json
 import math
 import tracemalloc
 import warnings
+from datetime import datetime, timezone
 
 import mpmath
 import numpy as np
 import pytest
 
-from chronon_lab import runner
+from chronon_lab import __version__, runner
 from chronon_lab.errors import ChrononLabError, InvalidInput, Overflow, RefusedTooLarge
 from chronon_lab.evolution import (ChrononParams, TwoState, UnitSystem,
                                    continuous_propagator, discrete_step_operator,
                                    evolve, parse_complex_pair, step_map,
                                    symmetric_hamiltonian)
 from chronon_lab.kaon import KaonModel, kaon_hamiltonian
-from chronon_lab.quantities import (ScanAxis, ScanSpec, evaluate_chunk, evaluate_point,
-                                    kaon_from_config, load_kaon_config, point_row)
-from chronon_lab.runner import (RENDER_BLOCK, Table, build_manifest, convergence_study, emit,
-                                emit_with_manifest, manifest_path_for, render, render_blocks,
-                                run_scan)
+from chronon_lab.quantities import (ScanAxis, ScanSpec, evaluate_chunk, kaon_from_config,
+                                    load_kaon_config, point_row)
+from chronon_lab.runner import (RENDER_BLOCK, Table, convergence_study, emit, manifest_path_for,
+                                render, render_blocks, run_scan)
 
 import golden_defs
 
@@ -29,6 +29,12 @@ import golden_defs
 def digest_of(data: bytes) -> str:
     """The SHA-256 a manifest should record of `data`."""
     return hashlib.sha256(data).hexdigest()
+
+
+def alone(quantity: str, params: dict) -> dict:
+    """The row of one point evaluated alone: a chunk of no scanned parameter."""
+    cols, status = evaluate_chunk(quantity, params, [], [])
+    return Table({**cols, "status": status})[0]
 
 
 def ratio_scan_spec(count=13):
@@ -185,9 +191,9 @@ def test_a_scan_of_max_points_points_runs(count):
      "bad value for 'convention': expected one of ['paper', 'standard'], got 'nope'")],
     ids=["missing", "text", "bool", "choice"])
 def test_a_parameter_missing_or_of_the_wrong_kind_raises(params, message):
-    # wrong for every point alike: a chunk, a point row and a CLI row raise
+    # wrong for every point alike: a chunk, a point alone and a CLI row raise
     for call in (lambda: evaluate_chunk("mode_report", params, ["diag"], [np.zeros(3)]),
-                 lambda: evaluate_point("mode_report", params),
+                 lambda: evaluate_chunk("mode_report", params, [], []),
                  lambda: point_row("mode_report", params)):
         with pytest.raises(InvalidInput) as info:
             call()
@@ -197,12 +203,12 @@ def test_a_parameter_missing_or_of_the_wrong_kind_raises(params, message):
 def test_a_value_outside_its_domain_fails_its_point():
     # a single n of 1.5 is a number outside the COUNT domain, as an array
     # lane of 1.5 is: its row fails, and a one-point row raises the domain's text
-    assert evaluate_point("mode_report", {"energy": 1.0, "n": 1.5})["status"] == "InvalidInput"
+    assert alone("mode_report", {"energy": 1.0, "n": 1.5})["status"] == "InvalidInput"
     with pytest.raises(InvalidInput, match="^n must be a positive integer$"):
         point_row("mode_report", {"energy": 1.0, "n": 1.5})
     # n tau = n (tau_scale hbar / E) overflows to inf
     params = {"energy": 1e-300, "tau_scale": 1e300}
-    assert evaluate_point("mode_report", params)["status"] == "InvalidInput"
+    assert alone("mode_report", params)["status"] == "InvalidInput"
     with pytest.raises(InvalidInput, match="^n[*]tau is inf in double precision"):
         point_row("mode_report", params)
 
@@ -328,7 +334,7 @@ def test_trajectory_observable_discrete_matches_mpmath():
     # the kernels_long benchmark scan: 80 diag values, tau_scale 1e-3, 1e4 steps
     for diag in np.linspace(-2.0, 2.0, 80):
         params = trajectory_point(1.0, float(diag), 1e-3, 10_000)
-        row = evaluate_point("trajectory-observable", params)
+        row = alone("trajectory-observable", params)
         assert row["status"] == "ok"
         want = mp_observable(params, mp_final_state(params))
         assert abs(row["value"] - want) <= 1e-14 * want, diag
@@ -346,7 +352,7 @@ def test_trajectory_observable_discrete_wide_range_matches_mpmath():
             psi0=str(rng.choice(["1,0", "0,1", "0.6,0.8j"])),
             direction=str(rng.choice(["1,0", "0,1", "1,1j"])),
             observable=str(rng.choice(["norm2_final", "prob_final"])))
-        row = evaluate_point("trajectory-observable", params)
+        row = alone("trajectory-observable", params)
         psi = mp_final_state(params)
         norm2 = abs(psi[0]) ** 2 + abs(psi[1]) ** 2
         if norm2 > 1e300:  # beyond (or at the edge of) double precision
@@ -367,7 +373,7 @@ def test_trajectory_observable_overflow_status(steps, observable):
     # finite and its norm^2 2^1500 is not; at 2100 the state overflows too
     with warnings.catch_warnings():
         warnings.simplefilter("error")
-        row = evaluate_point("trajectory-observable", trajectory_point(
+        row = alone("trajectory-observable", trajectory_point(
             1.0, 0.0, 1.0, steps, observable=observable))
     assert row == {"value": None, "status": "Overflow"}
 
@@ -375,7 +381,7 @@ def test_trajectory_observable_overflow_status(steps, observable):
 def test_trajectory_observable_continuous_huge_energy():
     # exp(-iHt) is unitary at any energy; its characteristic root is formed
     # from scaled entries, so E = 1e200 does not overflow
-    row = evaluate_point("trajectory-observable", {
+    row = alone("trajectory-observable", {
         "energy": 1e200, "engine": "continuous", "t_max": 1.0, "steps": 4})
     assert row == {"value": 1.0, "status": "ok"}
 
@@ -390,7 +396,7 @@ def test_trajectory_observable_grid_status_is_the_error_of_evolve(engine, t_max,
     with pytest.raises(ChrononLabError) as info:
         evolve(symmetric_hamiltonian(1.0), TwoState([1, 0]), engine, t_max, steps,
                ChrononParams(1.0))
-    row = evaluate_point("trajectory-observable", params)
+    row = alone("trajectory-observable", params)
     assert row["status"] == type(info.value).__name__
 
 
@@ -399,7 +405,7 @@ def test_mode_report_close_eigenvalues_scan():
     # two modes collapse onto one eigenvector and fail the guard
     for diag in (1.0, -3.0, 100.0):
         for energy in np.geomspace(1e-12, 1e-3, 19):
-            row = evaluate_point("mode_report", {
+            row = alone("mode_report", {
                 "energy": float(energy), "diag": diag, "tau_scale": 1e-3})
             assert row["status"] == "ok", (diag, energy)
             assert (row["mode0_h"], row["mode1_h"]) == (diag - energy, diag + energy)
@@ -510,10 +516,10 @@ def test_convergence_study_refuses_a_fractional_m():
 
 
 def test_convergence_study_zero_time():
-    rows = convergence_study(1.0, 0.0, [4, 8])
-    for row in rows:
-        assert row["max_entry_error"] == 0.0
-        assert row["observed_order"] is None
+    # t_max 0 is outside the parameter's domain, as for every command: an
+    # error of 0 there measured nothing
+    with pytest.raises(InvalidInput, match="^t_max must be positive and finite$"):
+        convergence_study(1.0, 0.0, [4, 8])
 
 
 def test_convergence_study_order_after_a_zero_error():
@@ -533,7 +539,7 @@ def test_convergence_study_validates_m_list():
 
 @pytest.mark.parametrize("t_max", [math.inf, -math.inf, math.nan])
 def test_convergence_study_t_max_not_finite(t_max):
-    with pytest.raises(InvalidInput, match="^t_max must be finite$"):
+    with pytest.raises(InvalidInput, match="^t_max must be positive and finite$"):
         convergence_study(1.0, t_max, [4, 8])
 
 
@@ -635,7 +641,7 @@ def test_emit_with_manifest(tmp_path):
     spec = ratio_scan_spec(3)
     rows = run_scan(spec)
     out = tmp_path / "ratios.csv"
-    manifest = emit_with_manifest(rows, "csv", out, {"spec": spec.to_dict()})
+    emit(rows, "csv", out, {"spec": spec.to_dict()})
     assert out.exists()
     assert manifest_path_for(out).exists()
     on_disk = json.loads(manifest_path_for(out).read_text())
@@ -646,12 +652,21 @@ def test_emit_with_manifest(tmp_path):
     assert "T" in on_disk["timestamp"]  # ISO-8601
 
 
-def test_build_manifest_fields():
-    m = build_manifest({"k": 1}, {"f.csv": "ab" * 32})
-    assert m.schema_version == 1
-    assert m.artifact_version
-    payload = json.loads(m.to_json())
-    assert payload["parameters"] == {"k": 1}
+def test_build_manifest_fields(tmp_path):
+    # the manifest emit writes beside a file: five fields in this order, as
+    # json.dumps(indent=2) writes them, a UTC time to the second and the
+    # output's digest
+    out = tmp_path / "out.csv"
+    emit(mixed_table(2), "csv", out, {"command": "modes"})
+    text = manifest_path_for(out).read_text(encoding="utf-8")
+    stamp = json.loads(text)["timestamp"]
+    when = datetime.fromisoformat(stamp)
+    assert when.tzinfo == timezone.utc and stamp == when.isoformat(timespec="seconds")
+    assert text == (
+        '{\n  "schema_version": 1,\n  "timestamp": "%s",\n'
+        '  "parameters": {\n    "command": "modes"\n  },\n'
+        '  "artifact_version": "%s",\n  "outputs": {\n    "out.csv": "%s"\n  }\n}\n'
+        % (stamp, __version__, digest_of(out.read_bytes())))
 
 
 def mixed_table(k):
@@ -686,10 +701,10 @@ def test_emit_streams_the_bytes_of_render(monkeypatch, capsysbinary, tmp_path, f
 def test_manifest_digest_is_the_digest_of_render(tmp_path, fmt):
     table = mixed_table(3 * RENDER_BLOCK + 5)
     out = tmp_path / f"t.{fmt}"
-    manifest = emit_with_manifest(table, fmt, out, {})
-    assert manifest.outputs[out.name] == digest_of(render(table, fmt)) == digest_of(
-        out.read_bytes())
-    assert json.loads(manifest_path_for(out).read_text())["outputs"] == manifest.outputs
+    emit(table, fmt, out, {})
+    assert json.loads(manifest_path_for(out).read_text())["outputs"] == {
+        out.name: digest_of(render(table, fmt))}
+    assert out.read_bytes() == render(table, fmt)
 
 
 def test_a_bad_format_writes_nothing(capsysbinary, tmp_path):
@@ -703,10 +718,10 @@ def test_a_bad_format_writes_nothing(capsysbinary, tmp_path):
     with pytest.raises(InvalidInput):
         emit(table, "xml", tmp_path / "t.xml")
     out = tmp_path / "t.csv"
-    emit_with_manifest(table, "csv", out, {})
+    emit(table, "csv", out, {})
     before = manifest_path_for(out).read_bytes()
     with pytest.raises(InvalidInput):
-        emit_with_manifest(table, "xml", out, {})
+        emit(table, "xml", out, {})
     assert not (tmp_path / "t.xml").exists()
     assert manifest_path_for(out).read_bytes() == before
 
@@ -782,7 +797,7 @@ def test_emit_with_manifest_peak_is_a_fraction_of_the_output(tmp_path, fmt):
         {"name": "tau_scale", "start": 1e-3, "stop": 1.0, "count": 100, "spacing": "log"}]}))
     assert len(table) == 20_000
     out = tmp_path / f"scan.{fmt}"
-    _, peak, _ = traced_peak(emit_with_manifest, table, fmt, out, {})
+    _, peak, _ = traced_peak(emit, table, fmt, out, {})
     assert peak < out.stat().st_size / 4
 
 
@@ -891,8 +906,8 @@ def test_run_scan_table_contracts():
     assert list(table.columns) == list(rows[8]) == columns
     for row in rows:
         assert row == {**{c: row[c] for c in ("mixing_e", "n")},
-                       **evaluate_point("epsilon", {**spec.fixed, "mixing_e": row["mixing_e"],
-                                                    "n": row["n"]})}
+                       **alone("epsilon", {**spec.fixed, "mixing_e": row["mixing_e"],
+                                           "n": row["n"]})}
     # render writes the rows it iterates, in the table's column order
     assert json.loads(render(table, "json")) == rows
     assert render(table, "csv").decode().splitlines()[0] == ",".join(columns)
@@ -912,7 +927,7 @@ def test_run_scan_chunks_are_the_points(monkeypatch):
     assert len(rows) == 15 and {row["status"] for row in rows} == {"ok", "InvalidInput"}
     for row in rows:
         point = {"energy": row["energy"], "tau_scale": row["tau_scale"]}
-        assert row == {**point, **evaluate_point("mode_report", {**spec.fixed, **point})}
+        assert row == {**point, **alone("mode_report", {**spec.fixed, **point})}
 
 
 def test_a_scan_with_no_axis_is_one_row():
@@ -920,7 +935,7 @@ def test_a_scan_with_no_axis_is_one_row():
                                "fixed": {"energy": 1.0, "tau_scale": 0.5}})
     table = run_scan(spec)
     assert len(table) == 1 and len(list(table.chunks())) == 1
-    assert list(table) == [evaluate_point("mode_report", spec.fixed)]
+    assert list(table) == [alone("mode_report", spec.fixed)]
 
 
 @pytest.mark.parametrize("extra", [0, 1])
@@ -975,8 +990,7 @@ def test_trajectory_observable_lanes_are_points(monkeypatch, engine, statuses):
     names = [ax.name for ax in spec.grid]
     for row in rows:
         point = {name: row[name] for name in names}
-        assert row == {**point, **evaluate_point("trajectory-observable",
-                                                 {**spec.fixed, **point})}
+        assert row == {**point, **alone("trajectory-observable", {**spec.fixed, **point})}
 
 
 def test_status_column_holds_one_str_per_status(monkeypatch):
@@ -991,7 +1005,7 @@ def test_status_column_holds_one_str_per_status(monkeypatch):
 def test_width_shift_hamiltonian_overflow_is_overflow():
     # hbar gamma_s / 2 = 5e308 is past the double range: a valid model whose
     # H does not fit in double precision, not a usage error
-    row = evaluate_point("width_shift", {"mixing_e": 1.0, "gamma_s": 1e308, "hbar": 10.0})
+    row = alone("width_shift", {"mixing_e": 1.0, "gamma_s": 1e308, "hbar": 10.0})
     assert row["status"] == "Overflow"
     with pytest.raises(Overflow, match="Hamiltonian entry"):
         kaon_hamiltonian(KaonModel(1.0, 1e308, 0.0, units=UnitSystem(hbar=10.0)))
@@ -1017,7 +1031,7 @@ def test_efold_time_and_gamma_effective_match_mpmath():
         params = {"energy": energy, "diag": energy * rng.uniform(-3, 3),
                   "tau_scale": 10.0 ** rng.uniform(-12, 0.5),
                   "hbar": 10.0 ** rng.uniform(-100, 100), "n": int(rng.integers(1, 5))}
-        row = evaluate_point("mode_report", params)
+        row = alone("mode_report", params)
         step = params["n"] * (params["tau_scale"] * params["hbar"] / energy)
         for k in (0, 1):
             g = _log_modulus_oracle(complex(row[f"mode{k}_h"]), step, params["hbar"])

@@ -11,7 +11,7 @@ from chronon_lab.evolution import (ChrononParams, NATURAL_UNITS, UnitSystem,
                                    discrete_step_operator,
                                    symmetric_hamiltonian)
 from chronon_lab.linalg2 import DEFAULT_TOL, IDENTITY2, PAULI_X
-from chronon_lab.quantities import evaluate_point
+from chronon_lab.quantities import evaluate_chunk
 from chronon_lab.spectrum import im_re_ratio, mode_report
 
 CHRONON_POINT = ChrononParams(energy=1.0)
@@ -278,8 +278,20 @@ def test_a_mode_with_one_value_past_the_double_range_is_overflow(energy, diag, n
     h, p = symmetric_hamiltonian(energy, diag), ChrononParams(energy, n)
     with pytest.raises(Overflow, match="mode 0 is not finite in double precision"):
         mode_report(h, p)
-    row = evaluate_point("mode_report", {"energy": energy, "diag": diag, "n": n})
-    assert row["status"] == "Overflow"
+    _, status = evaluate_chunk("mode_report", {"energy": energy, "diag": diag, "n": n}, [], [])
+    assert status.tolist() == ["Overflow"]
+
+
+@pytest.mark.parametrize("hbar", [2.0 ** 1022, 2.0 ** -1070])
+def test_step_quantity_of_a_double_is_formed_past_the_double_range(hbar):
+    # n tau = 2 hbar, so y = 2 h at every hbar, though h n tau overflows at
+    # hbar 2^1022 (which gave lambda 1 - inf i on an ok row, and h_eff 0)
+    # and is subnormal at 2^-1070, which cost h's low bits
+    h, p = symmetric_hamiltonian(0.5, 2.0 + 1 / 3), ChrononParams(0.5, n=2, tau_scale=0.5)
+    want = mode_report(h, p).modes
+    got = mode_report(h, p, UnitSystem(hbar=hbar)).modes
+    assert [m.lambda_step for m in got] == [1 - 2j * m.h_continuous for m in want]
+    assert [m.h_eff_exact for m in got] == [m.h_eff_exact for m in want]
 
 
 def test_exact_energy_where_the_step_quantity_underflows_is_h():
