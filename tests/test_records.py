@@ -2,7 +2,9 @@
 defaults, immutability, repr, equality and hashing by value, pickling, and
 the exact errors of their argument checks."""
 
+import hashlib
 import pickle
+from datetime import datetime
 
 import numpy as np
 import pytest
@@ -13,6 +15,7 @@ from chronon_lab.evolution import (DEFAULT_GRID_CAP, NATURAL_UNITS, ChrononParam
 from chronon_lab.kaon import KaonModel, ModeWidths
 from chronon_lab.linalg2 import EigenPair2
 from chronon_lab.quantities import ScanAxis, ScanSpec
+from chronon_lab.runner import Table, emit, manifest_path_for
 from chronon_lab.spectrum import EffectiveSpectrum, ModeRecord
 
 VEC = np.array([1.0, 0.0], dtype=np.complex128)
@@ -140,6 +143,25 @@ def test_record_equality_and_hash_by_value(cls):
 def test_record_pickle_round_trip(cls):
     record = cls(**RECORDS[cls])
     assert_same(pickle.loads(pickle.dumps(record)), record)
+
+
+def test_run_manifest_json_field_order(tmp_path, monkeypatch):
+    # the run manifest emit writes beside a file, at a fixed clock: its five
+    # fields in order, byte for byte
+    class FixedClock:
+        @staticmethod
+        def now(tz):
+            return datetime(2026, 1, 1, tzinfo=tz)
+
+    monkeypatch.setattr("chronon_lab.runner.datetime", FixedClock)
+    out = tmp_path / "out.csv"
+    emit(Table({"i": [1, 2]}), "csv", out, {"command": "modes"})
+    digest = hashlib.sha256(out.read_bytes()).hexdigest()
+    assert manifest_path_for(out).read_text(encoding="utf-8") == (
+        '{\n  "schema_version": 1,\n  "timestamp": "2026-01-01T00:00:00+00:00",\n'
+        '  "parameters": {\n    "command": "modes"\n  },\n'
+        '  "artifact_version": "0.1.0",\n  "outputs": {\n    "out.csv": "%s"\n  }\n}\n'
+        % digest)
 
 
 def test_scan_specs_do_not_share_fixed():
