@@ -11,8 +11,9 @@ does not use, a scan with InvalidInput rows in both formats, a
 `trajectory-observable` scan per engine with failing lanes in both formats,
 mode_report scans that end at and one point past a chunk boundary in both
 formats, two `prob_final` scans along a direction of 1e200 and of 1e-200,
-the `evolve`, `converge` and `kaon` tables in the formats the other groups
-do not use, and `modes` at tau_scale 1e-9, a `help` group of the `--help`
+a `width_shift` scan of tau_scale through the decay/growth crossing of the
+fast mode, the `evolve`, `converge` and `kaon` tables in the formats the
+other groups do not use, and `modes` at tau_scale 1e-9 and 1e-170, a `help` group of the `--help`
 texts of the program and of each command, and an `errors` group of
 malformed inputs, whose exit codes and stderr are compared. Each command runs as `python -m
 chronon_lab` once per tree, in a fresh temporary directory holding the
@@ -116,16 +117,26 @@ DIRECTION_SCANS = {
 }
 
 
+# width_shift through tau_scale 0.0997506, where the fast mode's decay and
+# the chronon map's growth cancel in |lambda|^2 - 1
+CROSSING_SCAN = {
+    "quantity": "width_shift",
+    "grid": [{"name": "tau_scale", "start": 0.0997, "stop": 0.0998, "count": 41}],
+    "fixed": {"mixing_e": 1.0, "gamma_s": 0.1, "gamma_l": 0.001},
+}
+
+
 def formats_group() -> tuple[str, dict[str, str], list[list[str]]]:
     """Every scan quantity in both formats: the scan_modes scan as JSON to
     a file, the pool_kaon scans as CSV to stdout, a scan with InvalidInput
     rows, the failing-lanes trajectory scans and the chunk-boundary scans as
-    both, `prob_final` scans along a huge and a tiny direction as CSV; `evolve` and
+    both, `prob_final` scans along a huge and a tiny direction and the
+    width_shift crossing scan as CSV; `evolve` and
     `converge` (also with invalid rows, refused at t_max 0, and at m = 2^40
     and 2^53) as JSON,
     each kaon observable in the format the README does not show, and
-    `modes` at tau_scale 1e-9."""
-    files = {"invalid.json": json.dumps(INVALID_SCAN)}
+    `modes` at tau_scale 1e-9 and 1e-170."""
+    files = {"invalid.json": json.dumps(INVALID_SCAN), "crossing.json": json.dumps(CROSSING_SCAN)}
     files.update((name, json.dumps(spec)) for name, spec in
                  {**TRAJECTORY_SCANS, **CHUNK_SCANS, **DIRECTION_SCANS}.items())
     commands = []
@@ -138,7 +149,8 @@ def formats_group() -> tuple[str, dict[str, str], list[list[str]]]:
     for spec in ("invalid.json", *TRAJECTORY_SCANS, *CHUNK_SCANS):
         for fmt in ("csv", "json"):
             commands.append(["scan", "--spec", spec, "--format", fmt])
-    commands += [["scan", "--spec", spec, "--format", "csv"] for spec in DIRECTION_SCANS]
+    commands += [["scan", "--spec", spec, "--format", "csv"]
+                 for spec in (*DIRECTION_SCANS, "crossing.json")]
     for engine in ("discrete", "continuous"):  # 2000 steps of n tau = 0.005
         commands.append(["evolve", "--engine", engine, "--energy", "1", "--tau-scale",
                          "0.005", "--t-max", "10", "--steps", "2000", "--psi0", "0.6,0.8j",
@@ -152,6 +164,8 @@ def formats_group() -> tuple[str, dict[str, str], list[list[str]]]:
                      f"16,{2 ** 40},{2 ** 53}", "--format", "json"])
     # |lambda| - 1 rounds to 0 at tau_scale 1e-9, while Im h_eff does not
     commands.append(["modes", "--energy", "1", "--tau-scale", "1e-9"])
+    # ln|lambda| (about 5e-341) underflows at tau_scale 1e-170, heff_im does not
+    commands.append(["modes", "--energy", "1", "--tau-scale", "1e-170"])
     for observable, fmt in (("2pi", "json"), ("3pi", "json"), ("epsilon", "json"),
                             ("width-shift", "csv")):
         commands.append(["kaon", "--config", "configs/kaon_natural.cfg", "--observable",
@@ -204,7 +218,11 @@ def errors_group() -> tuple[str, dict[str, str | bytes], list[list[str]]]:
     '-' as its own token, `evolve --psi0 -1,0`, a discrete kaon trajectory
     whose 10 steps come from t_max / (n tau), and a width_shift scan whose
     gamma_s axis runs from -1.7e308 to 1.7e308, so that its bounds differ by
-    more than the double range; these exit 0."""
+    more than the double range; these exit 0. Then two `modes` points whose
+    n tau = n tau_scale hbar / E under- and overflows, which were refused
+    with exit 2: at energy 1e100 and tau_scale 1e-300 it exits 0, and at
+    energy 1e300, tau_scale 1e200 and hbar 1e200 it exits 3 (Overflow of
+    hfirst_im = E tau_scale)."""
     axis = {"name": "mixing_e", "start": 1.0, "stop": 2.0, "count": 2}
     specs = {
         "not_json": "{not json",
@@ -310,7 +328,9 @@ def errors_group() -> tuple[str, dict[str, str | bytes], list[list[str]]]:
                   "--steps", "2", "--psi0", "-1,0"],
                  ["kaon", "--config", "t_max_only.cfg", "--observable", "2pi",
                   "--engine", "discrete"],
-                 ["scan", "--spec", "span_past_double.json"]]
+                 ["scan", "--spec", "span_past_double.json"],
+                 ["modes", "--energy", "1e100", "--tau-scale", "1e-300"],
+                 ["modes", "--energy", "1e300", "--tau-scale", "1e200", "--hbar", "1e200"]]
     return "errors", files, commands
 
 

@@ -24,11 +24,11 @@ import numpy as np
 from .errors import (DegenerateModes, InvalidInput, Lanes, Overflow, RefusedTooLarge,
                      SingularMap, OnePoint, UndefinedRatio)
 from .evolution import (DEFAULT_GRID_CAP, ENGINES, FINITE, NATURAL_UNITS, POSITIVE,
-                        ChrononParams, Trajectory, TwoState, UnitSystem, chronon_step,
-                        coerce_param, domain_check, evolve, step_check)
+                        ChrononParams, Trajectory, TwoState, UnitSystem, coerce_param,
+                        domain_check, evolve)
 from .linalg2 import _modulus, cdiv, eig2_stack
 from .record import Record
-from .spectrum import _lane_column, step_multipliers
+from .spectrum import _lane_column, per_hbar, step_multipliers
 
 BASES = ("cp", "flavor")
 
@@ -186,21 +186,19 @@ class ModeWidths(Record):
     __slots__ = ("h_generator", "lambda_step", "gamma_continuous", "gamma_effective")
 
 
-def _mode_widths(h, step, hbar, lanes: Lanes):
+def _mode_widths(h, energy, n, tau_scale, hbar, lanes: Lanes):
     """H's eigenpairs (`eig2_stack`) and per-mode multipliers lambda, decay
-    rates -2 Im(h) / hbar and effective rates -2 ln|lambda| / (n tau) of a
-    stack of kaon H, with the n tau `step` (checked after the eigenvalues)
-    and hbar of each lane. A multiplier or rate that is not finite is
-    Overflow on its lane, except the rate of a zero multiplier, which no
-    caller reads (each refuses the lane as SingularMap or ranks by gamma)."""
+    rates -2 Im(h) / hbar and effective rates -2 ln|lambda| / (n tau) (from
+    `per_hbar`) of a stack of kaon H, with the energy, n, tau_scale and hbar
+    of each lane. A multiplier or rate that is not finite is Overflow on its
+    lane, except the rate of a zero multiplier, which no caller reads (each
+    refuses the lane as SingularMap or ranks by gamma)."""
     values, vectors, degenerate = eig2_stack(h, lanes)
-    step_check(lanes, step)
-    step, hbar = _lane_column(step), _lane_column(hbar)
-    _, lam, log_mag = step_multipliers(values, step, hbar)
+    _, lam, rate = step_multipliers(values, energy, n, tau_scale)
+    zero, hbar = lam == 0, _lane_column(hbar)
     gamma = -2.0 * (values.imag / hbar)  # -2 Im h may overflow where the rate does not
-    zero = lam == 0
-    gamma_eff = -2.0 * log_mag / step
-    # a lambda that is not finite makes gamma_eff -inf
+    gamma_eff = -2.0 * per_hbar(values, rate, hbar)
+    # a lambda that is not finite makes gamma_eff nan
     finite = np.isfinite(gamma) & (np.isfinite(gamma_eff) | zero)
     lanes.require(finite.all(axis=1), Overflow,
                   "a multiplier or decay rate is not finite in double precision")
@@ -208,10 +206,11 @@ def _mode_widths(h, step, hbar, lanes: Lanes):
 
 
 @np.errstate(all="ignore")
-def epsilon_stack(h, step, hbar, engine: str, lanes: Lanes) -> np.ndarray:
-    """`epsilon_mixing` of a stack of kaon H, shape (k, 2, 2), with the n tau
-    and hbar of each lane; its errors are recorded on `lanes`."""
-    values, vectors, degenerate, lam, gamma, gamma_eff = _mode_widths(h, step, hbar, lanes)
+def epsilon_stack(h, energy, n, tau_scale, hbar, engine: str, lanes: Lanes) -> np.ndarray:
+    """`epsilon_mixing` of a stack of kaon H, shape (k, 2, 2), with the energy,
+    n, tau_scale and hbar of each lane; its errors are recorded on `lanes`."""
+    values, vectors, degenerate, lam, gamma, gamma_eff = _mode_widths(
+        h, energy, n, tau_scale, hbar, lanes)
     lanes.fail(degenerate, DegenerateModes, "continuous generator is degenerate")
     if engine == "discrete":
         lanes.fail((lam == 0).any(axis=1), SingularMap, "step map has a zero eigenvalue")
@@ -246,12 +245,12 @@ def epsilon_mixing(model: KaonModel, p: ChrononParams, engine: str) -> complex:
 
 
 @np.errstate(all="ignore")
-def width_shift_stack(h, step, hbar, lanes: Lanes):
-    """`width_shift` of a stack of kaon H, shape (k, 2, 2), with the n tau and
-    hbar of each lane: (h, lambda, gamma_continuous, gamma_effective), each
-    of shape (k, 2) with the fast mode in column 0. Its errors are recorded
-    on `lanes`."""
-    values, _, _, lam, gamma, gamma_eff = _mode_widths(h, step, hbar, lanes)
+def width_shift_stack(h, energy, n, tau_scale, hbar, lanes: Lanes):
+    """`width_shift` of a stack of kaon H, shape (k, 2, 2), with the energy,
+    n, tau_scale and hbar of each lane: (h, lambda, gamma_continuous,
+    gamma_effective), each of shape (k, 2) with the fast mode in column 0.
+    Its errors are recorded on `lanes`."""
+    values, _, _, lam, gamma, gamma_eff = _mode_widths(h, energy, n, tau_scale, hbar, lanes)
     lanes.fail((lam == 0).any(axis=1), SingularMap, "step map has a zero eigenvalue")
     # fast first: the smaller Im h, the larger width; on a tie column 1, the larger Re h
     fast0 = values[:, 0].imag < values[:, 1].imag
@@ -271,7 +270,5 @@ def width_shift(model: KaonModel, p: ChrononParams) -> tuple[ModeWidths, ModeWid
 
 
 def _one_model(model: KaonModel, p: ChrononParams):
-    """The stack of one (H, n tau, hbar) of a kaon model."""
-    hb = model.units.hbar
-    return (kaon_hamiltonian(model, "cp")[None],
-            chronon_step(p.energy, p.n, p.tau_scale, hb), hb)
+    """The stack of one (H, energy, n, tau_scale, hbar) of a kaon model."""
+    return kaon_hamiltonian(model, "cp")[None], p.energy, p.n, p.tau_scale, model.units.hbar

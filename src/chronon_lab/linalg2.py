@@ -22,7 +22,6 @@ _PIVOT_EPS = 1e-12
 
 IDENTITY2 = np.eye(2, dtype=np.complex128)
 PAULI_X = np.array([[0.0, 1.0], [1.0, 0.0]], dtype=np.complex128)
-PAULI_Y = np.array([[0.0, -1.0j], [1.0j, 0.0]], dtype=np.complex128)
 
 
 def as_operator(m) -> np.ndarray:

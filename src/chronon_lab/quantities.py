@@ -196,16 +196,10 @@ def _coerce_lanes(quantity: str, params: dict, k: int, lanes) -> dict:
 # ---------------------------------------------------------------------------
 # quantity evaluators, on the lanes of `_coerce_lanes` (which checked the domains)
 
-def _step(params: dict, energy_key: str):
-    """The unchecked n tau of the lanes at the energy `params[energy_key]`."""
-    return chronon_step(*(params[k] for k in (energy_key, "n", "tau_scale", "hbar")))
-
-
 def _eval_mode_report(params: dict, lanes) -> dict:
     from .spectrum import mode_stack
-    energy, diag = params["energy"], params["diag"]
-    t = mode_stack(symmetric_stack(energy, diag), energy, params["tau_scale"],
-                   _step(params, "energy"), params["hbar"], lanes)
+    t = mode_stack(symmetric_stack(params["energy"], params["diag"]),
+                   *(params[k] for k in ("energy", "n", "tau_scale", "hbar")), lanes)
     cols = {f"mode{k}_{c}": tuple(x[:, k] for x in t[c]) if isinstance(t[c], tuple)
             else t[c][:, k] for k in (0, 1) for c in MODE_FIELDS}
     cols["nu_nonhermitian"] = t["nu_nonhermitian"]
@@ -213,14 +207,14 @@ def _eval_mode_report(params: dict, lanes) -> dict:
 
 
 def _kaon_lanes(params: dict, lanes):
-    """The stack of kaon H with its n tau and hbar, by the rules of
-    `kaon_from_config` and `kaon_hamiltonian`."""
+    """The stack of kaon H with its energy (mixing_e), n, tau_scale and
+    hbar, by the rules of `kaon_from_config` and `kaon_hamiltonian`."""
     from .kaon import hamiltonian_check, hamiltonian_cp, width_check
     width_check(lanes, params["gamma_s"], params["gamma_l"])
     h = hamiltonian_cp(*(params[k] for k in ("mixing_e", "hbar", "gamma_s", "gamma_l",
                                               "delta_re", "delta_im")))
     hamiltonian_check(lanes, h)
-    return h, _step(params, "mixing_e"), params["hbar"]
+    return (h, *(params[k] for k in ("mixing_e", "n", "tau_scale", "hbar")))
 
 
 def _eval_epsilon(params: dict, lanes) -> dict:
@@ -240,10 +234,10 @@ def _eval_width_shift(params: dict, lanes) -> dict:
 
 
 def _eval_trajectory_observable(params: dict, lanes) -> dict:
+    step = chronon_step(*(params[k] for k in ("energy", "n", "tau_scale", "hbar")))
     psi = final_states(symmetric_stack(params["energy"], params["diag"]),
                        parse_complex_pair(params["psi0"]), params["engine"], params["t_max"],
-                       params["steps"], _step(params, "energy"),
-                       UnitSystem(params["hbar"], lanes), lanes)
+                       params["steps"], step, UnitSystem(params["hbar"], lanes), lanes)
     if params["observable"] == "norm2_final":
         value = (np.abs(psi) ** 2).sum(axis=-1)
     else:  # prob_final

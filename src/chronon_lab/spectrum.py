@@ -21,10 +21,9 @@ from __future__ import annotations
 import numpy as np
 
 from .errors import InvalidInput, Lanes, OnePoint, Overflow
-from .evolution import (CONVENTIONS, ChrononParams, NATURAL_UNITS, UnitSystem,
-                        chronon_step, coerce_param, step_check)
-from .linalg2 import (_modulus, _pow2_scale, as_complex, as_operator, cdiv, cmul, eig2_stack,
-                      finite_check, is_hermitian)
+from .evolution import CONVENTIONS, ChrononParams, NATURAL_UNITS, UnitSystem, coerce_param
+from .linalg2 import (_modulus, _pow2_scale, as_complex, as_operator, eig2_stack, finite_check,
+                      is_hermitian)
 from .record import Record
 
 
@@ -50,41 +49,52 @@ def _lane_column(x) -> np.ndarray:
     return np.reshape(np.asarray(x, dtype=np.float64), (-1, 1))
 
 
-def step_multipliers(h, step, hbar):
-    """(y, lambda, ln|lambda|) of modes h (an array) at grid spacing
-    n tau = step: y = h n tau / hbar = u + i v and the one-step multiplier
-    lambda = 1 - i y = (1 + v) - i u.
-
-    ln|lambda| is 0.5 log1p(|lambda|^2 - 1), with |lambda|^2 - 1 formed from
-    the step quantities as v (2 + v) + u^2: near |lambda| = 1, where
-    log(|lambda|) cancels, it keeps its digits. Where that sum is past
-    2^1000 or not finite, it is log(hypot(1 + v, u)). Where the sum is
-    below 2^-1074 (|y| below about 1e-154), ln|lambda| underflows to 0.
-    u and v are formed from the mantissas and exponents of h, n tau and hbar,
-    so that h n tau does not overflow (or underflow) where y is a double:
-    where h n tau is a normal double they are the bits of h n tau / hbar.
-    """
-    h = np.asarray(h)
-    (ms, es), (mb, eb) = np.frexp(step), np.frexp(hbar)
-    u, v = (np.ldexp(m * ms / mb, e + es - eb) for m, e in map(np.frexp, (h.real, h.imag)))
-    # in extended precision where the platform has it: where the decay of a
-    # mode and the growth of the chronon map cancel in |lambda|^2 - 1, the
-    # rounding of u and v would otherwise cost digits
-    ul, vl = (x.astype(np.longdouble) * np.asarray(step, dtype=np.longdouble)
-              / np.asarray(hbar, dtype=np.longdouble) for x in (h.real, h.imag))
-    q = (vl * (2 + vl) + ul * ul).astype(np.float64)
-    big = ~(np.abs(q) < 2.0 ** 1000)
-    log_mag = np.where(big, np.log(np.hypot(1.0 + v, u)), 0.5 * np.log1p(q))
-    return as_complex(u, v), as_complex(1.0 + v, 0.0 - u), log_mag
+def _pow2_parts(h):
+    """(Re h', Im h', e) with h = 2^e h' exactly, the larger part of h' in [0.5, 1)."""
+    e = np.frexp(np.maximum(abs(h.real), abs(h.imag)))[1]
+    return np.ldexp(h.real, -e), np.ldexp(h.imag, -e), e
 
 
-def _exact_energies(h, y, lam, log_mag):
-    """(i hbar / (n tau)) Log(lambda) of modes h, written as h i Log(lambda) / y
-    in the dimensionless y = h n tau / hbar, so that no hbar / (n tau) can
-    overflow: i Log(lambda) = -arg(lambda) + i ln|lambda|; the limit h
-    where y = 0."""
-    w = as_complex(-np.arctan2(lam.imag, lam.real), log_mag)
-    return cmul(h, np.where(y == 0, 1.0, cdiv(w, y)))
+def _two_prod(a, b):
+    """(p, err) with p = fl(a b) and p + err = a b exactly for a, b near 1
+    (Dekker, 1971; NumPy has no fused multiply-add), by 26-bit halves."""
+    ah, bh = ((x - t) + t for x, t in ((a, 134217729.0 * a), (b, 134217729.0 * b)))
+    al, bl, p = a - ah, b - bh, a * b
+    return p, ((ah * bh - p) + ah * bl + al * bh) + al * bl
+
+
+@np.errstate(all="ignore")  # both branches of each np.where are formed
+def step_multipliers(h, energy, n, tau_scale):
+    """(y, lambda, rate) of modes h, shape (k, 2), at one energy, n and tau_scale
+    or one per row: y = h n tau / hbar = (h / E) n tau_scale = u + i v (hbar
+    cancels), lambda = 1 - i y = (1 + v) - i u and rate = ln|lambda| / |y|, 0 at y = 0.
+    y = 2^k (c + c_lo) h' (`_pow2_parts`), c + c_lo the mantissas of n and tau_scale
+    over E's to twice the double's precision. |lambda|^2 - 1 = 2^k c s, where in s
+    = 2 Im h' + 2^k c |h'|^2 a mode's decay and the map's growth cancel error-free
+    (`_two_prod`, TwoSum); rate = (log1p(q) / q) s / (2 |h'|) with q = 2^k c s."""
+    (mn, en), (mt, et), (me, ee) = map(np.frexp, map(_lane_column, (n, tau_scale, energy)))
+    re, im, eh = _pow2_parts(np.asarray(h))
+    k = en + et - ee + eh
+    (p, p_lo), c = _two_prod(mn, mt), mn * mt / me
+    c_lo = ((p - c * me) - _two_prod(c, me)[1] + p_lo) / me  # p - fl(c me) is exact
+    (a, a_lo), (b, b_lo) = _two_prod(re, re), _two_prod(im, im)
+    m = a + b  # |h'|^2 = m + m_lo by Knuth's TwoSum
+    m_lo = (a - (m - (m - a))) + (b - (m - a)) + a_lo + b_lo
+    t, t_lo = _two_prod(c, m)
+    s = (2.0 * im + np.ldexp(t, k)) + np.ldexp(t_lo + c * m_lo + c_lo * m, k)
+    q = np.ldexp(c * s, k)
+    u, v = (np.ldexp(p + (err + c_lo * x), k) for x in (re, im) for p, err in [_two_prod(c, x)])
+    y, lam = as_complex(u, v), as_complex(1.0 + v, 0.0 - u)
+    small = (np.where(q == 0, 1.0, np.log1p(q) / q) * s
+             / np.where(s == 0, 1.0, 2.0 * np.hypot(re, im)))
+    return y, lam, np.where(np.abs(q) < 2.0 ** 1000, small, np.log(_modulus(lam)) / _modulus(y))
+
+
+def per_hbar(h, rate, hbar, power=1):
+    """(|h| rate / hbar)^power of modes h and their `step_multipliers` rate (ln|lambda|
+    / (n tau) at power 1), from mantissas and exponents: nothing over- or underflows."""
+    (re, im, eh), (mb, eb) = _pow2_parts(np.asarray(h)), np.frexp(_lane_column(hbar))
+    return np.ldexp((np.hypot(re, im) * rate / mb) ** power, power * (eh - eb))
 
 
 def im_re_ratio(e) -> tuple[np.ndarray, np.ndarray]:
@@ -96,10 +106,10 @@ def im_re_ratio(e) -> tuple[np.ndarray, np.ndarray]:
 
 
 @np.errstate(all="ignore")  # failed lanes carry nan and inf; their values are not used
-def mode_stack(h, energy, tau_scale, step, hbar, lanes: Lanes) -> dict:
+def mode_stack(h, energy, n, tau_scale, hbar, lanes: Lanes) -> dict:
     """The spectral data of both modes of a stack of Hermitian H, shape
-    (k, 2, 2), with the ChrononParams energy and tau_scale, the n tau
-    `step` (checked here, after H's eigenvalues) and hbar of each lane.
+    (k, 2, 2), with the ChrononParams energy, n, tau_scale and the hbar of
+    each lane (`step_multipliers`; hbar enters only efold_time).
 
     Returns arrays of shape (k, 2), one column per mode in the order of
     `eig2_stack`, named as the runner's per-mode cells: h, lambda_re,
@@ -111,10 +121,11 @@ def mode_stack(h, energy, tau_scale, step, hbar, lanes: Lanes) -> dict:
     """
     values, vectors, _ = eig2_stack(h, lanes)
     hk = values.real
-    step_check(lanes, step)
-    step, hbar = _lane_column(step), _lane_column(hbar)
-    y, lam, log_mag = step_multipliers(hk, step, hbar)
-    h_eff = _exact_energies(hk, y, lam, log_mag)
+    y, lam, rate = step_multipliers(hk, energy, n, tau_scale)
+    # (i hbar / (n tau)) Log(lambda) = h (-arg(lambda) + i rate |y|) / y (h at y = 0):
+    # no hbar / (n tau) to overflow, and Im h_eff = |h| rate does not underflow
+    h_eff = as_complex(hk * np.where(y == 0, 1.0, -np.arctan2(lam.imag, lam.real) / y.real),
+                       np.abs(hk) * rate)
     h_first = as_complex(hk, hk * (hk / _lane_column(energy)) * _lane_column(tau_scale))
     finite = np.isfinite(h_eff) & np.isfinite(h_first)  # h_eff is not where lambda is not
     for k in (0, 1):
@@ -127,7 +138,7 @@ def mode_stack(h, energy, tau_scale, step, hbar, lanes: Lanes) -> dict:
     return {"h": hk, "lambda_re": lam.real, "lambda_im": lam.imag,
             "heff_re": h_eff.real, "heff_im": h_eff.imag,
             "hfirst_re": h_first.real, "hfirst_im": h_first.imag,
-            "step_mag": _modulus(lam), "efold_time": step / np.abs(log_mag),
+            "step_mag": _modulus(lam), "efold_time": np.abs(per_hbar(hk, rate, hbar, -1)),
             "ratio_exact": im_re_ratio(h_eff), "ratio_first": im_re_ratio(h_first),
             "eigvec": vectors,
             "nu_nonhermitian": (nu, (h_eff == 0).all(axis=1))}
@@ -151,8 +162,7 @@ def mode_report(h, p: ChrononParams, units: UnitSystem = NATURAL_UNITS,
     coerce_param("convention", convention, CONVENTIONS)
     finite_check(OnePoint, a)
     OnePoint.require(is_hermitian(a), InvalidInput, "mode_report requires a Hermitian H")
-    t = mode_stack(a[None], p.energy, p.tau_scale,
-                   chronon_step(p.energy, p.n, p.tau_scale, units.hbar), units.hbar, OnePoint)
+    t = mode_stack(a[None], p.energy, p.n, p.tau_scale, units.hbar, OnePoint)
     records = tuple(ModeRecord(
         mode_index=j, eigvec=t["eigvec"][0, j], h_continuous=float(t["h"][0, j]),
         lambda_step=complex(t["lambda_re"][0, j], t["lambda_im"][0, j]),

@@ -782,11 +782,28 @@ def test_modes_subnormal_step(capsys):
 
 
 def test_modes_step_underflow_exit_code():
-    # n tau = 1e-300 / 1e100 underflows to 0: a usage error, not a traceback
+    # n tau = 1e-300 / 1e100 underflows to 0, but the mode quantities come
+    # from y = (h / E) n tau_scale = 1e-300: every cell is the correctly
+    # rounded exact value (heff_im = E tau_scale / 2, efold_time = 2 / (E
+    # tau_scale))
     res = run_cli("modes", "--energy", "1e100", "--tau-scale", "1e-300")
-    assert res.returncode == 2
-    assert res.stderr.startswith("error: n*tau")
-    assert "Traceback" not in res.stderr
+    assert (res.returncode, res.stderr) == (0, "")
+    assert res.stdout.splitlines() == [
+        "mode,h,lambda_re,lambda_im,heff_re,heff_im,hfirst_re,hfirst_im,step_mag,"
+        "efold_time,direction,reading,ratio_exact,ratio_first,nu_nonhermitian",
+        "0,-1e+100,1.0,1e-300,-1e+100,5e-201,-1e+100,1e-200,1.0,2e+200,1,decay,5e-301,"
+        "1e-300,5e-301",
+        "1,1e+100,1.0,-1e-300,1e+100,5e-201,1e+100,1e-200,1.0,2e+200,1,decay,5e-301,"
+        "1e-300,5e-301"]
+
+
+def test_modes_step_overflow_is_overflow():
+    # n tau = 1e200 1e200 / 1e300 = 1e100 overflows in tau_scale hbar, which
+    # the mode quantities no longer form; hfirst_im = E tau_scale = 1e500 is
+    # past the double range: Overflow, exit 3
+    res = run_cli("modes", "--energy", "1e300", "--tau-scale", "1e200", "--hbar", "1e200")
+    assert (res.returncode, res.stdout) == (3, "")
+    assert res.stderr == "numeric-domain error: mode 0 is not finite in double precision\n"
 
 
 def test_evolve_overflow_exit_code():
@@ -937,14 +954,16 @@ def test_modes_direction_and_reading(capsys, tau_scale, convention, want):
 
 @pytest.mark.parametrize("tau_scale", ["1", "1e-9", "1e-170"])
 def test_modes_direction_is_the_sign_of_the_printed_heff_im(capsys, tau_scale):
-    # also at tau_scale 1e-170, where heff_im underflows to 0 although
-    # |lambda| > 1: direction and reading follow the row's own heff_im cell
+    # also at tau_scale 1e-170, where ln|lambda| (about 5e-341) underflows
+    # but heff_im = |h| ln|lambda| / |y| (5e-171) does not: direction and
+    # reading follow the row's own heff_im cell, which is positive
     for row in cli_rows(capsys, "modes", "--energy", "1", "--tau-scale", tau_scale,
                         "--convention", "standard"):
         im = float(row["heff_im"])
         sign = (im > 0) - (im < 0)
         assert (row["direction"], row["reading"]) == (
             str(sign), {1: "growth", 0: "steady", -1: "decay"}[sign])
+        assert row["direction"] == "1"
 
 
 @pytest.mark.parametrize("observable,engine", [

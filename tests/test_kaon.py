@@ -471,13 +471,18 @@ def test_a_finite_width_near_the_top_of_the_double_range():
 
 def test_a_zero_multiplier_is_singular_map():
     # lambda = 1 - i h n tau = 0 for the K1 mode at n tau = 1e-5, h = -1e5 i
-    # (its real part 1e-320 vanishes in H's scaled eigenvalues)
-    model, p = KaonModel(1e-320, 2e5, 0.0), ChrononParams(energy=1.0, tau_scale=1e-5)
-    with pytest.raises(SingularMap, match="zero eigenvalue"):
-        width_shift(model, p)
-    with pytest.raises(SingularMap, match="zero eigenvalue"):
-        epsilon_mixing(model, p, "discrete")
-    assert epsilon_mixing(model, p, "continuous") == 0  # needs no multiplier
+    # (its real part 1e-320 vanishes in H's scaled eigenvalues), where the
+    # exact y = h n tau is -i only up to rounding; and at h = -2^60 i and
+    # n tau = 2^-60, where y = -i exactly, ln|lambda| is -inf and the rate is
+    # not finite either
+    for gamma_s, tau_scale in ((2e5, 1e-5), (2.0 ** 61, 2.0 ** -60)):
+        model = KaonModel(1e-320, gamma_s, 0.0)
+        p = ChrononParams(energy=1.0, tau_scale=tau_scale)
+        with pytest.raises(SingularMap, match="zero eigenvalue"):
+            width_shift(model, p)
+        with pytest.raises(SingularMap, match="zero eigenvalue"):
+            epsilon_mixing(model, p, "discrete")
+        assert epsilon_mixing(model, p, "continuous") == 0  # needs no multiplier
 
 
 @pytest.mark.parametrize("model, message", [

@@ -8,10 +8,10 @@ import pytest
 import scipy.linalg
 
 from chronon_lab.errors import ChrononLabError, InvalidInput, Lanes, Overflow, SingularMap
-from chronon_lab.linalg2 import (DEFAULT_TOL, IDENTITY2, PAULI_X, PAULI_Y, eig2,
-                                 exp2, is_hermitian, power2)
+from chronon_lab.linalg2 import DEFAULT_TOL, IDENTITY2, PAULI_X, eig2, exp2, is_hermitian, power2
 
 SQ2 = math.sqrt(2.0)
+PAULI_Y = np.array([[0.0, -1.0j], [1.0j, 0.0]], dtype=np.complex128)
 
 
 def random_complex_matrix(rng, scale=1.0):

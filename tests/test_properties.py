@@ -7,9 +7,10 @@ import json
 import math
 import random
 
+import mpmath
 import numpy as np
 import pytest
-from hypothesis import given, settings, strategies as st
+from hypothesis import example, given, settings, strategies as st
 
 from chronon_lab import runner
 from chronon_lab.errors import ChrononLabError, InvalidInput, Lanes, OnePoint
@@ -62,6 +63,14 @@ def cell(column, i=0):
     return None if none[i] else float(values[i])
 
 
+# the edges of the step: the smallest tau_scale, the largest power-of-two
+# hbar, and the two points where n tau = n (tau_scale hbar / E) under- and
+# overflows though y = (h / E) n tau_scale does not (the second overflows
+# in hfirst_im = E tau_scale)
+@example(energy=1.0, diag=0.5, tau_scale=2.0 ** -1074, hbar=1.0, n=3)
+@example(energy=1.0, diag=0.5, tau_scale=1.0, hbar=2.0 ** 1023, n=3)
+@example(energy=1e100, diag=0.5, tau_scale=1e-300, hbar=1.0, n=3)
+@example(energy=1e300, diag=0.5, tau_scale=1e200, hbar=1e200, n=3)
 @PROPERTY
 @given(energy=magnitudes(-1073, 1024), diag=signed,
        tau_scale=magnitudes(-1073, 1024), hbar=magnitudes(-1073, 1024),
@@ -82,10 +91,54 @@ def test_mode_report_ok_rows_are_finite(energy, diag, tau_scale, hbar, n):
         assert math.isfinite(value), (name, value)
 
 
+@PROPERTY
+@given(energy=magnitudes(-10, 10), diag=st.floats(-0.5, 0.5), hbar=magnitudes(-10, 10),
+       n=st.integers(1, 1000), tau_scale=magnitudes(-996, 0))
+def test_small_step_ratios_are_scale_free(energy, diag, hbar, n, tau_scale):
+    # tau_scale from 2^-996 (about 1.5e-300) to 1, |h / E| in [0.5, 1.5]:
+    # with x = y = (h / E) n tau_scale, heff_im / (h x) = ln|lambda| / x^2,
+    # efold_time x^2 / (n tau) = x^2 / ln|lambda| and ratio_exact / x =
+    # ln|lambda| / (x atan|x|) are functions of x alone (1/2, 2 and 1/2 for
+    # small x), within 4 eps of 50-digit mpmath, ln|lambda| = log1p(x^2) / 2
+    cols, [status] = evaluate_chunk("mode_report", {
+        "energy": energy, "diag": energy * diag, "hbar": hbar, "n": n,
+        "tau_scale": tau_scale}, [], [])
+    assert status == "ok"
+    with mpmath.workdps(50):
+        for k in (0, 1):
+            h = mpmath.mpf(cell(cols[f"mode{k}_h"]))
+            x = h * n * mpmath.mpf(tau_scale) / mpmath.mpf(energy)
+            step = n * mpmath.mpf(tau_scale) * mpmath.mpf(hbar) / mpmath.mpf(energy)
+            log_mag = mpmath.log1p(x * x) / 2
+            for column, scale, want in (
+                    ("heff_im", 1 / (h * x), log_mag / x ** 2),
+                    ("efold_time", x ** 2 / step, x ** 2 / log_mag),
+                    ("ratio_exact", 1 / x, log_mag / (x * mpmath.atan(abs(x))))):
+                got = mpmath.mpf(cell(cols[f"mode{k}_{column}"])) * scale
+                assert abs(got / want - 1) <= 4 * 2.0 ** -52, (column, float(got), float(want))
+
+
 widths = st.tuples(st.one_of(st.just(0.0), magnitudes(-1073, 1024)),
                    st.one_of(st.just(0.0), magnitudes(-1073, 1024))).map(sorted)
 
 
+# the step edges of the mode_report property, for both kaon quantities
+@example(quantity=("width_shift", None), mixing_e=1.0, gammas=[0.001, 0.1], delta_re=0.02,
+         delta_im=0.0, tau_scale=2.0 ** -1074, hbar=1.0, n=3)
+@example(quantity=("epsilon", "discrete"), mixing_e=1.0, gammas=[0.001, 0.1], delta_re=0.02,
+         delta_im=0.0, tau_scale=2.0 ** -1074, hbar=1.0, n=3)
+@example(quantity=("width_shift", None), mixing_e=1.0, gammas=[0.001, 0.1], delta_re=0.02,
+         delta_im=0.0, tau_scale=1.0, hbar=2.0 ** 1023, n=3)
+@example(quantity=("epsilon", "discrete"), mixing_e=1.0, gammas=[0.001, 0.1], delta_re=0.02,
+         delta_im=0.0, tau_scale=1.0, hbar=2.0 ** 1023, n=3)
+@example(quantity=("width_shift", None), mixing_e=1e100, gammas=[0.001, 0.1], delta_re=0.02,
+         delta_im=0.0, tau_scale=1e-300, hbar=1.0, n=3)
+@example(quantity=("epsilon", "discrete"), mixing_e=1e100, gammas=[0.001, 0.1], delta_re=0.02,
+         delta_im=0.0, tau_scale=1e-300, hbar=1.0, n=3)
+@example(quantity=("width_shift", None), mixing_e=1e300, gammas=[0.001, 0.1], delta_re=0.02,
+         delta_im=0.0, tau_scale=1e200, hbar=1e200, n=3)
+@example(quantity=("epsilon", "discrete"), mixing_e=1e300, gammas=[0.001, 0.1], delta_re=0.02,
+         delta_im=0.0, tau_scale=1e200, hbar=1e200, n=3)
 @PROPERTY
 @given(quantity=st.sampled_from([("epsilon", "continuous"), ("epsilon", "discrete"),
                                  ("width_shift", None)]),

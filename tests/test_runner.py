@@ -206,11 +206,16 @@ def test_a_value_outside_its_domain_fails_its_point():
     assert alone("mode_report", {"energy": 1.0, "n": 1.5})["status"] == "InvalidInput"
     with pytest.raises(InvalidInput, match="^n must be a positive integer$"):
         point_row("mode_report", {"energy": 1.0, "n": 1.5})
-    # n tau = n (tau_scale hbar / E) overflows to inf
-    params = {"energy": 1e-300, "tau_scale": 1e300}
-    assert alone("mode_report", params)["status"] == "InvalidInput"
-    with pytest.raises(InvalidInput, match="^n[*]tau is inf in double precision"):
-        point_row("mode_report", params)
+    # n tau = n (tau_scale hbar / E) is past the double range, but the mode
+    # quantities come from y = (h / E) n tau_scale = 1e300: an ok row whose
+    # cells are finite, but efold_time, whose exact value (about 1.4e597) is
+    # past the double range too
+    row = alone("mode_report", {"energy": 1e-300, "tau_scale": 1e300})
+    assert row["status"] == "ok"
+    for name, value in row.items():
+        if isinstance(value, float) and not name.endswith("efold_time"):
+            assert math.isfinite(value), name
+    assert row["mode0_lambda_im"] == 1e300 and row["mode1_hfirst_im"] == 1.0
 
 
 def test_an_undefined_ratio_on_an_ok_lane_is_none():
@@ -1011,12 +1016,13 @@ def test_width_shift_hamiltonian_overflow_is_overflow():
         kaon_hamiltonian(KaonModel(1.0, 1e308, 0.0, units=UnitSystem(hbar=10.0)))
 
 
-def _log_modulus_oracle(h: complex, step: float, hbar: float):
-    """ln|1 - i h n tau / hbar| in 50 digits, from the double h, n tau and hbar."""
+def _log_modulus_oracle(h: complex, energy: float, n: int, tau_scale: float):
+    """(ln|1 - i y|, n tau / hbar) in 50 digits, y = (h / E) n tau_scale,
+    from the exact double h, E and tau_scale and the integer n."""
     with mpmath.workdps(50):
-        c = mpmath.mpf(step) / mpmath.mpf(hbar)
-        u, v = mpmath.mpf(h.real) * c, mpmath.mpf(h.imag) * c
-        return mpmath.log1p(v * (2 + v) + u * u) / 2
+        x = n * mpmath.mpf(tau_scale) / mpmath.mpf(energy)
+        u, v = mpmath.mpf(h.real) * x, mpmath.mpf(h.imag) * x
+        return mpmath.log1p(v * (2 + v) + u * u) / 2, x
 
 
 def test_efold_time_and_gamma_effective_match_mpmath():
@@ -1032,10 +1038,10 @@ def test_efold_time_and_gamma_effective_match_mpmath():
                   "tau_scale": 10.0 ** rng.uniform(-12, 0.5),
                   "hbar": 10.0 ** rng.uniform(-100, 100), "n": int(rng.integers(1, 5))}
         row = alone("mode_report", params)
-        step = params["n"] * (params["tau_scale"] * params["hbar"] / energy)
         for k in (0, 1):
-            g = _log_modulus_oracle(complex(row[f"mode{k}_h"]), step, params["hbar"])
-            want = float(mpmath.mpf(step) / abs(g))
+            g, x = _log_modulus_oracle(complex(row[f"mode{k}_h"]), energy, params["n"],
+                                       params["tau_scale"])
+            want = float(x * mpmath.mpf(params["hbar"]) / abs(g))
             assert row[f"mode{k}_efold_time"] == pytest.approx(want, rel=1e-14, abs=0)
     spec = ScanSpec.from_dict({
         "quantity": "width_shift",
@@ -1044,8 +1050,31 @@ def test_efold_time_and_gamma_effective_match_mpmath():
                  {"name": "gamma_s", "start": 0.05, "stop": 0.5, "count": 25}],
         "fixed": {"mixing_e": 1.0, "gamma_l": 0.001, "delta_re": 0.02, "hbar": 1.3}})
     for row in run_scan(spec):
-        step = row["tau_scale"] * 1.3
         for lbl in ("fast", "slow"):
             h = complex(row[f"{lbl}_h_re"], row[f"{lbl}_h_im"])
-            want = float(-2 * _log_modulus_oracle(h, step, 1.3) / mpmath.mpf(step))
+            g, x = _log_modulus_oracle(h, 1.0, 1, row["tau_scale"])
+            want = float(-2 * g / (x * mpmath.mpf(1.3)))
             assert row[f"{lbl}_gamma_effective"] == pytest.approx(want, rel=1e-14, abs=0)
+
+
+@pytest.mark.parametrize("energy,n,hbar", [(1.0, 1, 1.0), (1.3, 3, 1.0), (0.7, 7, 2.9),
+                                           (1e-200, 5, 1e-100)])
+def test_gamma_effective_at_the_decay_growth_crossing_matches_mpmath(energy, n, hbar):
+    # the fast mode's decay and the map's growth cancel in |lambda|^2 - 1 at
+    # x = n tau_scale / E = hbar gamma_s / |h|^2 (0.0997506 in the natural
+    # config, the first case): 200 tau_scale within 1e-12 to 1e-1 of it keep
+    # gamma_effective within 1e-14 of 50-digit mpmath, also where E and n
+    # are not powers of two, so that n tau_scale / E is not a double
+    h = complex(energy, -0.05 * hbar)
+    rng = np.random.default_rng(20261021)
+    offsets = 10.0 ** rng.uniform(-12, -1, 200) * rng.choice([-1.0, 1.0], 200)
+    tau_scale = hbar * 0.1 / abs(h) ** 2 * energy / n * (1 + offsets)
+    cols, status = evaluate_chunk("width_shift", {"mixing_e": energy, "gamma_s": 0.1,
+                                                  "gamma_l": 0.001, "n": n, "hbar": hbar},
+                                  ["tau_scale"], [tau_scale])
+    assert set(status) == {"ok"}
+    for i, ts in enumerate(tau_scale):
+        h = complex(cols["fast_h_re"][0][i], cols["fast_h_im"][0][i])
+        g, x = _log_modulus_oracle(h, energy, n, ts)
+        want = float(-2 * g / (x * mpmath.mpf(hbar)))
+        assert cols["fast_gamma_effective"][0][i] == pytest.approx(want, rel=1e-14, abs=0)

@@ -1,5 +1,6 @@
 import cmath
 import math
+from fractions import Fraction
 
 import mpmath
 import numpy as np
@@ -12,7 +13,7 @@ from chronon_lab.evolution import (ChrononParams, NATURAL_UNITS, UnitSystem,
                                    symmetric_hamiltonian)
 from chronon_lab.linalg2 import DEFAULT_TOL, IDENTITY2, PAULI_X
 from chronon_lab.quantities import evaluate_chunk
-from chronon_lab.spectrum import im_re_ratio, mode_report
+from chronon_lab.spectrum import _two_prod, im_re_ratio, mode_report, step_multipliers
 
 CHRONON_POINT = ChrononParams(energy=1.0)
 
@@ -302,3 +303,33 @@ def test_exact_energy_where_the_step_quantity_underflows_is_h():
     assert high.h_continuous == 2.0 ** -52 and high.lambda_step == 1.0
     assert high.h_eff_exact == complex(2.0 ** -52, 0.0)
     assert low.h_eff_exact.real == pytest.approx(low.h_continuous, rel=1e-15)
+
+
+def test_two_prod_is_exact():
+    # p + err = a b exactly, p the rounded product, for factors of every
+    # sign near 1 (mantissas and scaled modes), including 53-bit ones whose
+    # product needs 106 bits
+    rng = np.random.default_rng(20261021)
+    a, b = (rng.uniform(-2.0, 2.0, 2000) for _ in range(2))
+    a[:2], b[:2] = 1 - 2.0 ** -53, [1 + 2.0 ** -52, -(1 - 2.0 ** -53)]
+    p, err = _two_prod(a, b)
+    assert np.array_equal(p, a * b)
+    for x, y, hi, lo in zip(a, b, p, err):
+        assert Fraction(hi) + Fraction(lo) == Fraction(x) * Fraction(y)
+
+
+@pytest.mark.parametrize("energy,n,tau_scale", [
+    (1.0, 1, 0.1), (1.3, 3, 1 / 3), (3e-300, 7, 1e-8), (0.7, 2 ** 60 + 1, 1e-300)])
+def test_step_multipliers_match_mpmath(energy, n, tau_scale):
+    # y = (h / E) n tau_scale and rate = ln|lambda| / |y| of decaying,
+    # growing and real modes, against 50-digit mpmath from the exact inputs
+    h = np.array([[energy * (1 - 0.05j), -energy * (0.3 + 1e-9j)],
+                  [energy * 2.0 ** -30 * (1 + 1j), 5.0 * energy]])
+    y, lam, rate = step_multipliers(h, energy, n, tau_scale)
+    with mpmath.workdps(50):
+        for got_y, got_lam, got_rate, hk in zip(y.ravel(), lam.ravel(), rate.ravel(), h.ravel()):
+            want = mpmath.mpc(hk) * n * mpmath.mpf(tau_scale) / mpmath.mpf(energy)
+            log_mag = mpmath.log1p(2 * want.imag + abs(want) ** 2) / 2
+            assert abs(mpmath.mpc(got_y) / want - 1) <= 2.0 ** -52
+            assert got_lam == complex(1.0 + got_y.imag, -got_y.real)
+            assert abs(got_rate / (log_mag / abs(want)) - 1) <= 4 * 2.0 ** -52
