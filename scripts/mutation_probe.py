@@ -48,16 +48,12 @@ SWAPS = {ast.Add: ast.Sub, ast.Sub: ast.Add, ast.Mult: ast.Div, ast.Div: ast.Mul
 
 # (module, source line, mutant as printed) -> why no input can tell the mutant
 # from the module, or none that can be built
-_BIG = ("return y, lam, np.where(np.abs(q) < 2.0 ** 1000, small, "
-        "np.log(_modulus(lam)) / _modulus(y))")
+_BIG = "return y, lam, (np.where(np.abs(q) < 2.0 ** 1000, small,"
 _PAST_2_1000 = ("past 2^1000 both branches give ln|lambda| / |y| within rounding, as "
                 "|lambda|^2 = q + 1, so the branch point may move by a factor 2")
-_SMALL = "/ np.where(s == 0, 1.0, 2.0 * np.hypot(re, im)))"
-_SPLIT = "ah, bh = ((x - t) + t for x, t in ((a, 134217729.0 * a), (b, 134217729.0 * b)))"
-_NEAR_SPLIT = ("no input found: a factor of magnitude below 2 split by a constant within 0.1% "
-               "of 2^27 + 1 still gives halves whose pair products are exact; "
-               "test_two_prod_is_exact's 2000 random factors and 53-bit edges keep p + err "
-               "exact")
+_SMALL = ("small = np.where(q == 0, 1.0, np.log1p(q) / q) * s / np.where(s == 0, 1.0, "
+          "2 * np.hypot(re, im))")
+_J = "j = np.minimum(0, np.maximum(k, np.where(im == 0, k, np.frexp(im)[1] - 60)))"
 _FINITE = "finite = np.isfinite(gamma) & (np.isfinite(gamma_eff) | zero)"
 _WIDTH = ("gamma = -2 (Im h / hbar) is a width of the model, between gamma_long and "
           "gamma_short up to rounding, so it is finite")
@@ -83,11 +79,13 @@ EQUIVALENT = {
         "read only where delta = 0, so x = 0: a series lane, which where=~small skips",
     ("spectrum", _BIG, "np.abs(q) < 2.0 ** 1000 -> np.abs(q) <= 2.0 ** 1000"): _PAST_2_1000,
     ("spectrum", _BIG, "2.0 ** 1000 -> 2.002 ** 1000"): _PAST_2_1000,
-    ("spectrum", _SMALL, "np.where(s == 0, 1.0, 2.0 * np.hypot(re, im)) -> "
-     "np.where(s == 0, 1.001, 2.0 * np.hypot(re, im))"):
+    ("spectrum", _SMALL, "np.where(s == 0, 1.0, 2 * np.hypot(re, im)) -> "
+     "np.where(s == 0, 1.001, 2 * np.hypot(re, im))"):
         "read only where s = 0, whose quotient is 0 over any nonzero divisor",
-    ("spectrum", _SPLIT, "134217729.0 * a -> 134351946.72899997 * a"): _NEAR_SPLIT,
-    ("spectrum", _SPLIT, "134217729.0 * b -> 134351946.72899997 * b"): _NEAR_SPLIT,
+    ("spectrum", _J, "np.frexp(im)[1] - 60 -> np.frexp(im)[1] + 60"):
+        "the offset only keeps 2 Im h' 2^-j inside the double range: 60 above Im h''s "
+        "exponent it is still at least 2^-60, and a term of s that underflows at one offset "
+        "and not at the other is below 2^-900 of it",
     ("kaon", "if not count < DEFAULT_GRID_CAP:",
      "count < DEFAULT_GRID_CAP -> count <= DEFAULT_GRID_CAP"):
         "at count = cap, evolve refuses the grid of cap steps with the same text",

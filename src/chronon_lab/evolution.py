@@ -144,8 +144,7 @@ class ChrononParams(Record):
 
 def chronon_of(params: dict, energy_key: str) -> tuple[ChrononParams, UnitSystem]:
     """ChrononParams at energy `params[energy_key]` plus the UnitSystem of `params`."""
-    p = ChrononParams(energy=params[energy_key], n=params["n"],
-                      tau_scale=params["tau_scale"])
+    p = ChrononParams(energy=params[energy_key], n=params["n"], tau_scale=params["tau_scale"])
     return p, UnitSystem(hbar=params["hbar"])
 
 

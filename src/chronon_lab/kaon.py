@@ -145,8 +145,7 @@ def kaon_trajectory(model: KaonModel, engine: str, t_max: float | None,
         steps = max(1, round(count))
     h = kaon_hamiltonian(model, "cp")
     psi0 = TwoState(kaon_state(psi0_label, "cp"))
-    return evolve(h, psi0, engine, t_max, steps, p, model.units,
-                  allow_nonhermitian=True)
+    return evolve(h, psi0, engine, t_max, steps, p, model.units, allow_nonhermitian=True)
 
 
 def two_pion_intensity(traj: Trajectory, model: KaonModel,

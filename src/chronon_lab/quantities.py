@@ -220,8 +220,7 @@ def _kaon_lanes(params: dict, lanes):
 def _eval_epsilon(params: dict, lanes) -> dict:
     from .kaon import epsilon_stack
     eps = epsilon_stack(*_kaon_lanes(params, lanes), params["engine"], lanes)
-    return {"epsilon_re": eps.real, "epsilon_im": eps.imag,
-            "epsilon_abs": _modulus(eps)}
+    return {"epsilon_re": eps.real, "epsilon_im": eps.imag, "epsilon_abs": _modulus(eps)}
 
 
 def _eval_width_shift(params: dict, lanes) -> dict:

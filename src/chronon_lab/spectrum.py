@@ -58,7 +58,7 @@ def _pow2_parts(h):
 def _two_prod(a, b):
     """(p, err) with p = fl(a b) and p + err = a b exactly for a, b near 1
     (Dekker, 1971; NumPy has no fused multiply-add), by 26-bit halves."""
-    ah, bh = ((x - t) + t for x, t in ((a, 134217729.0 * a), (b, 134217729.0 * b)))
+    ah, bh = ((x - t) + t for x in (a, b) for t in [134217729.0 * x])  # 2^27 + 1
     al, bl, p = a - ah, b - bh, a * b
     return p, ((ah * bh - p) + ah * bl + al * bh) + al * bl
 
@@ -71,7 +71,10 @@ def step_multipliers(h, energy, n, tau_scale):
     y = 2^k (c + c_lo) h' (`_pow2_parts`), c + c_lo the mantissas of n and tau_scale
     over E's to twice the double's precision. |lambda|^2 - 1 = 2^k c s, where in s
     = 2 Im h' + 2^k c |h'|^2 a mode's decay and the map's growth cancel error-free
-    (`_two_prod`, TwoSum); rate = (log1p(q) / q) s / (2 |h'|) with q = 2^k c s."""
+    (`_two_prod`, TwoSum); rate = (log1p(q) / q) s / (2 |h'|) with q = 2^k c s.
+    rate is the pair (r, j), rate = 2^j r, s and r formed at the scale 2^j: j = min(k, 0),
+    or at most 60 below Im h''s exponent, so a real mode's rate, about |y| / 2, keeps
+    its digits below |y| of 2^-1021. j = 0 wherever |q| >= 2^1000, as k >= 0 there."""
     (mn, en), (mt, et), (me, ee) = map(np.frexp, map(_lane_column, (n, tau_scale, energy)))
     re, im, eh = _pow2_parts(np.asarray(h))
     k = en + et - ee + eh
@@ -81,20 +84,21 @@ def step_multipliers(h, energy, n, tau_scale):
     m = a + b  # |h'|^2 = m + m_lo by Knuth's TwoSum
     m_lo = (a - (m - (m - a))) + (b - (m - a)) + a_lo + b_lo
     t, t_lo = _two_prod(c, m)
-    s = (2.0 * im + np.ldexp(t, k)) + np.ldexp(t_lo + c * m_lo + c_lo * m, k)
-    q = np.ldexp(c * s, k)
+    j = np.minimum(0, np.maximum(k, np.where(im == 0, k, np.frexp(im)[1] - 60)))
+    s = (np.ldexp(2.0 * im, -j) + np.ldexp(t, k - j)) + np.ldexp(t_lo + c * m_lo + c_lo * m, k - j)
+    q = np.ldexp(c * s, k + j)
     u, v = (np.ldexp(p + (err + c_lo * x), k) for x in (re, im) for p, err in [_two_prod(c, x)])
     y, lam = as_complex(u, v), as_complex(1.0 + v, 0.0 - u)
-    small = (np.where(q == 0, 1.0, np.log1p(q) / q) * s
-             / np.where(s == 0, 1.0, 2.0 * np.hypot(re, im)))
-    return y, lam, np.where(np.abs(q) < 2.0 ** 1000, small, np.log(_modulus(lam)) / _modulus(y))
+    small = np.where(q == 0, 1.0, np.log1p(q) / q) * s / np.where(s == 0, 1.0, 2 * np.hypot(re, im))
+    return y, lam, (np.where(np.abs(q) < 2.0 ** 1000, small,
+                             np.log(_modulus(lam)) / _modulus(y)), j)
 
 
 def per_hbar(h, rate, hbar, power=1):
-    """(|h| rate / hbar)^power of modes h and their `step_multipliers` rate (ln|lambda|
-    / (n tau) at power 1), from mantissas and exponents: nothing over- or underflows."""
-    (re, im, eh), (mb, eb) = _pow2_parts(np.asarray(h)), np.frexp(_lane_column(hbar))
-    return np.ldexp((np.hypot(re, im) * rate / mb) ** power, power * (eh - eb))
+    """(|h| rate / hbar)^power of modes h and their `step_multipliers` rate (r, j), ln|lambda| /
+    (n tau) at power 1, from mantissas and exponents: nothing over- or underflows."""
+    (re, im, eh), (mb, eb), (r, j) = _pow2_parts(np.asarray(h)), np.frexp(_lane_column(hbar)), rate
+    return np.ldexp((np.hypot(re, im) * r / mb) ** power, power * (eh + j - eb))
 
 
 def im_re_ratio(e) -> tuple[np.ndarray, np.ndarray]:
@@ -125,7 +129,7 @@ def mode_stack(h, energy, n, tau_scale, hbar, lanes: Lanes) -> dict:
     # (i hbar / (n tau)) Log(lambda) = h (-arg(lambda) + i rate |y|) / y (h at y = 0):
     # no hbar / (n tau) to overflow, and Im h_eff = |h| rate does not underflow
     h_eff = as_complex(hk * np.where(y == 0, 1.0, -np.arctan2(lam.imag, lam.real) / y.real),
-                       np.abs(hk) * rate)
+                       per_hbar(hk, rate, 1.0))
     h_first = as_complex(hk, hk * (hk / _lane_column(energy)) * _lane_column(tau_scale))
     finite = np.isfinite(h_eff) & np.isfinite(h_first)  # h_eff is not where lambda is not
     for k in (0, 1):
@@ -140,8 +144,7 @@ def mode_stack(h, energy, n, tau_scale, hbar, lanes: Lanes) -> dict:
             "hfirst_re": h_first.real, "hfirst_im": h_first.imag,
             "step_mag": _modulus(lam), "efold_time": np.abs(per_hbar(hk, rate, hbar, -1)),
             "ratio_exact": im_re_ratio(h_eff), "ratio_first": im_re_ratio(h_first),
-            "eigvec": vectors,
-            "nu_nonhermitian": (nu, (h_eff == 0).all(axis=1))}
+            "eigvec": vectors, "nu_nonhermitian": (nu, (h_eff == 0).all(axis=1))}
 
 
 def mode_report(h, p: ChrononParams, units: UnitSystem = NATURAL_UNITS,

@@ -312,6 +312,12 @@ def test_two_prod_is_exact():
     rng = np.random.default_rng(20261021)
     a, b = (rng.uniform(-2.0, 2.0, 2000) for _ in range(2))
     a[:2], b[:2] = 1 - 2.0 ** -53, [1 + 2.0 ** -52, -(1 - 2.0 ** -53)]
+    # factors in the top 0.1% of their binade, where a split constant a
+    # little off 2^27 + 1 moves the high half into the next binade and
+    # leaves a low half of 27 bits: their squares and products
+    top = np.concatenate([rng.uniform(0.999, 1.0, 500), rng.uniform(1.998, 2.0, 500)])
+    top *= rng.choice([-1.0, 1.0], top.size)
+    a, b = np.concatenate([a, top, top]), np.concatenate([b, top, rng.permutation(top)])
     p, err = _two_prod(a, b)
     assert np.array_equal(p, a * b)
     for x, y, hi, lo in zip(a, b, p, err):
@@ -319,17 +325,42 @@ def test_two_prod_is_exact():
 
 
 @pytest.mark.parametrize("energy,n,tau_scale", [
-    (1.0, 1, 0.1), (1.3, 3, 1 / 3), (3e-300, 7, 1e-8), (0.7, 2 ** 60 + 1, 1e-300)])
+    (1.0, 1, 0.1), (1.3, 3, 1 / 3), (3e-300, 7, 1e-8), (0.7, 2 ** 60 + 1, 1e-300),
+    (1e300, 1, 1e-310), (1.0, 3, 2.0 ** -1074), (1e300, 5, 2.0 ** -1074)])
 def test_step_multipliers_match_mpmath(energy, n, tau_scale):
-    # y = (h / E) n tau_scale and rate = ln|lambda| / |y| of decaying,
-    # growing and real modes, against 50-digit mpmath from the exact inputs
+    # y = (h / E) n tau_scale and rate = 2^j r = ln|lambda| / |y| of decaying,
+    # growing and real modes, against 50-digit mpmath from the exact inputs;
+    # below |y| of 2^-1021 a real mode's rate is carried past the double range
     h = np.array([[energy * (1 - 0.05j), -energy * (0.3 + 1e-9j)],
                   [energy * 2.0 ** -30 * (1 + 1j), 5.0 * energy]])
-    y, lam, rate = step_multipliers(h, energy, n, tau_scale)
+    y, lam, (r, j) = step_multipliers(h, energy, n, tau_scale)
     with mpmath.workdps(50):
-        for got_y, got_lam, got_rate, hk in zip(y.ravel(), lam.ravel(), rate.ravel(), h.ravel()):
+        for got_y, got_lam, got_r, got_j, hk in zip(
+                y.ravel(), lam.ravel(), r.ravel(), j.ravel(), h.ravel()):
             want = mpmath.mpc(hk) * n * mpmath.mpf(tau_scale) / mpmath.mpf(energy)
             log_mag = mpmath.log1p(2 * want.imag + abs(want) ** 2) / 2
-            assert abs(mpmath.mpc(got_y) / want - 1) <= 2.0 ** -52
+            if abs(want) >= 2.0 ** -1022:
+                assert abs(mpmath.mpc(got_y) / want - 1) <= 2.0 ** -52
             assert got_lam == complex(1.0 + got_y.imag, -got_y.real)
+            got_rate = mpmath.ldexp(mpmath.mpf(got_r), int(got_j))
             assert abs(got_rate / (log_mag / abs(want)) - 1) <= 4 * 2.0 ** -52
+
+
+@pytest.mark.parametrize("energy,diag,n,tau_scale,hbar", [
+    (1e300, 0.25, 1, 1e-310, 1.0), (1e300, 0.25, 5, 2.0 ** -1074, 1.0),
+    (1e300, 0.25, 1, 1e-310, 1e-200), (1e200, 0.25, 3, 1e-320, 1e100),
+    (1e300, 2.0 ** -26 - 1, 1, 2.0 ** -1074, 1.0), (1.0, 0.25, 1, 1e-300, 1.0)])
+def test_a_real_mode_whose_rate_is_past_the_double_range_matches_mpmath(
+        energy, diag, n, tau_scale, hbar):
+    # a real mode's rate ln|lambda| / |y| is about |y| / 2, below 2^-1022 for
+    # these steps (down to |y| of 2^-1126 for the mode h = 2^-26 E), yet
+    # heff_im = |h| rate and efold_time = hbar / |h rate| are normal
+    # doubles: both within 4 eps of 50-digit mpmath
+    h = symmetric_hamiltonian(energy, diag * energy)
+    for mode in mode_report(h, ChrononParams(energy, n, tau_scale), UnitSystem(hbar)).modes:
+        with mpmath.workdps(50):
+            hk = mpmath.mpf(mode.h_continuous)
+            y = hk * n * mpmath.mpf(tau_scale) / mpmath.mpf(energy)
+            heff_im = abs(hk) * mpmath.log1p(y * y) / (2 * abs(y))
+            assert abs(mode.h_eff_exact.imag / heff_im - 1) <= 4 * 2.0 ** -52
+            assert abs(mode.efold_time / (mpmath.mpf(hbar) / heff_im) - 1) <= 4 * 2.0 ** -52
