@@ -12,7 +12,8 @@ does not use, a scan with InvalidInput rows in both formats, a
 mode_report scans that end at and one point past a chunk boundary in both
 formats, two `prob_final` scans along a direction of 1e200 and of 1e-200,
 a `width_shift` scan of tau_scale through the decay/growth crossing of the
-fast mode, the `evolve`, `converge` and `kaon` tables in the formats the
+fast mode, a `width_shift` point whose fast multiplier is the small nonzero
+double -2^-70 i, the `evolve`, `converge` and `kaon` tables in the formats the
 other groups do not use, and `modes` at tau_scale 1e-9 and 1e-170, a `help` group of the `--help`
 texts of the program and of each command, and an `errors` group of
 malformed inputs, whose exit codes and stderr are compared. Each command runs as `python -m
@@ -125,18 +126,26 @@ CROSSING_SCAN = {
     "fixed": {"mixing_e": 1.0, "gamma_s": 0.1, "gamma_l": 0.001},
 }
 
+# width_shift where the fast mode's multiplier is exactly -2^-70 i, near zero
+# but not zero, so |lambda|^2 - 1 rounds to -1
+NEAR_ZERO_SCAN = {
+    "quantity": "width_shift", "grid": [],
+    "fixed": {"mixing_e": 1.0, "gamma_s": 2.0 ** 71, "gamma_l": 0.0, "tau_scale": 2.0 ** -70},
+}
+
 
 def formats_group() -> tuple[str, dict[str, str], list[list[str]]]:
     """Every scan quantity in both formats: the scan_modes scan as JSON to
     a file, the pool_kaon scans as CSV to stdout, a scan with InvalidInput
     rows, the failing-lanes trajectory scans and the chunk-boundary scans as
     both, `prob_final` scans along a huge and a tiny direction and the
-    width_shift crossing scan as CSV; `evolve` and
+    width_shift crossing and near-zero multiplier scans as CSV; `evolve` and
     `converge` (also with invalid rows, refused at t_max 0, and at m = 2^40
     and 2^53) as JSON,
     each kaon observable in the format the README does not show, and
     `modes` at tau_scale 1e-9 and 1e-170."""
-    files = {"invalid.json": json.dumps(INVALID_SCAN), "crossing.json": json.dumps(CROSSING_SCAN)}
+    files = {"invalid.json": json.dumps(INVALID_SCAN), "crossing.json": json.dumps(CROSSING_SCAN),
+             "near_zero.json": json.dumps(NEAR_ZERO_SCAN)}
     files.update((name, json.dumps(spec)) for name, spec in
                  {**TRAJECTORY_SCANS, **CHUNK_SCANS, **DIRECTION_SCANS}.items())
     commands = []
@@ -150,7 +159,7 @@ def formats_group() -> tuple[str, dict[str, str], list[list[str]]]:
         for fmt in ("csv", "json"):
             commands.append(["scan", "--spec", spec, "--format", fmt])
     commands += [["scan", "--spec", spec, "--format", "csv"]
-                 for spec in (*DIRECTION_SCANS, "crossing.json")]
+                 for spec in (*DIRECTION_SCANS, "crossing.json", "near_zero.json")]
     for engine in ("discrete", "continuous"):  # 2000 steps of n tau = 0.005
         commands.append(["evolve", "--engine", engine, "--energy", "1", "--tau-scale",
                          "0.005", "--t-max", "10", "--steps", "2000", "--psi0", "0.6,0.8j",

@@ -187,16 +187,17 @@ class ModeWidths(Record):
 
 def _mode_widths(h, energy, n, tau_scale, hbar, lanes: Lanes):
     """H's eigenpairs (`eig2_stack`) and per-mode multipliers lambda, decay
-    rates -2 Im(h) / hbar and effective rates -2 ln|lambda| / (n tau) (from
-    `per_hbar`) of a stack of kaon H, with the energy, n, tau_scale and hbar
-    of each lane. A multiplier or rate that is not finite is Overflow on its
-    lane, except the rate of a zero multiplier, which no caller reads (each
-    refuses the lane as SingularMap or ranks by gamma)."""
+    rates -2 Im(h) / hbar and effective rates -2 ln|lambda| / (n tau), which is
+    -2 Im h_eff / hbar with Im h_eff = 2^e m the `step_multipliers` pair (m, e)
+    (one `per_hbar` call), of a stack of kaon H, with the energy, n, tau_scale
+    and hbar of each lane. A multiplier or rate that is not finite is Overflow
+    on its lane, except the rate of a zero multiplier, which no caller reads
+    (each refuses the lane as SingularMap or ranks by gamma)."""
     values, vectors, degenerate = eig2_stack(h, lanes)
-    _, lam, rate = step_multipliers(values, energy, n, tau_scale)
+    _, lam, im_eff = step_multipliers(values, energy, n, tau_scale)
     zero, hbar = lam == 0, _lane_column(hbar)
     gamma = -2.0 * (values.imag / hbar)  # -2 Im h may overflow where the rate does not
-    gamma_eff = -2.0 * per_hbar(values, rate, hbar)
+    gamma_eff = -2.0 * per_hbar(im_eff, hbar)
     # a lambda that is not finite makes gamma_eff nan
     finite = np.isfinite(gamma) & (np.isfinite(gamma_eff) | zero)
     lanes.require(finite.all(axis=1), Overflow,

@@ -49,12 +49,6 @@ def _lane_column(x) -> np.ndarray:
     return np.reshape(np.asarray(x, dtype=np.float64), (-1, 1))
 
 
-def _pow2_parts(h):
-    """(Re h', Im h', e) with h = 2^e h' exactly, the larger part of h' in [0.5, 1)."""
-    e = np.frexp(np.maximum(abs(h.real), abs(h.imag)))[1]
-    return np.ldexp(h.real, -e), np.ldexp(h.imag, -e), e
-
-
 def _two_prod(a, b):
     """(p, err) with p = fl(a b) and p + err = a b exactly for a, b near 1
     (Dekker, 1971; NumPy has no fused multiply-add), by 26-bit halves."""
@@ -65,19 +59,22 @@ def _two_prod(a, b):
 
 @np.errstate(all="ignore")  # both branches of each np.where are formed
 def step_multipliers(h, energy, n, tau_scale):
-    """(y, lambda, rate) of modes h, shape (k, 2), at one energy, n and tau_scale
-    or one per row: y = h n tau / hbar = (h / E) n tau_scale = u + i v (hbar
-    cancels), lambda = 1 - i y = (1 + v) - i u and rate = ln|lambda| / |y|, 0 at y = 0.
-    y = 2^k (c + c_lo) h' (`_pow2_parts`), c + c_lo the mantissas of n and tau_scale
-    over E's to twice the double's precision. |lambda|^2 - 1 = 2^k c s, where in s
-    = 2 Im h' + 2^k c |h'|^2 a mode's decay and the map's growth cancel error-free
-    (`_two_prod`, TwoSum); rate = (log1p(q) / q) s / (2 |h'|) with q = 2^k c s.
-    rate is the pair (r, j), rate = 2^j r, s and r formed at the scale 2^j: j = min(k, 0),
+    """(y, lambda, g) of modes h, shape (k, 2), at one energy, n and tau_scale
+    or one per row: y = h n tau / hbar = (h / E) n tau_scale = u + i v (hbar cancels),
+    lambda = 1 - i y = (1 + v) - i u and g = (m, e), Im h_eff = |h| ln|lambda| / |y|
+    = 2^e m, 0 at y = 0. h = 2^e_h h', the larger part of h' in [0.5, 1), and y = 2^k
+    (c + c_lo) h', c + c_lo the mantissas of n and tau_scale over E's to twice the
+    double's precision. |lambda|^2 - 1 = 2^k c s, where in s = 2 Im h' + 2^k c |h'|^2
+    a mode's decay and the map's growth cancel error-free (`_two_prod`, TwoSum). With
+    q = 2^k c s, ln|lambda| / |y| = 2^j r, r = (log1p(q) / q) s / (2 |h'|), or 2^-j
+    log|lambda| / |y| where |q| >= 2^1000 or q < -1/2 (near a zero lambda, where q
+    loses the digits of |lambda|^2). s and r are formed at the scale 2^j: j = min(k, 0),
     or at most 60 below Im h''s exponent, so a real mode's rate, about |y| / 2, keeps
-    its digits below |y| of 2^-1021. j = 0 wherever |q| >= 2^1000, as k >= 0 there."""
+    its digits below |y| of 2^-1021. m = |h'| r and e = e_h + j."""
     (mn, en), (mt, et), (me, ee) = map(np.frexp, map(_lane_column, (n, tau_scale, energy)))
-    re, im, eh = _pow2_parts(np.asarray(h))
-    k = en + et - ee + eh
+    h = np.asarray(h)
+    eh = np.frexp(np.maximum(abs(h.real), abs(h.imag)))[1]
+    re, im, k = np.ldexp(h.real, -eh), np.ldexp(h.imag, -eh), en + et - ee + eh
     (p, p_lo), c = _two_prod(mn, mt), mn * mt / me
     c_lo = ((p - c * me) - _two_prod(c, me)[1] + p_lo) / me  # p - fl(c me) is exact
     (a, a_lo), (b, b_lo) = _two_prod(re, re), _two_prod(im, im)
@@ -88,17 +85,18 @@ def step_multipliers(h, energy, n, tau_scale):
     s = (np.ldexp(2.0 * im, -j) + np.ldexp(t, k - j)) + np.ldexp(t_lo + c * m_lo + c_lo * m, k - j)
     q = np.ldexp(c * s, k + j)
     u, v = (np.ldexp(p + (err + c_lo * x), k) for x in (re, im) for p, err in [_two_prod(c, x)])
-    y, lam = as_complex(u, v), as_complex(1.0 + v, 0.0 - u)
-    small = np.where(q == 0, 1.0, np.log1p(q) / q) * s / np.where(s == 0, 1.0, 2 * np.hypot(re, im))
-    return y, lam, (np.where(np.abs(q) < 2.0 ** 1000, small,
-                             np.log(_modulus(lam)) / _modulus(y)), j)
+    y, lam, mod = as_complex(u, v), as_complex(1.0 + v, 0.0 - u), np.hypot(re, im)
+    small = np.where(q == 0, 1.0, np.log1p(q) / q) * s / np.where(s == 0, 1.0, 2 * mod)
+    return y, lam, (mod * np.where((np.abs(q) < 2.0 ** 1000) & (q >= -0.5), small,
+                                   np.ldexp(np.log(_modulus(lam)) / _modulus(y), -j)), eh + j)
 
 
-def per_hbar(h, rate, hbar, power=1):
-    """(|h| rate / hbar)^power of modes h and their `step_multipliers` rate (r, j), ln|lambda| /
-    (n tau) at power 1, from mantissas and exponents: nothing over- or underflows."""
-    (re, im, eh), (mb, eb), (r, j) = _pow2_parts(np.asarray(h)), np.frexp(_lane_column(hbar)), rate
-    return np.ldexp((np.hypot(re, im) * r / mb) ** power, power * (eh + j - eb))
+def per_hbar(g, hbar, power=1):
+    """(2^e m / hbar)^power of a `step_multipliers` pair g = (m, e), ln|lambda| / (n tau)
+    at power 1: a change of units, from mantissas and exponents, so nothing over- or
+    underflows before the result."""
+    (m, e), (mb, eb) = g, np.frexp(_lane_column(hbar))
+    return np.ldexp((m / mb) ** power, power * (e - eb))
 
 
 def im_re_ratio(e) -> tuple[np.ndarray, np.ndarray]:
@@ -113,7 +111,8 @@ def im_re_ratio(e) -> tuple[np.ndarray, np.ndarray]:
 def mode_stack(h, energy, n, tau_scale, hbar, lanes: Lanes) -> dict:
     """The spectral data of both modes of a stack of Hermitian H, shape
     (k, 2, 2), with the ChrononParams energy, n, tau_scale and the hbar of
-    each lane (`step_multipliers`; hbar enters only efold_time).
+    each lane (`step_multipliers`, whose pair (m, e) is heff_im = 2^e m; hbar
+    enters only efold_time, `per_hbar` of that pair).
 
     Returns arrays of shape (k, 2), one column per mode in the order of
     `eig2_stack`, named as the runner's per-mode cells: h, lambda_re,
@@ -125,11 +124,11 @@ def mode_stack(h, energy, n, tau_scale, hbar, lanes: Lanes) -> dict:
     """
     values, vectors, _ = eig2_stack(h, lanes)
     hk = values.real
-    y, lam, rate = step_multipliers(hk, energy, n, tau_scale)
-    # (i hbar / (n tau)) Log(lambda) = h (-arg(lambda) + i rate |y|) / y (h at y = 0):
-    # no hbar / (n tau) to overflow, and Im h_eff = |h| rate does not underflow
+    y, lam, im_eff = step_multipliers(hk, energy, n, tau_scale)
+    # (i hbar / (n tau)) Log(lambda) = h (-arg(lambda) + i ln|lambda|) / y (h at y = 0):
+    # no hbar / (n tau) to overflow, and Im h_eff = 2^e m does not underflow
     h_eff = as_complex(hk * np.where(y == 0, 1.0, -np.arctan2(lam.imag, lam.real) / y.real),
-                       per_hbar(hk, rate, 1.0))
+                       np.ldexp(*im_eff))
     h_first = as_complex(hk, hk * (hk / _lane_column(energy)) * _lane_column(tau_scale))
     finite = np.isfinite(h_eff) & np.isfinite(h_first)  # h_eff is not where lambda is not
     for k in (0, 1):
@@ -142,7 +141,7 @@ def mode_stack(h, energy, n, tau_scale, hbar, lanes: Lanes) -> dict:
     return {"h": hk, "lambda_re": lam.real, "lambda_im": lam.imag,
             "heff_re": h_eff.real, "heff_im": h_eff.imag,
             "hfirst_re": h_first.real, "hfirst_im": h_first.imag,
-            "step_mag": _modulus(lam), "efold_time": np.abs(per_hbar(hk, rate, hbar, -1)),
+            "step_mag": _modulus(lam), "efold_time": np.abs(per_hbar(im_eff, hbar, -1)),
             "ratio_exact": im_re_ratio(h_eff), "ratio_first": im_re_ratio(h_first),
             "eigvec": vectors, "nu_nonhermitian": (nu, (h_eff == 0).all(axis=1))}
 

@@ -485,6 +485,22 @@ def test_a_zero_multiplier_is_singular_map():
         assert epsilon_mixing(model, p, "continuous") == 0  # needs no multiplier
 
 
+def test_a_small_nonzero_multiplier_has_a_finite_rate():
+    # the K1 mode h = 1 - 2^70 i at n tau = 2^-70 has y = 2^-70 - i and lambda
+    # = -2^-70 i exactly, a double, though |lambda|^2 - 1 rounds to -1: its
+    # effective rate -2 ln|lambda| / (n tau) = 140 ln 2 2^70 is finite
+    model = KaonModel(1.0, 2.0 ** 71, 0.0)
+    p = ChrononParams(energy=1.0, tau_scale=2.0 ** -70)
+    fast, slow = width_shift(model, p)
+    assert fast.h_generator == complex(1.0, -2.0 ** 70)
+    assert fast.lambda_step == complex(0.0, -2.0 ** -70)
+    with mpmath.workdps(50):
+        want = 140 * mpmath.log(2) * mpmath.ldexp(1, 70)
+        assert abs(fast.gamma_effective / want - 1) <= 2.0 ** -52
+    assert slow.gamma_effective == pytest.approx(-2.0 ** -70, rel=1e-15)  # |lambda|^2 = 1 + 2^-140
+    assert epsilon_mixing(model, p, "discrete") == epsilon_mixing(model, p, "continuous")
+
+
 @pytest.mark.parametrize("model, message", [
     (KaonModel(1e-12, 0.1, 0.1), "continuous generator is degenerate"),
     # mixing_e 1e-15 against delta 1: both modes half K2, at equal rates

@@ -328,22 +328,50 @@ def test_two_prod_is_exact():
     (1.0, 1, 0.1), (1.3, 3, 1 / 3), (3e-300, 7, 1e-8), (0.7, 2 ** 60 + 1, 1e-300),
     (1e300, 1, 1e-310), (1.0, 3, 2.0 ** -1074), (1e300, 5, 2.0 ** -1074)])
 def test_step_multipliers_match_mpmath(energy, n, tau_scale):
-    # y = (h / E) n tau_scale and rate = 2^j r = ln|lambda| / |y| of decaying,
-    # growing and real modes, against 50-digit mpmath from the exact inputs;
-    # below |y| of 2^-1021 a real mode's rate is carried past the double range
+    # y = (h / E) n tau_scale and the pair (m, e), 2^e m = Im h_eff = |h| ln|lambda| / |y|,
+    # of decaying, growing and real modes, against 50-digit mpmath from the exact
+    # inputs; below |y| of 2^-1021 a real mode's ln|lambda| / |y| is past the double range
     h = np.array([[energy * (1 - 0.05j), -energy * (0.3 + 1e-9j)],
                   [energy * 2.0 ** -30 * (1 + 1j), 5.0 * energy]])
-    y, lam, (r, j) = step_multipliers(h, energy, n, tau_scale)
+    y, lam, (m, e) = step_multipliers(h, energy, n, tau_scale)
     with mpmath.workdps(50):
-        for got_y, got_lam, got_r, got_j, hk in zip(
-                y.ravel(), lam.ravel(), r.ravel(), j.ravel(), h.ravel()):
+        for got_y, got_lam, got_m, got_e, hk in zip(
+                y.ravel(), lam.ravel(), m.ravel(), e.ravel(), h.ravel()):
             want = mpmath.mpc(hk) * n * mpmath.mpf(tau_scale) / mpmath.mpf(energy)
             log_mag = mpmath.log1p(2 * want.imag + abs(want) ** 2) / 2
             if abs(want) >= 2.0 ** -1022:
                 assert abs(mpmath.mpc(got_y) / want - 1) <= 2.0 ** -52
             assert got_lam == complex(1.0 + got_y.imag, -got_y.real)
-            got_rate = mpmath.ldexp(mpmath.mpf(got_r), int(got_j))
-            assert abs(got_rate / (log_mag / abs(want)) - 1) <= 4 * 2.0 ** -52
+            got = mpmath.ldexp(mpmath.mpf(got_m), int(got_e))
+            assert abs(got / (abs(mpmath.mpc(hk)) * log_mag / abs(want)) - 1) <= 4 * 2.0 ** -52
+
+
+def test_step_multipliers_of_decaying_modes_with_small_multipliers_match_mpmath():
+    # |lambda|^2 < 1/2, where log1p(|lambda|^2 - 1) cancels and ln|lambda| is
+    # formed as log|lambda|: 1000 multipliers drawn uniformly from that disk,
+    # at E from 1e-200 to 1e200, among them steps with k < 0 in y = 2^k c h'
+    # (c and h' mantissas), where j = k and log|lambda| / |y| is scaled by
+    # 2^-j. The largest error over 12000 such draws was 5.4 eps (log1p(q) read
+    # up to 1026 eps over 4000 of them), so the bound is 8 eps. The conjugate
+    # modes grow
+    rng = np.random.default_rng(20261022)
+    lam = np.sqrt(0.5 * rng.uniform(0, 1, 1000)) * np.exp(2j * np.pi * rng.uniform(0, 1, 1000))
+    energy, n = 10.0 ** rng.uniform(-200, 200, 1000), rng.integers(1, 10, 1000)
+    tau_scale = rng.uniform(0.01, 1.0, 1000)
+    h = 1j * (lam - 1) * energy / (n * tau_scale)
+    h = np.stack([h, h.conj()], axis=1)
+    top = np.maximum(abs(h[:, 0].real), abs(h[:, 0].imag))
+    k = sum(np.frexp(x)[1] for x in (n, tau_scale, top)) - np.frexp(energy)[1]
+    assert (k < 0).sum() >= 10
+    _, _, (m, e) = step_multipliers(h, energy, n, tau_scale)
+    with mpmath.workdps(60):
+        for row in range(1000):
+            for col in (0, 1):
+                hk = mpmath.mpc(h[row, col])
+                y = hk * int(n[row]) * mpmath.mpf(tau_scale[row]) / mpmath.mpf(energy[row])
+                want = abs(hk) * mpmath.log(abs(1 - 1j * y)) / abs(y)
+                got = mpmath.ldexp(mpmath.mpf(m[row, col]), int(e[row, col]))
+                assert abs(got / want - 1) <= 8 * 2.0 ** -52
 
 
 @pytest.mark.parametrize("energy,diag,n,tau_scale,hbar", [
