@@ -14,9 +14,10 @@ formats, two `prob_final` scans along a direction of 1e200 and of 1e-200,
 a `width_shift` scan of tau_scale through the decay/growth crossing of the
 fast mode, a `width_shift` point whose fast multiplier is the small nonzero
 double -2^-70 i, the `evolve`, `converge` and `kaon` tables in the formats the
-other groups do not use, and `modes` at tau_scale 1e-9 and 1e-170, a `help` group of the `--help`
-texts of the program and of each command, and an `errors` group of
-malformed inputs, whose exit codes and stderr are compared. Each command runs as `python -m
+other groups do not use, and `modes` at tau_scale 1e-9 and 1e-170 and at energy
+1e-300 and tau_scale 1e-10, a `help` group of the `--help` texts of the
+program and of each command, and an `errors` group of malformed inputs, whose
+exit codes and stderr are compared: 163 commands. Each command runs as `python -m
 chronon_lab` once per tree, in a fresh temporary directory holding the
 workload's spec files and a copy of `configs/`. The script prints every
 command whose exit code, stdout, stderr, `--out` bytes or manifest (without
@@ -143,7 +144,7 @@ def formats_group() -> tuple[str, dict[str, str], list[list[str]]]:
     `converge` (also with invalid rows, refused at t_max 0, and at m = 2^40
     and 2^53) as JSON,
     each kaon observable in the format the README does not show, and
-    `modes` at tau_scale 1e-9 and 1e-170."""
+    `modes` at tau_scale 1e-9 and 1e-170 and at energy 1e-300 and tau_scale 1e-10."""
     files = {"invalid.json": json.dumps(INVALID_SCAN), "crossing.json": json.dumps(CROSSING_SCAN),
              "near_zero.json": json.dumps(NEAR_ZERO_SCAN)}
     files.update((name, json.dumps(spec)) for name, spec in
@@ -175,6 +176,8 @@ def formats_group() -> tuple[str, dict[str, str], list[list[str]]]:
     commands.append(["modes", "--energy", "1", "--tau-scale", "1e-9"])
     # ln|lambda| (about 5e-341) underflows at tau_scale 1e-170, heff_im does not
     commands.append(["modes", "--energy", "1", "--tau-scale", "1e-170"])
+    # heff_im (5e-311) and hfirst_im (1e-310) are subnormal, the ratios and nu are not
+    commands.append(["modes", "--energy", "1e-300", "--tau-scale", "1e-10"])
     for observable, fmt in (("2pi", "json"), ("3pi", "json"), ("epsilon", "json"),
                             ("width-shift", "csv")):
         commands.append(["kaon", "--config", "configs/kaon_natural.cfg", "--observable",

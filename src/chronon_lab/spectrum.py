@@ -22,8 +22,7 @@ import numpy as np
 
 from .errors import InvalidInput, Lanes, OnePoint, Overflow
 from .evolution import CONVENTIONS, ChrononParams, NATURAL_UNITS, UnitSystem, coerce_param
-from .linalg2 import (_modulus, _pow2_scale, as_complex, as_operator, eig2_stack, finite_check,
-                      is_hermitian)
+from .linalg2 import _modulus, as_complex, as_operator, eig2_stack, finite_check, is_hermitian
 from .record import Record
 
 
@@ -99,12 +98,15 @@ def per_hbar(g, hbar, power=1):
     return np.ldexp((m / mb) ** power, power * (e - eb))
 
 
-def im_re_ratio(e) -> tuple[np.ndarray, np.ndarray]:
+def im_re_ratio(e, im=None) -> tuple[np.ndarray, np.ndarray]:
     """(|Im / Re|, undefined) of effective energies e: the ratio is
-    undefined where Re e = 0."""
+    undefined where Re e = 0. Im e may be given as a pair im = (m, k), Im e =
+    2^k m, whose power of two is applied after the quotient, so that an Im e
+    that is subnormal as a double costs the ratio no digits."""
     e = np.asarray(e)
+    (m, k), (f, j) = np.frexp(e.imag) if im is None else im, np.frexp(e.real)
     with np.errstate(all="ignore"):
-        return np.abs(e.imag / e.real), e.real == 0
+        return np.abs(np.ldexp(m / f, k - j)), e.real == 0
 
 
 @np.errstate(all="ignore")  # failed lanes carry nan and inf; their values are not used
@@ -129,20 +131,26 @@ def mode_stack(h, energy, n, tau_scale, hbar, lanes: Lanes) -> dict:
     # no hbar / (n tau) to overflow, and Im h_eff = 2^e m does not underflow
     h_eff = as_complex(hk * np.where(y == 0, 1.0, -np.arctan2(lam.imag, lam.real) / y.real),
                        np.ldexp(*im_eff))
-    h_first = as_complex(hk, hk * (hk / _lane_column(energy)) * _lane_column(tau_scale))
+    r, ts, (h_m, h_e) = hk / _lane_column(energy), _lane_column(tau_scale), np.frexp(hk)
+    h_first = as_complex(hk, hk * r * ts)
     finite = np.isfinite(h_eff) & np.isfinite(h_first)  # h_eff is not where lambda is not
     for k in (0, 1):
         lanes.require(finite[:, k], Overflow, f"mode {k} is not finite in double precision")
-    # ||G - G^dagger||_F / (2 ||G||_F) of G = V diag(h0, h1) V^dagger, scaled
-    # by a power of two so that the hypots cannot overflow
-    g = h_eff * _lane_column(_pow2_scale(np.maximum(abs(h_eff.real), abs(h_eff.imag)).max(axis=1)))
+    # ||G - G^dagger||_F / (2 ||G||_F) of G = V diag(h0, h1) V^dagger, scaled by 2^s, s
+    # at most 1023 as in `_pow2_scale`, so that the hypots cannot overflow; Im G is
+    # 2^(e + s) m of the pair (m, e), so that a subnormal Im h_eff keeps its digits
+    top = np.maximum(abs(h_eff.real), abs(h_eff.imag)).max(axis=1)
+    s = np.minimum(-np.frexp(top)[1], 1023)[:, None]
+    g = as_complex(np.ldexp(h_eff.real, s), np.ldexp(im_eff[0], im_eff[1] + s))
     mod = _modulus(g)
     nu = np.hypot(g.imag[:, 0], g.imag[:, 1]) / np.hypot(mod[:, 0], mod[:, 1])
     return {"h": hk, "lambda_re": lam.real, "lambda_im": lam.imag,
             "heff_re": h_eff.real, "heff_im": h_eff.imag,
             "hfirst_re": h_first.real, "hfirst_im": h_first.imag,
             "step_mag": _modulus(lam), "efold_time": np.abs(per_hbar(im_eff, hbar, -1)),
-            "ratio_exact": im_re_ratio(h_eff), "ratio_first": im_re_ratio(h_first),
+            "ratio_exact": im_re_ratio(h_eff, im_eff),
+            # Im h_first = 2^e (h' r ts) with hk = 2^e h': the product before its power of two
+            "ratio_first": im_re_ratio(h_first, (h_m * r * ts, h_e)),
             "eigvec": vectors, "nu_nonhermitian": (nu, (h_eff == 0).all(axis=1))}
 
 

@@ -1,6 +1,5 @@
 import math
 
-import mpmath
 import numpy as np
 import pytest
 
@@ -15,6 +14,8 @@ from chronon_lab.kaon import (CP_TO_FLAVOR, KaonModel, change_basis,
                               two_pion_intensity, width_shift)
 from chronon_lab.linalg2 import is_hermitian
 from chronon_lab.quantities import kaon_from_config, load_kaon_config
+
+import oracle
 
 SQ2 = math.sqrt(2.0)
 
@@ -275,28 +276,10 @@ def test_epsilon_against_numpy_eig_oracle():
 EPS_MODEL = natural_model(gamma_s=0.1, gamma_l=0.001, delta=0.02)
 
 
-def _mp_modes(model, p):
-    """(b, d, the eigenvalues of H, hbar, n tau) of a kaon model in mpmath
-    numbers, H = [[a, d], [conj d, b]] in the cp basis; call at 50 digits."""
-    e, hb = mpmath.mpf(model.mixing_energy), mpmath.mpf(model.units.hbar)
-    a = e - 0.5j * hb * mpmath.mpf(model.gamma_short)
-    b = -e - 0.5j * hb * mpmath.mpf(model.gamma_long)
-    d = mpmath.mpc(model.delta)
-    disc = mpmath.sqrt(((a - b) / 2) ** 2 + d * mpmath.conj(d))
-    step = p.n * mpmath.mpf(p.tau_scale) * hb / mpmath.mpf(p.energy)
-    return b, d, ((a + b) / 2 - disc, (a + b) / 2 + disc), hb, step
-
-
-def epsilon_oracle(model, p, engine):
-    """<K1|v>/<K2|v> = -(b - h)/conj(d) of the long-lived mode at 50 digits."""
-    with mpmath.workdps(50):
-        b, d, hs, hb, step = _mp_modes(model, p)
-        if engine == "continuous":
-            rates = [-2 * h.imag / hb for h in hs]
-        else:
-            rates = [-2 / step * mpmath.log(abs(1 - 1j * h * step / hb)) for h in hs]
-        slow = hs[0] if rates[0] < rates[1] else hs[1]
-        return complex(-(b - slow) / mpmath.conj(d))
+def oracle_args(model, p):
+    """A kaon model and a chronon point as the plain numbers of `oracle`."""
+    return ((model.mixing_energy, model.gamma_short, model.gamma_long, model.delta,
+             model.units.hbar), (p.energy, p.n, p.tau_scale))
 
 
 def test_epsilon_engines_agree_at_every_tau_scale():
@@ -313,7 +296,7 @@ def test_epsilon_engines_agree_at_every_tau_scale():
 def test_epsilon_matches_mpmath(engine, tau_scale):
     p = ChrononParams(energy=1.0, tau_scale=tau_scale)
     got = epsilon_mixing(EPS_MODEL, p, engine)
-    assert got == pytest.approx(epsilon_oracle(EPS_MODEL, p, engine),
+    assert got == pytest.approx(oracle.epsilon(*oracle_args(EPS_MODEL, p), engine),
                                 rel=1e-12, abs=0)
 
 
@@ -325,24 +308,13 @@ HBAR_POINT = ChrononParams(energy=0.7, n=3, tau_scale=0.2)
 @pytest.mark.parametrize("engine", ["continuous", "discrete"])
 def test_epsilon_matches_mpmath_at_hbar_and_n(engine):
     got = epsilon_mixing(HBAR_MODEL, HBAR_POINT, engine)
-    assert got == pytest.approx(epsilon_oracle(HBAR_MODEL, HBAR_POINT, engine),
+    assert got == pytest.approx(oracle.epsilon(*oracle_args(HBAR_MODEL, HBAR_POINT), engine),
                                 rel=1e-12, abs=0)
-
-
-def width_oracle(model, p):
-    """(h, lambda, gamma_continuous, gamma_effective) of each mode at 50
-    digits, fast (larger continuous width) first."""
-    with mpmath.workdps(50):
-        _, _, hs, hb, step = _mp_modes(model, p)
-        modes = [(h, 1 - 1j * h * step / hb) for h in hs]
-        return sorted(((complex(h), complex(lam), float(-2 * h.imag / hb),
-                        float(-2 / step * mpmath.log(abs(lam)))) for h, lam in modes),
-                      key=lambda mode: -mode[2])
 
 
 def test_width_shift_matches_mpmath_at_hbar_and_n():
     for rec, want in zip(width_shift(HBAR_MODEL, HBAR_POINT),
-                         width_oracle(HBAR_MODEL, HBAR_POINT)):
+                         oracle.widths(*oracle_args(HBAR_MODEL, HBAR_POINT))):
         got = (rec.h_generator, rec.lambda_step, rec.gamma_continuous, rec.gamma_effective)
         assert got == pytest.approx(want, rel=1e-12, abs=0)
 
@@ -354,7 +326,7 @@ def test_width_shift_of_a_decaying_mode_past_the_double_range():
     # the difference of two numbers near 6e199
     model = KaonModel(1.3, 1e200, 0.002, units=UnitSystem(hbar=2.5))
     fast, _ = width_shift(model, HBAR_POINT)
-    h, lam, gamma, gamma_eff = width_oracle(model, HBAR_POINT)[0]
+    h, lam, gamma, gamma_eff = oracle.widths(*oracle_args(model, HBAR_POINT))[0]
     assert abs(fast.lambda_step) == pytest.approx(abs(lam), rel=1e-12)
     assert fast.gamma_continuous == pytest.approx(gamma, rel=1e-12)
     assert fast.gamma_effective == pytest.approx(gamma_eff, rel=1e-12)
@@ -366,7 +338,7 @@ def test_width_shift_where_h_n_tau_overflows():
     # y = h, lambda = (1 - 1.7e308) - 1i and both rates are finite
     model, point = KaonModel(1.0, 1.7e308, 0.0, units=UnitSystem(hbar=2.0)), ChrononParams(1.0)
     fast, _ = width_shift(model, point)
-    _, lam, gamma, gamma_eff = width_oracle(model, point)[0]
+    _, lam, gamma, gamma_eff = oracle.widths(*oracle_args(model, point))[0]
     assert fast.lambda_step == pytest.approx(lam, rel=1e-12)
     assert fast.gamma_continuous == pytest.approx(gamma, rel=1e-12)
     assert fast.gamma_effective == pytest.approx(gamma_eff, rel=1e-12)
@@ -494,9 +466,8 @@ def test_a_small_nonzero_multiplier_has_a_finite_rate():
     fast, slow = width_shift(model, p)
     assert fast.h_generator == complex(1.0, -2.0 ** 70)
     assert fast.lambda_step == complex(0.0, -2.0 ** -70)
-    with mpmath.workdps(50):
-        want = 140 * mpmath.log(2) * mpmath.ldexp(1, 70)
-        assert abs(fast.gamma_effective / want - 1) <= 2.0 ** -52
+    want = oracle.mode(fast.h_generator, 1.0, 1, 2.0 ** -70)["gamma_effective"]  # 140 ln 2 2^70
+    assert oracle.rel_err(fast.gamma_effective, want) <= 2.0 ** -52
     assert slow.gamma_effective == pytest.approx(-2.0 ** -70, rel=1e-15)  # |lambda|^2 = 1 + 2^-140
     assert epsilon_mixing(model, p, "discrete") == epsilon_mixing(model, p, "continuous")
 

@@ -7,7 +7,6 @@ import json
 import math
 import random
 
-import mpmath
 import numpy as np
 import pytest
 from hypothesis import example, given, settings, strategies as st
@@ -19,6 +18,8 @@ from chronon_lab.linalg2 import IDENTITY2, as_complex, eig2, eig2_stack, exp2, i
 from chronon_lab.quantities import evaluate_chunk
 from chronon_lab.runner import Table, render
 from chronon_lab.spectrum import mode_report
+
+import oracle
 
 # derandomized: the same examples on every run, and no example database
 PROPERTY = settings(max_examples=100, deadline=None, derandomize=True, database=None)
@@ -99,23 +100,17 @@ def test_small_step_ratios_are_scale_free(energy, diag, hbar, n, tau_scale):
     # with x = y = (h / E) n tau_scale, heff_im / (h x) = ln|lambda| / x^2,
     # efold_time x^2 / (n tau) = x^2 / ln|lambda| and ratio_exact / x =
     # ln|lambda| / (x atan|x|) are functions of x alone (1/2, 2 and 1/2 for
-    # small x), within 4 eps of 50-digit mpmath, ln|lambda| = log1p(x^2) / 2
+    # small x): the columns are within 4 eps of the 50-digit oracle
     cols, [status] = evaluate_chunk("mode_report", {
         "energy": energy, "diag": energy * diag, "hbar": hbar, "n": n,
         "tau_scale": tau_scale}, [], [])
     assert status == "ok"
-    with mpmath.workdps(50):
-        for k in (0, 1):
-            h = mpmath.mpf(cell(cols[f"mode{k}_h"]))
-            x = h * n * mpmath.mpf(tau_scale) / mpmath.mpf(energy)
-            step = n * mpmath.mpf(tau_scale) * mpmath.mpf(hbar) / mpmath.mpf(energy)
-            log_mag = mpmath.log1p(x * x) / 2
-            for column, scale, want in (
-                    ("heff_im", 1 / (h * x), log_mag / x ** 2),
-                    ("efold_time", x ** 2 / step, x ** 2 / log_mag),
-                    ("ratio_exact", 1 / x, log_mag / (x * mpmath.atan(abs(x))))):
-                got = mpmath.mpf(cell(cols[f"mode{k}_{column}"])) * scale
-                assert abs(got / want - 1) <= 4 * 2.0 ** -52, (column, float(got), float(want))
+    for k in (0, 1):
+        mode = oracle.mode(cell(cols[f"mode{k}_h"]), energy, n, tau_scale, hbar)
+        for column, want in (("heff_im", mode["h_eff"].imag), ("efold_time", mode["efold_time"]),
+                             ("ratio_exact", mode["ratio_exact"])):
+            got = cell(cols[f"mode{k}_{column}"])
+            assert oracle.rel_err(got, want) <= 4 * 2.0 ** -52, (column, got, float(want))
 
 
 widths = st.tuples(st.one_of(st.just(0.0), magnitudes(-1073, 1024)),
@@ -433,7 +428,7 @@ def oracle_value(x):
     return x
 
 
-def oracle(rows, fmt, columns):
+def stdlib_render(rows, fmt, columns):
     values = [[oracle_value(row[c]) for c in columns] for row in rows]
     if fmt == "json":
         return (json.dumps([dict(zip(columns, v)) for v in values], indent=2)
@@ -467,7 +462,7 @@ def test_render_equals_the_stdlib_writers(columns, kinds, data, fmt, block):
     rows = data.draw(st.lists(st.fixed_dictionaries(
         {c: COLUMN_CELLS[kind] for c, kind in kinds.items()}), max_size=5))
     table = table_of(rows, kinds)
-    assert render_in_blocks(table, fmt, block) == oracle(rows, fmt, columns)
+    assert render_in_blocks(table, fmt, block) == stdlib_render(rows, fmt, columns)
 
 
 @pytest.mark.parametrize("text,want", [("x\ry", b"a\nx\ry\n"), ("p\0q", b"a\np\x00q\n")])
@@ -493,7 +488,7 @@ def test_scan_table_renders_like_its_rows(k, data, fmt, block):
     assert len(table) == k
     # repr, as nan != nan; the row dict's keys in column order
     assert [repr(row) for row in table] == [repr({c: row[c] for c in kinds}) for row in rows]
-    assert render_in_blocks(table, fmt, block) == oracle(rows, fmt, list(kinds))
+    assert render_in_blocks(table, fmt, block) == stdlib_render(rows, fmt, list(kinds))
 
 
 NAN, INF = math.nan, math.inf
@@ -524,7 +519,7 @@ def test_render_formats_a_block_across_its_columns(fmt, block):
     rows = [{"status": SHARED_TEXT["status"][i],
              **{c: None if none[i] else v[i] for c, (v, none) in SHARED_BLOCK.items()},
              "m": SHARED_TEXT["m"][i]} for i in range(6)]
-    want = oracle(rows, fmt, list(columns))
+    want = stdlib_render(rows, fmt, list(columns))
     assert render_in_blocks(Table(columns), fmt, block) == want
 
 

@@ -7,7 +7,6 @@ import tracemalloc
 import warnings
 from datetime import datetime, timezone
 
-import mpmath
 import numpy as np
 import pytest
 
@@ -24,6 +23,7 @@ from chronon_lab.runner import (RENDER_BLOCK, Table, convergence_study, emit, ma
                                 render, render_blocks, run_scan)
 
 import golden_defs
+import oracle
 
 
 def digest_of(data: bytes) -> str:
@@ -315,24 +315,11 @@ def trajectory_point(energy, diag, tau_scale, steps, **extra):
 
 
 def mp_final_state(params):
-    """U^steps psi0 at 50 digits, U the program's own float step map."""
+    """The oracle's final state of `params`, U the program's own float step map."""
     p = ChrononParams(params["energy"], 1, params["tau_scale"])
-    u = discrete_step_operator(symmetric_hamiltonian(params["energy"],
-                                                     params["diag"]), p)
-    psi0 = parse_complex_pair(params.get("psi0", "1,0")).tolist()
-    with mpmath.workdps(50):
-        return mpmath.matrix(u.tolist()) ** params["steps"] * mpmath.matrix(psi0)
-
-
-def mp_observable(params, psi):
-    """The observable of `params` of the state psi at 50 digits."""
-    with mpmath.workdps(50):
-        if params.get("observable", "norm2_final") == "norm2_final":
-            return abs(psi[0]) ** 2 + abs(psi[1]) ** 2
-        d = parse_complex_pair(params["direction"]).tolist()
-        d_norm = mpmath.sqrt(abs(d[0]) ** 2 + abs(d[1]) ** 2)
-        return abs(psi[0] * mpmath.conj(d[0]) + psi[1] * mpmath.conj(d[1])) ** 2 \
-            / d_norm ** 2
+    u = discrete_step_operator(symmetric_hamiltonian(params["energy"], params["diag"]), p)
+    return oracle.final_state(u, parse_complex_pair(params.get("psi0", "1,0")), params["steps"],
+                              parse_complex_pair(params.get("direction", "1,0")))
 
 
 def test_trajectory_observable_discrete_matches_mpmath():
@@ -341,7 +328,7 @@ def test_trajectory_observable_discrete_matches_mpmath():
         params = trajectory_point(1.0, float(diag), 1e-3, 10_000)
         row = alone("trajectory-observable", params)
         assert row["status"] == "ok"
-        want = mp_observable(params, mp_final_state(params))
+        want = mp_final_state(params)["norm2_final"]
         assert abs(row["value"] - want) <= 1e-14 * want, diag
 
 
@@ -358,14 +345,14 @@ def test_trajectory_observable_discrete_wide_range_matches_mpmath():
             direction=str(rng.choice(["1,0", "0,1", "1,1j"])),
             observable=str(rng.choice(["norm2_final", "prob_final"])))
         row = alone("trajectory-observable", params)
-        psi = mp_final_state(params)
-        norm2 = abs(psi[0]) ** 2 + abs(psi[1]) ** 2
+        final = mp_final_state(params)
+        norm2 = final["norm2_final"]
         if norm2 > 1e300:  # beyond (or at the edge of) double precision
             assert row["status"] in ("ok", "Overflow")
             assert row["status"] == "Overflow" or norm2 < 1.7e308
             continue
         assert row["status"] == "ok", params
-        want = mp_observable(params, psi)
+        want = final[params["observable"]]
         assert abs(row["value"] - want) <= 1e-12 * want + 1e-15 * norm2, params
         checked += 1
     assert checked > 200
@@ -454,14 +441,6 @@ def test_convergence_composed_map_matches_sequential_product():
         assert abs(row["max_entry_error"] - err) <= 1e-12
 
 
-def converge_oracle(m: int) -> mpmath.mpf:
-    """max|(I - i H/m)^m - exp(-i H)| for H = [[0, 1], [1, 0]], at 50 digits."""
-    with mpmath.workdps(50):
-        h = mpmath.matrix([[0, 1], [1, 0]])
-        diff = (mpmath.eye(2) - 1j * h / m) ** m - mpmath.expm(-1j * h)
-        return max(abs(diff[i, j]) for i in range(2) for j in range(2))
-
-
 def test_converge_golden_matches_mpmath_oracle():
     # The closed-form power leaves the committed rows within 7.6e-13
     # (errors) and 1.2e-12 (orders) of the 50-digit values, relative; 1e-11
@@ -470,18 +449,13 @@ def test_converge_golden_matches_mpmath_oracle():
     with open(golden_defs.GOLDEN_DIR / "converge.csv", newline="") as f:
         rows = list(csv.DictReader(f))
     assert [int(r["m"]) for r in rows] == golden_defs.CONVERGE_M_LIST
-    prev = None
-    for row in rows:
-        m = int(row["m"])
-        err = converge_oracle(m)
+    for row, (err, order) in zip(rows, oracle.converge_rows(golden_defs.CONVERGE_M_LIST)):
         assert row["status"] == "ok"
         assert float(row["max_entry_error"]) == pytest.approx(float(err), rel=1e-11)
-        if prev is None:
+        if order is None:
             assert row["observed_order"] == ""
         else:
-            order = mpmath.log(prev[1] / err) / mpmath.log(mpmath.mpf(m) / prev[0])
             assert float(row["observed_order"]) == pytest.approx(float(order), rel=1e-11)
-        prev = (m, err)
 
 
 def test_convergence_study_error_is_that_of_the_float_maps_power():
@@ -489,13 +463,11 @@ def test_convergence_study_error_is_that_of_the_float_maps_power():
     # exp(-i H), 3.83e-13 (repeated squaring read 6.27e-9 there). The
     # reference takes U's entry u01 from step_map, not H / m, so it tests the
     # power and not the rounding of dt, and forms U^m from U's eigenvalues
-    # 1 +/- u01 at 60 digits.
+    # 1 +/- u01 (`oracle.converge_rows`).
     m = 2 ** 40
     row = convergence_study(1.0, 1.0, [16, m])[1]
-    u01 = mpmath.mpc(complex(step_map(symmetric_hamiltonian(1.0), 1.0 / m, 1.0)[0, 1]))
-    with mpmath.workdps(60):
-        a, b = (1 + u01) ** m, (1 - u01) ** m
-        want = max(abs((a + b) / 2 - mpmath.cos(1)), abs((a - b) / 2 + 1j * mpmath.sin(1)))
+    u01 = step_map(symmetric_hamiltonian(1.0), 1.0 / m, 1.0)[0, 1]
+    [(want, _)] = oracle.converge_rows([m], [u01])
     assert row["status"] == "ok"
     assert 0.8 <= row["observed_order"] <= 1.2
     assert abs(row["max_entry_error"] - float(want)) <= 1e-14
@@ -1016,19 +988,10 @@ def test_width_shift_hamiltonian_overflow_is_overflow():
         kaon_hamiltonian(KaonModel(1.0, 1e308, 0.0, units=UnitSystem(hbar=10.0)))
 
 
-def _log_modulus_oracle(h: complex, energy: float, n: int, tau_scale: float):
-    """(ln|1 - i y|, n tau / hbar) in 50 digits, y = (h / E) n tau_scale,
-    from the exact double h, E and tau_scale and the integer n."""
-    with mpmath.workdps(50):
-        x = n * mpmath.mpf(tau_scale) / mpmath.mpf(energy)
-        u, v = mpmath.mpf(h.real) * x, mpmath.mpf(h.imag) * x
-        return mpmath.log1p(v * (2 + v) + u * u) / 2, x
-
-
 def test_efold_time_and_gamma_effective_match_mpmath():
     # ln|lambda| = 0.5 log1p(|lambda|^2 - 1) from the step quantities: the
     # e-folding times of mode_report and the effective rates of width_shift
-    # within 1e-14 of 50-digit mpmath, also where |lambda| is within 1e-16
+    # within 1e-14 of the 50-digit oracle, also where |lambda| is within 1e-16
     # of 1 (x down to 1e-12) and where the decay of the fast kaon mode and
     # the growth of the chronon map cancel (tau_scale near gamma_s)
     rng = np.random.default_rng(20261018)
@@ -1039,9 +1002,8 @@ def test_efold_time_and_gamma_effective_match_mpmath():
                   "hbar": 10.0 ** rng.uniform(-100, 100), "n": int(rng.integers(1, 5))}
         row = alone("mode_report", params)
         for k in (0, 1):
-            g, x = _log_modulus_oracle(complex(row[f"mode{k}_h"]), energy, params["n"],
-                                       params["tau_scale"])
-            want = float(x * mpmath.mpf(params["hbar"]) / abs(g))
+            want = float(oracle.mode(row[f"mode{k}_h"], energy, params["n"], params["tau_scale"],
+                                     params["hbar"])["efold_time"])
             assert row[f"mode{k}_efold_time"] == pytest.approx(want, rel=1e-14, abs=0)
     spec = ScanSpec.from_dict({
         "quantity": "width_shift",
@@ -1052,8 +1014,7 @@ def test_efold_time_and_gamma_effective_match_mpmath():
     for row in run_scan(spec):
         for lbl in ("fast", "slow"):
             h = complex(row[f"{lbl}_h_re"], row[f"{lbl}_h_im"])
-            g, x = _log_modulus_oracle(h, 1.0, 1, row["tau_scale"])
-            want = float(-2 * g / (x * mpmath.mpf(1.3)))
+            want = float(oracle.mode(h, 1.0, 1, row["tau_scale"], 1.3)["gamma_effective"])
             assert row[f"{lbl}_gamma_effective"] == pytest.approx(want, rel=1e-14, abs=0)
 
 
@@ -1063,7 +1024,7 @@ def test_gamma_effective_at_the_decay_growth_crossing_matches_mpmath(energy, n, 
     # the fast mode's decay and the map's growth cancel in |lambda|^2 - 1 at
     # x = n tau_scale / E = hbar gamma_s / |h|^2 (0.0997506 in the natural
     # config, the first case): 200 tau_scale within 1e-12 to 1e-1 of it keep
-    # gamma_effective within 1e-14 of 50-digit mpmath, also where E and n
+    # gamma_effective within 1e-14 of the 50-digit oracle, also where E and n
     # are not powers of two, so that n tau_scale / E is not a double
     h = complex(energy, -0.05 * hbar)
     rng = np.random.default_rng(20261021)
@@ -1075,6 +1036,5 @@ def test_gamma_effective_at_the_decay_growth_crossing_matches_mpmath(energy, n, 
     assert set(status) == {"ok"}
     for i, ts in enumerate(tau_scale):
         h = complex(cols["fast_h_re"][0][i], cols["fast_h_im"][0][i])
-        g, x = _log_modulus_oracle(h, energy, n, ts)
-        want = float(-2 * g / (x * mpmath.mpf(hbar)))
+        want = float(oracle.mode(h, energy, n, ts, hbar)["gamma_effective"])
         assert cols["fast_gamma_effective"][0][i] == pytest.approx(want, rel=1e-14, abs=0)

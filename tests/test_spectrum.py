@@ -2,7 +2,6 @@ import cmath
 import math
 from fractions import Fraction
 
-import mpmath
 import numpy as np
 import pytest
 import scipy.linalg
@@ -14,6 +13,8 @@ from chronon_lab.evolution import (ChrononParams, NATURAL_UNITS, UnitSystem,
 from chronon_lab.linalg2 import DEFAULT_TOL, IDENTITY2, PAULI_X
 from chronon_lab.quantities import evaluate_chunk
 from chronon_lab.spectrum import _two_prod, im_re_ratio, mode_report, step_multipliers
+
+import oracle
 
 CHRONON_POINT = ChrononParams(energy=1.0)
 
@@ -227,11 +228,28 @@ def test_mode_report_nu_matches_mpmath(tau_scale):
     for energy in (1e-6, 0.37, 1.0, 250.0, 1e6):
         p = ChrononParams(energy=energy, n=2, tau_scale=tau_scale)
         got = mode_report(symmetric_hamiltonian(energy), p).nu_nonhermitian
-        with mpmath.workdps(50):
-            s = mpmath.mpf(p.step())
-            h_eff = 1j / s * mpmath.log(1 - 1j * mpmath.mpf(energy) * s)
-            want = float(abs(h_eff.imag) / abs(h_eff))
-        assert got == pytest.approx(want, rel=1e-14, abs=0)
+        want = oracle.nu(*(oracle.mode(h, energy, 2, tau_scale)["h_eff"]
+                           for h in (-energy, energy)))
+        assert got == pytest.approx(float(want), rel=1e-14, abs=0)
+
+
+@pytest.mark.parametrize("energy, diag, n, hbar", [
+    (1e-300, 0.0, 1, 1.0), (1.0, 0.0, 1, 1.0), (1e300, 0.0, 1, 1.0), (1e-300, 0.5, 3, 2.5)])
+def test_ratios_and_nu_match_the_oracle_where_the_imaginary_parts_are_subnormal(
+        energy, diag, n, hbar):
+    # at tau_scale 1e-10 and E = 1e-300, heff_im (5e-311) and hfirst_im (1e-310) are
+    # subnormal; the ratios and nu are formed before their powers of two, so they are
+    # within 4 eps of the oracle at every E, also where h / E is not +-1 (diag 0.5 E)
+    cols, [status] = evaluate_chunk("mode_report", {"energy": energy, "diag": diag * energy,
+                                                    "n": n, "hbar": hbar, "tau_scale": 1e-10},
+                                    [], [])
+    assert status == "ok"
+    modes = [oracle.mode(cols[f"mode{k}_h"][0][0], energy, n, 1e-10, hbar) for k in (0, 1)]
+    for k, mode in enumerate(modes):
+        for column in ("ratio_exact", "ratio_first"):
+            assert oracle.rel_err(cols[f"mode{k}_{column}"][0][0], mode[column]) <= 4 * 2.0 ** -52
+    nu = oracle.nu(*(mode["h_eff"] for mode in modes))
+    assert oracle.rel_err(cols["nu_nonhermitian"][0][0], nu) <= 4 * 2.0 ** -52
 
 
 # ---------------------------------------------------------------------------
@@ -329,21 +347,18 @@ def test_two_prod_is_exact():
     (1e300, 1, 1e-310), (1.0, 3, 2.0 ** -1074), (1e300, 5, 2.0 ** -1074)])
 def test_step_multipliers_match_mpmath(energy, n, tau_scale):
     # y = (h / E) n tau_scale and the pair (m, e), 2^e m = Im h_eff = |h| ln|lambda| / |y|,
-    # of decaying, growing and real modes, against 50-digit mpmath from the exact
+    # of decaying, growing and real modes, against the 50-digit oracle from the exact
     # inputs; below |y| of 2^-1021 a real mode's ln|lambda| / |y| is past the double range
     h = np.array([[energy * (1 - 0.05j), -energy * (0.3 + 1e-9j)],
                   [energy * 2.0 ** -30 * (1 + 1j), 5.0 * energy]])
     y, lam, (m, e) = step_multipliers(h, energy, n, tau_scale)
-    with mpmath.workdps(50):
-        for got_y, got_lam, got_m, got_e, hk in zip(
-                y.ravel(), lam.ravel(), m.ravel(), e.ravel(), h.ravel()):
-            want = mpmath.mpc(hk) * n * mpmath.mpf(tau_scale) / mpmath.mpf(energy)
-            log_mag = mpmath.log1p(2 * want.imag + abs(want) ** 2) / 2
-            if abs(want) >= 2.0 ** -1022:
-                assert abs(mpmath.mpc(got_y) / want - 1) <= 2.0 ** -52
-            assert got_lam == complex(1.0 + got_y.imag, -got_y.real)
-            got = mpmath.ldexp(mpmath.mpf(got_m), int(got_e))
-            assert abs(got / (abs(mpmath.mpc(hk)) * log_mag / abs(want)) - 1) <= 4 * 2.0 ** -52
+    for got_y, got_lam, got_m, got_e, hk in zip(
+            y.ravel(), lam.ravel(), m.ravel(), e.ravel(), h.ravel()):
+        want = oracle.mode(hk, energy, n, tau_scale)
+        if abs(want["y"]) >= 2.0 ** -1022:
+            assert oracle.rel_err(got_y, want["y"]) <= 2.0 ** -52
+        assert got_lam == complex(1.0 + got_y.imag, -got_y.real)
+        assert oracle.rel_err(got_m, want["h_eff"].imag, int(got_e)) <= 4 * 2.0 ** -52
 
 
 def test_step_multipliers_of_decaying_modes_with_small_multipliers_match_mpmath():
@@ -364,14 +379,10 @@ def test_step_multipliers_of_decaying_modes_with_small_multipliers_match_mpmath(
     k = sum(np.frexp(x)[1] for x in (n, tau_scale, top)) - np.frexp(energy)[1]
     assert (k < 0).sum() >= 10
     _, _, (m, e) = step_multipliers(h, energy, n, tau_scale)
-    with mpmath.workdps(60):
-        for row in range(1000):
-            for col in (0, 1):
-                hk = mpmath.mpc(h[row, col])
-                y = hk * int(n[row]) * mpmath.mpf(tau_scale[row]) / mpmath.mpf(energy[row])
-                want = abs(hk) * mpmath.log(abs(1 - 1j * y)) / abs(y)
-                got = mpmath.ldexp(mpmath.mpf(m[row, col]), int(e[row, col]))
-                assert abs(got / want - 1) <= 8 * 2.0 ** -52
+    for row in range(1000):
+        for col in (0, 1):
+            want = oracle.mode(h[row, col], energy[row], int(n[row]), tau_scale[row])["h_eff"]
+            assert oracle.rel_err(m[row, col], want.imag, int(e[row, col])) <= 8 * 2.0 ** -52
 
 
 @pytest.mark.parametrize("energy,diag,n,tau_scale,hbar", [
@@ -383,12 +394,9 @@ def test_a_real_mode_whose_rate_is_past_the_double_range_matches_mpmath(
     # a real mode's rate ln|lambda| / |y| is about |y| / 2, below 2^-1022 for
     # these steps (down to |y| of 2^-1126 for the mode h = 2^-26 E), yet
     # heff_im = |h| rate and efold_time = hbar / |h rate| are normal
-    # doubles: both within 4 eps of 50-digit mpmath
+    # doubles: both within 4 eps of the 50-digit oracle
     h = symmetric_hamiltonian(energy, diag * energy)
     for mode in mode_report(h, ChrononParams(energy, n, tau_scale), UnitSystem(hbar)).modes:
-        with mpmath.workdps(50):
-            hk = mpmath.mpf(mode.h_continuous)
-            y = hk * n * mpmath.mpf(tau_scale) / mpmath.mpf(energy)
-            heff_im = abs(hk) * mpmath.log1p(y * y) / (2 * abs(y))
-            assert abs(mode.h_eff_exact.imag / heff_im - 1) <= 4 * 2.0 ** -52
-            assert abs(mode.efold_time / (mpmath.mpf(hbar) / heff_im) - 1) <= 4 * 2.0 ** -52
+        want = oracle.mode(mode.h_continuous, energy, n, tau_scale, hbar)
+        assert oracle.rel_err(mode.h_eff_exact.imag, want["h_eff"].imag) <= 4 * 2.0 ** -52
+        assert oracle.rel_err(mode.efold_time, want["efold_time"]) <= 4 * 2.0 ** -52
