@@ -131,16 +131,15 @@ def mode_stack(h, energy, n, tau_scale, hbar, lanes: Lanes) -> dict:
     # no hbar / (n tau) to overflow, and Im h_eff = 2^e m does not underflow
     h_eff = as_complex(hk * np.where(y == 0, 1.0, -np.arctan2(lam.imag, lam.real) / y.real),
                        np.ldexp(*im_eff))
-    r, ts, (h_m, h_e) = hk / _lane_column(energy), _lane_column(tau_scale), np.frexp(hk)
+    r, ts, h_m = hk / _lane_column(energy), _lane_column(tau_scale), np.frexp(hk)[0]
     h_first = as_complex(hk, hk * r * ts)
     finite = np.isfinite(h_eff) & np.isfinite(h_first)  # h_eff is not where lambda is not
     for k in (0, 1):
         lanes.require(finite[:, k], Overflow, f"mode {k} is not finite in double precision")
-    # ||G - G^dagger||_F / (2 ||G||_F) of G = V diag(h0, h1) V^dagger, scaled by 2^s, s
-    # at most 1023 as in `_pow2_scale`, so that the hypots cannot overflow; Im G is
-    # 2^(e + s) m of the pair (m, e), so that a subnormal Im h_eff keeps its digits
-    top = np.maximum(abs(h_eff.real), abs(h_eff.imag)).max(axis=1)
-    s = np.minimum(-np.frexp(top)[1], 1023)[:, None]
+    # ||G - G^dagger||_F / (2 ||G||_F) of G = V diag(h0, h1) V^dagger, scaled by 2^s
+    # so that the hypots cannot overflow; Im G is 2^(e + s) m of the pair (m, e), so
+    # that a subnormal Im h_eff keeps its digits
+    s = -np.frexp(np.maximum(abs(h_eff.real), abs(h_eff.imag)).max(axis=1))[1][:, None]
     g = as_complex(np.ldexp(h_eff.real, s), np.ldexp(im_eff[0], im_eff[1] + s))
     mod = _modulus(g)
     nu = np.hypot(g.imag[:, 0], g.imag[:, 1]) / np.hypot(mod[:, 0], mod[:, 1])
@@ -149,8 +148,8 @@ def mode_stack(h, energy, n, tau_scale, hbar, lanes: Lanes) -> dict:
             "hfirst_re": h_first.real, "hfirst_im": h_first.imag,
             "step_mag": _modulus(lam), "efold_time": np.abs(per_hbar(im_eff, hbar, -1)),
             "ratio_exact": im_re_ratio(h_eff, im_eff),
-            # Im h_first = 2^e (h' r ts) with hk = 2^e h': the product before its power of two
-            "ratio_first": im_re_ratio(h_first, (h_m * r * ts, h_e)),
+            # |Im / Re| of h_first with the power of two of hk = 2^e h' taken out
+            "ratio_first": (np.abs(h_m * r * ts / h_m), hk == 0),
             "eigvec": vectors, "nu_nonhermitian": (nu, (h_eff == 0).all(axis=1))}
 
 

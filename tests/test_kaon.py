@@ -276,12 +276,6 @@ def test_epsilon_against_numpy_eig_oracle():
 EPS_MODEL = natural_model(gamma_s=0.1, gamma_l=0.001, delta=0.02)
 
 
-def oracle_args(model, p):
-    """A kaon model and a chronon point as the plain numbers of `oracle`."""
-    return ((model.mixing_energy, model.gamma_short, model.gamma_long, model.delta,
-             model.units.hbar), (p.energy, p.n, p.tau_scale))
-
-
 def test_epsilon_engines_agree_at_every_tau_scale():
     # the step map has H's eigenvectors, so the engines differ only in which
     # mode they call long-lived; here they pick the same one
@@ -296,8 +290,7 @@ def test_epsilon_engines_agree_at_every_tau_scale():
 def test_epsilon_matches_mpmath(engine, tau_scale):
     p = ChrononParams(energy=1.0, tau_scale=tau_scale)
     got = epsilon_mixing(EPS_MODEL, p, engine)
-    assert got == pytest.approx(oracle.epsilon(*oracle_args(EPS_MODEL, p), engine),
-                                rel=1e-12, abs=0)
+    assert got == pytest.approx(oracle.epsilon(EPS_MODEL, p, engine), rel=1e-12, abs=0)
 
 
 # hbar and n tau far from 1, so that step / hbar, step and hbar all differ
@@ -308,13 +301,12 @@ HBAR_POINT = ChrononParams(energy=0.7, n=3, tau_scale=0.2)
 @pytest.mark.parametrize("engine", ["continuous", "discrete"])
 def test_epsilon_matches_mpmath_at_hbar_and_n(engine):
     got = epsilon_mixing(HBAR_MODEL, HBAR_POINT, engine)
-    assert got == pytest.approx(oracle.epsilon(*oracle_args(HBAR_MODEL, HBAR_POINT), engine),
-                                rel=1e-12, abs=0)
+    assert got == pytest.approx(oracle.epsilon(HBAR_MODEL, HBAR_POINT, engine), rel=1e-12, abs=0)
 
 
 def test_width_shift_matches_mpmath_at_hbar_and_n():
     for rec, want in zip(width_shift(HBAR_MODEL, HBAR_POINT),
-                         oracle.widths(*oracle_args(HBAR_MODEL, HBAR_POINT))):
+                         oracle.widths(HBAR_MODEL, HBAR_POINT)):
         got = (rec.h_generator, rec.lambda_step, rec.gamma_continuous, rec.gamma_effective)
         assert got == pytest.approx(want, rel=1e-12, abs=0)
 
@@ -326,7 +318,7 @@ def test_width_shift_of_a_decaying_mode_past_the_double_range():
     # the difference of two numbers near 6e199
     model = KaonModel(1.3, 1e200, 0.002, units=UnitSystem(hbar=2.5))
     fast, _ = width_shift(model, HBAR_POINT)
-    h, lam, gamma, gamma_eff = oracle.widths(*oracle_args(model, HBAR_POINT))[0]
+    h, lam, gamma, gamma_eff = oracle.widths(model, HBAR_POINT)[0]
     assert abs(fast.lambda_step) == pytest.approx(abs(lam), rel=1e-12)
     assert fast.gamma_continuous == pytest.approx(gamma, rel=1e-12)
     assert fast.gamma_effective == pytest.approx(gamma_eff, rel=1e-12)
@@ -338,7 +330,7 @@ def test_width_shift_where_h_n_tau_overflows():
     # y = h, lambda = (1 - 1.7e308) - 1i and both rates are finite
     model, point = KaonModel(1.0, 1.7e308, 0.0, units=UnitSystem(hbar=2.0)), ChrononParams(1.0)
     fast, _ = width_shift(model, point)
-    _, lam, gamma, gamma_eff = oracle.widths(*oracle_args(model, point))[0]
+    _, lam, gamma, gamma_eff = oracle.widths(model, point)[0]
     assert fast.lambda_step == pytest.approx(lam, rel=1e-12)
     assert fast.gamma_continuous == pytest.approx(gamma, rel=1e-12)
     assert fast.gamma_effective == pytest.approx(gamma_eff, rel=1e-12)

@@ -320,16 +320,12 @@ def test_exp2_rejects_nonfinite():
 # ---------------------------------------------------------------------------
 # power2
 
-def mp_power(m, k):
-    return np.array(oracle.matrix_power(m, k).tolist(), dtype=np.complex128)
-
-
 def test_power2_matches_mpmath():
     rng = np.random.default_rng(61)
     for _ in range(100):
         m = random_complex_matrix(rng)
         for k in (0, 1, 2, 3, 7, 60):
-            want = mp_power(m, k)
+            want = oracle.matrix_power(m, k)
             err = np.max(np.abs(power2(m, k) - want))
             assert err <= 5e-15 * max(k, 1) * np.max(np.abs(want)), (m, k)
 
@@ -338,7 +334,7 @@ def test_power2_near_identity_step_map():
     # U = I - i s H at s = 1e-3 over 1e4 steps: relative accuracy survives
     h = np.array([[1.3, 1.0], [1.0, 1.3]])
     u = IDENTITY2 - 1e-3j * h
-    want = mp_power(u, 10_000)
+    want = oracle.matrix_power(u, 10_000)
     np.testing.assert_allclose(power2(u, 10_000), want, rtol=1e-14, atol=0)
 
 
